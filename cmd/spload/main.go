@@ -30,21 +30,16 @@
 //	mixed     round-robin over single/batch/budget/estimate
 //	holblock  one large batch riding with eight singles — only the
 //	          singles are measured, so the latency quantiles isolate
-//	          head-of-line blocking: run it with "-pool 1" serial vs
-//	          muxed to see the batch stall (or not stall) the singles
-//	          sharing its connection
+//	          head-of-line blocking: run it with "-pool 1" to check the
+//	          batch does not stall the singles sharing its connection
 //
 // Any entry may carry its own rate as "name@qps" (e.g.
 // "single@2000,batch@50"), overriding the global -qps for that
-// workload only. TCP entries may also carry a "mux:" or "serial:"
-// prefix (e.g. "mux:holblock@500") to force the transport mode for
-// that workload, overriding the global -mux flag — one invocation can
-// record both modes into a single report.
+// workload only.
 //
-// With -mux the TCP pool negotiates the multiplexed session mode:
-// requests carry ids, replies complete out of order, and every pooled
-// connection serves many requests at once (-pool caps connections,
-// -conns the in-flight workers).
+// TCP requests carry ids and replies complete out of order, so every
+// pooled connection serves many requests at once (-pool caps
+// connections, -conns the in-flight workers).
 //
 // With -addrs (a comma-separated replica list, instead of -addr) the
 // load is routed through qclient.Router: per-replica health and epoch
@@ -169,9 +164,9 @@ func workloadKinds(name string) ([]kind, string, error) {
 		return []kind{kSingle, kBatch, kBudget, kEstimate}, "mixed", nil
 	case "holblock":
 		// The head-of-line probe: every large batch is chased by eight
-		// singles that, on a serial connection, must wait for its multi-
-		// megabyte reply. Only the singles are measured (see runWorkload),
-		// so the quantiles read as "what a 5 µs query pays for sharing a
+		// singles sharing its connection and its multi-megabyte reply's
+		// writer. Only the singles are measured (see runWorkload), so the
+		// quantiles read as "what a 5 µs query pays for sharing a
 		// connection with bulk traffic".
 		return []kind{kBatch, kSingle, kSingle, kSingle, kSingle, kSingle, kSingle, kSingle, kSingle}, "mixed", nil
 	default:
@@ -257,8 +252,8 @@ type tcpTransport struct {
 	pool *qclient.Pool
 }
 
-func newTCPTransport(addr string, conns int, mux bool) (*tcpTransport, error) {
-	pool, err := qclient.NewPool(addr, conns, qclient.Options{Mux: mux})
+func newTCPTransport(addr string, conns int) (*tcpTransport, error) {
+	pool, err := qclient.NewPool(addr, conns, qclient.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -297,10 +292,9 @@ type routerTransport struct {
 	router *qclient.Router
 }
 
-func newRouterTransport(addrs []string, poolSize int, mux bool, hedge time.Duration) (*routerTransport, error) {
+func newRouterTransport(addrs []string, poolSize int, hedge time.Duration) (*routerTransport, error) {
 	r, err := qclient.NewRouter(addrs, qclient.RouterOptions{
 		PoolSize:   poolSize,
-		Client:     qclient.Options{Mux: mux},
 		HedgeDelay: hedge,
 	})
 	if err != nil {
@@ -667,8 +661,7 @@ func run(args []string) error {
 		duration  = fs.Duration("duration", 5*time.Second, "offered-load window per workload")
 		warmup    = fs.Duration("warmup", 300*time.Millisecond, "unmeasured closed-loop warmup per workload")
 		conns     = fs.Int("conns", 8, "concurrent workers issuing requests")
-		poolSize  = fs.Int("pool", 0, "TCP connections in the pool (0 = -conns); with -mux each connection carries many in-flight requests, so \"-pool 1 -conns 16\" probes one multiplexed connection")
-		mux       = fs.Bool("mux", false, "negotiate the multiplexed session mode on TCP connections (per-workload \"mux:\"/\"serial:\" prefixes override)")
+		poolSize  = fs.Int("pool", 0, "TCP connections in the pool (0 = -conns); each connection carries many in-flight requests, so \"-pool 1 -conns 16\" probes one connection")
 		targets   = fs.Int("targets", 64, "targets per batch request")
 		parallel  = fs.Int("parallel", 0, "server-side batch fan-out knob forwarded with batch requests")
 		budget    = fs.Int("budget", 256, "fallback node budget for the budget workload")
@@ -709,57 +702,24 @@ func run(args []string) error {
 	if *poolSize < 1 {
 		return errors.New("-pool must be positive")
 	}
-	if *mux && *url != "" {
-		return errors.New("-mux applies to the TCP transport; it cannot combine with -url")
-	}
-
-	// TCP transports are dialed lazily per mode, so one run can measure
-	// both "serial:" and "mux:" workloads over their own pools.
-	tcpByMode := map[bool]transport{}
-	var httpTr transport
-	var routerTr transport
-	trFor := func(muxMode bool) (transport, error) {
-		if len(addrs) > 0 {
-			if routerTr == nil {
-				var err error
-				if routerTr, err = newRouterTransport(addrs, *poolSize, muxMode, *hedge); err != nil {
-					return nil, err
-				}
-			}
-			return routerTr, nil
-		}
-		if *url != "" {
-			if httpTr == nil {
-				httpTr = newHTTPTransport(*url, *conns)
-			}
-			return httpTr, nil
-		}
-		if t, ok := tcpByMode[muxMode]; ok {
-			return t, nil
-		}
-		t, err := newTCPTransport(*addr, *poolSize, muxMode)
+	var tr transport
+	switch {
+	case len(addrs) > 0:
+		rt, err := newRouterTransport(addrs, *poolSize, *hedge)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tcpByMode[muxMode] = t
-		return t, nil
+		tr = rt
+	case *url != "":
+		tr = newHTTPTransport(*url, *conns)
+	default:
+		t, err := newTCPTransport(*addr, *poolSize)
+		if err != nil {
+			return err
+		}
+		tr = t
 	}
-	defer func() {
-		for _, t := range tcpByMode {
-			t.close()
-		}
-		if httpTr != nil {
-			httpTr.close()
-		}
-		if routerTr != nil {
-			routerTr.close()
-		}
-	}()
-
-	tr, err := trFor(*mux)
-	if err != nil {
-		return err
-	}
+	defer tr.close()
 
 	n := uint32(*nodes)
 	if n == 0 {
@@ -797,7 +757,6 @@ func run(args []string) error {
 			"duration": duration.String(),
 			"conns":    fmt.Sprint(*conns),
 			"pool":     fmt.Sprint(*poolSize),
-			"mux":      fmt.Sprint(*mux),
 			"targets":  fmt.Sprint(*targets),
 			"parallel": fmt.Sprint(*parallel),
 			"budget":   fmt.Sprint(*budget),
@@ -820,19 +779,6 @@ func run(args []string) error {
 			continue
 		}
 		name := entry
-		// "mux:name" / "serial:name" pins this workload's transport mode
-		// regardless of the global -mux flag (TCP only).
-		wtr := tr
-		if mode, rest, ok := strings.Cut(name, ":"); ok && (mode == "mux" || mode == "serial") {
-			if *url != "" {
-				return fmt.Errorf("workload %q: transport-mode prefixes apply to TCP, not -url", entry)
-			}
-			name = rest
-			wtr, err = trFor(mode == "mux")
-			if err != nil {
-				return err
-			}
-		}
 		// "name@qps" overrides the global rate for this workload, so one
 		// run can pace batches slower than single-target traffic.
 		rate := 0.0
@@ -842,18 +788,9 @@ func run(args []string) error {
 			}
 			name = name[:at]
 		}
-		w, err := runWorkload(wtr, name, rate, cfg)
+		w, err := runWorkload(tr, name, rate, cfg)
 		if err != nil {
 			return err
-		}
-		// The report entry keeps the full prefixed name, so a run that
-		// measures both modes stays distinguishable in the JSON.
-		if name != entry {
-			if at := strings.IndexByte(entry, '@'); at >= 0 {
-				w.Name = entry[:at]
-			} else {
-				w.Name = entry
-			}
 		}
 		report.Workloads = append(report.Workloads, w)
 		fmt.Printf("%-14s %8.0f req/s offered  %8.0f q/s achieved  %8.0f q/s goodput  p50=%.0fµs p95=%.0fµs p99=%.0fµs p99.9=%.0fµs",
@@ -868,7 +805,7 @@ func run(args []string) error {
 		fmt.Println()
 	}
 
-	if rt, ok := routerTr.(*routerTransport); ok {
+	if rt, ok := tr.(*routerTransport); ok {
 		m := rt.router.Metrics()
 		report.Config["hedges"] = fmt.Sprint(m.Hedges)
 		report.Config["hedge_wins"] = fmt.Sprint(m.HedgeWins)

@@ -126,18 +126,17 @@ type backend struct {
 	router   *qclient.Router
 	addr     string
 	opts     queryOpts
-	mux      bool
 	minEpoch uint64
 }
 
-// ensureClient redials a remote connection the desync guard tore down
-// (e.g. after one timed-out query), so a single failure degrades one
-// answer instead of poisoning the rest of a -batch run.
+// ensureClient redials a remote connection that died (e.g. the server
+// restarted mid-run), so a single failure degrades one answer instead
+// of poisoning the rest of a -batch run.
 func (b *backend) ensureClient() error {
 	if b.client == nil || b.client.Alive() {
 		return nil
 	}
-	c, err := qclient.Dial(b.addr, qclient.Options{Mux: b.mux})
+	c, err := qclient.Dial(b.addr, qclient.Options{})
 	if err != nil {
 		return err
 	}
@@ -270,7 +269,6 @@ func run(args []string) (int, error) {
 		timeout   = fs.Duration("timeout", 0, "per-query deadline, honored inside the fallback search (0 = none)")
 		budget    = fs.Int("budget", 0, "fallback search node budget per query (0 = unlimited)")
 		policyStr = fs.String("policy", "default", "fallback policy: default|full|estimate|table")
-		mux       = fs.Bool("mux", false, "with -server: negotiate the multiplexed session mode (falls back to serial against older servers)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage, nil // flag package already printed the error
@@ -304,7 +302,6 @@ func run(args []string) (int, error) {
 			return exitUsage, err
 		}
 		r, err := qclient.NewRouter(addrs, qclient.RouterOptions{
-			Client:     qclient.Options{Mux: *mux},
 			HedgeDelay: *hedge,
 			Nodes:      shardMap,
 		})
@@ -317,13 +314,12 @@ func run(args []string) (int, error) {
 		if *graphPath != "" || *genName != "" {
 			return exitUsage, fmt.Errorf("-server is mutually exclusive with -graph/-gen")
 		}
-		c, err := qclient.Dial(addrs[0], qclient.Options{Mux: *mux})
+		c, err := qclient.Dial(addrs[0], qclient.Options{})
 		if err != nil {
 			return exitUsage, err
 		}
 		be.client = c
 		be.addr = addrs[0]
-		be.mux = *mux
 		defer func() { be.client.Close() }()
 	default:
 		g, err := loadGraph(*graphPath, *genName, *n, *seed)

@@ -21,10 +21,11 @@
 // server-side file, the hook CI uses to diff a churned oracle against
 // a fresh build.
 //
-// Clients that negotiate the multiplexed session mode (a hello frame
-// at connect) run many concurrent requests per connection, completing
-// out of order; -no-mux refuses the feature and keeps every connection
-// serial, and -max-conn-workers bounds the per-connection fan-out.
+// Every TCP connection opens with a hello frame that starts the
+// multiplexed session: many concurrent requests per connection,
+// completing out of order; -max-conn-workers bounds the per-connection
+// fan-out. A peer that opens with anything else gets one error frame
+// naming the requirement, and the connection closes.
 //
 // With -distance-only, the oracle is built without per-member parent
 // pointers: Path queries degrade to distance-only answers while the
@@ -35,7 +36,7 @@
 // SIGINT/SIGTERM trigger a graceful shutdown: the server stops
 // accepting, drains in-flight TCP/HTTP requests for -drain (default
 // 10s), and past the window cancels every in-flight request context —
-// the v2 query path polls it inside the fallback search loop, so even
+// the query path polls it inside the fallback search loop, so even
 // slow searches exit promptly instead of running against closed
 // connections.
 //
@@ -111,7 +112,6 @@ func run(args []string) error {
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window before in-flight requests are canceled")
 		maxInFl    = fs.Int("max-in-flight", 0, "admission control: over this many concurrent queries, fallback-permitting queries shed to the landmark estimate (0 = off)")
 		maxBatchP  = fs.Int("max-batch-parallel", 0, "ceiling on client-requested batch worker fan-out (0 = CPU count, negative = disable)")
-		noMux      = fs.Bool("no-mux", false, "refuse the multiplexed session mode: acknowledge hello frames without granting features, keeping every connection serial")
 		maxConnWk  = fs.Int("max-conn-workers", 0, "concurrent request workers per multiplexed connection (0 = 32)")
 		distOnly   = fs.Bool("distance-only", false, "build without path data: smaller tables, Path degrades to distances, serialized form reproducible from the graph alone")
 		role       = fs.String("role", "standalone", "cluster role: standalone, writer (publishes snapshots+deltas), or replica (follows -follow, read-only)")
@@ -216,7 +216,6 @@ func run(args []string) error {
 		AllowUpdates:     *allowUpd,
 		MaxInFlight:      *maxInFl,
 		MaxBatchParallel: *maxBatchP,
-		DisableMux:       *noMux,
 		MaxConnWorkers:   *maxConnWk,
 		StallQueries:     *stall,
 	})

@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"time"
 
 	"vicinity/internal/core"
@@ -54,18 +55,29 @@ func main() {
 	}
 	fmt.Println("ping:", rtt)
 
+	ctx := context.Background()
 	for _, p := range [][2]uint32{{1, 2000}, {17, 3999}} {
 		start := time.Now()
-		d, _, err := client.Distance(p[0], p[1])
+		res, err := client.Query(ctx, qclient.QuerySpec{S: p[0], T: p[1], WantPath: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		path, _, err := client.Path(p[0], p[1])
-		if err != nil {
-			log.Fatal(err)
+		it := res.Items[0]
+		if it.Err != nil {
+			log.Fatal(it.Err)
 		}
-		fmt.Printf("tcp  d(%d,%d) = %d, %d-hop path, round trips in %v\n",
-			p[0], p[1], d, len(path)-1, time.Since(start).Round(time.Microsecond))
+		fmt.Printf("tcp  d(%d,%d) = %d, %d-hop path, round trip in %v\n",
+			p[0], p[1], it.Dist, len(it.Path)-1, time.Since(start).Round(time.Microsecond))
+	}
+	// One-to-many: rank candidates by distance from one source in a
+	// single round trip.
+	ts := []uint32{2000, 3999, 42}
+	res, err := client.Query(ctx, qclient.QuerySpec{S: 1, Ts: ts})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, it := range res.Items {
+		fmt.Printf("tcp  rank d(1,%d) = %d\n", ts[i], it.Dist)
 	}
 	st, err := client.Stats()
 	if err != nil {
@@ -75,13 +87,14 @@ func main() {
 
 	// HTTP/JSON gateway over the same oracle.
 	hs := httptest.NewServer(srv.Handler())
-	resp, err := http.Get(hs.URL + "/v1/distance?s=1&t=2000")
+	const query = `{"s":1,"t":2000}`
+	resp, err := http.Post(hs.URL+"/v2/query", "application/json", strings.NewReader(query))
 	if err != nil {
 		log.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	fmt.Printf("http GET /v1/distance?s=1&t=2000 → %s", body)
+	fmt.Printf("http POST /v2/query %s → %s", query, body)
 	hs.Close()
 
 	// Graceful shutdown: close the client first so the server drains.

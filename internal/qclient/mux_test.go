@@ -1,11 +1,10 @@
 package qclient_test
 
-// Tests for the client-side transport fixes: Close and context
-// cancellation interrupting in-flight I/O, and the hello-handshake
-// fallback against peers that predate the frame.
+// Tests for the client-side transport: Close and context cancellation
+// interrupting in-flight I/O, and the hello handshake failing the dial
+// — once, with no fallback — against peers that refuse or ignore it.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -42,9 +41,13 @@ func fakeServerAll(t *testing.T, handle func(net.Conn)) string {
 	return ln.Addr().String()
 }
 
-// blackhole swallows everything and never replies — the shape of a
-// stalled server.
-func blackhole(conn net.Conn) { _, _ = io.Copy(io.Discard, conn) }
+// blackhole grants the session, then swallows every request and never
+// replies — the shape of a stalled server.
+func blackhole(conn net.Conn) {
+	if br, err := ackHello(conn); err == nil {
+		_, _ = io.Copy(io.Discard, br)
+	}
+}
 
 // TestCloseInterruptsInFlightRequest pins the lock-split fix: Close
 // must interrupt a request blocked on a stalled server immediately —
@@ -59,7 +62,7 @@ func TestCloseInterruptsInFlightRequest(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		close(started)
-		_, _, err := c.Distance(1, 2)
+		_, err := c.Query(context.Background(), qclient.QuerySpec{S: 1, T: 2})
 		errCh <- err
 	}()
 	<-started
@@ -116,80 +119,81 @@ func TestCancelWithoutDeadlineMidFlight(t *testing.T) {
 	}
 }
 
-// TestMuxFallbackToV1Peer emulates a v1 server — it closes the
-// connection on the unknown hello type, exactly what the old
-// read-dispatch loop does — and checks the client redials and serves
-// serially, transparently.
-func TestMuxFallbackToV1Peer(t *testing.T) {
-	addr := fakeServerAll(t, func(conn net.Conn) {
-		br := bufio.NewReader(conn)
-		for {
-			req, err := wire.ReadMessage(br)
+// TestDialRefusedHelloFailsAfterOneDial covers the peers that do not
+// open a multiplexed session: one that answers the hello with an error
+// frame (what the server sends any opening frame but a mux hello), one
+// that closes without a word (what servers predating the hello did
+// with its unknown type), and one that acknowledges the hello but
+// grants nothing. Dial must fail against each, after exactly one
+// connection: there is no serial mode left to redial into.
+func TestDialRefusedHelloFailsAfterOneDial(t *testing.T) {
+	for _, peer := range []struct {
+		name  string
+		reply wire.Message // nil: close without replying
+	}{
+		{"error-frame", &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: "connection must open with a hello offering the mux feature"}},
+		{"silent-close", nil},
+		{"no-grant", &wire.HelloAck{Features: 0}},
+	} {
+		t.Run(peer.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			if _, ok := req.(*wire.Hello); ok {
-				return // v1 peer: unknown type, close without a frame
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, err := wire.ReadMessage(conn); err != nil || peer.reply == nil {
+					return
+				}
+				_ = wire.WriteMessage(conn, peer.reply)
+			}()
+			c, err := qclient.Dial(ln.Addr().String(), qclient.Options{DialTimeout: 2 * time.Second})
+			if err == nil {
+				c.Close()
+				t.Fatal("dial succeeded against a peer that refused the session")
 			}
-			if d, ok := req.(*wire.DistanceRequest); ok {
-				_ = wire.WriteMessage(conn, &wire.DistanceResponse{Dist: d.S + d.T, Method: 1})
-				continue
+			// Dial returns only after the peer answered the first
+			// connection, so a second one it opened would already be
+			// waiting in the accept queue.
+			_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(200 * time.Millisecond))
+			if extra, err := ln.Accept(); err == nil {
+				extra.Close()
+				t.Fatal("dial opened a second connection after the refusal")
 			}
-			return
-		}
-	})
-	c, err := qclient.Dial(addr, qclient.Options{Mux: true})
-	if err != nil {
-		t.Fatalf("mux dial against a v1 peer must fall back, got %v", err)
-	}
-	defer c.Close()
-	if c.Muxed() {
-		t.Fatal("negotiated mux against a peer that closed on hello")
-	}
-	d, _, err := c.Distance(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 7 {
-		t.Fatalf("distance = %d, want 7", d)
+			var werr *wire.ErrorResponse
+			if isErr := errors.As(err, &werr); isErr != (peer.name == "error-frame") {
+				t.Fatalf("err = %v: typed refusal surfaced = %v", err, isErr)
+			}
+			if werr != nil && werr.Code != wire.CodeBadRequest {
+				t.Fatalf("refusal code %d, want %d", werr.Code, wire.CodeBadRequest)
+			}
+		})
 	}
 }
 
-// TestMuxHandshakeRefusedStaysSerial checks the negotiated-down path
-// against a peer that acknowledges the hello but grants nothing: same
-// connection, serial mode.
-func TestMuxHandshakeRefusedStaysSerial(t *testing.T) {
-	conns := make(chan struct{}, 8)
-	addr := fakeServerAll(t, func(conn net.Conn) {
-		conns <- struct{}{}
-		br := bufio.NewReader(conn)
-		for {
-			req, err := wire.ReadMessage(br)
-			if err != nil {
-				return
-			}
-			switch m := req.(type) {
-			case *wire.Hello:
-				_ = wire.WriteMessage(conn, &wire.HelloAck{Features: 0})
-			case *wire.PingRequest:
-				_ = wire.WriteMessage(conn, &wire.PingResponse{Token: m.Token})
-			default:
-				return
-			}
-		}
-	})
-	c, err := qclient.Dial(addr, qclient.Options{Mux: true})
-	if err != nil {
-		t.Fatal(err)
+// TestDialTimeoutCoversHello pins that DialTimeout bounds the whole
+// dial, handshake included: a peer that accepts the connection but
+// never answers the hello fails the dial within the timeout.
+func TestDialTimeoutCoversHello(t *testing.T) {
+	addr := fakeServerAll(t, func(conn net.Conn) { _, _ = io.Copy(io.Discard, conn) })
+	const timeout = 300 * time.Millisecond
+	start := time.Now()
+	c, err := qclient.Dial(addr, qclient.Options{DialTimeout: timeout})
+	elapsed := time.Since(start)
+	if err == nil {
+		c.Close()
+		t.Fatal("dial succeeded against a peer that never answered the hello")
 	}
-	defer c.Close()
-	if c.Muxed() {
-		t.Fatal("mux negotiated despite an empty feature grant")
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("err = %v, want a timeout", err)
 	}
-	if _, err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if len(conns) != 1 {
-		t.Fatalf("client used %d connections, want 1 (no redial on a refused grant)", len(conns))
+	if elapsed > timeout+250*time.Millisecond {
+		t.Fatalf("dial failed after %v, want within the %v dial timeout", elapsed, timeout)
 	}
 }

@@ -1,13 +1,12 @@
 // Package qclient is the Go client for the TCP query protocol served by
-// internal/qserver. A Client owns one connection; in the default serial
-// mode requests are serialized over it, while a Client dialed with
-// Options.Mux negotiates the multiplexed session mode and runs many
-// requests in flight at once, demultiplexing replies by request id.
-// Pool spreads concurrent callers over a fixed number of lazily-dialed
-// connections to one server in either mode; Router spreads reads over a
-// cluster of replicas — per-replica health and epoch tracking,
-// read-your-epoch placement (QuerySpec.MinEpoch), hedged requests, and
-// scatter-gather over scope-partitioned shards.
+// internal/qserver. A Client owns one connection, opened with the hello
+// handshake that starts the multiplexed session: many requests run in
+// flight at once and replies are demultiplexed by request id. Pool
+// spreads concurrent callers over a fixed number of lazily-dialed
+// connections to one server; Router spreads reads over a cluster of
+// replicas — per-replica health and epoch tracking, read-your-epoch
+// placement (QuerySpec.MinEpoch), hedged requests, and scatter-gather
+// over scope-partitioned shards.
 package qclient
 
 import (
@@ -30,16 +29,13 @@ const NoDist = ^uint32(0)
 
 // Options tunes a Client.
 type Options struct {
-	// DialTimeout bounds connection establishment (0 = 5s).
+	// DialTimeout bounds connection establishment, hello handshake
+	// included (0 = 5s).
 	DialTimeout time.Duration
 	// RequestTimeout bounds each request/response round trip (0 = 10s).
 	RequestTimeout time.Duration
-	// Mux negotiates the multiplexed session mode at dial time: requests
-	// carry ids, replies may complete out of order, and a timed-out or
-	// canceled request abandons its id instead of tearing the connection
-	// down. A peer that does not speak the hello frame (it closes the
-	// connection on the unknown type) is transparently redialed in
-	// serial mode — Muxed reports what was actually negotiated.
+	// Mux has no effect: every connection negotiates the multiplexed
+	// session mode. The field remains so existing callers still compile.
 	Mux bool
 }
 
@@ -54,8 +50,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Client is a single-connection protocol client. Methods are safe for
-// concurrent use. In serial mode requests queue on the connection; in
-// multiplexed mode they interleave, each identified by a request id.
+// concurrent use: requests interleave on the connection, each
+// identified by a request id.
 type Client struct {
 	opts Options
 
@@ -66,20 +62,17 @@ type Client struct {
 	conn   net.Conn
 	closed bool
 
-	// reqMu serializes whole round trips in serial mode and individual
-	// frame writes in multiplexed mode. The reusable encode/read
-	// buffers live under it.
+	// reqMu serializes frame writes; the reusable encode buffer lives
+	// under it.
 	reqMu sync.Mutex
 	br    *bufio.Reader
 	bw    *bufio.Writer
 	wbuf  []byte
-	rbuf  []byte
 
-	// Multiplexed-session state. pending maps in-flight request ids to
-	// their reply channels; an abandoned id is simply removed, and the
-	// demux loop counts its late reply in discarded instead of letting
-	// it poison the stream.
-	muxed     bool
+	// Session state. pending maps in-flight request ids to their reply
+	// channels; an abandoned id is simply removed, and the demux loop
+	// counts its late reply in discarded instead of letting it poison the
+	// stream.
 	nextID    atomic.Uint64
 	pendMu    sync.Mutex
 	pending   map[uint64]chan wire.Message
@@ -88,56 +81,42 @@ type Client struct {
 	discarded atomic.Int64
 }
 
-// Dial connects to a query server at addr. With Options.Mux it also
-// performs the hello handshake, falling back to a fresh serial
-// connection when the peer predates the hello frame.
+// Dial connects to a query server at addr and performs the hello
+// handshake that opens the multiplexed session, all within
+// Options.DialTimeout. A server that refuses the session — with an
+// error frame, a close, or an acknowledgement that grants nothing —
+// fails the dial; an error frame stays reachable through errors.As as
+// a *wire.ErrorResponse.
 func Dial(addr string, opts Options) (*Client, error) {
 	opts = opts.withDefaults()
-	conn, err := dialConn(addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{
-		opts: opts,
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 4096),
-		bw:   bufio.NewWriterSize(conn, 4096),
-	}
-	if opts.Mux {
-		if err := c.handshake(); err != nil {
-			// A v1 peer closes the connection on the unknown hello type
-			// (there is no error frame to distinguish): redial fresh and
-			// run serial, byte-for-byte the v1 protocol.
-			conn.Close()
-			conn, err = dialConn(addr, opts)
-			if err != nil {
-				return nil, err
-			}
-			c.conn = conn
-			c.br = bufio.NewReaderSize(conn, 4096)
-			c.bw = bufio.NewWriterSize(conn, 4096)
-		}
-	}
-	return c, nil
-}
-
-func dialConn(addr string, opts Options) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	deadline := time.Now().Add(opts.DialTimeout)
+	conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("qclient: dial %s: %w", addr, err)
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	return conn, nil
+	c := &Client{
+		opts:      opts,
+		conn:      conn,
+		br:        bufio.NewReaderSize(conn, 4096),
+		bw:        bufio.NewWriterSize(conn, 4096),
+		pending:   make(map[uint64]chan wire.Message),
+		demuxDone: make(chan struct{}),
+	}
+	if err := c.handshake(deadline); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("qclient: dial %s: hello: %w", addr, err)
+	}
+	go c.demux()
+	return c, nil
 }
 
-// handshake negotiates features on a fresh connection. On success with
-// the mux bit granted it switches the client into multiplexed mode and
-// starts the demux loop; with the bit refused the client stays serial
-// on the same connection.
-func (c *Client) handshake() error {
-	if err := c.conn.SetDeadline(time.Now().Add(c.opts.DialTimeout)); err != nil {
+// handshake sends the hello offering wire.FeatureMux and checks the
+// server granted it, all before deadline.
+func (c *Client) handshake(deadline time.Time) error {
+	if err := c.conn.SetDeadline(deadline); err != nil {
 		return err
 	}
 	if err := wire.WriteMessage(c.bw, &wire.Hello{Features: wire.FeatureMux}); err != nil {
@@ -150,24 +129,18 @@ func (c *Client) handshake() error {
 	if err != nil {
 		return err
 	}
-	ack, ok := resp.(*wire.HelloAck)
-	if !ok {
-		return fmt.Errorf("qclient: unexpected handshake response %v", resp.WireType())
+	switch m := resp.(type) {
+	case *wire.HelloAck:
+		if m.Features&wire.FeatureMux == 0 {
+			return errors.New("server did not grant the multiplexed session")
+		}
+	case *wire.ErrorResponse:
+		return m
+	default:
+		return fmt.Errorf("unexpected handshake response %v", resp.WireType())
 	}
-	if err := c.conn.SetDeadline(time.Time{}); err != nil {
-		return err
-	}
-	if ack.Features&wire.FeatureMux != 0 {
-		c.muxed = true
-		c.pending = make(map[uint64]chan wire.Message)
-		c.demuxDone = make(chan struct{})
-		go c.demux()
-	}
-	return nil
+	return c.conn.SetDeadline(time.Time{})
 }
-
-// Muxed reports whether the multiplexed session mode was negotiated.
-func (c *Client) Muxed() bool { return c.muxed }
 
 // Discarded returns how many late replies to abandoned requests the
 // demux loop has dropped on this connection.
@@ -235,11 +208,6 @@ func typedError(e *wire.ErrorResponse) error {
 	return fmt.Errorf("qclient: %w", e)
 }
 
-// roundTrip sends req and reads one response under the request timeout.
-func (c *Client) roundTrip(req wire.Message) (wire.Message, error) {
-	return c.roundTripCtx(context.Background(), req)
-}
-
 // waitDeadline computes how long to keep listening for a reply: the
 // request timeout, or the context deadline plus a grace window when the
 // context carries one.
@@ -266,91 +234,15 @@ func (c *Client) waitDeadline(ctx context.Context) time.Time {
 	return deadline
 }
 
-// roundTripCtx routes one request through the negotiated transport
-// mode. Context cancellation is honored mid-flight in both modes: a
-// fired context interrupts the serial read (and tears that connection
-// down), while a multiplexed request just abandons its id.
-func (c *Client) roundTripCtx(ctx context.Context, req wire.Message) (wire.Message, error) {
+// muxRoundTrip issues one request on the multiplexed session: allocate
+// an id, register its reply channel, write the frame, and wait. A
+// timeout or cancellation abandons the id — the connection stays
+// healthy and the late reply is discarded by the demux loop when it
+// arrives. A context already done sends nothing.
+func (c *Client) muxRoundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("qclient: %w: %w", core.ErrCanceled, err)
 	}
-	if c.muxed {
-		return c.muxRoundTrip(ctx, req)
-	}
-	return c.serialRoundTrip(ctx, req)
-}
-
-// serialRoundTrip is the v1 path: one request, then its response, on a
-// connection this goroutine owns for the duration. The connection
-// identity is read under connMu but I/O happens outside it, so Close —
-// and a mid-flight context cancellation, which wakes the blocked read
-// by expiring the connection deadline — interrupt rather than queue.
-func (c *Client) serialRoundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	c.connMu.Lock()
-	conn := c.conn
-	c.connMu.Unlock()
-	if conn == nil {
-		return nil, ErrClosed
-	}
-	if err := conn.SetDeadline(c.waitDeadline(ctx)); err != nil {
-		return nil, err
-	}
-	// Watch for mid-flight cancellation — with or without a deadline.
-	// Expiring the connection deadline wakes the blocked read; the
-	// serial stream is desynced either way, so the usual teardown
-	// applies and the caller gets the taxonomy's canceled error.
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				_ = conn.SetDeadline(time.Now())
-			case <-stop:
-			}
-		}()
-	}
-	fail := func(op string, err error) (wire.Message, error) {
-		c.teardown(conn)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("qclient: %s: %w: %w", op, core.ErrCanceled, ctxErr)
-		}
-		return nil, fmt.Errorf("qclient: %s: %w", op, err)
-	}
-	c.wbuf = wire.AppendFrame(c.wbuf[:0], req)
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		return fail("write", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fail("flush", err)
-	}
-	payload, rbuf, err := wire.ReadFrame(c.br, c.rbuf)
-	c.rbuf = rbuf
-	if err != nil {
-		// The serial protocol has no request ids: after a failed or
-		// timed-out read the server's reply may still arrive later and
-		// would be mistaken for the answer to the *next* request. Close
-		// the connection so a desynced stream can never serve stale
-		// answers.
-		return fail("read", err)
-	}
-	resp, err := wire.Unmarshal(payload)
-	if err != nil {
-		return fail("read", err)
-	}
-	if e, ok := resp.(*wire.ErrorResponse); ok {
-		return nil, typedError(e)
-	}
-	return resp, nil
-}
-
-// muxRoundTrip issues one request on a multiplexed session: allocate an
-// id, register its reply channel, write the frame, and wait. A timeout
-// or cancellation abandons the id — the connection stays healthy and
-// the late reply is discarded by the demux loop when it arrives.
-func (c *Client) muxRoundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
 	c.connMu.Lock()
 	conn := c.conn
 	c.connMu.Unlock()
@@ -456,9 +348,9 @@ func (c *Client) demux() {
 	}
 }
 
-// failMux marks the multiplexed session dead: records the first error,
-// wakes every waiter, and closes the connection so Alive turns false
-// and Pool redials.
+// failMux marks the session dead: records the first error, wakes every
+// waiter, and closes the connection so Alive turns false and Pool
+// redials.
 func (c *Client) failMux(err error) {
 	c.pendMu.Lock()
 	if c.readErr == nil {
@@ -474,84 +366,20 @@ func (c *Client) failMux(err error) {
 	c.connMu.Unlock()
 }
 
-// teardown closes a serial connection after an I/O failure (the desync
-// guard). It only acts if conn is still the client's current
-// connection.
-func (c *Client) teardown(conn net.Conn) {
-	c.connMu.Lock()
-	if c.conn == conn {
-		_ = c.conn.Close()
-		c.conn = nil
-	}
-	c.connMu.Unlock()
-}
-
-// Alive reports whether the client still holds a live connection (the
-// serial desync guard and the mux session-failure path both tear dead
-// connections down; Pool uses this to redial instead of recycling dead
-// clients).
+// Alive reports whether the client still holds a live connection (a
+// failed session and Close both drop it; Pool uses this to redial
+// instead of recycling dead clients).
 func (c *Client) Alive() bool {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	return c.conn != nil
 }
 
-// Distance asks for the distance between s and t. It returns the
-// distance (NoDist if unreachable/unresolved) and the oracle method tag.
-func (c *Client) Distance(s, t uint32) (uint32, uint8, error) {
-	resp, err := c.roundTrip(&wire.DistanceRequest{S: s, T: t})
-	if err != nil {
-		return NoDist, 0, err
-	}
-	d, ok := resp.(*wire.DistanceResponse)
-	if !ok {
-		return NoDist, 0, fmt.Errorf("qclient: unexpected response %v", resp.WireType())
-	}
-	return d.Dist, d.Method, nil
-}
-
-// BatchItem is one target's answer in a Batch call. Err is non-nil
-// when the server reported a per-target failure (its wire error code
-// is preserved in the wrapped *wire.ErrorResponse).
-type BatchItem struct {
-	Dist   uint32
-	Method uint8
-	Err    error
-}
-
-// Batch asks for the distance from s to every target in one round trip
-// (one-to-many ranking). Results come back in target order; per-target
-// failures are reported in the item, not as a call error. The server
-// answers the whole batch from one oracle snapshot.
-func (c *Client) Batch(s uint32, ts []uint32) ([]BatchItem, error) {
-	if len(ts) > wire.MaxBatchTargets {
-		return nil, fmt.Errorf("qclient: batch of %d targets exceeds the %d cap", len(ts), wire.MaxBatchTargets)
-	}
-	resp, err := c.roundTrip(&wire.BatchRequest{S: s, Ts: ts})
-	if err != nil {
-		return nil, err
-	}
-	br, ok := resp.(*wire.BatchResponse)
-	if !ok {
-		return nil, fmt.Errorf("qclient: unexpected response %v", resp.WireType())
-	}
-	if len(br.Items) != len(ts) {
-		return nil, fmt.Errorf("qclient: batch returned %d items for %d targets", len(br.Items), len(ts))
-	}
-	items := make([]BatchItem, len(br.Items))
-	for i, it := range br.Items {
-		items[i] = BatchItem{Dist: it.Dist, Method: it.Method}
-		if it.Code != 0 {
-			items[i].Err = typedError(&wire.ErrorResponse{Code: it.Code, Message: "per-target query failed"})
-		}
-	}
-	return items, nil
-}
-
-// QuerySpec describes one v2 request-scoped query. The zero overrides
-// reproduce the legacy calls; the context passed to Query supplies the
-// deadline (sent to the server as a relative deadline and enforced
-// inside its fallback search loop).
+// QuerySpec describes one request-scoped query: a distance (the zero
+// overrides), a path (WantPath), a ranking (Ts) or ranked alternatives
+// (K). The context passed to Query supplies the deadline (sent to the
+// server as a relative deadline and enforced inside its fallback search
+// loop).
 type QuerySpec struct {
 	S uint32
 	// T is the single target; ignored when Ts is non-nil.
@@ -599,7 +427,7 @@ type QueryItem struct {
 	Err    error
 }
 
-// QueryResult is the v2 response: one item per target (exactly one for
+// QueryResult is a query's answer: one item per target (exactly one for
 // single-target requests), the answering snapshot's epoch, and — when
 // QuerySpec.WantStats was set — the per-request cost counters.
 //
@@ -615,7 +443,7 @@ type QueryResult struct {
 	Cost  core.Cost
 }
 
-// Query sends one v2 request-scoped query. The context deadline (if
+// Query sends one request-scoped query. The context deadline (if
 // any) rides the frame as a relative deadline-ms so the server can
 // honor it inside the query; budget and cancellation outcomes come
 // back as per-item errors wrapping the same sentinels the in-process
@@ -660,7 +488,7 @@ func (c *Client) Query(ctx context.Context, spec QuerySpec) (*QueryResult, error
 	// none; deadlineMS clamps rather than have the server reject a
 	// query an ordinary long-lived context would carry.
 	req.DeadlineMS = deadlineMS(ctx)
-	resp, err := c.roundTripCtx(ctx, req)
+	resp, err := c.muxRoundTrip(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -736,7 +564,7 @@ func (c *Client) queryKPaths(ctx context.Context, spec QuerySpec) (*QueryResult,
 	if spec.WantStats {
 		req.Flags |= wire.KPathsWantStats
 	}
-	resp, err := c.roundTripCtx(ctx, req)
+	resp, err := c.muxRoundTrip(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -776,22 +604,9 @@ func (c *Client) queryKPaths(ctx context.Context, spec QuerySpec) (*QueryResult,
 	return out, nil
 }
 
-// Path asks for a shortest path between s and t (nil if none).
-func (c *Client) Path(s, t uint32) ([]uint32, uint8, error) {
-	resp, err := c.roundTrip(&wire.PathRequest{S: s, T: t})
-	if err != nil {
-		return nil, 0, err
-	}
-	p, ok := resp.(*wire.PathResponse)
-	if !ok {
-		return nil, 0, fmt.Errorf("qclient: unexpected response %v", resp.WireType())
-	}
-	return p.Path, p.Method, nil
-}
-
 // Stats fetches the server's oracle statistics.
 func (c *Client) Stats() (*wire.StatsResponse, error) {
-	resp, err := c.roundTrip(&wire.StatsRequest{})
+	resp, err := c.muxRoundTrip(context.Background(), &wire.StatsRequest{})
 	if err != nil {
 		return nil, err
 	}
@@ -807,7 +622,7 @@ func (c *Client) Stats() (*wire.StatsResponse, error) {
 // to seed epoch tracking; servers predating the frame answer with a
 // bad-request error.
 func (c *Client) ReplStatus() (*wire.ReplStatusResponse, error) {
-	resp, err := c.roundTrip(&wire.ReplStatusRequest{})
+	resp, err := c.muxRoundTrip(context.Background(), &wire.ReplStatusRequest{})
 	if err != nil {
 		return nil, err
 	}
@@ -822,7 +637,7 @@ func (c *Client) ReplStatus() (*wire.ReplStatusResponse, error) {
 func (c *Client) Ping() (time.Duration, error) {
 	token := uint64(time.Now().UnixNano())
 	start := time.Now()
-	resp, err := c.roundTrip(&wire.PingRequest{Token: token})
+	resp, err := c.muxRoundTrip(context.Background(), &wire.PingRequest{Token: token})
 	if err != nil {
 		return 0, err
 	}
@@ -839,13 +654,13 @@ func (c *Client) Ping() (time.Duration, error) {
 // Pool is a fixed-size pool of clients for concurrent callers,
 // dialing lazily: construction allocates slots without touching the
 // network, and each slot connects on its first borrow. A pooled client
-// whose connection died (the desync guard closes on any i/o failure)
-// is transparently redialed at the next borrow, so a backend that is
-// down at construction — or dies and comes back mid-run — costs
-// exactly the requests that raced the outage, never the pool.
-// Multiplexed clients (Options.Mux) are handed out shared rather than
-// exclusively: many callers can run in flight on one connection at
-// once, so the pool size caps connections, not concurrency.
+// whose connection died (a failed session closes it) is transparently
+// redialed at the next borrow, so a backend that is down at
+// construction — or dies and comes back mid-run — costs exactly the
+// requests that raced the outage, never the pool. Clients are handed
+// out shared rather than exclusively: many callers run in flight on one
+// connection at once, so the pool size caps connections, not
+// concurrency.
 type Pool struct {
 	addr    string
 	opts    Options
@@ -875,19 +690,18 @@ func NewPool(addr string, size int, opts Options) (*Pool, error) {
 	return p, nil
 }
 
-// borrow takes a client, redialing a dead one. On redial failure the
-// dead client goes back to the pool — its slot stays usable for the
-// next attempt — and the dial error is reported. A cancellation while
-// waiting reports through the taxonomy (errors.Is core.ErrCanceled).
-// A multiplexed client's slot returns to the pool immediately, so
-// concurrent borrowers share the connection instead of queueing.
+// borrow takes a client, redialing a dead one, and returns its slot to
+// the pool at once so concurrent borrowers share the connection instead
+// of queueing. On redial failure the dead client goes back to the pool
+// — its slot stays usable for the next attempt — and the dial error is
+// reported. The wait for a slot is only ever a redial in progress; a
+// cancellation while waiting reports through the taxonomy (errors.Is
+// core.ErrCanceled).
 func (p *Pool) borrow(ctx context.Context) (*Client, error) {
 	select {
 	case c := <-p.clients:
 		if c.Alive() {
-			if c.Muxed() {
-				p.clients <- c
-			}
+			p.clients <- c
 			return c, nil
 		}
 		nc, err := Dial(p.addr, p.opts)
@@ -905,63 +719,20 @@ func (p *Pool) borrow(ctx context.Context) (*Client, error) {
 			}
 		}
 		p.mu.Unlock()
-		if nc.Muxed() {
-			p.clients <- nc
-		}
+		p.clients <- nc
 		return nc, nil
 	case <-ctx.Done():
 		return nil, fmt.Errorf("qclient: %w: %w", core.ErrCanceled, ctx.Err())
 	}
 }
 
-// release returns a client to the pool. Multiplexed clients were never
-// removed — their slot went straight back at borrow time.
-func (p *Pool) release(c *Client) {
-	if c.Muxed() {
-		return
-	}
-	p.clients <- c
-}
-
-// Distance borrows a client for one distance query. ctx bounds the wait
-// for a free connection (the request itself uses the client timeout).
-func (p *Pool) Distance(ctx context.Context, s, t uint32) (uint32, uint8, error) {
-	c, err := p.borrow(ctx)
-	if err != nil {
-		return NoDist, 0, err
-	}
-	defer p.release(c)
-	return c.Distance(s, t)
-}
-
-// Path borrows a client for one path query.
-func (p *Pool) Path(ctx context.Context, s, t uint32) ([]uint32, uint8, error) {
-	c, err := p.borrow(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer p.release(c)
-	return c.Path(s, t)
-}
-
-// Batch borrows a client for one one-to-many query.
-func (p *Pool) Batch(ctx context.Context, s uint32, ts []uint32) ([]BatchItem, error) {
-	c, err := p.borrow(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer p.release(c)
-	return c.Batch(s, ts)
-}
-
-// Query borrows a client for one v2 request-scoped query; ctx bounds
-// both the wait for a free connection and the request itself.
+// Query borrows a client for one request-scoped query; ctx bounds both
+// the wait for a connection and the request itself.
 func (p *Pool) Query(ctx context.Context, spec QuerySpec) (*QueryResult, error) {
 	c, err := p.borrow(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer p.release(c)
 	return c.Query(ctx, spec)
 }
 
@@ -971,7 +742,6 @@ func (p *Pool) ReplStatus(ctx context.Context) (*wire.ReplStatusResponse, error)
 	if err != nil {
 		return nil, err
 	}
-	defer p.release(c)
 	return c.ReplStatus()
 }
 

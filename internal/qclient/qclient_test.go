@@ -4,8 +4,10 @@ package qclient_test
 // against the real server lives in internal/qserver's integration tests.
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -34,6 +36,48 @@ func fakeServer(t *testing.T, handle func(net.Conn)) string {
 	return ln.Addr().String()
 }
 
+// ackHello reads the client's opening hello and grants the multiplexed
+// session, as every server must before it answers requests. The
+// returned reader holds whatever the client sent after the hello.
+func ackHello(conn net.Conn) (*bufio.Reader, error) {
+	br := bufio.NewReader(conn)
+	msg, err := wire.ReadMessage(br)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := msg.(*wire.Hello); !ok {
+		return nil, fmt.Errorf("opening frame %v, want hello", msg.WireType())
+	}
+	return br, wire.WriteMessage(conn, &wire.HelloAck{Features: wire.FeatureMux})
+}
+
+// muxServer accepts one connection, acks the hello, and answers every
+// request with reply(req) under the request's id; a nil reply leaves
+// the request unanswered.
+func muxServer(t *testing.T, reply func(wire.Message) wire.Message) string {
+	return fakeServer(t, func(conn net.Conn) {
+		br, err := ackHello(conn)
+		if err != nil {
+			return
+		}
+		for {
+			id, payload, _, err := wire.ReadMuxFrame(br, nil)
+			if err != nil {
+				return
+			}
+			req, err := wire.Unmarshal(payload)
+			if err != nil {
+				return
+			}
+			if resp := reply(req); resp != nil {
+				if _, err := conn.Write(wire.AppendMuxFrame(nil, id, resp)); err != nil {
+					return
+				}
+			}
+		}
+	})
+}
+
 func TestDialFailure(t *testing.T) {
 	// Grab a port and close it so nothing listens there.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -48,18 +92,14 @@ func TestDialFailure(t *testing.T) {
 }
 
 func TestRequestTimeout(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		// Read the request and never answer.
-		_, _ = wire.ReadMessage(conn)
-		time.Sleep(2 * time.Second)
-	})
+	addr := muxServer(t, func(wire.Message) wire.Message { return nil })
 	c, err := qclient.Dial(addr, qclient.Options{RequestTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	start := time.Now()
-	_, _, err = c.Distance(1, 2)
+	_, err = c.Query(context.Background(), qclient.QuerySpec{S: 1, T: 2})
 	if err == nil {
 		t.Fatal("silent server produced no error")
 	}
@@ -73,20 +113,15 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 func TestServerErrorSurfaces(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if _, err := wire.ReadMessage(conn); err != nil {
-			return
-		}
-		_ = wire.WriteMessage(conn, &wire.ErrorResponse{
-			Code: wire.CodeNotCovered, Message: "node 7 not covered",
-		})
+	addr := muxServer(t, func(wire.Message) wire.Message {
+		return &wire.ErrorResponse{Code: wire.CodeNotCovered, Message: "node 7 not covered"}
 	})
 	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, _, err = c.Distance(7, 8)
+	_, err = c.Query(context.Background(), qclient.QuerySpec{S: 7, T: 8})
 	var werr *wire.ErrorResponse
 	if !errors.As(err, &werr) || werr.Code != wire.CodeNotCovered {
 		t.Fatalf("err = %v, want CodeNotCovered", err)
@@ -98,29 +133,19 @@ func TestServerErrorSurfaces(t *testing.T) {
 }
 
 func TestUnexpectedResponseType(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if _, err := wire.ReadMessage(conn); err != nil {
-			return
-		}
-		_ = wire.WriteMessage(conn, &wire.PingResponse{Token: 1})
-	})
+	addr := muxServer(t, func(wire.Message) wire.Message { return &wire.PingResponse{Token: 1} })
 	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Distance(1, 2); err == nil {
+	if _, err := c.Query(context.Background(), qclient.QuerySpec{S: 1, T: 2}); err == nil {
 		t.Fatal("mismatched response type accepted")
 	}
 }
 
 func TestPongTokenMismatch(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if _, err := wire.ReadMessage(conn); err != nil {
-			return
-		}
-		_ = wire.WriteMessage(conn, &wire.PingResponse{Token: 12345})
-	})
+	addr := muxServer(t, func(wire.Message) wire.Message { return &wire.PingResponse{Token: 12345} })
 	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +174,7 @@ func TestPoolRedialsOnRecovery(t *testing.T) {
 	}
 	defer p.Close()
 	ctx := context.Background()
-	if _, _, err := p.Distance(ctx, 1, 2); err == nil {
+	if _, err := p.Query(ctx, qclient.QuerySpec{S: 1, T: 2}); err == nil {
 		t.Fatal("request to dead backend succeeded")
 	}
 
@@ -165,22 +190,31 @@ func TestPoolRedialsOnRecovery(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		if _, err := wire.ReadMessage(conn); err != nil {
+		br, err := ackHello(conn)
+		if err != nil {
 			return
 		}
-		_ = wire.WriteMessage(conn, &wire.DistanceResponse{Dist: 42, Method: 1})
+		id, _, _, err := wire.ReadMuxFrame(br, nil)
+		if err != nil {
+			return
+		}
+		_, _ = conn.Write(wire.AppendMuxFrame(nil, id, &wire.QueryResponse{Items: []wire.QueryItem{{Dist: 42, Method: 1}}}))
 	}()
-	d, _, err := p.Distance(ctx, 1, 2)
+	res, err := p.Query(ctx, qclient.QuerySpec{S: 1, T: 2})
 	if err != nil {
 		t.Fatalf("request after backend recovery: %v", err)
 	}
-	if d != 42 {
+	if d := res.Items[0].Dist; d != 42 {
 		t.Fatalf("dist = %d, want 42", d)
 	}
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) { time.Sleep(time.Second) })
+	addr := fakeServer(t, func(conn net.Conn) {
+		if _, err := ackHello(conn); err == nil {
+			time.Sleep(time.Second)
+		}
+	})
 	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -190,33 +224,5 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
-	}
-}
-
-// TestTimeoutClosesConnection pins the desync guard: the protocol has
-// no request ids, so after a read timeout the connection must be torn
-// down — a late reply must never be read as the answer to the next
-// request.
-func TestTimeoutClosesConnection(t *testing.T) {
-	release := make(chan struct{})
-	addr := fakeServer(t, func(conn net.Conn) {
-		if _, err := wire.ReadMessage(conn); err != nil {
-			return
-		}
-		<-release // reply only after the client has given up
-		_ = wire.WriteMessage(conn, &wire.DistanceResponse{Dist: 777, Method: 1})
-	})
-	c, err := qclient.Dial(addr, qclient.Options{RequestTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, _, err := c.Distance(1, 2); err == nil {
-		t.Fatal("stalled request succeeded")
-	}
-	close(release)
-	time.Sleep(20 * time.Millisecond) // let the stale reply land, if anywhere
-	if _, _, err := c.Distance(3, 4); !errors.Is(err, qclient.ErrClosed) {
-		t.Fatalf("reused desynced connection: %v (a stale 777 answer would be silent corruption)", err)
 	}
 }

@@ -32,7 +32,7 @@ type Shard struct {
 type RouterOptions struct {
 	// PoolSize is the connection-pool size per backend (0 = 2).
 	PoolSize int
-	// Client tunes the per-backend clients (dial/request timeouts, mux).
+	// Client tunes the per-backend clients (dial/request timeouts).
 	Client Options
 	// HedgeDelay enables hedged reads: when the first replica has not
 	// answered within this delay, the same query is launched on a second
@@ -388,7 +388,7 @@ func (r *Router) shardFor(t uint32) *shardGroup {
 	return nil
 }
 
-// Query answers one v2 query through the cluster. Sharded routers
+// Query answers one query through the cluster. Sharded routers
 // scatter many-target queries across shard groups by target scope and
 // merge the per-shard results back in request order; single-target
 // queries go to the shard covering the target. Unsharded routers use

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"vicinity/internal/core"
@@ -16,23 +15,14 @@ import (
 
 // Handler returns an http.Handler exposing the oracle as a JSON API:
 //
-//	GET  /v1/distance?s=<id>&t=<id> → {"s":..,"t":..,"distance":..,"method":"..","reachable":bool}
-//	GET  /v1/path?s=<id>&t=<id>     → {"s":..,"t":..,"path":[..],"method":".."}
-//	POST /v1/batch                  → one-to-many distances: {"s":..,"ts":[..]}
-//	POST /v2/query                  → request-scoped query: deadline, budget, policy, typed error codes
-//	POST /v2/kpaths                 → ranked loopless alternatives: {"s":..,"t":..,"k":4}
-//	GET  /v1/stats                  → oracle build statistics and server counters
-//	POST /v1/admin/update           → apply a graph mutation batch (requires Config.AllowUpdates)
-//	POST /v1/admin/save             → serialize the current oracle to a server-side path (requires Config.AllowUpdates)
-//	GET  /v1/repl/manifest          → replication manifest: role, epoch, retained delta window
-//	GET  /v1/repl/fetch             → snapshot or delta artifact for replicas (see store.ReplHandler)
-//	GET  /healthz                   → 200 "ok"
-//
-// The batch body names one source and many targets; the response
-// carries one result per target in request order, with per-target
-// errors inline ({"t":..,"error":".."}) so one bad id does not fail
-// the ranking. The whole batch is answered from one oracle snapshot —
-// an epoch swap mid-batch cannot mix answers from different oracles.
+//	POST /v2/query         → distances and paths, one target or many: deadline, budget, policy, typed error codes
+//	POST /v2/kpaths        → ranked loopless alternatives: {"s":..,"t":..,"k":4}
+//	GET  /v1/stats         → oracle build statistics and server counters
+//	POST /v1/admin/update  → apply a graph mutation batch (requires Config.AllowUpdates)
+//	POST /v1/admin/save    → serialize the current oracle to a server-side path (requires Config.AllowUpdates)
+//	GET  /v1/repl/manifest → replication manifest: role, epoch, retained delta window
+//	GET  /v1/repl/fetch    → snapshot or delta artifact for replicas (see store.ReplHandler)
+//	GET  /healthz          → 200 "ok"
 //
 // The update body is {"add_nodes":N,"edges":[[u,v],...],
 // "del_edges":[[u,v],...],"del_nodes":[u,...],
@@ -50,9 +40,6 @@ import (
 // the TCP server when constructed from the same Server.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/distance", s.handleDistance)
-	mux.HandleFunc("GET /v1/path", s.handlePath)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("POST /v2/query", s.handleQueryV2)
 	mux.HandleFunc("POST /v2/kpaths", s.handleKPathsV2)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -82,19 +69,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // the HTTP API and the CLI share).
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, httpError{Error: err.Error(), Code: core.ErrorCode(err)})
-}
-
-// parsePair extracts and validates the s and t query parameters.
-func parsePair(r *http.Request) (s, t uint32, err error) {
-	sv, err := strconv.ParseUint(r.URL.Query().Get("s"), 10, 32)
-	if err != nil {
-		return 0, 0, errors.New("parameter s must be a node id")
-	}
-	tv, err := strconv.ParseUint(r.URL.Query().Get("t"), 10, 32)
-	if err != nil {
-		return 0, 0, errors.New("parameter t must be a node id")
-	}
-	return uint32(sv), uint32(tv), nil
 }
 
 func queryStatus(err error) int {
@@ -238,124 +212,6 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp{Path: body.Path, Epoch: epoch})
 }
 
-// handleBatch answers a one-to-many ranking batch posted as JSON.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		S  uint32   `json:"s"`
-		Ts []uint32 `json:"ts"`
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		s.errCount.Add(1)
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "invalid batch body: " + err.Error()})
-		return
-	}
-	if len(body.Ts) > wire.MaxBatchTargets {
-		s.errCount.Add(1)
-		writeJSON(w, http.StatusBadRequest,
-			httpError{Error: fmt.Sprintf("batch of %d targets exceeds the %d cap", len(body.Ts), wire.MaxBatchTargets)})
-		return
-	}
-	s.queries.Add(int64(len(body.Ts)))
-	s.stall(r.Context())
-	defer s.observe(EpBatch, time.Now())
-	res, err := s.Oracle().DistanceMany(body.S, body.Ts)
-	if err != nil {
-		s.errCount.Add(1)
-		writeError(w, queryStatus(err), err)
-		return
-	}
-	type item struct {
-		T         uint32 `json:"t"`
-		Distance  uint32 `json:"distance"`
-		Method    string `json:"method,omitempty"`
-		Reachable bool   `json:"reachable"`
-		Error     string `json:"error,omitempty"`
-	}
-	type resp struct {
-		S       uint32 `json:"s"`
-		Count   int    `json:"count"`
-		Results []item `json:"results"`
-	}
-	out := resp{S: body.S, Count: len(res), Results: make([]item, len(res))}
-	for i, br := range res {
-		it := item{T: body.Ts[i]}
-		if br.Err != nil {
-			s.errCount.Add(1)
-			it.Error = br.Err.Error()
-		} else {
-			it.Method = br.Method.String()
-			it.Reachable = br.Dist != core.NoDist
-			if it.Reachable {
-				it.Distance = br.Dist
-			}
-		}
-		out.Results[i] = it
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
-	from, to, err := parsePair(r)
-	if err != nil {
-		s.errCount.Add(1)
-		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
-		return
-	}
-	s.queries.Add(1)
-	s.stall(r.Context())
-	defer s.observe(EpDistance, time.Now())
-	d, method, err := s.Oracle().Distance(from, to)
-	if err != nil {
-		s.errCount.Add(1)
-		writeError(w, queryStatus(err), err)
-		return
-	}
-	type resp struct {
-		S         uint32 `json:"s"`
-		T         uint32 `json:"t"`
-		Distance  uint32 `json:"distance"`
-		Method    string `json:"method"`
-		Reachable bool   `json:"reachable"`
-	}
-	out := resp{S: from, T: to, Method: method.String(), Reachable: d != core.NoDist}
-	if out.Reachable {
-		out.Distance = d
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
-	from, to, err := parsePair(r)
-	if err != nil {
-		s.errCount.Add(1)
-		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
-		return
-	}
-	s.queries.Add(1)
-	s.stall(r.Context())
-	defer s.observe(EpPath, time.Now())
-	p, method, err := s.Oracle().Path(from, to)
-	if err != nil {
-		s.errCount.Add(1)
-		writeError(w, queryStatus(err), err)
-		return
-	}
-	type resp struct {
-		S      uint32   `json:"s"`
-		T      uint32   `json:"t"`
-		Path   []uint32 `json:"path"`
-		Hops   int      `json:"hops"`
-		Method string   `json:"method"`
-	}
-	out := resp{S: from, T: to, Path: p, Method: method.String()}
-	if len(p) > 0 {
-		out.Hops = len(p) - 1
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // LatencyStats is the JSON shape of one endpoint's latency summary in
 // /v1/stats (microsecond quantiles from the log-linear histogram; each
 // is a ≤6.25%-under estimate of the true quantile).
@@ -482,8 +338,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxQueryDeadlineMS is the v2 relative-deadline cap, shared with the
-// TCP frame layer (and with clients, which clamp to it).
+// maxQueryDeadlineMS is the relative-deadline cap, shared with the TCP
+// frame layer (and with clients, which clamp to it).
 const maxQueryDeadlineMS = wire.MaxDeadlineMS
 
 // handleQueryV2 answers a request-scoped query posted as JSON:
@@ -496,10 +352,12 @@ const maxQueryDeadlineMS = wire.MaxDeadlineMS
 // and combined with the client disconnect signal (r.Context()) and the
 // server's shutdown context. Budget and cancellation outcomes come
 // back inline per result with a machine-readable "error_code"
-// ("budget_exceeded", "canceled", ...) and HTTP 200 — mirroring
-// /v1/batch, a partially-answered request is a success whose items
-// explain themselves; only validation and source errors use HTTP error
-// statuses.
+// ("budget_exceeded", "canceled", ...) and HTTP 200: a
+// partially-answered request is a success whose items explain
+// themselves, so one bad target id cannot fail a ranking; only
+// validation and source errors use HTTP error statuses. A many-target
+// request is answered from one oracle snapshot, so an epoch swap
+// mid-batch cannot mix answers from different oracles.
 func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		S          uint32    `json:"s"`

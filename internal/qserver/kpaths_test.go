@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -33,74 +32,66 @@ func TestKPathsWireCapMatchesCore(t *testing.T) {
 	}
 }
 
-// TestKPathsTCPRoundTrip drives ranked-alternatives requests over both
-// transport modes and checks the wire answer against the in-process
+// TestKPathsTCPRoundTrip drives ranked-alternatives requests over the
+// multiplexed session and checks the wire answer against the in-process
 // oracle: same paths, same order, same epoch — and K=1 must match the
 // plain single-path query bit for bit.
 func TestKPathsTCPRoundTrip(t *testing.T) {
 	s, addr := startServer(t, Config{})
-	for _, mode := range []struct {
-		name string
-		opts qclient.Options
-	}{
-		{"serial", qclient.Options{}},
-		{"mux", qclient.Options{Mux: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			c, err := qclient.Dial(addr, mode.opts)
+	t.Run("mux", func(t *testing.T) {
+		c, err := qclient.Dial(addr, qclient.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ctx := context.Background()
+		o := s.Oracle()
+		r := xrand.New(5)
+		for i := 0; i < 60; i++ {
+			a, b := r.Uint32n(400), r.Uint32n(400)
+			k := 1 + int(r.Uint32n(6))
+			want, werr := o.Query(ctx, core.Request{S: a, T: b, K: k, WantPath: true, WantStats: true})
+			if werr != nil {
+				t.Fatalf("(%d,%d,k=%d): local query: %v", a, b, k, werr)
+			}
+			res, err := c.Query(ctx, qclient.QuerySpec{S: a, T: b, K: k, WantStats: true})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("(%d,%d,k=%d): %v", a, b, k, err)
 			}
-			defer c.Close()
-			ctx := context.Background()
-			o := s.Oracle()
-			r := xrand.New(5)
-			for i := 0; i < 60; i++ {
-				a, b := r.Uint32n(400), r.Uint32n(400)
-				k := 1 + int(r.Uint32n(6))
-				want, werr := o.Query(ctx, core.Request{S: a, T: b, K: k, WantPath: true, WantStats: true})
-				if werr != nil {
-					t.Fatalf("(%d,%d,k=%d): local query: %v", a, b, k, werr)
+			if len(res.Paths) != len(want.Paths) {
+				t.Fatalf("(%d,%d,k=%d): %d paths over the wire, %d locally", a, b, k, len(res.Paths), len(want.Paths))
+			}
+			for j := range want.Paths {
+				if res.Paths[j].Dist != want.Paths[j].Dist || !reflect.DeepEqual(res.Paths[j].Path, want.Paths[j].Path) {
+					t.Fatalf("(%d,%d,k=%d) path %d: wire %+v, local %+v", a, b, k, j, res.Paths[j], want.Paths[j])
 				}
-				res, err := c.Query(ctx, qclient.QuerySpec{S: a, T: b, K: k, WantStats: true})
+			}
+			if res.Cost != want.Cost {
+				t.Fatalf("(%d,%d,k=%d): wire cost %+v, local %+v", a, b, k, res.Cost, want.Cost)
+			}
+			if len(res.Items) != 1 {
+				t.Fatalf("(%d,%d,k=%d): %d synthetic items", a, b, k, len(res.Items))
+			}
+			// The synthetic item mirrors the best path (or unreachable).
+			if len(res.Paths) > 0 {
+				if res.Items[0].Dist != res.Paths[0].Dist || !reflect.DeepEqual(res.Items[0].Path, res.Paths[0].Path) {
+					t.Fatalf("(%d,%d,k=%d): item %+v does not mirror best path %+v", a, b, k, res.Items[0], res.Paths[0])
+				}
+			} else if res.Items[0].Dist != qclient.NoDist {
+				t.Fatalf("(%d,%d,k=%d): empty enumeration with dist %d", a, b, k, res.Items[0].Dist)
+			}
+			// K=1 must agree with the plain query exactly.
+			if k == 1 {
+				plain, err := c.Query(ctx, qclient.QuerySpec{S: a, T: b, WantPath: true})
 				if err != nil {
-					t.Fatalf("(%d,%d,k=%d): %v", a, b, k, err)
+					t.Fatalf("(%d,%d): plain query: %v", a, b, err)
 				}
-				if len(res.Paths) != len(want.Paths) {
-					t.Fatalf("(%d,%d,k=%d): %d paths over the wire, %d locally", a, b, k, len(res.Paths), len(want.Paths))
-				}
-				for j := range want.Paths {
-					if res.Paths[j].Dist != want.Paths[j].Dist || !reflect.DeepEqual(res.Paths[j].Path, want.Paths[j].Path) {
-						t.Fatalf("(%d,%d,k=%d) path %d: wire %+v, local %+v", a, b, k, j, res.Paths[j], want.Paths[j])
-					}
-				}
-				if res.Cost != want.Cost {
-					t.Fatalf("(%d,%d,k=%d): wire cost %+v, local %+v", a, b, k, res.Cost, want.Cost)
-				}
-				if len(res.Items) != 1 {
-					t.Fatalf("(%d,%d,k=%d): %d synthetic items", a, b, k, len(res.Items))
-				}
-				// The synthetic item mirrors the best path (or unreachable).
-				if len(res.Paths) > 0 {
-					if res.Items[0].Dist != res.Paths[0].Dist || !reflect.DeepEqual(res.Items[0].Path, res.Paths[0].Path) {
-						t.Fatalf("(%d,%d,k=%d): item %+v does not mirror best path %+v", a, b, k, res.Items[0], res.Paths[0])
-					}
-				} else if res.Items[0].Dist != qclient.NoDist {
-					t.Fatalf("(%d,%d,k=%d): empty enumeration with dist %d", a, b, k, res.Items[0].Dist)
-				}
-				// K=1 must agree with the plain query exactly.
-				if k == 1 {
-					plain, err := c.Query(ctx, qclient.QuerySpec{S: a, T: b, WantPath: true})
-					if err != nil {
-						t.Fatalf("(%d,%d): plain query: %v", a, b, err)
-					}
-					if plain.Items[0].Dist != res.Items[0].Dist || !reflect.DeepEqual(plain.Items[0].Path, res.Items[0].Path) {
-						t.Fatalf("(%d,%d): k=1 item %+v, plain %+v", a, b, res.Items[0], plain.Items[0])
-					}
+				if plain.Items[0].Dist != res.Items[0].Dist || !reflect.DeepEqual(plain.Items[0].Path, res.Items[0].Path) {
+					t.Fatalf("(%d,%d): k=1 item %+v, plain %+v", a, b, res.Items[0], plain.Items[0])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestKPathsTCPValidation covers the server-side refusals that reach
@@ -108,11 +99,7 @@ func TestKPathsTCPRoundTrip(t *testing.T) {
 // K the codec itself refuses to decode.
 func TestKPathsTCPValidation(t *testing.T) {
 	_, addr := startServer(t, Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialMux(t, addr)
 
 	for _, tc := range []struct {
 		name string
@@ -121,25 +108,29 @@ func TestKPathsTCPValidation(t *testing.T) {
 		{"bad-policy", &wire.KPathsRequest{S: 1, T: 2, K: 2, Policy: 9}},
 		{"deadline-cap", &wire.KPathsRequest{S: 1, T: 2, K: 2, DeadlineMS: wire.MaxDeadlineMS + 1}},
 	} {
-		resp := wireRT(t, conn, tc.req)
-		e, ok := resp.(*wire.ErrorResponse)
-		if !ok || e.Code != wire.CodeBadRequest {
+		if resp := conn.rt(tc.req); !isBadRequest(resp) {
 			t.Fatalf("%s: response %+v, want bad-request error", tc.name, resp)
 		}
 	}
 
-	// K=0 never decodes: the codec refuses it, so the serial server
-	// drops the connection rather than risk answering a frame it could
-	// not parse.
-	raw := wire.Marshal(&wire.KPathsRequest{S: 1, T: 2, K: 1})
+	// K=0 never decodes: the codec refuses it, so the request fails
+	// with a bad-request error under its id and the session goes on.
+	conn.id++
+	raw := wire.AppendMuxFrame(nil, conn.id, &wire.KPathsRequest{S: 1, T: 2, K: 1})
 	raw[len(raw)-4] = 0 // zero the K u16 (K=1 → K=0)
 	raw[len(raw)-3] = 0
-	if _, err := conn.Write(raw); err != nil {
-		t.Fatal(err)
+	if resp := conn.rtRaw(raw); !isBadRequest(resp) {
+		t.Fatalf("K=0 frame answered with %+v, want bad-request error", resp)
 	}
-	if resp, err := wire.ReadMessage(conn); err == nil {
-		t.Fatalf("K=0 frame answered with %+v, want connection close", resp)
+	if resp := conn.rt(&wire.PingRequest{Token: 3}); resp.WireType() != wire.TypePingResp {
+		t.Fatalf("session dead after a K=0 frame: %v", resp.WireType())
 	}
+}
+
+// isBadRequest reports whether resp is a CodeBadRequest error frame.
+func isBadRequest(resp wire.Message) bool {
+	e, ok := resp.(*wire.ErrorResponse)
+	return ok && e.Code == wire.CodeBadRequest
 }
 
 // TestKPathsBudgetPartialTCP checks the partial-result contract over
@@ -339,23 +330,13 @@ func TestKPathsReplicaByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wc, err := net.Dial("tcp", writerAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wc.Close()
-	rc, err := net.Dial("tcp", replicaAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	wc, rc := dialMux(t, writerAddr), dialMux(t, replicaAddr)
 
 	r := xrand.New(77)
 	for i := 0; i < 80; i++ {
 		a, b := r.Uint32n(n+3), r.Uint32n(n+3)
 		req := &wire.KPathsRequest{S: a, T: b, K: uint16(1 + r.Uint32n(4)), Flags: wire.KPathsWantStats}
-		wresp := wireRT(t, wc, req)
-		rresp := wireRT(t, rc, req)
+		wresp, rresp := wc.rt(req), rc.rt(req)
 		wk, ok1 := wresp.(*wire.KPathsResponse)
 		rk, ok2 := rresp.(*wire.KPathsResponse)
 		if !ok1 || !ok2 {

@@ -5,8 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,26 +19,22 @@ import (
 )
 
 // TestMuxNegotiationAndRoundTrip pins the hello handshake end to end:
-// a mux-dialed client negotiates the feature, the server counts the
-// session, and every request shape answers correctly over id-carrying
-// frames.
+// a dialed client opens the multiplexed session, the server counts it,
+// and every request shape answers correctly over id-carrying frames.
 func TestMuxNegotiationAndRoundTrip(t *testing.T) {
 	s, addr := startServer(t, Config{})
-	c, err := qclient.Dial(addr, qclient.Options{Mux: true})
+	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Muxed() {
-		t.Fatal("mux feature not negotiated against a default server")
-	}
 	if got := s.Metrics().MuxConns; got != 1 {
 		t.Fatalf("MuxConns = %d, want 1", got)
 	}
 	if _, err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := c.Distance(3, 77)
+	it, err := queryOne(c, 3, 77, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,29 +42,29 @@ func TestMuxNegotiationAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != wantD {
-		t.Fatalf("muxed distance %d, want %d", d, wantD)
+	if it.Dist != wantD {
+		t.Fatalf("muxed distance %d, want %d", it.Dist, wantD)
 	}
-	p, _, err := c.Path(3, 77)
+	it, err = queryOne(c, 3, 77, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p) == 0 || p[0] != 3 || p[len(p)-1] != 77 {
+	if p := it.Path; len(p) == 0 || p[0] != 3 || p[len(p)-1] != 77 {
 		t.Fatalf("muxed path endpoints wrong: %v", p)
 	}
-	items, err := c.Batch(1, []uint32{2, 3, 4})
+	res, err := c.Query(context.Background(), qclient.QuerySpec{S: 1, Ts: []uint32{2, 3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 3 {
-		t.Fatalf("batch items = %d", len(items))
+	if len(res.Items) != 3 {
+		t.Fatalf("batch items = %d", len(res.Items))
 	}
-	res, err := c.Query(context.Background(), qclient.QuerySpec{S: 5, T: 9, WantPath: true})
+	res, err = c.Query(context.Background(), qclient.QuerySpec{S: 5, T: 9, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Items) != 1 || res.Items[0].Err != nil {
-		t.Fatalf("muxed v2 query: %+v", res.Items)
+	if len(res.Paths) == 0 || res.Items[0].Err != nil {
+		t.Fatalf("muxed k-paths query: %+v", res)
 	}
 	c.Close()
 	deadline := time.Now().Add(2 * time.Second)
@@ -79,34 +76,9 @@ func TestMuxNegotiationAndRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMuxDisabledServerStaysSerial pins the negotiation-refused path: a
-// DisableMux server acknowledges the hello without granting the bit,
-// and the same connection keeps serving serially.
-func TestMuxDisabledServerStaysSerial(t *testing.T) {
-	s, addr := startServer(t, Config{DisableMux: true})
-	c, err := qclient.Dial(addr, qclient.Options{Mux: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Muxed() {
-		t.Fatal("mux negotiated against a DisableMux server")
-	}
-	if _, _, err := c.Distance(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Metrics().MuxConns; got != 0 {
-		t.Fatalf("MuxConns = %d, want 0", got)
-	}
-	// One connection total: the refused handshake must not redial.
-	if got := s.Metrics().TotalConns; got != 1 {
-		t.Fatalf("TotalConns = %d, want 1", got)
-	}
-}
-
 // TestMuxOutOfOrderCompletion is the head-of-line proof at the protocol
-// level: a v2 query held in flight by the test hook does not block a
-// distance request issued after it on the same connection.
+// level: a query held in flight by the test hook does not block a
+// distance query issued after it on the same connection.
 func TestMuxOutOfOrderCompletion(t *testing.T) {
 	release := make(chan struct{})
 	var held atomic.Int32
@@ -116,14 +88,11 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 		}
 	}}
 	_, addr := startServer(t, cfg)
-	c, err := qclient.Dial(addr, qclient.Options{Mux: true})
+	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Muxed() {
-		t.Fatal("mux not negotiated")
-	}
 	slowDone := make(chan error, 1)
 	go func() {
 		_, err := c.Query(context.Background(), qclient.QuerySpec{S: 3, T: 77})
@@ -140,7 +109,7 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 	// The fast request must complete while the slow one is still held.
 	fastDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Distance(1, 2)
+		_, err := queryOne(c, 1, 2, false)
 		fastDone <- err
 	}()
 	select {
@@ -172,7 +141,7 @@ func TestMuxAbandonedRequestKeepsConnection(t *testing.T) {
 		}
 	}}
 	s, addr := startServer(t, cfg)
-	c, err := qclient.Dial(addr, qclient.Options{Mux: true})
+	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +173,7 @@ func TestMuxAbandonedRequestKeepsConnection(t *testing.T) {
 	if !c.Alive() {
 		t.Fatal("client dead after an abandoned request")
 	}
-	if _, _, err := c.Distance(1, 2); err != nil {
+	if _, err := queryOne(c, 1, 2, false); err != nil {
 		t.Fatalf("request after abandonment: %v", err)
 	}
 	if got := s.Metrics().TotalConns; got != 1 {
@@ -220,7 +189,7 @@ func TestMuxAbandonedRequestKeepsConnection(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, _, err := c.Distance(5, 9); err != nil {
+	if _, err := queryOne(c, 5, 9, false); err != nil {
 		t.Fatalf("request after discarding a late reply: %v", err)
 	}
 }
@@ -238,7 +207,7 @@ func TestMuxTinyDeadlineThenNormalQuery(t *testing.T) {
 		}
 	}}
 	srv, addr, s, u := startGridServer(t, cfg)
-	c, err := qclient.Dial(addr, qclient.Options{Mux: true})
+	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +227,57 @@ func TestMuxTinyDeadlineThenNormalQuery(t *testing.T) {
 	}
 	if got := srv.Metrics().TotalConns; got != 1 {
 		t.Fatalf("TotalConns = %d, want 1 (deadline must not kill the connection)", got)
+	}
+}
+
+// TestFirstFrameMustBeMuxHello drives the refusal every peer that does
+// not open with a mux hello gets — a retired distance frame (type 1), a
+// hello that does not offer the mux feature, and a plain-framed ping:
+// one CodeBadRequest error frame naming the requirement, then the
+// server closes the connection. Nothing is answered as a query.
+func TestFirstFrameMustBeMuxHello(t *testing.T) {
+	s, addr := startServer(t, Config{})
+	retired := []byte{0, 0, 0, 10, wire.Version, 1, 0, 0, 0, 3, 0, 0, 0, 4}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"retired-distance-frame", retired},
+		{"hello-without-mux", wire.Marshal(&wire.Hello{Features: 0})},
+		{"plain-ping", wire.Marshal(&wire.PingRequest{Token: 1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := s.Metrics()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_ = conn.SetReadDeadline(start.Add(time.Second))
+			br := bufio.NewReader(conn)
+			resp, err := wire.ReadMessage(br)
+			if err != nil {
+				t.Fatalf("no refusal frame: %v", err)
+			}
+			e, ok := resp.(*wire.ErrorResponse)
+			if !ok || e.Code != wire.CodeBadRequest || !strings.Contains(e.Message, "hello") {
+				t.Fatalf("refusal = %+v, want a bad-request error naming the hello", resp)
+			}
+			if _, err := br.ReadByte(); err != io.EOF {
+				t.Fatalf("after the refusal: %v, want EOF", err)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("connection closed after %v, want within 1s", took)
+			}
+			after := s.Metrics()
+			if after.Errors != before.Errors+1 || after.Queries != before.Queries {
+				t.Fatalf("metrics %+v -> %+v: want one error and no query", before, after)
+			}
+		})
 	}
 }
 
@@ -319,77 +339,17 @@ func TestMuxMalformedPayloadFailsOnlyThatRequest(t *testing.T) {
 	}
 }
 
-// TestMuxVsSerialBitIdentical compares every answer shape across the
-// two transport modes on the same oracle: answers must be
-// bit-identical — the mux changes scheduling, never results.
-func TestMuxVsSerialBitIdentical(t *testing.T) {
-	_, addr := startServer(t, Config{})
-	serial, err := qclient.Dial(addr, qclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	muxed, err := qclient.Dial(addr, qclient.Options{Mux: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer muxed.Close()
-	if !muxed.Muxed() {
-		t.Fatal("mux not negotiated")
-	}
-	for pair := 0; pair < 20; pair++ {
-		s, u := uint32(pair*7%400), uint32((pair*31+5)%400)
-		ds, ms, err := serial.Distance(s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dm, mm, err := muxed.Distance(s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ds != dm || ms != mm {
-			t.Fatalf("pair (%d,%d): serial (%d,%d) != muxed (%d,%d)", s, u, ds, ms, dm, mm)
-		}
-		ps, _, err := serial.Path(s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pm, _, err := muxed.Path(s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ps, pm) {
-			t.Fatalf("pair (%d,%d): paths diverge: %v vs %v", s, u, ps, pm)
-		}
-	}
-	ts := []uint32{1, 5, 9, 200, 399}
-	bs, err := serial.Batch(2, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := muxed.Batch(2, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bs, bm) {
-		t.Fatalf("batch answers diverge: %+v vs %+v", bs, bm)
-	}
-}
-
 // TestMuxSharedClientStressWithChurn is the -race stress from the
 // issue: N goroutines share one muxed client while ApplyUpdates churns
 // the snapshot underneath. Every request must come back either with a
 // valid answer or a taxonomy error — never a transport failure.
 func TestMuxSharedClientStressWithChurn(t *testing.T) {
 	s, addr := startServer(t, Config{})
-	c, err := qclient.Dial(addr, qclient.Options{Mux: true})
+	c, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Muxed() {
-		t.Fatal("mux not negotiated")
-	}
 	stop := make(chan struct{})
 	var churnWg sync.WaitGroup
 	churnWg.Add(1)
@@ -420,7 +380,7 @@ func TestMuxSharedClientStressWithChurn(t *testing.T) {
 				sN, tN := uint32((w*41+i)%400), uint32((i*17+w)%400)
 				switch i % 3 {
 				case 0:
-					if _, _, err := c.Distance(sN, tN); err != nil {
+					if _, err := queryOne(c, sN, tN, false); err != nil {
 						errs <- fmt.Errorf("worker %d distance: %w", w, err)
 						return
 					}
@@ -435,7 +395,7 @@ func TestMuxSharedClientStressWithChurn(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, err := c.Batch(sN, []uint32{tN, (tN + 1) % 400}); err != nil {
+					if _, err := c.Query(context.Background(), qclient.QuerySpec{S: sN, Ts: []uint32{tN, (tN + 1) % 400}}); err != nil {
 						errs <- fmt.Errorf("worker %d batch: %w", w, err)
 						return
 					}

@@ -46,7 +46,8 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each response write (0 = 10s).
 	WriteTimeout time.Duration
-	// Logger receives connection-level errors (nil = silent).
+	// Logger receives connection-level errors, such as peers refused for
+	// not opening with a mux hello (nil = silent).
 	Logger *log.Logger
 	// AllowUpdates enables the HTTP admin mutation endpoint
 	// (POST /v1/admin/update). The programmatic ApplyUpdates method is
@@ -65,28 +66,22 @@ type Config struct {
 	// client may ask for via the wire Parallel knob (0 = number of CPUs;
 	// negative disables client-requested parallelism).
 	MaxBatchParallel int
-	// DisableMux refuses the multiplexed session mode: hello frames are
-	// still acknowledged (the type is known) but the mux feature bit is
-	// never granted, so every connection stays strictly
-	// one-request-one-response. Interop tests use it to stand in for a
-	// serial-only peer.
-	DisableMux bool
-	// MaxConnWorkers bounds concurrent request workers per multiplexed
-	// connection (0 = 32). When all workers are busy the connection's
-	// reader stops pulling frames, so backpressure reaches the client
-	// through TCP instead of unbounded goroutine growth. Server-wide
-	// admission control (MaxInFlight) still applies on top.
+	// MaxConnWorkers bounds concurrent request workers per connection
+	// (0 = 32). When all workers are busy the connection's reader stops
+	// pulling frames, so backpressure reaches the client through TCP
+	// instead of unbounded goroutine growth. Server-wide admission
+	// control (MaxInFlight) still applies on top.
 	MaxConnWorkers int
-	// StallQueries artificially delays every query (distance, path,
-	// batch, v2) by this duration before any oracle work — a chaos knob
-	// for exercising client-side hedging against a slow replica. Pings,
+	// StallQueries artificially delays every query and k-paths request
+	// by this duration before any oracle work — a chaos knob for
+	// exercising client-side hedging against a slow replica. Pings,
 	// stats and replication status frames are unaffected, so health
 	// checks still see a live server. Never set in production.
 	StallQueries time.Duration
 
-	// testHookQuery, when non-nil, runs at the start of every v2 query
-	// with the request context. Tests use it to hold a request in
-	// flight and observe shutdown cancellation; never set in
+	// testHookQuery, when non-nil, runs at the start of every query and
+	// k-paths request with the request context. Tests use it to hold a
+	// request in flight and observe shutdown cancellation; never set in
 	// production.
 	testHookQuery func(context.Context)
 }
@@ -112,17 +107,15 @@ func (c Config) withDefaults() Config {
 
 // Metrics is a point-in-time snapshot of server counters.
 type Metrics struct {
-	ActiveConns  int64
-	TotalConns   int64
-	Queries      int64
-	Errors       int64
-	BytesRead    int64 // approximate: frame payloads only
-	BytesWritten int64
-	Updates      int64  // update batches applied
-	Epoch        uint64 // current oracle epoch (0 = as built/loaded)
-	InFlight     int64  // queries being answered right now
-	Shed         int64  // queries degraded to PolicyEstimate by admission control
-	MuxConns     int64  // connections currently in multiplexed session mode
+	ActiveConns int64
+	TotalConns  int64
+	Queries     int64
+	Errors      int64
+	Updates     int64  // update batches applied
+	Epoch       uint64 // current oracle epoch (0 = as built/loaded)
+	InFlight    int64  // queries being answered right now
+	Shed        int64  // queries degraded to PolicyEstimate by admission control
+	MuxConns    int64  // connections past the hello, in the multiplexed session
 }
 
 // Endpoint indexes the per-endpoint latency histograms: the query
@@ -131,10 +124,10 @@ type Endpoint int
 
 // Latency endpoints.
 const (
-	EpDistance Endpoint = iota // single distance (v1 + v2 single-target)
-	EpPath                     // single path
-	EpBatch                    // one-to-many (v1 batch + v2 many-target)
-	EpQuery                    // v2 query frames of any shape, end to end
+	EpDistance Endpoint = iota // single-target query without a path
+	EpPath                     // single-target query with a path
+	EpBatch                    // many-target query
+	EpQuery                    // queries of any shape, end to end
 	EpKPaths                   // ranked k-shortest-paths enumeration
 	numEndpoints
 )
@@ -179,15 +172,13 @@ type Server struct {
 	sem chan struct{}
 	wg  sync.WaitGroup
 
-	activeConns  atomic.Int64
-	totalConns   atomic.Int64
-	queries      atomic.Int64
-	errCount     atomic.Int64
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-	inFlight     atomic.Int64
-	shed         atomic.Int64
-	muxConns     atomic.Int64
+	activeConns atomic.Int64
+	totalConns  atomic.Int64
+	queries     atomic.Int64
+	errCount    atomic.Int64
+	inFlight    atomic.Int64
+	shed        atomic.Int64
+	muxConns    atomic.Int64
 
 	lat [numEndpoints]lhist.Hist // per-endpoint service latency (ns)
 }
@@ -262,17 +253,15 @@ func (s *Server) ApplyUpdates(u core.Update) (uint64, *core.Oracle, error) {
 // Metrics returns a snapshot of the server counters.
 func (s *Server) Metrics() Metrics {
 	return Metrics{
-		ActiveConns:  s.activeConns.Load(),
-		TotalConns:   s.totalConns.Load(),
-		Queries:      s.queries.Load(),
-		Errors:       s.errCount.Load(),
-		BytesRead:    s.bytesRead.Load(),
-		BytesWritten: s.bytesWritten.Load(),
-		Updates:      s.cat.Updates(),
-		Epoch:        s.cat.Epoch(),
-		InFlight:     s.inFlight.Load(),
-		Shed:         s.shed.Load(),
-		MuxConns:     s.muxConns.Load(),
+		ActiveConns: s.activeConns.Load(),
+		TotalConns:  s.totalConns.Load(),
+		Queries:     s.queries.Load(),
+		Errors:      s.errCount.Load(),
+		Updates:     s.cat.Updates(),
+		Epoch:       s.cat.Epoch(),
+		InFlight:    s.inFlight.Load(),
+		Shed:        s.shed.Load(),
+		MuxConns:    s.muxConns.Load(),
 	}
 }
 
@@ -395,12 +384,13 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// handleConn serves one connection. It starts in the v1 serial mode —
-// a loop of read request → answer — and upgrades to the multiplexed
-// session (serveMux) when the client's hello frame negotiates the mux
-// feature. Frames are read into and written from per-connection
-// reusable buffers, so the steady-state fixed-size request path stays
-// allocation-free.
+// handleConn serves one connection: the hello exchange in plain
+// framing, then the multiplexed session (serveMux). A connection whose
+// first frame is anything but a hello offering wire.FeatureMux — a
+// retired query frame, a plain-framed request, a hello without the mux
+// bit, a malformed frame — gets one CodeBadRequest error frame naming
+// the requirement and is closed, so an old peer learns why instead of
+// seeing a silent close.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -416,71 +406,57 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	br := bufio.NewReaderSize(conn, 4096)
 	bw := bufio.NewWriterSize(conn, 4096)
-	var rbuf, wbuf []byte
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
-			return
-		}
-		payload, nb, err := wire.ReadFrame(br, rbuf)
-		rbuf = nb
-		var req wire.Message
-		if err == nil {
-			req, err = wire.Unmarshal(payload)
-		}
-		if err != nil {
-			// EOF and timeouts are normal connection ends; protocol
-			// errors get a final error frame on a best-effort basis.
-			if isProtocolError(err) {
-				s.errCount.Add(1)
-				_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				_ = wire.WriteMessage(conn, &wire.ErrorResponse{
-					Code: wire.CodeBadRequest, Message: err.Error(),
-				})
-			}
-			return
-		}
-		var resp wire.Message
-		if h, ok := req.(*wire.Hello); ok {
-			// Feature negotiation: grant the intersection of what the
-			// client offers and what this server supports. A serial-only
-			// configuration still acknowledges the hello — the type is
-			// known — it just never grants the mux bit.
-			feats := h.Features & wire.KnownFeatures
-			if s.cfg.DisableMux {
-				feats &^= wire.FeatureMux
-			}
-			resp = &wire.HelloAck{Features: feats}
-			if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-				return
-			}
-			wbuf = wire.AppendFrame(wbuf[:0], resp)
-			if _, err := bw.Write(wbuf); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			s.bytesWritten.Add(1)
-			if feats&wire.FeatureMux != 0 {
-				s.serveMux(conn, br, bw)
-				return
-			}
-			continue
-		}
-		resp = s.dispatch(s.baseCtx, req)
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-			return
-		}
-		wbuf = wire.AppendFrame(wbuf[:0], resp)
-		if _, err := bw.Write(wbuf); err != nil {
-			s.logf("qserver: write to %v: %v", conn.RemoteAddr(), err)
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		s.bytesWritten.Add(1) // frame count proxy; exact sizes are wire detail
+	if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
+		return
 	}
+	payload, _, err := wire.ReadFrame(br, nil)
+	if err != nil && !isProtocolError(err) {
+		return // EOF or idle timeout before the hello: nothing to answer
+	}
+	var hello *wire.Hello
+	if err == nil {
+		hello, err = parseHello(payload)
+	}
+	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+		return
+	}
+	if err != nil {
+		s.errCount.Add(1)
+		s.logf("qserver: refusing %v: %v", conn.RemoteAddr(), err)
+		_ = wire.WriteMessage(conn, &wire.ErrorResponse{
+			Code:    wire.CodeBadRequest,
+			Message: "connection must open with a hello offering the mux feature: " + err.Error(),
+		})
+		return
+	}
+	// Count the session before acknowledging it, so a client that has
+	// its HelloAck in hand always finds itself in the gauge.
+	s.muxConns.Add(1)
+	defer s.muxConns.Add(-1)
+	if err := wire.WriteMessage(bw, &wire.HelloAck{Features: hello.Features & wire.KnownFeatures}); err != nil {
+		return
+	}
+	if err := bw.Flush(); err != nil {
+		return
+	}
+	s.serveMux(conn, br, bw)
+}
+
+// parseHello decodes a connection's opening frame, reporting why it is
+// not a hello offering wire.FeatureMux when it is not one.
+func parseHello(payload []byte) (*wire.Hello, error) {
+	msg, err := wire.Unmarshal(payload)
+	if err != nil {
+		return nil, err
+	}
+	hello, ok := msg.(*wire.Hello)
+	if !ok {
+		return nil, fmt.Errorf("got %v", msg.WireType())
+	}
+	if hello.Features&wire.FeatureMux == 0 {
+		return nil, fmt.Errorf("hello offers features %#x", hello.Features)
+	}
+	return hello, nil
 }
 
 // muxCompletion pairs a finished response with the request id it must
@@ -503,8 +479,6 @@ type muxCompletion struct {
 // is canceled when the reader exits, so a client disconnect cancels
 // every in-flight search on that connection.
 func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
-	s.muxConns.Add(1)
-	defer s.muxConns.Add(-1)
 	connCtx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 
@@ -532,10 +506,8 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 				if err := bw.Flush(); err != nil {
 					writeFailed.Store(true)
 					cancel()
-					continue
 				}
 			}
-			s.bytesWritten.Add(1)
 		}
 	}()
 
@@ -615,13 +587,10 @@ func (s *Server) stall(ctx context.Context) {
 // dispatch answers a single request message. The serving state — oracle
 // snapshot plus cluster epoch — is pinned once per request, so a
 // concurrent update swap or replica sync cannot split one query across
-// epochs. ctx parents any search the request runs: the serial loop
-// passes the server's base context, the multiplexed path a
-// per-connection context canceled when the client goes away.
+// epochs. ctx parents any search the request runs; it is the
+// connection's context, canceled when the client goes away.
 func (s *Server) dispatch(ctx context.Context, req wire.Message) wire.Message {
-	s.bytesRead.Add(1)
 	st := s.cat.State()
-	oracle := st.Oracle
 	switch m := req.(type) {
 	case *wire.PingRequest:
 		return &wire.PingResponse{Token: m.Token}
@@ -635,51 +604,6 @@ func (s *Server) dispatch(ctx context.Context, req wire.Message) wire.Message {
 			MaxDelta: man.MaxDelta,
 		}
 
-	case *wire.DistanceRequest:
-		s.queries.Add(1)
-		s.stall(ctx)
-		defer s.observe(EpDistance, time.Now())
-		d, method, err := oracle.Distance(m.S, m.T)
-		if err != nil {
-			s.errCount.Add(1)
-			return queryError(err)
-		}
-		return &wire.DistanceResponse{Dist: d, Method: uint8(method)}
-
-	case *wire.PathRequest:
-		s.queries.Add(1)
-		s.stall(ctx)
-		defer s.observe(EpPath, time.Now())
-		p, method, err := oracle.Path(m.S, m.T)
-		if err != nil {
-			s.errCount.Add(1)
-			return queryError(err)
-		}
-		return &wire.PathResponse{Method: uint8(method), Path: p}
-
-	case *wire.BatchRequest:
-		// One-to-many: the whole batch runs against the snapshot pinned
-		// above, so an epoch swap mid-batch cannot mix oracles. Each
-		// target counts as one query; per-target failures come back as
-		// item codes without failing the batch.
-		s.queries.Add(int64(len(m.Ts)))
-		s.stall(ctx)
-		defer s.observe(EpBatch, time.Now())
-		res, err := oracle.DistanceMany(m.S, m.Ts)
-		if err != nil {
-			s.errCount.Add(1)
-			return queryError(err)
-		}
-		items := make([]wire.BatchItem, len(res))
-		for i, r := range res {
-			items[i] = wire.BatchItem{Dist: r.Dist, Method: uint8(r.Method)}
-			if r.Err != nil {
-				s.errCount.Add(1)
-				items[i].Code = queryCode(r.Err)
-			}
-		}
-		return &wire.BatchResponse{Items: items}
-
 	case *wire.QueryRequest:
 		return s.dispatchQuery(ctx, st, m)
 
@@ -687,13 +611,13 @@ func (s *Server) dispatch(ctx context.Context, req wire.Message) wire.Message {
 		return s.dispatchKPaths(ctx, st, m)
 
 	case *wire.StatsRequest:
-		st := oracle.Stats()
-		ms := oracle.Memory()
+		stats := st.Oracle.Stats()
+		ms := st.Oracle.Memory()
 		return &wire.StatsResponse{
-			Nodes:         uint64(st.Nodes),
-			Edges:         uint64(st.Edges),
-			Landmarks:     uint64(st.Landmarks),
-			AvgVicinityE6: uint64(st.AvgVicinity * 1e6),
+			Nodes:         uint64(stats.Nodes),
+			Edges:         uint64(stats.Edges),
+			Landmarks:     uint64(stats.Landmarks),
+			AvgVicinityE6: uint64(stats.AvgVicinity * 1e6),
 			TotalEntries:  uint64(ms.TotalEntries),
 			QueriesServed: uint64(s.queries.Load()),
 		}
@@ -707,12 +631,13 @@ func (s *Server) dispatch(ctx context.Context, req wire.Message) wire.Message {
 	}
 }
 
-// dispatchQuery answers a v2 request-scoped query frame. The request
+// dispatchQuery answers a request-scoped query frame. The request
 // context descends from the caller's (which itself descends from the
 // server's base context, so a forced shutdown cancels in-flight
-// searches) with the frame's relative deadline applied on top; budget/cancel outcomes come back as
-// per-item codes so the best-known bound survives the wire, while
-// validation failures keep the v1 ErrorResponse shape.
+// searches) with the frame's relative deadline applied on top;
+// budget/cancel outcomes come back as per-item codes so the best-known
+// bound survives the wire, while validation failures come back as an
+// ErrorResponse.
 func (s *Server) dispatchQuery(ctx context.Context, st *store.State, m *wire.QueryRequest) wire.Message {
 	oracle := st.Oracle
 	many := m.Flags&wire.QueryMany != 0

@@ -1,6 +1,7 @@
 package qserver
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,6 +54,77 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return s, ln.Addr().String()
 }
 
+// queryOne asks for one s→t answer over c, with or without the path;
+// the error is the call's, or else the answer's own.
+func queryOne(c *qclient.Client, s, t uint32, wantPath bool) (qclient.QueryItem, error) {
+	res, err := c.Query(context.Background(), qclient.QuerySpec{S: s, T: t, WantPath: wantPath})
+	if err != nil {
+		return qclient.QueryItem{}, err
+	}
+	return res.Items[0], res.Items[0].Err
+}
+
+// muxConn is a raw multiplexed session, for tests that send frames the
+// client API cannot produce or compare replies byte for byte.
+type muxConn struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+	id   uint64
+}
+
+// dialMux opens a connection to addr and performs the hello exchange.
+func dialMux(t *testing.T, addr string) *muxConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(conn)
+	if err := wire.WriteMessage(conn, &wire.Hello{Features: wire.FeatureMux}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := wire.ReadMessage(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, ok := ack.(*wire.HelloAck); !ok || a.Features&wire.FeatureMux == 0 {
+		t.Fatalf("handshake reply %+v", ack)
+	}
+	return &muxConn{t: t, conn: conn, br: br}
+}
+
+// rt sends req under a fresh id and returns the reply, which must carry
+// the same id.
+func (m *muxConn) rt(req wire.Message) wire.Message {
+	m.t.Helper()
+	m.id++
+	return m.rtRaw(wire.AppendMuxFrame(nil, m.id, req))
+}
+
+// rtRaw sends one complete mux frame built by the caller under the
+// current id and returns the decoded reply.
+func (m *muxConn) rtRaw(frame []byte) wire.Message {
+	m.t.Helper()
+	if _, err := m.conn.Write(frame); err != nil {
+		m.t.Fatalf("write: %v", err)
+	}
+	id, payload, _, err := wire.ReadMuxFrame(m.br, nil)
+	if err != nil {
+		m.t.Fatalf("read reply to id %d: %v", m.id, err)
+	}
+	if id != m.id {
+		m.t.Fatalf("reply under id %d, want %d", id, m.id)
+	}
+	resp, err := wire.Unmarshal(payload)
+	if err != nil {
+		m.t.Fatalf("decode reply: %v", err)
+	}
+	return resp
+}
+
 func TestDistanceAndPathRoundTrip(t *testing.T) {
 	s, addr := startServer(t, Config{})
 	c, err := qclient.Dial(addr, qclient.Options{})
@@ -67,17 +139,18 @@ func TestDistanceAndPathRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a, b := r.Uint32n(400), r.Uint32n(400)
 		want := ws.BFSDist(a, b)
-		got, _, err := c.Distance(a, b)
+		it, err := queryOne(c, a, b, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("Distance(%d,%d) = %d, want %d", a, b, got, want)
+		if it.Dist != want || it.Path != nil {
+			t.Fatalf("distance (%d,%d) = %d (path %v), want %d and no path", a, b, it.Dist, it.Path, want)
 		}
-		p, _, err := c.Path(a, b)
+		it, err = queryOne(c, a, b, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := it.Path
 		if want == traverse.NoDist {
 			if p != nil {
 				t.Fatalf("path for unreachable pair: %v", p)
@@ -101,10 +174,10 @@ func TestPingAndStats(t *testing.T) {
 		t.Fatalf("ping: %v", err)
 	}
 	// Two queries, then stats must reflect them.
-	if _, _, err := c.Distance(0, 1); err != nil {
+	if _, err := queryOne(c, 0, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Distance(1, 2); err != nil {
+	if _, err := queryOne(c, 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats()
@@ -123,7 +196,7 @@ func TestOutOfRangeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, _, err = c.Distance(0, 100000)
+	_, err = queryOne(c, 0, 100000, false)
 	var werr *wire.ErrorResponse
 	if !errors.As(err, &werr) {
 		t.Fatalf("err = %v, want wire.ErrorResponse", err)
@@ -132,7 +205,7 @@ func TestOutOfRangeError(t *testing.T) {
 		t.Fatalf("code = %d, want %d", werr.Code, wire.CodeOutOfRange)
 	}
 	// The connection survives an application-level error.
-	if _, _, err := c.Distance(0, 1); err != nil {
+	if _, err := queryOne(c, 0, 1, false); err != nil {
 		t.Fatalf("connection dead after error: %v", err)
 	}
 }
@@ -156,12 +229,10 @@ func TestConcurrentClients(t *testing.T) {
 			r := xrand.New(seed)
 			for i := 0; i < 50; i++ {
 				a, b := r.Uint32n(400), r.Uint32n(400)
-				got, _, err := c.Distance(a, b)
-				if err != nil {
+				if _, err := queryOne(c, a, b, false); err != nil {
 					errCh <- err
 					return
 				}
-				_ = got
 			}
 		}(uint64(w + 10))
 	}
@@ -176,12 +247,12 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, _, err := c.Distance(3, 7)
+	it, err := queryOne(c, 3, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ws.BFSDist(3, 7); got != want {
-		t.Fatalf("after concurrency: %d, want %d", got, want)
+	if want := ws.BFSDist(3, 7); it.Dist != want {
+		t.Fatalf("after concurrency: %d, want %d", it.Dist, want)
 	}
 	if m := s.Metrics(); m.Queries < 400 || m.TotalConns < 8 {
 		t.Fatalf("metrics = %+v", m)
@@ -203,7 +274,7 @@ func TestPool(t *testing.T) {
 			defer wg.Done()
 			r := xrand.New(seed)
 			for i := 0; i < 25; i++ {
-				if _, _, err := p.Distance(ctx, r.Uint32n(400), r.Uint32n(400)); err != nil {
+				if _, err := p.Query(ctx, qclient.QuerySpec{S: r.Uint32n(400), T: r.Uint32n(400)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -223,13 +294,13 @@ func TestConnectionCap(t *testing.T) {
 	if _, err := c1.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	// Second connection must be refused with CodeUnavailable.
-	c2, err := qclient.Dial(addr, qclient.Options{RequestTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err) // dial succeeds; refusal arrives as an error frame
+	// Second connection must be refused with CodeUnavailable: the
+	// refusal frame answers its hello, so the dial itself fails.
+	c2, err := qclient.Dial(addr, qclient.Options{DialTimeout: 2 * time.Second})
+	if err == nil {
+		c2.Close()
+		t.Fatal("second connection past the cap was served")
 	}
-	defer c2.Close()
-	_, err = c2.Ping()
 	var werr *wire.ErrorResponse
 	if !errors.As(err, &werr) || werr.Code != wire.CodeUnavailable {
 		t.Fatalf("second connection: err = %v, want unavailable", err)
@@ -293,47 +364,48 @@ func TestHTTPGateway(t *testing.T) {
 	s, _ := startServer(t, Config{})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := hs.Client().Post(hs.URL+"/v2/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	type result struct {
+		Distance  uint32   `json:"distance"`
+		Method    string   `json:"method"`
+		Reachable bool     `json:"reachable"`
+		Path      []uint32 `json:"path"`
+	}
+	var out struct {
+		Results []result `json:"results"`
+	}
 
 	// Distance.
-	resp, err := hs.Client().Get(hs.URL + "/v1/distance?s=0&t=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dr struct {
-		Distance  uint32 `json:"distance"`
-		Method    string `json:"method"`
-		Reachable bool   `json:"reachable"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
+	resp := post(`{"s":0,"t":5}`)
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !dr.Reachable || dr.Method == "" {
+	dr := out.Results[0]
+	if !dr.Reachable || dr.Method == "" || dr.Path != nil {
 		t.Fatalf("distance response: %+v", dr)
 	}
 
 	// Path.
-	resp, err = hs.Client().Get(hs.URL + "/v1/path?s=0&t=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pr struct {
-		Path []uint32 `json:"path"`
-		Hops int      `json:"hops"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+	resp = post(`{"s":0,"t":5,"want_path":true}`)
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(pr.Path) == 0 || pr.Hops != len(pr.Path)-1 {
-		t.Fatalf("path response: %+v", pr)
-	}
-	if uint32(pr.Hops) != dr.Distance {
-		t.Fatalf("path hops %d != distance %d", pr.Hops, dr.Distance)
+	pr := out.Results[0]
+	if len(pr.Path) == 0 || uint32(len(pr.Path)-1) != dr.Distance {
+		t.Fatalf("path %v for distance %d", pr.Path, dr.Distance)
 	}
 
 	// Stats and health.
-	resp, err = hs.Client().Get(hs.URL + "/v1/stats")
+	resp, err := hs.Client().Get(hs.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,21 +430,44 @@ func TestHTTPGateway(t *testing.T) {
 	}
 
 	// Errors.
-	resp, err = hs.Client().Get(hs.URL + "/v1/distance?s=abc&t=1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = post(`{"s":"abc","t":1}`)
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad param status %d", resp.StatusCode)
 	}
-	resp, err = hs.Client().Get(hs.URL + "/v1/distance?s=999999&t=1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = post(`{"s":999999,"t":1}`)
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("out-of-range status %d", resp.StatusCode)
+	}
+}
+
+// TestV1QueryRoutesGone pins that the retired query routes are not
+// served: every query travels through /v2/query.
+func TestV1QueryRoutesGone(t *testing.T) {
+	s, _ := startServer(t, Config{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	for _, r := range []struct{ method, path, body string }{
+		{"GET", "/v1/distance?s=0&t=5", ""},
+		{"GET", "/v1/path?s=0&t=5", ""},
+		{"POST", "/v1/batch", `{"s":0,"ts":[1,2]}`},
+	} {
+		req, err := http.NewRequest(r.method, hs.URL+r.path, strings.NewReader(r.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", r.method, r.path, resp.StatusCode)
+		}
+	}
+	if q := s.Metrics().Queries; q != 0 {
+		t.Fatalf("retired routes answered %d queries", q)
 	}
 }
 
@@ -383,7 +478,7 @@ func TestClientClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, _, err := c.Distance(0, 1); !errors.Is(err, qclient.ErrClosed) {
+	if _, err := queryOne(c, 0, 1, false); !errors.Is(err, qclient.ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -583,8 +678,8 @@ func TestQueriesDuringUpdates(t *testing.T) {
 				// Query only nodes of the original graph: they exist in
 				// every epoch.
 				s0, t0 := r.Uint32n(n), r.Uint32n(n)
-				if _, _, err := c.Distance(s0, t0); err != nil {
-					t.Errorf("Distance(%d,%d): %v", s0, t0, err)
+				if _, err := queryOne(c, s0, t0, false); err != nil {
+					t.Errorf("query (%d,%d): %v", s0, t0, err)
 					return
 				}
 			}
@@ -614,9 +709,10 @@ func TestQueriesDuringUpdates(t *testing.T) {
 	}
 }
 
-// TestBatchRoundTrip cross-checks the TCP batch path (qclient.Batch)
-// against per-pair Distance calls: same distances, same methods, and
-// per-target errors carried as item codes without failing the batch.
+// TestBatchRoundTrip cross-checks the TCP batch path (a many-target
+// Query) against per-pair Distance calls: same distances, same methods,
+// and per-target errors carried as item codes without failing the
+// batch.
 func TestBatchRoundTrip(t *testing.T) {
 	s, addr := startServer(t, Config{})
 	c, err := qclient.Dial(addr, qclient.Options{})
@@ -624,6 +720,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	ctx := context.Background()
 
 	r := xrand.New(5)
 	for trial := 0; trial < 5; trial++ {
@@ -632,10 +729,11 @@ func TestBatchRoundTrip(t *testing.T) {
 		for len(ts) < 50 {
 			ts = append(ts, r.Uint32n(400))
 		}
-		items, err := c.Batch(src, ts)
+		res, err := c.Query(ctx, qclient.QuerySpec{S: src, Ts: ts})
 		if err != nil {
 			t.Fatal(err)
 		}
+		items := res.Items
 		for i, tgt := range ts {
 			d, m, serr := s.Oracle().Distance(src, tgt)
 			if serr != nil {
@@ -659,19 +757,19 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A whole-batch failure (out-of-range source) is a call error.
-	if _, err := c.Batch(999999, []uint32{1, 2}); err == nil {
+	if _, err := c.Query(ctx, qclient.QuerySpec{S: 999999, Ts: []uint32{1, 2}}); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 }
 
-// TestBatchHTTP cross-checks POST /v1/batch against per-pair answers,
-// inline per-target errors included.
+// TestBatchHTTP cross-checks a many-target POST /v2/query against
+// per-pair answers, inline per-target errors included.
 func TestBatchHTTP(t *testing.T) {
 	s, _ := startServer(t, Config{})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
-	resp, err := hs.Client().Post(hs.URL+"/v1/batch", "application/json",
+	resp, err := hs.Client().Post(hs.URL+"/v2/query", "application/json",
 		strings.NewReader(`{"s":3,"ts":[3,7,11,999999]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -682,19 +780,19 @@ func TestBatchHTTP(t *testing.T) {
 	}
 	var out struct {
 		S       uint32 `json:"s"`
-		Count   int    `json:"count"`
 		Results []struct {
 			T         uint32 `json:"t"`
 			Distance  uint32 `json:"distance"`
 			Method    string `json:"method"`
 			Reachable bool   `json:"reachable"`
 			Error     string `json:"error"`
+			ErrorCode string `json:"error_code"`
 		} `json:"results"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.S != 3 || out.Count != 4 || len(out.Results) != 4 {
+	if out.S != 3 || len(out.Results) != 4 {
 		t.Fatalf("response shape: %+v", out)
 	}
 	for i, tgt := range []uint32{3, 7, 11, 999999} {
@@ -704,8 +802,8 @@ func TestBatchHTTP(t *testing.T) {
 		}
 		d, m, serr := s.Oracle().Distance(3, tgt)
 		if serr != nil {
-			if it.Error == "" {
-				t.Fatalf("result %d: missing inline error", i)
+			if it.Error == "" || it.ErrorCode != core.ErrorCode(serr) {
+				t.Fatalf("result %d: inline error %q (%s), want code %s", i, it.Error, it.ErrorCode, core.ErrorCode(serr))
 			}
 			continue
 		}
@@ -715,7 +813,7 @@ func TestBatchHTTP(t *testing.T) {
 	}
 
 	// Malformed bodies are rejected (and counted, see the metrics test).
-	resp, err = hs.Client().Post(hs.URL+"/v1/batch", "application/json", strings.NewReader(`{"bogus":1}`))
+	resp, err = hs.Client().Post(hs.URL+"/v2/query", "application/json", strings.NewReader(`{"bogus":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,8 +823,8 @@ func TestBatchHTTP(t *testing.T) {
 	}
 }
 
-// TestErrorMetrics pins the metrics bugfix: every handler error —
-// TCP distance/path/batch and their HTTP twins — must increment the
+// TestErrorMetrics pins the metrics bugfix: every handler error — TCP
+// distance/path/batch queries and their HTTP twins — must increment the
 // error counter, and /v1/stats must expose it.
 func TestErrorMetrics(t *testing.T) {
 	s, addr := startServer(t, Config{})
@@ -735,12 +833,13 @@ func TestErrorMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	ctx := context.Background()
 
 	before := s.Metrics().Errors
-	c.Distance(0, 999999)           // TCP distance error
-	c.Path(999999, 0)               // TCP path error
-	c.Batch(0, []uint32{1, 999999}) // one per-target error
-	c.Batch(999999, []uint32{1})    // whole-batch error
+	queryOne(c, 0, 999999, false)                                  // TCP distance error
+	queryOne(c, 999999, 0, true)                                   // TCP path error
+	c.Query(ctx, qclient.QuerySpec{S: 0, Ts: []uint32{1, 999999}}) // one per-target error
+	c.Query(ctx, qclient.QuerySpec{S: 999999, Ts: []uint32{1}})    // whole-batch error
 	want := before + 4
 
 	if got := s.Metrics().Errors; got != want {
@@ -749,16 +848,16 @@ func TestErrorMetrics(t *testing.T) {
 
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
-	get := func(path string) {
-		resp, err := hs.Client().Get(hs.URL + path)
+	post := func(body string) {
+		resp, err := hs.Client().Post(hs.URL+"/v2/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	get("/v1/distance?s=abc&t=1")    // parse error
-	get("/v1/distance?s=999999&t=1") // out of range
-	get("/v1/path?s=0&t=999999")     // out of range
+	post(`{"s":"abc","t":1}`)                   // parse error
+	post(`{"s":999999,"t":1}`)                  // out of range
+	post(`{"s":0,"t":999999,"want_path":true}`) // out of range
 	want += 3
 
 	if got := s.Metrics().Errors; got != want {
@@ -812,12 +911,12 @@ func TestBatchDuringUpdates(t *testing.T) {
 				for i := range ts {
 					ts[i] = r.Uint32n(n) // original nodes exist in every epoch
 				}
-				items, err := c.Batch(r.Uint32n(n), ts)
+				res, err := c.Query(context.Background(), qclient.QuerySpec{S: r.Uint32n(n), Ts: ts})
 				if err != nil {
 					t.Errorf("batch: %v", err)
 					return
 				}
-				for i, it := range items {
+				for i, it := range res.Items {
 					if it.Err != nil {
 						t.Errorf("item %d (t=%d): %v", i, ts[i], it.Err)
 						return
@@ -950,7 +1049,7 @@ func TestQueryV2RoundTrip(t *testing.T) {
 		t.Fatalf("out-of-range item err %v, want ErrNodeRange", res.Items[2].Err)
 	}
 
-	// Top-level errors keep the v1 ErrorResponse shape and map to the
+	// Top-level errors come back as an ErrorResponse and map to the
 	// taxonomy through the client.
 	if _, err := c.Query(ctx, qclient.QuerySpec{S: 99999, T: 0}); !errors.Is(err, core.ErrNodeRange) {
 		t.Fatalf("out-of-range source: %v, want ErrNodeRange", err)
@@ -1041,7 +1140,7 @@ func TestQueryV2HTTP(t *testing.T) {
 		return resp.StatusCode, m
 	}
 
-	// Plain single query answers like /v1/distance.
+	// Plain single query: one distance answer.
 	code, m := post(`{"s":0,"t":1,"want_stats":true}`)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, m)
@@ -1258,10 +1357,7 @@ func TestQueryV2FrameValidationTCP(t *testing.T) {
 	}
 	// Oversized deadline: build the frame directly (the client API
 	// derives DeadlineMS from ctx and cannot produce one).
-	huge, err := wireRoundTrip(t, addr, &wire.QueryRequest{S: 0, T: 1, DeadlineMS: maxQueryDeadlineMS + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	huge := dialMux(t, addr).rt(&wire.QueryRequest{S: 0, T: 1, DeadlineMS: maxQueryDeadlineMS + 1})
 	if e, ok := huge.(*wire.ErrorResponse); !ok || e.Code != wire.CodeBadRequest {
 		t.Fatalf("oversized deadline: %+v, want bad-request", huge)
 	}
@@ -1271,21 +1367,6 @@ func TestQueryV2FrameValidationTCP(t *testing.T) {
 	if srv.Metrics().Errors < 2 {
 		t.Fatalf("rejected frames not counted as errors: %+v", srv.Metrics())
 	}
-}
-
-// wireRoundTrip sends one raw frame and reads one response.
-func wireRoundTrip(t *testing.T, addr string, msg wire.Message) (wire.Message, error) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteMessage(conn, msg); err != nil {
-		return nil, err
-	}
-	return wire.ReadMessage(conn)
 }
 
 // TestStatsLatencyHistograms pins the /v1/stats latency surface: the
@@ -1303,14 +1384,15 @@ func TestStatsLatencyHistograms(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Traffic: 10 TCP distances, 3 HTTP paths, one v2 batch of 5.
+	// Traffic: 10 TCP distances, 3 HTTP paths, one TCP batch of 5.
 	for i := uint32(0); i < 10; i++ {
-		if _, _, err := c.Distance(i, i+1); err != nil {
+		if _, err := queryOne(c, i, i+1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/path?s=%d&t=%d", hs.URL, i, i+5))
+		body := fmt.Sprintf(`{"s":%d,"t":%d,"want_path":true}`, i, i+5)
+		resp, err := http.Post(hs.URL+"/v2/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1333,7 +1415,7 @@ func TestStatsLatencyHistograms(t *testing.T) {
 	}
 
 	// Pin the endpoint keys and the per-endpoint field names.
-	wantCounts := map[string]float64{"distance": 10, "path": 3, "batch": 1, "query": 1}
+	wantCounts := map[string]float64{"distance": 10, "path": 3, "batch": 1, "query": 14}
 	if len(st.Latency) != len(wantCounts) {
 		t.Fatalf("latency endpoints %v, want exactly %v", st.Latency, wantCounts)
 	}

@@ -38,19 +38,6 @@ func startServerWith(t *testing.T, s *Server) string {
 	return ln.Addr().String()
 }
 
-// wireRT writes one request frame and reads one response frame.
-func wireRT(t *testing.T, conn net.Conn, req wire.Message) wire.Message {
-	t.Helper()
-	if err := wire.WriteMessage(conn, req); err != nil {
-		t.Fatalf("write %v: %v", req.WireType(), err)
-	}
-	resp, err := wire.ReadMessage(conn)
-	if err != nil {
-		t.Fatalf("read response to %v: %v", req.WireType(), err)
-	}
-	return resp
-}
-
 // TestReplicatedServing drives the full writer → replica loop through
 // the real HTTP replication endpoints and the real TCP query surface: a
 // replica bootstrapped empty converges on the churned writer and
@@ -105,16 +92,7 @@ func TestReplicatedServing(t *testing.T) {
 		t.Fatalf("catch-up did not use deltas: %+v", rs)
 	}
 
-	wc, err := net.Dial("tcp", writerAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wc.Close()
-	rc, err := net.Dial("tcp", replicaAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	wc, rc := dialMux(t, writerAddr), dialMux(t, replicaAddr)
 
 	// Same wire answers, and the replica reports the cluster epoch even
 	// though its loaded snapshot's generation counter restarted at zero.
@@ -122,8 +100,7 @@ func TestReplicatedServing(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a, b := r.Uint32n(n+5), r.Uint32n(n+5)
 		req := &wire.QueryRequest{S: a, T: b, Flags: wire.QueryWantPath}
-		wresp := wireRT(t, wc, req)
-		rresp := wireRT(t, rc, req)
+		wresp, rresp := wc.rt(req), rc.rt(req)
 		wq, ok1 := wresp.(*wire.QueryResponse)
 		rq, ok2 := rresp.(*wire.QueryResponse)
 		if !ok1 || !ok2 {
@@ -144,12 +121,7 @@ func TestReplStatusFrame(t *testing.T) {
 	if _, _, err := s.ApplyUpdates(core.Update{AddNodes: 1, Edges: [][2]uint32{{400, 3}}}); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	resp := wireRT(t, conn, &wire.ReplStatusRequest{})
+	resp := dialMux(t, addr).rt(&wire.ReplStatusRequest{})
 	st, ok := resp.(*wire.ReplStatusResponse)
 	if !ok {
 		t.Fatalf("got %T: %+v", resp, resp)
@@ -189,19 +161,15 @@ func TestReplicaRefusesAdminUpdate(t *testing.T) {
 func TestStallQueries(t *testing.T) {
 	const stall = 30 * time.Millisecond
 	_, addr := startServer(t, Config{StallQueries: stall})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialMux(t, addr)
 	start := time.Now()
-	if resp := wireRT(t, conn, &wire.DistanceRequest{S: 1, T: 2}); resp.WireType() != wire.TypeDistanceResp {
+	if resp := conn.rt(&wire.QueryRequest{S: 1, T: 2}); resp.WireType() != wire.TypeQueryResp {
 		t.Fatalf("got %v", resp.WireType())
 	}
 	if took := time.Since(start); took < stall {
-		t.Fatalf("stalled distance answered in %v, want >= %v", took, stall)
+		t.Fatalf("stalled query answered in %v, want >= %v", took, stall)
 	}
-	if resp := wireRT(t, conn, &wire.PingRequest{Token: 9}); resp.WireType() != wire.TypePingResp {
+	if resp := conn.rt(&wire.PingRequest{Token: 9}); resp.WireType() != wire.TypePingResp {
 		t.Fatalf("got %v", resp.WireType())
 	}
 }

@@ -6,20 +6,20 @@ import (
 	"testing"
 )
 
-// seedMessages covers every message type, including the hello frames
-// introduced with the multiplexed session mode.
+// seedMessages covers every message type, and every query shape —
+// distance, path and many-target — in both directions.
 func seedMessages() []Message {
 	return []Message{
 		&PingRequest{Token: 1},
 		&PingResponse{Token: 1},
-		&DistanceRequest{S: 3, T: 4},
-		&DistanceResponse{Dist: 5, Method: 1},
-		&PathRequest{S: 6, T: 7},
-		&PathResponse{Method: 1, Path: []uint32{6, 8, 7}},
+		&QueryRequest{S: 3, T: 4},
+		&QueryResponse{Items: []QueryItem{{Dist: 5, Method: 1}}},
+		&QueryRequest{S: 6, T: 7, Flags: QueryWantPath},
+		&QueryResponse{Epoch: 2, Items: []QueryItem{{Dist: 2, Method: 1, Path: []uint32{6, 8, 7}}}},
 		&StatsRequest{},
 		&StatsResponse{Nodes: 10, Edges: 20, Landmarks: 2, AvgVicinityE6: 3e6, TotalEntries: 40, QueriesServed: 5},
-		&BatchRequest{S: 1, Ts: []uint32{2, 3}},
-		&BatchResponse{Items: []BatchItem{{Dist: 1, Method: 2}}},
+		&QueryRequest{S: 1, Ts: []uint32{2, 3}, Flags: QueryMany | QueryWantStats, Parallel: 2},
+		&QueryResponse{Lookups: 3, Items: []QueryItem{{Dist: 1, Method: 2}, {Code: CodeOutOfRange, Dist: ^uint32(0)}}},
 		&ErrorResponse{Code: CodeBadRequest, Message: "bad"},
 		&QueryRequest{S: 1, T: 2, DeadlineMS: 100, Budget: 50, Policy: 1, Flags: QueryWantPath},
 		&QueryResponse{Epoch: 1, Items: []QueryItem{{Dist: 4, Method: 1, Path: []uint32{1, 5, 2}}}},

@@ -43,7 +43,7 @@ func TestHelloTruncated(t *testing.T) {
 func TestMuxFrameRoundTrip(t *testing.T) {
 	msgs := []Message{
 		&PingRequest{Token: 7},
-		&DistanceRequest{S: 1, T: 2},
+		&QueryRequest{S: 1, T: 2},
 		&QueryRequest{S: 3, Ts: []uint32{4, 5}, Flags: QueryMany},
 		&QueryResponse{Epoch: 9, Items: []QueryItem{{Dist: 3, Path: []uint32{3, 1}}}},
 		&ErrorResponse{Code: CodeBudget, Message: "x"},
@@ -98,10 +98,10 @@ func TestMuxFrameRejectsOversizedAndShort(t *testing.T) {
 func TestAppendFrameMatchesMarshal(t *testing.T) {
 	msgs := []Message{
 		&PingRequest{Token: 99},
-		&DistanceRequest{S: 5, T: 6},
+		&KPathsRequest{S: 5, T: 6, K: 2},
 		&QueryRequest{S: 1, T: 2, DeadlineMS: 9, Budget: 10, Policy: 1, Flags: QueryWantStats},
 		&QueryResponse{Epoch: 3, Items: []QueryItem{{Dist: 1}, {Code: CodeCanceled, Dist: ^uint32(0)}}},
-		&BatchResponse{Items: []BatchItem{{Dist: 4, Method: 2}}},
+		&QueryResponse{Items: []QueryItem{{Dist: 4, Method: 2, Path: []uint32{5, 7}}}},
 		&Hello{Features: FeatureMux},
 	}
 	for _, msg := range msgs {
@@ -119,8 +119,8 @@ func TestAppendFrameMatchesMarshal(t *testing.T) {
 // TestUnmarshalInto checks typed decode, type mismatch rejection, and
 // slice reuse across repeated decodes.
 func TestUnmarshalInto(t *testing.T) {
-	payload := Marshal(&DistanceRequest{S: 8, T: 9})[4:]
-	var req DistanceRequest
+	payload := Marshal(&QueryRequest{S: 8, T: 9})[4:]
+	var req QueryRequest
 	if err := UnmarshalInto(payload, &req); err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,8 @@ func TestUnmarshalInto(t *testing.T) {
 	}
 }
 
-// TestHotPathZeroAlloc is the benchmark gate the issue requires: ping,
-// distance, and single-target query frames must encode and decode with
+// TestHotPathZeroAlloc is the codec's allocation gate: ping,
+// single-target query and k=1 kpaths frames must encode and decode with
 // zero allocations per operation in steady state (reused buffers and
 // messages), matching the 0 allocs/op standard the query path already
 // meets.
@@ -184,8 +184,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 	cases := []hot{
 		{"ping", &PingRequest{Token: 77}, &PingRequest{}},
-		{"distance-req", &DistanceRequest{S: 1, T: 2}, &DistanceRequest{}},
-		{"distance-resp", &DistanceResponse{Dist: 9, Method: 3}, &DistanceResponse{}},
 		{"query-req", &QueryRequest{S: 1, T: 2, DeadlineMS: 5, Budget: 100, Policy: 1, Flags: QueryWantStats}, &QueryRequest{}},
 		{"query-resp", &QueryResponse{Epoch: 4, Items: []QueryItem{{Dist: 11, Method: 2}}}, &QueryResponse{}},
 		// The k=1 kpaths frames must meet the same gate: a K request is
@@ -240,15 +238,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkAppendFrameDistance(b *testing.B) {
-	msg := &DistanceRequest{S: 1, T: 2}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = AppendFrame(buf[:0], msg)
-	}
-}
-
 func BenchmarkAppendMuxFrameQuery(b *testing.B) {
 	msg := &QueryRequest{S: 1, T: 2, Budget: 100}
 	buf := make([]byte, 0, 64)
@@ -270,7 +259,7 @@ func BenchmarkUnmarshalIntoQueryResp(b *testing.B) {
 }
 
 func BenchmarkReadMuxFrame(b *testing.B) {
-	frame := AppendMuxFrame(nil, 9, &DistanceResponse{Dist: 4, Method: 1})
+	frame := AppendMuxFrame(nil, 9, &QueryResponse{Epoch: 1, Items: []QueryItem{{Dist: 4, Method: 1}}})
 	r := bytes.NewReader(frame)
 	var buf []byte
 	b.ReportAllocs()

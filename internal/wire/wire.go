@@ -14,27 +14,23 @@
 // capped at MaxFrame to bound the damage a malicious or broken peer can
 // do; oversized or malformed frames produce errors, never panics.
 //
-// The base protocol is strictly request/response: a client writes one
-// request frame and reads exactly one response frame.
+// # Sessions
 //
-// # Multiplexed sessions
-//
-// A client may open the connection with a Hello frame advertising
-// FeatureMux. A server that supports it answers HelloAck echoing the
-// accepted feature bits, and from then on every frame in both
-// directions is a mux frame:
+// A connection opens with a Hello frame offering FeatureMux, in the
+// plain framing above. The server answers HelloAck echoing the accepted
+// feature bits, and from then on every frame in both directions is a
+// mux frame:
 //
 //	uint32(BE) length | uint64(BE) request id | payload
 //
 // where length covers the id and the payload, and the payload is the
-// ordinary versioned payload above — the codecs are byte-for-byte the
-// ones the serial protocol uses. Request ids are chosen by the client
-// (any values, typically a counter); the server echoes each request's
-// id on its response and may complete requests in any order, so a slow
-// batch no longer head-of-line-blocks the pings and singles sharing
-// its connection. A peer that does not know Hello keeps working
-// unchanged: it never sees a mux frame unless it acknowledged the
-// feature first.
+// ordinary versioned payload above. Request ids are chosen by the
+// client (any values, typically a counter); the server echoes each
+// request's id on its response and may complete requests in any order,
+// so a slow batch never head-of-line-blocks the pings and singles
+// sharing its connection. Any other opening frame is refused with one
+// plain-framed ErrorResponse (CodeBadRequest), after which the server
+// closes the connection.
 package wire
 
 import (
@@ -55,18 +51,14 @@ const MaxFrame = 16 << 20
 type MsgType uint8
 
 // Message types. Requests are odd, their responses follow at +1.
+// Types 1-4 and 11-12 carried the retired distance, path and batch
+// frames; their numbers stay reserved and no longer decode.
 const (
-	TypeDistanceReq    MsgType = 1
-	TypeDistanceResp   MsgType = 2
-	TypePathReq        MsgType = 3
-	TypePathResp       MsgType = 4
 	TypeStatsReq       MsgType = 5
 	TypeStatsResp      MsgType = 6
 	TypePingReq        MsgType = 7
 	TypePingResp       MsgType = 8
 	TypeError          MsgType = 9
-	TypeBatchReq       MsgType = 11
-	TypeBatchResp      MsgType = 12
 	TypeQueryReq       MsgType = 13
 	TypeQueryResp      MsgType = 14
 	TypeHello          MsgType = 15
@@ -88,8 +80,10 @@ const (
 // server acknowledges at most these, so both sides agree on semantics.
 const KnownFeatures = FeatureMux
 
-// MaxBatchTargets caps one batch request's target count, keeping the
-// response frame (7 bytes per item) comfortably under MaxFrame.
+// MaxBatchTargets caps one many-target query's target count. A
+// pathless response item takes 11 bytes, so a full response stays
+// under MaxFrame; responses that want paths are checked against the
+// frame cap by the server.
 const MaxBatchTargets = 1 << 20
 
 // MaxDeadlineMS bounds QueryRequest.DeadlineMS (1 hour; anything
@@ -101,14 +95,6 @@ const MaxDeadlineMS = 3_600_000
 // String returns the wire name of the message type.
 func (t MsgType) String() string {
 	switch t {
-	case TypeDistanceReq:
-		return "distance-request"
-	case TypeDistanceResp:
-		return "distance-response"
-	case TypePathReq:
-		return "path-request"
-	case TypePathResp:
-		return "path-response"
 	case TypeStatsReq:
 		return "stats-request"
 	case TypeStatsResp:
@@ -119,10 +105,6 @@ func (t MsgType) String() string {
 		return "pong"
 	case TypeError:
 		return "error"
-	case TypeBatchReq:
-		return "batch-request"
-	case TypeBatchResp:
-		return "batch-response"
 	case TypeQueryReq:
 		return "query-request"
 	case TypeQueryResp:
@@ -193,25 +175,6 @@ type Message interface {
 	parsePayload(src []byte) error
 }
 
-// DistanceRequest asks for the distance between nodes S and T.
-type DistanceRequest struct{ S, T uint32 }
-
-// DistanceResponse answers a DistanceRequest. Dist is NoDist (MaxUint32)
-// when unreachable or unresolved; Method is the oracle's core.Method.
-type DistanceResponse struct {
-	Dist   uint32
-	Method uint8
-}
-
-// PathRequest asks for a shortest path between nodes S and T.
-type PathRequest struct{ S, T uint32 }
-
-// PathResponse answers a PathRequest. An empty path means "no path".
-type PathResponse struct {
-	Method uint8
-	Path   []uint32
-}
-
 // StatsRequest asks for oracle statistics.
 type StatsRequest struct{}
 
@@ -223,28 +186,6 @@ type StatsResponse struct {
 	AvgVicinityE6 uint64 // average vicinity size × 1e6 (fixed point)
 	TotalEntries  uint64
 	QueriesServed uint64
-}
-
-// BatchRequest asks for the distance from S to every target in Ts
-// (one-to-many). len(Ts) must not exceed MaxBatchTargets.
-type BatchRequest struct {
-	S  uint32
-	Ts []uint32
-}
-
-// BatchItem is one target's answer within a BatchResponse. Code 0
-// means success; otherwise it is one of the error codes above and Dist
-// is NoDist-filled.
-type BatchItem struct {
-	Dist   uint32
-	Method uint8
-	Code   uint16
-}
-
-// BatchResponse answers a BatchRequest with one item per target, in
-// request order.
-type BatchResponse struct {
-	Items []BatchItem
 }
 
 // QueryRequest is the v2 request frame: one source, one target (T) or
@@ -348,13 +289,11 @@ type KPathsResponse struct {
 
 // Hello opens feature negotiation. A client sends it as the first
 // frame on a connection; Features is the bitmask of extensions it
-// wants (FeatureMux today). Servers that predate Hello reject or drop
-// it, which a client must treat as "no features" — the serial protocol
-// remains the lingua franca.
+// wants and must include FeatureMux, which servers require.
 type Hello struct{ Features uint32 }
 
 // HelloAck answers a Hello with the feature bits the server accepted
-// (a subset of the request's). If FeatureMux is acknowledged, every
+// (a subset of the request's, always including FeatureMux). Every
 // frame after the HelloAck — in both directions — uses mux framing.
 type HelloAck struct{ Features uint32 }
 
@@ -401,14 +340,8 @@ func (e *ErrorResponse) Error() string {
 }
 
 // WireType implementations.
-func (*DistanceRequest) WireType() MsgType    { return TypeDistanceReq }
-func (*DistanceResponse) WireType() MsgType   { return TypeDistanceResp }
-func (*PathRequest) WireType() MsgType        { return TypePathReq }
-func (*PathResponse) WireType() MsgType       { return TypePathResp }
 func (*StatsRequest) WireType() MsgType       { return TypeStatsReq }
 func (*StatsResponse) WireType() MsgType      { return TypeStatsResp }
-func (*BatchRequest) WireType() MsgType       { return TypeBatchReq }
-func (*BatchResponse) WireType() MsgType      { return TypeBatchResp }
 func (*QueryRequest) WireType() MsgType       { return TypeQueryReq }
 func (*QueryResponse) WireType() MsgType      { return TypeQueryResp }
 func (*Hello) WireType() MsgType              { return TypeHello }
@@ -539,22 +472,10 @@ func ReadMessage(r io.Reader) (Message, error) {
 // newMessage returns the empty message for a wire type tag.
 func newMessage(t MsgType) Message {
 	switch t {
-	case TypeDistanceReq:
-		return &DistanceRequest{}
-	case TypeDistanceResp:
-		return &DistanceResponse{}
-	case TypePathReq:
-		return &PathRequest{}
-	case TypePathResp:
-		return &PathResponse{}
 	case TypeStatsReq:
 		return &StatsRequest{}
 	case TypeStatsResp:
 		return &StatsResponse{}
-	case TypeBatchReq:
-		return &BatchRequest{}
-	case TypeBatchResp:
-		return &BatchResponse{}
 	case TypeQueryReq:
 		return &QueryRequest{}
 	case TypeQueryResp:
@@ -602,7 +523,7 @@ func Unmarshal(payload []byte) (Message, error) {
 
 // UnmarshalInto decodes a frame payload into a caller-owned message of
 // a known type, reusing the message's slice capacity (paths, target
-// lists, batch items) instead of allocating. A payload whose type tag
+// lists, response items) instead of allocating. A payload whose type tag
 // differs from msg's is an error. This is the steady-state zero-alloc
 // decode path: reuse the same message across frames of one type.
 func UnmarshalInto(payload []byte, msg Message) error {
@@ -642,71 +563,6 @@ func reuseU32(dst []uint32, n int) []uint32 {
 	return make([]uint32, n)
 }
 
-func (m *DistanceRequest) appendPayload(dst []byte) []byte {
-	return appendU32(appendU32(dst, m.S), m.T)
-}
-
-func (m *DistanceRequest) parsePayload(src []byte) error {
-	if len(src) != 8 {
-		return ErrTruncated
-	}
-	m.S = binary.BigEndian.Uint32(src)
-	m.T = binary.BigEndian.Uint32(src[4:])
-	return nil
-}
-
-func (m *DistanceResponse) appendPayload(dst []byte) []byte {
-	dst = appendU32(dst, m.Dist)
-	return append(dst, m.Method)
-}
-
-func (m *DistanceResponse) parsePayload(src []byte) error {
-	if len(src) != 5 {
-		return ErrTruncated
-	}
-	m.Dist = binary.BigEndian.Uint32(src)
-	m.Method = src[4]
-	return nil
-}
-
-func (m *PathRequest) appendPayload(dst []byte) []byte {
-	return appendU32(appendU32(dst, m.S), m.T)
-}
-
-func (m *PathRequest) parsePayload(src []byte) error {
-	if len(src) != 8 {
-		return ErrTruncated
-	}
-	m.S = binary.BigEndian.Uint32(src)
-	m.T = binary.BigEndian.Uint32(src[4:])
-	return nil
-}
-
-func (m *PathResponse) appendPayload(dst []byte) []byte {
-	dst = append(dst, m.Method)
-	dst = appendU32(dst, uint32(len(m.Path)))
-	for _, v := range m.Path {
-		dst = appendU32(dst, v)
-	}
-	return dst
-}
-
-func (m *PathResponse) parsePayload(src []byte) error {
-	if len(src) < 5 {
-		return ErrTruncated
-	}
-	m.Method = src[0]
-	count := binary.BigEndian.Uint32(src[1:])
-	if uint64(len(src)) != 5+4*uint64(count) {
-		return ErrTruncated
-	}
-	m.Path = reuseU32(m.Path, int(count))
-	for i := range m.Path {
-		m.Path[i] = binary.BigEndian.Uint32(src[5+4*i:])
-	}
-	return nil
-}
-
 func (m *StatsRequest) appendPayload(dst []byte) []byte { return dst }
 
 func (m *StatsRequest) parsePayload(src []byte) error {
@@ -735,75 +591,6 @@ func (m *StatsResponse) parsePayload(src []byte) error {
 	m.AvgVicinityE6 = binary.BigEndian.Uint64(src[24:])
 	m.TotalEntries = binary.BigEndian.Uint64(src[32:])
 	m.QueriesServed = binary.BigEndian.Uint64(src[40:])
-	return nil
-}
-
-func (m *BatchRequest) appendPayload(dst []byte) []byte {
-	dst = appendU32(dst, m.S)
-	dst = appendU32(dst, uint32(len(m.Ts)))
-	for _, t := range m.Ts {
-		dst = appendU32(dst, t)
-	}
-	return dst
-}
-
-func (m *BatchRequest) parsePayload(src []byte) error {
-	if len(src) < 8 {
-		return ErrTruncated
-	}
-	m.S = binary.BigEndian.Uint32(src)
-	count := binary.BigEndian.Uint32(src[4:])
-	if count > MaxBatchTargets {
-		return fmt.Errorf("wire: batch of %d targets exceeds the %d cap", count, MaxBatchTargets)
-	}
-	if uint64(len(src)) != 8+4*uint64(count) {
-		return ErrTruncated
-	}
-	m.Ts = reuseU32(m.Ts, int(count))
-	for i := range m.Ts {
-		m.Ts[i] = binary.BigEndian.Uint32(src[8+4*i:])
-	}
-	return nil
-}
-
-func (m *BatchResponse) appendPayload(dst []byte) []byte {
-	dst = appendU32(dst, uint32(len(m.Items)))
-	for _, it := range m.Items {
-		dst = appendU32(dst, it.Dist)
-		dst = append(dst, it.Method)
-		dst = binary.BigEndian.AppendUint16(dst, it.Code)
-	}
-	return dst
-}
-
-func (m *BatchResponse) parsePayload(src []byte) error {
-	if len(src) < 4 {
-		return ErrTruncated
-	}
-	count := binary.BigEndian.Uint32(src)
-	if count > MaxBatchTargets {
-		return fmt.Errorf("wire: batch response of %d items exceeds the %d cap", count, MaxBatchTargets)
-	}
-	if uint64(len(src)) != 4+7*uint64(count) {
-		return ErrTruncated
-	}
-	if count == 0 {
-		m.Items = nil
-		return nil
-	}
-	if cap(m.Items) >= int(count) {
-		m.Items = m.Items[:count]
-	} else {
-		m.Items = make([]BatchItem, count)
-	}
-	for i := range m.Items {
-		off := 4 + 7*i
-		m.Items[i] = BatchItem{
-			Dist:   binary.BigEndian.Uint32(src[off:]),
-			Method: src[off+4],
-			Code:   binary.BigEndian.Uint16(src[off+5:]),
-		}
-	}
 	return nil
 }
 

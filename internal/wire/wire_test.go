@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -24,24 +26,16 @@ func roundTrip(t *testing.T, msg Message) Message {
 
 func TestRoundTripAllTypes(t *testing.T) {
 	msgs := []Message{
-		&DistanceRequest{S: 1, T: 2},
-		&DistanceResponse{Dist: 7, Method: 3},
-		&DistanceResponse{Dist: ^uint32(0), Method: 0},
-		&PathRequest{S: 9, T: 10},
-		&PathResponse{Method: 5, Path: []uint32{1, 2, 3, 4}},
-		&PathResponse{Method: 0, Path: nil},
 		&StatsRequest{},
 		&StatsResponse{Nodes: 5, Edges: 6, Landmarks: 7, AvgVicinityE6: 1234567, TotalEntries: 8, QueriesServed: 9},
-		&BatchRequest{S: 4, Ts: []uint32{9, 0, ^uint32(0)}},
-		&BatchRequest{S: 4, Ts: nil},
-		&BatchResponse{Items: []BatchItem{{Dist: 3, Method: 6}, {Dist: ^uint32(0), Method: 0, Code: CodeOutOfRange}}},
-		&BatchResponse{Items: nil},
 		&QueryRequest{S: 1, T: 2, DeadlineMS: 250, Budget: 4096, Policy: 1, Flags: QueryWantPath | QueryWantStats},
 		&QueryRequest{S: 1, Ts: []uint32{3, 4, ^uint32(0)}, Flags: QueryMany, Parallel: 8},
 		&QueryRequest{S: 1, Flags: QueryMany},
 		&QueryResponse{Epoch: 7, Lookups: 1, Scanned: 2, Expanded: 3, Fallbacks: 4,
 			Items: []QueryItem{{Code: CodeBudget, Dist: 12, Method: 10, Path: []uint32{0, 5, 9}}, {Dist: ^uint32(0)}}},
 		&QueryResponse{Items: nil},
+		&KPathsRequest{S: 9, T: 10, K: 3, Policy: 2},
+		&KPathsResponse{Epoch: 2, Method: 1, Items: []KPathsItem{{Dist: 3, Path: []uint32{9, 4, 10}}}},
 		&PingRequest{Token: 42},
 		&PingResponse{Token: 43},
 		&ReplStatusRequest{},
@@ -61,7 +55,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 func TestMultipleMessagesOnOneStream(t *testing.T) {
 	var buf bytes.Buffer
 	for i := uint32(0); i < 10; i++ {
-		if err := WriteMessage(&buf, &DistanceRequest{S: i, T: i + 1}); err != nil {
+		if err := WriteMessage(&buf, &QueryRequest{S: i, T: i + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +64,7 @@ func TestMultipleMessagesOnOneStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, ok := msg.(*DistanceRequest)
+		req, ok := msg.(*QueryRequest)
 		if !ok || req.S != i || req.T != i+1 {
 			t.Fatalf("message %d corrupted: %+v", i, msg)
 		}
@@ -103,11 +97,27 @@ func TestRejectsUnknownType(t *testing.T) {
 	}
 }
 
+// TestRetiredTypesDoNotDecode pins that the numbers of the retired
+// distance, path and batch frames stay reserved: a well-formed payload
+// of one of them is an unknown type, however plausible its body.
+func TestRetiredTypesDoNotDecode(t *testing.T) {
+	for _, typ := range []byte{1, 2, 3, 4, 11, 12} {
+		payload := []byte{Version, typ, 0, 0, 0, 3, 0, 0, 0, 4}
+		if msg, err := Unmarshal(payload); err == nil {
+			t.Fatalf("retired type %d decoded as %+v", typ, msg)
+		}
+		if name := MsgType(typ).String(); name != fmt.Sprintf("MsgType(%d)", typ) {
+			t.Fatalf("retired type %d still has a name: %s", typ, name)
+		}
+	}
+}
+
 func TestRejectsTruncatedPayloads(t *testing.T) {
 	msgs := []Message{
-		&DistanceRequest{S: 1, T: 2},
-		&DistanceResponse{Dist: 1, Method: 2},
-		&PathResponse{Method: 1, Path: []uint32{1, 2}},
+		&QueryRequest{S: 1, T: 2},
+		&QueryResponse{Items: []QueryItem{{Dist: 1, Method: 2}}},
+		&QueryResponse{Items: []QueryItem{{Method: 1, Path: []uint32{1, 2}}}},
+		&KPathsRequest{S: 1, T: 2, K: 1},
 		&StatsResponse{},
 		&ReplStatusResponse{Role: RoleWriter, Epoch: 2},
 		&ErrorResponse{Code: 1, Message: "x"},
@@ -135,13 +145,20 @@ func TestRejectsShortFrames(t *testing.T) {
 	}
 }
 
+// TestPathResponseCountMismatch lies about the path length of a path
+// answer (a single-item QueryResponse) in both directions: claiming
+// more hops than the frame holds, and fewer, which leaves trailing
+// bytes. Both must be rejected.
 func TestPathResponseCountMismatch(t *testing.T) {
-	m := &PathResponse{Method: 1, Path: []uint32{1, 2, 3}}
-	raw := Marshal(m)
-	// Lie about the count (payload starts at offset 4; count at 4+2+1).
-	binary.BigEndian.PutUint32(raw[7:], 99)
-	if _, err := ReadMessage(bytes.NewReader(raw)); err == nil {
-		t.Fatal("count mismatch accepted")
+	m := &QueryResponse{Items: []QueryItem{{Method: 1, Path: []uint32{1, 2, 3}}}}
+	for _, lie := range []uint32{99, 1} {
+		raw := Marshal(m)
+		// Payload starts at offset 4; the item's path count follows the
+		// 2-byte header, the 28-byte fixed fields and 7 item bytes.
+		binary.BigEndian.PutUint32(raw[4+2+28+7:], lie)
+		if _, err := ReadMessage(bytes.NewReader(raw)); err == nil {
+			t.Fatalf("path count %d accepted for a 3-hop path", lie)
+		}
 	}
 }
 
@@ -153,9 +170,9 @@ func TestErrorResponseIsError(t *testing.T) {
 }
 
 func TestMsgTypeStrings(t *testing.T) {
-	for tt := TypeDistanceReq; tt <= TypeError; tt++ {
-		if tt.String() == "" {
-			t.Errorf("empty name for type %d", tt)
+	for _, msg := range seedMessages() {
+		if tt := msg.WireType(); strings.HasPrefix(tt.String(), "MsgType(") {
+			t.Errorf("no name for type %d", tt)
 		}
 	}
 	if MsgType(250).String() != "MsgType(250)" {
@@ -163,37 +180,45 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 }
 
+// TestQuickDistanceRequestRoundTrip round-trips the distance request:
+// a single-target QueryRequest with no flags.
 func TestQuickDistanceRequestRoundTrip(t *testing.T) {
 	f := func(s, tt uint32) bool {
-		msg := &DistanceRequest{S: s, T: tt}
+		msg := &QueryRequest{S: s, T: tt}
 		got, err := Unmarshal(Marshal(msg)[4:])
 		if err != nil {
 			return false
 		}
-		req, ok := got.(*DistanceRequest)
-		return ok && req.S == s && req.T == tt
+		req, ok := got.(*QueryRequest)
+		return ok && reflect.DeepEqual(req, msg)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestQuickPathResponseRoundTrip round-trips the path answer: a
+// QueryResponse whose one item carries a method and a path.
 func TestQuickPathResponseRoundTrip(t *testing.T) {
 	f := func(method uint8, path []uint32) bool {
 		if len(path) > 10000 {
 			path = path[:10000]
 		}
-		msg := &PathResponse{Method: method, Path: path}
+		msg := &QueryResponse{Items: []QueryItem{{Method: method, Path: path}}}
 		got, err := Unmarshal(Marshal(msg)[4:])
 		if err != nil {
 			return false
 		}
-		resp, ok := got.(*PathResponse)
-		if !ok || resp.Method != method || len(resp.Path) != len(path) {
+		resp, ok := got.(*QueryResponse)
+		if !ok || len(resp.Items) != 1 {
+			return false
+		}
+		it := resp.Items[0]
+		if it.Method != method || len(it.Path) != len(path) {
 			return false
 		}
 		for i := range path {
-			if resp.Path[i] != path[i] {
+			if it.Path[i] != path[i] {
 				return false
 			}
 		}
@@ -222,15 +247,15 @@ func TestQuickErrorResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkMarshalDistance(b *testing.B) {
-	msg := &DistanceRequest{S: 1, T: 2}
+func BenchmarkMarshalQuery(b *testing.B) {
+	msg := &QueryRequest{S: 1, T: 2}
 	for i := 0; i < b.N; i++ {
 		Marshal(msg)
 	}
 }
 
-func BenchmarkUnmarshalDistance(b *testing.B) {
-	raw := Marshal(&DistanceRequest{S: 1, T: 2})[4:]
+func BenchmarkUnmarshalQuery(b *testing.B) {
+	raw := Marshal(&QueryRequest{S: 1, T: 2})[4:]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Unmarshal(raw); err != nil {
@@ -239,28 +264,26 @@ func BenchmarkUnmarshalDistance(b *testing.B) {
 	}
 }
 
-// TestBatchCaps rejects batches beyond MaxBatchTargets and truncated
-// batch payloads without allocating for the declared count.
+// TestBatchCaps rejects batches (many-target queries) beyond
+// MaxBatchTargets and truncated batch payloads without allocating for
+// the declared count.
 func TestBatchCaps(t *testing.T) {
 	// A request header declaring MaxBatchTargets+1 targets.
-	payload := []byte{Version, byte(TypeBatchReq)}
-	payload = appendU32(payload, 1)
-	payload = appendU32(payload, MaxBatchTargets+1)
+	header := Marshal(&QueryRequest{S: 1, Flags: QueryMany})[4:]
+	payload := binary.BigEndian.AppendUint32(header[:len(header)-4:len(header)-4], MaxBatchTargets+1)
 	if _, err := Unmarshal(payload); err == nil {
 		t.Fatal("oversized batch count accepted")
 	}
 	// A count that does not match the payload length.
-	payload = payload[:2]
-	payload = appendU32(payload, 1)
-	payload = appendU32(payload, 3)
+	payload = binary.BigEndian.AppendUint32(payload[:len(header)-4], 3)
 	payload = appendU32(payload, 7) // only one of three targets present
 	if _, err := Unmarshal(payload); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 	// Same for the response side.
-	payload = []byte{Version, byte(TypeBatchResp)}
-	payload = appendU32(payload, 2)
-	payload = append(payload, 1, 2, 3) // not 2×7 bytes of items
+	payload = Marshal(&QueryResponse{})[4:]
+	binary.BigEndian.PutUint32(payload[2+24:], 2)
+	payload = append(payload, 1, 2, 3) // not 2 items of 11 bytes
 	if _, err := Unmarshal(payload); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
