@@ -240,43 +240,8 @@ func BenchmarkAblationSampling(b *testing.B) {
 	}
 }
 
-// --- A3: vicinity table implementation ablation ---
-
-func BenchmarkAblationTableImpl(b *testing.B) {
-	ds := benchDatasets(b)
-	cfg := benchCfg()
-	for _, kind := range []core.TableKind{core.TableHash, core.TableSorted, core.TableBuiltin} {
-		b.Run(kind.String(), func(b *testing.B) {
-			r := xrand.New(cfg.Seed)
-			n := uint32(ds[0].Graph.NumNodes())
-			nodes := make([]uint32, 0, cfg.Samples)
-			seen := map[uint32]bool{}
-			for len(nodes) < cfg.Samples {
-				u := r.Uint32n(n)
-				if !seen[u] {
-					seen[u] = true
-					nodes = append(nodes, u)
-				}
-			}
-			o, err := core.Build(ds[0].Graph, core.Options{
-				Alpha: cfg.Alpha, Seed: cfg.Seed, Nodes: nodes,
-				TableKind: kind, Fallback: core.FallbackNone,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := nodes[i%len(nodes)]
-				t := nodes[(i*7+1)%len(nodes)]
-				var st core.QueryStats
-				if _, err := o.DistanceStats(s, t, &st); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// --- A3: vicinity table implementation ablation: the Get benchmarks
+// of internal/u32map (go test -bench Get ./internal/u32map) ---
 
 // --- A4: parallel query throughput ---
 

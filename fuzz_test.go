@@ -2,6 +2,7 @@ package vicinity
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -68,6 +69,9 @@ func FuzzLoadOracle(f *testing.F) {
 			}
 			o.Path(pair[0], pair[1])
 		}
+		// The one-to-many engine indexes its mark array by boundary and
+		// vicinity keys, a path the pair queries above never reach.
+		o.Query(context.Background(), Request{S: 0, Ts: []uint32{0, n / 2, n - 1}})
 		o.Stats()
 	})
 }

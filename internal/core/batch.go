@@ -6,6 +6,7 @@ import (
 
 	"vicinity/internal/graph"
 	"vicinity/internal/syncx"
+	"vicinity/internal/u32map"
 )
 
 // This file implements the one-to-many batch engine. The paper's
@@ -28,24 +29,22 @@ import (
 //     strict-< loop keeps. Batch answers are therefore bit-identical
 //     to the single-query path, methods and witnesses included.
 //
-// Targets the per-pair path would scan from the other side
-// (ScanSmallerBoundary) run that same smaller scan here, and targets
-// the tables cannot resolve share one pooled fallback workspace
-// instead of borrowing one per call.
+// Targets the tables cannot resolve share one pooled fallback
+// workspace instead of borrowing one per call.
 //
 // Large batches additionally fan out across worker goroutines
 // (Request.Parallel): the classification pass, the per-target vicinity
-// walks of the inverted pass, the swapped scans and the fallback
-// searches are all embarrassingly parallel once the ∂Γ(s) mark array
-// is built, so the marks are written once (sequentially) and every
-// worker reads them immutably. Workers write answers to fixed target
-// indexes and tally into private BatchStats shards that merge by
-// summation, and the residual route lists are rebuilt in target order
-// after the parallel pass — so for any worker count the batch output
-// (distances, methods, witnesses, tie-breaks, per-item errors, stats)
-// is bit-identical to the sequential pass. The per-target work is
-// shared code between the sequential and parallel variants, never
-// duplicated, so the two cannot drift.
+// walks of the inverted pass and the fallback searches are all
+// embarrassingly parallel once the ∂Γ(s) mark array is built, so the
+// marks are written once (sequentially) and every worker reads them
+// immutably. Workers write answers to fixed target indexes and tally
+// into private BatchStats shards that merge by summation, and the
+// residual route lists are rebuilt in target order after the parallel
+// pass — so for any worker count the batch output (distances, methods,
+// witnesses, tie-breaks, per-item errors, stats) is bit-identical to
+// the sequential pass. The per-target work is shared code between the
+// sequential and parallel variants, never duplicated, so the two
+// cannot drift.
 //
 // All reads are against one oracle snapshot, so a batch is internally
 // consistent even while ApplyUpdates installs new snapshots
@@ -137,7 +136,6 @@ type batchWS struct {
 	pos   []uint32 // w's position in the ∂Γ(s) scan order (tie-break)
 
 	scan []uint32 // target indexes for the inverted pass
-	swap []uint32 // target indexes scanned from the target side
 	cls  []uint8  // per-target route codes (parallel classification only)
 }
 
@@ -157,7 +155,6 @@ func (w *batchWS) ensure(n int) {
 		w.epoch = 1
 	}
 	w.scan = w.scan[:0]
-	w.swap = w.swap[:0]
 }
 
 // DistanceMany answers the one-to-many query (s → each of ts). Every
@@ -219,7 +216,6 @@ func (o *Oracle) PathManyStats(s uint32, ts []uint32, bst *BatchStats) ([]BatchP
 const (
 	tgtDone uint8 = iota // answered (or errored) by the direct cases
 	tgtScan              // residual: inverted boundary pass
-	tgtSwap              // residual: scanned from the target side
 	tgtPend              // residual: straight to the fallback
 )
 
@@ -253,7 +249,7 @@ func (o *Oracle) landmarkOne(s uint32, li int32, t uint32, n int, bst *BatchStat
 // decided answer into *r and returning the target's route. Both the
 // sequential and the parallel classification passes go through it, so
 // their semantics cannot diverge.
-func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs vicRef, sBoundLen int, bst *BatchStats, r *BatchResult) uint8 {
+func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs u32map.Flat, bst *BatchStats, r *BatchResult) uint8 {
 	if int(t) >= n {
 		*r = BatchResult{Dist: NoDist, Err: errRange(n)}
 		bst.Errors++
@@ -291,7 +287,7 @@ func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs vicRef, sBoundL
 	}
 	if okS {
 		bst.Lookups++
-		if d, ok := vs.get(t); ok {
+		if d, ok := vs.Get(t); ok {
 			*r = BatchResult{Dist: d, Method: MethodVicinitySource}
 			bst.note(MethodVicinitySource)
 			return tgtDone
@@ -299,16 +295,13 @@ func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs vicRef, sBoundL
 	}
 	if okT {
 		bst.Lookups++
-		if d, ok := vt.get(s); ok {
+		if d, ok := vt.Get(s); ok {
 			*r = BatchResult{Dist: d, Method: MethodVicinityTarget}
 			bst.note(MethodVicinityTarget)
 			return tgtDone
 		}
 	}
 	if okS && okT {
-		if o.opts.ScanSmallerBoundary && o.BoundarySize(t) < sBoundLen {
-			return tgtSwap
-		}
 		return tgtScan
 	}
 	// No scan possible (a landmark endpoint without tables): the
@@ -324,55 +317,20 @@ func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs vicRef, sBoundL
 func (o *Oracle) scanTarget(t uint32, bws *batchWS, bst *BatchStats) (best, meet uint32) {
 	best, meet = NoDist, graph.NoNode
 	var bestPos uint32
-	checked := 0
-	if o.vicAlt == nil {
-		vt, _ := o.flatVicinity(t)
-		eOff, eLen, _, _ := vt.Ranges()
-		keys := o.arena.Keys[eOff : eOff+eLen]
-		dists := o.arena.Dists[eOff : eOff+eLen]
-		checked = len(keys)
-		for k, w := range keys {
-			if bws.stamp[w] != bws.epoch {
-				continue
-			}
-			cand := satAdd(bws.dist[w], dists[k])
-			if cand < best || (cand == best && cand != NoDist && bws.pos[w] < bestPos) {
-				best, meet, bestPos = cand, w, bws.pos[w]
-			}
+	eOff, eLen, _, _ := o.vicFlat[t].Ranges()
+	keys := o.arena.Keys[eOff : eOff+eLen]
+	dists := o.arena.Dists[eOff : eOff+eLen]
+	for k, w := range keys {
+		if bws.stamp[w] != bws.epoch {
+			continue
 		}
-	} else {
-		tbl := o.vicAlt[t]
-		checked = tbl.Len()
-		for k := 0; k < checked; k++ {
-			w, dw, _ := tbl.At(k)
-			if bws.stamp[w] != bws.epoch {
-				continue
-			}
-			cand := satAdd(bws.dist[w], dw)
-			if cand < best || (cand == best && cand != NoDist && bws.pos[w] < bestPos) {
-				best, meet, bestPos = cand, w, bws.pos[w]
-			}
+		cand := satAdd(bws.dist[w], dists[k])
+		if cand < best || (cand == best && cand != NoDist && bws.pos[w] < bestPos) {
+			best, meet, bestPos = cand, w, bws.pos[w]
 		}
 	}
-	bst.Lookups += checked
-	bst.Scanned += checked
-	return best, meet
-}
-
-// swapScanTarget scans t's (smaller) boundary probing Γ(s) — the
-// identical scan the per-pair path runs under ScanSmallerBoundary.
-func (o *Oracle) swapScanTarget(t uint32, vs vicRef, bst *BatchStats) (best, meet uint32) {
-	tKeys, tDist := o.boundary(t)
-	best, meet = NoDist, graph.NoNode
-	for j, w := range tKeys {
-		if dw, ok := vs.get(w); ok {
-			if cand := satAdd(tDist[j], dw); cand < best {
-				best, meet = cand, w
-			}
-		}
-	}
-	bst.Lookups += len(tKeys)
-	bst.Scanned += len(tKeys)
+	bst.Lookups += len(keys)
+	bst.Scanned += len(keys)
 	return best, meet
 }
 
@@ -422,12 +380,8 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, bst *BatchStats, needMeet bool
 		}
 	}
 
-	// s's vicinity handle and boundary, loaded once for the batch.
+	// s's vicinity view, loaded once for the batch.
 	vs, okS := o.vicinity(s)
-	var sBoundLen int
-	if okS {
-		sBoundLen = o.BoundarySize(s)
-	}
 	bws := batchPool.Get()
 	defer batchPool.Put(bws)
 	bws.ensure(n)
@@ -444,7 +398,7 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, bst *BatchStats, needMeet bool
 		shards := make([]BatchStats, workers)
 		parallelFor(workers, len(ts), func(w int) any { return &shards[w] },
 			func(state any, i int) {
-				cls[i] = o.classifyTarget(s, ts[i], n, okS, vs, sBoundLen, state.(*BatchStats), &res[i])
+				cls[i] = o.classifyTarget(s, ts[i], n, okS, vs, state.(*BatchStats), &res[i])
 			})
 		for w := range shards {
 			bst.add(&shards[w])
@@ -453,19 +407,15 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, bst *BatchStats, needMeet bool
 			switch c {
 			case tgtScan:
 				bws.scan = append(bws.scan, uint32(i))
-			case tgtSwap:
-				bws.swap = append(bws.swap, uint32(i))
 			case tgtPend:
 				pend = append(pend, uint32(i))
 			}
 		}
 	} else {
 		for i, t := range ts {
-			switch o.classifyTarget(s, t, n, okS, vs, sBoundLen, bst, &res[i]) {
+			switch o.classifyTarget(s, t, n, okS, vs, bst, &res[i]) {
 			case tgtScan:
 				bws.scan = append(bws.scan, uint32(i))
-			case tgtSwap:
-				bws.swap = append(bws.swap, uint32(i))
 			case tgtPend:
 				pend = append(pend, uint32(i))
 			}
@@ -514,44 +464,6 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, bst *BatchStats, needMeet bool
 		} else {
 			for _, ii := range bws.scan {
 				if !scanOne(ii, bst) {
-					pend = append(pend, ii)
-				}
-			}
-		}
-	}
-
-	// Swapped targets: the per-pair path scans the target's (smaller)
-	// boundary probing Γ(s); run the identical scan here.
-	if len(bws.swap) > 0 {
-		swapOne := func(ii uint32, wst *BatchStats) bool {
-			best, meet := o.swapScanTarget(ts[ii], vs, wst)
-			if best == NoDist {
-				return false
-			}
-			res[ii] = BatchResult{Dist: best, Method: MethodIntersection}
-			wst.note(MethodIntersection)
-			if needMeet {
-				meets[ii] = meet
-			}
-			return true
-		}
-		if sw := min(workers, len(bws.swap)); sw > 1 {
-			shards := make([]BatchStats, sw)
-			parallelFor(sw, len(bws.swap), func(w int) any { return &shards[w] },
-				func(state any, k int) {
-					swapOne(bws.swap[k], state.(*BatchStats))
-				})
-			for w := range shards {
-				bst.add(&shards[w])
-			}
-			for _, ii := range bws.swap {
-				if res[ii].Method == MethodNone {
-					pend = append(pend, ii)
-				}
-			}
-		} else {
-			for _, ii := range bws.swap {
-				if !swapOne(ii, bst) {
 					pend = append(pend, ii)
 				}
 			}

@@ -44,13 +44,12 @@ func requireSameResult(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// TestParallelBatchBitIdentical sweeps the full option/table-kind
-// matrix and requires the parallel batch engine to reproduce the
-// sequential pass bit for bit — distances, methods, path witnesses,
-// per-item errors, Cost, and the complete BatchStats histogram — for
-// every tested worker count, on both the distance and path variants,
-// with and without a node budget, from both a random and a landmark
-// source.
+// TestParallelBatchBitIdentical sweeps the full option matrix and
+// requires the parallel batch engine to reproduce the sequential pass
+// bit for bit — distances, methods, path witnesses, per-item errors,
+// Cost, and the complete BatchStats histogram — for every tested
+// worker count, on both the distance and path variants, with and
+// without a node budget, from both a random and a landmark source.
 func TestParallelBatchBitIdentical(t *testing.T) {
 	g := socialGraph(13, 600)
 	for oi, opts := range batchOptionMatrix() {

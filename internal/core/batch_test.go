@@ -12,23 +12,17 @@ import (
 )
 
 // batchOptionMatrix is the option grid the batch engine must agree with
-// the single-query path on: every table kind, both scan directions,
-// every fallback mode, disabled tables/path data, compact rows, and a
-// small α (more fallbacks).
+// the single-query path on: every fallback mode, disabled tables/path
+// data, compact rows, and a small α (more fallbacks).
 func batchOptionMatrix() []Options {
 	return []Options{
 		{},
-		{TableKind: TableSorted},
-		{TableKind: TableBuiltin},
-		{ScanSmallerBoundary: true},
-		{TableKind: TableSorted, ScanSmallerBoundary: true},
 		{Fallback: FallbackEstimate},
 		{Fallback: FallbackNone},
 		{DisableLandmarkTables: true},
 		{DisablePathData: true},
 		{CompactLandmarkTables: true},
 		{Alpha: 1.5},
-		{Alpha: 1.5, TableKind: TableBuiltin, ScanSmallerBoundary: true},
 	}
 }
 
@@ -94,8 +88,8 @@ func checkBatchAgainstSingles(t *testing.T, o *Oracle, s uint32, ts []uint32) {
 	}
 }
 
-// TestBatchMatchesSingleMatrix sweeps the full option/table-kind matrix
-// on a power-law graph and requires bit-identical agreement between the
+// TestBatchMatchesSingleMatrix sweeps the full option matrix on a
+// power-law graph and requires bit-identical agreement between the
 // batch engine and the single-query path, landmark sources included.
 func TestBatchMatchesSingleMatrix(t *testing.T) {
 	g := socialGraph(11, 500)
@@ -131,23 +125,21 @@ func TestBatchMatchesSingleProfiles(t *testing.T) {
 	for _, prof := range crossProfiles() {
 		t.Run(prof.name, func(t *testing.T) {
 			g := prof.build()
-			for _, kind := range []TableKind{TableHash, TableSorted, TableBuiltin} {
-				o := mustBuild(t, g, Options{Seed: 17, TableKind: kind, Workers: 2})
-				r := xrand.New(2025)
-				n := uint32(g.NumNodes())
-				for trial := 0; trial < 6; trial++ {
-					s := r.Uint32n(n)
-					checkBatchAgainstSingles(t, o, s, batchTargets(r, o, s, 30))
-				}
+			o := mustBuild(t, g, Options{Seed: 17, Workers: 2})
+			r := xrand.New(2025)
+			n := uint32(g.NumNodes())
+			for trial := 0; trial < 6; trial++ {
+				s := r.Uint32n(n)
+				checkBatchAgainstSingles(t, o, s, batchTargets(r, o, s, 30))
 			}
 		})
 	}
 }
 
 // TestBatchMatchesSingleWeighted covers the weighted regime, where
-// resolved answers are upper bounds and the scan-side choice matters:
-// the batch must replicate the per-pair answers bit for bit, including
-// near-overflow weights that exercise the saturating adds.
+// resolved answers are upper bounds: the batch must replicate the
+// per-pair answers bit for bit, including near-overflow weights that
+// exercise the saturating adds.
 func TestBatchMatchesSingleWeighted(t *testing.T) {
 	r := xrand.New(77)
 	src := gen.HolmeKim(xrand.New(71), 400, 4, 0.5)
@@ -160,14 +152,12 @@ func TestBatchMatchesSingleWeighted(t *testing.T) {
 		b.AddWeightedEdge(u, v, w)
 	})
 	g := b.Build()
-	for _, opts := range []Options{{Seed: 5}, {Seed: 5, ScanSmallerBoundary: true}, {Seed: 5, TableKind: TableSorted}} {
-		o := mustBuild(t, g, opts)
-		rr := xrand.New(901)
-		n := uint32(g.NumNodes())
-		for trial := 0; trial < 8; trial++ {
-			s := rr.Uint32n(n)
-			checkBatchAgainstSingles(t, o, s, batchTargets(rr, o, s, 25))
-		}
+	o := mustBuild(t, g, Options{Seed: 5})
+	rr := xrand.New(901)
+	n := uint32(g.NumNodes())
+	for trial := 0; trial < 8; trial++ {
+		s := rr.Uint32n(n)
+		checkBatchAgainstSingles(t, o, s, batchTargets(rr, o, s, 25))
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 //   - Merge: prefix sums over the scope order assign every node its
 //     final range in the shared flat arenas; workers then stitch the
 //     shards into place (disjoint destination ranges) and build each
-//     node's slot index or sorted order in situ.
+//     node's slot index in situ.
 //
 // The result is bit-identical for every worker count: a node's vicinity
 // content depends only on the graph and landmark set, and the merged
@@ -219,12 +219,10 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*buildShard) {
 // oracle's arena storage: prefix sums in scope order size the entry,
 // slot and boundary arenas and fix every node's final range, then a
 // parallel pass rebases each node's shard ranges into place and builds
-// its slot index (or sorted order) in situ. The layout depends only on
-// the scope order and per-node sizes, never on shard assignment.
+// its slot index in situ. The layout depends only on the scope order
+// and per-node sizes, never on shard assignment.
 func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buildShard) error {
 	n := o.g.NumNodes()
-	hashKind := o.opts.TableKind == TableHash
-	builtinKind := o.opts.TableKind == TableBuiltin
 
 	var totalEnt, totalSlot, totalBound uint64
 	for i := range metas {
@@ -232,13 +230,13 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buil
 		if m.entLen > 0 {
 			o.covered++
 		}
-		if hashKind && int(m.entLen) > u32map.MaxFlatEntries {
+		if int(m.entLen) > u32map.MaxFlatEntries {
 			return fmt.Errorf("core: vicinity of node %d has %d entries, above the %d flat-table cap",
 				scope[i], m.entLen, u32map.MaxFlatEntries)
 		}
 		totalEnt += uint64(m.entLen)
 		totalBound += uint64(m.boundLen)
-		if hashKind && m.entLen > 0 {
+		if m.entLen > 0 {
 			totalSlot += uint64(u32map.IndexSize(int(m.entLen)))
 		}
 	}
@@ -246,23 +244,17 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buil
 		return fmt.Errorf("core: %d vicinity entries overflow the 2^32-1 arena capacity", totalEnt)
 	}
 
-	// Boundary storage (off/len per node) is shared by every table kind.
 	o.boundOff = make([]uint32, n)
 	o.boundLen = make([]uint32, n)
 	o.boundKeys = make([]uint32, totalBound)
 	o.boundDist = make([]uint32, totalBound)
-
-	if builtinKind {
-		o.vicAlt = make([]u32map.Table, n)
-	} else {
-		o.arena = &u32map.Arena{
-			Keys:    make([]uint32, totalEnt),
-			Dists:   make([]uint32, totalEnt),
-			Parents: make([]uint32, totalEnt),
-			Slots:   make([]uint32, totalSlot),
-		}
-		o.vicFlat = make([]u32map.Flat, n)
+	o.arena = &u32map.Arena{
+		Keys:    make([]uint32, totalEnt),
+		Dists:   make([]uint32, totalEnt),
+		Parents: make([]uint32, totalEnt),
+		Slots:   make([]uint32, totalSlot),
 	}
+	o.vicFlat = make([]u32map.Flat, n)
 
 	// Final arena offsets by prefix sum over the scope order. Boundary
 	// ranges are laid out contiguously in node order (nodes outside the
@@ -276,7 +268,7 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buil
 	for i := range metas {
 		m := &metas[i]
 		entAt[i], slotAt[i] = ent, slot
-		if hashKind && m.entLen > 0 {
+		if m.entLen > 0 {
 			lenSlot[i] = uint32(u32map.IndexSize(int(m.entLen)))
 		}
 		ent += m.entLen
@@ -301,26 +293,11 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buil
 		sh := shards[m.shard]
 		copy(o.boundKeys[boundAt[i]:], sh.boundKeys[m.boundOff:m.boundOff+m.boundLen])
 		copy(o.boundDist[boundAt[i]:], sh.boundDist[m.boundOff:m.boundOff+m.boundLen])
-		if builtinKind {
-			t := u32map.NewBuiltin(int(m.entLen))
-			for j := uint32(0); j < m.entLen; j++ {
-				e := m.entOff + j
-				t.Put(sh.ent.Keys[e], sh.ent.Dists[e], sh.ent.Parents[e])
-			}
-			o.vicAlt[scope[i]] = t
-			return
-		}
 		e0, e1 := entAt[i], entAt[i]+m.entLen
 		o.arena.CopyFromShard(e0, &sh.ent, m.entOff, m.entLen)
-		keys := o.arena.Keys[e0:e1]
-		if hashKind {
-			s0 := slotAt[i]
-			u32map.FillIndex(o.arena.Slots[s0:s0+lenSlot[i]], keys)
-			o.vicFlat[scope[i]] = o.arena.Hash(e0, e1, s0, s0+lenSlot[i])
-		} else {
-			u32map.SortEntries(keys, o.arena.Dists[e0:e1], o.arena.Parents[e0:e1])
-			o.vicFlat[scope[i]] = o.arena.Sorted(e0, e1)
-		}
+		s0, s1 := slotAt[i], slotAt[i]+lenSlot[i]
+		u32map.FillIndex(o.arena.Slots[s0:s1], o.arena.Keys[e0:e1])
+		o.vicFlat[scope[i]] = o.arena.Hash(e0, e1, s0, s1)
 	})
 	return nil
 }

@@ -16,7 +16,7 @@ import (
 // keeps every oracle shape bit-identical to a fresh build. Where
 // update_test.go drives insert-only growth, every batch here mixes
 // deletions, reweights, upserts and growth in one Update, across the
-// full option × table-kind matrix.
+// option matrix.
 
 // churnKey normalizes an undirected edge to one map key.
 func churnKey(u, v uint32) uint64 {
@@ -108,13 +108,11 @@ func randomChurnBatch(r *xrand.Rand, g *graph.Graph) Update {
 // still-live range would break.
 func assertFreeListInvariants(t *testing.T, o *Oracle) {
 	t.Helper()
-	if o.arena != nil {
-		if err := o.entFree.Validate(uint32(o.arena.NumEntries())); err != nil {
-			t.Fatalf("entry free list: %v", err)
-		}
-		if err := o.slotFree.Validate(uint32(len(o.arena.Slots))); err != nil {
-			t.Fatalf("slot free list: %v", err)
-		}
+	if err := o.entFree.Validate(uint32(o.arena.NumEntries())); err != nil {
+		t.Fatalf("entry free list: %v", err)
+	}
+	if err := o.slotFree.Validate(uint32(len(o.arena.Slots))); err != nil {
+		t.Fatalf("slot free list: %v", err)
 	}
 	if err := o.boundFree.Validate(uint32(len(o.boundKeys))); err != nil {
 		t.Fatalf("boundary free list: %v", err)
@@ -211,13 +209,13 @@ func assertValidWeightedPath(t *testing.T, o *Oracle, s, u, d uint32) {
 	}
 }
 
-// TestChurnMatrix is the central decremental property: across four
-// option profiles × three table kinds, a seeded sequence of mixed
-// insert/delete/reweight batches keeps both the copy-on-write and the
-// in-place oracle structurally identical to a fresh build with the same
-// landmarks — and, for distance-only oracles, byte-identical on the
-// wire. Free-list invariants hold after every batch, and final answers
-// match BFS ground truth.
+// TestChurnMatrix is the central decremental property: across three
+// option profiles (subtests name the hash vicinity layout), a seeded
+// sequence of mixed insert/delete/reweight batches keeps both the
+// copy-on-write and the in-place oracle structurally identical to a
+// fresh build with the same landmarks — and, for distance-only
+// oracles, byte-identical on the wire. Free-list invariants hold after
+// every batch, and final answers match BFS ground truth.
 func TestChurnMatrix(t *testing.T) {
 	profiles := []struct {
 		name string
@@ -226,47 +224,43 @@ func TestChurnMatrix(t *testing.T) {
 		{"default", Options{Seed: 7}},
 		{"compact-landmarks", Options{Seed: 7, CompactLandmarkTables: true}},
 		{"distance-only", Options{Seed: 7, DisablePathData: true}},
-		{"scan-smaller", Options{Seed: 7, ScanSmallerBoundary: true}},
 	}
 	for _, prof := range profiles {
-		for _, kind := range []TableKind{TableHash, TableSorted, TableBuiltin} {
-			opts := prof.opts
-			opts.TableKind = kind
-			t.Run(prof.name+"/"+kind.String(), func(t *testing.T) {
-				r := xrand.New(6000 + uint64(kind))
-				g := socialGraph(61+uint64(kind), 240)
-				cow := mustBuild(t, g, opts)
-				inplace := mustBuild(t, g, opts)
-				for step := 0; step < 5; step++ {
-					batch := randomChurnBatch(r, cow.Graph())
-					next, err := cow.ApplyUpdates(batch)
-					if err != nil {
-						t.Fatalf("step %d: ApplyUpdates: %v", step, err)
-					}
-					cow = next
-					if err := inplace.ApplyUpdatesInPlace(batch); err != nil {
-						t.Fatalf("step %d: ApplyUpdatesInPlace: %v", step, err)
-					}
-					fresh := freshTwin(t, cow)
-					assertSameStructure(t, cow, fresh)
-					assertSameStructure(t, inplace, fresh)
-					assertAgreeModuloPaths(t, cow, fresh, 150)
-					if opts.DisablePathData {
-						want := oracleBytes(t, fresh)
-						if !bytes.Equal(oracleBytes(t, cow), want) {
-							t.Fatalf("step %d: COW oracle serializes differently from a fresh build", step)
-						}
-						if !bytes.Equal(oracleBytes(t, inplace), want) {
-							t.Fatalf("step %d: in-place oracle serializes differently from a fresh build", step)
-						}
-					}
-					assertFreeListInvariants(t, cow)
-					assertFreeListInvariants(t, inplace)
+		opts := prof.opts
+		t.Run(prof.name+"/hash", func(t *testing.T) {
+			r := xrand.New(6000)
+			g := socialGraph(61, 240)
+			cow := mustBuild(t, g, opts)
+			inplace := mustBuild(t, g, opts)
+			for step := 0; step < 5; step++ {
+				batch := randomChurnBatch(r, cow.Graph())
+				next, err := cow.ApplyUpdates(batch)
+				if err != nil {
+					t.Fatalf("step %d: ApplyUpdates: %v", step, err)
 				}
-				assertGroundTruth(t, cow, 25)
-				assertGroundTruth(t, inplace, 25)
-			})
-		}
+				cow = next
+				if err := inplace.ApplyUpdatesInPlace(batch); err != nil {
+					t.Fatalf("step %d: ApplyUpdatesInPlace: %v", step, err)
+				}
+				fresh := freshTwin(t, cow)
+				assertSameStructure(t, cow, fresh)
+				assertSameStructure(t, inplace, fresh)
+				assertAgreeModuloPaths(t, cow, fresh, 150)
+				if opts.DisablePathData {
+					want := oracleBytes(t, fresh)
+					if !bytes.Equal(oracleBytes(t, cow), want) {
+						t.Fatalf("step %d: COW oracle serializes differently from a fresh build", step)
+					}
+					if !bytes.Equal(oracleBytes(t, inplace), want) {
+						t.Fatalf("step %d: in-place oracle serializes differently from a fresh build", step)
+					}
+				}
+				assertFreeListInvariants(t, cow)
+				assertFreeListInvariants(t, inplace)
+			}
+			assertGroundTruth(t, cow, 25)
+			assertGroundTruth(t, inplace, 25)
+		})
 	}
 }
 

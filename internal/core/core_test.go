@@ -223,8 +223,7 @@ func TestVicinityInvariants(t *testing.T) {
 			}
 		}
 		// Parent chains: tree edges decreasing distance by 1 toward u.
-		ref2, _ := o.vicinity(u)
-		tbl := ref2.table()
+		tbl, _ := o.vicinity(u)
 		for i := 0; i < tbl.Len(); i++ {
 			v, d, parent := tbl.At(i)
 			if v == u {
@@ -451,41 +450,6 @@ func TestUnreachablePairs(t *testing.T) {
 	}
 }
 
-func TestTableKindsAgree(t *testing.T) {
-	g := socialGraph(41, 300)
-	oh := mustBuild(t, g, Options{Seed: 41, TableKind: TableHash})
-	os := mustBuild(t, g, Options{Seed: 41, TableKind: TableSorted})
-	ob := mustBuild(t, g, Options{Seed: 41, TableKind: TableBuiltin})
-	r := xrand.New(10)
-	for trial := 0; trial < 2000; trial++ {
-		s, u := r.Uint32n(300), r.Uint32n(300)
-		dh, mh, _ := oh.Distance(s, u)
-		ds, ms2, _ := os.Distance(s, u)
-		db, mb, _ := ob.Distance(s, u)
-		if dh != ds || dh != db {
-			t.Fatalf("table kinds disagree on (%d,%d): %d/%d/%d", s, u, dh, ds, db)
-		}
-		if mh != ms2 || mh != mb {
-			t.Fatalf("methods disagree on (%d,%d): %v/%v/%v", s, u, mh, ms2, mb)
-		}
-	}
-}
-
-func TestScanSmallerBoundaryAgrees(t *testing.T) {
-	g := socialGraph(43, 300)
-	a := mustBuild(t, g, Options{Seed: 43})
-	b := mustBuild(t, g, Options{Seed: 43, ScanSmallerBoundary: true})
-	r := xrand.New(11)
-	for trial := 0; trial < 2000; trial++ {
-		s, u := r.Uint32n(300), r.Uint32n(300)
-		da, _, _ := a.Distance(s, u)
-		db, _, _ := b.Distance(s, u)
-		if da != db {
-			t.Fatalf("smaller-side scan changed answer on (%d,%d): %d vs %d", s, u, da, db)
-		}
-	}
-}
-
 func TestWeightedUpperBoundAndPaths(t *testing.T) {
 	r := xrand.New(45)
 	b := graph.NewBuilder(300)
@@ -578,11 +542,6 @@ func TestSamplingStrategies(t *testing.T) {
 			t.Fatal("same seed, different landmarks")
 		}
 	}
-	// MaxLandmarks cap.
-	capped := mustBuild(t, g, Options{Seed: 5, MaxLandmarks: 3, DisableLandmarkTables: true})
-	if len(capped.Landmarks()) != 3 {
-		t.Fatalf("cap ignored: |L|=%d", len(capped.Landmarks()))
-	}
 }
 
 func TestDisableLandmarkTables(t *testing.T) {
@@ -637,7 +596,6 @@ func TestInvalidOptions(t *testing.T) {
 	cases := []Options{
 		{Sampling: Sampling(99)},
 		{Fallback: Fallback(99)},
-		{TableKind: TableKind(99)},
 		{Fallback: FallbackEstimate, DisableLandmarkTables: true},
 		{Nodes: []uint32{1000}},
 	}

@@ -60,8 +60,8 @@ func crossProfiles() []crossProfile {
 }
 
 // TestCrossValidationExact sweeps sampled pairs on every profile and
-// requires exact agreement between the oracle (all three table kinds)
-// and the BFS and ALT baselines. Distances returned by the oracle for
+// requires exact agreement between the oracle and the BFS and ALT
+// baselines. Distances returned by the oracle for
 // unweighted graphs are exact for every resolved method (Theorem 1);
 // with the exact fallback that means every query.
 func TestCrossValidationExact(t *testing.T) {
@@ -71,11 +71,7 @@ func TestCrossValidationExact(t *testing.T) {
 			n := uint32(g.NumNodes())
 			bfs := baseline.NewBFS(g)
 			alt := baseline.NewALT(g, 4)
-			oracles := map[string]*Oracle{
-				"hash":    mustBuild(t, g, Options{Seed: 17, TableKind: TableHash}),
-				"sorted":  mustBuild(t, g, Options{Seed: 17, TableKind: TableSorted, Workers: 3}),
-				"builtin": mustBuild(t, g, Options{Seed: 17, TableKind: TableBuiltin, Workers: 2}),
-			}
+			o := mustBuild(t, g, Options{Seed: 17})
 			r := xrand.New(2024)
 			for trial := 0; trial < 400; trial++ {
 				s, u := r.Uint32n(n), r.Uint32n(n)
@@ -83,15 +79,12 @@ func TestCrossValidationExact(t *testing.T) {
 				if got := alt.Distance(s, u); got != want {
 					t.Fatalf("ALT(%d,%d) = %d, BFS says %d", s, u, got, want)
 				}
-				for name, o := range oracles {
-					got, m, err := o.Distance(s, u)
-					if err != nil {
-						t.Fatalf("%s: Distance(%d,%d): %v", name, s, u, err)
-					}
-					if got != want {
-						t.Fatalf("%s: Distance(%d,%d) = %d via %v, BFS says %d",
-							name, s, u, got, m, want)
-					}
+				got, m, err := o.Distance(s, u)
+				if err != nil {
+					t.Fatalf("Distance(%d,%d): %v", s, u, err)
+				}
+				if got != want {
+					t.Fatalf("Distance(%d,%d) = %d via %v, BFS says %d", s, u, got, m, want)
 				}
 			}
 		})

@@ -42,15 +42,13 @@ func assertBuildDeterministic(t *testing.T, g *graph.Graph, opts Options) {
 	}
 }
 
-// TestBuildDeterminismTableKinds is the golden determinism matrix over
-// the vicinity table layouts.
+// TestBuildDeterminismTableKinds is the golden determinism case for the
+// hash vicinity layout, the only one.
 func TestBuildDeterminismTableKinds(t *testing.T) {
 	g := socialGraph(7, 400)
-	for _, kind := range []TableKind{TableHash, TableSorted, TableBuiltin} {
-		t.Run(kind.String(), func(t *testing.T) {
-			assertBuildDeterministic(t, g, Options{Seed: 11, TableKind: kind})
-		})
-	}
+	t.Run("hash", func(t *testing.T) {
+		assertBuildDeterministic(t, g, Options{Seed: 11})
+	})
 }
 
 // TestBuildDeterminismOptionMatrix covers the build options that change
@@ -62,11 +60,9 @@ func TestBuildDeterminismOptionMatrix(t *testing.T) {
 		"compact-landmarks": {Seed: 5, CompactLandmarkTables: true},
 		"distance-only":     {Seed: 5, DisablePathData: true},
 		"no-landmark-tabs":  {Seed: 5, DisableLandmarkTables: true},
-		"max-landmarks":     {Seed: 5, MaxLandmarks: 3},
 		"alpha-2":           {Seed: 5, Alpha: 2},
 		"sampling-uniform":  {Seed: 5, Sampling: SamplingUniform},
 		"sampling-top":      {Seed: 5, Sampling: SamplingTop},
-		"scan-smaller":      {Seed: 5, ScanSmallerBoundary: true},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -98,10 +94,7 @@ func TestBuildDeterminismWeighted(t *testing.T) {
 	base.ForEachEdge(func(u, v, _ uint32) {
 		b.AddWeightedEdge(u, v, 1+r.Uint32n(9))
 	})
-	g := b.Build()
-	for _, kind := range []TableKind{TableHash, TableSorted} {
-		assertBuildDeterministic(t, g, Options{Seed: 2, TableKind: kind})
-	}
+	assertBuildDeterministic(t, b.Build(), Options{Seed: 2})
 }
 
 // TestSaveOmitsWorkerCount: the serialized form must not embed the
@@ -126,19 +119,17 @@ func TestSaveOmitsWorkerCount(t *testing.T) {
 
 // TestLoadSaveStable: loading a serialized oracle and re-serializing it
 // reproduces the same bytes (no hidden state drifts through a
-// round-trip, for every table kind).
+// round-trip of the hash layout).
 func TestLoadSaveStable(t *testing.T) {
 	g := socialGraph(5, 300)
-	for _, kind := range []TableKind{TableHash, TableSorted, TableBuiltin} {
-		t.Run(kind.String(), func(t *testing.T) {
-			want := oracleBytes(t, mustBuild(t, g, Options{Seed: 4, TableKind: kind}))
-			o, err := ReadOracle(bytes.NewReader(want))
-			if err != nil {
-				t.Fatalf("ReadOracle: %v", err)
-			}
-			if got := oracleBytes(t, o); !bytes.Equal(got, want) {
-				t.Fatal("save→load→save is not byte-stable")
-			}
-		})
-	}
+	t.Run("hash", func(t *testing.T) {
+		want := oracleBytes(t, mustBuild(t, g, Options{Seed: 4}))
+		o, err := ReadOracle(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("ReadOracle: %v", err)
+		}
+		if got := oracleBytes(t, o); !bytes.Equal(got, want) {
+			t.Fatal("save→load→save is not byte-stable")
+		}
+	})
 }

@@ -65,7 +65,7 @@ func checkRankedPaths(t *testing.T, g *graph.Graph, s, tt uint32, ps []PathAlt) 
 }
 
 // TestKPathsCrossValidation sweeps sampled pairs on every generator
-// profile × table kind and requires the K-query dist multiset to agree
+// profile and requires the K-query dist multiset to agree
 // exactly with the independent textbook-Yen baseline (the profiles are
 // unweighted, so the oracle's root path is exact and Yen's guarantee
 // applies). Ties may permute paths between implementations — "prefix-
@@ -76,32 +76,26 @@ func TestKPathsCrossValidation(t *testing.T) {
 		t.Run(prof.name, func(t *testing.T) {
 			g := prof.build()
 			n := uint32(g.NumNodes())
-			oracles := map[string]*Oracle{
-				"hash":    mustBuild(t, g, Options{Seed: 17, TableKind: TableHash}),
-				"sorted":  mustBuild(t, g, Options{Seed: 17, TableKind: TableSorted, Workers: 3}),
-				"builtin": mustBuild(t, g, Options{Seed: 17, TableKind: TableBuiltin, Workers: 2}),
-			}
+			o := mustBuild(t, g, Options{Seed: 17})
 			r := xrand.New(10_000)
 			ctx := context.Background()
 			for trial := 0; trial < 12; trial++ {
 				s, u := r.Uint32n(n), r.Uint32n(n)
 				k := []int{1, 2, 4, 6}[trial%4]
 				want := baseline.KShortestYen(g, s, u, k)
-				for name, o := range oracles {
-					res, err := o.Query(ctx, Request{S: s, T: u, K: k, Policy: PolicyFull})
-					if err != nil {
-						t.Fatalf("%s: Query(%d,%d,k=%d): %v", name, s, u, k, err)
-					}
-					checkRankedPaths(t, g, s, u, res.Paths)
-					if len(res.Paths) != len(want) {
-						t.Fatalf("%s: (%d,%d,k=%d): %d paths, baseline %d",
-							name, s, u, k, len(res.Paths), len(want))
-					}
-					for i := range want {
-						if res.Paths[i].Dist != want[i].Dist {
-							t.Fatalf("%s: (%d,%d,k=%d): dist[%d]=%d, baseline %d",
-								name, s, u, k, i, res.Paths[i].Dist, want[i].Dist)
-						}
+				res, err := o.Query(ctx, Request{S: s, T: u, K: k, Policy: PolicyFull})
+				if err != nil {
+					t.Fatalf("Query(%d,%d,k=%d): %v", s, u, k, err)
+				}
+				checkRankedPaths(t, g, s, u, res.Paths)
+				if len(res.Paths) != len(want) {
+					t.Fatalf("(%d,%d,k=%d): %d paths, baseline %d",
+						s, u, k, len(res.Paths), len(want))
+				}
+				for i := range want {
+					if res.Paths[i].Dist != want[i].Dist {
+						t.Fatalf("(%d,%d,k=%d): dist[%d]=%d, baseline %d",
+							s, u, k, i, res.Paths[i].Dist, want[i].Dist)
 					}
 				}
 			}

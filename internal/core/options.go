@@ -112,37 +112,10 @@ func (f Fallback) String() string {
 	}
 }
 
-// TableKind selects the vicinity table implementation (ablation A3).
-type TableKind int
-
-const (
-	// TableHash is the default open-addressing hash table, the Go
-	// equivalent of the paper's unordered_map.
-	TableHash TableKind = iota
-	// TableSorted stores vicinity entries as key-sorted arrays with
-	// binary-search membership (minimum memory).
-	TableSorted
-	// TableBuiltin uses Go's builtin map (comparison baseline).
-	TableBuiltin
-)
-
-// String returns the table kind name.
-func (k TableKind) String() string {
-	switch k {
-	case TableHash:
-		return "hash"
-	case TableSorted:
-		return "sorted"
-	case TableBuiltin:
-		return "builtin"
-	default:
-		return fmt.Sprintf("TableKind(%d)", int(k))
-	}
-}
-
 // Options configures Build. The zero value gives the paper's defaults:
-// α = 4, √degree sampling, hash tables, exact fallback, full coverage,
-// landmark tables and path data enabled.
+// α = 4, √degree sampling, exact fallback, full coverage, landmark
+// tables and path data enabled. Vicinities are always stored in hash
+// tables and intersected by scanning ∂Γ(s), as Algorithm 1 is written.
 type Options struct {
 	// Alpha controls vicinity size (E[|Γ|] ≈ Alpha·√n). The paper's
 	// recommended operating point is 4 (§2.4). <= 0 selects 4.
@@ -153,9 +126,6 @@ type Options struct {
 
 	// Fallback handles queries the stored tables cannot resolve.
 	Fallback Fallback
-
-	// TableKind selects the vicinity table implementation.
-	TableKind TableKind
 
 	// Seed makes landmark sampling deterministic.
 	Seed uint64
@@ -188,16 +158,6 @@ type Options struct {
 	// distances on social networks).
 	CompactLandmarkTables bool
 
-	// ScanSmallerBoundary iterates the smaller of ∂Γ(s), ∂Γ(t) during
-	// intersection (valid by Lemma 1 symmetry). Off by default to match
-	// Algorithm 1 literally.
-	ScanSmallerBoundary bool
-
-	// MaxLandmarks caps |L| (0 = no cap), keeping the highest-degree
-	// sampled landmarks. A memory guard for small-α sweeps; note that
-	// capping reduces the intersection probability of Figure 2(a).
-	MaxLandmarks int
-
 	// Landmarks, when non-nil, bypasses sampling and uses exactly this
 	// landmark set (deduplicated, any order). Advanced: used to rebuild
 	// an oracle with a previous build's landmarks — e.g. to compare an
@@ -228,11 +188,6 @@ func (o Options) withDefaults(g *graph.Graph) (Options, error) {
 	case FallbackExact, FallbackEstimate, FallbackNone:
 	default:
 		return o, fmt.Errorf("core: unknown fallback %d", int(o.Fallback))
-	}
-	switch o.TableKind {
-	case TableHash, TableSorted, TableBuiltin:
-	default:
-		return o, fmt.Errorf("core: unknown table kind %d", int(o.TableKind))
 	}
 	if o.Fallback == FallbackEstimate && o.DisableLandmarkTables {
 		return o, errors.New("core: FallbackEstimate requires landmark tables")

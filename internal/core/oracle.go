@@ -28,20 +28,16 @@ type Oracle struct {
 	isL       []bool   // per node: landmark flag
 	lidx      []int32  // per node: index into landmarks, or -1
 
-	// Vicinity tables. arena holds the concatenated entries (and, for
-	// the hash layout, slot indexes) of every vicinity; vicFlat (len n)
-	// holds node u's precomputed arena view — 24 bytes of offsets plus
-	// the shared arena pointer, so resolving a table is one indexed
-	// load. An empty view means "not covered" (landmark or out of
-	// build scope) — a built vicinity always contains at least u
-	// itself. Persistence derives CSR offset arrays from the views
-	// (u32map.Flat.Ranges) rather than storing them twice.
-	//
-	// The TableBuiltin ablation keeps per-node Go maps in vicAlt
-	// instead (nil table = not covered); arena layouts leave vicAlt nil.
+	// Vicinity tables. arena holds the concatenated entries and slot
+	// indexes of every vicinity; vicFlat (len n) holds node u's
+	// precomputed arena view — 24 bytes of offsets plus the shared
+	// arena pointer, so resolving a table is one indexed load. An empty
+	// view means "not covered" (landmark or out of build scope) — a
+	// built vicinity always contains at least u itself. Persistence
+	// derives CSR offset arrays from the views (u32map.Flat.Ranges)
+	// rather than storing them twice.
 	arena   *u32map.Arena
 	vicFlat []u32map.Flat
-	vicAlt  []u32map.Table
 
 	// Boundaries ∂Γ(u), concatenated: node u owns the range
 	// [boundOff[u], boundOff[u]+boundLen[u]) of boundKeys/boundDist
@@ -115,72 +111,11 @@ func (o *Oracle) Landmarks() []uint32 { return o.landmarks }
 // IsLandmark reports whether u ∈ L.
 func (o *Oracle) IsLandmark(u uint32) bool { return o.isL[u] }
 
-// vicRef is a resolved handle to one node's vicinity table: a flat
-// arena view, or the interface table for the TableBuiltin ablation.
-// The zero vicRef is "no vicinity".
-type vicRef struct {
-	flat u32map.Flat
-	alt  u32map.Table
-}
-
-// vicinity resolves node u's table handle; ok is false when u has no
+// vicinity resolves node u's arena view; ok is false when u has no
 // vicinity (landmark or out of build scope).
-func (o *Oracle) vicinity(u uint32) (vicRef, bool) {
-	if o.vicAlt != nil {
-		t := o.vicAlt[u]
-		return vicRef{alt: t}, t != nil
-	}
-	f, ok := o.flatVicinity(u)
-	return vicRef{flat: f}, ok
-}
-
-// flatVicinity resolves node u's arena view directly (hash or sorted
-// layout only; Build guarantees vicFlat is populated whenever vicAlt
-// is nil). ok is false when u has no vicinity.
-func (o *Oracle) flatVicinity(u uint32) (u32map.Flat, bool) {
+func (o *Oracle) vicinity(u uint32) (u32map.Flat, bool) {
 	f := o.vicFlat[u]
 	return f, f.Len() > 0
-}
-
-// get returns the distance recorded for key.
-func (v vicRef) get(key uint32) (uint32, bool) {
-	if v.alt != nil {
-		return v.alt.Get(key)
-	}
-	return v.flat.Get(key)
-}
-
-// getEntry returns the distance and parent recorded for key.
-func (v vicRef) getEntry(key uint32) (dist, parent uint32, ok bool) {
-	if v.alt != nil {
-		return v.alt.GetEntry(key)
-	}
-	return v.flat.GetEntry(key)
-}
-
-// size returns the number of entries.
-func (v vicRef) size() int {
-	if v.alt != nil {
-		return v.alt.Len()
-	}
-	return v.flat.Len()
-}
-
-// bytes returns the table's heap footprint.
-func (v vicRef) bytes() int {
-	if v.alt != nil {
-		return v.alt.Bytes()
-	}
-	return v.flat.Bytes()
-}
-
-// table returns the handle as a Table interface (allocates; for cold
-// paths and tests).
-func (v vicRef) table() u32map.Table {
-	if v.alt != nil {
-		return v.alt
-	}
-	return v.flat
 }
 
 // boundary returns the ∂Γ(u) key and distance ranges as shared views.
@@ -255,11 +190,7 @@ func (o *Oracle) NearestLandmark(u uint32) uint32 {
 
 // VicinitySize returns |Γ(u)| (0 for landmarks and uncovered nodes).
 func (o *Oracle) VicinitySize(u uint32) int {
-	v, ok := o.vicinity(u)
-	if !ok {
-		return 0
-	}
-	return v.size()
+	return o.vicFlat[u].Len()
 }
 
 // BoundarySize returns |∂Γ(u)| (0 for landmarks and uncovered nodes).
@@ -269,22 +200,14 @@ func (o *Oracle) BoundarySize(u uint32) int {
 
 // VicinityContains reports whether v ∈ Γ(u) and returns d(u,v) if so.
 func (o *Oracle) VicinityContains(u, v uint32) (uint32, bool) {
-	t, ok := o.vicinity(u)
-	if !ok {
-		return 0, false
-	}
-	return t.get(v)
+	return o.vicFlat[u].Get(v)
 }
 
 // ForEachVicinityMember calls fn(v, dist) for every v ∈ Γ(u).
 func (o *Oracle) ForEachVicinityMember(u uint32, fn func(v, dist uint32)) {
-	t, ok := o.vicinity(u)
-	if !ok {
-		return
-	}
-	tbl := t.table()
-	for i := 0; i < tbl.Len(); i++ {
-		k, d, _ := tbl.At(i)
+	t := o.vicFlat[u]
+	for i := 0; i < t.Len(); i++ {
+		k, d, _ := t.At(i)
 		fn(k, d)
 	}
 }

@@ -96,9 +96,6 @@ func (o *Oracle) assembleTablePath(s, t uint32, st *QueryStats) ([]uint32, bool)
 
 	case MethodIntersection:
 		w := st.Meet
-		// If the smaller-side optimization swapped scan direction the
-		// witness is still a member of both vicinities, so the chains
-		// below work unchanged.
 		half1, ok1 := o.vicinityChain(s, w) // w..s
 		half2, ok2 := o.vicinityChain(t, w) // w..t
 		if !ok1 || !ok2 {
@@ -127,7 +124,7 @@ func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 		if cur == u {
 			return chain, true
 		}
-		_, parent, ok := tbl.getEntry(cur)
+		_, parent, ok := tbl.GetEntry(cur)
 		if !ok || parent == graph.NoNode {
 			return nil, false
 		}

@@ -20,9 +20,8 @@ import (
 // graph sub-format) alongside every built table, so a server restores
 // serving state with array copies instead of re-running Build. The
 // flat arena layout is what makes this near-memcpy: each section below
-// is one contiguous array of the in-memory representation. The
-// TableBuiltin ablation is flattened on save and its per-node maps are
-// rebuilt on load; hash and sorted layouts round-trip bit-identically.
+// is one contiguous array of the in-memory representation, and a loaded
+// oracle round-trips bit-identically.
 const fileVersion = 1
 
 // Section tags, in file order.
@@ -35,8 +34,8 @@ const (
 	secNearest    = 6  // u32s[n]
 	secVicEntOff  = 7  // u32s[n]: per-node entry range start
 	secVicEntLen  = 8  // u32s[n]: per-node entry count
-	secVicSlotOff = 9  // u32s[n]: per-node slot range start (hash layout)
-	secVicSlotLen = 10 // u32s[n]: per-node slot count (0 for sorted/empty)
+	secVicSlotOff = 9  // u32s[n]: per-node slot range start
+	secVicSlotLen = 10 // u32s[n]: per-node slot count (0 for empty)
 	secKeys       = 11 // u32s: entry arena
 	secDists      = 12 // u32s: entry arena
 	secParents    = 13 // u32s: entry arena
@@ -56,7 +55,7 @@ const (
 	flagNoLandmarkTables
 	flagNoPathData
 	flagCompactLandmarks
-	flagScanSmaller
+	flagScanSmaller // retired Options.ScanSmallerBoundary: never written, rejected on load
 )
 
 // meta field order within secMeta.
@@ -67,9 +66,9 @@ const (
 	metaSeed
 	metaSampling
 	metaFallback
-	metaTableKind
+	metaTableKind // retired Options.TableKind: written as 0 (the hash layout), any other value rejected on load
 	metaWorkers
-	metaMaxLandmarks
+	metaMaxLandmarks // retired Options.MaxLandmarks: written as 0, ignored on load (the file stores the landmark set)
 	metaLen
 )
 
@@ -96,22 +95,17 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	if o.opts.CompactLandmarkTables {
 		flags |= flagCompactLandmarks
 	}
-	if o.opts.ScanSmallerBoundary {
-		flags |= flagScanSmaller
-	}
 	meta[metaFlags] = flags
 	meta[metaNodes] = uint64(n)
 	meta[metaAlpha] = math.Float64bits(o.opts.Alpha)
 	meta[metaSeed] = o.opts.Seed
 	meta[metaSampling] = uint64(o.opts.Sampling)
 	meta[metaFallback] = uint64(o.opts.Fallback)
-	meta[metaTableKind] = uint64(o.opts.TableKind)
 	// Workers is an execution knob, not a structural property: the build
 	// is bit-identical for every worker count, and persisting the count
 	// (defaulted to GOMAXPROCS) would make the file depend on the
 	// machine that wrote it. Always stored as 0 = "default".
 	meta[metaWorkers] = 0
-	meta[metaMaxLandmarks] = uint64(o.opts.MaxLandmarks)
 	ow.U64s(secMeta, meta)
 	ow.U32s(secScope, o.opts.Nodes)
 
@@ -153,43 +147,21 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 }
 
 // flattenedVicinities returns the vicinity storage as arena + per-node
-// ranges. Arena layouts without waste return their backing storage
-// directly; arenas with holes left by updates are compacted into a
-// temporary so the file never carries dead ranges. The TableBuiltin
-// ablation is materialized into a temporary arena.
+// ranges. An arena without waste is returned directly; one with holes
+// left by updates is compacted into a temporary so the file never
+// carries dead ranges.
 func (o *Oracle) flattenedVicinities() (arena *u32map.Arena, entOff, entLen, slotOff, slotLen []uint32) {
 	n := len(o.radius)
 	entOff = make([]uint32, n)
 	entLen = make([]uint32, n)
 	slotOff = make([]uint32, n)
 	slotLen = make([]uint32, n)
-	if o.vicAlt == nil {
-		if o.entFree.Total()+o.slotFree.Total() > 0 {
-			arena, flat := o.compactVicinityArena()
-			for u := 0; u < n; u++ {
-				entOff[u], entLen[u], slotOff[u], slotLen[u] = flat[u].Ranges()
-			}
-			return arena, entOff, entLen, slotOff, slotLen
-		}
-		for u := 0; u < n; u++ {
-			entOff[u], entLen[u], slotOff[u], slotLen[u] = o.vicFlat[u].Ranges()
-		}
-		return o.arena, entOff, entLen, slotOff, slotLen
+	arena, flat := o.arena, o.vicFlat
+	if o.entFree.Total()+o.slotFree.Total() > 0 {
+		arena, flat = o.compactVicinityArena()
 	}
-	arena = &u32map.Arena{}
 	for u := 0; u < n; u++ {
-		t := o.vicAlt[u]
-		if t == nil {
-			continue
-		}
-		entOff[u] = uint32(len(arena.Keys))
-		entLen[u] = uint32(t.Len())
-		for i := 0; i < t.Len(); i++ {
-			k, d, p := t.At(i)
-			arena.Keys = append(arena.Keys, k)
-			arena.Dists = append(arena.Dists, d)
-			arena.Parents = append(arena.Parents, p)
-		}
+		entOff[u], entLen[u], slotOff[u], slotLen[u] = flat[u].Ranges()
 	}
 	return arena, entOff, entLen, slotOff, slotLen
 }
@@ -260,13 +232,10 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		Seed:                  meta[metaSeed],
 		Sampling:              Sampling(meta[metaSampling]),
 		Fallback:              Fallback(meta[metaFallback]),
-		TableKind:             TableKind(meta[metaTableKind]),
 		Workers:               workers,
-		MaxLandmarks:          int(meta[metaMaxLandmarks]),
 		DisableLandmarkTables: flags&flagNoLandmarkTables != 0,
 		DisablePathData:       flags&flagNoPathData != 0,
 		CompactLandmarkTables: flags&flagCompactLandmarks != 0,
-		ScanSmallerBoundary:   flags&flagScanSmaller != 0,
 	}
 	switch opts.Sampling {
 	case SamplingPaper, SamplingUniform, SamplingDegree, SamplingTop:
@@ -278,10 +247,11 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown fallback %d", ErrBadOracleFile, int(opts.Fallback))
 	}
-	switch opts.TableKind {
-	case TableHash, TableSorted, TableBuiltin:
-	default:
-		return nil, fmt.Errorf("%w: unknown table kind %d", ErrBadOracleFile, int(opts.TableKind))
+	if k := meta[metaTableKind]; k != 0 {
+		return nil, fmt.Errorf("%w: table kind %d (the retired Options.TableKind; only the hash layout loads)", ErrBadOracleFile, k)
+	}
+	if flags&flagScanSmaller != 0 {
+		return nil, fmt.Errorf("%w: scan-smaller flag (the retired Options.ScanSmallerBoundary)", ErrBadOracleFile)
 	}
 
 	scope, err := or.U32s(secScope)
@@ -429,7 +399,8 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 	}
 
 	// Node-id-valued arrays are indexed with (nearest → lidx,
-	// lparent → parent chains), so out-of-range values would panic at
+	// lparent → parent chains, vicinity and boundary keys → the batch
+	// engine's mark array), so out-of-range values would panic at
 	// query time rather than fail here.
 	for u := 0; u < n; u++ {
 		if v := o.nearest[u]; v != graph.NoNode && int(v) >= n {
@@ -439,6 +410,16 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 	for _, v := range lparentF {
 		if v != graph.NoNode && int(v) >= n {
 			return fmt.Errorf("%w: landmark parent out of range", ErrBadOracleFile)
+		}
+	}
+	for _, k := range arena.Keys {
+		if int(k) >= n {
+			return fmt.Errorf("%w: vicinity key %d out of range", ErrBadOracleFile, k)
+		}
+	}
+	for _, k := range o.boundKeys {
+		if int(k) >= n {
+			return fmt.Errorf("%w: boundary key %d out of range", ErrBadOracleFile, k)
 		}
 	}
 
@@ -459,7 +440,6 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 	o.boundOff = o.boundOff[:n:n]
 
 	// Vicinity ranges and slot contents.
-	hashKind := o.opts.TableKind == TableHash
 	total := uint32(len(arena.Keys))
 	totalSlots := uint32(len(arena.Slots))
 	for u := 0; u < n; u++ {
@@ -471,7 +451,7 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 		if sl > totalSlots || so > totalSlots-sl {
 			return fmt.Errorf("%w: node %d slot range", ErrBadOracleFile, u)
 		}
-		if hashKind && el > 0 {
+		if el > 0 {
 			if int(sl) != u32map.IndexSize(int(el)) {
 				return fmt.Errorf("%w: node %d slot count %d for %d entries", ErrBadOracleFile, u, sl, el)
 			}
@@ -479,40 +459,16 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 				return fmt.Errorf("%w: node %d slot index", ErrBadOracleFile, u)
 			}
 		} else if sl != 0 {
-			return fmt.Errorf("%w: node %d has slots without a hash table", ErrBadOracleFile, u)
-		}
-		if el > 0 {
-			o.covered++
+			return fmt.Errorf("%w: node %d has slots without entries", ErrBadOracleFile, u)
 		}
 	}
 
-	// Materialize the per-node tables.
-	switch o.opts.TableKind {
-	case TableBuiltin:
-		o.vicAlt = make([]u32map.Table, n)
-		for u := 0; u < n; u++ {
-			if entLen[u] == 0 {
-				continue
-			}
-			t := u32map.NewBuiltin(int(entLen[u]))
-			for i := uint32(0); i < entLen[u]; i++ {
-				e := entOff[u] + i
-				t.Put(arena.Keys[e], arena.Dists[e], arena.Parents[e])
-			}
-			o.vicAlt[u] = t
-		}
-	default:
-		o.arena = arena
-		o.vicFlat = make([]u32map.Flat, n)
-		for u := 0; u < n; u++ {
-			if entLen[u] == 0 {
-				continue
-			}
-			if hashKind {
-				o.vicFlat[u] = arena.Hash(entOff[u], entOff[u]+entLen[u], slotOff[u], slotOff[u]+slotLen[u])
-			} else {
-				o.vicFlat[u] = arena.Sorted(entOff[u], entOff[u]+entLen[u])
-			}
+	o.arena = arena
+	o.vicFlat = make([]u32map.Flat, n)
+	for u := 0; u < n; u++ {
+		if entLen[u] > 0 {
+			o.vicFlat[u] = arena.Hash(entOff[u], entOff[u]+entLen[u], slotOff[u], slotOff[u]+slotLen[u])
+			o.covered++
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vicinity/internal/gen"
@@ -73,9 +74,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		"compact-landmarks": {Seed: 91, CompactLandmarkTables: true},
 		"distance-only":     {Seed: 91, DisablePathData: true},
 		"no-landmark-tabs":  {Seed: 91, DisableLandmarkTables: true},
-		"sorted-tables":     {Seed: 91, TableKind: TableSorted},
-		"builtin-tables":    {Seed: 91, TableKind: TableBuiltin},
-		"scan-smaller":      {Seed: 91, ScanSmallerBoundary: true},
 		"estimate-fallback": {Seed: 91, Fallback: FallbackEstimate},
 		"none-fallback":     {Seed: 91, Fallback: FallbackNone},
 		"alpha-1":           {Seed: 91, Alpha: 1},
@@ -214,6 +212,64 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 			o.landmarks[0], o.landmarks[1] = o.landmarks[1], o.landmarks[0]
 		}
 	})
+	// Vicinity and boundary keys index the batch engine's per-node mark
+	// array: loaded unchecked, the first one-to-many query touching the
+	// node panics.
+	corrupt("vicinity key out of range", func(o *Oracle) {
+		o.arena.Keys[0] = uint32(g.NumNodes()) + 5000
+	})
+	corrupt("boundary key out of range", func(o *Oracle) {
+		o.boundKeys[0] = uint32(g.NumNodes()) + 5000
+	})
+}
+
+// TestLoadRetiredOptions pins how files that carry a retired build
+// option load. The table-kind meta slot and the scan-smaller flag chose
+// a layout and a scan side that no longer exist, so a file setting
+// either fails with ErrBadOracleFile naming the option. The
+// max-landmarks slot only shaped sampling, and the file stores the
+// sampled landmark set, so a non-zero value loads and answers as before.
+func TestLoadRetiredOptions(t *testing.T) {
+	g := socialGraph(33, 300)
+	o := mustBuild(t, g, Options{Seed: 33})
+	blob := oracleBytes(t, o)
+
+	// The meta words follow the 6-byte file header (magic, version) and
+	// the 12-byte section header (tag, count).
+	metaWord := func(i int) int { return 6 + 12 + 8*i }
+	if got := binary.LittleEndian.Uint64(blob[metaWord(metaNodes):]); got != uint64(g.NumNodes()) {
+		t.Fatalf("meta layout moved: node-count word reads %d", got)
+	}
+	// patch rewrites one meta word and recomputes the CRC-32C trailer.
+	patch := func(i int, fn func(uint64) uint64) []byte {
+		b := append([]byte(nil), blob...)
+		w := b[metaWord(i):]
+		binary.LittleEndian.PutUint64(w, fn(binary.LittleEndian.Uint64(w)))
+		crc := crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli))
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc)
+		return b
+	}
+	set := func(v uint64) func(uint64) uint64 { return func(uint64) uint64 { return v } }
+
+	for _, tc := range []struct {
+		name, option string
+		file         []byte
+	}{
+		{"table kind 1", "TableKind", patch(metaTableKind, set(1))},
+		{"table kind 2", "TableKind", patch(metaTableKind, set(2))},
+		{"scan-smaller flag", "ScanSmallerBoundary", patch(metaFlags, func(f uint64) uint64 { return f | flagScanSmaller })},
+	} {
+		_, err := ReadOracle(bytes.NewReader(tc.file))
+		if !errors.Is(err, ErrBadOracleFile) || !strings.Contains(err.Error(), tc.option) {
+			t.Errorf("%s: got %v, want ErrBadOracleFile naming %s", tc.name, err, tc.option)
+		}
+	}
+
+	got, err := ReadOracle(bytes.NewReader(patch(metaMaxLandmarks, set(3))))
+	if err != nil {
+		t.Fatalf("max landmarks 3: %v", err)
+	}
+	assertOraclesAgree(t, o, got, g.NumNodes(), 300)
 }
 
 // TestCorruptOracleFiles checks that corruption anywhere in the file is

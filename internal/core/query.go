@@ -170,23 +170,15 @@ func (o *Oracle) tableDistance(s, t uint32, st *QueryStats) (uint32, bool, error
 			return d, true, nil
 		}
 	}
-	if o.vicAlt == nil {
-		return o.flatVicDistance(s, t, st)
-	}
-	return o.altVicDistance(s, t, st)
-}
 
-// flatVicDistance runs the vicinity cases of Algorithm 1 over the
-// arena-backed layout. It holds u32map.Flat views in locals so every
-// table probe — including each iteration of the boundary scan — is a
-// single call frame over contiguous arrays; this is the hot path the
-// flat refactor exists for.
-func (o *Oracle) flatVicDistance(s, t uint32, st *QueryStats) (uint32, bool, error) {
-	// Coverage of t is decided from the view's length alone, and the
-	// 24-byte view itself is materialized only after the Γ(s) probe
-	// misses: the common vicinity-source hit then touches one word of
-	// vicFlat[t] instead of copying the whole view it never probes.
-	vs, okS := o.flatVicinity(s)
+	// The vicinity cases hold u32map.Flat views in locals, so every
+	// table probe — including each iteration of the boundary scan — is
+	// a single call frame over contiguous arrays. Coverage of t is
+	// decided from the view's length alone, and the 24-byte view itself
+	// is materialized only after the Γ(s) probe misses: the common
+	// vicinity-source hit then touches one word of vicFlat[t] instead
+	// of copying the whole view it never probes.
+	vs, okS := o.vicinity(s)
 	okT := o.vicFlat[t].Len() > 0
 	if !okS && !o.isL[s] {
 		return NoDist, false, errNotCovered(s)
@@ -211,20 +203,14 @@ func (o *Oracle) flatVicDistance(s, t uint32, st *QueryStats) (uint32, bool, err
 		}
 	}
 
-	// Algorithm 1 lines 5-9: scan a boundary, probing the other side's
-	// vicinity table. Lemma 1 makes boundary-only scanning sufficient,
-	// and symmetry allows choosing either side.
+	// Algorithm 1 lines 5-9: scan ∂Γ(s), probing Γ(t). Lemma 1 makes
+	// boundary-only scanning sufficient.
 	if okS && okT {
 		scanKeys, scanDist := o.boundary(s)
-		probe := vt
-		if o.opts.ScanSmallerBoundary && o.BoundarySize(t) < len(scanKeys) {
-			scanKeys, scanDist = o.boundary(t)
-			probe = vs
-		}
 		best := NoDist
 		meet := graph.NoNode
 		for i, w := range scanKeys {
-			if dw, ok := probe.Get(w); ok {
+			if dw, ok := vt.Get(w); ok {
 				if cand := satAdd(scanDist[i], dw); cand < best {
 					best = cand
 					meet = w
@@ -240,59 +226,6 @@ func (o *Oracle) flatVicDistance(s, t uint32, st *QueryStats) (uint32, bool, err
 		}
 	}
 
-	return NoDist, false, nil
-}
-
-// altVicDistance is the same algorithm over the interface-dispatched
-// tables of the TableBuiltin ablation.
-func (o *Oracle) altVicDistance(s, t uint32, st *QueryStats) (uint32, bool, error) {
-	vs, okS := o.vicAlt[s], o.vicAlt[s] != nil
-	vt, okT := o.vicAlt[t], o.vicAlt[t] != nil
-	if !okS && !o.isL[s] {
-		return NoDist, false, errNotCovered(s)
-	}
-	if !okT && !o.isL[t] {
-		return NoDist, false, errNotCovered(t)
-	}
-	if okS {
-		st.Lookups++
-		if d, ok := vs.Get(t); ok {
-			st.Method = MethodVicinitySource
-			return d, true, nil
-		}
-	}
-	if okT {
-		st.Lookups++
-		if d, ok := vt.Get(s); ok {
-			st.Method = MethodVicinityTarget
-			return d, true, nil
-		}
-	}
-	if okS && okT {
-		scanKeys, scanDist := o.boundary(s)
-		probe := vt
-		if o.opts.ScanSmallerBoundary && o.BoundarySize(t) < len(scanKeys) {
-			scanKeys, scanDist = o.boundary(t)
-			probe = vs
-		}
-		best := NoDist
-		meet := graph.NoNode
-		for i, w := range scanKeys {
-			if dw, ok := probe.Get(w); ok {
-				if cand := satAdd(scanDist[i], dw); cand < best {
-					best = cand
-					meet = w
-				}
-			}
-		}
-		st.Lookups += len(scanKeys)
-		st.Scanned += len(scanKeys)
-		if best != NoDist {
-			st.Method = MethodIntersection
-			st.Meet = meet
-			return best, true, nil
-		}
-	}
 	return NoDist, false, nil
 }
 

@@ -120,14 +120,12 @@ func TestQueryMatchesLegacyProfiles(t *testing.T) {
 	for _, prof := range crossProfiles() {
 		t.Run(prof.name, func(t *testing.T) {
 			g := prof.build()
-			for _, kind := range []TableKind{TableHash, TableSorted, TableBuiltin} {
-				o := mustBuild(t, g, Options{Seed: 17, TableKind: kind, Workers: 2})
-				r := xrand.New(4040)
-				n := uint32(g.NumNodes())
-				for trial := 0; trial < 5; trial++ {
-					s := r.Uint32n(n)
-					checkQueryAgainstLegacy(t, o, s, batchTargets(r, o, s, 25))
-				}
+			o := mustBuild(t, g, Options{Seed: 17, Workers: 2})
+			r := xrand.New(4040)
+			n := uint32(g.NumNodes())
+			for trial := 0; trial < 5; trial++ {
+				s := r.Uint32n(n)
+				checkQueryAgainstLegacy(t, o, s, batchTargets(r, o, s, 25))
 			}
 		})
 	}

@@ -100,17 +100,6 @@ func sampleLandmarks(g *graph.Graph, opts Options) []uint32 {
 			landmarks = append(landmarks, u)
 		}
 	}
-	if opts.MaxLandmarks > 0 && len(landmarks) > opts.MaxLandmarks {
-		// Keep the highest-degree landmarks (ties by id) for determinism.
-		sort.Slice(landmarks, func(i, j int) bool {
-			di, dj := g.Degree(landmarks[i]), g.Degree(landmarks[j])
-			if di != dj {
-				return di > dj
-			}
-			return landmarks[i] < landmarks[j]
-		})
-		landmarks = landmarks[:opts.MaxLandmarks]
-	}
 	sort.Slice(landmarks, func(i, j int) bool { return landmarks[i] < landmarks[j] })
 	return landmarks
 }

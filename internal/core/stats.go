@@ -40,7 +40,7 @@ func (o *Oracle) Stats() BuildStats {
 		if !ok {
 			continue
 		}
-		sz := t.size()
+		sz := t.Len()
 		sumVic += int64(sz)
 		if sz > s.MaxVicinity {
 			s.MaxVicinity = sz
@@ -109,8 +109,8 @@ func (o *Oracle) Memory() MemoryStats {
 		if !ok {
 			continue
 		}
-		ms.VicinityEntries += int64(t.size())
-		ms.VicinityBytes += int64(t.bytes())
+		ms.VicinityEntries += int64(t.Len())
+		ms.VicinityBytes += int64(t.Bytes())
 		ms.VicinityBytes += int64(8 * o.BoundarySize(uint32(u)))
 		covered++
 	}

@@ -415,12 +415,8 @@ func (o *Oracle) cloneForUpdate() *Oracle {
 	c.nearest = append([]uint32(nil), o.nearest...)
 	c.boundOff = append([]uint32(nil), o.boundOff...)
 	c.boundLen = append([]uint32(nil), o.boundLen...)
-	if o.vicAlt != nil {
-		c.vicAlt = append([]u32map.Table(nil), o.vicAlt...)
-	} else {
-		c.vicFlat = append([]u32map.Flat(nil), o.vicFlat...)
-		c.arena = o.arena.Clone()
-	}
+	c.vicFlat = append([]u32map.Flat(nil), o.vicFlat...)
+	c.arena = o.arena.Clone()
 	// Landmark tables: clone the outer row slices (cheap, |L| pointers)
 	// so the repair can swap in per-row clones; unimproved rows stay
 	// shared with the parent.
@@ -461,15 +457,9 @@ func (t *Oracle) growNodes(newN int) {
 		nearest[u] = graph.NoNode
 	}
 	t.lidx, t.radius, t.nearest = lidx, radius, nearest
-	if t.vicAlt != nil {
-		vicAlt := make([]u32map.Table, newN)
-		copy(vicAlt, t.vicAlt)
-		t.vicAlt = vicAlt
-	} else {
-		vicFlat := make([]u32map.Flat, newN)
-		copy(vicFlat, t.vicFlat)
-		t.vicFlat = vicFlat
-	}
+	vicFlat := make([]u32map.Flat, newN)
+	copy(vicFlat, t.vicFlat)
+	t.vicFlat = vicFlat
 	boundOff := make([]uint32, newN)
 	copy(boundOff, t.boundOff)
 	t.boundOff = boundOff
@@ -1145,7 +1135,7 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 			continue
 		}
 		for _, e := range allEps {
-			if _, in := v.get(e); in {
+			if _, in := v.Get(e); in {
 				add(x)
 				break
 			}
@@ -1273,7 +1263,7 @@ func (t *Oracle) probeBoundary(x, k uint32, newG *graph.Graph, add func(uint32))
 	}
 	newOutside := false
 	for _, nb := range newG.Neighbors(k) {
-		if _, in := vic.get(nb); !in {
+		if _, in := vic.Get(nb); !in {
 			newOutside = true
 			break
 		}
@@ -1317,7 +1307,6 @@ func (t *Oracle) rebuildVicinities(newG *graph.Graph, affected []uint32) []vicRe
 // in-place and appends in copy-on-write mode (old snapshots may still
 // read the holes).
 func (t *Oracle) writeVicinities(affected []uint32, results []vicResult, inPlace bool) error {
-	hashKind := t.opts.TableKind == TableHash
 	// Free every superseded range before the first allocation. A batch
 	// of rebuilds is roughly size-neutral in aggregate, but per node the
 	// new table rarely matches its own old hole exactly: interleaving
@@ -1331,15 +1320,11 @@ func (t *Oracle) writeVicinities(affected []uint32, results []vicResult, inPlace
 	// below; in copy-on-write mode the frees are waste accounting only
 	// and allocation still appends.
 	for _, x := range affected {
-		if t.vicAlt == nil {
-			if old := t.vicFlat[x]; old.Len() > 0 {
-				eo, el, so, sl := old.Ranges()
-				t.entFree.Free(eo, el)
-				t.slotFree.Free(so, sl)
-			} else {
-				t.covered++
-			}
-		} else if t.vicAlt[x] == nil {
+		if old := t.vicFlat[x]; old.Len() > 0 {
+			eo, el, so, sl := old.Ranges()
+			t.entFree.Free(eo, el)
+			t.slotFree.Free(so, sl)
+		} else {
 			t.covered++
 		}
 		t.boundFree.Free(t.boundOff[x], t.boundLen[x])
@@ -1350,44 +1335,28 @@ func (t *Oracle) writeVicinities(affected []uint32, results []vicResult, inPlace
 		t.nearest[x] = res.nearest
 
 		// Vicinity table.
-		if t.vicAlt != nil {
-			nt := u32map.NewBuiltin(len(res.keys))
-			for j, k := range res.keys {
-				nt.Put(k, res.dists[j], res.parents[j])
-			}
-			t.vicAlt[x] = nt
-		} else {
-			nEnt := len(res.keys)
-			if hashKind && nEnt > u32map.MaxFlatEntries {
-				return fmt.Errorf("core: updated vicinity of node %d has %d entries, above the %d flat-table cap",
-					x, nEnt, u32map.MaxFlatEntries)
-			}
-			if uint64(t.arena.NumEntries())+uint64(nEnt) > math.MaxUint32 {
-				return fmt.Errorf("core: %d vicinity entries overflow the 2^32-1 arena capacity", t.arena.NumEntries())
-			}
-			eOff := t.allocEntries(nEnt, inPlace)
-			copy(t.arena.Keys[eOff:eOff+uint32(nEnt)], res.keys)
-			copy(t.arena.Dists[eOff:eOff+uint32(nEnt)], res.dists)
-			copy(t.arena.Parents[eOff:eOff+uint32(nEnt)], res.parents)
-			if hashKind {
-				sLen := uint32(u32map.IndexSize(nEnt))
-				sOff, sReused := t.allocSlots(int(sLen), inPlace)
-				slots := t.arena.Slots[sOff : sOff+sLen]
-				if sReused {
-					for j := range slots {
-						slots[j] = 0
-					}
-				}
-				u32map.FillIndex(slots, t.arena.Keys[eOff:eOff+uint32(nEnt)])
-				t.vicFlat[x] = t.arena.Hash(eOff, eOff+uint32(nEnt), sOff, sOff+sLen)
-			} else {
-				u32map.SortEntries(
-					t.arena.Keys[eOff:eOff+uint32(nEnt)],
-					t.arena.Dists[eOff:eOff+uint32(nEnt)],
-					t.arena.Parents[eOff:eOff+uint32(nEnt)])
-				t.vicFlat[x] = t.arena.Sorted(eOff, eOff+uint32(nEnt))
+		nEnt := len(res.keys)
+		if nEnt > u32map.MaxFlatEntries {
+			return fmt.Errorf("core: updated vicinity of node %d has %d entries, above the %d flat-table cap",
+				x, nEnt, u32map.MaxFlatEntries)
+		}
+		if uint64(t.arena.NumEntries())+uint64(nEnt) > math.MaxUint32 {
+			return fmt.Errorf("core: %d vicinity entries overflow the 2^32-1 arena capacity", t.arena.NumEntries())
+		}
+		eOff := t.allocEntries(nEnt, inPlace)
+		copy(t.arena.Keys[eOff:eOff+uint32(nEnt)], res.keys)
+		copy(t.arena.Dists[eOff:eOff+uint32(nEnt)], res.dists)
+		copy(t.arena.Parents[eOff:eOff+uint32(nEnt)], res.parents)
+		sLen := uint32(u32map.IndexSize(nEnt))
+		sOff, sReused := t.allocSlots(int(sLen), inPlace)
+		slots := t.arena.Slots[sOff : sOff+sLen]
+		if sReused {
+			for j := range slots {
+				slots[j] = 0
 			}
 		}
+		u32map.FillIndex(slots, t.arena.Keys[eOff:eOff+uint32(nEnt)])
+		t.vicFlat[x] = t.arena.Hash(eOff, eOff+uint32(nEnt), sOff, sOff+sLen)
 
 		// Boundary range.
 		bl := len(res.boundKeys)
@@ -1440,7 +1409,7 @@ func (t *Oracle) allocBoundary(n int, reuse bool) uint32 {
 // fresh allocations, so snapshots still serving the old layout are
 // unaffected.
 func (t *Oracle) maybeCompact() {
-	if t.vicAlt == nil && t.entFree.Total()+t.slotFree.Total() > 0 &&
+	if t.entFree.Total()+t.slotFree.Total() > 0 &&
 		2*(t.entFree.Total()+t.slotFree.Total()) > uint64(t.arena.NumEntries()+len(t.arena.Slots)) {
 		t.arena, t.vicFlat = t.compactVicinityArena()
 		t.entFree.Reset()

@@ -1,7 +1,5 @@
 package u32map
 
-import "sort"
-
 // Arena holds the shared backing arrays behind every Flat table: one
 // contiguous entry arena (key/dist/parent triples, concatenated per
 // table) and one contiguous slot arena (concatenated per-table
@@ -29,9 +27,9 @@ func (a *Arena) Bytes() int {
 	return 4 * (len(a.Keys) + len(a.Dists) + len(a.Parents) + len(a.Slots))
 }
 
-// IndexSize returns the power-of-two slot count a hash-layout table
-// uses for n entries (load factor at most 2/3). It is exported so
-// arena builders can pre-compute slot-range offsets.
+// IndexSize returns the power-of-two slot count a Flat table uses for
+// n entries (load factor at most 2/3). It is exported so arena
+// builders can pre-compute slot-range offsets.
 func IndexSize(n int) int { return indexSize(n) }
 
 // Flat slot words pack the entry index (plus one; zero means empty)
@@ -48,8 +46,8 @@ const (
 	slotIdxMask = 1<<slotIdxBits - 1
 )
 
-// MaxFlatEntries is the largest entry count a single hash-layout Flat
-// table supports (the slot packing reserves 24 bits for the index).
+// MaxFlatEntries is the largest entry count a single Flat table
+// supports (the slot packing reserves 24 bits for the index).
 const MaxFlatEntries = slotIdxMask
 
 // FillIndex builds the open-addressing index for keys into slots.
@@ -87,25 +85,6 @@ func ValidIndex(slots []uint32, eLen uint32) bool {
 	return occupied < len(slots)
 }
 
-// SortEntries sorts the triple (keys[i], dists[i], parents[i]) in place
-// by key, for the index-free sorted flat layout.
-func SortEntries(keys, dists, parents []uint32) {
-	sort.Sort(&tripleSort{keys, dists, parents})
-}
-
-type tripleSort struct{ keys, dists, parents []uint32 }
-
-func (t *tripleSort) Len() int           { return len(t.keys) }
-func (t *tripleSort) Less(i, j int) bool { return t.keys[i] < t.keys[j] }
-func (t *tripleSort) Swap(i, j int) {
-	t.keys[i], t.keys[j] = t.keys[j], t.keys[i]
-	t.dists[i], t.dists[j] = t.dists[j], t.dists[i]
-	t.parents[i], t.parents[j] = t.parents[j], t.parents[i]
-}
-
-// noIndex in the sMask field marks the sorted (index-free) layout.
-const noIndex = ^uint32(0)
-
 // Flat is a zero-allocation view of one table's ranges within an
 // Arena. The zero value is an empty table. Flat is a value type (24
 // bytes); constructing one performs no allocation, so owners can store
@@ -114,10 +93,10 @@ type Flat struct {
 	a          *Arena
 	eOff, eLen uint32
 	sOff       uint32
-	sMask      uint32 // slot count - 1, or noIndex for the sorted layout
+	sMask      uint32 // slot count - 1
 }
 
-// Hash returns the hash-layout view of entries [eOff, eEnd) indexed by
+// Hash returns the view of entries [eOff, eEnd) indexed by
 // slots [sOff, sEnd). sEnd-sOff must be IndexSize(eEnd-eOff) for a
 // non-empty table.
 func (a *Arena) Hash(eOff, eEnd, sOff, sEnd uint32) Flat {
@@ -125,37 +104,6 @@ func (a *Arena) Hash(eOff, eEnd, sOff, sEnd uint32) Flat {
 		return Flat{}
 	}
 	return Flat{a: a, eOff: eOff, eLen: eEnd - eOff, sOff: sOff, sMask: sEnd - sOff - 1}
-}
-
-// Sorted returns the index-free view of entries [eOff, eEnd), which
-// must be sorted by key (see SortEntries). Membership is answered by
-// binary search instead of slot probes.
-func (a *Arena) Sorted(eOff, eEnd uint32) Flat {
-	if eOff == eEnd {
-		return Flat{}
-	}
-	return Flat{a: a, eOff: eOff, eLen: eEnd - eOff, sMask: noIndex}
-}
-
-// findSorted returns the entry index of key in a sorted-layout view, or
-// -1. The probing in Get/GetEntry is written out per layout instead of
-// sharing a find helper: the hash probe is the oracle's innermost query
-// loop, and keeping it a single stack frame below the caller is worth
-// the duplication.
-func (f Flat) findSorted(key uint32) int32 {
-	lo, hi := f.eOff, f.eOff+f.eLen
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if f.a.Keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < f.eOff+f.eLen && f.a.Keys[lo] == key {
-		return int32(lo)
-	}
-	return -1
 }
 
 // Get returns the distance recorded for key.
@@ -170,26 +118,20 @@ func (f Flat) Get(key uint32) (uint32, bool) {
 		return 0, false
 	}
 	a := f.a
-	if f.sMask != noIndex {
-		h := key * fib32
-		i := h & f.sMask
-		for {
-			s := a.Slots[f.sOff+i]
-			if s == 0 {
-				return 0, false
-			}
-			if (s^h)>>slotIdxBits == 0 {
-				if e := f.eOff + (s & slotIdxMask) - 1; a.Keys[e] == key {
-					return a.Dists[e], true
-				}
-			}
-			i = (i + 1) & f.sMask
+	h := key * fib32
+	i := h & f.sMask
+	for {
+		s := a.Slots[f.sOff+i]
+		if s == 0 {
+			return 0, false
 		}
+		if (s^h)>>slotIdxBits == 0 {
+			if e := f.eOff + (s & slotIdxMask) - 1; a.Keys[e] == key {
+				return a.Dists[e], true
+			}
+		}
+		i = (i + 1) & f.sMask
 	}
-	if e := f.findSorted(key); e >= 0 {
-		return a.Dists[e], true
-	}
-	return 0, false
 }
 
 // GetEntry returns the distance and parent recorded for key. The probe
@@ -199,54 +141,46 @@ func (f Flat) GetEntry(key uint32) (dist, parent uint32, ok bool) {
 		return 0, 0, false
 	}
 	a := f.a
-	if f.sMask != noIndex {
-		h := key * fib32
-		i := h & f.sMask
-		for {
-			s := a.Slots[f.sOff+i]
-			if s == 0 {
-				return 0, 0, false
-			}
-			if (s^h)>>slotIdxBits == 0 {
-				if e := f.eOff + (s & slotIdxMask) - 1; a.Keys[e] == key {
-					return a.Dists[e], a.Parents[e], true
-				}
-			}
-			i = (i + 1) & f.sMask
+	h := key * fib32
+	i := h & f.sMask
+	for {
+		s := a.Slots[f.sOff+i]
+		if s == 0 {
+			return 0, 0, false
 		}
+		if (s^h)>>slotIdxBits == 0 {
+			if e := f.eOff + (s & slotIdxMask) - 1; a.Keys[e] == key {
+				return a.Dists[e], a.Parents[e], true
+			}
+		}
+		i = (i + 1) & f.sMask
 	}
-	if e := f.findSorted(key); e >= 0 {
-		return f.a.Dists[e], f.a.Parents[e], true
-	}
-	return 0, 0, false
 }
 
 // Len returns the number of entries.
 func (f Flat) Len() int { return int(f.eLen) }
 
 // Ranges returns the view's entry range [eOff, eOff+eLen) and slot
-// range [sOff, sOff+sLen) within its arena (sLen is 0 for the sorted
-// layout and for empty tables). Serializers use it to derive CSR
-// offset arrays from a set of views.
+// range [sOff, sOff+sLen) within its arena (sLen is 0 for empty
+// tables). Serializers use it to derive CSR offset arrays from a set
+// of views.
 func (f Flat) Ranges() (eOff, eLen, sOff, sLen uint32) {
-	if f.eLen > 0 && f.sMask != noIndex {
+	if f.eLen > 0 {
 		return f.eOff, f.eLen, f.sOff, f.sMask + 1
 	}
 	return f.eOff, f.eLen, f.sOff, 0
 }
 
-// At returns the i-th entry in stored order (insertion order for the
-// hash layout, key order for the sorted layout).
+// At returns the i-th entry in insertion order.
 func (f Flat) At(i int) (key, dist, parent uint32) {
 	e := f.eOff + uint32(i)
 	return f.a.Keys[e], f.a.Dists[e], f.a.Parents[e]
 }
 
-// CopyTo appends the view's entry (and, for the hash layout, slot)
-// ranges to dst and returns the equivalent view over dst. Slot words
-// hold table-local entry indexes, so they copy verbatim. dst must not
-// share backing arrays with the view's own ranges (compaction copies
-// into a fresh arena).
+// CopyTo appends the view's entry and slot ranges to dst and returns
+// the equivalent view over dst. Slot words hold table-local entry
+// indexes, so they copy verbatim. dst must not share backing arrays
+// with the view's own ranges (compaction copies into a fresh arena).
 func (f Flat) CopyTo(dst *Arena) Flat {
 	if f.eLen == 0 {
 		return Flat{}
@@ -255,9 +189,6 @@ func (f Flat) CopyTo(dst *Arena) Flat {
 	copy(dst.Keys[eOff:], f.a.Keys[f.eOff:f.eOff+f.eLen])
 	copy(dst.Dists[eOff:], f.a.Dists[f.eOff:f.eOff+f.eLen])
 	copy(dst.Parents[eOff:], f.a.Parents[f.eOff:f.eOff+f.eLen])
-	if f.sMask == noIndex {
-		return dst.Sorted(eOff, eOff+f.eLen)
-	}
 	sLen := f.sMask + 1
 	sOff := dst.AllocSlots(int(sLen))
 	copy(dst.Slots[sOff:], f.a.Slots[f.sOff:f.sOff+sLen])
@@ -267,11 +198,10 @@ func (f Flat) CopyTo(dst *Arena) Flat {
 // Bytes returns the share of the arena footprint attributable to this
 // table: 12 bytes per entry plus its slot range.
 func (f Flat) Bytes() int {
-	b := 12 * int(f.eLen)
-	if f.eLen > 0 && f.sMask != noIndex {
-		b += 4 * (int(f.sMask) + 1)
+	if f.eLen == 0 {
+		return 0
 	}
-	return b
+	return 12*int(f.eLen) + 4*(int(f.sMask)+1)
 }
 
 var _ Table = Flat{}

@@ -7,8 +7,8 @@ import (
 )
 
 // buildFlatArena packs the given tables (as key slices; dist = key+1,
-// parent = key+2) into one arena in both layouts.
-func buildFlatArena(t *testing.T, tables [][]uint32, hash bool) (*Arena, []Flat) {
+// parent = key+2) into one arena.
+func buildFlatArena(t *testing.T, tables [][]uint32) (*Arena, []Flat) {
 	t.Helper()
 	a := &Arena{}
 	var views []Flat
@@ -20,11 +20,6 @@ func buildFlatArena(t *testing.T, tables [][]uint32, hash bool) (*Arena, []Flat)
 			a.Parents = append(a.Parents, k+2)
 		}
 		eEnd := uint32(len(a.Keys))
-		if !hash {
-			SortEntries(a.Keys[eOff:eEnd], a.Dists[eOff:eEnd], a.Parents[eOff:eEnd])
-			views = append(views, a.Sorted(eOff, eEnd))
-			continue
-		}
 		sOff := uint32(len(a.Slots))
 		if len(keys) > 0 {
 			a.Slots = append(a.Slots, make([]uint32, IndexSize(len(keys)))...)
@@ -48,49 +43,47 @@ func TestFlatLayouts(t *testing.T) {
 			tables[i] = append(tables[i], k)
 		}
 	}
-	for _, hash := range []bool{true, false} {
-		_, views := buildFlatArena(t, tables, hash)
-		for i, keys := range tables {
-			f := views[i]
-			if f.Len() != len(keys) {
-				t.Fatalf("table %d: Len %d, want %d", i, f.Len(), len(keys))
+	_, views := buildFlatArena(t, tables)
+	for i, keys := range tables {
+		f := views[i]
+		if f.Len() != len(keys) {
+			t.Fatalf("table %d: Len %d, want %d", i, f.Len(), len(keys))
+		}
+		for _, k := range keys {
+			d, ok := f.Get(k)
+			if !ok || d != k+1 {
+				t.Fatalf("table %d: Get(%d) = %d,%v", i, k, d, ok)
 			}
-			for _, k := range keys {
-				d, ok := f.Get(k)
-				if !ok || d != k+1 {
-					t.Fatalf("table %d (hash=%v): Get(%d) = %d,%v", i, hash, k, d, ok)
-				}
-				d, p, ok := f.GetEntry(k)
-				if !ok || d != k+1 || p != k+2 {
-					t.Fatalf("table %d: GetEntry(%d) = %d,%d,%v", i, k, d, p, ok)
-				}
+			d, p, ok := f.GetEntry(k)
+			if !ok || d != k+1 || p != k+2 {
+				t.Fatalf("table %d: GetEntry(%d) = %d,%d,%v", i, k, d, p, ok)
 			}
-			// Absent keys, including ones present in *other* tables of
-			// the same arena (no cross-table bleed).
-			for trial := 0; trial < 200; trial++ {
-				k := r.Uint32n(1 << 30)
-				want := false
-				for _, have := range keys {
-					if have == k {
-						want = true
-					}
-				}
-				if _, ok := f.Get(k); ok != want {
-					t.Fatalf("table %d: Get(%d) membership %v, want %v", i, k, ok, want)
+		}
+		// Absent keys, including ones present in *other* tables of
+		// the same arena (no cross-table bleed).
+		for trial := 0; trial < 200; trial++ {
+			k := r.Uint32n(1 << 30)
+			want := false
+			for _, have := range keys {
+				if have == k {
+					want = true
 				}
 			}
-			// At enumerates exactly the entries.
-			got := map[uint32]bool{}
-			for j := 0; j < f.Len(); j++ {
-				k, d, p := f.At(j)
-				if d != k+1 || p != k+2 {
-					t.Fatalf("At(%d) returned (%d,%d,%d)", j, k, d, p)
-				}
-				got[k] = true
+			if _, ok := f.Get(k); ok != want {
+				t.Fatalf("table %d: Get(%d) membership %v, want %v", i, k, ok, want)
 			}
-			if len(got) != len(keys) {
-				t.Fatalf("At enumerated %d distinct keys, want %d", len(got), len(keys))
+		}
+		// At enumerates exactly the entries.
+		got := map[uint32]bool{}
+		for j := 0; j < f.Len(); j++ {
+			k, d, p := f.At(j)
+			if d != k+1 || p != k+2 {
+				t.Fatalf("At(%d) returned (%d,%d,%d)", j, k, d, p)
 			}
+			got[k] = true
+		}
+		if len(got) != len(keys) {
+			t.Fatalf("At enumerated %d distinct keys, want %d", len(got), len(keys))
 		}
 	}
 }
@@ -170,7 +163,7 @@ func TestValidIndex(t *testing.T) {
 }
 
 func TestRanges(t *testing.T) {
-	a, views := buildFlatArena(t, [][]uint32{{1, 2, 3}, {}, {10, 20}}, true)
+	a, views := buildFlatArena(t, [][]uint32{{1, 2, 3}, {}, {10, 20}})
 	eOff, eLen, sOff, sLen := views[0].Ranges()
 	if eOff != 0 || eLen != 3 || sOff != 0 || int(sLen) != IndexSize(3) {
 		t.Fatalf("ranges[0] = %d,%d,%d,%d", eOff, eLen, sOff, sLen)
@@ -188,5 +181,8 @@ func TestRanges(t *testing.T) {
 	}
 	if a.Bytes() != 4*(5*3+len(a.Slots)) {
 		t.Fatalf("Bytes = %d", a.Bytes())
+	}
+	if b := views[0].Bytes(); b != 12*3+4*IndexSize(3) {
+		t.Fatalf("table Bytes = %d, want 12 per entry plus its slots", b)
 	}
 }

@@ -3,16 +3,15 @@
 // owner and its parent on the owner's shortest path tree.
 //
 // The paper stores vicinities in hash tables (GNU C++ unordered_map) and
-// reports query cost in hash-table look-ups (Table 3). The production
-// representation here is the Flat view over a shared Arena: all tables'
+// reports query cost in hash-table look-ups (Table 3). The oracle's
+// representation is the Flat view over a shared Arena: all tables'
 // entries concatenated into contiguous parallel arrays with Fibonacci-
-// hashed, linearly probed slot ranges (or key-sorted ranges with binary
-// search for the index-free layout) — see flat.go. Map is the same
+// hashed, linearly probed slot ranges — see flat.go. Map is the same
 // structure as a standalone, growable table (used as a reference
 // implementation and for callers that build tables incrementally), and
 // Builtin wraps Go's builtin map for the data-structure ablation the
 // paper floats in §5 ("more customized implementations of the data
-// structures").
+// structures"); the Get benchmarks compare the three.
 package u32map
 
 // Table is the read interface shared by all vicinity-table

@@ -111,35 +111,6 @@ func TestCollidingKeys(t *testing.T) {
 	}
 }
 
-func TestSortedFlatTable(t *testing.T) {
-	a := &Arena{
-		Keys:    []uint32{42, 7, 100, 3},
-		Dists:   []uint32{1, 2, 3, 4},
-		Parents: []uint32{10, 20, 30, 40},
-	}
-	SortEntries(a.Keys, a.Dists, a.Parents)
-	s := a.Sorted(0, 4)
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	// Key order after build.
-	wantKeys := []uint32{3, 7, 42, 100}
-	for i, want := range wantKeys {
-		if k, _, _ := s.At(i); k != want {
-			t.Fatalf("At(%d) = %d, want %d", i, k, want)
-		}
-	}
-	if d, p, ok := s.GetEntry(7); !ok || d != 2 || p != 20 {
-		t.Fatalf("GetEntry(7) = %d,%d,%v", d, p, ok)
-	}
-	if _, ok := s.Get(8); ok {
-		t.Fatal("phantom key in sorted table")
-	}
-	if s.Bytes() != 48 {
-		t.Fatalf("Bytes = %d", s.Bytes())
-	}
-}
-
 func TestBuiltinTable(t *testing.T) {
 	b := NewBuiltin(4)
 	b.Put(5, 1, 2)
@@ -184,9 +155,9 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 			ds[i] = ref[k][0]
 			ps[i] = ref[k][1]
 		}
-		fh, fs := buildFlatPair(ks, ds, ps)
+		fh := buildFlat(ks, ds, ps)
 		for k, want := range ref {
-			for _, tbl := range []Table{m, b, fh, fs} {
+			for _, tbl := range []Table{m, b, fh} {
 				d, p, ok := tbl.GetEntry(k)
 				if !ok || d != want[0] || p != want[1] {
 					return false
@@ -197,7 +168,7 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			k := uint32(i) * 2654435761
 			_, wantOK := ref[k]
-			for _, tbl := range []Table{m, b, fh, fs} {
+			for _, tbl := range []Table{m, b, fh} {
 				if _, ok := tbl.Get(k); ok != wantOK {
 					return false
 				}
@@ -210,29 +181,21 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 	}
 }
 
-// buildFlatPair materializes the triples as arena-backed hash and
-// sorted Flat views (each in its own arena so the sort does not
-// disturb the hash layout's entry order).
-func buildFlatPair(ks, ds, ps []uint32) (hash, sorted Flat) {
-	ah := &Arena{
+// buildFlat materializes the triples as an arena-backed Flat view.
+func buildFlat(ks, ds, ps []uint32) Flat {
+	a := &Arena{
 		Keys:    append([]uint32(nil), ks...),
 		Dists:   append([]uint32(nil), ds...),
 		Parents: append([]uint32(nil), ps...),
 	}
 	if len(ks) > 0 {
-		ah.Slots = make([]uint32, IndexSize(len(ks)))
-		FillIndex(ah.Slots, ah.Keys)
+		a.Slots = make([]uint32, IndexSize(len(ks)))
+		FillIndex(a.Slots, a.Keys)
 	}
-	as := &Arena{
-		Keys:    append([]uint32(nil), ks...),
-		Dists:   append([]uint32(nil), ds...),
-		Parents: append([]uint32(nil), ps...),
-	}
-	SortEntries(as.Keys, as.Dists, as.Parents)
-	return ah.Hash(0, uint32(len(ks)), 0, uint32(len(ah.Slots))), as.Sorted(0, uint32(len(ks)))
+	return a.Hash(0, uint32(len(ks)), 0, uint32(len(a.Slots)))
 }
 
-func buildBenchTables(n int) (*Map, *Builtin, Flat, Flat, []uint32) {
+func buildBenchTables(n int) (*Map, *Builtin, Flat, []uint32) {
 	r := xrand.New(1)
 	m := New(n)
 	b := NewBuiltin(n)
@@ -254,15 +217,14 @@ func buildBenchTables(n int) (*Map, *Builtin, Flat, Flat, []uint32) {
 		m.Put(ks[i], ds[i], ps[i])
 		b.Put(ks[i], ds[i], ps[i])
 	}
-	fh, fs := buildFlatPair(ks, ds, ps)
-	return m, b, fh, fs, ks
+	return m, b, buildFlat(ks, ds, ps), ks
 }
 
 // The Get benchmarks compare the pointer-layout tables (Map, Builtin)
-// against the arena-backed flat layouts on identical data.
+// against the arena-backed Flat layout on identical data (ablation A3).
 
 func BenchmarkMapGet(b *testing.B) {
-	m, _, _, _, ks := buildBenchTables(4096)
+	m, _, _, ks := buildBenchTables(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Get(ks[i&4095])
@@ -270,23 +232,15 @@ func BenchmarkMapGet(b *testing.B) {
 }
 
 func BenchmarkFlatHashGet(b *testing.B) {
-	_, _, fh, _, ks := buildBenchTables(4096)
+	_, _, fh, ks := buildBenchTables(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fh.Get(ks[i&4095])
 	}
 }
 
-func BenchmarkFlatSortedGet(b *testing.B) {
-	_, _, _, fs, ks := buildBenchTables(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs.Get(ks[i&4095])
-	}
-}
-
 func BenchmarkBuiltinGet(b *testing.B) {
-	_, bt, _, _, ks := buildBenchTables(4096)
+	_, bt, _, ks := buildBenchTables(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bt.Get(ks[i&4095])
