@@ -3,9 +3,10 @@ package vicinity
 // Benchmarks regenerating the paper's evaluation, one per experiment id
 // in DESIGN.md. These run at reduced scale so `go test -bench=.`
 // finishes in minutes; cmd/spbench produces the full paper-shaped
-// tables (see EXPERIMENTS.md for recorded results).
+// tables (see CHANGES.md for recorded results).
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -154,15 +155,16 @@ func table3Fix(b *testing.B, d expt.Dataset) *table3Fixture {
 
 func benchTable3Oracle(b *testing.B, d expt.Dataset) {
 	f := table3Fix(b, d)
-	var st core.QueryStats
+	ctx := context.Background()
 	var lookups int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := f.pairs[i%len(f.pairs)]
-		if _, err := f.oracle.DistanceStats(p[0], p[1], &st); err != nil {
+		res, err := f.oracle.Query(ctx, core.Request{S: p[0], T: p[1]})
+		if err != nil {
 			b.Fatal(err)
 		}
-		lookups += int64(st.Lookups)
+		lookups += int64(res.Cost.Lookups)
 	}
 	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
 }
@@ -250,10 +252,10 @@ func BenchmarkParallelQueries(b *testing.B) {
 	f := table3Fix(b, ds[3])
 	b.RunParallel(func(pb *testing.PB) {
 		r := xrand.New(99)
-		var st core.QueryStats
+		ctx := context.Background()
 		for pb.Next() {
 			p := f.pairs[int(r.Uint32n(uint32(len(f.pairs))))]
-			if _, err := f.oracle.DistanceStats(p[0], p[1], &st); err != nil {
+			if _, err := f.oracle.Query(ctx, core.Request{S: p[0], T: p[1]}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,6 @@
 // Command spbench regenerates the paper's tables and figures on
 // synthetic dataset stand-ins (see DESIGN.md for the substitution
-// rationale and EXPERIMENTS.md for recorded results).
+// rationale and CHANGES.md for recorded results).
 //
 // Usage:
 //
@@ -31,7 +31,7 @@
 //	spbench -batch -dataset livejournal -nodes 50000
 //	spbench -batch -targets 100 -batches 200 -qps 50000
 //
-// -batch measures DistanceMany rankings against the same pairs
+// -batch measures one-to-many Query rankings against the same pairs
 // answered one by one, reporting p50/p95/p99 batch latency,
 // queries/sec, and the amortization factor, for both a ranking-shaped
 // candidate mix (table-resolved targets) and a uniform-random mix.
@@ -124,11 +124,11 @@ func loadOracle(path string, cfg expt.Config) error {
 	start = time.Now()
 	var resolved int
 	for i := 0; i < queries; i++ {
-		_, m, err := o.Distance(r.Uint32n(n), r.Uint32n(n))
+		res, err := o.Query(context.Background(), core.Request{S: r.Uint32n(n), T: r.Uint32n(n)})
 		if err != nil {
 			return err
 		}
-		if m.Resolved() {
+		if res.Method.Resolved() {
 			resolved++
 		}
 	}
@@ -157,18 +157,13 @@ type queryOverrides struct {
 	parallel int
 }
 
-// active reports whether any override departs from legacy behavior.
-func (q queryOverrides) active() bool {
-	return q.timeout > 0 || q.budget > 0 || q.policy != core.PolicyDefault || q.parallel > 1
-}
-
 // batchBench builds the dataset oracle and measures one-to-many
-// rankings (DistanceMany) against the same pairs answered one by one.
-// With any v2 override set the batches run through Query instead, and
-// the report adds how many targets hit the budget or the deadline.
-// jsonPath, when set, additionally writes the run as a
-// vicinity-bench/v1 report so these in-process micro numbers land in
-// the same trajectory format as spload's served macro numbers.
+// rankings (one Query per batch, under the overrides) against the same
+// pairs answered one by one, reporting the summed Cost and how many
+// targets hit the budget or the deadline. jsonPath, when set,
+// additionally writes the run as a vicinity-bench/v1 report so these
+// in-process micro numbers land in the same trajectory format as
+// spload's served macro numbers.
 func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float64, qo queryOverrides, jsonPath string) error {
 	prof, err := gen.ProfileByName(dataset)
 	if err != nil {
@@ -218,7 +213,8 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 			for len(ts) < targets {
 				t := r.Uint32n(n)
 				if mix.resolvedOnly {
-					if _, m, err := o.Distance(ss[i], t); err != nil || !m.Resolved() {
+					res, err := o.Query(context.Background(), core.Request{S: ss[i], T: t})
+					if err != nil || !res.Method.Resolved() {
 						continue
 					}
 				}
@@ -227,7 +223,6 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 			tss[i] = ts
 		}
 
-		var bst core.BatchStats
 		var cost core.Cost
 		var hist lhist.Hist
 		var budgetHits, deadlineHits int
@@ -246,37 +241,33 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 				next = next.Add(interval)
 			}
 			qStart := time.Now()
-			if qo.active() {
-				ctx := context.Background()
-				var cancel context.CancelFunc = func() {}
-				if qo.timeout > 0 {
-					ctx, cancel = context.WithTimeout(ctx, qo.timeout)
-				}
-				res, err := o.Query(ctx, core.Request{
-					S: ss[i], Ts: tss[i], Policy: qo.policy, Budget: qo.budget,
-					Parallel: qo.parallel,
-				})
-				cancel()
-				if err != nil && res.Items == nil {
-					return err
-				}
-				for _, it := range res.Items {
-					switch {
-					case errors.Is(it.Err, core.ErrBudgetExceeded):
-						budgetHits++
-					case errors.Is(it.Err, core.ErrCanceled):
-						deadlineHits++
-					case it.Err != nil:
-						return it.Err
-					}
-				}
-				cost.Lookups += res.Cost.Lookups
-				cost.Scanned += res.Cost.Scanned
-				cost.Expanded += res.Cost.Expanded
-				cost.Fallbacks += res.Cost.Fallbacks
-			} else if _, err := o.DistanceManyStats(ss[i], tss[i], &bst); err != nil {
+			ctx := context.Background()
+			var cancel context.CancelFunc = func() {}
+			if qo.timeout > 0 {
+				ctx, cancel = context.WithTimeout(ctx, qo.timeout)
+			}
+			res, err := o.Query(ctx, core.Request{
+				S: ss[i], Ts: tss[i], Policy: qo.policy, Budget: qo.budget,
+				Parallel: qo.parallel,
+			})
+			cancel()
+			if err != nil && res.Items == nil {
 				return err
 			}
+			for _, it := range res.Items {
+				switch {
+				case errors.Is(it.Err, core.ErrBudgetExceeded):
+					budgetHits++
+				case errors.Is(it.Err, core.ErrCanceled):
+					deadlineHits++
+				case it.Err != nil:
+					return it.Err
+				}
+			}
+			cost.Lookups += res.Cost.Lookups
+			cost.Scanned += res.Cost.Scanned
+			cost.Expanded += res.Cost.Expanded
+			cost.Fallbacks += res.Cost.Fallbacks
 			lats[i] = time.Since(qStart)
 			hist.Observe(int64(lats[i]))
 		}
@@ -285,7 +276,7 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 		singleStart := time.Now()
 		for i := range ss {
 			for _, t := range tss[i] {
-				if _, _, err := o.Distance(ss[i], t); err != nil {
+				if _, err := o.Query(context.Background(), core.Request{S: ss[i], T: t}); err != nil {
 					return err
 				}
 			}
@@ -305,14 +296,10 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 			singleElapsed.Round(time.Millisecond),
 			float64(queries)/singleElapsed.Seconds(),
 			float64(singleElapsed)/float64(batchElapsed))
-		if qo.active() {
-			fmt.Printf("  work: lookups=%d scanned=%d expanded=%d fallbacks=%d\n",
-				cost.Lookups, cost.Scanned, cost.Expanded, cost.Fallbacks)
-			fmt.Printf("  v2 overrides (policy=%v budget=%d timeout=%v): %d budget-exceeded, %d deadline-canceled\n\n",
-				qo.policy, qo.budget, qo.timeout, budgetHits, deadlineHits)
-		} else {
-			fmt.Printf("  work: %s\n\n", bst)
-		}
+		fmt.Printf("  work: lookups=%d scanned=%d expanded=%d fallbacks=%d\n",
+			cost.Lookups, cost.Scanned, cost.Expanded, cost.Fallbacks)
+		fmt.Printf("  overrides (policy=%v budget=%d timeout=%v): %d budget-exceeded, %d deadline-canceled\n\n",
+			qo.policy, qo.budget, qo.timeout, budgetHits, deadlineHits)
 
 		w := benchfmt.Workload{
 			Name:        mix.short,
@@ -358,11 +345,10 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 42, "random seed")
 		alpha    = fs.Float64("alpha", 4, "operating-point α")
 		parallel = fs.Int("parallel", 0, "build parallelism (0 = GOMAXPROCS); output is bit-identical for every value")
-		workers  = fs.Int("workers", 0, "deprecated alias for -parallel")
 		save     = fs.String("save", "", "build one dataset's oracle and save it to this file")
 		load     = fs.String("load", "", "load a saved oracle and benchmark it")
 		dataset  = fs.String("dataset", "LiveJournal", "dataset profile for -save/-batch")
-		batch    = fs.Bool("batch", false, "benchmark one-to-many rankings (DistanceMany) against per-pair queries")
+		batch    = fs.Bool("batch", false, "benchmark one-to-many Query rankings against per-pair queries")
 		targets  = fs.Int("targets", 100, "targets per batch for -batch")
 		batches  = fs.Int("batches", 200, "batches to issue for -batch")
 		qps      = fs.Float64("qps", 0, "pace -batch issuance at this many queries/sec (0 = unthrottled)")
@@ -381,10 +367,7 @@ func run(args []string) error {
 	}
 	cfg.Seed = *seed
 	cfg.Alpha = *alpha
-	cfg.Workers = *workers
-	if *parallel > 0 {
-		cfg.Workers = *parallel
-	}
+	cfg.Workers = *parallel
 	if *samples > 0 {
 		cfg.Samples = *samples
 	}

@@ -109,10 +109,10 @@ func ExampleOracle_InsertEdge() {
 	// new node at distance 1
 }
 
-// ExampleOracle_DistanceMany ranks a candidate set by distance from one
-// source — the paper's "social search" shape — in a single one-to-many
-// call.
-func ExampleOracle_DistanceMany() {
+// ExampleOracle_Query_ranking ranks a candidate set by distance from
+// one source — the paper's "social search" shape — in a single
+// one-to-many Query.
+func ExampleOracle_Query_ranking() {
 	g := vicinity.NewGraph(7, [][2]uint32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {2, 6},
 	})
@@ -120,12 +120,12 @@ func ExampleOracle_DistanceMany() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := oracle.DistanceMany(0, []uint32{3, 6, 1})
+	res, err := oracle.Query(context.Background(), vicinity.Request{S: 0, Ts: []uint32{3, 6, 1}})
 	if err != nil {
 		panic(err)
 	}
 	for i, t := range []uint32{3, 6, 1} {
-		fmt.Printf("d(0,%d) = %d\n", t, res[i].Dist)
+		fmt.Printf("d(0,%d) = %d\n", t, res.Items[i].Dist)
 	}
 	// Output:
 	// d(0,3) = 3

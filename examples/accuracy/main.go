@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -68,11 +69,11 @@ func part1ExactVsApproximate(g *graph.Graph) {
 		s := r.Uint32n(uint32(g.NumNodes()))
 		t := r.Uint32n(uint32(g.NumNodes()))
 		want := truth.Distance(s, t)
-		d, _, err := oracle.Distance(s, t)
+		res, err := oracle.Query(context.Background(), core.Request{S: s, T: t})
 		if err != nil {
 			log.Fatal(err)
 		}
-		record("vicinity-oracle", d, want)
+		record("vicinity-oracle", res.Dist, want)
 		record("landmark-triangulation", lm.Estimate(s, t), want)
 		record("das-sarma-sketch", sk.Estimate(s, t), want)
 		record("thorup-zwick-k2", tzo.Distance(s, t), want)
@@ -131,13 +132,13 @@ func part2Figure1bStrawman(g *graph.Graph) {
 			}
 		}
 		// Definition 1 oracle.
-		d, m, err := oracle.Distance(s, t)
+		res, err := oracle.Query(context.Background(), core.Request{S: s, T: t})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if m.Resolved() {
+		if res.Method.Resolved() {
 			resolvedDef1++
-			if d != want {
+			if res.Dist != want {
 				wrongDef1++
 			}
 		}

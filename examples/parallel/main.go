@@ -14,6 +14,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -86,12 +87,12 @@ func measure(oracle *core.Oracle, n uint32, workers int, d time.Duration) float6
 		go func(seed uint64) {
 			defer wg.Done()
 			r := xrand.New(seed)
-			var st core.QueryStats
+			ctx := context.Background()
 			count := int64(0)
 			for !stop.Load() {
 				for i := 0; i < 256; i++ {
 					s, t := r.Uint32n(n), r.Uint32n(n)
-					if _, err := oracle.DistanceStats(s, t, &st); err != nil {
+					if _, err := oracle.Query(ctx, core.Request{S: s, T: t}); err != nil {
 						log.Fatal(err)
 					}
 				}

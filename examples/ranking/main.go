@@ -1,14 +1,15 @@
 // Ranking demonstrates the paper's motivating "social search" workload:
 // order a candidate set by social distance from one user. One
-// DistanceMany call loads the user's vicinity, landmark row and
+// one-to-many Query loads the user's vicinity, landmark row and
 // boundary once, services all candidates with a single inverted
 // boundary pass, and returns per-candidate distances ready to sort —
-// the amortization a per-pair API pays for over and over.
+// the amortization per-pair queries pay for over and over.
 //
 //	go run ./examples/ranking [-n 20000] [-candidates 150]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,11 +43,13 @@ func main() {
 		cands[i] = r.Uint32n(uint32(*n))
 	}
 
-	var bst vicinity.BatchStats
-	res, err := oracle.DistanceManyStats(user, cands, &bst)
+	ctx := context.Background()
+	ranking := vicinity.Request{S: user, Ts: cands}
+	res, err := oracle.Query(ctx, ranking)
 	if err != nil {
 		log.Fatal(err)
 	}
+	items := res.Items
 
 	// Rank: nearest first, unreachable last, stable on ties.
 	order := make([]int, len(cands))
@@ -54,29 +57,29 @@ func main() {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return res[order[a]].Dist < res[order[b]].Dist
+		return items[order[a]].Dist < items[order[b]].Dist
 	})
 
 	fmt.Printf("top 10 of %d candidates by social distance from user %d:\n", len(cands), user)
 	for rank := 0; rank < 10 && rank < len(order); rank++ {
 		i := order[rank]
-		if res[i].Err != nil {
-			fmt.Printf("  %2d. node %-6d (error: %v)\n", rank+1, cands[i], res[i].Err)
+		if items[i].Err != nil {
+			fmt.Printf("  %2d. node %-6d (error: %v)\n", rank+1, cands[i], items[i].Err)
 			continue
 		}
-		dist := fmt.Sprint(res[i].Dist)
-		if res[i].Dist == vicinity.NoDist {
+		dist := fmt.Sprint(items[i].Dist)
+		if items[i].Dist == vicinity.NoDist {
 			dist = "unreachable"
 		}
-		fmt.Printf("  %2d. node %-6d distance %-3s via %v\n", rank+1, cands[i], dist, res[i].Method)
+		fmt.Printf("  %2d. node %-6d distance %-3s via %v\n", rank+1, cands[i], dist, items[i].Method)
 	}
 
-	// The amortization story: the same ranking as one DistanceMany call
-	// versus per-pair Distance calls, both warmed, best of five runs.
+	// The amortization story: the same ranking as one Query versus one
+	// Query per candidate, both warmed, best of five runs.
 	batchTime, singleTime := time.Duration(1<<62), time.Duration(1<<62)
 	for rep := 0; rep < 5; rep++ {
 		start = time.Now()
-		if _, err := oracle.DistanceMany(user, cands); err != nil {
+		if _, err := oracle.Query(ctx, ranking); err != nil {
 			log.Fatal(err)
 		}
 		if d := time.Since(start); d < batchTime {
@@ -84,7 +87,7 @@ func main() {
 		}
 		start = time.Now()
 		for _, c := range cands {
-			if _, _, err := oracle.Distance(user, c); err != nil {
+			if _, err := oracle.Query(ctx, vicinity.Request{S: user, T: c}); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -93,8 +96,10 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\nbatch: %v for %d candidates (%.2f µs each) — %s\n",
-		batchTime, len(cands), float64(batchTime.Microseconds())/float64(len(cands)), bst)
-	fmt.Printf("per-pair calls: %v — DistanceMany is %.1f× faster\n",
+	c := res.Cost
+	fmt.Printf("\nbatch: %v for %d candidates (%.2f µs each) — lookups=%d scanned=%d fallbacks=%d\n",
+		batchTime, len(cands), float64(batchTime.Microseconds())/float64(len(cands)),
+		c.Lookups, c.Scanned, c.Fallbacks)
+	fmt.Printf("per-pair queries: %v — the batch is %.1f× faster\n",
 		singleTime, float64(singleTime)/float64(batchTime))
 }

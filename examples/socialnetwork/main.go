@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -44,15 +45,16 @@ func main() {
 
 	// Oracle latency distribution, split into table-resolved queries
 	// (the paper's 365µs average is over these) and fallback queries.
-	var st core.QueryStats
+	ctx := context.Background()
 	var latResolved, latFallback []time.Duration
 	for _, p := range pairs {
 		q := time.Now()
-		if _, err := oracle.DistanceStats(p[0], p[1], &st); err != nil {
+		res, err := oracle.Query(ctx, core.Request{S: p[0], T: p[1]})
+		if err != nil {
 			log.Fatal(err)
 		}
 		el := time.Since(q)
-		if st.Method.Resolved() {
+		if res.Method.Resolved() {
 			latResolved = append(latResolved, el)
 		} else {
 			latFallback = append(latFallback, el)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"vicinity/internal/graph"
 	"vicinity/internal/syncx"
 	"vicinity/internal/u32map"
@@ -14,9 +11,9 @@ import (
 // orders a candidate set by distance from one source (§1), i.e. one
 // query source s against many targets. Answering the targets one by one
 // re-reads s's vicinity view, landmark row and boundary slice per call
-// and re-runs the boundary scan per target; DistanceMany loads s's
-// state once and services every residual boundary-scan target with a
-// single inverted pass:
+// and re-runs the boundary scan per target; a one-to-many Query loads
+// s's state once and services every residual boundary-scan target with
+// a single inverted pass:
 //
 //   - s's boundary ∂Γ(s) is scanned once into a stamped mark array
 //     (node → d(s,w) plus w's scan position);
@@ -27,10 +24,10 @@ import (
 //     same; ties on the minimum are broken toward the smallest scan
 //     position, which is precisely the witness the per-pair scan's
 //     strict-< loop keeps. Batch answers are therefore bit-identical
-//     to the single-query path, methods and witnesses included.
+//     to single-target Queries, methods and witnesses included.
 //
 // Targets the tables cannot resolve share one pooled fallback
-// workspace instead of borrowing one per call.
+// workspace per worker instead of borrowing one per target.
 //
 // Large batches additionally fan out across worker goroutines
 // (Request.Parallel): the classification pass, the per-target vicinity
@@ -38,10 +35,10 @@ import (
 // embarrassingly parallel once the ∂Γ(s) mark array is built, so the
 // marks are written once (sequentially) and every worker reads them
 // immutably. Workers write answers to fixed target indexes and tally
-// into private BatchStats shards that merge by summation, and the
-// residual route lists are rebuilt in target order after the parallel
-// pass — so for any worker count the batch output (distances, methods,
-// witnesses, tie-breaks, per-item errors, stats) is bit-identical to
+// into private Cost shards that merge by summation, and the residual
+// route lists are built in target order after each pass — so for any
+// worker count the batch output (distances, methods,
+// witnesses, tie-breaks, per-item errors, cost) is bit-identical to
 // the sequential pass. The per-target work is shared code between the
 // sequential and parallel variants, never duplicated, so the two
 // cannot drift.
@@ -49,81 +46,6 @@ import (
 // All reads are against one oracle snapshot, so a batch is internally
 // consistent even while ApplyUpdates installs new snapshots
 // concurrently.
-
-// BatchResult is one target's answer in a DistanceMany batch. Err is
-// non-nil for per-target failures (target out of range, endpoint
-// outside the build scope) and mirrors the error the single-query path
-// returns for the same pair.
-type BatchResult struct {
-	Dist   uint32
-	Method Method
-	Err    error
-}
-
-// BatchPathResult is one target's answer in a PathMany batch. A nil
-// path is interpreted exactly as in Path: MethodNone means unresolved,
-// MethodUnreachable means no path exists.
-type BatchPathResult struct {
-	Path   []uint32
-	Method Method
-	Err    error
-}
-
-// BatchStats aggregates the work one batch performed, the one-to-many
-// analogue of QueryStats.
-type BatchStats struct {
-	Targets   int // targets requested
-	Errors    int // targets answered with a per-target error
-	Resolved  int // targets answered from the stored tables
-	Fallbacks int // bidirectional searches run
-	Lookups   int // stored-table look-ups (probes + landmark reads + members checked)
-	Scanned   int // vicinity/boundary members examined by the scan passes
-	Boundary  int // |∂Γ(s)| marked for the inverted pass (0 when unused)
-
-	// Methods counts targets per resolution method, indexed by Method.
-	Methods [methodCount]int
-}
-
-// note tallies one resolved target.
-func (b *BatchStats) note(m Method) {
-	b.Methods[m]++
-	if m.Resolved() {
-		b.Resolved++
-	}
-}
-
-// unnote reverts a note when a target's final method changes (a
-// table-resolved path whose stored chain fails re-resolves through the
-// fallback).
-func (b *BatchStats) unnote(m Method) {
-	b.Methods[m]--
-	if m.Resolved() {
-		b.Resolved--
-	}
-}
-
-// add folds a worker shard into the aggregate. Every field is a plain
-// sum (a shard may even hold transient negative tallies from unnote),
-// so any merge order produces the totals the sequential pass reports.
-func (b *BatchStats) add(x *BatchStats) {
-	b.Targets += x.Targets
-	b.Errors += x.Errors
-	b.Resolved += x.Resolved
-	b.Fallbacks += x.Fallbacks
-	b.Lookups += x.Lookups
-	b.Scanned += x.Scanned
-	b.Boundary += x.Boundary
-	for i := range b.Methods {
-		b.Methods[i] += x.Methods[i]
-	}
-}
-
-// String renders the aggregate in one line.
-func (b BatchStats) String() string {
-	return fmt.Sprintf(
-		"targets=%d resolved=%d fallbacks=%d errors=%d lookups=%d scanned=%d boundary=%d",
-		b.Targets, b.Resolved, b.Fallbacks, b.Errors, b.Lookups, b.Scanned, b.Boundary)
-}
 
 // batchWS is the reusable scratch state of one batch: the stamped mark
 // array over node ids for ∂Γ(s) plus the residual-target index lists.
@@ -136,7 +58,7 @@ type batchWS struct {
 	pos   []uint32 // w's position in the ∂Γ(s) scan order (tie-break)
 
 	scan []uint32 // target indexes for the inverted pass
-	cls  []uint8  // per-target route codes (parallel classification only)
+	cls  []uint8  // per-target route codes of the classification pass
 }
 
 var batchPool = syncx.NewPool(func() *batchWS { return new(batchWS) })
@@ -157,61 +79,6 @@ func (w *batchWS) ensure(n int) {
 	w.scan = w.scan[:0]
 }
 
-// DistanceMany answers the one-to-many query (s → each of ts). Every
-// result — distance, method, and any per-target error — is identical
-// to what Distance(s, ts[i]) returns; the error return is non-nil only
-// when s itself is out of range (then every single query would fail).
-func (o *Oracle) DistanceMany(s uint32, ts []uint32) ([]BatchResult, error) {
-	var bst BatchStats
-	return o.DistanceManyStats(s, ts, &bst)
-}
-
-// DistanceManyStats is DistanceMany with batch instrumentation written
-// to bst (must be non-nil; tallies are added, so one BatchStats can
-// aggregate several batches). It delegates to the request-scoped
-// engine with a zero-override request, so v1 and v2 batches share one
-// implementation.
-func (o *Oracle) DistanceManyStats(s uint32, ts []uint32, bst *BatchStats) ([]BatchResult, error) {
-	if ts == nil {
-		ts = []uint32{}
-	}
-	qres, err := o.queryMany(context.Background(), Request{S: s, Ts: ts}, bst)
-	if err != nil {
-		return nil, err
-	}
-	res := make([]BatchResult, len(qres.Items))
-	for i, it := range qres.Items {
-		res[i] = BatchResult{Dist: it.Dist, Method: it.Method, Err: it.Err}
-	}
-	return res, nil
-}
-
-// PathMany answers one-to-many path queries. Each target's path,
-// method and error are identical to Path(s, ts[i]); unresolved targets
-// cost one bidirectional search each (never two), sharing one pooled
-// workspace across the batch.
-func (o *Oracle) PathMany(s uint32, ts []uint32) ([]BatchPathResult, error) {
-	var bst BatchStats
-	return o.PathManyStats(s, ts, &bst)
-}
-
-// PathManyStats is PathMany with batch instrumentation; like
-// DistanceManyStats it delegates to the request-scoped engine.
-func (o *Oracle) PathManyStats(s uint32, ts []uint32, bst *BatchStats) ([]BatchPathResult, error) {
-	if ts == nil {
-		ts = []uint32{}
-	}
-	qres, err := o.queryMany(context.Background(), Request{S: s, Ts: ts, WantPath: true}, bst)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BatchPathResult, len(qres.Items))
-	for i, it := range qres.Items {
-		out[i] = BatchPathResult{Path: it.Path, Method: it.Method, Err: it.Err}
-	}
-	return out, nil
-}
-
 // Target route codes produced by the classification pass.
 const (
 	tgtDone uint8 = iota // answered (or errored) by the direct cases
@@ -221,26 +88,22 @@ const (
 
 // landmarkOne answers one target off landmark s's dense row
 // (Algorithm 1's first case, batch shape).
-func (o *Oracle) landmarkOne(s uint32, li int32, t uint32, n int, bst *BatchStats, r *BatchResult) {
+func (o *Oracle) landmarkOne(s uint32, li int32, t uint32, n int, c *Cost, r *ItemResult) {
 	if int(t) >= n {
-		*r = BatchResult{Dist: NoDist, Err: errRange(n)}
-		bst.Errors++
+		*r = ItemResult{Dist: NoDist, Err: errRange(n)}
 		return
 	}
 	if s == t {
-		*r = BatchResult{Method: MethodSame}
-		bst.note(MethodSame)
+		*r = ItemResult{Method: MethodSame}
 		return
 	}
-	bst.Lookups++
+	c.Lookups++
 	d := o.landmarkDist(li, t)
 	if d == NoDist {
-		*r = BatchResult{Dist: NoDist, Method: MethodUnreachable}
-		bst.note(MethodUnreachable)
+		*r = ItemResult{Dist: NoDist, Method: MethodUnreachable}
 		return
 	}
-	*r = BatchResult{Dist: d, Method: MethodLandmarkSource}
-	bst.note(MethodLandmarkSource)
+	*r = ItemResult{Dist: d, Method: MethodLandmarkSource}
 }
 
 // classifyTarget runs the direct cases of Algorithm 1 for one target —
@@ -249,55 +112,47 @@ func (o *Oracle) landmarkOne(s uint32, li int32, t uint32, n int, bst *BatchStat
 // decided answer into *r and returning the target's route. Both the
 // sequential and the parallel classification passes go through it, so
 // their semantics cannot diverge.
-func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs u32map.Flat, bst *BatchStats, r *BatchResult) uint8 {
+func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs u32map.Flat, c *Cost, r *ItemResult) uint8 {
 	if int(t) >= n {
-		*r = BatchResult{Dist: NoDist, Err: errRange(n)}
-		bst.Errors++
+		*r = ItemResult{Dist: NoDist, Err: errRange(n)}
 		return tgtDone
 	}
 	if s == t {
-		*r = BatchResult{Method: MethodSame}
-		bst.note(MethodSame)
+		*r = ItemResult{Method: MethodSame}
 		return tgtDone
 	}
 	if o.isL[t] {
 		if li := o.lidx[t]; o.hasLandmarkTable(li) {
-			bst.Lookups++
+			c.Lookups++
 			d := o.landmarkDist(li, s)
 			if d == NoDist {
-				*r = BatchResult{Dist: NoDist, Method: MethodUnreachable}
-				bst.note(MethodUnreachable)
+				*r = ItemResult{Dist: NoDist, Method: MethodUnreachable}
 			} else {
-				*r = BatchResult{Dist: d, Method: MethodLandmarkTarget}
-				bst.note(MethodLandmarkTarget)
+				*r = ItemResult{Dist: d, Method: MethodLandmarkTarget}
 			}
 			return tgtDone
 		}
 	}
 	if !okS && !o.isL[s] {
-		*r = BatchResult{Dist: NoDist, Err: errNotCovered(s)}
-		bst.Errors++
+		*r = ItemResult{Dist: NoDist, Err: errNotCovered(s)}
 		return tgtDone
 	}
 	vt, okT := o.vicinity(t)
 	if !okT && !o.isL[t] {
-		*r = BatchResult{Dist: NoDist, Err: errNotCovered(t)}
-		bst.Errors++
+		*r = ItemResult{Dist: NoDist, Err: errNotCovered(t)}
 		return tgtDone
 	}
 	if okS {
-		bst.Lookups++
+		c.Lookups++
 		if d, ok := vs.Get(t); ok {
-			*r = BatchResult{Dist: d, Method: MethodVicinitySource}
-			bst.note(MethodVicinitySource)
+			*r = ItemResult{Dist: d, Method: MethodVicinitySource}
 			return tgtDone
 		}
 	}
 	if okT {
-		bst.Lookups++
+		c.Lookups++
 		if d, ok := vt.Get(s); ok {
-			*r = BatchResult{Dist: d, Method: MethodVicinityTarget}
-			bst.note(MethodVicinityTarget)
+			*r = ItemResult{Dist: d, Method: MethodVicinityTarget}
 			return tgtDone
 		}
 	}
@@ -314,7 +169,7 @@ func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs u32map.Flat, bs
 // workers may scan disjoint targets concurrently. Ties on the minimum
 // break toward the smallest scan position — the witness the per-pair
 // scan's strict-< loop keeps.
-func (o *Oracle) scanTarget(t uint32, bws *batchWS, bst *BatchStats) (best, meet uint32) {
+func (o *Oracle) scanTarget(t uint32, bws *batchWS, c *Cost) (best, meet uint32) {
 	best, meet = NoDist, graph.NoNode
 	var bestPos uint32
 	eOff, eLen, _, _ := o.vicFlat[t].Ranges()
@@ -329,54 +184,42 @@ func (o *Oracle) scanTarget(t uint32, bws *batchWS, bst *BatchStats) (best, meet
 			best, meet, bestPos = cand, w, bws.pos[w]
 		}
 	}
-	bst.Lookups += len(keys)
-	bst.Scanned += len(keys)
+	c.Lookups += len(keys)
+	c.Scanned += len(keys)
 	return best, meet
 }
 
-// tableMany resolves every target against the stored tables, fanning
-// out across workers goroutines when workers > 1 (see the file
-// comment for why the output is identical for any worker count).
-// Targets the tables cannot decide are returned in pend (their res
-// entry holds MethodNone) for the caller's fallback handling; when
-// needMeet is set the intersection witness per target is returned in
-// meets.
-func (o *Oracle) tableMany(s uint32, ts []uint32, bst *BatchStats, needMeet bool, workers int) (res []BatchResult, meets, pend []uint32, err error) {
+// tableMany resolves every target against the stored tables, adding
+// the work to c and fanning out across workers goroutines when
+// workers > 1 (see the file comment for why the output is identical
+// for any worker count). Targets the tables cannot decide are returned
+// in pend (their item holds NoDist and MethodNone) for the caller's fallback
+// handling; when needMeet is set the intersection witness per target
+// is returned in meets.
+func (o *Oracle) tableMany(s uint32, ts []uint32, c *Cost, needMeet bool, workers int) (items []ItemResult, meets, pend []uint32, err error) {
 	n := o.g.NumNodes()
 	if int(s) >= n {
 		return nil, nil, nil, errRange(n)
 	}
-	bst.Targets += len(ts)
-	res = make([]BatchResult, len(ts))
+	items = make([]ItemResult, len(ts))
+	for i := range items {
+		items[i].Dist = NoDist
+	}
 	if needMeet {
 		meets = make([]uint32, len(ts))
 		for i := range meets {
 			meets[i] = graph.NoNode
 		}
 	}
-	if workers > len(ts) {
-		workers = len(ts)
-	}
 
 	// s ∈ L with a built table: every target answers off s's dense row,
 	// no vicinity state needed.
 	if o.isL[s] {
 		if li := o.lidx[s]; o.hasLandmarkTable(li) {
-			if workers > 1 {
-				shards := make([]BatchStats, workers)
-				parallelFor(workers, len(ts), func(w int) any { return &shards[w] },
-					func(state any, i int) {
-						o.landmarkOne(s, li, ts[i], n, state.(*BatchStats), &res[i])
-					})
-				for w := range shards {
-					bst.add(&shards[w])
-				}
-			} else {
-				for i, t := range ts {
-					o.landmarkOne(s, li, t, n, bst, &res[i])
-				}
-			}
-			return res, meets, nil, nil
+			o.fanOut(workers, len(ts), c, func(w *worker, i int) {
+				o.landmarkOne(s, li, ts[i], n, &w.cost, &items[i])
+			})
+			return items, meets, nil, nil
 		}
 	}
 
@@ -386,39 +229,23 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, bst *BatchStats, needMeet bool
 	defer batchPool.Put(bws)
 	bws.ensure(n)
 
-	// Classification pass: the direct cases per target. The parallel
-	// variant records each target's route in cls and rebuilds the route
-	// lists in target order afterwards, so list order — and everything
-	// downstream — matches the sequential pass exactly.
-	if workers > 1 {
-		if cap(bws.cls) < len(ts) {
-			bws.cls = make([]uint8, len(ts))
-		}
-		cls := bws.cls[:len(ts)]
-		shards := make([]BatchStats, workers)
-		parallelFor(workers, len(ts), func(w int) any { return &shards[w] },
-			func(state any, i int) {
-				cls[i] = o.classifyTarget(s, ts[i], n, okS, vs, state.(*BatchStats), &res[i])
-			})
-		for w := range shards {
-			bst.add(&shards[w])
-		}
-		for i, c := range cls {
-			switch c {
-			case tgtScan:
-				bws.scan = append(bws.scan, uint32(i))
-			case tgtPend:
-				pend = append(pend, uint32(i))
-			}
-		}
-	} else {
-		for i, t := range ts {
-			switch o.classifyTarget(s, t, n, okS, vs, bst, &res[i]) {
-			case tgtScan:
-				bws.scan = append(bws.scan, uint32(i))
-			case tgtPend:
-				pend = append(pend, uint32(i))
-			}
+	// Classification pass: the direct cases per target. Each target's
+	// route is recorded in cls and the route lists are built in target
+	// order afterwards, so list order — and everything downstream — is
+	// the same for any worker count.
+	if cap(bws.cls) < len(ts) {
+		bws.cls = make([]uint8, len(ts))
+	}
+	cls := bws.cls[:len(ts)]
+	o.fanOut(workers, len(ts), c, func(w *worker, i int) {
+		cls[i] = o.classifyTarget(s, ts[i], n, okS, vs, &w.cost, &items[i])
+	})
+	for i, route := range cls {
+		switch route {
+		case tgtScan:
+			bws.scan = append(bws.scan, uint32(i))
+		case tgtPend:
+			pend = append(pend, uint32(i))
 		}
 	}
 
@@ -432,42 +259,35 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, bst *BatchStats, needMeet bool
 			bws.dist[w] = sDist[j]
 			bws.pos[w] = uint32(j)
 		}
-		bst.Boundary += len(sKeys)
-		scanOne := func(ii uint32, wst *BatchStats) bool {
-			best, meet := o.scanTarget(ts[ii], bws, wst)
-			if best == NoDist {
-				return false
-			}
-			res[ii] = BatchResult{Dist: best, Method: MethodIntersection}
-			wst.note(MethodIntersection)
-			if needMeet {
-				meets[ii] = meet
-			}
-			return true
-		}
-		if sw := min(workers, len(bws.scan)); sw > 1 {
-			shards := make([]BatchStats, sw)
-			parallelFor(sw, len(bws.scan), func(w int) any { return &shards[w] },
-				func(state any, k int) {
-					scanOne(bws.scan[k], state.(*BatchStats))
-				})
-			for w := range shards {
-				bst.add(&shards[w])
-			}
-			// Rebuild the miss list in scan order (a missed scan target
-			// is the only way a tgtScan entry stays MethodNone).
-			for _, ii := range bws.scan {
-				if res[ii].Method == MethodNone {
-					pend = append(pend, ii)
+		o.fanOut(workers, len(bws.scan), c, func(w *worker, k int) {
+			ii := bws.scan[k]
+			if best, meet := o.scanTarget(ts[ii], bws, &w.cost); best != NoDist {
+				items[ii] = ItemResult{Dist: best, Method: MethodIntersection}
+				if needMeet {
+					meets[ii] = meet
 				}
 			}
-		} else {
-			for _, ii := range bws.scan {
-				if !scanOne(ii, bst) {
-					pend = append(pend, ii)
-				}
+		})
+		// The misses join pend in scan order (a missed scan target is
+		// the only way a tgtScan entry stays MethodNone).
+		for _, ii := range bws.scan {
+			if items[ii].Method == MethodNone {
+				pend = append(pend, ii)
 			}
 		}
 	}
-	return res, meets, pend, nil
+	return items, meets, pend, nil
+}
+
+// fanOut runs fn for every index in [0, n) on up to workers
+// goroutines, each with a private worker that is done into c
+// afterwards. Answers land at fixed indexes and costs are plain sums,
+// so the output is the sequential pass's for any worker count.
+func (o *Oracle) fanOut(workers, n int, c *Cost, fn func(w *worker, i int)) {
+	shards := make([]worker, max(workers, 1))
+	parallelFor(workers, n, func(w int) any { return &shards[w] },
+		func(state any, i int) { fn(state.(*worker), i) })
+	for i := range shards {
+		shards[i].done(o, c)
+	}
 }

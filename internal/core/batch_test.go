@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,41 +51,36 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// checkBatchAgainstSingles asserts DistanceMany and PathMany agree
-// answer-for-answer (distance, method, path, and error text) with the
-// per-pair calls on the same oracle.
+// batchPolicies is every per-request fallback policy.
+var batchPolicies = []Policy{PolicyDefault, PolicyFull, PolicyEstimate, PolicyTableOnly}
+
+// checkBatchAgainstSingles asserts the items of a one-to-many Query
+// agree answer-for-answer (distance, method, path and error text) with
+// single-target Queries on the same pairs, with and without WantPath,
+// under every policy. The single-target path (per-pair boundary scan)
+// is the reference for the batch engine (inverted scan).
 func checkBatchAgainstSingles(t *testing.T, o *Oracle, s uint32, ts []uint32) {
 	t.Helper()
-	res, err := o.DistanceMany(s, ts)
-	if err != nil {
-		t.Fatalf("DistanceMany(%d): %v", s, err)
-	}
-	if len(res) != len(ts) {
-		t.Fatalf("DistanceMany returned %d results for %d targets", len(res), len(ts))
-	}
-	for i, tgt := range ts {
-		d, m, serr := o.Distance(s, tgt)
-		if res[i].Dist != d || res[i].Method != m || errString(res[i].Err) != errString(serr) {
-			t.Fatalf("DistanceMany(%d)[%d]=%d: got (%d, %v, %q), single query says (%d, %v, %q)",
-				s, i, tgt, res[i].Dist, res[i].Method, errString(res[i].Err), d, m, errString(serr))
-		}
-	}
-	paths, err := o.PathMany(s, ts)
-	if err != nil {
-		t.Fatalf("PathMany(%d): %v", s, err)
-	}
-	for i, tgt := range ts {
-		p, m, serr := o.Path(s, tgt)
-		if paths[i].Method != m || errString(paths[i].Err) != errString(serr) {
-			t.Fatalf("PathMany(%d)[%d]=%d: method/err (%v, %q), single says (%v, %q)",
-				s, i, tgt, paths[i].Method, errString(paths[i].Err), m, errString(serr))
-		}
-		if len(paths[i].Path) != len(p) {
-			t.Fatalf("PathMany(%d)[%d]=%d: path %v, single says %v", s, i, tgt, paths[i].Path, p)
-		}
-		for j := range p {
-			if paths[i].Path[j] != p[j] {
-				t.Fatalf("PathMany(%d)[%d]=%d: path %v, single says %v", s, i, tgt, paths[i].Path, p)
+	ctx := context.Background()
+	for _, pol := range batchPolicies {
+		for _, wantPath := range []bool{false, true} {
+			label := fmt.Sprintf("Query(%d, policy %v, path %v)", s, pol, wantPath)
+			res, err := o.Query(ctx, Request{S: s, Ts: ts, Policy: pol, WantPath: wantPath})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(res.Items) != len(ts) {
+				t.Fatalf("%s: %d items for %d targets", label, len(res.Items), len(ts))
+			}
+			for i, tgt := range ts {
+				it := res.Items[i]
+				single, serr := o.Query(ctx, Request{S: s, T: tgt, Policy: pol, WantPath: wantPath})
+				if it.Dist != single.Dist || it.Method != single.Method || errString(it.Err) != errString(serr) ||
+					!slices.Equal(it.Path, single.Path) {
+					t.Fatalf("%s[%d]=%d: got (%d, %v, %v, %q), single query says (%d, %v, %v, %q)",
+						label, i, tgt, it.Dist, it.Method, it.Path, errString(it.Err),
+						single.Dist, single.Method, single.Path, errString(serr))
+				}
 			}
 		}
 	}
@@ -108,11 +106,11 @@ func TestBatchMatchesSingleMatrix(t *testing.T) {
 			}
 			// Out-of-range source fails the whole batch, like every
 			// single query would.
-			if _, err := o.DistanceMany(n+3, []uint32{0}); err == nil {
-				t.Fatal("out-of-range source accepted")
-			}
-			if _, err := o.PathMany(n+3, []uint32{0}); err == nil {
-				t.Fatal("out-of-range source accepted by PathMany")
+			for _, wantPath := range []bool{false, true} {
+				req := Request{S: n + 3, Ts: []uint32{0}, WantPath: wantPath}
+				if _, err := o.Query(context.Background(), req); !errors.Is(err, ErrNodeRange) {
+					t.Fatalf("out-of-range source (path %v): got %v, want ErrNodeRange", wantPath, err)
+				}
 			}
 		})
 	}
@@ -179,92 +177,76 @@ func TestBatchScoped(t *testing.T) {
 
 // TestBatchFallbackSharesWorkspace asserts the batch runs exactly one
 // bidirectional search per unresolved target — never the two the old
-// Path slow path paid — and reports them in BatchStats.
+// path slow path paid — and reports them in Cost.Fallbacks.
 func TestBatchFallbackSharesWorkspace(t *testing.T) {
 	o := fallbackPairOracle(t, Options{})
 	ts := []uint32{90, 91, 92, 11} // three fallbacks + one vicinity hit
+	ctx := context.Background()
 
-	before := fallbackSearches.Load()
-	var bst BatchStats
-	res, err := o.DistanceManyStats(10, ts, &bst)
+	res, err := o.Query(ctx, Request{S: 10, Ts: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fallbackSearches.Load() - before; got != 3 {
-		t.Fatalf("DistanceMany ran %d searches, want 3", got)
-	}
-	if bst.Fallbacks != 3 || bst.Targets != 4 || bst.Resolved != 1 {
-		t.Fatalf("stats = %+v", bst)
+	if res.Cost.Fallbacks != 3 {
+		t.Fatalf("distance batch ran %d searches, want 3", res.Cost.Fallbacks)
 	}
 	for i, want := range []uint32{80, 81, 82, 1} {
-		if res[i].Dist != want {
-			t.Fatalf("res[%d] = %d, want %d", i, res[i].Dist, want)
+		if res.Items[i].Dist != want {
+			t.Fatalf("item %d = %d, want %d", i, res.Items[i].Dist, want)
+		}
+		if resolved := i == 3; res.Items[i].Method.Resolved() != resolved {
+			t.Fatalf("item %d method %v, want resolved=%v", i, res.Items[i].Method, resolved)
 		}
 	}
 
-	before = fallbackSearches.Load()
-	if _, err := o.PathMany(10, ts); err != nil {
+	pres, err := o.Query(ctx, Request{S: 10, Ts: ts, WantPath: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fallbackSearches.Load() - before; got != 3 {
-		t.Fatalf("PathMany ran %d searches, want 3", got)
+	if pres.Cost.Fallbacks != 3 {
+		t.Fatalf("path batch ran %d searches, want 3", pres.Cost.Fallbacks)
 	}
 }
 
-// TestBatchStatsAccounting sanity-checks the aggregate: per-method
-// tallies plus errors must cover every target.
-func TestBatchStatsAccounting(t *testing.T) {
-	g := socialGraph(9, 400)
-	o := mustBuild(t, g, Options{Seed: 9})
-	r := xrand.New(12)
-	var bst BatchStats
-	s := r.Uint32n(400)
-	ts := batchTargets(r, o, s, 60)
-	if _, err := o.DistanceManyStats(s, ts, &bst); err != nil {
-		t.Fatal(err)
-	}
-	sum := bst.Errors
-	for _, c := range bst.Methods {
-		sum += c
-	}
-	if sum != bst.Targets || bst.Targets != len(ts) {
-		t.Fatalf("method tallies + errors = %d, want %d targets (%+v)", sum, bst.Targets, bst)
-	}
-	if bst.String() == "" {
-		t.Fatal("empty stats string")
-	}
-
-	// PathManyStats on a distance-only oracle: every table-resolved
-	// target re-resolves through the fallback (stored chains are
-	// disabled), and the tallies must follow the final methods — the
-	// histogram agrees with the returned methods and still covers every
-	// target exactly once.
-	od := mustBuild(t, g, Options{Seed: 9, DisablePathData: true})
-	var pst BatchStats
-	paths, err := od.PathManyStats(s, ts, &pst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fromResults [methodCount]int
-	errs := 0
-	for _, pr := range paths {
-		if pr.Err != nil {
-			errs++
-			continue
+// TestBatchPathLookupsMatchDistance asserts a one-to-many request
+// reports the same table work with and without WantPath: path assembly
+// reads parent pointers, not tables, so Cost.Lookups and Cost.Scanned
+// must agree under every policy. The disconnected profile's
+// other-island targets are the sharp case — under the estimate policy
+// they read landmark rows yet get no estimate.
+func TestBatchPathLookupsMatchDistance(t *testing.T) {
+	ctx := context.Background()
+	check := func(t *testing.T, o *Oracle, s uint32, ts []uint32) {
+		t.Helper()
+		for _, pol := range batchPolicies {
+			dres, derr := o.Query(ctx, Request{S: s, Ts: ts, Policy: pol})
+			pres, perr := o.Query(ctx, Request{S: s, Ts: ts, Policy: pol, WantPath: true})
+			if derr != nil || perr != nil {
+				t.Fatalf("policy %v: errors %v / %v", pol, derr, perr)
+			}
+			if dres.Cost.Lookups != pres.Cost.Lookups || dres.Cost.Scanned != pres.Cost.Scanned {
+				t.Fatalf("s=%d policy %v: distance cost %+v, path cost %+v", s, pol, dres.Cost, pres.Cost)
+			}
 		}
-		fromResults[pr.Method]++
 	}
-	if fromResults != pst.Methods || errs != pst.Errors {
-		t.Fatalf("PathManyStats histogram %v (errors %d) disagrees with results %v (errors %d)",
-			pst.Methods, pst.Errors, fromResults, errs)
-	}
-	sum = pst.Errors
-	for _, c := range pst.Methods {
-		sum += c
-	}
-	if sum != pst.Targets {
-		t.Fatalf("path tallies + errors = %d, want %d targets (%+v)", sum, pst.Targets, pst)
-	}
+	t.Run("disconnected", func(t *testing.T) {
+		for _, prof := range crossProfiles() {
+			if prof.name == "disconnected" {
+				o := mustBuild(t, prof.build(), Options{Seed: 17})
+				check(t, o, 0, []uint32{220, 221, 222, 223, 224, 225, 226, 227, 229, 230})
+			}
+		}
+	})
+	t.Run("matrix", func(t *testing.T) {
+		g := socialGraph(11, 500)
+		for oi, opts := range batchOptionMatrix() {
+			opts.Seed = 11
+			o := mustBuild(t, g, opts)
+			r := xrand.New(uint64(700 + oi))
+			s := r.Uint32n(500)
+			check(t, o, s, batchTargets(r, o, s, 40))
+		}
+	})
 }
 
 // TestBatchRacesApplyUpdates races batch queries against a stream of
@@ -296,16 +278,16 @@ func TestBatchRacesApplyUpdates(t *testing.T) {
 				for len(ts) < 16 {
 					ts = append(ts, r.Uint32n(n))
 				}
-				res, err := snap.DistanceMany(s, ts)
+				res, err := snap.Query(context.Background(), Request{S: s, Ts: ts})
 				if err != nil {
-					t.Errorf("DistanceMany: %v", err)
+					t.Errorf("batch Query: %v", err)
 					return
 				}
 				for i, tgt := range ts {
-					d, m, err := snap.Distance(s, tgt)
-					if err != nil || res[i].Dist != d || res[i].Method != m {
+					d, m, err := queryDist(snap, s, tgt)
+					if err != nil || res.Items[i].Dist != d || res.Items[i].Method != m {
 						t.Errorf("snapshot mismatch: batch (%d,%v) vs single (%d,%v,%v)",
-							res[i].Dist, res[i].Method, d, m, err)
+							res.Items[i].Dist, res.Items[i].Method, d, m, err)
 						return
 					}
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -35,7 +36,7 @@ func batchBenchQueries(b *testing.B, o *Oracle, batches int, resolvedOnly bool) 
 		for len(ts) < 100 {
 			t := r.Uint32n(n)
 			if resolvedOnly {
-				_, m, err := o.Distance(s, t)
+				_, m, err := queryDist(o, s, t)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -51,26 +52,26 @@ func batchBenchQueries(b *testing.B, o *Oracle, batches int, resolvedOnly bool) 
 	return ss, tss
 }
 
-// benchBatches runs DistanceMany over the prepared batches.
+// benchBatches answers the prepared batches with one-to-many Queries.
 func benchBatches(b *testing.B, o *Oracle, ss []uint32, tss [][]uint32) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(ss)
-		if _, err := o.DistanceMany(ss[k], tss[k]); err != nil {
+		if _, err := o.Query(context.Background(), Request{S: ss[k], Ts: tss[k]}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// benchSingles answers the same batches with per-pair Distance calls.
+// benchSingles answers the same batches with per-pair Queries.
 func benchSingles(b *testing.B, o *Oracle, ss []uint32, tss [][]uint32) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(ss)
 		for _, t := range tss[k] {
-			if _, _, err := o.Distance(ss[k], t); err != nil {
+			if _, _, err := queryDist(o, ss[k], t); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -78,7 +79,7 @@ func benchSingles(b *testing.B, o *Oracle, ss []uint32, tss [][]uint32) {
 }
 
 // BenchmarkRankingMany100 is the acceptance benchmark: 100-candidate
-// rankings (table-resolved targets) answered by DistanceMany; compare
+// rankings (table-resolved targets) answered by one Query each; compare
 // against BenchmarkRankingSingle100 (the bar is ≥ 3×).
 func BenchmarkRankingMany100(b *testing.B) {
 	o := batchBenchOracle()

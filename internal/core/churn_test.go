@@ -144,7 +144,7 @@ func assertGroundTruthWeighted(t *testing.T, o *Oracle, trials int) {
 	for i := 0; i < trials; i++ {
 		s, u := r.Uint32n(n), r.Uint32n(n)
 		want := dij.Distance(s, u)
-		got, m, err := o.Distance(s, u)
+		got, m, err := queryDist(o, s, u)
 		if err != nil {
 			t.Fatalf("Distance(%d,%d): %v", s, u, err)
 		}
@@ -167,17 +167,16 @@ func assertAgreeWeighted(t *testing.T, a, b *Oracle, trials int) {
 	r := xrand.New(43)
 	for trial := 0; trial < trials; trial++ {
 		s, u := r.Uint32n(uint32(n)), r.Uint32n(uint32(n))
-		var sta, stb QueryStats
-		da, errA := a.DistanceStats(s, u, &sta)
-		db, errB := b.DistanceStats(s, u, &stb)
+		da, ma, meetA, errA := queryMeet(a, s, u)
+		db, mb, meetB, errB := queryMeet(b, s, u)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("(%d,%d): errors disagree: %v vs %v", s, u, errA, errB)
 		}
 		if errA != nil {
 			continue
 		}
-		if da != db || sta.Method != stb.Method || sta.Meet != stb.Meet {
-			t.Fatalf("(%d,%d): %d/%v/%d vs %d/%v/%d", s, u, da, sta.Method, sta.Meet, db, stb.Method, stb.Meet)
+		if da != db || ma != mb || meetA != meetB {
+			t.Fatalf("(%d,%d): %d/%v/%d vs %d/%v/%d", s, u, da, ma, meetA, db, mb, meetB)
 		}
 		assertValidWeightedPath(t, a, s, u, da)
 		assertValidWeightedPath(t, b, s, u, db)
@@ -186,7 +185,7 @@ func assertAgreeWeighted(t *testing.T, a, b *Oracle, trials int) {
 
 func assertValidWeightedPath(t *testing.T, o *Oracle, s, u, d uint32) {
 	t.Helper()
-	p, pm, err := o.Path(s, u)
+	p, pm, err := queryPath(o, s, u)
 	if err != nil {
 		t.Fatalf("Path(%d,%d): %v", s, u, err)
 	}
@@ -326,7 +325,7 @@ func TestChurnDeleteLastEdge(t *testing.T) {
 	if o2.Graph().Degree(150) != 0 {
 		t.Fatalf("degree(150) = %d after deleting its last edge", o2.Graph().Degree(150))
 	}
-	if d, _, err := o2.Distance(0, 150); err != nil || d != NoDist {
+	if d, _, err := queryDist(o2, 0, 150); err != nil || d != NoDist {
 		t.Fatalf("isolated node still reachable: d=%d err=%v", d, err)
 	}
 	assertSameStructure(t, o2, freshTwin(t, o2))
@@ -368,10 +367,10 @@ func TestChurnDisconnectComponent(t *testing.T) {
 	assertSameStructure(t, o2, fresh)
 	assertGroundTruth(t, o2, 30)
 	// Stale snapshot under deletion: the old oracle still sees the edge.
-	if d, _, _ := o.Distance(7, 203); d != 1 {
+	if d, _, _ := queryDist(o, 7, 203); d != 1 {
 		t.Fatalf("old snapshot lost the deleted edge: d=%d", d)
 	}
-	if d, _, _ := o2.Distance(7, 203); d == 1 {
+	if d, _, _ := queryDist(o2, 7, 203); d == 1 {
 		t.Fatal("new snapshot still answers through the deleted bridge")
 	}
 }

@@ -20,11 +20,11 @@ func TestCompactLandmarkTablesAgree(t *testing.T) {
 	r := xrand.New(4)
 	for trial := 0; trial < 2000; trial++ {
 		s, u := r.Uint32n(500), r.Uint32n(500)
-		df, mf, err := full.Distance(s, u)
+		df, mf, err := queryDist(full, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dc, mc, err := compact.Distance(s, u)
+		dc, mc, err := queryDist(compact, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestCompactLandmarkTablesUnreachable(t *testing.T) {
 	} else {
 		other = 15
 	}
-	d, m, err := o.Distance(l, other)
+	d, m, err := queryDist(o, l, other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCompactLandmarkTablesOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := traverse.NewWorkspace(g)
-	d, _, err := o.Distance(0, 3)
+	d, _, err := queryDist(o, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestCompactPathsStillWork(t *testing.T) {
 	r := xrand.New(6)
 	for trial := 0; trial < 100; trial++ {
 		u := r.Uint32n(400)
-		d, _, err := o.Distance(l, u)
+		d, _, err := queryDist(o, l, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, _, err := o.Path(l, u)
+		p, _, err := queryPath(o, l, u)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -17,6 +18,26 @@ func mustBuild(t *testing.T, g *graph.Graph, opts Options) *Oracle {
 		t.Fatalf("Build: %v", err)
 	}
 	return o
+}
+
+// queryDist answers (s, t) through a default-policy Query.
+func queryDist(o *Oracle, s, t uint32) (uint32, Method, error) {
+	res, err := o.Query(context.Background(), Request{S: s, T: t})
+	return res.Dist, res.Method, err
+}
+
+// queryMeet is queryDist plus the table pass's intersection witness
+// (graph.NoNode unless the boundary scan resolved the pair).
+func queryMeet(o *Oracle, s, t uint32) (uint32, Method, uint32, error) {
+	d, m, err := queryDist(o, s, t)
+	_, _, meet, _ := o.tableDistance(s, t, &Cost{})
+	return d, m, meet, err
+}
+
+// queryPath is queryDist with WantPath set.
+func queryPath(o *Oracle, s, t uint32) ([]uint32, Method, error) {
+	res, err := o.Query(context.Background(), Request{S: s, T: t, WantPath: true})
+	return res.Path, res.Method, err
 }
 
 func socialGraph(seed uint64, n int) *graph.Graph {
@@ -61,7 +82,7 @@ func TestExactOnFixtures(t *testing.T) {
 		for s := uint32(0); int(s) < n; s++ {
 			ref := traverse.BFS(g, s)
 			for u := uint32(0); int(u) < n; u++ {
-				d, m, err := o.Distance(s, u)
+				d, m, err := queryDist(o, s, u)
 				if err != nil {
 					t.Fatalf("%s: Distance(%d,%d): %v", name, s, u, err)
 				}
@@ -252,7 +273,7 @@ func TestQueryMethods(t *testing.T) {
 	seen := map[Method]bool{}
 	for trial := 0; trial < 20000; trial++ {
 		s, u := r.Uint32n(n), r.Uint32n(n)
-		_, m, err := o.Distance(s, u)
+		_, m, err := queryDist(o, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,24 +300,25 @@ func TestQueryStatsAccounting(t *testing.T) {
 	n := uint32(g.NumNodes())
 	for trial := 0; trial < 500; trial++ {
 		s, u := r.Uint32n(n), r.Uint32n(n)
-		var st QueryStats
-		if _, err := o.DistanceStats(s, u, &st); err != nil {
+		res, err := o.Query(context.Background(), Request{S: s, T: u})
+		if err != nil {
 			t.Fatal(err)
 		}
-		switch st.Method {
+		c := res.Cost
+		switch res.Method {
 		case MethodSame:
-			if st.Lookups != 0 {
-				t.Fatalf("same-node query did %d lookups", st.Lookups)
+			if c.Lookups != 0 {
+				t.Fatalf("same-node query did %d lookups", c.Lookups)
 			}
 		case MethodLandmarkSource, MethodLandmarkTarget:
-			if st.Lookups < 1 || st.Lookups > 2 {
-				t.Fatalf("landmark query did %d lookups", st.Lookups)
+			if c.Lookups < 1 || c.Lookups > 2 {
+				t.Fatalf("landmark query did %d lookups", c.Lookups)
 			}
 		case MethodIntersection:
-			if st.Scanned == 0 || st.Lookups < st.Scanned {
-				t.Fatalf("intersection scanned=%d lookups=%d", st.Scanned, st.Lookups)
+			if c.Scanned == 0 || c.Lookups < c.Scanned {
+				t.Fatalf("intersection scanned=%d lookups=%d", c.Scanned, c.Lookups)
 			}
-			if st.Meet == graph.NoNode {
+			if _, _, meet, _ := o.tableDistance(s, u, &Cost{}); meet == graph.NoNode {
 				t.Fatal("intersection without witness")
 			}
 		}
@@ -313,11 +335,11 @@ func TestPathsAllMethods(t *testing.T) {
 	perMethod := map[Method]int{}
 	for trial := 0; trial < 3000; trial++ {
 		s, u := r.Uint32n(n), r.Uint32n(n)
-		d, _, err := o.Distance(s, u)
+		d, _, err := queryDist(o, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, m, err := o.Path(s, u)
+		p, m, err := queryPath(o, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +385,7 @@ func TestScopedBuild(t *testing.T) {
 	// In-scope pairs answer exactly.
 	for i := 0; i < 20; i++ {
 		s, u := scope[i], scope[(i*7+3)%len(scope)]
-		d, _, err := o.Distance(s, u)
+		d, _, err := queryDist(o, s, u)
 		if err != nil {
 			t.Fatalf("in-scope query: %v", err)
 		}
@@ -379,7 +401,7 @@ func TestScopedBuild(t *testing.T) {
 			break
 		}
 	}
-	if _, _, err := o.Distance(out, scope[0]); !errors.Is(err, ErrNotCovered) {
+	if _, _, err := queryDist(o, out, scope[0]); !errors.Is(err, ErrNotCovered) {
 		t.Fatalf("out-of-scope error = %v", err)
 	}
 	if !o.Covers(scope[0]) || o.Covers(out) {
@@ -396,7 +418,7 @@ func TestFallbackModes(t *testing.T) {
 	// A long path graph: distant nodes have disjoint vicinities.
 	g := gen.Path(400)
 	exact := mustBuild(t, g, Options{Seed: 7, Alpha: 0.5})
-	d, m, err := exact.Distance(0, 399)
+	d, m, err := queryDist(exact, 0, 399)
 	if err != nil || d != 399 || (m != MethodFallbackExact && m.Resolved()) {
 		// Either the fallback answered (long pair) or vicinities happened
 		// to resolve it; both must give 399.
@@ -406,7 +428,7 @@ func TestFallbackModes(t *testing.T) {
 	}
 
 	none := mustBuild(t, g, Options{Seed: 7, Alpha: 0.5, Fallback: FallbackNone})
-	d, m, err = none.Distance(0, 399)
+	d, m, err = queryDist(none, 0, 399)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +437,7 @@ func TestFallbackModes(t *testing.T) {
 	}
 
 	est := mustBuild(t, g, Options{Seed: 7, Alpha: 0.5, Fallback: FallbackEstimate})
-	d, m, err = est.Distance(0, 399)
+	d, m, err = queryDist(est, 0, 399)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,14 +459,14 @@ func TestUnreachablePairs(t *testing.T) {
 	g2.ForEachEdge(func(u, v, w uint32) { b.AddEdge(u+100, v+100) })
 	g := b.Build()
 	o := mustBuild(t, g, Options{Seed: 39})
-	d, m, err := o.Distance(5, 150)
+	d, m, err := queryDist(o, 5, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != NoDist || m != MethodUnreachable {
 		t.Fatalf("cross-component: d=%d m=%v", d, m)
 	}
-	p, m, err := o.Path(5, 150)
+	p, m, err := queryPath(o, 5, 150)
 	if err != nil || p != nil || m != MethodUnreachable {
 		t.Fatalf("cross-component path: %v %v %v", p, m, err)
 	}
@@ -463,7 +485,7 @@ func TestWeightedUpperBoundAndPaths(t *testing.T) {
 	resolved, exactCount := 0, 0
 	for trial := 0; trial < 1500; trial++ {
 		s, u := r.Uint32n(300), r.Uint32n(300)
-		d, m, err := o.Distance(s, u)
+		d, m, err := queryDist(o, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +501,7 @@ func TestWeightedUpperBoundAndPaths(t *testing.T) {
 			exactCount++
 		}
 		// Paths must be valid and match the reported distance.
-		p, pm, err := o.Path(s, u)
+		p, pm, err := queryPath(o, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +576,7 @@ func TestDisableLandmarkTables(t *testing.T) {
 	for o.IsLandmark(other) {
 		other++
 	}
-	d, _, err := o.Distance(l, other)
+	d, _, err := queryDist(o, l, other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +595,7 @@ func TestDisablePathData(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		s, u := r.Uint32n(300), r.Uint32n(300)
 		// Distances still exact.
-		d, _, err := o.Distance(s, u)
+		d, _, err := queryDist(o, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +603,7 @@ func TestDisablePathData(t *testing.T) {
 			t.Fatalf("distance-only oracle wrong: %d want %d", d, want)
 		}
 		// Paths fall back to exact search and remain valid.
-		p, _, err := o.Path(s, u)
+		p, _, err := queryPath(o, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -612,10 +634,10 @@ func TestInvalidOptions(t *testing.T) {
 func TestQueryOutOfRange(t *testing.T) {
 	g := socialGraph(67, 50)
 	o := mustBuild(t, g, Options{Seed: 67})
-	if _, _, err := o.Distance(0, 50); err == nil {
+	if _, _, err := queryDist(o, 0, 50); err == nil {
 		t.Error("out-of-range query accepted")
 	}
-	if _, _, err := o.Path(99, 0); err == nil {
+	if _, _, err := queryPath(o, 99, 0); err == nil {
 		t.Error("out-of-range path accepted")
 	}
 }
@@ -626,7 +648,7 @@ func TestTinyGraphs(t *testing.T) {
 		o := mustBuild(t, g, Options{Seed: 1})
 		for s := uint32(0); int(s) < n; s++ {
 			for u := uint32(0); int(u) < n; u++ {
-				d, _, err := o.Distance(s, u)
+				d, _, err := queryDist(o, s, u)
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
@@ -652,7 +674,7 @@ func TestConcurrentQueries(t *testing.T) {
 			r := xrand.New(seed)
 			for i := 0; i < 500; i++ {
 				u := r.Uint32n(400)
-				d, _, err := o.Distance(0, u)
+				d, _, err := queryDist(o, 0, u)
 				if err != nil {
 					done <- err
 					return
@@ -709,7 +731,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i&1023]
-		if _, _, err := o.Distance(p[0], p[1]); err != nil {
+		if _, _, err := queryDist(o, p[0], p[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

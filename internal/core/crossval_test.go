@@ -79,7 +79,7 @@ func TestCrossValidationExact(t *testing.T) {
 				if got := alt.Distance(s, u); got != want {
 					t.Fatalf("ALT(%d,%d) = %d, BFS says %d", s, u, got, want)
 				}
-				got, m, err := o.Distance(s, u)
+				got, m, err := queryDist(o, s, u)
 				if err != nil {
 					t.Fatalf("Distance(%d,%d): %v", s, u, err)
 				}
@@ -110,7 +110,7 @@ func TestCrossValidationEstimate(t *testing.T) {
 				s, u := r.Uint32n(n), r.Uint32n(n)
 				want := bfs.Distance(s, u)
 
-				est, m, err := o.Distance(s, u)
+				est, m, err := queryDist(o, s, u)
 				if err != nil {
 					t.Fatalf("Distance(%d,%d): %v", s, u, err)
 				}
@@ -180,7 +180,7 @@ func TestCrossValidationWeighted(t *testing.T) {
 			for trial := 0; trial < 200; trial++ {
 				s, u := r.Uint32n(n), r.Uint32n(n)
 				want := dij.Distance(s, u)
-				got, m, err := o.Distance(s, u)
+				got, m, err := queryDist(o, s, u)
 				if err != nil {
 					t.Fatalf("Distance(%d,%d): %v", s, u, err)
 				}

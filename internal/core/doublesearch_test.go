@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"vicinity/internal/gen"
@@ -14,61 +15,66 @@ func fallbackPairOracle(t *testing.T, opts Options) *Oracle {
 	g := gen.Path(100)
 	opts.Landmarks = []uint32{0, 99}
 	o := mustBuild(t, g, opts)
-	if _, _, err := o.tableDistance(10, 90, &QueryStats{}); err != nil {
+	_, m, _, err := o.tableDistance(10, 90, &Cost{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, resolved, _ := o.tableDistance(10, 90, &QueryStats{}); resolved {
+	if m != MethodNone {
 		t.Fatal("construction broken: (10,90) resolves from the tables")
 	}
 	return o
 }
 
-// TestPathFallbackRunsOneSearch pins the double-search fix: Path used
-// to run the bidirectional search once inside DistanceStats (for the
-// distance) and a second time in fallbackPath (for the path). One
-// logical query must cost exactly one search.
+// TestPathFallbackRunsOneSearch pins the double-search fix: a path
+// query used to run the bidirectional search once for the distance and
+// a second time for the path. One logical query must cost exactly one
+// search.
 func TestPathFallbackRunsOneSearch(t *testing.T) {
 	o := fallbackPairOracle(t, Options{})
+	ctx := context.Background()
 
-	before := fallbackSearches.Load()
-	p, m, err := o.Path(10, 90)
+	res, err := o.Query(ctx, Request{S: 10, T: 90, WantPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fallbackSearches.Load() - before; got != 1 {
-		t.Fatalf("Path ran %d fallback searches, want exactly 1", got)
+	if res.Cost.Fallbacks != 1 {
+		t.Fatalf("path query ran %d fallback searches, want exactly 1", res.Cost.Fallbacks)
 	}
-	if m != MethodFallbackExact || len(p) != 81 || p[0] != 10 || p[80] != 90 {
-		t.Fatalf("path = %d nodes via %v, want the 80-hop chain via fallback-exact", len(p), m)
+	if p := res.Path; res.Method != MethodFallbackExact || len(p) != 81 || p[0] != 10 || p[80] != 90 {
+		t.Fatalf("path = %d nodes via %v, want the 80-hop chain via fallback-exact", len(p), res.Method)
 	}
 
-	before = fallbackSearches.Load()
-	d, m, err := o.Distance(10, 90)
+	res, err = o.Query(ctx, Request{S: 10, T: 90})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fallbackSearches.Load() - before; got != 1 {
-		t.Fatalf("Distance ran %d fallback searches, want exactly 1", got)
+	if res.Cost.Fallbacks != 1 {
+		t.Fatalf("distance query ran %d fallback searches, want exactly 1", res.Cost.Fallbacks)
 	}
-	if d != 80 || m != MethodFallbackExact {
-		t.Fatalf("Distance = %d via %v, want 80 via fallback-exact", d, m)
+	if res.Dist != 80 || res.Method != MethodFallbackExact {
+		t.Fatalf("distance = %d via %v, want 80 via fallback-exact", res.Dist, res.Method)
 	}
 }
 
 // TestPathFallbackDisabledRunsNoSearch checks the other side of the
 // restructure: with FallbackNone the unresolved pair must not trigger
-// any search at all, from either entry point.
+// any search at all, with or without a path.
 func TestPathFallbackDisabledRunsNoSearch(t *testing.T) {
 	o := fallbackPairOracle(t, Options{Fallback: FallbackNone})
-	before := fallbackSearches.Load()
-	if p, m, err := o.Path(10, 90); err != nil || p != nil || m != MethodNone {
-		t.Fatalf("Path = %v via %v (err %v), want nil/none", p, m, err)
+	ctx := context.Background()
+	res, err := o.Query(ctx, Request{S: 10, T: 90, WantPath: true})
+	if err != nil || res.Path != nil || res.Method != MethodNone {
+		t.Fatalf("path = %v via %v (err %v), want nil/none", res.Path, res.Method, err)
 	}
-	if d, m, err := o.Distance(10, 90); err != nil || d != NoDist || m != MethodNone {
-		t.Fatalf("Distance = %d via %v (err %v), want NoDist/none", d, m, err)
+	if res.Cost.Fallbacks != 0 {
+		t.Fatalf("path query ran %d fallback searches with FallbackNone", res.Cost.Fallbacks)
 	}
-	if got := fallbackSearches.Load() - before; got != 0 {
-		t.Fatalf("%d fallback searches ran with FallbackNone", got)
+	res, err = o.Query(ctx, Request{S: 10, T: 90})
+	if err != nil || res.Dist != NoDist || res.Method != MethodNone {
+		t.Fatalf("distance = %d via %v (err %v), want NoDist/none", res.Dist, res.Method, err)
+	}
+	if res.Cost.Fallbacks != 0 {
+		t.Fatalf("distance query ran %d fallback searches with FallbackNone", res.Cost.Fallbacks)
 	}
 }
 
@@ -77,23 +83,26 @@ func TestPathFallbackDisabledRunsNoSearch(t *testing.T) {
 // no bidirectional search may run.
 func TestPathEstimateFallbackRunsNoSearch(t *testing.T) {
 	o := fallbackPairOracle(t, Options{Fallback: FallbackEstimate})
-	before := fallbackSearches.Load()
-	d, m, err := o.Distance(10, 90)
+	ctx := context.Background()
+	res, err := o.Query(ctx, Request{S: 10, T: 90})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// est = min(r(10)+d(l(10),90), r(90)+d(l(90),10)) = min(10+90, 9+89) = 98.
-	if m != MethodFallbackEstimate || d != 98 {
-		t.Fatalf("Distance = %d via %v, want 98 via fallback-estimate", d, m)
+	if res.Method != MethodFallbackEstimate || res.Dist != 98 {
+		t.Fatalf("distance = %d via %v, want 98 via fallback-estimate", res.Dist, res.Method)
 	}
-	p, m, err := o.Path(10, 90)
+	if res.Cost.Fallbacks != 0 {
+		t.Fatalf("distance query ran %d fallback searches in estimate mode", res.Cost.Fallbacks)
+	}
+	res, err = o.Query(ctx, Request{S: 10, T: 90, WantPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != MethodFallbackEstimate || len(p) == 0 || p[0] != 10 || p[len(p)-1] != 90 {
-		t.Fatalf("estimate path = %v via %v", p, m)
+	if p := res.Path; res.Method != MethodFallbackEstimate || len(p) == 0 || p[0] != 10 || p[len(p)-1] != 90 {
+		t.Fatalf("estimate path = %v via %v", p, res.Method)
 	}
-	if got := fallbackSearches.Load() - before; got != 0 {
-		t.Fatalf("%d fallback searches ran in estimate mode", got)
+	if res.Cost.Fallbacks != 0 {
+		t.Fatalf("path query ran %d fallback searches in estimate mode", res.Cost.Fallbacks)
 	}
 }

@@ -22,10 +22,9 @@ var (
 
 	// ErrUnreachable reports that no path exists between the endpoints.
 	// The query engine itself reports unreachability in-band (NoDist +
-	// MethodUnreachable, nil error) so that answers stay bit-identical
-	// to the legacy API; this sentinel is the taxonomy entry clients
-	// and tools use when they must surface "no path" as an error (e.g.
-	// spquery's exit codes).
+	// MethodUnreachable, nil error), since "no path" is an exact answer;
+	// this sentinel is the taxonomy entry clients and tools use when
+	// they must surface it as an error (e.g. spquery's exit codes).
 	ErrUnreachable = errors.New("core: no path between the endpoints")
 
 	// ErrBudgetExceeded reports that a fallback search stopped at
@@ -76,8 +75,9 @@ func ErrorCode(err error) string {
 }
 
 // errRange builds the canonical out-of-range error for a graph of n
-// nodes. Both the legacy calls and Query use it, so the two surfaces
-// return byte-identical errors.
+// nodes. The single-target and batch engines both use it, so a batch
+// item and the single-target Query for the same pair return
+// byte-identical errors.
 func errRange(n int) error {
 	return fmt.Errorf("%w: want [0,%d)", ErrNodeRange, n)
 }

@@ -14,7 +14,7 @@ func benchResolvedPairs(b *testing.B, o *Oracle, n uint32, want Method) [][2]uin
 	pairs := make([][2]uint32, 0, 1024)
 	for len(pairs) < 1024 {
 		s, t := r.Uint32n(n), r.Uint32n(n)
-		_, m, err := o.Distance(s, t)
+		_, m, err := queryDist(o, s, t)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func BenchmarkQueryIntersection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i&1023]
-		if _, _, err := o.Distance(p[0], p[1]); err != nil {
+		if _, _, err := queryDist(o, p[0], p[1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkQueryIntersectionLarge(b *testing.B) {
 	pairs := make([][2]uint32, 0, 8192)
 	for len(pairs) < 8192 {
 		s, t := r.Uint32n(150000), r.Uint32n(150000)
-		_, m, err := o.Distance(s, t)
+		_, m, err := queryDist(o, s, t)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkQueryIntersectionLarge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i&8191]
-		if _, _, err := o.Distance(p[0], p[1]); err != nil {
+		if _, _, err := queryDist(o, p[0], p[1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func BenchmarkQueryVicinityHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i&1023]
-		if _, _, err := o.Distance(p[0], p[1]); err != nil {
+		if _, _, err := queryDist(o, p[0], p[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,7 +80,7 @@ func (o *Oracle) queryKPaths(ctx context.Context, req Request) (Result, error) {
 		// Estimate witnesses are landmark-chain concatenations, not
 		// shortest paths (and not always simple), so deviations from
 		// them rank nothing. The estimate policy degrades a K request
-		// to its single witness, mirroring how it degrades Path.
+		// to its single witness, mirroring how it degrades a path query.
 		return res, nil
 	}
 

@@ -105,9 +105,9 @@ func TestKPathsCrossValidation(t *testing.T) {
 
 // TestKPathsK1BitIdentical property-tests the reduction the wire/CLI
 // layers rely on: a K=1 request answers bit-identically (dist, path,
-// method, error) to the legacy Path call and to a K=0 WantPath Query,
-// with Paths mirroring the single answer — across profiles, policies,
-// budgets, and the disabled-path-data build.
+// method, error) to a K=0 WantPath Query, with Paths mirroring the
+// single answer — across profiles, policies, budgets, and the
+// disabled-path-data build.
 func TestKPathsK1BitIdentical(t *testing.T) {
 	for _, prof := range crossProfiles() {
 		t.Run(prof.name, func(t *testing.T) {
@@ -154,16 +154,6 @@ func TestKPathsK1BitIdentical(t *testing.T) {
 						}
 					} else if len(got.Paths) != 0 {
 						t.Fatalf("%s (%d,%d): pathless answer grew Paths: %+v", name, s, u, got.Paths)
-					}
-					// And, for requests with no per-request overrides, the
-					// legacy Path call agrees with both (the overrides are
-					// exactly what Path cannot express).
-					if req.Policy == PolicyDefault && req.Budget == 0 {
-						p, m, perr := o.Path(s, u)
-						if !sameU32(p, base.Path) || m != base.Method || (perr == nil) != (berr == nil) {
-							t.Fatalf("%s (%d,%d): legacy Path diverged: %v/%v/%v vs %v/%v/%v",
-								name, s, u, p, m, perr, base.Path, base.Method, berr)
-						}
 					}
 				}
 			}

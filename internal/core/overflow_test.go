@@ -45,7 +45,7 @@ func TestWeightedOverflowIntersection(t *testing.T) {
 	if _, ok := o.VicinityContains(0, 1); ok {
 		t.Fatal("construction broken: t ∈ Γ(s) resolves before the scan")
 	}
-	d, m, err := o.Distance(0, 1)
+	d, m, err := queryDist(o, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestWeightedOverflowIntersection(t *testing.T) {
 		t.Fatalf("method %v, want fallback-exact (saturated scan must not resolve)", m)
 	}
 	// The path realizes the same distance through the direct edge.
-	p, _, err := o.Path(0, 1)
+	p, _, err := queryPath(o, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWeightedOverflowUnrepresentable(t *testing.T) {
 	b.AddWeightedEdge(2, 1, 2_200_000_000) // l — t
 	g := b.Build()
 	o := mustBuild(t, g, Options{Landmarks: []uint32{2}})
-	d, m, err := o.Distance(0, 1)
+	d, m, err := queryDist(o, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWeightedOverflowEstimate(t *testing.T) {
 	if exact != 2_500_000_000 {
 		t.Fatalf("baseline distance = %d, want 2.5e9", exact)
 	}
-	d, m, err := o.Distance(0, 1)
+	d, m, err := queryDist(o, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWeightedOverflowEstimate(t *testing.T) {
 
 	// The same pair under the exact fallback is fully representable.
 	o2 := mustBuild(t, g, Options{Landmarks: []uint32{3, 4}})
-	if d, m, _ := o2.Distance(0, 1); d != exact || m != MethodFallbackExact {
+	if d, m, _ := queryDist(o2, 0, 1); d != exact || m != MethodFallbackExact {
 		t.Fatalf("exact fallback: %d via %v, want %d via fallback-exact", d, m, exact)
 	}
 }

@@ -7,64 +7,15 @@ import (
 	"vicinity/internal/traverse"
 )
 
-// Path returns a shortest s→t path (inclusive of both endpoints) and the
-// method that resolved it. The path is assembled from stored parent
-// pointers (§3.1: "the path is retrieved by following the series of
-// next-hops"): within vicinities the chain walks u's shortest path tree,
-// through an intersection the two half-paths join at the witness node,
-// and landmark hits walk the landmark's global tree.
-//
-// A nil path with MethodNone means the query was unresolved (fallback
-// disabled) or path data was disabled; a nil path with
-// MethodUnreachable means no path exists.
-//
-// Unresolved pairs cost exactly one bidirectional search: the table
-// pass decides the method without running the fallback, and the slow
-// path derives distance and path from the same search.
-func (o *Oracle) Path(s, t uint32) ([]uint32, Method, error) {
-	var st QueryStats
-	d, resolved, err := o.tableDistance(s, t, &st)
-	if err != nil {
-		return nil, st.Method, err
-	}
-	if resolved {
-		if d == NoDist {
-			return nil, st.Method, nil // exact unreachability off a landmark row
-		}
-		if p, ok := o.assembleTablePath(s, t, &st); ok {
-			return p, st.Method, nil
-		}
-		// Stored chains incomplete (path data disabled or a repaired
-		// parent missing): answer with one search.
-		return o.fallbackPath(s, t, &st)
-	}
-	switch o.opts.Fallback {
-	case FallbackExact:
-		return o.fallbackPath(s, t, &st)
-	case FallbackEstimate:
-		if o.landmarkEstimate(s, t, &st) == NoDist {
-			return nil, MethodNone, nil
-		}
-		st.Method = MethodFallbackEstimate
-		// Estimates have no materialized path; stitch s→l(s)→t via the
-		// vicinity chain and the landmark tree when possible.
-		if p, ok := o.estimatePath(s, t); ok {
-			return p, st.Method, nil
-		}
-		return nil, st.Method, nil
-	default:
-		return nil, MethodNone, nil
-	}
-}
-
 // assembleTablePath builds the s→t path for a table-resolved query from
 // stored parent pointers (§3.1: "the path is retrieved by following the
 // series of next-hops"): within vicinities the chain walks u's shortest
 // path tree, through an intersection the two half-paths join at the
-// witness node, and landmark hits walk the landmark's global tree. ok
-// is false when a chain cannot be completed (the caller falls back).
-func (o *Oracle) assembleTablePath(s, t uint32, st *QueryStats) ([]uint32, bool) {
-	switch st.Method {
+// witness node meet, and landmark hits walk the landmark's global tree.
+// m is the table pass's method; ok is false when a chain cannot be
+// completed (the caller falls back).
+func (o *Oracle) assembleTablePath(s, t uint32, m Method, meet uint32) ([]uint32, bool) {
+	switch m {
 	case MethodSame:
 		return []uint32{s}, true
 
@@ -95,13 +46,12 @@ func (o *Oracle) assembleTablePath(s, t uint32, st *QueryStats) ([]uint32, bool)
 		return o.vicinityChain(t, s)
 
 	case MethodIntersection:
-		w := st.Meet
-		half1, ok1 := o.vicinityChain(s, w) // w..s
-		half2, ok2 := o.vicinityChain(t, w) // w..t
+		half1, ok1 := o.vicinityChain(s, meet) // meet..s
+		half2, ok2 := o.vicinityChain(t, meet) // meet..t
 		if !ok1 || !ok2 {
 			return nil, false
 		}
-		reverseU32(half1) // s..w
+		reverseU32(half1) // s..meet
 		return append(half1, half2[1:]...), true
 
 	default:
@@ -185,26 +135,14 @@ func (o *Oracle) estimatePath(s, t uint32) ([]uint32, bool) {
 	return append(head, tail[1:]...), true
 }
 
-// fallbackPath answers a path query with the exact bidirectional search,
-// honoring the fallback mode.
-func (o *Oracle) fallbackPath(s, t uint32, st *QueryStats) ([]uint32, Method, error) {
-	if o.opts.Fallback == FallbackNone {
-		return nil, MethodNone, nil
-	}
-	ws := o.workspace()
-	p, _, m, _ := o.fallbackPathWS(s, t, st, ws, traverse.Limits{})
-	o.release(ws)
-	return p, m, nil
-}
-
-// fallbackPathWS is fallbackPath over a caller-owned workspace (the
-// batch engine reuses one across a target list) under lim. The caller
-// has already ruled out FallbackNone. d is the length of the returned
-// path; on an early outcome the path (if any) realizes the best-known
-// upper bound and the method is MethodBudgetBound (MethodNone when the
-// frontiers never met).
-func (o *Oracle) fallbackPathWS(s, t uint32, st *QueryStats, ws *traverse.Workspace, lim traverse.Limits) ([]uint32, uint32, Method, traverse.Outcome) {
-	fallbackSearches.Add(1)
+// fallbackPathWS answers a path query with the exact bidirectional
+// search over a caller-owned workspace (the batch engine reuses one
+// across a target list) under lim, adding the search and its
+// expansions to c. d is the length of the returned path; on an early
+// outcome the path (if any) realizes the best-known upper bound and
+// the method is MethodBudgetBound (MethodNone when the frontiers never
+// met).
+func (o *Oracle) fallbackPathWS(s, t uint32, c *Cost, ws *traverse.Workspace, lim traverse.Limits) ([]uint32, uint32, Method, traverse.Outcome) {
 	var p []uint32
 	var d uint32
 	var out traverse.Outcome
@@ -213,17 +151,16 @@ func (o *Oracle) fallbackPathWS(s, t uint32, st *QueryStats, ws *traverse.Worksp
 	} else {
 		p, d, out = ws.BiBFSPathLim(s, t, lim)
 	}
-	st.Expanded += ws.Expanded()
-	if out != traverse.OutcomeDone {
-		st.Method = boundMethod(d)
-		return p, d, st.Method, out
-	}
-	if p == nil {
-		st.Method = MethodUnreachable
+	c.Fallbacks++
+	c.Expanded += ws.Expanded()
+	switch {
+	case out != traverse.OutcomeDone:
+		return p, d, boundMethod(d), out
+	case p == nil:
 		return nil, NoDist, MethodUnreachable, out
+	default:
+		return p, d, MethodFallbackExact, out
 	}
-	st.Method = MethodFallbackExact
-	return p, d, MethodFallbackExact, out
 }
 
 // PathString formats a path for display, e.g. "0 → 5 → 9".

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -36,23 +37,24 @@ func assertOraclesAgree(t *testing.T, a, b *Oracle, n int, trials int) {
 	r := xrand.New(77)
 	for trial := 0; trial < trials; trial++ {
 		s, u := r.Uint32n(uint32(n)), r.Uint32n(uint32(n))
-		var sta, stb QueryStats
-		da, errA := a.DistanceStats(s, u, &sta)
-		db, errB := b.DistanceStats(s, u, &stb)
+		ra, errA := a.Query(context.Background(), Request{S: s, T: u})
+		rb, errB := b.Query(context.Background(), Request{S: s, T: u})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("(%d,%d): errors disagree: %v vs %v", s, u, errA, errB)
 		}
 		if errA != nil {
 			continue
 		}
-		if da != db || sta.Method != stb.Method {
-			t.Fatalf("(%d,%d): %d/%v vs %d/%v", s, u, da, sta.Method, db, stb.Method)
+		if ra.Dist != rb.Dist || ra.Method != rb.Method {
+			t.Fatalf("(%d,%d): %d/%v vs %d/%v", s, u, ra.Dist, ra.Method, rb.Dist, rb.Method)
 		}
-		if sta.Lookups != stb.Lookups || sta.Scanned != stb.Scanned || sta.Meet != stb.Meet {
-			t.Fatalf("(%d,%d): stats diverge: %+v vs %+v", s, u, sta, stb)
+		_, _, meetA, _ := a.tableDistance(s, u, &Cost{})
+		_, _, meetB, _ := b.tableDistance(s, u, &Cost{})
+		if ra.Cost.Lookups != rb.Cost.Lookups || ra.Cost.Scanned != rb.Cost.Scanned || meetA != meetB {
+			t.Fatalf("(%d,%d): stats diverge: %+v/%d vs %+v/%d", s, u, ra.Cost, meetA, rb.Cost, meetB)
 		}
-		pa, ma, _ := a.Path(s, u)
-		pb, mb, _ := b.Path(s, u)
+		pa, ma, _ := queryPath(a, s, u)
+		pb, mb, _ := queryPath(b, s, u)
 		if ma != mb || len(pa) != len(pb) {
 			t.Fatalf("(%d,%d): paths diverge: %v/%v vs %v/%v", s, u, pa, ma, pb, mb)
 		}

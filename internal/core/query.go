@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"vicinity/internal/graph"
 	"vicinity/internal/traverse"
@@ -37,16 +36,11 @@ const (
 	MethodFallbackEstimate
 	// MethodUnreachable: s and t are in different components (exact).
 	MethodUnreachable
-	// MethodBudgetBound: a budgeted or canceled fallback search stopped
-	// early; the distance is its best-known upper bound, not
-	// necessarily exact. Only Query produces it (legacy calls never
-	// limit the fallback).
+	// MethodBudgetBound: a fallback search cut short by Request.Budget
+	// or the request context; the distance is its best-known upper
+	// bound, not necessarily exact.
 	MethodBudgetBound
 )
-
-// methodCount is the number of Method values; BatchStats tallies per
-// method in an array indexed by Method.
-const methodCount = int(MethodBudgetBound) + 1
 
 // String returns a short name for the method.
 func (m Method) String() string {
@@ -95,79 +89,48 @@ func (m Method) Exact() bool {
 	return m.Resolved() || m == MethodFallbackExact || m == MethodUnreachable
 }
 
-// QueryStats instruments a single query, mirroring Table 3's accounting.
-type QueryStats struct {
-	Method   Method
-	Lookups  int    // stored-table look-ups performed (hash probes + landmark reads)
-	Scanned  int    // boundary members scanned during intersection
-	Expanded int    // nodes expanded by the fallback search (0 when none ran)
-	Meet     uint32 // intersection witness w minimizing d(s,w)+d(w,t); NoNode otherwise
-}
-
-// Distance returns the distance from s to t and the method that resolved
-// it. For unweighted graphs every non-estimate answer is exact; see the
-// package comment for the weighted caveat. Node ids must be < NumNodes.
-func (o *Oracle) Distance(s, t uint32) (uint32, Method, error) {
-	var st QueryStats
-	d, err := o.DistanceStats(s, t, &st)
-	return d, st.Method, err
-}
-
 // satAdd sums two stored distances, saturating at NoDist (see
 // traverse.SatAdd): a raw uint32 add can wrap past the sentinel on
 // large weighted distances, and a wrapped candidate would beat the
 // true minimum.
 func satAdd(a, b uint32) uint32 { return traverse.SatAdd(a, b) }
 
-// DistanceStats is Distance with per-query instrumentation written to st
-// (st must be non-nil).
-func (o *Oracle) DistanceStats(s, t uint32, st *QueryStats) (uint32, error) {
-	d, resolved, err := o.tableDistance(s, t, st)
-	if err != nil || resolved {
-		return d, err
-	}
-	return o.fallbackDistance(s, t, st)
-}
-
-// tableDistance runs Algorithm 1 over the stored tables only. resolved
-// reports whether the tables decided the query (including s == t and
-// exact unreachability read off a landmark row); when it is false the
-// caller owns the fallback. Splitting the fallback out lets Path and
-// the batch engine resolve from tables first and run at most one slow
-// search per pair — Path previously ran the bidirectional search twice,
-// once for the distance and once more for the path.
-func (o *Oracle) tableDistance(s, t uint32, st *QueryStats) (uint32, bool, error) {
+// tableDistance runs Algorithm 1 over the stored tables only, adding
+// its look-ups and scanned members to c. It returns the distance, the
+// method that resolved the pair (including s == t and exact
+// unreachability read off a landmark row) and, for MethodIntersection,
+// the witness w minimizing d(s,w)+d(w,t) that assembleTablePath joins
+// the two half-paths at (graph.NoNode otherwise). MethodNone means the
+// tables could not decide the pair and the caller owns the fallback,
+// so every query runs at most one slow search.
+func (o *Oracle) tableDistance(s, t uint32, c *Cost) (uint32, Method, uint32, error) {
 	n := o.g.NumNodes()
 	if int(s) >= n || int(t) >= n {
-		return NoDist, false, errRange(n)
+		return NoDist, MethodNone, graph.NoNode, errRange(n)
 	}
-	*st = QueryStats{Method: MethodNone, Meet: graph.NoNode}
 	if s == t {
-		st.Method = MethodSame
-		return 0, true, nil
+		return 0, MethodSame, graph.NoNode, nil
 	}
 
 	// Algorithm 1 line 3: the four direct cases.
 	if o.isL[s] {
 		if li := o.lidx[s]; o.hasLandmarkTable(li) {
-			st.Lookups++
-			st.Method = MethodLandmarkSource
+			c.Lookups++
 			d := o.landmarkDist(li, t)
 			if d == NoDist {
-				st.Method = MethodUnreachable
+				return d, MethodUnreachable, graph.NoNode, nil
 			}
-			return d, true, nil
+			return d, MethodLandmarkSource, graph.NoNode, nil
 		}
 	}
 	if o.isL[t] {
 		if li := o.lidx[t]; o.hasLandmarkTable(li) {
-			st.Lookups++
-			st.Method = MethodLandmarkTarget
+			c.Lookups++
 			d := o.landmarkDist(li, s)
 			if d == NoDist {
-				st.Method = MethodUnreachable
+				return d, MethodUnreachable, graph.NoNode, nil
 			}
-			return d, true, nil
+			return d, MethodLandmarkTarget, graph.NoNode, nil
 		}
 	}
 
@@ -181,25 +144,23 @@ func (o *Oracle) tableDistance(s, t uint32, st *QueryStats) (uint32, bool, error
 	vs, okS := o.vicinity(s)
 	okT := o.vicFlat[t].Len() > 0
 	if !okS && !o.isL[s] {
-		return NoDist, false, errNotCovered(s)
+		return NoDist, MethodNone, graph.NoNode, errNotCovered(s)
 	}
 	if !okT && !o.isL[t] {
-		return NoDist, false, errNotCovered(t)
+		return NoDist, MethodNone, graph.NoNode, errNotCovered(t)
 	}
 	if okS {
-		st.Lookups++
+		c.Lookups++
 		if d, ok := vs.Get(t); ok {
-			st.Method = MethodVicinitySource
-			return d, true, nil
+			return d, MethodVicinitySource, graph.NoNode, nil
 		}
 	}
 	var vt u32map.Flat
 	if okT {
 		vt = o.vicFlat[t]
-		st.Lookups++
+		c.Lookups++
 		if d, ok := vt.Get(s); ok {
-			st.Method = MethodVicinityTarget
-			return d, true, nil
+			return d, MethodVicinityTarget, graph.NoNode, nil
 		}
 	}
 
@@ -217,72 +178,39 @@ func (o *Oracle) tableDistance(s, t uint32, st *QueryStats) (uint32, bool, error
 				}
 			}
 		}
-		st.Lookups += len(scanKeys)
-		st.Scanned += len(scanKeys)
+		c.Lookups += len(scanKeys)
+		c.Scanned += len(scanKeys)
 		if best != NoDist {
-			st.Method = MethodIntersection
-			st.Meet = meet
-			return best, true, nil
+			return best, MethodIntersection, meet, nil
 		}
 	}
 
-	return NoDist, false, nil
+	return NoDist, MethodNone, graph.NoNode, nil
 }
 
-// fallbackSearches counts the bidirectional searches run by the slow
-// path, across every oracle in the process. Diagnostic only: tests use
-// the delta to prove one logical query runs at most one search.
-var fallbackSearches atomic.Int64
-
-// fallbackDistance resolves a query the stored tables could not.
-func (o *Oracle) fallbackDistance(s, t uint32, st *QueryStats) (uint32, error) {
-	if o.opts.Fallback == FallbackExact {
-		ws := o.workspace()
-		d, _, _ := o.fallbackDistanceWS(s, t, st, ws, o.opts.Fallback, traverse.Limits{})
-		o.release(ws)
-		return d, nil
+// fallbackDistanceWS answers a pair the stored tables could not with
+// the exact bidirectional search over a caller-owned workspace (the
+// batch engine reuses one across a whole target list) under lim,
+// adding the search and its expansions to c. On an early outcome the
+// distance is the search's best-known upper bound (NoDist if none) and
+// the method is MethodBudgetBound or MethodNone.
+func (o *Oracle) fallbackDistanceWS(s, t uint32, c *Cost, ws *traverse.Workspace, lim traverse.Limits) (uint32, Method, traverse.Outcome) {
+	var d uint32
+	var out traverse.Outcome
+	if o.g.Weighted() {
+		d, out = ws.BiDijkstraDistLim(s, t, lim)
+	} else {
+		d, out = ws.BiBFSDistLim(s, t, lim)
 	}
-	d, _, _ := o.fallbackDistanceWS(s, t, st, nil, o.opts.Fallback, traverse.Limits{})
-	return d, nil
-}
-
-// fallbackDistanceWS resolves an unresolved query under the given
-// fallback mode over a caller-owned search workspace (required for
-// FallbackExact, ignored otherwise), letting the batch engine reuse one
-// workspace across a whole target list. searched reports whether a
-// bidirectional search actually ran; out is its outcome under lim (the
-// legacy calls pass no limits, so they always see OutcomeDone). On an
-// early outcome the distance is the search's best-known upper bound
-// (NoDist if none) and st.Method is MethodBudgetBound or MethodNone.
-func (o *Oracle) fallbackDistanceWS(s, t uint32, st *QueryStats, ws *traverse.Workspace, fb Fallback, lim traverse.Limits) (uint32, bool, traverse.Outcome) {
-	switch fb {
-	case FallbackExact:
-		fallbackSearches.Add(1)
-		var d uint32
-		var out traverse.Outcome
-		if o.g.Weighted() {
-			d, out = ws.BiDijkstraDistLim(s, t, lim)
-		} else {
-			d, out = ws.BiBFSDistLim(s, t, lim)
-		}
-		st.Expanded += ws.Expanded()
-		switch {
-		case out != traverse.OutcomeDone:
-			st.Method = boundMethod(d)
-		case d == NoDist:
-			st.Method = MethodUnreachable
-		default:
-			st.Method = MethodFallbackExact
-		}
-		return d, true, out
-	case FallbackEstimate:
-		d := o.landmarkEstimate(s, t, st)
-		if d != NoDist {
-			st.Method = MethodFallbackEstimate
-		}
-		return d, false, traverse.OutcomeDone
+	c.Fallbacks++
+	c.Expanded += ws.Expanded()
+	switch {
+	case out != traverse.OutcomeDone:
+		return d, boundMethod(d), out
+	case d == NoDist:
+		return d, MethodUnreachable, out
 	default:
-		return NoDist, false, traverse.OutcomeDone // MethodNone
+		return d, MethodFallbackExact, out
 	}
 }
 
@@ -296,12 +224,13 @@ func boundMethod(d uint32) Method {
 }
 
 // landmarkEstimate returns the triangulation upper bound
-// min(r(s)+d(l(s),t), r(t)+d(l(t),s)), or NoDist if unavailable.
-func (o *Oracle) landmarkEstimate(s, t uint32, st *QueryStats) uint32 {
+// min(r(s)+d(l(s),t), r(t)+d(l(t),s)), or NoDist if unavailable,
+// adding its landmark reads to c.
+func (o *Oracle) landmarkEstimate(s, t uint32, c *Cost) uint32 {
 	best := NoDist
 	if ls := o.nearest[s]; ls != graph.NoNode {
 		if li := o.lidx[ls]; o.hasLandmarkTable(li) {
-			st.Lookups++
+			c.Lookups++
 			if d := o.landmarkDist(li, t); d != NoDist && o.radius[s] != NoDist {
 				if cand := satAdd(o.radius[s], d); cand < best {
 					best = cand
@@ -311,7 +240,7 @@ func (o *Oracle) landmarkEstimate(s, t uint32, st *QueryStats) uint32 {
 	}
 	if lt := o.nearest[t]; lt != graph.NoNode {
 		if li := o.lidx[lt]; o.hasLandmarkTable(li) {
-			st.Lookups++
+			c.Lookups++
 			if d := o.landmarkDist(li, s); d != NoDist && o.radius[t] != NoDist {
 				if cand := satAdd(o.radius[t], d); cand < best {
 					best = cand

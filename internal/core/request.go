@@ -19,11 +19,10 @@ import (
 // ~1% of queries that miss the tables, and machine-readable errors at
 // every layer.
 //
-// Query(ctx, Request) is the one entry point all of that flows through.
-// The legacy calls (Distance, Path, DistanceMany, PathMany) answer
-// exactly like a default-policy Request — property-tested bit-identical
-// — and the public vicinity package implements them as thin wrappers
-// over Query.
+// Query(ctx, Request) is the one entry point all of that flows through:
+// single targets, one-to-many rankings and ranked alternatives alike,
+// with Cost as the one work counter. The public vicinity package's
+// Distance and Path are one-line helpers over it.
 
 // Policy selects per-request fallback handling, overriding the oracle's
 // build-time Options.Fallback for one query.
@@ -94,7 +93,7 @@ func (o *Oracle) effectiveFallback(p Policy) Fallback {
 
 // Request describes one request-scoped query: a source, one target (T)
 // or many (Ts), and per-request overrides. The zero value of every
-// override reproduces the legacy behavior exactly.
+// override answers with the oracle's build-time defaults.
 type Request struct {
 	// S is the source node.
 	S uint32
@@ -112,7 +111,7 @@ type Request struct {
 	// its best-known upper bound — see ErrBudgetExceeded.
 	Budget int
 	// WantPath asks for the path(s); with it set, Method reports how
-	// the path was resolved, mirroring the legacy Path calls.
+	// the path was resolved.
 	WantPath bool
 	// WantStats asks the serving layers to report Result.Cost back to
 	// the client; the in-process engine fills Cost regardless.
@@ -120,7 +119,7 @@ type Request struct {
 	// Parallel caps the worker goroutines a one-to-many request may fan
 	// out across (0 or 1 = sequential). Parallelism never changes
 	// answers: every distance, method, path witness, per-item error and
-	// stat tally is bit-identical to the sequential pass for any worker
+	// Cost tally is bit-identical to the sequential pass for any worker
 	// count. Batches smaller than BatchParallelMinTargets stay
 	// sequential regardless, so small requests keep the allocation-lean
 	// fast path. Single-target requests ignore it.
@@ -131,7 +130,7 @@ type Request struct {
 	// Result.Paths carries them sorted by (dist, length, path), and
 	// Result.Dist/Method/Path keep describing the first (root) path —
 	// a K=1 request is bit-identical to a WantPath request plus a
-	// one-entry Paths. 0 is the legacy single-path behavior.
+	// one-entry Paths. 0 asks for no alternatives.
 	K int
 }
 
@@ -158,7 +157,9 @@ func batchWorkers(parallel, targets int) int {
 // cancelLatch latches the first observed cancellation so every
 // subsequent target of a batch shares one error value — exactly the
 // sequential pass's semantics — while remaining safe for concurrent
-// workers.
+// workers. A single-target Query passes a nil latch, which polls the
+// context without latching: a mutex-guarded latch would escape to the
+// heap and cost the table-resolved path its zero allocations.
 type cancelLatch struct {
 	mu  sync.Mutex
 	err error
@@ -167,6 +168,12 @@ type cancelLatch struct {
 // check polls ctx (latching its error on first observation) and
 // returns the latched cancellation, if any.
 func (c *cancelLatch) check(ctx context.Context) error {
+	if c == nil {
+		if cerr := ctxErr(ctx); cerr != nil {
+			return errCanceled(cerr)
+		}
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err == nil {
@@ -180,6 +187,9 @@ func (c *cancelLatch) check(ctx context.Context) error {
 // force latches a cancellation observed through a search outcome even
 // when the context has not (yet) reported one, and returns it.
 func (c *cancelLatch) force() error {
+	if c == nil {
+		return errCanceled(nil)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err == nil {
@@ -195,14 +205,23 @@ func (c *cancelLatch) get() error {
 	return c.err
 }
 
-// Cost aggregates the work one Query performed — the request-scoped
-// analogue of QueryStats/BatchStats, and what the serving layers export
-// per query.
+// Cost aggregates the work one Query performed, mirroring Table 3's
+// accounting. It is the engine's one work counter: every pass adds to
+// it where the work happens, and the serving layers export it per
+// query.
 type Cost struct {
 	Lookups   int // stored-table look-ups (probes + landmark reads + members checked)
 	Scanned   int // vicinity/boundary members examined by scan passes
 	Expanded  int // nodes expanded by fallback searches
 	Fallbacks int // bidirectional searches run
+}
+
+// add folds a worker's shard into c.
+func (c *Cost) add(x Cost) {
+	c.Lookups += x.Lookups
+	c.Scanned += x.Scanned
+	c.Expanded += x.Expanded
+	c.Fallbacks += x.Fallbacks
 }
 
 // ItemResult is one target's answer in a one-to-many Result. Err is
@@ -262,11 +281,9 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Query answers one request-scoped query. With a zero-override Request
-// (default policy, no budget) the answer — distance, method, path, and
-// error — is bit-identical to the legacy Distance/Path/DistanceMany/
-// PathMany calls (property-tested), so Query is a strict superset of
-// the v1 surface.
+// Query answers one request-scoped query: Algorithm 1's table cases,
+// then the request's fallback for the pairs the tables cannot decide.
+// It is the only way the oracle answers; Result.Cost reports the work.
 //
 // Cancellation and deadlines are honored inside the fallback search
 // loop (polled every few dozen node expansions), not just between
@@ -287,381 +304,160 @@ func (o *Oracle) Query(ctx context.Context, req Request) (Result, error) {
 		return o.queryKPaths(ctx, req)
 	}
 	if req.Ts != nil {
-		var bst BatchStats
-		return o.queryMany(ctx, req, &bst)
+		return o.queryMany(ctx, req)
 	}
 	res := Result{Dist: NoDist, Epoch: o.gen}
-	var st QueryStats
-	d, resolved, err := o.tableDistance(req.S, req.T, &st)
+	d, m, meet, err := o.tableDistance(req.S, req.T, &res.Cost)
 	if err != nil {
-		res.Method = st.Method
-		addCost(&res, &st)
 		return res, err
 	}
-	eff := o.effectiveFallback(req.Policy)
-	if resolved {
-		res.Dist, res.Method = d, st.Method
-		if req.WantPath && d != NoDist {
-			if p, ok := o.assembleTablePath(req.S, req.T, &st); ok {
-				res.Path = p
-			} else if eff == FallbackNone {
-				// Stored chains incomplete (path data disabled or a
-				// repaired parent missing) and no fallback allowed:
-				// mirror Path's (nil, MethodNone) while keeping the
-				// table-resolved distance.
-				res.Method = MethodNone
-			} else {
-				// One limited search re-resolves the path (the legacy
-				// chain-failure semantics run the exact search even
-				// under the estimate fallback). If the limited search
-				// is cut off without beating the table-resolved
-				// distance, keep the exact answer — a budget must
-				// degrade the path, never the distance.
-				tm := st.Method
-				err = o.searchPath(ctx, req, &st, &res)
-				if err != nil && res.Dist >= d {
-					res.Dist, res.Method, res.Path = d, tm, nil
-				}
-			}
-		}
-		addCost(&res, &st)
-		return res, err
-	}
-
-	switch eff {
-	case FallbackExact:
-		if req.WantPath {
-			err = o.searchPath(ctx, req, &st, &res)
-		} else {
-			err = o.searchDist(ctx, req, &st, &res)
-		}
-	case FallbackEstimate:
-		d := o.landmarkEstimate(req.S, req.T, &st)
-		if d != NoDist {
-			st.Method = MethodFallbackEstimate
-			res.Dist = d
-			if req.WantPath {
-				if p, ok := o.estimatePath(req.S, req.T); ok {
-					res.Path = p
-				}
-			}
-		}
-		res.Method = st.Method
-	default: // FallbackNone
-		res.Method = MethodNone
-	}
-	addCost(&res, &st)
-	return res, err
+	it := ItemResult{Dist: d, Method: m}
+	var w worker
+	o.finish(ctx, &req, req.T, meet, nil, &w, &it)
+	w.done(o, &res.Cost)
+	res.Dist, res.Method, res.Path = it.Dist, it.Method, it.Path
+	return res, it.Err
 }
 
-// searchDist runs the limited exact fallback for a single-target
-// distance request, mapping early outcomes to the error taxonomy.
-func (o *Oracle) searchDist(ctx context.Context, req Request, st *QueryStats, res *Result) error {
-	if cerr := ctxErr(ctx); cerr != nil {
-		res.Method = MethodNone
-		return errCanceled(cerr)
-	}
-	lim := traverse.Limits{NodeBudget: req.Budget, Done: ctxDone(ctx)}
-	ws := o.workspace()
-	d, _, out := o.fallbackDistanceWS(req.S, req.T, st, ws, FallbackExact, lim)
-	o.release(ws)
-	res.Cost.Fallbacks++
-	res.Dist, res.Method = d, st.Method
-	switch out {
-	case traverse.OutcomeBudget:
-		return errBudget(req.Budget)
-	case traverse.OutcomeStopped:
-		return errCanceled(ctxErr(ctx))
-	default:
-		return nil
-	}
-}
-
-// searchPath is searchDist for path requests; on early outcomes the
-// returned path (if any) is a real path realizing the reported bound.
-func (o *Oracle) searchPath(ctx context.Context, req Request, st *QueryStats, res *Result) error {
-	if cerr := ctxErr(ctx); cerr != nil {
-		res.Method = MethodNone
-		res.Path = nil
-		return errCanceled(cerr)
-	}
-	lim := traverse.Limits{NodeBudget: req.Budget, Done: ctxDone(ctx)}
-	ws := o.workspace()
-	p, d, m, out := o.fallbackPathWS(req.S, req.T, st, ws, lim)
-	o.release(ws)
-	res.Cost.Fallbacks++
-	res.Path, res.Method = p, m
-	if m != MethodNone {
-		res.Dist = d
-	}
-	switch out {
-	case traverse.OutcomeBudget:
-		return errBudget(req.Budget)
-	case traverse.OutcomeStopped:
-		return errCanceled(ctxErr(ctx))
-	default:
-		return nil
-	}
-}
-
-// addCost folds one target's QueryStats into the request cost.
-func addCost(res *Result, st *QueryStats) {
-	res.Cost.Lookups += st.Lookups
-	res.Cost.Scanned += st.Scanned
-	res.Cost.Expanded += st.Expanded
-}
-
-// batchWorker is one worker's private state in a queryMany fallback
-// fan-out: a stats shard (merged by summation afterwards), a lazily
-// borrowed search workspace, and an expansion tally for Result.Cost.
-// The sequential pass uses one batchWorker pointed straight at the
-// aggregate BatchStats, so both passes run the same per-target code.
-type batchWorker struct {
-	wst      *BatchStats
-	ws       *traverse.Workspace
-	expanded int
+// worker is one goroutine's private state while finishing targets: a
+// Cost shard and a lazily borrowed search workspace.
+type worker struct {
+	cost Cost
+	ws   *traverse.Workspace
 }
 
 // borrow returns the worker's search workspace, taking one from the
 // oracle's pool on first use.
-func (bw *batchWorker) borrow(o *Oracle) *traverse.Workspace {
-	if bw.ws == nil {
-		bw.ws = o.workspace()
+func (w *worker) borrow(o *Oracle) *traverse.Workspace {
+	if w.ws == nil {
+		w.ws = o.workspace()
 	}
-	return bw.ws
+	return w.ws
 }
 
-// queryMany is the one-to-many engine: one table pass (tableMany), one
-// pooled search workspace per worker, the request's policy/budget/
-// cancellation applied to every fallback search. It is the only batch
-// engine — the legacy DistanceManyStats/PathManyStats delegate here
-// with a zero-override request — so batch semantics can never diverge
-// between the v1 and v2 surfaces. Tallies are added to bst (callers may
-// aggregate several batches in one BatchStats); Result.Cost reports
-// only this call's work. The returned error is non-nil only when s
-// itself is out of range (legacy contract) or the request was
-// canceled; per-target failures live in Items[i].Err.
+// done adds the worker's cost to c and returns its workspace.
+func (w *worker) done(o *Oracle, c *Cost) {
+	c.add(w.cost)
+	if w.ws != nil {
+		o.release(w.ws)
+	}
+}
+
+// finish completes target t of req after the table pass, in place in
+// it: a pair the tables could not decide goes to the request's
+// fallback, and a table-resolved path request assembles its path from
+// stored parent pointers (meet is the intersection witness). The
+// single-target Query and both batch variants run every target that
+// needs more than the table pass through it, so their answers cannot
+// diverge. Work lands in w.cost; searches
+// run on w's workspace and stop at the request's budget, its context,
+// or the batch's latch cl once any target has seen a cancellation.
+func (o *Oracle) finish(ctx context.Context, req *Request, t, meet uint32, cl *cancelLatch, w *worker, it *ItemResult) {
+	switch {
+	case it.Err != nil:
+		// A per-target error from the table pass.
+	case it.Method == MethodNone:
+		switch o.effectiveFallback(req.Policy) {
+		case FallbackExact:
+			o.search(ctx, req, t, cl, w, it)
+		case FallbackEstimate:
+			if d := o.landmarkEstimate(req.S, t, &w.cost); d != NoDist {
+				it.Dist, it.Method = d, MethodFallbackEstimate
+				if req.WantPath {
+					if p, ok := o.estimatePath(req.S, t); ok {
+						it.Path = p
+					}
+				}
+			}
+		}
+	case req.WantPath && it.Dist != NoDist:
+		if p, ok := o.assembleTablePath(req.S, t, it.Method, meet); ok {
+			it.Path = p
+			return
+		}
+		// Stored chains incomplete (path data disabled or a repaired
+		// parent missing). With no fallback allowed, report no path
+		// (MethodNone) but keep the table-resolved distance. Otherwise
+		// one limited exact search re-resolves the path, even under the
+		// estimate fallback; if it is cut off without beating the
+		// table-resolved distance, the exact answer stays — a budget
+		// must degrade the path, never the distance.
+		if o.effectiveFallback(req.Policy) == FallbackNone {
+			it.Method = MethodNone
+			return
+		}
+		d, m := it.Dist, it.Method
+		o.search(ctx, req, t, cl, w, it)
+		if it.Err != nil && it.Dist >= d {
+			it.Dist, it.Method, it.Path = d, m, nil
+		}
+	}
+}
+
+// search runs the limited exact fallback for (req.S, t) into it — with
+// the path when WantPath is set — mapping early outcomes to the error
+// taxonomy. On an early outcome the distance is the search's
+// best-known upper bound and the path (if any) realizes it.
+func (o *Oracle) search(ctx context.Context, req *Request, t uint32, cl *cancelLatch, w *worker, it *ItemResult) {
+	if cerr := cl.check(ctx); cerr != nil {
+		it.Method, it.Path, it.Err = MethodNone, nil, cerr
+		return
+	}
+	lim := traverse.Limits{NodeBudget: req.Budget, Done: ctxDone(ctx)}
+	var out traverse.Outcome
+	if req.WantPath {
+		var d uint32
+		it.Path, d, it.Method, out = o.fallbackPathWS(req.S, t, &w.cost, w.borrow(o), lim)
+		if it.Method != MethodNone {
+			it.Dist = d
+		}
+	} else {
+		it.Dist, it.Method, out = o.fallbackDistanceWS(req.S, t, &w.cost, w.borrow(o), lim)
+	}
+	switch out {
+	case traverse.OutcomeBudget:
+		it.Err = errBudget(req.Budget)
+	case traverse.OutcomeStopped:
+		if it.Err = cl.check(ctx); it.Err == nil {
+			it.Err = cl.force()
+		}
+	}
+}
+
+// queryMany is the one-to-many engine: one table pass (tableMany), then
+// finish for every target that still needs work — the pairs the tables
+// could not decide, plus every table-resolved target when paths are
+// wanted — with one pooled search workspace per worker and every pass
+// adding its work to Result.Cost. The returned error is non-nil only
+// when s itself is out of range or the request was canceled;
+// per-target failures live in Items[i].Err. Every item equals the
+// answer of the single-target Query for the same pair
+// (property-tested).
 //
 // Request.Parallel fans the table passes (inside tableMany) and the
-// per-target fallback work below across workers. Each target's answer
-// lands at its fixed index, worker stat shards merge by summation, and
-// the per-target bodies are shared between the sequential and parallel
-// branches, so the batch output is bit-identical for any worker count.
-func (o *Oracle) queryMany(ctx context.Context, req Request, bst *BatchStats) (Result, error) {
+// finishing pass across workers. Each target's answer lands at its
+// fixed index and worker Cost shards merge by summation, so the batch
+// output is bit-identical for any worker count.
+func (o *Oracle) queryMany(ctx context.Context, req Request) (Result, error) {
 	res := Result{Dist: NoDist, Epoch: o.gen}
-	eff := o.effectiveFallback(req.Policy)
-	base := *bst // aggregate counters at entry; Cost reports the delta
 	workers := batchWorkers(req.Parallel, len(req.Ts))
-	tRes, meets, pend, err := o.tableMany(req.S, req.Ts, bst, req.WantPath, workers)
+	items, meets, pend, err := o.tableMany(req.S, req.Ts, &res.Cost, req.WantPath, workers)
 	if err != nil {
 		return res, err
 	}
-	items := make([]ItemResult, len(req.Ts))
-	lim := traverse.Limits{NodeBudget: req.Budget, Done: ctxDone(ctx)}
-
 	// The latch, once set, short-circuits every remaining fallback
 	// search; table-resolved targets are already answered and stay.
 	var cl cancelLatch
-
-	if !req.WantPath {
-		for i, r := range tRes {
-			items[i] = ItemResult{Dist: r.Dist, Method: r.Method, Err: r.Err}
-		}
-		// runFB resolves one pending target through the fallback; shared
-		// by the sequential loop and the parallel fan-out.
-		runFB := func(i uint32, bw *batchWorker) {
-			t := req.Ts[i]
-			st := QueryStats{Method: MethodNone, Meet: graph.NoNode}
-			if eff == FallbackExact {
-				if cerr := cl.check(ctx); cerr != nil {
-					items[i] = ItemResult{Dist: NoDist, Method: MethodNone, Err: cerr}
-					bw.wst.note(MethodNone)
-					return
-				}
-			}
-			var ws *traverse.Workspace
-			if eff == FallbackExact {
-				ws = bw.borrow(o)
-			}
-			d, searched, out := o.fallbackDistanceWS(req.S, t, &st, ws, eff, lim)
-			if searched {
-				bw.wst.Fallbacks++
-			}
-			bw.wst.Lookups += st.Lookups
-			bw.expanded += st.Expanded
-			it := ItemResult{Dist: d, Method: st.Method}
-			switch out {
-			case traverse.OutcomeBudget:
-				it.Err = errBudget(req.Budget)
-			case traverse.OutcomeStopped:
-				cl.check(ctx)
-				it.Err = cl.force()
-			}
-			items[i] = it
-			bw.wst.note(st.Method)
-		}
-		if fw := min(workers, len(pend)); fw > 1 {
-			shards := make([]BatchStats, fw)
-			states := make([]*batchWorker, fw)
-			parallelFor(fw, len(pend), func(w int) any {
-				bw := &batchWorker{wst: &shards[w]}
-				states[w] = bw
-				return bw
-			}, func(state any, k int) {
-				runFB(pend[k], state.(*batchWorker))
-			})
-			for w, bw := range states {
-				if bw.ws != nil {
-					o.release(bw.ws)
-				}
-				bst.add(&shards[w])
-				res.Cost.Expanded += bw.expanded
-			}
-		} else if len(pend) > 0 {
-			bw := batchWorker{wst: bst}
-			for _, i := range pend {
-				runFB(i, &bw)
-			}
-			if bw.ws != nil {
-				o.release(bw.ws)
-			}
-			res.Cost.Expanded += bw.expanded
-		}
-		res.Items = items
-		res.Cost.Lookups += bst.Lookups - base.Lookups
-		res.Cost.Scanned += bst.Scanned - base.Scanned
-		res.Cost.Fallbacks += bst.Fallbacks - base.Fallbacks
-		return res, cl.get()
-	}
-
-	// Path variant: mirror PathManyStats's assembly loop.
-	pending := make([]bool, len(req.Ts))
-	for _, i := range pend {
-		pending[i] = true
-	}
-	runPath := func(i int, st *QueryStats, bw *batchWorker) {
-		t := req.Ts[i]
-		if cerr := cl.check(ctx); cerr != nil {
-			items[i].Err = cerr
-			items[i].Method = MethodNone
-			items[i].Path = nil
-			bw.wst.note(MethodNone)
-			return
-		}
-		bw.wst.Fallbacks++
-		p, d, m, out := o.fallbackPathWS(req.S, t, st, bw.borrow(o), lim)
-		bw.expanded += st.Expanded
-		items[i].Path, items[i].Method = p, m
-		if m != MethodNone {
-			items[i].Dist = d
-		}
-		switch out {
-		case traverse.OutcomeBudget:
-			items[i].Err = errBudget(req.Budget)
-		case traverse.OutcomeStopped:
-			cl.check(ctx)
-			items[i].Err = cl.force()
-		}
-		bw.wst.note(m)
-	}
-	// pathOne answers one target end to end: table-resolved assembly,
-	// chain-failure re-resolution, or the fallback. Shared by the
-	// sequential loop and the parallel fan-out; every write lands at
-	// the target's fixed index.
-	pathOne := func(i int, bw *batchWorker) {
-		r := tRes[i]
-		items[i].Dist = NoDist
-		if r.Err != nil {
-			items[i].Err = r.Err
-			items[i].Method = r.Method
-			return
-		}
-		if !pending[i] {
-			// Table-resolved: assemble from stored parent pointers.
-			items[i].Dist = r.Dist
-			items[i].Method = r.Method
-			if r.Dist == NoDist {
-				return // exact unreachability off a landmark row
-			}
-			st := QueryStats{Method: r.Method, Meet: meets[i]}
-			if p, ok := o.assembleTablePath(req.S, req.Ts[i], &st); ok {
-				items[i].Path = p
-				return
-			}
-			// Stored chains incomplete: re-resolve through the fallback
-			// (mirroring PathMany, the exact search runs even under the
-			// estimate fallback); the tally moves to the final method.
-			bw.wst.unnote(r.Method)
-			if eff == FallbackNone {
-				items[i].Method = MethodNone
-				bw.wst.note(MethodNone)
-				return
-			}
-			runPath(i, &st, bw)
-			if items[i].Err != nil && (items[i].Dist == NoDist || items[i].Dist >= r.Dist) {
-				// Cut off without beating the table-resolved distance:
-				// keep the exact answer (path degraded, distance not).
-				bw.wst.unnote(items[i].Method)
-				items[i].Dist, items[i].Method, items[i].Path = r.Dist, r.Method, nil
-				bw.wst.note(r.Method)
-			}
-			return
-		}
-		// Unresolved by the tables.
-		switch eff {
-		case FallbackExact:
-			st := QueryStats{Method: MethodNone, Meet: graph.NoNode}
-			runPath(i, &st, bw)
-		case FallbackEstimate:
-			st := QueryStats{Method: MethodNone, Meet: graph.NoNode}
-			d := o.landmarkEstimate(req.S, req.Ts[i], &st)
-			if d == NoDist {
-				items[i].Method = MethodNone
-				bw.wst.note(MethodNone)
-				return
-			}
-			bw.wst.Lookups += st.Lookups
-			items[i].Dist = d
-			items[i].Method = MethodFallbackEstimate
-			bw.wst.note(MethodFallbackEstimate)
-			if p, ok := o.estimatePath(req.S, req.Ts[i]); ok {
-				items[i].Path = p
-			}
-		default:
-			items[i].Method = MethodNone
-			bw.wst.note(MethodNone)
-		}
-	}
-	if workers > 1 {
-		shards := make([]BatchStats, workers)
-		states := make([]*batchWorker, workers)
-		parallelFor(workers, len(req.Ts), func(w int) any {
-			bw := &batchWorker{wst: &shards[w]}
-			states[w] = bw
-			return bw
-		}, func(state any, i int) {
-			pathOne(i, state.(*batchWorker))
+	if req.WantPath {
+		o.fanOut(workers, len(req.Ts), &res.Cost, func(w *worker, i int) {
+			o.finish(ctx, &req, req.Ts[i], meets[i], &cl, w, &items[i])
 		})
-		for w, bw := range states {
-			if bw.ws != nil {
-				o.release(bw.ws)
-			}
-			bst.add(&shards[w])
-			res.Cost.Expanded += bw.expanded
-		}
 	} else {
-		bw := batchWorker{wst: bst}
-		for i := range req.Ts {
-			pathOne(i, &bw)
-		}
-		if bw.ws != nil {
-			o.release(bw.ws)
-		}
-		res.Cost.Expanded += bw.expanded
+		o.fanOut(workers, len(pend), &res.Cost, func(w *worker, k int) {
+			i := pend[k]
+			o.finish(ctx, &req, req.Ts[i], graph.NoNode, &cl, w, &items[i])
+		})
 	}
 	res.Items = items
-	res.Cost.Lookups += bst.Lookups - base.Lookups
-	res.Cost.Scanned += bst.Scanned - base.Scanned
-	res.Cost.Fallbacks += bst.Fallbacks - base.Fallbacks
 	return res, cl.get()
 }

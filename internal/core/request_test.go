@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,119 +16,46 @@ import (
 	"vicinity/internal/xrand"
 )
 
-// checkQueryAgainstLegacy asserts that a default-policy Query answers
-// bit-identically (distance, method, path, error text) to every legacy
-// call on the same pairs: Distance and Path for singles, DistanceMany
-// and PathMany for the batch shape.
-func checkQueryAgainstLegacy(t *testing.T, o *Oracle, s uint32, ts []uint32) {
-	t.Helper()
-	ctx := context.Background()
-	for _, tgt := range ts {
-		d, m, derr := o.Distance(s, tgt)
-		res, qerr := o.Query(ctx, Request{S: s, T: tgt})
-		if res.Dist != d || res.Method != m || errString(qerr) != errString(derr) {
-			t.Fatalf("Query(%d,%d) = (%d, %v, %q), Distance says (%d, %v, %q)",
-				s, tgt, res.Dist, res.Method, errString(qerr), d, m, errString(derr))
+// TestPolicyAndMethodNames pins the policy and method spellings, which
+// are wire contracts: the HTTP load client sends Policy.String() and
+// the server parses it with ParsePolicy, HTTP responses and spquery
+// -json emit Method.String(), and load reports match on
+// "fallback-estimate".
+func TestPolicyAndMethodNames(t *testing.T) {
+	for _, p := range batchPolicies {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Fatalf("ParsePolicy(%q) = (%v, %v), want %v", p.String(), got, err, p)
 		}
-		p, pm, perr := o.Path(s, tgt)
-		pres, pqerr := o.Query(ctx, Request{S: s, T: tgt, WantPath: true})
-		if pres.Method != pm || errString(pqerr) != errString(perr) {
-			t.Fatalf("Query(%d,%d,path) method/err (%v, %q), Path says (%v, %q)",
-				s, tgt, pres.Method, errString(pqerr), pm, errString(perr))
+	}
+	for in, want := range map[string]Policy{"": PolicyDefault, "table-only": PolicyTableOnly} {
+		if got, err := ParsePolicy(in); err != nil || got != want {
+			t.Fatalf("ParsePolicy(%q) = (%v, %v), want %v", in, got, err, want)
 		}
-		if len(pres.Path) != len(p) {
-			t.Fatalf("Query(%d,%d,path) path %v, Path says %v", s, tgt, pres.Path, p)
-		}
-		for j := range p {
-			if pres.Path[j] != p[j] {
-				t.Fatalf("Query(%d,%d,path) path %v, Path says %v", s, tgt, pres.Path, p)
-			}
-		}
+	}
+	if _, err := ParsePolicy("fastest"); err == nil {
+		t.Fatal("ParsePolicy accepted an unknown name")
+	}
+	if got := Policy(9).String(); got != "Policy(9)" {
+		t.Fatalf("Policy(9).String() = %q", got)
 	}
 
-	many, merr := o.DistanceMany(s, ts)
-	mres, mqerr := o.Query(ctx, Request{S: s, Ts: ts})
-	if errString(merr) != errString(mqerr) {
-		t.Fatalf("Query(many) err %q, DistanceMany says %q", errString(mqerr), errString(merr))
-	}
-	if merr == nil {
-		if len(mres.Items) != len(many) {
-			t.Fatalf("Query(many) %d items, DistanceMany %d", len(mres.Items), len(many))
+	seen := make(map[string]Method)
+	for m := MethodNone; m <= MethodBudgetBound; m++ {
+		name := m.String()
+		if strings.HasPrefix(name, "Method(") {
+			t.Fatalf("method %d has no name: %q", int(m), name)
 		}
-		for i := range many {
-			it := mres.Items[i]
-			if it.Dist != many[i].Dist || it.Method != many[i].Method || errString(it.Err) != errString(many[i].Err) {
-				t.Fatalf("Query(many)[%d] = (%d, %v, %q), DistanceMany says (%d, %v, %q)",
-					i, it.Dist, it.Method, errString(it.Err), many[i].Dist, many[i].Method, errString(many[i].Err))
-			}
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("methods %d and %d share the name %q", int(prev), int(m), name)
 		}
+		seen[name] = m
 	}
-
-	paths, perr := o.PathMany(s, ts)
-	pres, pqerr := o.Query(ctx, Request{S: s, Ts: ts, WantPath: true})
-	if errString(perr) != errString(pqerr) {
-		t.Fatalf("Query(many,path) err %q, PathMany says %q", errString(pqerr), errString(perr))
+	if got := MethodFallbackEstimate.String(); got != "fallback-estimate" {
+		t.Fatalf("MethodFallbackEstimate.String() = %q", got)
 	}
-	if perr == nil {
-		for i := range paths {
-			it := pres.Items[i]
-			if it.Method != paths[i].Method || errString(it.Err) != errString(paths[i].Err) {
-				t.Fatalf("Query(many,path)[%d] method/err (%v, %q), PathMany says (%v, %q)",
-					i, it.Method, errString(it.Err), paths[i].Method, errString(paths[i].Err))
-			}
-			if len(it.Path) != len(paths[i].Path) {
-				t.Fatalf("Query(many,path)[%d] path %v, PathMany says %v", i, it.Path, paths[i].Path)
-			}
-			for j := range paths[i].Path {
-				if it.Path[j] != paths[i].Path[j] {
-					t.Fatalf("Query(many,path)[%d] path %v, PathMany says %v", i, it.Path, paths[i].Path)
-				}
-			}
-		}
-	}
-}
-
-// TestQueryMatchesLegacyMatrix is the v1/v2 equivalence property over
-// the full option/table-kind matrix on a power-law graph: a
-// default-policy Query must be indistinguishable from the legacy API.
-func TestQueryMatchesLegacyMatrix(t *testing.T) {
-	g := socialGraph(11, 500)
-	for oi, opts := range batchOptionMatrix() {
-		opts.Seed = 11
-		t.Run(fmt.Sprintf("opts%d", oi), func(t *testing.T) {
-			o := mustBuild(t, g, opts)
-			r := xrand.New(uint64(300 + oi))
-			n := uint32(g.NumNodes())
-			for trial := 0; trial < 6; trial++ {
-				s := r.Uint32n(n)
-				if trial == 0 && len(o.Landmarks()) > 0 {
-					s = o.Landmarks()[0]
-				}
-				checkQueryAgainstLegacy(t, o, s, batchTargets(r, o, s, 30))
-			}
-			// Out-of-range source: same top-level error as the legacy
-			// batch, wrapping ErrNodeRange.
-			if _, err := o.Query(context.Background(), Request{S: n + 3, Ts: []uint32{0}}); !errors.Is(err, ErrNodeRange) {
-				t.Fatalf("out-of-range source: got %v, want ErrNodeRange", err)
-			}
-		})
-	}
-}
-
-// TestQueryMatchesLegacyProfiles runs the equivalence property across
-// the five cross-validation generator profiles.
-func TestQueryMatchesLegacyProfiles(t *testing.T) {
-	for _, prof := range crossProfiles() {
-		t.Run(prof.name, func(t *testing.T) {
-			g := prof.build()
-			o := mustBuild(t, g, Options{Seed: 17, Workers: 2})
-			r := xrand.New(4040)
-			n := uint32(g.NumNodes())
-			for trial := 0; trial < 5; trial++ {
-				s := r.Uint32n(n)
-				checkQueryAgainstLegacy(t, o, s, batchTargets(r, o, s, 25))
-			}
-		})
+	out := MethodBudgetBound + 1
+	if got, want := out.String(), fmt.Sprintf("Method(%d)", int(out)); got != want {
+		t.Fatalf("out-of-range method renders %q, want %q", got, want)
 	}
 }
 
@@ -140,7 +68,7 @@ func hardPairOracle(t *testing.T, opts Options) (*Oracle, uint32, uint32) {
 	opts.Seed = 9
 	o := mustBuild(t, g, opts)
 	s, u := uint32(0), uint32(g.NumNodes()-1)
-	if _, m, err := o.Distance(s, u); err != nil || m.Resolved() {
+	if _, m, err := queryDist(o, s, u); err != nil || m.Resolved() {
 		t.Fatalf("corner pair unexpectedly resolved (method %v, err %v); the grid is too small", m, err)
 	}
 	return o, s, u
@@ -280,7 +208,7 @@ func TestQueryPolicyOverrides(t *testing.T) {
 	// full search.
 	o, s, u := hardPairOracle(t, Options{Fallback: FallbackNone})
 	want := baseline.NewBFS(o.Graph()).Distance(s, u)
-	if d, m, _ := o.Distance(s, u); d != NoDist || m != MethodNone {
+	if d, m, _ := queryDist(o, s, u); d != NoDist || m != MethodNone {
 		t.Fatalf("FallbackNone build resolved the hard pair (%d, %v)", d, m)
 	}
 	res, err := o.Query(ctx, Request{S: s, T: u, Policy: PolicyFull})
@@ -532,7 +460,7 @@ func TestQueryBudgetKeepsResolvedDistance(t *testing.T) {
 	var want uint32
 	found := false
 	for u := uint32(1); u < 40 && !found; u++ {
-		d, m, err := o.Distance(0, u)
+		d, m, err := queryDist(o, 0, u)
 		if err == nil && m.Resolved() && d >= 2 {
 			tgt, want, found = u, d, true
 		}

@@ -12,11 +12,10 @@ import (
 	"vicinity/internal/xrand"
 )
 
-// TestQueryResolvedZeroAlloc is the hot-path allocation gate required
-// by the v2 redesign: a table-resolved Query (the ~99% case) must not
-// allocate — same contract the legacy DistanceStats path has always
-// had. testing.AllocsPerRun enforces it as a test, not just a
-// benchmark eyeball.
+// TestQueryResolvedZeroAlloc is the hot-path allocation gate: a
+// table-resolved Query (the ~99% case) must not allocate, Cost
+// accounting included. testing.AllocsPerRun enforces it as a test, not
+// just a benchmark eyeball.
 func TestQueryResolvedZeroAlloc(t *testing.T) {
 	g := socialGraph(21, 2000)
 	o := mustBuild(t, g, Options{Seed: 21})
@@ -28,7 +27,7 @@ func TestQueryResolvedZeroAlloc(t *testing.T) {
 	var pairs [][2]uint32
 	for len(pairs) < 64 {
 		s, u := r.Uint32n(2000), r.Uint32n(2000)
-		if _, m, _ := o.Distance(s, u); m.Resolved() {
+		if _, m, _ := queryDist(o, s, u); m.Resolved() {
 			pairs = append(pairs, [2]uint32{s, u})
 		}
 	}
@@ -79,7 +78,7 @@ func TestQueryResolvedZeroAllocConcurrent(t *testing.T) {
 	var pairs [][2]uint32
 	for len(pairs) < 64 {
 		s, u := r.Uint32n(2000), r.Uint32n(2000)
-		if _, m, _ := o.Distance(s, u); m.Resolved() {
+		if _, m, _ := queryDist(o, s, u); m.Resolved() {
 			pairs = append(pairs, [2]uint32{s, u})
 		}
 	}
@@ -154,7 +153,7 @@ func BenchmarkQueryResolved(b *testing.B) {
 	var pairs [][2]uint32
 	for len(pairs) < 256 {
 		s, u := r.Uint32n(2000), r.Uint32n(2000)
-		if _, m, _ := o.Distance(s, u); m.Resolved() {
+		if _, m, _ := queryDist(o, s, u); m.Resolved() {
 			pairs = append(pairs, [2]uint32{s, u})
 		}
 	}

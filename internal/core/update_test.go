@@ -111,20 +111,19 @@ func assertAgreeModuloPaths(t *testing.T, a, b *Oracle, trials int) {
 	r := xrand.New(41)
 	for trial := 0; trial < trials; trial++ {
 		s, u := r.Uint32n(uint32(n)), r.Uint32n(uint32(n))
-		var sta, stb QueryStats
-		da, errA := a.DistanceStats(s, u, &sta)
-		db, errB := b.DistanceStats(s, u, &stb)
+		da, ma, meetA, errA := queryMeet(a, s, u)
+		db, mb, meetB, errB := queryMeet(b, s, u)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("(%d,%d): errors disagree: %v vs %v", s, u, errA, errB)
 		}
 		if errA != nil {
 			continue
 		}
-		if da != db || sta.Method != stb.Method || sta.Meet != stb.Meet {
-			t.Fatalf("(%d,%d): %d/%v/%d vs %d/%v/%d", s, u, da, sta.Method, sta.Meet, db, stb.Method, stb.Meet)
+		if da != db || ma != mb || meetA != meetB {
+			t.Fatalf("(%d,%d): %d/%v/%d vs %d/%v/%d", s, u, da, ma, meetA, db, mb, meetB)
 		}
-		assertValidShortestPath(t, a, s, u, da, sta.Method)
-		assertValidShortestPath(t, b, s, u, db, stb.Method)
+		assertValidShortestPath(t, a, s, u, da, ma)
+		assertValidShortestPath(t, b, s, u, db, mb)
 	}
 }
 
@@ -134,7 +133,7 @@ func assertAgreeModuloPaths(t *testing.T, a, b *Oracle, trials int) {
 // realize the other.
 func assertValidShortestPath(t *testing.T, o *Oracle, s, u, d uint32, m Method) {
 	t.Helper()
-	p, _, err := o.Path(s, u)
+	p, _, err := queryPath(o, s, u)
 	if err != nil {
 		t.Fatalf("Path(%d,%d): %v", s, u, err)
 	}
@@ -223,7 +222,7 @@ func assertGroundTruth(t *testing.T, o *Oracle, sources int) {
 		tr := traverse.BFS(g, s)
 		for j := 0; j < 20; j++ {
 			u := r.Uint32n(uint32(n))
-			d, _, err := o.Distance(s, u)
+			d, _, err := queryDist(o, s, u)
 			if err != nil {
 				t.Fatalf("Distance(%d,%d): %v", s, u, err)
 			}
@@ -301,10 +300,10 @@ func TestUpdateComponentMerge(t *testing.T) {
 	assertSameStructure(t, o2, fresh)
 	assertGroundTruth(t, o2, 30)
 	// The old snapshot still answers for the old graph.
-	if d, _, _ := o.Distance(7, 203); d != NoDist {
+	if d, _, _ := queryDist(o, 7, 203); d != NoDist {
 		t.Fatalf("old snapshot sees the new edge: d=%d", d)
 	}
-	if d, _, _ := o2.Distance(7, 203); d != 1 {
+	if d, _, _ := queryDist(o2, 7, 203); d != 1 {
 		t.Fatalf("new snapshot misses the new edge: d=%d", d)
 	}
 }
@@ -322,7 +321,7 @@ func TestUpdateAddNodes(t *testing.T) {
 		t.Fatalf("n = %d, want 203", o2.Graph().NumNodes())
 	}
 	assertSameStructure(t, o2, freshTwin(t, o2))
-	if d, _, err := o2.Distance(0, 202); err != nil || d != NoDist {
+	if d, _, err := queryDist(o2, 0, 202); err != nil || d != NoDist {
 		t.Fatalf("isolated node: d=%d err=%v", d, err)
 	}
 	// Wire them in.
@@ -507,7 +506,7 @@ func assertGroundTruthScoped(t *testing.T, o *Oracle, scope []uint32) {
 		s := scope[r.Uint32n(uint32(len(scope)))]
 		u := scope[r.Uint32n(uint32(len(scope)))]
 		tr := traverse.BFS(g, s)
-		d, _, err := o.Distance(s, u)
+		d, _, err := queryDist(o, s, u)
 		if err != nil {
 			t.Fatalf("Distance(%d,%d): %v", s, u, err)
 		}
@@ -550,7 +549,7 @@ func TestUpdateConcurrentQueries(t *testing.T) {
 				cur.RUnlock()
 				n := uint32(snap.Graph().NumNodes())
 				s, u := r.Uint32n(n), r.Uint32n(n)
-				d, _, err := snap.Distance(s, u)
+				d, _, err := queryDist(snap, s, u)
 				if err != nil {
 					errc <- err
 					return
@@ -560,7 +559,7 @@ func TestUpdateConcurrentQueries(t *testing.T) {
 					errc <- fmt.Errorf("d(%d,%d)=1 but no edge in snapshot graph", s, u)
 					return
 				}
-				if p, _, err := snap.Path(s, u); err != nil {
+				if p, _, err := queryPath(snap, s, u); err != nil {
 					errc <- err
 					return
 				} else if d != NoDist && uint32(len(p)-1) != d {

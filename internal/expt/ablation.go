@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -37,17 +38,17 @@ func AblationBoundary(d Dataset, cfg Config) (AblationBoundaryRow, error) {
 	}
 
 	// Boundary scanning: the oracle's native query.
-	var st core.QueryStats
+	ctx := context.Background()
 	var boundaryLookups int64
 	agreeDist := make([]uint32, len(pairs))
 	start := time.Now()
 	for i, p := range pairs {
-		dist, err := o.DistanceStats(p[0], p[1], &st)
+		res, err := o.Query(ctx, core.Request{S: p[0], T: p[1]})
 		if err != nil {
 			return row, err
 		}
-		boundaryLookups += int64(st.Lookups)
-		agreeDist[i] = dist
+		boundaryLookups += int64(res.Cost.Lookups)
+		agreeDist[i] = res.Dist
 	}
 	row.BoundaryTime = time.Since(start) / time.Duration(len(pairs))
 	row.BoundaryLookups = float64(boundaryLookups) / float64(len(pairs))
@@ -145,14 +146,14 @@ func AblationSampling(d Dataset, cfg Config) ([]AblationSamplingRow, error) {
 			return nil, fmt.Errorf("ablation sampling %s/%v: %w", d.Name, strat, err)
 		}
 		resolved, total := 0, 0
-		var st core.QueryStats
 		for i := 0; i < len(nodes); i++ {
 			for j := i + 1; j < len(nodes); j++ {
-				if _, err := o.DistanceStats(nodes[i], nodes[j], &st); err != nil {
+				res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j]})
+				if err != nil {
 					return nil, err
 				}
 				total++
-				if st.Method.Resolved() {
+				if res.Method.Resolved() {
 					resolved++
 				}
 			}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -54,11 +55,11 @@ func Accuracy(d Dataset, cfg Config) ([]AccuracyRow, error) {
 		fn   func(s, t uint32) uint32
 	}{
 		{"vicinity-oracle", func(s, t uint32) uint32 {
-			dd, _, qerr := oracle.Distance(s, t)
+			res, qerr := oracle.Query(context.Background(), core.Request{S: s, T: t})
 			if qerr != nil {
 				return core.NoDist
 			}
-			return dd
+			return res.Dist
 		}},
 		{lm.Name(), lm.Estimate},
 		{sk.Name(), sk.Estimate},

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
 	"vicinity/internal/core"
@@ -58,7 +59,6 @@ func IntersectionSweep(d Dataset, cfg Config) ([]IntersectionPoint, error) {
 				return nil, fmt.Errorf("intersection sweep %s α=%g: %w", d.Name, alpha, err)
 			}
 			resolved, total := 0, 0
-			var st core.QueryStats
 			for i := 0; i < len(nodes); i++ {
 				if o.IsLandmark(nodes[i]) {
 					continue
@@ -67,11 +67,12 @@ func IntersectionSweep(d Dataset, cfg Config) ([]IntersectionPoint, error) {
 					if o.IsLandmark(nodes[j]) {
 						continue
 					}
-					if _, err := o.DistanceStats(nodes[i], nodes[j], &st); err != nil {
+					res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j]})
+					if err != nil {
 						return nil, err
 					}
 					total++
-					if st.Method.Resolved() {
+					if res.Method.Resolved() {
 						resolved++
 					}
 				}

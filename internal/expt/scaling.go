@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -45,14 +46,15 @@ func Scaling(p gen.Profile, sizes []int, cfg Config) ([]ScalingRow, error) {
 			}
 		}
 		row := ScalingRow{Nodes: g.NumNodes(), Edges: g.NumEdges()}
-		var st core.QueryStats
+		ctx := context.Background()
 		resolved := 0
 		start := time.Now()
 		for _, pr := range pairs {
-			if _, err := o.DistanceStats(pr[0], pr[1], &st); err != nil {
+			res, err := o.Query(ctx, core.Request{S: pr[0], T: pr[1]})
+			if err != nil {
 				return nil, err
 			}
-			if st.Method.Resolved() {
+			if res.Method.Resolved() {
 				resolved++
 			}
 		}

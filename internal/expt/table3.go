@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -60,19 +61,20 @@ func Table3(d Dataset, cfg Config) (Table3Row, error) {
 			pairs = append(pairs, [2]uint32{nodes[i], nodes[j]})
 		}
 	}
-	var st core.QueryStats
+	ctx := context.Background()
 	var lookupSum int64
 	resolved := 0
 	start := time.Now()
 	for _, p := range pairs {
-		if _, err := o.DistanceStats(p[0], p[1], &st); err != nil {
+		res, err := o.Query(ctx, core.Request{S: p[0], T: p[1]})
+		if err != nil {
 			return row, err
 		}
-		lookupSum += int64(st.Lookups)
-		if st.Lookups > row.WorstLookups {
-			row.WorstLookups = st.Lookups
+		lookupSum += int64(res.Cost.Lookups)
+		if res.Cost.Lookups > row.WorstLookups {
+			row.WorstLookups = res.Cost.Lookups
 		}
-		if st.Method.Resolved() {
+		if res.Method.Resolved() {
 			resolved++
 		}
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
 	"vicinity/internal/baseline"
@@ -50,19 +51,19 @@ func Weighted(d Dataset, maxW uint32, cfg Config) (WeightedRow, error) {
 	}
 	truth := baseline.NewBiDijkstra(g)
 
-	var st core.QueryStats
 	total, resolved, exact := 0, 0, 0
 	var stretchSum float64
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
-			got, err := o.DistanceStats(nodes[i], nodes[j], &st)
+			res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j]})
 			if err != nil {
 				return row, err
 			}
 			total++
-			if !st.Method.Resolved() {
+			if !res.Method.Resolved() {
 				continue
 			}
+			got := res.Dist
 			resolved++
 			want := truth.Distance(nodes[i], nodes[j])
 			if got < want {

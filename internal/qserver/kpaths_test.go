@@ -152,7 +152,7 @@ func TestKPathsBudgetPartialTCP(t *testing.T) {
 	var a, b uint32
 	for i := 0; ; i++ {
 		a, b = r.Uint32n(400), r.Uint32n(400)
-		d, _, err := o.Distance(a, b)
+		d, _, err := queryDist(o, a, b)
 		if err == nil && d >= 4 && d != core.NoDist {
 			break
 		}
@@ -275,7 +275,7 @@ func TestKPathsHTTP(t *testing.T) {
 	var a, b uint32
 	for {
 		a, b = rr.Uint32n(400), rr.Uint32n(400)
-		if d, _, err := o.Distance(a, b); err == nil && d >= 4 && d != core.NoDist {
+		if d, _, err := queryDist(o, a, b); err == nil && d >= 4 && d != core.NoDist {
 			break
 		}
 	}

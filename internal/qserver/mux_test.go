@@ -38,7 +38,7 @@ func TestMuxNegotiationAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantD, _, err := s.Oracle().Distance(3, 77)
+	wantD, _, err := queryDist(s.Oracle(), 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}

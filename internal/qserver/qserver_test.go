@@ -25,6 +25,18 @@ import (
 	"vicinity/internal/xrand"
 )
 
+// queryDist answers (s, t) through a default-policy core Query.
+func queryDist(o *core.Oracle, s, t uint32) (uint32, core.Method, error) {
+	res, err := o.Query(context.Background(), core.Request{S: s, T: t})
+	return res.Dist, res.Method, err
+}
+
+// queryPath is queryDist with WantPath set.
+func queryPath(o *core.Oracle, s, t uint32) ([]uint32, core.Method, error) {
+	res, err := o.Query(context.Background(), core.Request{S: s, T: t, WantPath: true})
+	return res.Path, res.Method, err
+}
+
 // startServer builds a small oracle, starts a TCP server on a loopback
 // port, and returns the server plus its address. Cleanup is registered
 // on t.
@@ -541,10 +553,10 @@ func TestAdminUpdateEndpoint(t *testing.T) {
 	if out["epoch"].(float64) != 1 || out["nodes"].(float64) != 301 {
 		t.Fatalf("unexpected response: %v", out)
 	}
-	if d, _, _ := s.Oracle().Distance(u, v); d != 1 {
+	if d, _, _ := queryDist(s.Oracle(), u, v); d != 1 {
 		t.Fatalf("inserted edge not visible: d=%d", d)
 	}
-	if d, _, _ := s.Oracle().Distance(300, 0); d != 1 {
+	if d, _, _ := queryDist(s.Oracle(), 300, 0); d != 1 {
 		t.Fatalf("added node not wired: d=%d", d)
 	}
 	if m := s.Metrics(); m.Updates != 1 || m.Epoch != 1 {
@@ -568,7 +580,7 @@ func TestAdminUpdateEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete returned %d: %v", resp.StatusCode, out)
 	}
-	if d, _, _ := s.Oracle().Distance(u, v); d == 1 {
+	if d, _, _ := queryDist(s.Oracle(), u, v); d == 1 {
 		t.Fatal("deleted edge still answers d=1")
 	}
 	// Deleting it again is a typed 404, and nothing is applied.
@@ -583,7 +595,7 @@ func TestAdminUpdateEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("upsert returned %d: %v", resp.StatusCode, out)
 	}
-	if d, _, _ := s.Oracle().Distance(u, v); d != 1 {
+	if d, _, _ := queryDist(s.Oracle(), u, v); d != 1 {
 		t.Fatalf("upsert did not restore the edge: d=%d", d)
 	}
 	// del_nodes isolates a node wholesale.
@@ -591,7 +603,7 @@ func TestAdminUpdateEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("del_nodes returned %d: %v", resp.StatusCode, out)
 	}
-	if d, _, _ := s.Oracle().Distance(300, 0); d != core.NoDist {
+	if d, _, _ := queryDist(s.Oracle(), 300, 0); d != core.NoDist {
 		t.Fatalf("retired node still reachable: d=%d", d)
 	}
 
@@ -710,9 +722,9 @@ func TestQueriesDuringUpdates(t *testing.T) {
 }
 
 // TestBatchRoundTrip cross-checks the TCP batch path (a many-target
-// Query) against per-pair Distance calls: same distances, same methods,
-// and per-target errors carried as item codes without failing the
-// batch.
+// Query) against per-pair single-target Queries: same distances, same
+// methods, and per-target errors carried as item codes without failing
+// the batch.
 func TestBatchRoundTrip(t *testing.T) {
 	s, addr := startServer(t, Config{})
 	c, err := qclient.Dial(addr, qclient.Options{})
@@ -735,7 +747,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 		items := res.Items
 		for i, tgt := range ts {
-			d, m, serr := s.Oracle().Distance(src, tgt)
+			d, m, serr := queryDist(s.Oracle(), src, tgt)
 			if serr != nil {
 				if items[i].Err == nil {
 					t.Fatalf("item %d: missing error for (%d,%d)", i, src, tgt)
@@ -800,7 +812,7 @@ func TestBatchHTTP(t *testing.T) {
 		if it.T != tgt {
 			t.Fatalf("result %d names target %d, want %d", i, it.T, tgt)
 		}
-		d, m, serr := s.Oracle().Distance(3, tgt)
+		d, m, serr := queryDist(s.Oracle(), 3, tgt)
 		if serr != nil {
 			if it.Error == "" || it.ErrorCode != core.ErrorCode(serr) {
 				t.Fatalf("result %d: inline error %q (%s), want code %s", i, it.Error, it.ErrorCode, core.ErrorCode(serr))
@@ -960,7 +972,7 @@ func startGridServer(t *testing.T, cfg Config) (*Server, string, uint32, uint32)
 		t.Fatal(err)
 	}
 	s, u := uint32(0), uint32(g.NumNodes()-1)
-	if _, m, err := o.Distance(s, u); err != nil || m.Resolved() {
+	if _, m, err := queryDist(o, s, u); err != nil || m.Resolved() {
 		t.Fatalf("grid corner pair resolved from tables (%v, %v)", m, err)
 	}
 	srv := New(o, cfg)
@@ -998,7 +1010,7 @@ func TestQueryV2RoundTrip(t *testing.T) {
 	r := xrand.New(5)
 	for i := 0; i < 50; i++ {
 		a, b := r.Uint32n(400), r.Uint32n(400)
-		wantD, wantM, _ := o.Distance(a, b)
+		wantD, wantM, _ := queryDist(o, a, b)
 		res, err := c.Query(ctx, qclient.QuerySpec{S: a, T: b, WantStats: true})
 		if err != nil {
 			t.Fatal(err)
@@ -1014,7 +1026,7 @@ func TestQueryV2RoundTrip(t *testing.T) {
 	}
 
 	// Path flag round-trips the witness path.
-	p, _, _ := o.Path(3, 77)
+	p, _, _ := queryPath(o, 3, 77)
 	res, err := c.Query(ctx, qclient.QuerySpec{S: 3, T: 77, WantPath: true})
 	if err != nil {
 		t.Fatal(err)
@@ -1023,13 +1035,14 @@ func TestQueryV2RoundTrip(t *testing.T) {
 		t.Fatalf("path %v, oracle says %v", got, p)
 	}
 
-	// One-to-many mirrors DistanceMany, inline per-target errors
-	// included, and maps codes back to the taxonomy.
+	// One-to-many mirrors the in-process Query, inline per-target
+	// errors included, and maps codes back to the taxonomy.
 	ts := []uint32{1, 2, 99999, 3}
-	want, err := o.DistanceMany(7, ts)
+	wantRes, err := o.Query(ctx, core.Request{S: 7, Ts: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantRes.Items
 	res, err = c.Query(ctx, qclient.QuerySpec{S: 7, Ts: ts})
 	if err != nil {
 		t.Fatal(err)
@@ -1493,7 +1506,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if it.Err != nil || core.Method(it.Method) != core.MethodFallbackEstimate {
 		t.Fatalf("shed query answered (%v, %v), want landmark estimate", core.Method(it.Method), it.Err)
 	}
-	wantD, _, _ := srv.Oracle().Distance(a, b)
+	wantD, _, _ := queryDist(srv.Oracle(), a, b)
 	if it.Dist < wantD {
 		t.Fatalf("shed estimate %d below true distance %d", it.Dist, wantD)
 	}

@@ -13,6 +13,18 @@ import (
 	"vicinity/internal/xrand"
 )
 
+// queryDist answers (s, t) through a default-policy core Query.
+func queryDist(o *core.Oracle, s, t uint32) (uint32, core.Method, error) {
+	res, err := o.Query(context.Background(), core.Request{S: s, T: t})
+	return res.Dist, res.Method, err
+}
+
+// queryPath is queryDist with WantPath set.
+func queryPath(o *core.Oracle, s, t uint32) ([]uint32, core.Method, error) {
+	res, err := o.Query(context.Background(), core.Request{S: s, T: t, WantPath: true})
+	return res.Path, res.Method, err
+}
+
 // buildOracle builds a small social-shaped test oracle.
 func buildOracle(t testing.TB, seed uint64, n int) *core.Oracle {
 	t.Helper()
@@ -114,13 +126,13 @@ func assertStatesAgree(t *testing.T, a, b *State, trials int) {
 	r := xrand.New(1234)
 	for trial := 0; trial < trials; trial++ {
 		s, u := r.Uint32n(uint32(n)), r.Uint32n(uint32(n))
-		da, ma, errA := a.Oracle.Distance(s, u)
-		db, mb, errB := b.Oracle.Distance(s, u)
+		da, ma, errA := queryDist(a.Oracle, s, u)
+		db, mb, errB := queryDist(b.Oracle, s, u)
 		if (errA == nil) != (errB == nil) || da != db || ma != mb {
 			t.Fatalf("(%d,%d): %d/%v/%v vs %d/%v/%v", s, u, da, ma, errA, db, mb, errB)
 		}
-		pa, _, _ := a.Oracle.Path(s, u)
-		pb, _, _ := b.Oracle.Path(s, u)
+		pa, _, _ := queryPath(a.Oracle, s, u)
+		pb, _, _ := queryPath(b.Oracle, s, u)
 		if len(pa) != len(pb) {
 			t.Fatalf("(%d,%d): path lengths diverge: %v vs %v", s, u, pa, pb)
 		}

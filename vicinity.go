@@ -401,10 +401,11 @@ func (o *Oracle) AddNode() (uint32, error) {
 }
 
 // Request describes one request-scoped query for Query: a source, one
-// target (T) or many (Ts), and per-request overrides — fallback Policy,
-// a fallback search node Budget, ranked-alternatives fan-out K, and the
-// WantPath/WantStats flags. The zero value of every override reproduces
-// the legacy behavior exactly.
+// target (T) or many (Ts, the one-to-many ranking shape), and
+// per-request overrides — fallback Policy, a fallback search node
+// Budget, ranked-alternatives fan-out K, and the WantPath/WantStats
+// flags. The zero value of every override answers with the oracle's
+// build-time defaults.
 type Request = core.Request
 
 // Result carries the answer(s) of one Query: distance/method/path for
@@ -479,15 +480,15 @@ var (
 )
 
 // Query answers one request-scoped query against the oracle's current
-// epoch: per-request fallback policy, a node budget for the fallback
-// search, and context cancellation honored inside the search loop.
-// With a zero-override Request the answer is bit-identical to the
-// legacy calls; see the core package's Query documentation for the
-// budget and cancellation contracts. The legacy Distance, Path,
-// DistanceMany and PathMany methods are thin wrappers over Query and
-// remain fully supported; new callers should prefer Query, which is
-// the surface deadlines, budgets and future per-request controls are
-// added to.
+// epoch: one target or a one-to-many ranking (Request.Ts, answered
+// with one table pass and one inverted boundary scan, every item equal
+// to the single-target answer), per-request fallback policy, a node
+// budget for the fallback search, and context cancellation honored
+// inside the search loop. All answers of one call read one epoch, and
+// Result.Cost reports the work. See the core package's Query
+// documentation for the budget and cancellation contracts. Query is
+// the oracle's one query entry point; Distance and Path are one-line
+// helpers over it.
 func (o *Oracle) Query(ctx context.Context, req Request) (Result, error) {
 	return o.cur().o.Query(ctx, req)
 }
@@ -496,8 +497,9 @@ func (o *Oracle) Query(ctx context.Context, req Request) (Result, error) {
 // resolved it. NoDist means unreachable (MethodUnreachable) or
 // unresolved (MethodNone).
 //
-// Distance is a thin wrapper over Query with a default-policy Request;
-// use Query directly for deadlines, budgets or per-query policy.
+// Distance is a one-line helper over Query with a default-policy
+// Request; use Query directly for rankings, deadlines, budgets or
+// per-query policy.
 func (o *Oracle) Distance(s, t uint32) (uint32, Method, error) {
 	res, err := o.cur().o.Query(context.Background(), core.Request{S: s, T: t})
 	return res.Dist, res.Method, err
@@ -506,82 +508,12 @@ func (o *Oracle) Distance(s, t uint32) (uint32, Method, error) {
 // Path returns a shortest path from s to t inclusive of endpoints, or
 // nil when no path exists or the query is unresolved.
 //
-// Path is a thin wrapper over Query with a default-policy Request and
-// WantPath set; use Query directly for deadlines, budgets or
-// per-query policy.
+// Path is a one-line helper over Query with a default-policy Request
+// and WantPath set; use Query directly for rankings, deadlines, budgets
+// or per-query policy.
 func (o *Oracle) Path(s, t uint32) ([]uint32, Method, error) {
 	res, err := o.cur().o.Query(context.Background(), core.Request{S: s, T: t, WantPath: true})
 	return res.Path, res.Method, err
-}
-
-// BatchResult is one target's answer in a DistanceMany batch: the
-// distance and method Distance would return for the same pair, or a
-// per-target error (target out of range, endpoint outside the build
-// scope).
-type BatchResult = core.BatchResult
-
-// BatchPathResult is one target's answer in a PathMany batch.
-type BatchPathResult = core.BatchPathResult
-
-// BatchStats aggregates the work one batch performed (targets resolved
-// from tables, fallback searches run, members scanned).
-type BatchStats = core.BatchStats
-
-// DistanceMany answers the one-to-many query s → each of ts — the
-// paper's "social search" ranking shape — loading s's vicinity,
-// landmark row and boundary once and servicing all residual
-// boundary-scan targets with a single inverted pass. Every per-target
-// answer (distance, method, error) is identical to Distance(s, ts[i]);
-// the error return is non-nil only when s itself is out of range.
-//
-// The whole batch reads one oracle epoch: updates applied concurrently
-// never mix snapshots within a batch.
-//
-// DistanceMany is a thin wrapper over Query with a default-policy
-// one-to-many Request.
-func (o *Oracle) DistanceMany(s uint32, ts []uint32) ([]BatchResult, error) {
-	res, err := o.cur().o.Query(context.Background(), manyRequest(s, ts, false))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BatchResult, len(res.Items))
-	for i, it := range res.Items {
-		out[i] = BatchResult{Dist: it.Dist, Method: it.Method, Err: it.Err}
-	}
-	return out, nil
-}
-
-// manyRequest builds a one-to-many Request; a nil target slice still
-// selects the batch path (Query treats nil Ts as single-target).
-func manyRequest(s uint32, ts []uint32, wantPath bool) core.Request {
-	if ts == nil {
-		ts = []uint32{}
-	}
-	return core.Request{S: s, Ts: ts, WantPath: wantPath}
-}
-
-// DistanceManyStats is DistanceMany with batch instrumentation added
-// to bst (must be non-nil).
-func (o *Oracle) DistanceManyStats(s uint32, ts []uint32, bst *BatchStats) ([]BatchResult, error) {
-	return o.cur().o.DistanceManyStats(s, ts, bst)
-}
-
-// PathMany answers one-to-many path queries against a single oracle
-// epoch; each target's path, method and error are identical to
-// Path(s, ts[i]).
-//
-// PathMany is a thin wrapper over Query with a default-policy
-// one-to-many Request and WantPath set.
-func (o *Oracle) PathMany(s uint32, ts []uint32) ([]BatchPathResult, error) {
-	res, err := o.cur().o.Query(context.Background(), manyRequest(s, ts, true))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BatchPathResult, len(res.Items))
-	for i, it := range res.Items {
-		out[i] = BatchPathResult{Path: it.Path, Method: it.Method, Err: it.Err}
-	}
-	return out, nil
 }
 
 // IsLandmark reports whether u is in the sampled landmark set L.

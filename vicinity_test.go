@@ -393,8 +393,14 @@ func TestDynamicUpdates(t *testing.T) {
 	}
 }
 
-// TestBatchQueries checks the public one-to-many API agrees with the
-// per-pair calls and reports per-target errors in place.
+// queryMany answers s → ts with one default-policy one-to-many Query.
+func queryMany(o *Oracle, s uint32, ts []uint32, wantPath bool) ([]ItemResult, error) {
+	res, err := o.Query(context.Background(), Request{S: s, Ts: ts, WantPath: wantPath})
+	return res.Items, err
+}
+
+// TestBatchQueries checks the public one-to-many Query agrees with the
+// per-pair helpers and reports per-target errors in place.
 func TestBatchQueries(t *testing.T) {
 	g := GenerateSocial(1500, 5, 3)
 	o, err := Build(g, nil)
@@ -409,11 +415,11 @@ func TestBatchQueries(t *testing.T) {
 		for len(ts) < 40 {
 			ts = append(ts, r.Uint32n(n))
 		}
-		res, err := o.DistanceMany(s, ts)
+		res, err := queryMany(o, s, ts, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths, err := o.PathMany(s, ts)
+		paths, err := queryMany(o, s, ts, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,14 +436,14 @@ func TestBatchQueries(t *testing.T) {
 			}
 		}
 	}
-	var bst BatchStats
-	if _, err := o.DistanceManyStats(0, []uint32{1, 2, 3}, &bst); err != nil {
+	res, err := o.Query(context.Background(), Request{S: 0, Ts: []uint32{1, 2, 3}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bst.Targets != 3 {
-		t.Fatalf("stats = %+v", bst)
+	if len(res.Items) != 3 || res.Cost.Lookups == 0 {
+		t.Fatalf("items = %+v, cost = %+v", res.Items, res.Cost)
 	}
-	if _, err := o.DistanceMany(n+1, []uint32{0}); err == nil {
+	if _, err := queryMany(o, n+1, []uint32{0}, false); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 }
@@ -454,7 +460,7 @@ func TestBatchDuringUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := uint32(600)
-	baselineRes, err := o.DistanceMany(5, seqTargets(n, 32))
+	baselineRes, err := queryMany(o, 5, seqTargets(n, 32), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +478,7 @@ func TestBatchDuringUpdates(t *testing.T) {
 				default:
 				}
 				s := r.Uint32n(n)
-				res, err := o.DistanceMany(s, seqTargets(n, 32))
+				res, err := queryMany(o, s, seqTargets(n, 32), false)
 				if err != nil {
 					done <- err
 					return
@@ -499,7 +505,7 @@ func TestBatchDuringUpdates(t *testing.T) {
 		}
 	}
 	// Insert-only updates can only shorten distances.
-	after, err := o.DistanceMany(5, seqTargets(n, 32))
+	after, err := queryMany(o, 5, seqTargets(n, 32), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,9 +525,10 @@ func seqTargets(n uint32, count int) []uint32 {
 	return ts
 }
 
-// TestQueryPublicSurface covers the public request-scoped API: default
-// equivalence with the legacy wrappers, per-request policy and budget,
-// and the exported error taxonomy under errors.Is.
+// TestQueryPublicSurface covers the public request-scoped API: the
+// Distance helper agrees with a default Query, per-request policy and
+// budget flow through, and the exported error taxonomy works under
+// errors.Is.
 func TestQueryPublicSurface(t *testing.T) {
 	g := GenerateSocial(1500, 5, 3)
 	o, err := Build(g, nil)
@@ -560,7 +567,7 @@ func TestQueryPublicSurface(t *testing.T) {
 		t.Fatalf("out of range: %v", err)
 	}
 	if _, _, err := o.Distance(99999, 0); !errors.Is(err, ErrNodeRange) {
-		t.Fatalf("legacy out of range: %v", err)
+		t.Fatalf("Distance out of range: %v", err)
 	}
 	expired, cancel := context.WithTimeout(ctx, time.Nanosecond)
 	defer cancel()
