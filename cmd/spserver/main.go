@@ -27,11 +27,9 @@
 // fan-out. A peer that opens with anything else gets one error frame
 // naming the requirement, and the connection closes.
 //
-// With -distance-only, the oracle is built without per-member parent
-// pointers: Path queries degrade to distance-only answers while the
-// tables shrink, and the serialized oracle is byte-reproducible from
-// the final graph alone — the mode the end-to-end churn verification
-// uses.
+// The oracle stores distances only and derives path hops from them, so
+// a churned oracle serializes byte-identically to a fresh build on the
+// final graph — the property the end-to-end churn verification checks.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the server stops
 // accepting, drains in-flight TCP/HTTP requests for -drain (default
@@ -113,7 +111,6 @@ func run(args []string) error {
 		maxInFl    = fs.Int("max-in-flight", 0, "admission control: over this many concurrent queries, fallback-permitting queries shed to the landmark estimate (0 = off)")
 		maxBatchP  = fs.Int("max-batch-parallel", 0, "ceiling on client-requested batch worker fan-out (0 = CPU count, negative = disable)")
 		maxConnWk  = fs.Int("max-conn-workers", 0, "concurrent request workers per multiplexed connection (0 = 32)")
-		distOnly   = fs.Bool("distance-only", false, "build without path data: smaller tables, Path degrades to distances, serialized form reproducible from the graph alone")
 		role       = fs.String("role", "standalone", "cluster role: standalone, writer (publishes snapshots+deltas), or replica (follows -follow, read-only)")
 		follow     = fs.String("follow", "", "upstream base URL a replica polls, e.g. http://writer:8080")
 		poll       = fs.Duration("poll", 500*time.Millisecond, "replica poll interval")
@@ -192,8 +189,7 @@ func run(args []string) error {
 			logger.Printf("graph: %s", graph.ComputeStats(g))
 			start := time.Now()
 			oracle, err = core.Build(g, core.Options{
-				Alpha: *alpha, Seed: *seed, Workers: *parallel,
-				DisablePathData: *distOnly, Nodes: scopeNodes,
+				Alpha: *alpha, Seed: *seed, Workers: *parallel, Nodes: scopeNodes,
 			})
 			if err != nil {
 				return err

@@ -11,39 +11,36 @@ import (
 const NoDist = traverse.NoDist
 
 // vicResult is the offline product for one node: its vicinity entries
-// (key/dist/parent triples in discovery order, later concatenated into
-// the oracle's entry arena), its boundary members ∂Γ(u) (stored
-// denormalized as parallel key/distance arrays so the online scan reads
-// d(s,w) without probing s's own table), its radius d(u, l(u)) and its
-// nearest landmark l(u).
+// (key/distance pairs, later concatenated into the oracle's entry
+// arena), ordered so that the boundary members ∂Γ(u) come first, its
+// boundary size |∂Γ(u)|, its radius d(u, l(u)) and its nearest
+// landmark l(u). The first boundLen entries are exactly the members the
+// online scan walks (Algorithm 1 line 5), so the scan reads d(s,w)
+// straight off s's own entries without probing its table.
 //
 // The slices alias the workspace's reusable buffers and are valid only
 // until the workspace's next search: the parallel build appends them to
 // its worker shard immediately, and the update path detaches a copy.
 type vicResult struct {
-	keys      []uint32
-	dists     []uint32
-	parents   []uint32
-	boundKeys []uint32
-	boundDist []uint32
-	radius    uint32
-	nearest   uint32
+	keys     []uint32
+	dists    []uint32
+	boundLen uint32
+	radius   uint32
+	nearest  uint32
 }
 
 // buildWS is the per-worker scratch state for vicinity construction.
-// Entry and boundary buffers are reused across nodes; one worker's
-// results must be consumed (shard-appended or detached) before its next
-// search.
+// Entry buffers are reused across nodes; one worker's results must be
+// consumed (shard-appended or detached) before its next search.
 type buildWS struct {
-	nm        *traverse.NodeMap // distance + parent during the search
+	nm        *traverse.NodeMap // distance during the search
 	settled   *traverse.NodeMap // Dijkstra settle marks (weighted only)
 	q         *queue.U32
 	h         *heap.Min
 	keys      []uint32
 	dists     []uint32
-	parents   []uint32
-	boundKeys []uint32
-	boundDist []uint32
+	restKeys  []uint32 // non-boundary members, while partitioning
+	restDists []uint32
 }
 
 func newBuildWS(n int) *buildWS {
@@ -62,15 +59,31 @@ func (ws *buildWS) reset() {
 	ws.h.Reset()
 	ws.keys = ws.keys[:0]
 	ws.dists = ws.dists[:0]
-	ws.parents = ws.parents[:0]
-	ws.boundKeys = ws.boundKeys[:0]
-	ws.boundDist = ws.boundDist[:0]
 }
 
-func (ws *buildWS) record(v, d, parent uint32) {
+func (ws *buildWS) record(v, d uint32) {
 	ws.keys = append(ws.keys, v)
 	ws.dists = append(ws.dists, d)
-	ws.parents = append(ws.parents, parent)
+}
+
+// partition stably moves the entries isBoundary selects to the front,
+// keeping discovery order within both halves, and returns the size of
+// the boundary prefix.
+func (ws *buildWS) partition(isBoundary func(i int) bool) uint32 {
+	ws.restKeys, ws.restDists = ws.restKeys[:0], ws.restDists[:0]
+	b := 0
+	for i, k := range ws.keys {
+		if isBoundary(i) {
+			ws.keys[b], ws.dists[b] = k, ws.dists[i]
+			b++
+		} else {
+			ws.restKeys = append(ws.restKeys, k)
+			ws.restDists = append(ws.restDists, ws.dists[i])
+		}
+	}
+	copy(ws.keys[b:], ws.restKeys)
+	copy(ws.dists[b:], ws.restDists)
+	return uint32(b)
 }
 
 // vicinityBFS constructs Γ(u) for an unweighted graph by truncated BFS.
@@ -79,13 +92,14 @@ func (ws *buildWS) record(v, d, parent uint32) {
 // closed ball {v : d(u,v) <= r} with r = d(u, l(u)): every node at
 // distance exactly r has a BFS parent at distance r-1 inside B(u), and no
 // neighbor of B(u) can be farther than r. The BFS therefore completes
-// level r and stops. Distances assigned are exact and every recorded
-// parent lies inside Γ(u), so paths reconstruct entirely from u's table.
-func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32, storeParents bool) vicResult {
+// level r and stops. Distances assigned are exact, and every member at
+// distance d > 0 has a neighbor at d-1 inside Γ(u), so paths derive
+// entirely from u's table (see vicinityChain).
+func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
 	ws.reset()
 	nm, q := ws.nm, ws.q
 	nm.Set(u, 0, graph.NoNode)
-	ws.record(u, 0, graph.NoNode)
+	ws.record(u, 0)
 	q.Push(u)
 	r := NoDist
 	nearest := graph.NoNode
@@ -101,7 +115,7 @@ func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32, storeParents
 			}
 			d := dx + 1
 			nm.Set(v, d, x)
-			ws.record(v, d, x)
+			ws.record(v, d)
 			if r == NoDist && isL[v] {
 				r, nearest = d, v
 			}
@@ -110,29 +124,32 @@ func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32, storeParents
 	}
 	// Boundary: only level-r members can have a neighbor outside the
 	// closed ball (members at depth < r have all neighbors at depth <= r).
+	var boundLen uint32
 	if r != NoDist {
-		for i, k := range ws.keys {
-			if ws.dists[i] != r {
-				continue
-			}
-			for _, nb := range g.Neighbors(k) {
-				if !nm.Has(nb) {
-					ws.boundKeys = append(ws.boundKeys, k)
-					ws.boundDist = append(ws.boundDist, r)
-					break
-				}
-			}
+		boundLen = ws.partition(func(i int) bool {
+			return ws.dists[i] == r && hasOutside(g, ws.keys[i], nm)
+		})
+	}
+	return ws.result(boundLen, r, nearest)
+}
+
+// hasOutside reports whether k has a neighbor outside the vicinity,
+// whose members are the nodes marked in members.
+func hasOutside(g *graph.Graph, k uint32, members *traverse.NodeMap) bool {
+	for _, nb := range g.Neighbors(k) {
+		if !members.Has(nb) {
+			return true
 		}
 	}
-	return ws.result(r, nearest, storeParents)
+	return false
 }
 
 // vicinityDijkstra constructs Γ(u) for a weighted graph: a truncated
 // Dijkstra settles every node with d(u,v) <= r where r is the distance of
 // the first settled landmark. All recorded distances are exact and every
-// recorded parent is itself settled (d(parent) < d(v)), keeping parent
-// chains inside the table.
-func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32, storeParents bool) vicResult {
+// member's shortest-path predecessor is itself settled (d(pred) < d(v)),
+// keeping derived path chains inside the table.
+func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
 	ws.reset()
 	nm, h, settled := ws.nm, ws.h, ws.settled
 	nm.Set(u, 0, graph.NoNode)
@@ -148,7 +165,7 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32, storePa
 			break
 		}
 		settled.Set(x, 0, 0)
-		ws.record(x, dx, nm.Parent(x))
+		ws.record(x, dx)
 		if r == NoDist && isL[x] {
 			r, nearest = dx, x
 		}
@@ -172,36 +189,13 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32, storePa
 	// Boundary: any member with a non-member neighbor. Unlike the
 	// unweighted case, interior members can abut non-members through
 	// heavy edges, so every member is checked.
-	for i, k := range ws.keys {
-		for _, nb := range g.Neighbors(k) {
-			if !settled.Has(nb) {
-				ws.boundKeys = append(ws.boundKeys, k)
-				ws.boundDist = append(ws.boundDist, ws.dists[i])
-				break
-			}
-		}
-	}
-	return ws.result(r, nearest, storeParents)
+	boundLen := ws.partition(func(i int) bool { return hasOutside(g, ws.keys[i], settled) })
+	return ws.result(boundLen, r, nearest)
 }
 
-// result views the workspace's collected buffers as a vicResult. When
-// path data is disabled the parent buffer is overwritten with NoNode so
-// consumers never see real parents.
-func (ws *buildWS) result(radius, nearest uint32, storeParents bool) vicResult {
-	if !storeParents {
-		for i := range ws.parents {
-			ws.parents[i] = graph.NoNode
-		}
-	}
-	return vicResult{
-		keys:      ws.keys,
-		dists:     ws.dists,
-		parents:   ws.parents,
-		boundKeys: ws.boundKeys,
-		boundDist: ws.boundDist,
-		radius:    radius,
-		nearest:   nearest,
-	}
+// result views the workspace's collected buffers as a vicResult.
+func (ws *buildWS) result(boundLen, radius, nearest uint32) vicResult {
+	return vicResult{keys: ws.keys, dists: ws.dists, boundLen: boundLen, radius: radius, nearest: nearest}
 }
 
 // detach copies the result out of its workspace's reusable buffers so
@@ -210,8 +204,5 @@ func (ws *buildWS) result(radius, nearest uint32, storeParents bool) vicResult {
 func (res vicResult) detach() vicResult {
 	res.keys = append([]uint32(nil), res.keys...)
 	res.dists = append([]uint32(nil), res.dists...)
-	res.parents = append([]uint32(nil), res.parents...)
-	res.boundKeys = append([]uint32(nil), res.boundKeys...)
-	res.boundDist = append([]uint32(nil), res.boundDist...)
 	return res
 }

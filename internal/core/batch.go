@@ -172,9 +172,7 @@ func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs u32map.Flat, c 
 func (o *Oracle) scanTarget(t uint32, bws *batchWS, c *Cost) (best, meet uint32) {
 	best, meet = NoDist, graph.NoNode
 	var bestPos uint32
-	eOff, eLen, _, _ := o.vicFlat[t].Ranges()
-	keys := o.arena.Keys[eOff : eOff+eLen]
-	dists := o.arena.Dists[eOff : eOff+eLen]
+	keys, dists := o.vicFlat[t].Entries()
 	for k, w := range keys {
 		if bws.stamp[w] != bws.epoch {
 			continue

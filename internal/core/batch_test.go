@@ -15,15 +15,16 @@ import (
 )
 
 // batchOptionMatrix is the option grid the batch engine must agree with
-// the single-query path on: every fallback mode, disabled tables/path
-// data, compact rows, and a small α (more fallbacks).
+// the single-query path on: every fallback mode, disabled tables,
+// compact rows, and a small α (more fallbacks). Compact rows under a
+// small α put more derived path hops on the narrow landmark rows.
 func batchOptionMatrix() []Options {
 	return []Options{
 		{},
 		{Fallback: FallbackEstimate},
 		{Fallback: FallbackNone},
 		{DisableLandmarkTables: true},
-		{DisablePathData: true},
+		{CompactLandmarkTables: true, Alpha: 1.5},
 		{CompactLandmarkTables: true},
 		{Alpha: 1.5},
 	}
@@ -210,8 +211,8 @@ func TestBatchFallbackSharesWorkspace(t *testing.T) {
 
 // TestBatchPathLookupsMatchDistance asserts a one-to-many request
 // reports the same table work with and without WantPath: path assembly
-// reads parent pointers, not tables, so Cost.Lookups and Cost.Scanned
-// must agree under every policy. The disconnected profile's
+// stays outside Cost, so Cost.Lookups and Cost.Scanned must agree under
+// every policy. The disconnected profile's
 // other-island targets are the sharp case — under the estimate policy
 // they read landmark rows yet get no estimate.
 func TestBatchPathLookupsMatchDistance(t *testing.T) {

@@ -24,8 +24,9 @@ import (
 //     scope, the ordered node list whose vicinities are built.
 //   - Execute: workers pull scope indexes from a shared counter and run
 //     each node's truncated BFS/Dijkstra with per-worker scratch,
-//     appending entries and boundary members to a worker-private
-//     u32map.Shard and recording shard-local ranges per node.
+//     appending its entries (boundary members first) to a
+//     worker-private u32map.Shard and recording shard-local ranges per
+//     node.
 //   - Merge: prefix sums over the scope order assign every node its
 //     final range in the shared flat arenas; workers then stitch the
 //     shards into place (disjoint destination ranges) and build each
@@ -58,9 +59,6 @@ func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 	o.fbPool = newWorkspacePool(g)
 	o.kpPool = newKPathsPool(g)
 	o.chain = &updateChain{}
-	o.entFree = &u32map.FreeList{}
-	o.slotFree = &u32map.FreeList{}
-	o.boundFree = &u32map.FreeList{}
 	for i := range o.lidx {
 		o.lidx[i] = -1
 		o.radius[i] = NoDist
@@ -93,7 +91,7 @@ func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 
 	// Landmark tables (parallel over landmarks in scope).
 	start = time.Now()
-	if err := o.buildLandmarkTables(g.Weighted(), !opts.DisablePathData); err != nil {
+	if err := o.buildLandmarkTables(g.Weighted()); err != nil {
 		return nil, err
 	}
 	o.timings.Landmarks = time.Since(start)
@@ -127,24 +125,14 @@ func (b BuildTimings) String() string {
 func (o *Oracle) BuildTimings() BuildTimings { return o.timings }
 
 // vicMeta locates one scope node's phase-1 output inside its worker's
-// shard: the entry range in the shard's entry arrays and the boundary
-// range in its boundary arrays, both shard-local. Radius and nearest
-// land in their final per-node arrays directly during execution.
+// shard: the shard-local entry range and the boundary prefix length.
+// Radius and nearest land in their final per-node arrays directly
+// during execution.
 type vicMeta struct {
 	shard    int32
 	entOff   uint32
 	entLen   uint32
-	boundOff uint32
 	boundLen uint32
-}
-
-// buildShard is one worker's private staging storage: the vicinity
-// entry triples plus the denormalized boundary pairs of every node the
-// worker processed, in processing order.
-type buildShard struct {
-	ent       u32map.Shard
-	boundKeys []uint32
-	boundDist []uint32
 }
 
 // executeVicinities runs the truncated searches for every scope node
@@ -152,11 +140,10 @@ type buildShard struct {
 // counter hands out scope indexes, so uneven vicinity sizes balance),
 // which means shard assignment varies run to run — the merge erases
 // that: only per-node content and the scope order reach the output.
-func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*buildShard) {
+func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) {
 	g := o.g
 	n := g.NumNodes()
 	weighted := g.Weighted()
-	storeParents := !o.opts.DisablePathData
 	workers := o.opts.Workers
 	if workers > len(scope) {
 		workers = len(scope)
@@ -165,7 +152,7 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*buildShard) {
 		workers = 1
 	}
 	metas := make([]vicMeta, len(scope))
-	shards := make([]*buildShard, workers)
+	shards := make([]*u32map.Shard, workers)
 	// Capacity hint from the paper's sizing model: E[|Γ(u)|] ≈ α·√n
 	// entries per node, spread evenly over the workers. A hint only —
 	// shards still grow for graphs that deviate (flood vicinities) —
@@ -176,10 +163,10 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*buildShard) {
 		hint = maxHint
 	}
 	for w := range shards {
-		shards[w] = &buildShard{}
-		shards[w].ent.Keys = make([]uint32, 0, hint)
-		shards[w].ent.Dists = make([]uint32, 0, hint)
-		shards[w].ent.Parents = make([]uint32, 0, hint)
+		shards[w] = &u32map.Shard{
+			Keys:  make([]uint32, 0, hint),
+			Dists: make([]uint32, 0, hint),
+		}
 	}
 
 	type vicWorker struct {
@@ -196,35 +183,31 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*buildShard) {
 		}
 		var res vicResult
 		if weighted {
-			res = vicinityDijkstra(g, o.isL, vw.ws, u, storeParents)
+			res = vicinityDijkstra(g, o.isL, vw.ws, u)
 		} else {
-			res = vicinityBFS(g, o.isL, vw.ws, u, storeParents)
+			res = vicinityBFS(g, o.isL, vw.ws, u)
 		}
 		o.radius[u] = res.radius
 		o.nearest[u] = res.nearest
-		sh := shards[vw.w]
 		m := &metas[i]
 		m.shard = int32(vw.w)
 		m.entLen = uint32(len(res.keys))
-		m.entOff = sh.ent.Append(res.keys, res.dists, res.parents)
-		m.boundOff = uint32(len(sh.boundKeys))
-		m.boundLen = uint32(len(res.boundKeys))
-		sh.boundKeys = append(sh.boundKeys, res.boundKeys...)
-		sh.boundDist = append(sh.boundDist, res.boundDist...)
+		m.entOff = shards[vw.w].Append(res.keys, res.dists)
+		m.boundLen = res.boundLen
 	})
 	return metas, shards
 }
 
 // mergeVicinities assembles the sharded phase-1 results into the
-// oracle's arena storage: prefix sums in scope order size the entry,
-// slot and boundary arenas and fix every node's final range, then a
-// parallel pass rebases each node's shard ranges into place and builds
-// its slot index in situ. The layout depends only on the scope order
-// and per-node sizes, never on shard assignment.
-func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buildShard) error {
+// oracle's arena storage: prefix sums in scope order size the entry and
+// slot arenas and fix every node's final range, then a parallel pass
+// rebases each node's shard range into place and builds its slot index
+// in situ. The layout depends only on the scope order and per-node
+// sizes, never on shard assignment.
+func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*u32map.Shard) error {
 	n := o.g.NumNodes()
 
-	var totalEnt, totalSlot, totalBound uint64
+	var totalEnt, totalSlot uint64
 	for i := range metas {
 		m := &metas[i]
 		if m.entLen > 0 {
@@ -235,34 +218,25 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buil
 				scope[i], m.entLen, u32map.MaxFlatEntries)
 		}
 		totalEnt += uint64(m.entLen)
-		totalBound += uint64(m.boundLen)
 		if m.entLen > 0 {
 			totalSlot += uint64(u32map.IndexSize(int(m.entLen)))
 		}
 	}
-	if totalEnt > math.MaxUint32 || totalSlot > math.MaxUint32 || totalBound > math.MaxUint32 {
-		return fmt.Errorf("core: %d vicinity entries overflow the 2^32-1 arena capacity", totalEnt)
+	if err := checkArenaCapacity(totalEnt, totalSlot); err != nil {
+		return err
 	}
 
-	o.boundOff = make([]uint32, n)
 	o.boundLen = make([]uint32, n)
-	o.boundKeys = make([]uint32, totalBound)
-	o.boundDist = make([]uint32, totalBound)
 	o.arena = &u32map.Arena{
-		Keys:    make([]uint32, totalEnt),
-		Dists:   make([]uint32, totalEnt),
-		Parents: make([]uint32, totalEnt),
-		Slots:   make([]uint32, totalSlot),
+		Keys:  make([]uint32, totalEnt),
+		Dists: make([]uint32, totalEnt),
+		Slots: make([]uint32, totalSlot),
 	}
 	o.vicFlat = make([]u32map.Flat, n)
 
-	// Final arena offsets by prefix sum over the scope order. Boundary
-	// ranges are laid out contiguously in node order (nodes outside the
-	// scope keep empty ranges); updates may later relocate individual
-	// ranges.
+	// Final arena offsets by prefix sum over the scope order.
 	entAt := make([]uint32, len(metas))
 	slotAt := make([]uint32, len(metas))
-	boundAt := make([]uint32, len(metas))
 	lenSlot := make([]uint32, len(metas))
 	var ent, slot uint32
 	for i := range metas {
@@ -275,14 +249,6 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buil
 		slot += lenSlot[i]
 		o.boundLen[scope[i]] = m.boundLen
 	}
-	var bound uint32
-	for u := 0; u < n; u++ {
-		o.boundOff[u] = bound
-		bound += o.boundLen[u]
-	}
-	for i := range metas {
-		boundAt[i] = o.boundOff[scope[i]]
-	}
 
 	// Parallel stitch into disjoint destination ranges.
 	parallelFor(o.opts.Workers, len(metas), func(int) any { return nil }, func(_ any, i int) {
@@ -290,11 +256,8 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buil
 		if m.entLen == 0 {
 			return
 		}
-		sh := shards[m.shard]
-		copy(o.boundKeys[boundAt[i]:], sh.boundKeys[m.boundOff:m.boundOff+m.boundLen])
-		copy(o.boundDist[boundAt[i]:], sh.boundDist[m.boundOff:m.boundOff+m.boundLen])
 		e0, e1 := entAt[i], entAt[i]+m.entLen
-		o.arena.CopyFromShard(e0, &sh.ent, m.entOff, m.entLen)
+		o.arena.CopyFromShard(e0, shards[m.shard], m.entOff, m.entLen)
 		s0, s1 := slotAt[i], slotAt[i]+lenSlot[i]
 		u32map.FillIndex(o.arena.Slots[s0:s1], o.arena.Keys[e0:e1])
 		o.vicFlat[scope[i]] = o.arena.Hash(e0, e1, s0, s1)
@@ -302,12 +265,23 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*buil
 	return nil
 }
 
+// checkArenaCapacity rejects an arena of the given entry and slot
+// counts when either overflows the uint32 offsets every Flat view and
+// file range uses. Build and update both call it before writing, so
+// neither can wrap an offset.
+func checkArenaCapacity(entries, slots uint64) error {
+	if entries > math.MaxUint32 || slots > math.MaxUint32 {
+		return fmt.Errorf("core: %d vicinity entries and %d slot words overflow the 2^32-1 arena capacity", entries, slots)
+	}
+	return nil
+}
+
 // buildLandmarkTables runs the final stage: one full traversal per
 // in-scope landmark, written into the dense landmark arenas (see
 // Oracle.lpos). Each worker reuses one BFS queue across the landmarks
-// it processes; the distance and parent arrays are freshly allocated
-// per landmark because the oracle adopts them as table rows.
-func (o *Oracle) buildLandmarkTables(weighted, storeParents bool) error {
+// it processes; the distance array is freshly allocated per landmark
+// because the oracle adopts it as a table row.
+func (o *Oracle) buildLandmarkTables(weighted bool) error {
 	o.lpos = make([]int32, len(o.landmarks))
 	for i := range o.lpos {
 		o.lpos[i] = -1
@@ -338,9 +312,6 @@ func (o *Oracle) buildLandmarkTables(weighted, storeParents bool) error {
 		o.ldist16 = make([][]uint16, built)
 	} else {
 		o.ldist = make([][]uint32, built)
-	}
-	if storeParents {
-		o.lparent = make([][]uint32, built)
 	}
 
 	n := o.g.NumNodes()
@@ -374,9 +345,6 @@ func (o *Oracle) buildLandmarkTables(weighted, storeParents bool) error {
 			}
 		} else {
 			o.ldist[pos] = tr.Dist // adopt the traversal's array
-		}
-		if storeParents {
-			o.lparent[pos] = tr.Parent
 		}
 	})
 	for i, bad := range overflow {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sort"
 	"testing"
 
 	"vicinity/internal/baseline"
@@ -102,21 +103,40 @@ func randomChurnBatch(r *xrand.Rand, g *graph.Graph) Update {
 	return upd
 }
 
-// assertFreeListInvariants validates every arena free list after an
-// update: ranges sorted, non-overlapping, inside the arena, and the
-// waste accounting consistent — the shape a double free or a free of a
-// still-live range would break.
-func assertFreeListInvariants(t *testing.T, o *Oracle) {
+// assertLiveRanges checks the arena accounting after an update: the
+// live entry and slot ranges of all vicinities are pairwise disjoint
+// and inside the arena, and live plus counted waste equals the arena
+// length in both spaces — the shape a double-counted or a still-live
+// superseded range would break.
+func assertLiveRanges(t *testing.T, o *Oracle) {
 	t.Helper()
-	if err := o.entFree.Validate(uint32(o.arena.NumEntries())); err != nil {
-		t.Fatalf("entry free list: %v", err)
+	type span struct{ off, len uint32 }
+	var ents, slots []span
+	for u := range o.vicFlat {
+		if eo, el, so, sl := o.vicFlat[u].Ranges(); el > 0 {
+			ents = append(ents, span{eo, el})
+			slots = append(slots, span{so, sl})
+		}
 	}
-	if err := o.slotFree.Validate(uint32(len(o.arena.Slots))); err != nil {
-		t.Fatalf("slot free list: %v", err)
+	check := func(space string, spans []span, size int, waste uint64) {
+		sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+		var live, end uint64
+		for _, sp := range spans {
+			if uint64(sp.off) < end {
+				t.Fatalf("%s range at %d overlaps the previous one ending at %d", space, sp.off, end)
+			}
+			end = uint64(sp.off) + uint64(sp.len)
+			live += uint64(sp.len)
+		}
+		if end > uint64(size) {
+			t.Fatalf("%s range ends at %d beyond the arena's %d", space, end, size)
+		}
+		if live+waste != uint64(size) {
+			t.Fatalf("%s arena: live %d + waste %d != length %d", space, live, waste, size)
+		}
 	}
-	if err := o.boundFree.Validate(uint32(len(o.boundKeys))); err != nil {
-		t.Fatalf("boundary free list: %v", err)
-	}
+	check("entry", ents, o.arena.NumEntries(), o.entWaste)
+	check("slot", slots, len(o.arena.Slots), o.slotWaste)
 }
 
 // weightedSocialGraph is socialGraph with uniform random weights in
@@ -157,64 +177,13 @@ func assertGroundTruthWeighted(t *testing.T, o *Oracle, trials int) {
 	}
 }
 
-// assertAgreeWeighted is assertAgreeModuloPaths for weighted graphs:
-// both oracles must return the same distance, method and meet point on
-// every sampled query, and any resolved path must carry total weight
-// equal to the reported distance.
-func assertAgreeWeighted(t *testing.T, a, b *Oracle, trials int) {
-	t.Helper()
-	n := a.g.NumNodes()
-	r := xrand.New(43)
-	for trial := 0; trial < trials; trial++ {
-		s, u := r.Uint32n(uint32(n)), r.Uint32n(uint32(n))
-		da, ma, meetA, errA := queryMeet(a, s, u)
-		db, mb, meetB, errB := queryMeet(b, s, u)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("(%d,%d): errors disagree: %v vs %v", s, u, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if da != db || ma != mb || meetA != meetB {
-			t.Fatalf("(%d,%d): %d/%v/%d vs %d/%v/%d", s, u, da, ma, meetA, db, mb, meetB)
-		}
-		assertValidWeightedPath(t, a, s, u, da)
-		assertValidWeightedPath(t, b, s, u, db)
-	}
-}
-
-func assertValidWeightedPath(t *testing.T, o *Oracle, s, u, d uint32) {
-	t.Helper()
-	p, pm, err := queryPath(o, s, u)
-	if err != nil {
-		t.Fatalf("Path(%d,%d): %v", s, u, err)
-	}
-	if !pm.Resolved() || o.opts.DisablePathData || len(p) == 0 {
-		return
-	}
-	if p[0] != s || p[len(p)-1] != u {
-		t.Fatalf("Path(%d,%d): bad endpoints %v", s, u, p)
-	}
-	total := uint32(0)
-	for i := 0; i+1 < len(p); i++ {
-		w, ok := o.g.EdgeWeight(p[i], p[i+1])
-		if !ok {
-			t.Fatalf("Path(%d,%d): %d-%d not an edge", s, u, p[i], p[i+1])
-		}
-		total += w
-	}
-	if total != d {
-		t.Fatalf("Path(%d,%d): path weight %d != distance %d", s, u, total, d)
-	}
-}
-
-// TestChurnMatrix is the central decremental property: across three
+// TestChurnMatrix is the central decremental property: across two
 // option profiles (subtests name the hash vicinity layout), a seeded
-// sequence of mixed insert/delete/reweight batches keeps both the
-// copy-on-write and the in-place oracle structurally identical to a
-// fresh build with the same landmarks — and, for distance-only
-// oracles, byte-identical on the wire. Free-list invariants hold after
-// every batch, and final answers match BFS ground truth.
+// sequence of mixed insert/delete/reweight batches keeps the oracle
+// structurally identical to a fresh build with the same landmarks and
+// byte-identical on the wire. Queries agree element by element, paths
+// included; the arena accounting holds after every batch, and final
+// answers match BFS ground truth.
 func TestChurnMatrix(t *testing.T) {
 	profiles := []struct {
 		name string
@@ -222,90 +191,57 @@ func TestChurnMatrix(t *testing.T) {
 	}{
 		{"default", Options{Seed: 7}},
 		{"compact-landmarks", Options{Seed: 7, CompactLandmarkTables: true}},
-		{"distance-only", Options{Seed: 7, DisablePathData: true}},
 	}
 	for _, prof := range profiles {
 		opts := prof.opts
 		t.Run(prof.name+"/hash", func(t *testing.T) {
 			r := xrand.New(6000)
 			g := socialGraph(61, 240)
-			cow := mustBuild(t, g, opts)
-			inplace := mustBuild(t, g, opts)
+			o := mustBuild(t, g, opts)
 			for step := 0; step < 5; step++ {
-				batch := randomChurnBatch(r, cow.Graph())
-				next, err := cow.ApplyUpdates(batch)
+				next, err := o.ApplyUpdates(randomChurnBatch(r, o.Graph()))
 				if err != nil {
 					t.Fatalf("step %d: ApplyUpdates: %v", step, err)
 				}
-				cow = next
-				if err := inplace.ApplyUpdatesInPlace(batch); err != nil {
-					t.Fatalf("step %d: ApplyUpdatesInPlace: %v", step, err)
+				o = next
+				fresh := freshTwin(t, o)
+				assertSameStructure(t, o, fresh)
+				assertOraclesAgree(t, o, fresh, o.Graph().NumNodes(), 150)
+				if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, fresh)) {
+					t.Fatalf("step %d: repaired oracle serializes differently from a fresh build", step)
 				}
-				fresh := freshTwin(t, cow)
-				assertSameStructure(t, cow, fresh)
-				assertSameStructure(t, inplace, fresh)
-				assertAgreeModuloPaths(t, cow, fresh, 150)
-				if opts.DisablePathData {
-					want := oracleBytes(t, fresh)
-					if !bytes.Equal(oracleBytes(t, cow), want) {
-						t.Fatalf("step %d: COW oracle serializes differently from a fresh build", step)
-					}
-					if !bytes.Equal(oracleBytes(t, inplace), want) {
-						t.Fatalf("step %d: in-place oracle serializes differently from a fresh build", step)
-					}
-				}
-				assertFreeListInvariants(t, cow)
-				assertFreeListInvariants(t, inplace)
+				assertLiveRanges(t, o)
 			}
-			assertGroundTruth(t, cow, 25)
-			assertGroundTruth(t, inplace, 25)
+			assertGroundTruth(t, o, 25)
 		})
 	}
 }
 
 // TestChurnWeighted drives deletions and weight changes on a weighted
-// graph: structure equals a fresh build after every batch, distance-only
-// oracles stay byte-identical, and answers cross-validate against
-// Dijkstra.
+// graph: after every batch the oracle equals a fresh build in structure,
+// answers and serialized bytes, and final answers cross-validate
+// against Dijkstra.
 func TestChurnWeighted(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"default", Options{Seed: 11}},
-		{"distance-only", Options{Seed: 11, DisablePathData: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := xrand.New(7001)
-			g := weightedSocialGraph(67, 220)
-			cow := mustBuild(t, g, tc.opts)
-			inplace := mustBuild(t, g, tc.opts)
-			for step := 0; step < 5; step++ {
-				batch := randomChurnBatch(r, cow.Graph())
-				next, err := cow.ApplyUpdates(batch)
-				if err != nil {
-					t.Fatalf("step %d: ApplyUpdates: %v", step, err)
-				}
-				cow = next
-				if err := inplace.ApplyUpdatesInPlace(batch); err != nil {
-					t.Fatalf("step %d: ApplyUpdatesInPlace: %v", step, err)
-				}
-				fresh := freshTwin(t, cow)
-				assertSameStructure(t, cow, fresh)
-				assertSameStructure(t, inplace, fresh)
-				assertAgreeWeighted(t, cow, fresh, 150)
-				if tc.opts.DisablePathData {
-					if !bytes.Equal(oracleBytes(t, inplace), oracleBytes(t, fresh)) {
-						t.Fatalf("step %d: repaired weighted oracle serializes differently", step)
-					}
-				}
-				assertFreeListInvariants(t, cow)
-				assertFreeListInvariants(t, inplace)
+	t.Run("default", func(t *testing.T) {
+		r := xrand.New(7001)
+		g := weightedSocialGraph(67, 220)
+		o := mustBuild(t, g, Options{Seed: 11})
+		for step := 0; step < 5; step++ {
+			next, err := o.ApplyUpdates(randomChurnBatch(r, o.Graph()))
+			if err != nil {
+				t.Fatalf("step %d: ApplyUpdates: %v", step, err)
 			}
-			assertGroundTruthWeighted(t, cow, 300)
-			assertGroundTruthWeighted(t, inplace, 300)
-		})
-	}
+			o = next
+			fresh := freshTwin(t, o)
+			assertSameStructure(t, o, fresh)
+			assertOraclesAgree(t, o, fresh, o.Graph().NumNodes(), 150)
+			if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, fresh)) {
+				t.Fatalf("step %d: repaired weighted oracle serializes differently", step)
+			}
+			assertLiveRanges(t, o)
+		}
+		assertGroundTruthWeighted(t, o, 300)
+	})
 }
 
 // TestChurnDeleteLastEdge deletes a node's only edge: the node must
@@ -381,23 +317,16 @@ func TestChurnDisconnectComponent(t *testing.T) {
 func TestChurnDeleteLandmarkParentEdge(t *testing.T) {
 	g := socialGraph(73, 250)
 	o := mustBuild(t, g, Options{Seed: 13})
-	// Find a landmark with a stored table and a node whose tree parent
-	// is the landmark itself (so the deleted edge is load-bearing for a
-	// whole subtree).
+	// Find a landmark with a stored table and a neighbor whose only way
+	// one step closer is the landmark itself (so the deleted edge is
+	// load-bearing for the whole subtree below it).
 	var batch [][2]uint32
-	for li := range o.Landmarks() {
-		parents := o.landmarkParents(int32(li))
-		if parents == nil {
+	for li, lm := range o.Landmarks() {
+		if !o.hasLandmarkTable(int32(li)) {
 			continue
 		}
-		lm := o.Landmarks()[li]
-		for v := uint32(0); int(v) < len(parents); v++ {
-			if parents[v] == lm {
-				batch = [][2]uint32{{v, lm}}
-				break
-			}
-		}
-		if batch != nil {
+		if adj := g.Neighbors(lm); len(adj) > 0 {
+			batch = [][2]uint32{{adj[0], lm}}
 			break
 		}
 	}
@@ -410,18 +339,18 @@ func TestChurnDeleteLandmarkParentEdge(t *testing.T) {
 	}
 	fresh := freshTwin(t, o2)
 	assertSameStructure(t, o2, fresh)
-	assertAgreeModuloPaths(t, o2, fresh, 300)
+	assertOraclesAgree(t, o2, fresh, o2.Graph().NumNodes(), 300)
 	assertGroundTruth(t, o2, 25)
 }
 
 // TestChurnDeleteReinsertByteIdentity: deleting a batch of edges and
 // reinserting the same edges restores the exact pre-churn oracle —
-// byte-for-byte on the wire for a distance-only build, through two full
-// repair passes in opposite directions.
+// byte-for-byte on the wire, through two full repair passes in opposite
+// directions.
 func TestChurnDeleteReinsertByteIdentity(t *testing.T) {
 	r := xrand.New(81)
 	g := socialGraph(79, 250)
-	o := mustBuild(t, g, Options{Seed: 17, DisablePathData: true})
+	o := mustBuild(t, g, Options{Seed: 17})
 	before := oracleBytes(t, o)
 	var batch [][2]uint32
 	for u := uint32(0); int(u) < g.NumNodes(); u++ {
@@ -447,17 +376,6 @@ func TestChurnDeleteReinsertByteIdentity(t *testing.T) {
 	}
 	if !bytes.Equal(oracleBytes(t, o3), before) {
 		t.Fatal("delete-then-reinsert did not restore the original oracle bytes")
-	}
-	// The same round trip applied in place on a separate twin.
-	ip := mustBuild(t, g, Options{Seed: 17, DisablePathData: true})
-	if err := ip.ApplyUpdatesInPlace(Update{DelEdges: batch}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ip.ApplyUpdatesInPlace(Update{Edges: batch}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oracleBytes(t, ip), before) {
-		t.Fatal("in-place delete-then-reinsert did not restore the original oracle bytes")
 	}
 }
 
@@ -526,9 +444,6 @@ func TestChurnRejections(t *testing.T) {
 				t.Fatal("accepted")
 			} else if tc.is != nil && !errors.Is(err, tc.is) {
 				t.Fatalf("wrong error type: %v", err)
-			}
-			if err := o.ApplyUpdatesInPlace(tc.upd); err == nil {
-				t.Fatal("in-place accepted")
 			}
 		})
 	}

@@ -38,8 +38,7 @@ func TestCompactLandmarkTablesAgree(t *testing.T) {
 	if mf.LandmarkEntries != mc.LandmarkEntries {
 		t.Fatalf("entry counts differ: %d vs %d", mf.LandmarkEntries, mc.LandmarkEntries)
 	}
-	// Distance tables shrink from 4 to 2 bytes per entry; parent tables
-	// (node ids) stay full width.
+	// Distance tables shrink from 4 to 2 bytes per entry.
 	wantDiff := 2 * int64(g.NumNodes()) * int64(len(full.Landmarks()))
 	if diff := mf.LandmarkBytes - mc.LandmarkBytes; diff != wantDiff {
 		t.Fatalf("compact saving = %d bytes, want %d", diff, wantDiff)
@@ -98,7 +97,7 @@ func TestCompactLandmarkTablesOverflow(t *testing.T) {
 }
 
 // TestCompactPathsStillWork ensures landmark-case paths work with
-// compact tables (parents remain full width).
+// compact tables (hops derive from the uint16 distance rows).
 func TestCompactPathsStillWork(t *testing.T) {
 	g := socialGraph(83, 400)
 	o := mustBuild(t, g, Options{Seed: 83, CompactLandmarkTables: true})

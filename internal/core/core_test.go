@@ -178,7 +178,8 @@ func TestLemma1(t *testing.T) {
 // TestVicinityInvariants checks Definition 1 per node: radius equals the
 // distance to the nearest landmark, the vicinity is exactly the closed
 // ball of that radius, boundary members are exactly the members with an
-// outside neighbor, and parent chains are valid tree edges.
+// outside neighbor and head u's entries, and derived path chains take
+// the first neighbor, in CSR order, one step closer.
 func TestVicinityInvariants(t *testing.T) {
 	g := socialGraph(17, 400)
 	o := mustBuild(t, g, Options{Seed: 17})
@@ -243,22 +244,37 @@ func TestVicinityInvariants(t *testing.T) {
 				t.Fatalf("node %d: boundary(%d) = %v, want %v", u, v, isBoundary, wantBoundary)
 			}
 		}
-		// Parent chains: tree edges decreasing distance by 1 toward u.
+		// The boundary is the head of u's own entries.
 		tbl, _ := o.vicinity(u)
+		bKeys, bDists := o.boundary(u)
+		if len(bKeys) != o.BoundarySize(u) {
+			t.Fatalf("node %d: boundary view %d, size %d", u, len(bKeys), o.BoundarySize(u))
+		}
+		for i := range bKeys {
+			if k, d := tbl.At(i); k != bKeys[i] || d != bDists[i] {
+				t.Fatalf("node %d: boundary[%d] = %d/%d, entry %d/%d", u, i, bKeys[i], bDists[i], k, d)
+			}
+		}
+		// Derived chains: each hop is the first CSR neighbor inside Γ(u)
+		// one step closer to u.
 		for i := 0; i < tbl.Len(); i++ {
-			v, d, parent := tbl.At(i)
-			if v == u {
-				if parent != graph.NoNode || d != 0 {
-					t.Fatalf("node %d: self entry (%d,%d)", u, d, parent)
+			v, d := tbl.At(i)
+			chain, ok := o.vicinityChain(u, v)
+			if !ok || len(chain) != int(d)+1 || chain[0] != v || chain[d] != u {
+				t.Fatalf("node %d: chain from %d (d=%d) = %v, %v", u, v, d, chain, ok)
+			}
+			for j := 0; j < int(d); j++ {
+				cur := chain[j]
+				want := graph.NoNode
+				for _, nb := range g.Neighbors(cur) {
+					if nd, in := tbl.Get(nb); in && nd == d-uint32(j)-1 {
+						want = nb
+						break
+					}
 				}
-				continue
-			}
-			if !g.HasEdge(parent, v) {
-				t.Fatalf("node %d: parent edge %d-%d missing", u, parent, v)
-			}
-			pd, ok := tbl.Get(parent)
-			if !ok || pd != d-1 {
-				t.Fatalf("node %d: parent %d of %d has d=%d,%v want %d", u, parent, v, pd, ok, d-1)
+				if chain[j+1] != want {
+					t.Fatalf("node %d: hop %d→%d, want first closer neighbor %d", u, cur, chain[j+1], want)
+				}
 			}
 		}
 	}
@@ -585,31 +601,6 @@ func TestDisableLandmarkTables(t *testing.T) {
 	}
 	if o.Memory().LandmarkEntries != 0 {
 		t.Fatal("landmark entries counted despite disable")
-	}
-}
-
-func TestDisablePathData(t *testing.T) {
-	g := socialGraph(59, 300)
-	o := mustBuild(t, g, Options{Seed: 59, DisablePathData: true})
-	r := xrand.New(12)
-	for trial := 0; trial < 200; trial++ {
-		s, u := r.Uint32n(300), r.Uint32n(300)
-		// Distances still exact.
-		d, _, err := queryDist(o, s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := traverse.BFS(g, s).Dist[u]; d != want {
-			t.Fatalf("distance-only oracle wrong: %d want %d", d, want)
-		}
-		// Paths fall back to exact search and remain valid.
-		p, _, err := queryPath(o, s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d != NoDist && uint32(len(p)-1) != d {
-			t.Fatalf("fallback path length %d != %d", len(p)-1, d)
-		}
 	}
 }
 

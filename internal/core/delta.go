@@ -20,13 +20,14 @@ import (
 // identical to a fresh build, so replaying the same deltas in order
 // reproduces the writer's oracle bit for bit.
 //
-// The container shares the snapshot format's magic and version but
-// uses a disjoint tag range (delta sections start at 64), so feeding
-// a delta to the snapshot loader — or a snapshot to ReadDelta — fails
-// fast with ErrSection instead of misparsing. Per the post-v1
-// convention every delta section header stores a byte count, which
-// keeps the sections skippable by the forward-compatible reader.
-const deltaVersion = 1
+// The container shares the snapshot format's magic and version (the
+// delta sections themselves are unchanged since version 1) but uses a
+// disjoint tag range (delta sections start at 64), so feeding a delta
+// to the snapshot loader — or a snapshot to ReadDelta — fails fast
+// with ErrSection instead of misparsing. Per the post-v1 convention
+// every delta section header stores a byte count, which keeps the
+// sections skippable by the forward-compatible reader.
+const deltaVersion = fileVersion
 
 // Delta section tags (disjoint from the snapshot's 1..21; all headers
 // carry byte counts, not element counts).

@@ -58,7 +58,6 @@ func TestBuildDeterminismOptionMatrix(t *testing.T) {
 	cases := map[string]Options{
 		"defaults":          {Seed: 5},
 		"compact-landmarks": {Seed: 5, CompactLandmarkTables: true},
-		"distance-only":     {Seed: 5, DisablePathData: true},
 		"no-landmark-tabs":  {Seed: 5, DisableLandmarkTables: true},
 		"alpha-2":           {Seed: 5, Alpha: 2},
 		"sampling-uniform":  {Seed: 5, Sampling: SamplingUniform},

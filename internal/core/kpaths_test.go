@@ -107,7 +107,7 @@ func TestKPathsCrossValidation(t *testing.T) {
 // layers rely on: a K=1 request answers bit-identically (dist, path,
 // method, error) to a K=0 WantPath Query, with Paths mirroring the
 // single answer — across profiles, policies, budgets, and the
-// disabled-path-data build.
+// estimate-fallback build.
 func TestKPathsK1BitIdentical(t *testing.T) {
 	for _, prof := range crossProfiles() {
 		t.Run(prof.name, func(t *testing.T) {
@@ -115,7 +115,6 @@ func TestKPathsK1BitIdentical(t *testing.T) {
 			n := uint32(g.NumNodes())
 			oracles := map[string]*Oracle{
 				"default":  mustBuild(t, g, Options{Seed: 17}),
-				"nopaths":  mustBuild(t, g, Options{Seed: 17, DisablePathData: true}),
 				"estimate": mustBuild(t, g, Options{Seed: 17, Fallback: FallbackEstimate}),
 			}
 			r := xrand.New(777)

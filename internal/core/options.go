@@ -10,10 +10,11 @@
 // closer to u than u's nearest landmark l(u), and the vicinity
 // Γ(u) = B(u) ∪ N(B(u)) (Definition 1); for unweighted graphs this is
 // exactly the closed ball of radius d(u, l(u)). The oracle stores, per
-// node, a table mapping each vicinity member to its exact distance and
-// its parent on u's shortest path tree, plus the boundary member list
-// ∂Γ(u) (members with a neighbor outside Γ(u)). Landmarks store a full
-// distance (and optionally parent) table over all nodes.
+// node, a table mapping each vicinity member to its exact distance,
+// with the boundary members ∂Γ(u) (members with a neighbor outside
+// Γ(u)) first. Landmarks store a full distance table over all nodes.
+// Nothing else is stored: a path's next hop is the first neighbor, in
+// adjacency order, one step closer by the stored distances (§3.1).
 //
 // # Online phase (Algorithm 1)
 //
@@ -113,8 +114,8 @@ func (f Fallback) String() string {
 }
 
 // Options configures Build. The zero value gives the paper's defaults:
-// α = 4, √degree sampling, exact fallback, full coverage, landmark
-// tables and path data enabled. Vicinities are always stored in hash
+// α = 4, √degree sampling, exact fallback, full coverage and landmark
+// tables enabled. Vicinities are always stored in hash
 // tables and intersected by scanning ∂Γ(s), as Algorithm 1 is written.
 type Options struct {
 	// Alpha controls vicinity size (E[|Γ|] ≈ Alpha·√n). The paper's
@@ -144,11 +145,6 @@ type Options struct {
 	// Saves |L|·n entries; landmark-hit queries then resolve through
 	// vicinities or fallback. Used by the Figure 2 harnesses.
 	DisableLandmarkTables bool
-
-	// DisablePathData makes the oracle distance-only: landmark parent
-	// tables (|L|·n entries) are skipped and vicinity parents are stored
-	// as NoNode. Path queries then rely on the fallback.
-	DisablePathData bool
 
 	// CompactLandmarkTables stores landmark distance tables as uint16
 	// (halving their memory, the dominant §3.2 term) — an implementation

@@ -9,15 +9,16 @@ import (
 )
 
 // Oracle is the built vicinity-intersection data structure. It is safe
-// for concurrent queries. Mutation goes through ApplyUpdates (which
-// returns a new snapshot and leaves the receiver serving) or
-// ApplyUpdatesInPlace (exclusive access); see update.go.
+// for concurrent queries. Mutation goes through ApplyUpdates, which
+// returns a new snapshot and leaves the receiver serving; see update.go.
 //
-// All per-node state lives in flat arena storage: one shared entry
-// arena plus one shared slot arena for the vicinity tables (see
-// u32map.Arena), CSR offset arrays for per-node [offset, len) ranges,
-// and the boundaries and landmark tables concatenated the same way.
-// The layout keeps one node's table contiguous in memory, leaves the
+// Every fact is stored once, as a distance. Vicinity tables live in
+// flat arena storage: one shared entry arena of key/distance pairs plus
+// one shared slot arena (see u32map.Arena), with each node's boundary
+// ∂Γ(u) stored as the head of its own entry range. Landmarks keep one
+// dense distance row each. Path hops are derived from these distances
+// at query time (see path.go) rather than stored beside them. The
+// layout keeps one node's table contiguous in memory, leaves the
 // garbage collector a handful of large pointer-free arrays to scan,
 // and serializes with array copies (see persist.go).
 type Oracle struct {
@@ -39,38 +40,29 @@ type Oracle struct {
 	arena   *u32map.Arena
 	vicFlat []u32map.Flat
 
-	// Boundaries ∂Γ(u), concatenated: node u owns the range
-	// [boundOff[u], boundOff[u]+boundLen[u]) of boundKeys/boundDist
-	// (both arrays len n). Build lays ranges out contiguously in node
-	// order; updates may relocate a repaired node's range anywhere, so
-	// unlike a CSR there is no adjacency requirement between nodes.
-	boundOff  []uint32
-	boundLen  []uint32
-	boundKeys []uint32
-	boundDist []uint32
+	// boundLen[u] = |∂Γ(u)|: u's boundary members are the first
+	// boundLen[u] entries of its vicinity range, in scan order.
+	boundLen []uint32
 
-	// Free-space accounting for the append-path mutation model: ranges
-	// abandoned by repaired vicinities/boundaries. In-place updates
-	// recycle them; copy-on-write updates only account (old snapshots
-	// may still read the holes) and compact when waste dominates.
-	entFree   *u32map.FreeList
-	slotFree  *u32map.FreeList
-	boundFree *u32map.FreeList
+	// Arena waste: entries and slot words abandoned by repaired
+	// vicinities. Old snapshots may still read the holes, so updates
+	// only count them and compact once they dominate (see maybeCompact).
+	entWaste  uint64
+	slotWaste uint64
 
 	radius  []uint32 // d(u, l(u)); NoDist when uncovered or no landmark reachable
 	nearest []uint32 // l(u); graph.NoNode when unknown
 
 	// Per-landmark full tables. lpos maps a landmark index to its
 	// position p among built tables, or -1; row p is one landmark's
-	// dense length-n table in ldist (or ldist16 with
+	// dense length-n distance table in ldist (or ldist16 with
 	// Options.CompactLandmarkTables: half the memory; 0xFFFF encodes
-	// "unreachable") and lparent (when path data is enabled). One row
-	// per landmark — rather than one |L|·n array — lets dynamic updates
-	// copy-on-write only the rows a new edge improves.
+	// "unreachable"). One row per landmark — rather than one |L|·n
+	// array — lets dynamic updates copy-on-write only the rows a new
+	// edge improves.
 	lpos    []int32
 	ldist   [][]uint32
 	ldist16 [][]uint16
-	lparent [][]uint32
 
 	covered int // number of nodes with vicinity state (excl. landmarks in scope)
 
@@ -118,10 +110,12 @@ func (o *Oracle) vicinity(u uint32) (u32map.Flat, bool) {
 	return f, f.Len() > 0
 }
 
-// boundary returns the ∂Γ(u) key and distance ranges as shared views.
+// boundary returns the ∂Γ(u) keys and distances: the head of u's own
+// entry range, as shared views.
 func (o *Oracle) boundary(u uint32) (keys, dists []uint32) {
-	b0, b1 := o.boundOff[u], o.boundOff[u]+o.boundLen[u]
-	return o.boundKeys[b0:b1], o.boundDist[b0:b1]
+	keys, dists = o.vicFlat[u].Entries()
+	b := o.boundLen[u]
+	return keys[:b], dists[:b]
 }
 
 // Covers reports whether queries involving u can be answered from the
@@ -158,15 +152,6 @@ func (o *Oracle) landmarkDist(li int32, v uint32) uint32 {
 		return NoDist
 	}
 	return uint32(d)
-}
-
-// landmarkParents returns landmark li's parent table (len n), or nil
-// when path data is disabled or the landmark has no built table.
-func (o *Oracle) landmarkParents(li int32) []uint32 {
-	if li < 0 || o.lpos[li] < 0 || o.lparent == nil {
-		return nil
-	}
-	return o.lparent[o.lpos[li]]
 }
 
 // Radius returns the vicinity radius d(u, l(u)) of u, or NoDist if u is
@@ -207,7 +192,7 @@ func (o *Oracle) VicinityContains(u, v uint32) (uint32, bool) {
 func (o *Oracle) ForEachVicinityMember(u uint32, fn func(v, dist uint32)) {
 	t := o.vicFlat[u]
 	for i := 0; i < t.Len(); i++ {
-		k, d, _ := t.At(i)
+		k, d := t.At(i)
 		fn(k, d)
 	}
 }

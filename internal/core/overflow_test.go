@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"vicinity/internal/baseline"
@@ -124,5 +125,29 @@ func TestWeightedOverflowEstimate(t *testing.T) {
 	o2 := mustBuild(t, g, Options{Landmarks: []uint32{3, 4}})
 	if d, m, _ := queryDist(o2, 0, 1); d != exact || m != MethodFallbackExact {
 		t.Fatalf("exact fallback: %d via %v, want %d via fallback-exact", d, m, exact)
+	}
+}
+
+// TestArenaCapacity pins the one capacity check build and update share:
+// the entry count and the slot count must each fit the uint32 offsets
+// of the arena. Slots outnumber entries (~2.2:1 on social graphs), so a
+// check on entries alone would let slot offsets wrap first.
+func TestArenaCapacity(t *testing.T) {
+	const limit = math.MaxUint32
+	for _, tc := range []struct {
+		entries, slots uint64
+		ok             bool
+	}{
+		{0, 0, true},
+		{21_700_000, 46_700_000, true},
+		{limit, limit, true},
+		{limit + 1, limit, false},
+		{limit, limit + 1, false},
+		{2_000_000_000, 4_400_000_000, false}, // entries fit, slots wrap
+	} {
+		err := checkArenaCapacity(tc.entries, tc.slots)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkArenaCapacity(%d, %d) = %v, want ok=%v", tc.entries, tc.slots, err, tc.ok)
+		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 	"vicinity/internal/traverse"
 )
 
-// assembleTablePath builds the s→t path for a table-resolved query from
-// stored parent pointers (§3.1: "the path is retrieved by following the
-// series of next-hops"): within vicinities the chain walks u's shortest
-// path tree, through an intersection the two half-paths join at the
-// witness node meet, and landmark hits walk the landmark's global tree.
-// m is the table pass's method; ok is false when a chain cannot be
-// completed (the caller falls back).
+// assembleTablePath builds the s→t path for a table-resolved query by
+// following next hops (§3.1: "the path is retrieved by following the
+// series of next-hops"). Hops are derived from stored distances, not
+// stored beside them: within vicinities the chain descends u's
+// distances in Γ(u), through an intersection the two half-paths join at
+// the witness node meet, and landmark hits descend the landmark's
+// distance row. m is the table pass's method; ok is false when a chain
+// cannot be completed (the caller falls back).
 func (o *Oracle) assembleTablePath(s, t uint32, m Method, meet uint32) ([]uint32, bool) {
 	switch m {
 	case MethodSame:
@@ -59,53 +60,106 @@ func (o *Oracle) assembleTablePath(s, t uint32, m Method, meet uint32) ([]uint32
 	}
 }
 
-// vicinityChain walks v back to u through Γ(u)'s parent pointers,
-// returning the chain v, parent(v), ..., u. It fails when path data is
-// disabled or a parent link is missing.
+// vicinityChain walks v back to u inside Γ(u), returning the chain
+// v, ..., u. Each hop goes from cur to the first neighbor w of cur, in
+// CSR order, that lies in Γ(u) one step closer: d(u,w) + wt(w,cur) =
+// d(u,cur). Such a w always exists in a built vicinity (see
+// vicinityBFS/vicinityDijkstra), so the choice among equal-length paths
+// is a pure function of the graph and the stored distances. It fails
+// when v ∉ Γ(u) or a hop has no candidate.
+//
+// A hub's neighbors mostly lie outside Γ(u), so probing each one would
+// cost a miss per neighbor; past a degree of |Γ(u)|/8 the hop instead
+// scans Γ(u)'s closer members for adjacent ones and keeps the smallest
+// id. Adjacency lists are sorted, so that is the same first neighbor.
+// Both halves of u's entries — the boundary prefix and the rest — keep
+// discovery order, which never decreases in distance (BFS levels,
+// Dijkstra settle order), so the closer members head each half.
 func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 	tbl, ok := o.vicinity(u)
 	if !ok {
 		return nil, false
 	}
-	chain := make([]uint32, 0, 8)
-	cur := v
-	for {
-		chain = append(chain, cur)
-		if cur == u {
-			return chain, true
-		}
-		_, parent, ok := tbl.GetEntry(cur)
-		if !ok || parent == graph.NoNode {
-			return nil, false
-		}
-		if len(chain) > o.g.NumNodes() {
-			// Defensive: corrupted parent pointers must not hang queries.
-			return nil, false
-		}
-		cur = parent
-	}
-}
-
-// landmarkChain walks v up landmark li's global shortest path tree,
-// returning v, parent(v), ..., landmark.
-func (o *Oracle) landmarkChain(li int32, v uint32) ([]uint32, bool) {
-	parent := o.landmarkParents(li)
-	if parent == nil {
+	d, ok := tbl.Get(v)
+	if !ok {
 		return nil, false
 	}
-	root := o.landmarks[li]
-	chain := make([]uint32, 0, 16)
-	cur := v
-	for {
+	keys, dists := tbl.Entries()
+	return o.descend(v, u, d, func(cur, d uint32) (uint32, uint32) {
+		adj, wts := o.g.Neighbors(cur), o.g.NeighborWeights(cur)
+		if 8*len(adj) <= len(keys) {
+			for i, w := range adj {
+				if dw, in := tbl.Get(w); in && satAdd(dw, hopWeight(wts, i)) == d {
+					return w, dw
+				}
+			}
+			return graph.NoNode, NoDist
+		}
+		next, dn := graph.NoNode, NoDist
+		b := int(o.boundLen[u])
+		for _, half := range [2][2]int{{0, b}, {b, len(keys)}} {
+			for i := half[0]; i < half[1] && dists[i] < d; i++ {
+				if w := keys[i]; w < next {
+					if wt, adjacent := o.g.EdgeWeight(cur, w); adjacent && satAdd(dists[i], wt) == d {
+						next, dn = w, dists[i]
+					}
+				}
+			}
+		}
+		return next, dn
+	})
+}
+
+// landmarkChain walks v to landmark li along li's distance row,
+// returning v, ..., landmark, with the same first-CSR-neighbor hop rule
+// as vicinityChain. It fails when li has no built table or v is
+// unreachable from it.
+func (o *Oracle) landmarkChain(li int32, v uint32) ([]uint32, bool) {
+	if !o.hasLandmarkTable(li) {
+		return nil, false
+	}
+	return o.descend(v, o.landmarks[li], o.landmarkDist(li, v), func(cur, d uint32) (uint32, uint32) {
+		wts := o.g.NeighborWeights(cur)
+		for i, w := range o.g.Neighbors(cur) {
+			if dw := o.landmarkDist(li, w); satAdd(dw, hopWeight(wts, i)) == d {
+				return w, dw
+			}
+		}
+		return graph.NoNode, NoDist
+	})
+}
+
+// descend follows next hops from v, at distance d, down to root; hop
+// returns cur's next node and its distance, or graph.NoNode. A hop must
+// match d exactly, which NoDist never does, so over positive weights
+// every hop strictly lowers a finite distance; the hop cap ends the
+// walk on anything else a loaded file can hold (a zero-weight edge).
+func (o *Oracle) descend(v, root, d uint32, hop func(cur, d uint32) (uint32, uint32)) ([]uint32, bool) {
+	if d == NoDist {
+		return nil, false
+	}
+	chain := make([]uint32, 0, 8)
+	for cur := v; ; {
 		chain = append(chain, cur)
 		if cur == root {
 			return chain, true
 		}
-		cur = parent[cur]
-		if cur == graph.NoNode || len(chain) > o.g.NumNodes() {
+		if len(chain) > o.g.NumNodes() {
+			return nil, false
+		}
+		if cur, d = hop(cur, d); cur == graph.NoNode {
 			return nil, false
 		}
 	}
+}
+
+// hopWeight is the weight of cur's i-th edge given its weight row (nil
+// on unweighted graphs).
+func hopWeight(wts []uint32, i int) uint32 {
+	if wts == nil {
+		return 1
+	}
+	return wts[i]
 }
 
 // estimatePath stitches the landmark-triangulation path s→l(s)→t.
@@ -117,7 +171,7 @@ func (o *Oracle) estimatePath(s, t uint32) ([]uint32, bool) {
 		return nil, false
 	}
 	li := o.lidx[ls]
-	if o.landmarkParents(li) == nil {
+	if !o.hasLandmarkTable(li) {
 		return nil, false
 	}
 	// s..l(s) via s's vicinity (l(s) ∈ Γ(s) by construction).

@@ -22,9 +22,16 @@ import (
 // flat arena layout is what makes this near-memcpy: each section below
 // is one contiguous array of the in-memory representation, and a loaded
 // oracle round-trips bit-identically.
-const fileVersion = 1
+//
+// Version 2 stores every fact once: the boundary ∂Γ(u) is the head of
+// u's entry range (section 15 holds only its length), and neither
+// vicinity nor landmark parents are written — paths derive from the
+// distances. Version-1 files fail with oraclefile.ErrVersion.
+const fileVersion = 2
 
-// Section tags, in file order.
+// Section tags, in file order. Tags 13, 16, 17 and 21 held version 1's
+// vicinity parents, boundary copies and landmark parents; they are not
+// reused.
 const (
 	secMeta       = 1  // u64s: flags and build options
 	secScope      = 2  // u32s: Options.Nodes (meaningful iff flagScope)
@@ -38,22 +45,18 @@ const (
 	secVicSlotLen = 10 // u32s[n]: per-node slot count (0 for empty)
 	secKeys       = 11 // u32s: entry arena
 	secDists      = 12 // u32s: entry arena
-	secParents    = 13 // u32s: entry arena
 	secSlots      = 14 // u32s: slot arena
-	secBoundOff   = 15 // u32s[n+1]: boundary CSR offsets
-	secBoundKeys  = 16 // u32s: boundary arena
-	secBoundDist  = 17 // u32s: boundary arena
+	secBoundLen   = 15 // u32s[n]: |∂Γ(u)|, the boundary prefix of u's entries
 	secLPos       = 18 // u32s[|L|]: landmark table position, or ^0 for none
 	secLDist      = 19 // u32s[built·n]: full-width landmark distances
 	secLDist16    = 20 // u16s[built·n]: compact landmark distances
-	secLParent    = 21 // u32s[built·n]: landmark parent tables
 )
 
 // Meta flags.
 const (
 	flagScope = 1 << iota
 	flagNoLandmarkTables
-	flagNoPathData
+	flagNoPathData // retired distance-only build option: never written, ignored on load
 	flagCompactLandmarks
 	flagScanSmaller // retired Options.ScanSmallerBoundary: never written, rejected on load
 )
@@ -89,9 +92,6 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	if o.opts.DisableLandmarkTables {
 		flags |= flagNoLandmarkTables
 	}
-	if o.opts.DisablePathData {
-		flags |= flagNoPathData
-	}
 	if o.opts.CompactLandmarkTables {
 		flags |= flagCompactLandmarks
 	}
@@ -126,13 +126,8 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	ow.U32s(secVicSlotLen, slotLen)
 	ow.U32s(secKeys, arena.Keys)
 	ow.U32s(secDists, arena.Dists)
-	ow.U32s(secParents, arena.Parents)
 	ow.U32s(secSlots, arena.Slots)
-
-	boundCSR, boundKeys, boundDist := o.boundaryCSR()
-	ow.U32s(secBoundOff, boundCSR)
-	ow.U32s(secBoundKeys, boundKeys)
-	ow.U32s(secBoundDist, boundDist)
+	ow.U32s(secBoundLen, o.boundLen)
 
 	lpos := make([]uint32, len(o.lpos))
 	for i, p := range o.lpos {
@@ -141,7 +136,6 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	ow.U32s(secLPos, lpos)
 	ow.U32Rows(secLDist, o.ldist)
 	ow.U16Rows(secLDist16, o.ldist16)
-	ow.U32Rows(secLParent, o.lparent)
 
 	return ow.Close()
 }
@@ -157,44 +151,13 @@ func (o *Oracle) flattenedVicinities() (arena *u32map.Arena, entOff, entLen, slo
 	slotOff = make([]uint32, n)
 	slotLen = make([]uint32, n)
 	arena, flat := o.arena, o.vicFlat
-	if o.entFree.Total()+o.slotFree.Total() > 0 {
+	if o.entWaste+o.slotWaste > 0 {
 		arena, flat = o.compactVicinityArena()
 	}
 	for u := 0; u < n; u++ {
 		entOff[u], entLen[u], slotOff[u], slotLen[u] = flat[u].Ranges()
 	}
 	return arena, entOff, entLen, slotOff, slotLen
-}
-
-// boundaryCSR returns the boundary storage in the file's canonical CSR
-// form (offsets of length n+1, ranges contiguous in node order). An
-// oracle that never relocated a boundary range is returned without
-// copying the arrays; otherwise the ranges are compacted into fresh
-// arrays, squeezing out holes left by updates.
-func (o *Oracle) boundaryCSR() (csr, keys, dists []uint32) {
-	n := len(o.radius)
-	csr = make([]uint32, n+1)
-	contiguous := true
-	var run uint32
-	for u := 0; u < n; u++ {
-		csr[u] = run
-		if o.boundLen[u] > 0 && o.boundOff[u] != run {
-			contiguous = false
-		}
-		run += o.boundLen[u]
-	}
-	csr[n] = run
-	if contiguous && int(run) == len(o.boundKeys) {
-		return csr, o.boundKeys, o.boundDist
-	}
-	keys = make([]uint32, run)
-	dists = make([]uint32, run)
-	for u := 0; u < n; u++ {
-		b0, l := o.boundOff[u], o.boundLen[u]
-		copy(keys[csr[u]:], o.boundKeys[b0:b0+l])
-		copy(dists[csr[u]:], o.boundDist[b0:b0+l])
-	}
-	return csr, keys, dists
 }
 
 // ReadOracle deserializes an oracle written by WriteOracle, verifying
@@ -234,7 +197,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		Fallback:              Fallback(meta[metaFallback]),
 		Workers:               workers,
 		DisableLandmarkTables: flags&flagNoLandmarkTables != 0,
-		DisablePathData:       flags&flagNoPathData != 0,
 		CompactLandmarkTables: flags&flagCompactLandmarks != 0,
 	}
 	switch opts.Sampling {
@@ -312,19 +274,10 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if arena.Dists, err = or.U32s(secDists); err != nil {
 		return nil, err
 	}
-	if arena.Parents, err = or.U32s(secParents); err != nil {
-		return nil, err
-	}
 	if arena.Slots, err = or.U32s(secSlots); err != nil {
 		return nil, err
 	}
-	if o.boundOff, err = or.U32s(secBoundOff); err != nil {
-		return nil, err
-	}
-	if o.boundKeys, err = or.U32s(secBoundKeys); err != nil {
-		return nil, err
-	}
-	if o.boundDist, err = or.U32s(secBoundDist); err != nil {
+	if o.boundLen, err = or.U32s(secBoundLen); err != nil {
 		return nil, err
 	}
 	lpos, err := or.U32s(secLPos)
@@ -339,16 +292,12 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	lparentF, err := or.U32s(secLParent)
-	if err != nil {
-		return nil, err
-	}
 	// Verify the checksum before trusting any of the data structurally.
 	if err := or.Close(); err != nil {
 		return nil, err
 	}
 
-	if err := o.restore(arena, entOff, entLen, slotOff, slotLen, lpos, ldistF, ldist16F, lparentF); err != nil {
+	if err := o.restore(arena, entOff, entLen, slotOff, slotLen, lpos, ldistF, ldist16F); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -369,19 +318,16 @@ func splitRows[T uint16 | uint32](flat []T, rows, n int) [][]T {
 // in-memory state (landmark index, per-node views, per-landmark table
 // rows, workspace pool).
 func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, lpos []uint32,
-	ldistF []uint32, ldist16F []uint16, lparentF []uint32) error {
+	ldistF []uint32, ldist16F []uint16) error {
 	n := o.g.NumNodes()
 	if len(o.radius) != n || len(o.nearest) != n {
 		return fmt.Errorf("%w: radius/nearest length", ErrBadOracleFile)
 	}
-	if len(entOff) != n || len(entLen) != n || len(slotOff) != n || len(slotLen) != n {
+	if len(entOff) != n || len(entLen) != n || len(slotOff) != n || len(slotLen) != n || len(o.boundLen) != n {
 		return fmt.Errorf("%w: vicinity range arrays", ErrBadOracleFile)
 	}
-	if len(arena.Dists) != len(arena.Keys) || len(arena.Parents) != len(arena.Keys) {
+	if len(arena.Dists) != len(arena.Keys) {
 		return fmt.Errorf("%w: entry arena arrays disagree", ErrBadOracleFile)
-	}
-	if len(o.boundOff) != n+1 || len(o.boundDist) != len(o.boundKeys) {
-		return fmt.Errorf("%w: boundary arrays", ErrBadOracleFile)
 	}
 
 	// Landmarks: sorted, unique, in range.
@@ -398,18 +344,13 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 		o.lidx[l] = int32(i)
 	}
 
-	// Node-id-valued arrays are indexed with (nearest → lidx,
-	// lparent → parent chains, vicinity and boundary keys → the batch
-	// engine's mark array), so out-of-range values would panic at
-	// query time rather than fail here.
+	// Node-id-valued arrays are indexed with (nearest → lidx, vicinity
+	// keys — boundary members included — → the batch engine's mark
+	// array), so out-of-range values would panic at query time rather
+	// than fail here.
 	for u := 0; u < n; u++ {
 		if v := o.nearest[u]; v != graph.NoNode && int(v) >= n {
 			return fmt.Errorf("%w: nearest landmark of node %d out of range", ErrBadOracleFile, u)
-		}
-	}
-	for _, v := range lparentF {
-		if v != graph.NoNode && int(v) >= n {
-			return fmt.Errorf("%w: landmark parent out of range", ErrBadOracleFile)
 		}
 	}
 	for _, k := range arena.Keys {
@@ -417,35 +358,19 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 			return fmt.Errorf("%w: vicinity key %d out of range", ErrBadOracleFile, k)
 		}
 	}
-	for _, k := range o.boundKeys {
-		if int(k) >= n {
-			return fmt.Errorf("%w: boundary key %d out of range", ErrBadOracleFile, k)
-		}
-	}
 
-	// Boundary CSR: monotone, ending at the arena length. The file's
-	// n+1 CSR converts to the in-memory off/len pair after validation.
-	for u := 0; u < n; u++ {
-		if o.boundOff[u] > o.boundOff[u+1] {
-			return fmt.Errorf("%w: boundary offsets not monotone", ErrBadOracleFile)
-		}
-	}
-	if int(o.boundOff[n]) != len(o.boundKeys) || o.boundOff[0] != 0 {
-		return fmt.Errorf("%w: boundary offsets out of bounds", ErrBadOracleFile)
-	}
-	o.boundLen = make([]uint32, n)
-	for u := 0; u < n; u++ {
-		o.boundLen[u] = o.boundOff[u+1] - o.boundOff[u]
-	}
-	o.boundOff = o.boundOff[:n:n]
-
-	// Vicinity ranges and slot contents.
+	// Vicinity ranges, boundary prefixes and slot contents. A boundary
+	// longer than its entry range would slice past the node's entries
+	// at query time.
 	total := uint32(len(arena.Keys))
 	totalSlots := uint32(len(arena.Slots))
 	for u := 0; u < n; u++ {
 		el, eo := entLen[u], entOff[u]
 		if el > total || eo > total-el {
 			return fmt.Errorf("%w: node %d entry range", ErrBadOracleFile, u)
+		}
+		if o.boundLen[u] > el {
+			return fmt.Errorf("%w: node %d boundary length %d exceeds its %d entries", ErrBadOracleFile, u, o.boundLen[u], el)
 		}
 		sl, so := slotLen[u], slotOff[u]
 		if sl > totalSlots || so > totalSlots-sl {
@@ -507,9 +432,6 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 			return fmt.Errorf("%w: landmark tables", ErrBadOracleFile)
 		}
 	}
-	if len(lparentF) != 0 && uint64(len(lparentF)) != want {
-		return fmt.Errorf("%w: landmark parent tables", ErrBadOracleFile)
-	}
 	// Split the flat sections into per-landmark rows (views into the
 	// loaded arrays, no copies); empty sections stay nil so accessors
 	// and Memory() treat loaded oracles exactly like built ones.
@@ -519,16 +441,10 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 	if len(ldist16F) > 0 {
 		o.ldist16 = splitRows(ldist16F, built, n)
 	}
-	if len(lparentF) > 0 {
-		o.lparent = splitRows(lparentF, built, n)
-	}
 
 	o.fbPool = newWorkspacePool(o.g)
 	o.kpPool = newKPathsPool(o.g)
 	o.chain = &updateChain{}
-	o.entFree = &u32map.FreeList{}
-	o.slotFree = &u32map.FreeList{}
-	o.boundFree = &u32map.FreeList{}
 	return nil
 }
 

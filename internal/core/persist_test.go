@@ -74,7 +74,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	cases := map[string]Options{
 		"defaults":          {Seed: 91},
 		"compact-landmarks": {Seed: 91, CompactLandmarkTables: true},
-		"distance-only":     {Seed: 91, DisablePathData: true},
 		"no-landmark-tabs":  {Seed: 91, DisableLandmarkTables: true},
 		"estimate-fallback": {Seed: 91, Fallback: FallbackEstimate},
 		"none-fallback":     {Seed: 91, Fallback: FallbackNone},
@@ -187,13 +186,19 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 			}
 		}
 	})
-	corrupt("lparent out of range", func(o *Oracle) {
-		o.lparent[0][0] = 12345678 // would panic in landmarkChain
+	// A boundary longer than its node's entry range would slice past
+	// the node's entries in the boundary scan.
+	corrupt("boundary length exceeds entry count", func(o *Oracle) {
+		for u := range o.vicFlat {
+			if el := o.vicFlat[u].Len(); el > 0 {
+				o.boundLen[u] = uint32(el) + 1
+				return
+			}
+		}
+		t.Fatal("no vicinity found to corrupt")
 	})
-	// Boundary offsets can no longer be corrupted through WriteOracle —
-	// saving canonicalizes the off/len pairs into a valid CSR — so the
-	// slot arena stands in: a slot word referencing an entry outside its
-	// table is checksum-valid but must fail ValidIndex on load.
+	// A slot word referencing an entry outside its table is
+	// checksum-valid but must fail ValidIndex on load.
 	corrupt("slot index out of range", func(o *Oracle) {
 		for u := range o.vicFlat {
 			_, el, so, sl := o.vicFlat[u].Ranges()
@@ -214,14 +219,11 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 			o.landmarks[0], o.landmarks[1] = o.landmarks[1], o.landmarks[0]
 		}
 	})
-	// Vicinity and boundary keys index the batch engine's per-node mark
-	// array: loaded unchecked, the first one-to-many query touching the
-	// node panics.
+	// Vicinity keys — boundary members among them — index the batch
+	// engine's per-node mark array: loaded unchecked, the first
+	// one-to-many query touching the node panics.
 	corrupt("vicinity key out of range", func(o *Oracle) {
 		o.arena.Keys[0] = uint32(g.NumNodes()) + 5000
-	})
-	corrupt("boundary key out of range", func(o *Oracle) {
-		o.boundKeys[0] = uint32(g.NumNodes()) + 5000
 	})
 }
 
@@ -231,6 +233,8 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 // either fails with ErrBadOracleFile naming the option. The
 // max-landmarks slot only shaped sampling, and the file stores the
 // sampled landmark set, so a non-zero value loads and answers as before.
+// So does the no-path-data flag: paths derive from the stored
+// distances, so there is nothing left for it to disable.
 func TestLoadRetiredOptions(t *testing.T) {
 	g := socialGraph(33, 300)
 	o := mustBuild(t, g, Options{Seed: 33})
@@ -267,11 +271,19 @@ func TestLoadRetiredOptions(t *testing.T) {
 		}
 	}
 
-	got, err := ReadOracle(bytes.NewReader(patch(metaMaxLandmarks, set(3))))
-	if err != nil {
-		t.Fatalf("max landmarks 3: %v", err)
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"max landmarks 3", patch(metaMaxLandmarks, set(3))},
+		{"no-path-data flag", patch(metaFlags, func(f uint64) uint64 { return f | flagNoPathData })},
+	} {
+		got, err := ReadOracle(bytes.NewReader(tc.file))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		assertOraclesAgree(t, o, got, g.NumNodes(), 300)
 	}
-	assertOraclesAgree(t, o, got, g.NumNodes(), 300)
 }
 
 // TestCorruptOracleFiles checks that corruption anywhere in the file is

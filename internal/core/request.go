@@ -345,8 +345,8 @@ func (w *worker) done(o *Oracle, c *Cost) {
 
 // finish completes target t of req after the table pass, in place in
 // it: a pair the tables could not decide goes to the request's
-// fallback, and a table-resolved path request assembles its path from
-// stored parent pointers (meet is the intersection witness). The
+// fallback, and a table-resolved path request derives its path from
+// the stored distances (meet is the intersection witness). The
 // single-target Query and both batch variants run every target that
 // needs more than the table pass through it, so their answers cannot
 // diverge. Work lands in w.cost; searches
@@ -375,8 +375,9 @@ func (o *Oracle) finish(ctx context.Context, req *Request, t, meet uint32, cl *c
 			it.Path = p
 			return
 		}
-		// Stored chains incomplete (path data disabled or a repaired
-		// parent missing). With no fallback allowed, report no path
+		// A chain the stored distances cannot complete (a table a walk
+		// cannot descend, e.g. a corrupted file that still passed the
+		// loader). With no fallback allowed, report no path
 		// (MethodNone) but keep the table-resolved distance. Otherwise
 		// one limited exact search re-resolves the path, even under the
 		// estimate fallback; if it is cut off without beating the

@@ -446,27 +446,39 @@ func TestQueryEpoch(t *testing.T) {
 }
 
 // TestQueryBudgetKeepsResolvedDistance pins the chain-incomplete
-// contract: on a distance-only oracle a table-resolved pair whose path
-// must be re-searched keeps its exact distance when the budgeted
-// search is cut off — a budget may degrade the path, never a distance
-// the tables already resolved.
+// contract: a table-resolved pair whose path the stored distances
+// cannot complete is re-searched, and keeps its exact distance when the
+// budgeted search is cut off — a budget may degrade the path, never a
+// distance the tables already resolved. Such tables are made in memory
+// by raising the stored distance of the pair's hop candidates.
 func TestQueryBudgetKeepsResolvedDistance(t *testing.T) {
 	g := gen.Grid(2, 600)
-	o := mustBuild(t, g, Options{Seed: 9, DisablePathData: true})
+	o := mustBuild(t, g, Options{Seed: 9})
 	ctx := context.Background()
 
-	// A table-resolved pair at distance >= 2 (budget 1 cannot cross).
+	// A pair resolved from Γ(0) at distance >= 2 (budget 1 cannot cross).
 	var tgt uint32
 	var want uint32
 	found := false
-	for u := uint32(1); u < 40 && !found; u++ {
+	for u := uint32(1); int(u) < g.NumNodes() && !found; u++ {
 		d, m, err := queryDist(o, 0, u)
-		if err == nil && m.Resolved() && d >= 2 {
+		if err == nil && m == MethodVicinitySource && d >= 2 {
 			tgt, want, found = u, d, true
 		}
 	}
 	if !found {
-		t.Fatal("no table-resolved pair at distance >= 2 near the corner")
+		t.Fatal("no pair at distance >= 2 resolved from the corner's vicinity")
+	}
+	// No neighbor of tgt stays one step closer to 0, so the walk from
+	// tgt has no first hop; d(0,tgt) itself is untouched.
+	keys, dists := o.vicFlat[0].Entries()
+	for i, k := range keys {
+		if g.HasEdge(k, tgt) && dists[i] == want-1 {
+			dists[i] = want + 1
+		}
+	}
+	if p, ok := o.vicinityChain(0, tgt); ok {
+		t.Fatalf("walk still completes: %v", p)
 	}
 
 	res, err := o.Query(ctx, Request{S: 0, T: tgt, WantPath: true, Budget: 1})

@@ -111,7 +111,6 @@ func (o *Oracle) Memory() MemoryStats {
 		}
 		ms.VicinityEntries += int64(t.Len())
 		ms.VicinityBytes += int64(t.Bytes())
-		ms.VicinityBytes += int64(8 * o.BoundarySize(uint32(u)))
 		covered++
 	}
 	for _, row := range o.ldist {
@@ -121,9 +120,6 @@ func (o *Oracle) Memory() MemoryStats {
 	for _, row := range o.ldist16 {
 		ms.LandmarkEntries += int64(len(row))
 		ms.LandmarkBytes += int64(2 * len(row))
-	}
-	for _, row := range o.lparent {
-		ms.LandmarkBytes += int64(4 * len(row))
 	}
 	ms.TotalEntries = ms.VicinityEntries + ms.LandmarkEntries
 	ms.TotalBytes = ms.VicinityBytes + ms.LandmarkBytes

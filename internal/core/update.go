@@ -52,11 +52,14 @@ import (
 //     the offline phase uses, so an updated oracle is structurally
 //     identical to one built from scratch with the same landmarks.
 //
-//   - Repaired tables land in the vicinity arena through an
-//     append/free-list path (u32map.FreeList) instead of reflattening:
-//     in-place updates recycle the holes of superseded tables,
-//     copy-on-write updates append and compact when waste dominates.
-//     Shrinking vicinities free their old ranges the same way.
+//   - Repaired tables are appended to the vicinity arena instead of
+//     reflattening it. Superseded ranges stay readable for older
+//     snapshots and are only counted as waste; the arena is compacted
+//     once waste dominates.
+//
+// Every stored fact is a distance, and path hops are a pure function of
+// the graph and those distances (see path.go), so a repaired oracle is
+// byte-identical on the wire to a fresh build with the same landmarks.
 //
 // The landmark set is kept fixed: sampling probabilities drift as the
 // graph changes, which degrades the α·√n size balance gradually, not
@@ -98,7 +101,8 @@ type WeightChange struct {
 
 // updateChain links every snapshot descending from one Build or load.
 // It serializes updates and rejects updates against superseded
-// snapshots, whose arena holes may already have been reassigned.
+// snapshots, whose arena tail a newer snapshot may already have
+// appended into.
 type updateChain struct {
 	mu     sync.Mutex
 	latest uint64
@@ -131,24 +135,7 @@ var ErrEdgeNotFound = errors.New("core: edge not found in the current graph")
 // Updates must be applied to the newest snapshot in the chain
 // (ErrStaleSnapshot otherwise) and are serialized internally; queries
 // need no synchronization against them.
-func (o *Oracle) ApplyUpdates(u Update) (*Oracle, error) {
-	return o.applyUpdates(u, false)
-}
-
-// ApplyUpdatesInPlace applies the batch by mutating the receiver,
-// recycling superseded arena ranges through the free lists so repeated
-// updates keep a flat memory footprint. The caller must guarantee
-// exclusive access: no concurrent queries on this oracle and no older
-// snapshots from the same chain still in use. On error the oracle may
-// be partially updated and must be discarded (batch-validation errors
-// — ErrEdgeNotFound, conflicting roles, bad ids — are detected before
-// any mutation and leave it intact).
-func (o *Oracle) ApplyUpdatesInPlace(u Update) error {
-	_, err := o.applyUpdates(u, true)
-	return err
-}
-
-func (o *Oracle) applyUpdates(upd Update, inPlace bool) (*Oracle, error) {
+func (o *Oracle) ApplyUpdates(upd Update) (*Oracle, error) {
 	o.chain.mu.Lock()
 	defer o.chain.mu.Unlock()
 	if o.gen != o.chain.latest {
@@ -171,18 +158,15 @@ func (o *Oracle) applyUpdates(upd Update, inPlace bool) (*Oracle, error) {
 		return nil, err
 	}
 
-	t := o
-	if !inPlace {
-		t = o.cloneForUpdate()
-	}
+	t := o.cloneForUpdate()
 	t.timings = BuildTimings{} // diagnostic of a Build call; repaired snapshots report zeros
 	t.growNodes(newG.NumNodes())
-	if err := t.repairLandmarkTables(newG, oldN, cs, inPlace); err != nil {
+	if err := t.repairLandmarkTables(newG, oldN, cs); err != nil {
 		return nil, err
 	}
 	affected := t.affectedNodes(newG, oldN, cs)
 	results := t.rebuildVicinities(newG, affected)
-	if err := t.writeVicinities(affected, results, inPlace); err != nil {
+	if err := t.writeVicinities(affected, results); err != nil {
 		return nil, err
 	}
 	t.maybeCompact()
@@ -413,7 +397,6 @@ func (o *Oracle) cloneForUpdate() *Oracle {
 	c := *o
 	c.radius = append([]uint32(nil), o.radius...)
 	c.nearest = append([]uint32(nil), o.nearest...)
-	c.boundOff = append([]uint32(nil), o.boundOff...)
 	c.boundLen = append([]uint32(nil), o.boundLen...)
 	c.vicFlat = append([]u32map.Flat(nil), o.vicFlat...)
 	c.arena = o.arena.Clone()
@@ -426,12 +409,6 @@ func (o *Oracle) cloneForUpdate() *Oracle {
 	if o.ldist16 != nil {
 		c.ldist16 = append([][]uint16(nil), o.ldist16...)
 	}
-	if o.lparent != nil {
-		c.lparent = append([][]uint32(nil), o.lparent...)
-	}
-	c.entFree = o.entFree.Clone()
-	c.slotFree = o.slotFree.Clone()
-	c.boundFree = o.boundFree.Clone()
 	return &c
 }
 
@@ -460,9 +437,6 @@ func (t *Oracle) growNodes(newN int) {
 	vicFlat := make([]u32map.Flat, newN)
 	copy(vicFlat, t.vicFlat)
 	t.vicFlat = vicFlat
-	boundOff := make([]uint32, newN)
-	copy(boundOff, t.boundOff)
-	t.boundOff = boundOff
 	boundLen := make([]uint32, newN)
 	copy(boundLen, t.boundLen)
 	t.boundLen = boundLen
@@ -535,16 +509,15 @@ func (ws *lmRepairWS) clear() {
 // distance, and the closing ripple (phase C) starts from a state where
 // every value is an upper bound on the new distance, so its fixpoint is
 // exact.
-func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet, inPlace bool) error {
+func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet) error {
 	if len(t.ldist) == 0 && len(t.ldist16) == 0 {
 		return nil
 	}
 	if newG.Weighted() {
-		return t.repairLandmarkTablesWeighted(newG, oldN, cs, inPlace)
+		return t.repairLandmarkTablesWeighted(newG, oldN, cs)
 	}
 	newN := newG.NumNodes()
 	grow := newN > oldN
-	storeParents := t.lparent != nil
 	compact := t.ldist16 != nil
 	overflow := make([]bool, len(t.lpos))
 	parallelFor(t.opts.Workers, len(t.lpos), func(int) any {
@@ -605,42 +578,29 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 		if !insImproved && !delTouched && !grow {
 			return
 		}
-		// Materialize a mutable row: regrown for added nodes, cloned in
-		// copy-on-write mode. Workers write distinct pos elements, so
-		// assigning into the shared outer slices is race-free.
-		if grow || !inPlace {
-			if compact {
-				nr := make([]uint16, newN)
-				copy(nr, row16)
-				for i := len(row16); i < newN; i++ {
-					nr[i] = compactUnreachable
-				}
-				row16, t.ldist16[pos] = nr, nr
-			} else {
-				nr := make([]uint32, newN)
-				copy(nr, row32)
-				for i := len(row32); i < newN; i++ {
-					nr[i] = NoDist
-				}
-				row32, t.ldist[pos] = nr, nr
+		// Materialize a mutable copy of the row, regrown for added nodes
+		// (older snapshots keep reading the original). Workers write
+		// distinct pos elements, so assigning into the shared outer
+		// slices is race-free.
+		if compact {
+			nr := make([]uint16, newN)
+			copy(nr, row16)
+			for i := len(row16); i < newN; i++ {
+				nr[i] = compactUnreachable
 			}
-			if storeParents {
-				np := make([]uint32, newN)
-				copy(np, t.lparent[pos])
-				for i := oldN; i < newN; i++ {
-					np[i] = graph.NoNode
-				}
-				t.lparent[pos] = np
+			row16, t.ldist16[pos] = nr, nr
+		} else {
+			nr := make([]uint32, newN)
+			copy(nr, row32)
+			for i := len(row32); i < newN; i++ {
+				nr[i] = NoDist
 			}
+			row32, t.ldist[pos] = nr, nr
 		}
 		if !insImproved && !delTouched {
 			return
 		}
-		var parents []uint32
-		if storeParents {
-			parents = t.lparent[pos]
-		}
-		set := func(v, d, parent uint32) bool {
+		set := func(v, d uint32) bool {
 			if compact {
 				switch {
 				case d == NoDist:
@@ -653,9 +613,6 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 				}
 			} else {
 				row32[v] = d
-			}
-			if parents != nil {
-				parents[v] = parent
 			}
 			return true
 		}
@@ -684,24 +641,14 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 				lw := uint32(lvl)
 				for _, w := range bucket {
 					supported := false
-					var firstSup uint32 = graph.NoNode
 					for _, y := range newG.Neighbors(w) {
 						if read(y) == lw-1 && ws.mark[y] != lmInvalid {
-							supported, firstSup = true, y
+							supported = true
 							break
 						}
 					}
 					if supported {
 						ws.mark[w] = lmSupported
-						// The stored parent may have died (deleted edge) or
-						// been invalidated; repoint it at the surviving
-						// supporter so parent chains stay walkable.
-						if parents != nil {
-							p := parents[w]
-							if p == graph.NoNode || read(p) != lw-1 || ws.mark[p] == lmInvalid || !newG.HasEdge(w, p) {
-								parents[w] = firstSup
-							}
-						}
 						continue
 					}
 					ws.mark[w] = lmInvalid
@@ -722,18 +669,18 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 		// reaches keep NoDist — they are newly unreachable.
 		if len(ws.inval) > 0 {
 			for _, a := range ws.inval {
-				set(a, NoDist, graph.NoNode)
+				set(a, NoDist)
 			}
 			ws.resetBuckets()
 			for _, a := range ws.inval {
-				best, bp := NoDist, graph.NoNode
+				best := NoDist
 				for _, y := range newG.Neighbors(a) {
 					if dy := read(y); dy != NoDist && dy+1 < best {
-						best, bp = dy+1, y
+						best = dy + 1
 					}
 				}
 				if best != NoDist {
-					if !set(a, best, bp) {
+					if !set(a, best) {
 						return
 					}
 					ws.pushBucket(a, int(best))
@@ -748,7 +695,7 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 					}
 					for _, y := range newG.Neighbors(w) {
 						if ws.mark[y] == lmInvalid && read(y) > lw+1 {
-							if !set(y, lw+1, w) {
+							if !set(y, lw+1) {
 								return
 							}
 							ws.pushBucket(y, lvl+1)
@@ -770,7 +717,7 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 				return true
 			}
 			if dt := read(to); dt == NoDist || dt > df+1 {
-				if !set(to, df+1, from) {
+				if !set(to, df+1) {
 					return false
 				}
 				q.Push(to)
@@ -793,7 +740,7 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 			}
 			for _, y := range newG.Neighbors(x) {
 				if dy := read(y); dy == NoDist || dy > dx+1 {
-					if !set(y, dx+1, x) {
+					if !set(y, dx+1) {
 						return
 					}
 					q.Push(y)
@@ -814,14 +761,12 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 // test plus full recompute: a deletion or weight increase can change a
 // row only if the edge was on some shortest path (du + w == dv up to
 // symmetry), a weight decrease only if it improves one endpoint through
-// the other. Rows failing every test are provably identical — including
-// parents, since a stored parent edge is always tight and would have
-// triggered the test. Affected rows are recomputed by one Dijkstra,
-// exactly as the offline build does.
-func (t *Oracle) repairLandmarkTablesWeighted(newG *graph.Graph, oldN int, cs *changeSet, inPlace bool) error {
+// the other. Rows failing every test are provably identical. Affected
+// rows are recomputed by one Dijkstra, exactly as the offline build
+// does.
+func (t *Oracle) repairLandmarkTablesWeighted(newG *graph.Graph, oldN int, cs *changeSet) error {
 	newN := newG.NumNodes()
 	grow := newN > oldN
-	storeParents := t.lparent != nil
 	compact := t.ldist16 != nil
 	overflow := make([]bool, len(t.lpos))
 	parallelFor(t.opts.Workers, len(t.lpos), func(int) any { return nil }, func(_ any, li int) {
@@ -902,14 +847,6 @@ func (t *Oracle) repairLandmarkTablesWeighted(newG *graph.Graph, oldN int, cs *c
 					}
 					t.ldist[pos] = nr
 				}
-				if storeParents {
-					np := make([]uint32, newN)
-					copy(np, t.lparent[pos])
-					for i := oldN; i < newN; i++ {
-						np[i] = graph.NoNode
-					}
-					t.lparent[pos] = np
-				}
 			}
 			return
 		}
@@ -930,9 +867,6 @@ func (t *Oracle) repairLandmarkTablesWeighted(newG *graph.Graph, oldN int, cs *c
 			t.ldist16[pos] = cr
 		} else {
 			t.ldist[pos] = tr.Dist // adopt the traversal's array
-		}
-		if storeParents {
-			t.lparent[pos] = tr.Parent
 		}
 	})
 	for li, bad := range overflow {
@@ -1157,7 +1091,7 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 //     cannot change any member's has-a-neighbor-outside status. The
 //     stored trace is bit-identical to a fresh build; skip.
 //   - max(du,dv) <= r(x) and du != dv: a tight in-ball edge; distances,
-//     membership, radius or parents may all change. Rebuild.
+//     membership or radius may all change. Rebuild.
 //   - min(du,dv) <= r(x) < max(du,dv): no in-ball distance can change
 //     (a rerouted member would need the far endpoint as an in-ball
 //     intermediate), but the near endpoint — a level-r member — lost
@@ -1286,7 +1220,6 @@ func (t *Oracle) probeBoundary(x, k uint32, newG *graph.Graph, add func(uint32))
 // uses.
 func (t *Oracle) rebuildVicinities(newG *graph.Graph, affected []uint32) []vicResult {
 	results := make([]vicResult, len(affected))
-	storeParents := !t.opts.DisablePathData
 	weighted := newG.Weighted()
 	n := newG.NumNodes()
 	parallelFor(t.opts.Workers, len(affected), func(int) any {
@@ -1294,114 +1227,54 @@ func (t *Oracle) rebuildVicinities(newG *graph.Graph, affected []uint32) []vicRe
 	}, func(state any, i int) {
 		ws := state.(*buildWS)
 		if weighted {
-			results[i] = vicinityDijkstra(newG, t.isL, ws, affected[i], storeParents).detach()
+			results[i] = vicinityDijkstra(newG, t.isL, ws, affected[i]).detach()
 		} else {
-			results[i] = vicinityBFS(newG, t.isL, ws, affected[i], storeParents).detach()
+			results[i] = vicinityBFS(newG, t.isL, ws, affected[i]).detach()
 		}
 	})
 	return results
 }
 
-// writeVicinities installs the recomputed vicinities and boundaries.
-// Superseded ranges go to the free lists; allocation recycles them
-// in-place and appends in copy-on-write mode (old snapshots may still
-// read the holes).
-func (t *Oracle) writeVicinities(affected []uint32, results []vicResult, inPlace bool) error {
-	// Free every superseded range before the first allocation. A batch
-	// of rebuilds is roughly size-neutral in aggregate, but per node the
-	// new table rarely matches its own old hole exactly: interleaving
-	// free and alloc starves the free lists early (node i often fits a
-	// hole that only node j>i will free) and each miss grows the arena —
-	// an append that reallocates and memmoves the full multi-hundred-MB
-	// backing arrays. Freeing the whole batch first lets Free coalesce
-	// adjacent holes and first-fit then serves essentially every
-	// allocation from recycled space. Safe because every freed range
-	// belonged to an affected node whose table is replaced wholesale
-	// below; in copy-on-write mode the frees are waste accounting only
-	// and allocation still appends.
-	for _, x := range affected {
-		if old := t.vicFlat[x]; old.Len() > 0 {
-			eo, el, so, sl := old.Ranges()
-			t.entFree.Free(eo, el)
-			t.slotFree.Free(so, sl)
-		} else {
-			t.covered++
-		}
-		t.boundFree.Free(t.boundOff[x], t.boundLen[x])
-	}
+// writeVicinities installs the recomputed vicinities (boundary members
+// first, as built) by appending them to the arena: old snapshots may
+// still read the superseded ranges, which only count as waste.
+func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
+	entries, slots := uint64(t.arena.NumEntries()), uint64(len(t.arena.Slots))
 	for i, x := range affected {
-		res := &results[i]
-		t.radius[x] = res.radius
-		t.nearest[x] = res.nearest
-
-		// Vicinity table.
-		nEnt := len(res.keys)
+		nEnt := len(results[i].keys)
 		if nEnt > u32map.MaxFlatEntries {
 			return fmt.Errorf("core: updated vicinity of node %d has %d entries, above the %d flat-table cap",
 				x, nEnt, u32map.MaxFlatEntries)
 		}
-		if uint64(t.arena.NumEntries())+uint64(nEnt) > math.MaxUint32 {
-			return fmt.Errorf("core: %d vicinity entries overflow the 2^32-1 arena capacity", t.arena.NumEntries())
+		entries += uint64(nEnt)
+		slots += uint64(u32map.IndexSize(nEnt))
+	}
+	if err := checkArenaCapacity(entries, slots); err != nil {
+		return err
+	}
+	for i, x := range affected {
+		res := &results[i]
+		if old := t.vicFlat[x]; old.Len() > 0 {
+			_, el, _, sl := old.Ranges()
+			t.entWaste += uint64(el)
+			t.slotWaste += uint64(sl)
+		} else {
+			t.covered++
 		}
-		eOff := t.allocEntries(nEnt, inPlace)
+		t.radius[x] = res.radius
+		t.nearest[x] = res.nearest
+		t.boundLen[x] = res.boundLen
+
+		nEnt := len(res.keys)
+		eOff := t.arena.AllocEntries(nEnt)
 		copy(t.arena.Keys[eOff:eOff+uint32(nEnt)], res.keys)
 		copy(t.arena.Dists[eOff:eOff+uint32(nEnt)], res.dists)
-		copy(t.arena.Parents[eOff:eOff+uint32(nEnt)], res.parents)
 		sLen := uint32(u32map.IndexSize(nEnt))
-		sOff, sReused := t.allocSlots(int(sLen), inPlace)
-		slots := t.arena.Slots[sOff : sOff+sLen]
-		if sReused {
-			for j := range slots {
-				slots[j] = 0
-			}
-		}
-		u32map.FillIndex(slots, t.arena.Keys[eOff:eOff+uint32(nEnt)])
+		sOff := t.arena.AllocSlots(int(sLen))
+		u32map.FillIndex(t.arena.Slots[sOff:sOff+sLen], t.arena.Keys[eOff:eOff+uint32(nEnt)])
 		t.vicFlat[x] = t.arena.Hash(eOff, eOff+uint32(nEnt), sOff, sOff+sLen)
-
-		// Boundary range.
-		bl := len(res.boundKeys)
-		bOff := t.allocBoundary(bl, inPlace)
-		copy(t.boundKeys[bOff:bOff+uint32(bl)], res.boundKeys)
-		copy(t.boundDist[bOff:bOff+uint32(bl)], res.boundDist)
-		t.boundOff[x], t.boundLen[x] = bOff, uint32(bl)
 	}
 	return nil
-}
-
-// allocEntries reserves nEnt contiguous entry slots, recycling freed
-// ranges only when reuse is allowed (in-place mode).
-func (t *Oracle) allocEntries(nEnt int, reuse bool) uint32 {
-	if reuse {
-		if off, ok := t.entFree.Acquire(uint32(nEnt)); ok {
-			return off
-		}
-	}
-	return t.arena.AllocEntries(nEnt)
-}
-
-func (t *Oracle) allocSlots(nSlot int, reuse bool) (uint32, bool) {
-	if reuse {
-		if off, ok := t.slotFree.Acquire(uint32(nSlot)); ok {
-			return off, true
-		}
-	}
-	return t.arena.AllocSlots(nSlot), false
-}
-
-// allocBoundary reserves a range in the parallel boundary arrays.
-func (t *Oracle) allocBoundary(n int, reuse bool) uint32 {
-	if n == 0 {
-		return 0
-	}
-	if reuse {
-		if off, ok := t.boundFree.Acquire(uint32(n)); ok {
-			return off
-		}
-	}
-	off := uint32(len(t.boundKeys))
-	t.boundKeys = append(t.boundKeys, make([]uint32, n)...)
-	t.boundDist = append(t.boundDist, make([]uint32, n)...)
-	return off
 }
 
 // maybeCompact squeezes out superseded ranges once they dominate the
@@ -1409,14 +1282,10 @@ func (t *Oracle) allocBoundary(n int, reuse bool) uint32 {
 // fresh allocations, so snapshots still serving the old layout are
 // unaffected.
 func (t *Oracle) maybeCompact() {
-	if t.entFree.Total()+t.slotFree.Total() > 0 &&
-		2*(t.entFree.Total()+t.slotFree.Total()) > uint64(t.arena.NumEntries()+len(t.arena.Slots)) {
+	waste := t.entWaste + t.slotWaste
+	if waste > 0 && 2*waste > uint64(t.arena.NumEntries()+len(t.arena.Slots)) {
 		t.arena, t.vicFlat = t.compactVicinityArena()
-		t.entFree.Reset()
-		t.slotFree.Reset()
-	}
-	if t.boundFree.Total() > 0 && 2*t.boundFree.Total() > uint64(len(t.boundKeys)) {
-		t.compactBoundaries()
+		t.entWaste, t.slotWaste = 0, 0
 	}
 }
 
@@ -1431,25 +1300,13 @@ func (o *Oracle) compactVicinityArena() (*u32map.Arena, []u32map.Flat) {
 		totalSlot += int(sl)
 	}
 	na := &u32map.Arena{
-		Keys:    make([]uint32, 0, totalEnt),
-		Dists:   make([]uint32, 0, totalEnt),
-		Parents: make([]uint32, 0, totalEnt),
-		Slots:   make([]uint32, 0, totalSlot),
+		Keys:  make([]uint32, 0, totalEnt),
+		Dists: make([]uint32, 0, totalEnt),
+		Slots: make([]uint32, 0, totalSlot),
 	}
 	flat := make([]u32map.Flat, len(o.vicFlat))
 	for u := range o.vicFlat {
 		flat[u] = o.vicFlat[u].CopyTo(na)
 	}
 	return na, flat
-}
-
-// compactBoundaries rewrites the boundary arrays contiguously in node
-// order (fresh arrays; old snapshots keep theirs).
-func (t *Oracle) compactBoundaries() {
-	csr, keys, dists := t.boundaryCSR()
-	n := len(t.radius)
-	t.boundOff = csr[:n:n]
-	t.boundKeys = keys
-	t.boundDist = dists
-	t.boundFree.Reset()
 }

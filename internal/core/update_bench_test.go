@@ -20,20 +20,6 @@ func benchOracle(b *testing.B) *Oracle {
 	return o
 }
 
-// BenchmarkInsertEdgeInPlace measures one random edge insertion with
-// free-list reuse (the offline / exclusive-access path).
-func BenchmarkInsertEdgeInPlace(b *testing.B) {
-	o := benchOracle(b)
-	r := xrand.New(5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := uint32(o.Graph().NumNodes())
-		if err := o.ApplyUpdatesInPlace(Update{Edges: [][2]uint32{{r.Uint32n(n), r.Uint32n(n)}}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkInsertEdgeCOW measures one random edge insertion through the
 // copy-on-write snapshot path the server uses.
 func BenchmarkInsertEdgeCOW(b *testing.B) {
@@ -62,9 +48,11 @@ func BenchmarkUpdateBatch100(b *testing.B) {
 		for j := range edges {
 			edges[j] = [2]uint32{r.Uint32n(n), r.Uint32n(n)}
 		}
-		if err := o.ApplyUpdatesInPlace(Update{Edges: edges}); err != nil {
+		next, err := o.ApplyUpdates(Update{Edges: edges})
+		if err != nil {
 			b.Fatal(err)
 		}
+		o = next
 	}
 }
 
@@ -94,23 +82,9 @@ func sampleLiveEdge(r *xrand.Rand, o *Oracle) [2]uint32 {
 	}
 }
 
-// BenchmarkDeleteEdgeInPlace measures one random edge deletion with
-// free-list reuse — the decremental mirror of BenchmarkInsertEdgeInPlace
-// and the number the ≥5×-faster-than-rebuild acceptance bound is
-// checked against (vs BenchmarkRebuild).
-func BenchmarkDeleteEdgeInPlace(b *testing.B) {
-	o := benchOracle(b)
-	r := xrand.New(5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := o.ApplyUpdatesInPlace(Update{DelEdges: [][2]uint32{sampleLiveEdge(r, o)}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDeleteEdgeCOW measures one random edge deletion through the
-// copy-on-write snapshot path the server uses.
+// copy-on-write snapshot path the server uses — the decremental mirror
+// of BenchmarkInsertEdgeCOW, compared against BenchmarkRebuild.
 func BenchmarkDeleteEdgeCOW(b *testing.B) {
 	o := benchOracle(b)
 	r := xrand.New(5)
@@ -125,8 +99,8 @@ func BenchmarkDeleteEdgeCOW(b *testing.B) {
 }
 
 // BenchmarkChurnBatch100 measures a mixed batch of 50 deletions and 50
-// insertions applied in place — the steady-state social-churn shape
-// (unfollows arriving alongside new ties).
+// insertions — the steady-state social-churn shape (unfollows arriving
+// alongside new ties).
 func BenchmarkChurnBatch100(b *testing.B) {
 	o := benchOracle(b)
 	r := xrand.New(5)
@@ -149,9 +123,11 @@ func BenchmarkChurnBatch100(b *testing.B) {
 				upd.Edges = append(upd.Edges, [2]uint32{u, v})
 			}
 		}
-		if err := o.ApplyUpdatesInPlace(upd); err != nil {
+		next, err := o.ApplyUpdates(upd)
+		if err != nil {
 			b.Fatal(err)
 		}
+		o = next
 	}
 }
 
@@ -167,18 +143,20 @@ func benchWeightedOracle(b *testing.B) *Oracle {
 	return o
 }
 
-// BenchmarkSetWeightInPlace measures one random weight change on a
-// weighted oracle (landmark rows re-solved only when a tight or
-// improving edge is touched).
-func BenchmarkSetWeightInPlace(b *testing.B) {
+// BenchmarkSetWeightCOW measures one random weight change on a weighted
+// oracle (landmark rows re-solved only when a tight or improving edge
+// is touched).
+func BenchmarkSetWeightCOW(b *testing.B) {
 	o := benchWeightedOracle(b)
 	r := xrand.New(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sampleLiveEdge(r, o)
 		upd := Update{SetWeights: []WeightChange{{U: e[0], V: e[1], W: 1 + r.Uint32n(9)}}}
-		if err := o.ApplyUpdatesInPlace(upd); err != nil {
+		next, err := o.ApplyUpdates(upd)
+		if err != nil {
 			b.Fatal(err)
 		}
+		o = next
 	}
 }

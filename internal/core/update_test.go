@@ -34,11 +34,10 @@ func randomBatch(r *xrand.Rand, n int) Update {
 
 // assertSameStructure checks that an updated oracle is structurally
 // identical to `want` (a fresh build on the same graph with the same
-// landmark set): radii, nearest landmarks, vicinity contents (distance
-// and parent), boundary lists, and landmark distance tables. Landmark
-// *parent* tables are exempt: repair keeps previously valid parents
-// while a fresh BFS may pick different same-length ones; path validity
-// is covered by assertAgreeModuloPaths.
+// landmark set): radii, nearest landmarks, vicinity entries in order
+// (so boundary prefixes too), boundary sizes, and landmark distance
+// tables. Nothing else is stored, so with equal structure the two
+// oracles derive the same paths.
 func assertSameStructure(t *testing.T, got, want *Oracle) {
 	t.Helper()
 	n := len(want.radius)
@@ -68,10 +67,10 @@ func assertSameStructure(t *testing.T, got, want *Oracle) {
 		}
 		if wok {
 			for i := 0; i < wv.Len(); i++ {
-				k, d, p := wv.At(i)
-				gd, gp, ok := gv.GetEntry(k)
-				if !ok || gd != d || gp != p {
-					t.Fatalf("node %d: member %d: got %d/%d/%v, want %d/%d", u, k, gd, gp, ok, d, p)
+				gk, gd := gv.At(i)
+				wk, wd := wv.At(i)
+				if gk != wk || gd != wd {
+					t.Fatalf("node %d: entry %d: got %d/%d, want %d/%d", u, i, gk, gd, wk, wd)
 				}
 			}
 		}
@@ -101,64 +100,6 @@ func assertSameStructure(t *testing.T, got, want *Oracle) {
 	}
 }
 
-// assertAgreeModuloPaths checks that two oracles agree on every sampled
-// query's distance, method and instrumentation, and that both return
-// valid shortest paths (paths themselves may differ through landmark
-// trees, where several shortest-path trees are equally valid).
-func assertAgreeModuloPaths(t *testing.T, a, b *Oracle, trials int) {
-	t.Helper()
-	n := a.g.NumNodes()
-	r := xrand.New(41)
-	for trial := 0; trial < trials; trial++ {
-		s, u := r.Uint32n(uint32(n)), r.Uint32n(uint32(n))
-		da, ma, meetA, errA := queryMeet(a, s, u)
-		db, mb, meetB, errB := queryMeet(b, s, u)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("(%d,%d): errors disagree: %v vs %v", s, u, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if da != db || ma != mb || meetA != meetB {
-			t.Fatalf("(%d,%d): %d/%v/%d vs %d/%v/%d", s, u, da, ma, meetA, db, mb, meetB)
-		}
-		assertValidShortestPath(t, a, s, u, da, ma)
-		assertValidShortestPath(t, b, s, u, db, mb)
-	}
-}
-
-// assertValidShortestPath checks Path against a known distance. For
-// estimate answers (upper bounds) only structural validity is checked:
-// the distance may come from one triangulation side and the path
-// realize the other.
-func assertValidShortestPath(t *testing.T, o *Oracle, s, u, d uint32, m Method) {
-	t.Helper()
-	p, _, err := queryPath(o, s, u)
-	if err != nil {
-		t.Fatalf("Path(%d,%d): %v", s, u, err)
-	}
-	if d == NoDist {
-		if p != nil && m != MethodFallbackEstimate {
-			t.Fatalf("Path(%d,%d): path %v for unreachable pair", s, u, p)
-		}
-		return
-	}
-	if o.opts.DisablePathData || (p == nil && m == MethodFallbackEstimate) {
-		return // fallback may or may not materialize a path
-	}
-	if len(p) == 0 || p[0] != s || p[len(p)-1] != u {
-		t.Fatalf("Path(%d,%d): bad endpoints %v", s, u, p)
-	}
-	if uint32(len(p)-1) != d && m != MethodFallbackEstimate {
-		t.Fatalf("Path(%d,%d): length %d, want %d (method %v)", s, u, len(p)-1, d, m)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !o.g.HasEdge(p[i], p[i+1]) {
-			t.Fatalf("Path(%d,%d): %d-%d not an edge", s, u, p[i], p[i+1])
-		}
-	}
-}
-
 // freshTwin rebuilds from scratch on o's current graph with o's exact
 // landmark set — the from-scratch reference an updated oracle must
 // structurally match. The rebuild runs both sequentially and with 4
@@ -180,33 +121,26 @@ func freshTwin(t *testing.T, o *Oracle) *Oracle {
 }
 
 // TestUpdateMatchesFreshBuild is the central dynamic-update property:
-// after a sequence of random batches, both the copy-on-write and the
-// in-place oracle are structurally identical to a from-scratch build on
-// the mutated graph with the same landmarks, and all sampled queries
-// agree with BFS ground truth.
+// after a sequence of random batches, the oracle is structurally
+// identical to a from-scratch build on the mutated graph with the same
+// landmarks, answers every sampled query the same (paths included), and
+// agrees with BFS ground truth.
 func TestUpdateMatchesFreshBuild(t *testing.T) {
 	t.Run("hash", func(t *testing.T) {
 		r := xrand.New(1000)
 		g := socialGraph(11, 300)
-		cow := mustBuild(t, g, Options{Seed: 7})
-		inplace := mustBuild(t, g, Options{Seed: 7})
+		o := mustBuild(t, g, Options{Seed: 7})
 		for step := 0; step < 8; step++ {
-			batch := randomBatch(r, cow.Graph().NumNodes())
-			next, err := cow.ApplyUpdates(batch)
+			next, err := o.ApplyUpdates(randomBatch(r, o.Graph().NumNodes()))
 			if err != nil {
 				t.Fatalf("step %d: ApplyUpdates: %v", step, err)
 			}
-			cow = next
-			if err := inplace.ApplyUpdatesInPlace(batch); err != nil {
-				t.Fatalf("step %d: ApplyUpdatesInPlace: %v", step, err)
-			}
-			fresh := freshTwin(t, cow)
-			assertSameStructure(t, cow, fresh)
-			assertSameStructure(t, inplace, fresh)
-			assertAgreeModuloPaths(t, cow, fresh, 200)
+			o = next
+			fresh := freshTwin(t, o)
+			assertSameStructure(t, o, fresh)
+			assertOraclesAgree(t, o, fresh, o.Graph().NumNodes(), 200)
 		}
-		assertGroundTruth(t, cow, 40)
-		assertGroundTruth(t, inplace, 40)
+		assertGroundTruth(t, o, 40)
 	})
 }
 
@@ -234,11 +168,11 @@ func assertGroundTruth(t *testing.T, o *Oracle, sources int) {
 }
 
 // TestUpdateOptionMatrix runs one update sequence under every option
-// the repair path must honor.
+// the repair path must honor; each result must serialize exactly like a
+// fresh build.
 func TestUpdateOptionMatrix(t *testing.T) {
 	cases := map[string]Options{
 		"compact-landmarks": {Seed: 3, CompactLandmarkTables: true},
-		"distance-only":     {Seed: 3, DisablePathData: true},
 		"no-landmark-tabs":  {Seed: 3, DisableLandmarkTables: true},
 		"fallback-none":     {Seed: 3, Fallback: FallbackNone},
 		"fallback-estimate": {Seed: 3, Fallback: FallbackEstimate},
@@ -258,7 +192,10 @@ func TestUpdateOptionMatrix(t *testing.T) {
 			}
 			fresh := freshTwin(t, o)
 			assertSameStructure(t, o, fresh)
-			assertAgreeModuloPaths(t, o, fresh, 300)
+			assertOraclesAgree(t, o, fresh, o.Graph().NumNodes(), 300)
+			if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, fresh)) {
+				t.Fatal("updated oracle serializes differently from a fresh build")
+			}
 		})
 	}
 }
@@ -345,9 +282,6 @@ func TestUpdateStaleSnapshot(t *testing.T) {
 	if _, err := o.ApplyUpdates(Update{Edges: [][2]uint32{{1, 141}}}); !errors.Is(err, ErrStaleSnapshot) {
 		t.Fatalf("stale snapshot accepted: %v", err)
 	}
-	if err := o.ApplyUpdatesInPlace(Update{Edges: [][2]uint32{{1, 141}}}); !errors.Is(err, ErrStaleSnapshot) {
-		t.Fatalf("stale in-place accepted: %v", err)
-	}
 	if _, err := o2.ApplyUpdates(Update{Edges: [][2]uint32{{1, 141}}}); err != nil {
 		t.Fatalf("latest snapshot rejected: %v", err)
 	}
@@ -395,79 +329,72 @@ func TestUpdateNoop(t *testing.T) {
 	}
 }
 
-// TestUpdatePersistRoundTrip: an updated oracle (including in-place
-// updates that leave arena holes) saves and loads with identical
-// behavior, and the file carries no waste.
-func TestUpdatePersistRoundTrip(t *testing.T) {
-	r := xrand.New(777)
-	g := socialGraph(41, 250)
-	o := mustBuild(t, g, Options{Seed: 13})
-	for step := 0; step < 5; step++ {
-		if err := o.ApplyUpdatesInPlace(randomBatch(r, o.Graph().NumNodes())); err != nil {
-			t.Fatal(err)
+// applyChain runs steps random growth batches as a copy-on-write chain
+// and returns the newest snapshot, which still carries the holes its
+// repairs left in the shared arena.
+func applyChain(t *testing.T, o *Oracle, r *xrand.Rand, steps int) *Oracle {
+	t.Helper()
+	for step := 0; step < steps; step++ {
+		next, err := o.ApplyUpdates(randomBatch(r, o.Graph().NumNodes()))
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
+		o = next
 	}
+	if o.entWaste == 0 {
+		t.Fatal("update chain left no arena holes to exercise")
+	}
+	return o
+}
+
+// TestUpdatePersistRoundTrip: an updated oracle (with the arena holes
+// copy-on-write updates leave) saves and loads with identical behavior,
+// and the file carries no waste.
+func TestUpdatePersistRoundTrip(t *testing.T) {
+	g := socialGraph(41, 250)
+	o := applyChain(t, mustBuild(t, g, Options{Seed: 13}), xrand.New(777), 5)
 	if o.BuildTimings() != (BuildTimings{}) {
 		t.Fatal("updated snapshot reports the original build's timings")
 	}
 	got := roundTrip(t, o)
 	assertOraclesAgree(t, o, got, o.Graph().NumNodes(), 1500)
 	assertSameStructure(t, got, o)
-	if got.entFree.Total() != 0 || got.boundFree.Total() != 0 {
+	if got.entWaste != 0 || got.slotWaste != 0 {
 		t.Fatal("loaded oracle carries waste")
 	}
 }
 
-// TestUpdateSerializesLikeFreshBuild: for a distance-only oracle the
-// compacted file of a repaired oracle is byte-identical to the file of
-// a fresh (parallel or sequential) build on the same graph and
-// landmarks — repair reproduces content, compaction reproduces layout.
-// (With path data the guarantee is structural equality modulo parent
-// trees: the landmark ripple repair may pick a different, equally valid
-// shortest-path tree than a fresh traversal; see DESIGN.md.)
+// TestUpdateSerializesLikeFreshBuild: the compacted file of a repaired
+// oracle is byte-identical to the file of a fresh (parallel or
+// sequential) build on the same graph and landmarks — repair reproduces
+// content, compaction reproduces layout, and paths derive from the
+// distances alone.
 func TestUpdateSerializesLikeFreshBuild(t *testing.T) {
-	r := xrand.New(778)
 	g := socialGraph(43, 250)
-	o := mustBuild(t, g, Options{Seed: 13, DisablePathData: true})
-	for step := 0; step < 5; step++ {
-		if err := o.ApplyUpdatesInPlace(randomBatch(r, o.Graph().NumNodes())); err != nil {
-			t.Fatal(err)
-		}
-	}
+	o := applyChain(t, mustBuild(t, g, Options{Seed: 13}), xrand.New(778), 5)
 	if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, freshTwin(t, o))) {
 		t.Fatal("repaired oracle serializes differently from a fresh build")
 	}
 }
 
 // TestUpdateCompactionBound: repeated copy-on-write updates keep arena
-// waste below half the storage (the auto-compaction invariant), and
-// in-place updates recycle ranges so the arena stays near the fresh
-// size.
+// waste below half the storage (the auto-compaction invariant).
 func TestUpdateCompactionBound(t *testing.T) {
 	r := xrand.New(888)
 	g := socialGraph(43, 300)
 	o := mustBuild(t, g, Options{Seed: 17})
-	inplace := mustBuild(t, g, Options{Seed: 17})
 	for step := 0; step < 25; step++ {
-		batch := randomBatch(r, o.Graph().NumNodes())
-		next, err := o.ApplyUpdates(batch)
+		next, err := o.ApplyUpdates(randomBatch(r, o.Graph().NumNodes()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		o = next
-		if err := inplace.ApplyUpdatesInPlace(batch); err != nil {
-			t.Fatal(err)
-		}
-		waste := o.entFree.Total() + o.slotFree.Total()
+		waste := o.entWaste + o.slotWaste
 		total := uint64(o.arena.NumEntries() + len(o.arena.Slots))
 		if 2*waste > total {
 			t.Fatalf("step %d: waste %d above half of %d", step, waste, total)
 		}
-	}
-	fresh := freshTwin(t, o)
-	freshSize := fresh.arena.NumEntries()
-	if got := inplace.arena.NumEntries() - int(inplace.entFree.Total()); got != freshSize {
-		t.Fatalf("in-place live entries %d, fresh build %d", got, freshSize)
+		assertLiveRanges(t, o)
 	}
 }
 

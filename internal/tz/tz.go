@@ -133,7 +133,7 @@ func (o *Oracle) assignPivots() {
 func (o *Oracle) buildBunch(u uint32, nm *traverse.NodeMap, q *queue.U32) *u32map.Map {
 	limit := o.pivotD[u]
 	b := u32map.New(8)
-	b.Put(u, 0, graph.NoNode)
+	b.Put(u, 0)
 	if limit == 0 || limit == NoDist {
 		return b
 	}
@@ -156,7 +156,7 @@ func (o *Oracle) buildBunch(u uint32, nm *traverse.NodeMap, q *queue.U32) *u32ma
 				continue
 			}
 			nm.Set(v, dx+1, x)
-			b.Put(v, dx+1, x)
+			b.Put(v, dx+1)
 			q.Push(v)
 		}
 	}
@@ -180,7 +180,7 @@ func (o *Oracle) boundedDijkstraBunch(u uint32, limit uint32, b *u32map.Map) {
 		}
 		ws.settled.Set(x, 0, 0)
 		if x != u {
-			b.Put(x, dx, ws.nm.Parent(x))
+			b.Put(x, dx)
 		}
 		adj := o.g.Neighbors(x)
 		wts := o.g.NeighborWeights(x)

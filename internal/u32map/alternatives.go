@@ -4,10 +4,9 @@ package u32map
 // in the data-structure ablation. Entries also live in insertion-order
 // arrays so At works.
 type Builtin struct {
-	idx     map[uint32]int32
-	keys    []uint32
-	dists   []uint32
-	parents []uint32
+	idx   map[uint32]int32
+	keys  []uint32
+	dists []uint32
 }
 
 // NewBuiltin returns a Builtin table with room for about hint entries.
@@ -16,16 +15,14 @@ func NewBuiltin(hint int) *Builtin {
 }
 
 // Put inserts or overwrites the entry for key.
-func (b *Builtin) Put(key, dist, parent uint32) {
+func (b *Builtin) Put(key, dist uint32) {
 	if i, ok := b.idx[key]; ok {
 		b.dists[i] = dist
-		b.parents[i] = parent
 		return
 	}
 	b.idx[key] = int32(len(b.keys))
 	b.keys = append(b.keys, key)
 	b.dists = append(b.dists, dist)
-	b.parents = append(b.parents, parent)
 }
 
 // Get returns the distance recorded for key.
@@ -36,26 +33,18 @@ func (b *Builtin) Get(key uint32) (uint32, bool) {
 	return 0, false
 }
 
-// GetEntry returns the distance and parent recorded for key.
-func (b *Builtin) GetEntry(key uint32) (dist, parent uint32, ok bool) {
-	if i, ok := b.idx[key]; ok {
-		return b.dists[i], b.parents[i], true
-	}
-	return 0, 0, false
-}
-
 // Len returns the number of entries.
 func (b *Builtin) Len() int { return len(b.keys) }
 
 // At returns the i-th entry in insertion order.
-func (b *Builtin) At(i int) (key, dist, parent uint32) {
-	return b.keys[i], b.dists[i], b.parents[i]
+func (b *Builtin) At(i int) (key, dist uint32) {
+	return b.keys[i], b.dists[i]
 }
 
 // Bytes returns the approximate heap footprint (map overhead estimated
 // at 48 bytes per entry, the typical Go runtime bucket cost).
 func (b *Builtin) Bytes() int {
-	return 12*len(b.keys) + 48*len(b.idx)
+	return 8*len(b.keys) + 48*len(b.idx)
 }
 
 var _ Table = (*Builtin)(nil)

@@ -1,8 +1,8 @@
 package u32map
 
 // Arena holds the shared backing arrays behind every Flat table: one
-// contiguous entry arena (key/dist/parent triples, concatenated per
-// table) and one contiguous slot arena (concatenated per-table
+// contiguous entry arena (key/dist pairs, concatenated per table) and
+// one contiguous slot arena (concatenated per-table
 // open-addressing indexes). Many Flat views index into one Arena, so a
 // built oracle is a handful of large allocations instead of per-node
 // pointer soup: the garbage collector has almost nothing to scan, the
@@ -13,10 +13,9 @@ package u32map
 // plus one; zero means empty. Entry and slot offsets are uint32, so an
 // arena holds at most 2^32-1 entries (callers enforce the cap).
 type Arena struct {
-	Keys    []uint32
-	Dists   []uint32
-	Parents []uint32
-	Slots   []uint32
+	Keys  []uint32
+	Dists []uint32
+	Slots []uint32
 }
 
 // NumEntries returns the number of entries stored across all tables.
@@ -24,7 +23,48 @@ func (a *Arena) NumEntries() int { return len(a.Keys) }
 
 // Bytes returns the heap footprint of the arena backing arrays.
 func (a *Arena) Bytes() int {
-	return 4 * (len(a.Keys) + len(a.Dists) + len(a.Parents) + len(a.Slots))
+	return 4 * (len(a.Keys) + len(a.Dists) + len(a.Slots))
+}
+
+// AllocEntries reserves room for n more entries at the end of the entry
+// arena and returns the offset of the reserved range. Growth goes
+// through append, so reserving within spare capacity does not move the
+// backing arrays and existing Flat views (including those held by other
+// snapshots sharing this arena's backing) remain valid.
+func (a *Arena) AllocEntries(n int) uint32 {
+	off := uint32(len(a.Keys))
+	a.Keys = grow(a.Keys, n)
+	a.Dists = grow(a.Dists, n)
+	return off
+}
+
+// AllocSlots reserves n more zeroed slot words at the end of the slot
+// arena and returns the offset of the reserved range.
+func (a *Arena) AllocSlots(n int) uint32 {
+	off := uint32(len(a.Slots))
+	a.Slots = grow(a.Slots, n)
+	return off
+}
+
+// Clone returns a new Arena header over the same backing arrays.
+// Appends through the clone never disturb ranges visible to the
+// original: writes land beyond the original's lengths (or in fresh
+// arrays after reallocation), which its views never read.
+func (a *Arena) Clone() *Arena {
+	c := *a
+	return &c
+}
+
+// grow extends xs by n zeroed elements.
+func grow(xs []uint32, n int) []uint32 {
+	if cap(xs)-len(xs) >= n {
+		tail := xs[len(xs) : len(xs)+n]
+		for i := range tail {
+			tail[i] = 0
+		}
+		return xs[:len(xs)+n]
+	}
+	return append(xs, make([]uint32, n)...)
 }
 
 // IndexSize returns the power-of-two slot count a Flat table uses for
@@ -134,29 +174,6 @@ func (f Flat) Get(key uint32) (uint32, bool) {
 	}
 }
 
-// GetEntry returns the distance and parent recorded for key. The probe
-// loop mirrors Get (see there for why it is shaped this way).
-func (f Flat) GetEntry(key uint32) (dist, parent uint32, ok bool) {
-	if f.eLen == 0 {
-		return 0, 0, false
-	}
-	a := f.a
-	h := key * fib32
-	i := h & f.sMask
-	for {
-		s := a.Slots[f.sOff+i]
-		if s == 0 {
-			return 0, 0, false
-		}
-		if (s^h)>>slotIdxBits == 0 {
-			if e := f.eOff + (s & slotIdxMask) - 1; a.Keys[e] == key {
-				return a.Dists[e], a.Parents[e], true
-			}
-		}
-		i = (i + 1) & f.sMask
-	}
-}
-
 // Len returns the number of entries.
 func (f Flat) Len() int { return int(f.eLen) }
 
@@ -172,9 +189,20 @@ func (f Flat) Ranges() (eOff, eLen, sOff, sLen uint32) {
 }
 
 // At returns the i-th entry in insertion order.
-func (f Flat) At(i int) (key, dist, parent uint32) {
+func (f Flat) At(i int) (key, dist uint32) {
 	e := f.eOff + uint32(i)
-	return f.a.Keys[e], f.a.Dists[e], f.a.Parents[e]
+	return f.a.Keys[e], f.a.Dists[e]
+}
+
+// Entries returns the view's keys and distances in insertion order, as
+// sub-slices of the arena (no copy; callers must not modify them). An
+// owner that orders a table's entries can read any prefix directly.
+func (f Flat) Entries() (keys, dists []uint32) {
+	if f.eLen == 0 {
+		return nil, nil
+	}
+	e0, e1 := f.eOff, f.eOff+f.eLen
+	return f.a.Keys[e0:e1:e1], f.a.Dists[e0:e1:e1]
 }
 
 // CopyTo appends the view's entry and slot ranges to dst and returns
@@ -188,7 +216,6 @@ func (f Flat) CopyTo(dst *Arena) Flat {
 	eOff := dst.AllocEntries(int(f.eLen))
 	copy(dst.Keys[eOff:], f.a.Keys[f.eOff:f.eOff+f.eLen])
 	copy(dst.Dists[eOff:], f.a.Dists[f.eOff:f.eOff+f.eLen])
-	copy(dst.Parents[eOff:], f.a.Parents[f.eOff:f.eOff+f.eLen])
 	sLen := f.sMask + 1
 	sOff := dst.AllocSlots(int(sLen))
 	copy(dst.Slots[sOff:], f.a.Slots[f.sOff:f.sOff+sLen])
@@ -196,12 +223,12 @@ func (f Flat) CopyTo(dst *Arena) Flat {
 }
 
 // Bytes returns the share of the arena footprint attributable to this
-// table: 12 bytes per entry plus its slot range.
+// table: 8 bytes per entry plus its slot range.
 func (f Flat) Bytes() int {
 	if f.eLen == 0 {
 		return 0
 	}
-	return 12*int(f.eLen) + 4*(int(f.sMask)+1)
+	return 8*int(f.eLen) + 4*(int(f.sMask)+1)
 }
 
 var _ Table = Flat{}

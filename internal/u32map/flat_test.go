@@ -6,8 +6,8 @@ import (
 	"vicinity/internal/xrand"
 )
 
-// buildFlatArena packs the given tables (as key slices; dist = key+1,
-// parent = key+2) into one arena.
+// buildFlatArena packs the given tables (as key slices; dist = key+1)
+// into one arena.
 func buildFlatArena(t *testing.T, tables [][]uint32) (*Arena, []Flat) {
 	t.Helper()
 	a := &Arena{}
@@ -17,7 +17,6 @@ func buildFlatArena(t *testing.T, tables [][]uint32) (*Arena, []Flat) {
 		for _, k := range keys {
 			a.Keys = append(a.Keys, k)
 			a.Dists = append(a.Dists, k+1)
-			a.Parents = append(a.Parents, k+2)
 		}
 		eEnd := uint32(len(a.Keys))
 		sOff := uint32(len(a.Slots))
@@ -54,10 +53,6 @@ func TestFlatLayouts(t *testing.T) {
 			if !ok || d != k+1 {
 				t.Fatalf("table %d: Get(%d) = %d,%v", i, k, d, ok)
 			}
-			d, p, ok := f.GetEntry(k)
-			if !ok || d != k+1 || p != k+2 {
-				t.Fatalf("table %d: GetEntry(%d) = %d,%d,%v", i, k, d, p, ok)
-			}
 		}
 		// Absent keys, including ones present in *other* tables of
 		// the same arena (no cross-table bleed).
@@ -73,12 +68,17 @@ func TestFlatLayouts(t *testing.T) {
 				t.Fatalf("table %d: Get(%d) membership %v, want %v", i, k, ok, want)
 			}
 		}
-		// At enumerates exactly the entries.
+		// At and Entries enumerate exactly the entries, in insertion
+		// order.
 		got := map[uint32]bool{}
+		eKeys, eDists := f.Entries()
+		if len(eKeys) != f.Len() || len(eDists) != f.Len() {
+			t.Fatalf("table %d: Entries lengths %d/%d, want %d", i, len(eKeys), len(eDists), f.Len())
+		}
 		for j := 0; j < f.Len(); j++ {
-			k, d, p := f.At(j)
-			if d != k+1 || p != k+2 {
-				t.Fatalf("At(%d) returned (%d,%d,%d)", j, k, d, p)
+			k, d := f.At(j)
+			if d != k+1 || k != keys[j] || eKeys[j] != k || eDists[j] != d {
+				t.Fatalf("At(%d) returned (%d,%d)", j, k, d)
 			}
 			got[k] = true
 		}
@@ -101,12 +101,11 @@ func TestFlatMatchesMap(t *testing.T) {
 	}
 	m := New(len(keys))
 	for _, k := range keys {
-		m.Put(k, k*3, k*5)
+		m.Put(k, k*3)
 	}
 	a := &Arena{Keys: keys}
 	for _, k := range keys {
 		a.Dists = append(a.Dists, k*3)
-		a.Parents = append(a.Parents, k*5)
 	}
 	a.Slots = make([]uint32, IndexSize(len(keys)))
 	FillIndex(a.Slots, a.Keys)
@@ -129,8 +128,8 @@ func TestFlatEmpty(t *testing.T) {
 	if _, ok := f.Get(0); ok {
 		t.Fatal("zero Flat contains a key")
 	}
-	if _, _, ok := f.GetEntry(7); ok {
-		t.Fatal("zero Flat contains an entry")
+	if k, d := f.Entries(); k != nil || d != nil {
+		t.Fatal("zero Flat has entries")
 	}
 }
 
@@ -179,10 +178,43 @@ func TestRanges(t *testing.T) {
 	if a.NumEntries() != 5 {
 		t.Fatalf("NumEntries = %d", a.NumEntries())
 	}
-	if a.Bytes() != 4*(5*3+len(a.Slots)) {
+	if a.Bytes() != 4*(5*2+len(a.Slots)) {
 		t.Fatalf("Bytes = %d", a.Bytes())
 	}
-	if b := views[0].Bytes(); b != 12*3+4*IndexSize(3) {
-		t.Fatalf("table Bytes = %d, want 12 per entry plus its slots", b)
+	if b := views[0].Bytes(); b != 8*3+4*IndexSize(3) {
+		t.Fatalf("table Bytes = %d, want 8 per entry plus its slots", b)
+	}
+}
+
+func TestArenaAllocAndClone(t *testing.T) {
+	a := &Arena{
+		Keys:  make([]uint32, 2, 8),
+		Dists: make([]uint32, 2, 8),
+		Slots: make([]uint32, 0, 8),
+	}
+	a.Keys[0], a.Keys[1] = 7, 9
+
+	c := a.Clone()
+	off := c.AllocEntries(3)
+	if off != 2 || len(c.Keys) != 5 {
+		t.Fatalf("alloc off=%d len=%d", off, len(c.Keys))
+	}
+	c.Keys[off] = 42
+	// The original header still sees only its own range.
+	if len(a.Keys) != 2 || a.Keys[0] != 7 || a.Keys[1] != 9 {
+		t.Fatal("clone append disturbed the original view")
+	}
+	// Reused spare capacity must come back zeroed (slot arenas rely on it).
+	soff := c.AllocSlots(4)
+	for i := soff; i < soff+4; i++ {
+		if c.Slots[i] != 0 {
+			t.Fatal("AllocSlots returned non-zeroed space")
+		}
+	}
+	// Growth past capacity reallocates without touching the original.
+	c2 := c.Clone()
+	c2.AllocEntries(100)
+	if len(c.Keys) != 5 || c.Keys[off] != 42 {
+		t.Fatal("reallocation disturbed the parent snapshot")
 	}
 }

@@ -1,7 +1,7 @@
 package u32map
 
 // Shard is a worker-private, append-only staging arena for parallel
-// builds. Each build worker appends the entry triples of the tables it
+// builds. Each build worker appends the entry pairs of the tables it
 // constructs onto its own shard (amortized growth, no per-table
 // allocations), recording shard-local offsets; a deterministic merge
 // pass then rebases every table into its final position in a shared
@@ -12,22 +12,20 @@ package u32map
 // A Shard is not safe for concurrent use; the parallel-build contract
 // is one shard per worker.
 type Shard struct {
-	Keys    []uint32
-	Dists   []uint32
-	Parents []uint32
+	Keys  []uint32
+	Dists []uint32
 }
 
 // Len returns the number of entries staged in the shard.
 func (s *Shard) Len() uint32 { return uint32(len(s.Keys)) }
 
-// Append copies the parallel key/dist/parent triples onto the end of
-// the shard and returns the shard-local offset of the first appended
-// entry. The three slices must have equal length.
-func (s *Shard) Append(keys, dists, parents []uint32) uint32 {
+// Append copies the parallel key/dist pairs onto the end of the shard
+// and returns the shard-local offset of the first appended entry. The
+// two slices must have equal length.
+func (s *Shard) Append(keys, dists []uint32) uint32 {
 	off := uint32(len(s.Keys))
 	s.Keys = append(s.Keys, keys...)
 	s.Dists = append(s.Dists, dists...)
-	s.Parents = append(s.Parents, parents...)
 	return off
 }
 
@@ -39,5 +37,4 @@ func (s *Shard) Append(keys, dists, parents []uint32) uint32 {
 func (a *Arena) CopyFromShard(dst uint32, s *Shard, off, n uint32) {
 	copy(a.Keys[dst:dst+n], s.Keys[off:off+n])
 	copy(a.Dists[dst:dst+n], s.Dists[off:off+n])
-	copy(a.Parents[dst:dst+n], s.Parents[off:off+n])
 }

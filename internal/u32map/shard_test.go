@@ -10,16 +10,15 @@ func TestShardAppendAndRebase(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("empty shard Len = %d", s.Len())
 	}
-	off1 := s.Append([]uint32{10, 20}, []uint32{1, 2}, []uint32{5, 6})
-	off2 := s.Append([]uint32{30, 40, 50}, []uint32{3, 4, 5}, []uint32{7, 8, 9})
+	off1 := s.Append([]uint32{10, 20}, []uint32{1, 2})
+	off2 := s.Append([]uint32{30, 40, 50}, []uint32{3, 4, 5})
 	if off1 != 0 || off2 != 2 || s.Len() != 5 {
 		t.Fatalf("offsets %d/%d, len %d", off1, off2, s.Len())
 	}
 
 	a := &Arena{
-		Keys:    make([]uint32, 5),
-		Dists:   make([]uint32, 5),
-		Parents: make([]uint32, 5),
+		Keys:  make([]uint32, 5),
+		Dists: make([]uint32, 5),
 	}
 	// Rebase the second batch ahead of the first.
 	a.CopyFromShard(0, &s, off2, 3)
@@ -30,8 +29,8 @@ func TestShardAppendAndRebase(t *testing.T) {
 			t.Fatalf("merged keys = %v, want %v", a.Keys, wantKeys)
 		}
 	}
-	if a.Dists[3] != 1 || a.Parents[3] != 5 || a.Parents[0] != 7 {
-		t.Fatalf("merged dists/parents wrong: %v %v", a.Dists, a.Parents)
+	if a.Dists[3] != 1 || a.Dists[0] != 3 {
+		t.Fatalf("merged dists wrong: %v", a.Dists)
 	}
 }
 
@@ -46,14 +45,13 @@ func TestShardConcurrentMerge(t *testing.T) {
 		src[w] = &Shard{}
 		for i := 0; i < perShard; i++ {
 			v := uint32(w*perShard + i)
-			src[w].Append([]uint32{v}, []uint32{v * 2}, []uint32{v * 3})
+			src[w].Append([]uint32{v}, []uint32{v * 2})
 		}
 	}
 	total := uint32(shards * perShard)
 	a := &Arena{
-		Keys:    make([]uint32, total),
-		Dists:   make([]uint32, total),
-		Parents: make([]uint32, total),
+		Keys:  make([]uint32, total),
+		Dists: make([]uint32, total),
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < shards; w++ {
@@ -65,8 +63,8 @@ func TestShardConcurrentMerge(t *testing.T) {
 	}
 	wg.Wait()
 	for i := uint32(0); i < total; i++ {
-		if a.Keys[i] != i || a.Dists[i] != 2*i || a.Parents[i] != 3*i {
-			t.Fatalf("entry %d = %d/%d/%d", i, a.Keys[i], a.Dists[i], a.Parents[i])
+		if a.Keys[i] != i || a.Dists[i] != 2*i {
+			t.Fatalf("entry %d = %d/%d", i, a.Keys[i], a.Dists[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package u32map provides the compact node-indexed tables that store
 // vicinities: for each member node, its exact distance from the vicinity
-// owner and its parent on the owner's shortest path tree.
+// owner. Nothing else is stored per member; path hops are derived from
+// these distances at query time (see internal/core's path.go).
 //
 // The paper stores vicinities in hash tables (GNU C++ unordered_map) and
 // reports query cost in hash-table look-ups (Table 3). The oracle's
@@ -15,18 +16,16 @@
 package u32map
 
 // Table is the read interface shared by all vicinity-table
-// implementations. Entries are (key node, distance, parent node) triples;
-// At iterates them in insertion order. Implementations are safe for
-// concurrent readers once fully built.
+// implementations. Entries are (key node, distance) pairs; At iterates
+// them in insertion order. Implementations are safe for concurrent
+// readers once fully built.
 type Table interface {
 	// Get returns the distance recorded for key.
 	Get(key uint32) (dist uint32, ok bool)
-	// GetEntry returns the distance and parent recorded for key.
-	GetEntry(key uint32) (dist, parent uint32, ok bool)
 	// Len returns the number of entries.
 	Len() int
 	// At returns the i-th entry in insertion order, 0 <= i < Len().
-	At(i int) (key, dist, parent uint32)
+	At(i int) (key, dist uint32)
 	// Bytes returns the approximate heap footprint in bytes.
 	Bytes() int
 }
@@ -34,11 +33,10 @@ type Table interface {
 // Map is the default open-addressing implementation of Table.
 // The zero value is an empty usable map.
 type Map struct {
-	keys    []uint32
-	dists   []uint32
-	parents []uint32
-	slots   []int32 // entry index + 1; 0 means empty
-	mask    uint32
+	keys  []uint32
+	dists []uint32
+	slots []int32 // entry index + 1; 0 means empty
+	mask  uint32
 }
 
 // New returns a Map with capacity for about hint entries before growing.
@@ -70,7 +68,7 @@ func (m *Map) slot(key uint32) uint32 {
 func (m *Map) Len() int { return len(m.keys) }
 
 // Put inserts or overwrites the entry for key.
-func (m *Map) Put(key, dist, parent uint32) {
+func (m *Map) Put(key, dist uint32) {
 	if m.slots == nil || len(m.keys)*3 >= len(m.slots)*2 {
 		m.rehash(indexSize(len(m.keys) + 1))
 	}
@@ -81,12 +79,10 @@ func (m *Map) Put(key, dist, parent uint32) {
 			m.slots[i] = int32(len(m.keys) + 1)
 			m.keys = append(m.keys, key)
 			m.dists = append(m.dists, dist)
-			m.parents = append(m.parents, parent)
 			return
 		}
 		if m.keys[s-1] == key {
 			m.dists[s-1] = dist
-			m.parents[s-1] = parent
 			return
 		}
 		i = (i + 1) & m.mask
@@ -111,32 +107,14 @@ func (m *Map) Get(key uint32) (uint32, bool) {
 	}
 }
 
-// GetEntry returns the distance and parent recorded for key.
-func (m *Map) GetEntry(key uint32) (dist, parent uint32, ok bool) {
-	if m.slots == nil {
-		return 0, 0, false
-	}
-	i := m.slot(key)
-	for {
-		s := m.slots[i]
-		if s == 0 {
-			return 0, 0, false
-		}
-		if m.keys[s-1] == key {
-			return m.dists[s-1], m.parents[s-1], true
-		}
-		i = (i + 1) & m.mask
-	}
-}
-
 // At returns the i-th entry in insertion order.
-func (m *Map) At(i int) (key, dist, parent uint32) {
-	return m.keys[i], m.dists[i], m.parents[i]
+func (m *Map) At(i int) (key, dist uint32) {
+	return m.keys[i], m.dists[i]
 }
 
 // Bytes returns the approximate heap footprint.
 func (m *Map) Bytes() int {
-	return 4*(len(m.keys)+len(m.dists)+len(m.parents)) + 4*len(m.slots)
+	return 4*(len(m.keys)+len(m.dists)) + 4*len(m.slots)
 }
 
 // Compact shrinks the entry arrays and rebuilds the index at the minimum
@@ -144,7 +122,6 @@ func (m *Map) Bytes() int {
 func (m *Map) Compact() {
 	m.keys = clip(m.keys)
 	m.dists = clip(m.dists)
-	m.parents = clip(m.parents)
 	if len(m.keys) == 0 {
 		m.slots, m.mask = nil, 0
 		return

@@ -15,34 +15,34 @@ func TestMapBasics(t *testing.T) {
 	if _, ok := m.Get(7); ok {
 		t.Fatal("Get on empty map found something")
 	}
-	m.Put(7, 2, 3)
-	m.Put(9, 5, 7)
+	m.Put(7, 2)
+	m.Put(9, 5)
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d", m.Len())
 	}
 	if d, ok := m.Get(7); !ok || d != 2 {
 		t.Fatalf("Get(7) = %d,%v", d, ok)
 	}
-	if d, p, ok := m.GetEntry(9); !ok || d != 5 || p != 7 {
-		t.Fatalf("GetEntry(9) = %d,%d,%v", d, p, ok)
+	if d, ok := m.Get(9); !ok || d != 5 {
+		t.Fatalf("Get(9) = %d,%v", d, ok)
 	}
 	if _, ok := m.Get(8); ok {
 		t.Fatal("Get(8) found phantom key")
 	}
 	// Overwrite.
-	m.Put(7, 10, 11)
-	if d, p, _ := m.GetEntry(7); d != 10 || p != 11 {
-		t.Fatalf("overwrite failed: %d,%d", d, p)
+	m.Put(7, 10)
+	if d, _ := m.Get(7); d != 10 {
+		t.Fatalf("overwrite failed: %d", d)
 	}
 	if m.Len() != 2 {
 		t.Fatalf("Len after overwrite = %d", m.Len())
 	}
 	// Insertion order iteration.
-	if k, _, _ := m.At(0); k != 7 {
+	if k, _ := m.At(0); k != 7 {
 		t.Fatalf("At(0) key = %d", k)
 	}
-	if k, d, p := m.At(1); k != 9 || d != 5 || p != 7 {
-		t.Fatalf("At(1) = %d,%d,%d", k, d, p)
+	if k, d := m.At(1); k != 9 || d != 5 {
+		t.Fatalf("At(1) = %d,%d", k, d)
 	}
 }
 
@@ -51,7 +51,7 @@ func TestMapZeroValue(t *testing.T) {
 	if _, ok := m.Get(1); ok {
 		t.Fatal("zero map Get found key")
 	}
-	m.Put(1, 2, 3)
+	m.Put(1, 2)
 	if d, ok := m.Get(1); !ok || d != 2 {
 		t.Fatalf("zero map after Put: %d,%v", d, ok)
 	}
@@ -61,15 +61,15 @@ func TestMapGrowth(t *testing.T) {
 	m := New(0)
 	const n = 10000
 	for i := uint32(0); i < n; i++ {
-		m.Put(i*2654435761, i, i+1)
+		m.Put(i*2654435761, i)
 	}
 	if m.Len() != n {
 		t.Fatalf("Len = %d", m.Len())
 	}
 	for i := uint32(0); i < n; i++ {
-		d, p, ok := m.GetEntry(i * 2654435761)
-		if !ok || d != i || p != i+1 {
-			t.Fatalf("entry %d lost after growth: %d,%d,%v", i, d, p, ok)
+		d, ok := m.Get(i * 2654435761)
+		if !ok || d != i {
+			t.Fatalf("entry %d lost after growth: %d,%v", i, d, ok)
 		}
 	}
 }
@@ -77,7 +77,7 @@ func TestMapGrowth(t *testing.T) {
 func TestMapCompact(t *testing.T) {
 	m := New(1000)
 	for i := uint32(0); i < 10; i++ {
-		m.Put(i, i, i)
+		m.Put(i, i)
 	}
 	before := m.Bytes()
 	m.Compact()
@@ -102,7 +102,7 @@ func TestCollidingKeys(t *testing.T) {
 	m := New(4)
 	keys := []uint32{0, 1 << 28, 2 << 28, 3 << 28, 4 << 28, 5 << 28}
 	for i, k := range keys {
-		m.Put(k, uint32(i), uint32(i))
+		m.Put(k, uint32(i))
 	}
 	for i, k := range keys {
 		if d, ok := m.Get(k); !ok || d != uint32(i) {
@@ -113,16 +113,16 @@ func TestCollidingKeys(t *testing.T) {
 
 func TestBuiltinTable(t *testing.T) {
 	b := NewBuiltin(4)
-	b.Put(5, 1, 2)
-	b.Put(6, 3, 4)
-	b.Put(5, 7, 8) // overwrite
+	b.Put(5, 1)
+	b.Put(6, 3)
+	b.Put(5, 7) // overwrite
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if d, p, ok := b.GetEntry(5); !ok || d != 7 || p != 8 {
-		t.Fatalf("GetEntry(5) = %d,%d,%v", d, p, ok)
+	if d, ok := b.Get(5); !ok || d != 7 {
+		t.Fatalf("Get(5) = %d,%v", d, ok)
 	}
-	if k, _, _ := b.At(0); k != 5 {
+	if k, _ := b.At(0); k != 5 {
 		t.Fatalf("At(0) = %d", k)
 	}
 	if _, ok := b.Get(9); ok {
@@ -136,30 +136,28 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 	f := func(raw []uint32) bool {
 		m := New(0)
 		b := NewBuiltin(0)
-		ref := map[uint32][2]uint32{}
-		var ks, ds, ps []uint32
-		for i := 0; i+2 < len(raw); i += 3 {
-			k, d, p := raw[i], raw[i+1], raw[i+2]
+		ref := map[uint32]uint32{}
+		var ks, ds []uint32
+		for i := 0; i+1 < len(raw); i += 2 {
+			k, d := raw[i], raw[i+1]
 			if _, dup := ref[k]; !dup {
 				ks = append(ks, k)
 				ds = append(ds, d)
-				ps = append(ps, p)
 			}
-			m.Put(k, d, p)
-			b.Put(k, d, p)
-			ref[k] = [2]uint32{d, p}
+			m.Put(k, d)
+			b.Put(k, d)
+			ref[k] = d
 		}
 		// Flat layouts are build-once; they must not see duplicate keys,
-		// so feed the deduplicated triples overwritten to final values.
+		// so feed the deduplicated pairs overwritten to final values.
 		for i, k := range ks {
-			ds[i] = ref[k][0]
-			ps[i] = ref[k][1]
+			ds[i] = ref[k]
 		}
-		fh := buildFlat(ks, ds, ps)
+		fh := buildFlat(ks, ds)
 		for k, want := range ref {
 			for _, tbl := range []Table{m, b, fh} {
-				d, p, ok := tbl.GetEntry(k)
-				if !ok || d != want[0] || p != want[1] {
+				d, ok := tbl.Get(k)
+				if !ok || d != want {
 					return false
 				}
 			}
@@ -181,12 +179,11 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 	}
 }
 
-// buildFlat materializes the triples as an arena-backed Flat view.
-func buildFlat(ks, ds, ps []uint32) Flat {
+// buildFlat materializes the pairs as an arena-backed Flat view.
+func buildFlat(ks, ds []uint32) Flat {
 	a := &Arena{
-		Keys:    append([]uint32(nil), ks...),
-		Dists:   append([]uint32(nil), ds...),
-		Parents: append([]uint32(nil), ps...),
+		Keys:  append([]uint32(nil), ks...),
+		Dists: append([]uint32(nil), ds...),
 	}
 	if len(ks) > 0 {
 		a.Slots = make([]uint32, IndexSize(len(ks)))
@@ -201,7 +198,6 @@ func buildBenchTables(n int) (*Map, *Builtin, Flat, []uint32) {
 	b := NewBuiltin(n)
 	ks := make([]uint32, 0, n)
 	ds := make([]uint32, 0, n)
-	ps := make([]uint32, 0, n)
 	seen := map[uint32]bool{}
 	for len(ks) < n {
 		k := r.Uint32()
@@ -211,13 +207,12 @@ func buildBenchTables(n int) (*Map, *Builtin, Flat, []uint32) {
 		seen[k] = true
 		ks = append(ks, k)
 		ds = append(ds, r.Uint32())
-		ps = append(ps, r.Uint32())
 	}
 	for i := range ks {
-		m.Put(ks[i], ds[i], ps[i])
-		b.Put(ks[i], ds[i], ps[i])
+		m.Put(ks[i], ds[i])
+		b.Put(ks[i], ds[i])
 	}
-	return m, b, buildFlat(ks, ds, ps), ks
+	return m, b, buildFlat(ks, ds), ks
 }
 
 // The Get benchmarks compare the pointer-layout tables (Map, Builtin)

@@ -13,10 +13,9 @@
 //
 // With -out, the fresh rebuild is also written to disk so an external
 // `cmp churned.vco fresh.vco` can double-check the verdict — the form
-// the CI end-to-end churn step uses. Byte identity requires a
-// distance-only oracle (spserver -distance-only): per-member parent
-// pointers depend on traversal order, so path-enabled tables are
-// structurally but not bytewise reproducible.
+// the CI end-to-end churn step uses. Every oracle qualifies: it stores
+// distances only and derives path hops from them, so nothing in the
+// file depends on the order repairs ran in.
 package main
 
 import (

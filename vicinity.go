@@ -194,7 +194,8 @@ const (
 
 // Options configures Build. The zero value (or a nil pointer) gives the
 // paper's defaults: α = 4, √degree landmark sampling, hash-table
-// vicinities, landmark tables, path data, and the exact fallback.
+// vicinities, landmark tables, and the exact fallback. Paths need no
+// option: they derive from the stored distances.
 type Options struct {
 	// Alpha controls the expected vicinity size α·√n (paper: 4).
 	Alpha float64
@@ -207,9 +208,6 @@ type Options struct {
 	Workers int
 	// Fallback selects unresolved-query handling.
 	Fallback Fallback
-	// DistanceOnly drops path data (parent pointers and landmark parent
-	// tables); Path queries then use the fallback.
-	DistanceOnly bool
 	// WithoutLandmarkTables skips the |L|·n landmark distance tables;
 	// landmark-endpoint queries then resolve via vicinities or fallback.
 	WithoutLandmarkTables bool
@@ -262,7 +260,6 @@ func Build(g *Graph, opts *Options) (*Oracle, error) {
 			Seed:                  opts.Seed,
 			Workers:               opts.Workers,
 			Fallback:              opts.Fallback,
-			DisablePathData:       opts.DistanceOnly,
 			DisableLandmarkTables: opts.WithoutLandmarkTables,
 			CompactLandmarkTables: opts.CompactLandmarkTables,
 			Nodes:                 opts.Nodes,

@@ -88,7 +88,7 @@ func TestBuilderAndAccessors(t *testing.T) {
 func TestOptionsPlumbing(t *testing.T) {
 	g := GenerateSocial(600, 4, 3)
 	o, err := Build(g, &Options{Alpha: 2, Seed: 7, Fallback: FallbackNone,
-		DistanceOnly: true, WithoutLandmarkTables: true})
+		WithoutLandmarkTables: true})
 	if err != nil {
 		t.Fatal(err)
 	}
