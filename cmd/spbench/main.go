@@ -29,17 +29,14 @@
 // One-to-many batch benchmark (the social-search ranking workload):
 //
 //	spbench -batch -dataset livejournal -nodes 50000
-//	spbench -batch -targets 100 -batches 200 -qps 50000
+//	spbench -batch -targets 100 -batches 200 -batch-parallel 4
 //
 // -batch measures one-to-many Query rankings against the same pairs
 // answered one by one, reporting p50/p95/p99 batch latency,
 // queries/sec, and the amortization factor, for both a ranking-shaped
 // candidate mix (table-resolved targets) and a uniform-random mix.
-// -qps paces batch issuance at the given queries/sec (0 = unthrottled);
-// -batch-parallel fans each batch across workers (answers stay
-// bit-identical); -json writes the results in the same
-// vicinity-bench/v1 schema cmd/spload emits, so micro and macro
-// numbers share one trajectory format.
+// Batches run back to back; -batch-parallel fans each batch across
+// workers (answers stay bit-identical).
 package main
 
 import (
@@ -52,11 +49,9 @@ import (
 	"strings"
 	"time"
 
-	"vicinity/internal/benchfmt"
 	"vicinity/internal/core"
 	"vicinity/internal/expt"
 	"vicinity/internal/gen"
-	"vicinity/internal/lhist"
 	"vicinity/internal/xrand"
 )
 
@@ -160,11 +155,8 @@ type queryOverrides struct {
 // batchBench builds the dataset oracle and measures one-to-many
 // rankings (one Query per batch, under the overrides) against the same
 // pairs answered one by one, reporting the summed Cost and how many
-// targets hit the budget or the deadline. jsonPath, when set,
-// additionally writes the run as a vicinity-bench/v1 report so these
-// in-process micro numbers land in the same trajectory format as
-// spload's served macro numbers.
-func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float64, qo queryOverrides, jsonPath string) error {
+// targets hit the budget or the deadline.
+func batchBench(dataset string, cfg expt.Config, targets, batches int, qo queryOverrides) error {
 	prof, err := gen.ProfileByName(dataset)
 	if err != nil {
 		return err
@@ -178,31 +170,13 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 	}
 	fmt.Printf("built in %v: %s\n\n", time.Since(start).Round(time.Millisecond), o.Stats())
 
-	report := &benchfmt.Report{
-		Schema: benchfmt.Schema,
-		Tool:   "spbench",
-		Host:   "in-process",
-		Config: map[string]string{
-			"dataset":  prof.Name,
-			"nodes":    fmt.Sprint(g.NumNodes()),
-			"targets":  fmt.Sprint(targets),
-			"batches":  fmt.Sprint(batches),
-			"qps":      fmt.Sprint(qps),
-			"policy":   qo.policy.String(),
-			"budget":   fmt.Sprint(qo.budget),
-			"timeout":  qo.timeout.String(),
-			"parallel": fmt.Sprint(qo.parallel),
-		},
-	}
-
 	n := uint32(g.NumNodes())
 	for _, mix := range []struct {
 		name         string
-		short        string
 		resolvedOnly bool
 	}{
-		{"ranking (table-resolved candidates)", "batch-ranking", true},
-		{"uniform random targets", "batch-uniform", false},
+		{"ranking (table-resolved candidates)", true},
+		{"uniform random targets", false},
 	} {
 		r := xrand.New(cfg.Seed + 1)
 		ss := make([]uint32, batches)
@@ -224,22 +198,10 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 		}
 
 		var cost core.Cost
-		var hist lhist.Hist
 		var budgetHits, deadlineHits int
 		lats := make([]time.Duration, batches)
-		interval := time.Duration(0)
-		if qps > 0 {
-			interval = time.Duration(float64(targets) / qps * float64(time.Second))
-		}
-		next := time.Now()
 		batchStart := time.Now()
 		for i := range ss {
-			if interval > 0 {
-				if d := time.Until(next); d > 0 {
-					time.Sleep(d)
-				}
-				next = next.Add(interval)
-			}
 			qStart := time.Now()
 			ctx := context.Background()
 			var cancel context.CancelFunc = func() {}
@@ -269,7 +231,6 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 			cost.Expanded += res.Cost.Expanded
 			cost.Fallbacks += res.Cost.Fallbacks
 			lats[i] = time.Since(qStart)
-			hist.Observe(int64(lats[i]))
 		}
 		batchElapsed := time.Since(batchStart)
 
@@ -300,36 +261,6 @@ func batchBench(dataset string, cfg expt.Config, targets, batches int, qps float
 			cost.Lookups, cost.Scanned, cost.Expanded, cost.Fallbacks)
 		fmt.Printf("  overrides (policy=%v budget=%d timeout=%v): %d budget-exceeded, %d deadline-canceled\n\n",
 			qo.policy, qo.budget, qo.timeout, budgetHits, deadlineHits)
-
-		w := benchfmt.Workload{
-			Name:        mix.short,
-			Kind:        "batch",
-			DurationSec: batchElapsed.Seconds(),
-			OfferedQPS:  qps,
-			Requests:    int64(batches),
-			Queries:     queries,
-			AchievedQPS: float64(queries) / batchElapsed.Seconds(),
-			GoodputQPS:  float64(queries-int64(budgetHits)-int64(deadlineHits)) / batchElapsed.Seconds(),
-			Latency:     benchfmt.FromSnapshot(hist.Snapshot()),
-		}
-		if budgetHits > 0 || deadlineHits > 0 {
-			w.Errors = map[string]int64{}
-			if budgetHits > 0 {
-				w.Errors["budget_exceeded"] = int64(budgetHits)
-			}
-			if deadlineHits > 0 {
-				w.Errors["canceled"] = int64(deadlineHits)
-			}
-		}
-		report.Workloads = append(report.Workloads, w)
-	}
-	if jsonPath != "" {
-		if err := report.WriteFile(jsonPath); err != nil {
-			return err
-		}
-		if jsonPath != "-" {
-			fmt.Printf("report written to %s\n", jsonPath)
-		}
 	}
 	return nil
 }
@@ -351,12 +282,10 @@ func run(args []string) error {
 		batch    = fs.Bool("batch", false, "benchmark one-to-many Query rankings against per-pair queries")
 		targets  = fs.Int("targets", 100, "targets per batch for -batch")
 		batches  = fs.Int("batches", 200, "batches to issue for -batch")
-		qps      = fs.Float64("qps", 0, "pace -batch issuance at this many queries/sec (0 = unthrottled)")
 		timeout  = fs.Duration("timeout", 0, "per-batch deadline for -batch, honored inside fallback searches (0 = none)")
 		budget   = fs.Int("budget", 0, "fallback search node budget per target for -batch (0 = unlimited)")
 		policy   = fs.String("policy", "default", "fallback policy for -batch: default|full|estimate|table")
 		batchPar = fs.Int("batch-parallel", 0, "worker fan-out per batch request for -batch (0/1 = sequential; answers are bit-identical)")
-		jsonOut  = fs.String("json", "", "write -batch results as a vicinity-bench/v1 report to this file (\"-\" = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -395,9 +324,8 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return batchBench(*dataset, cfg, *targets, *batches, *qps,
-			queryOverrides{timeout: *timeout, budget: *budget, policy: pol, parallel: *batchPar},
-			*jsonOut)
+		return batchBench(*dataset, cfg, *targets, *batches,
+			queryOverrides{timeout: *timeout, budget: *budget, policy: pol, parallel: *batchPar})
 	}
 
 	want := strings.ToLower(*exp)

@@ -8,7 +8,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,15 +80,13 @@ func muxServer(t *testing.T, reply func(wire.Message) wire.Message) string {
 	})
 }
 
+// deadAddr is an address nothing can listen on: a connect to port 0 is
+// refused at once, and unlike a closed listener's port no other test
+// can take it.
+const deadAddr = "127.0.0.1:0"
+
 func TestDialFailure(t *testing.T) {
-	// Grab a port and close it so nothing listens there.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	if _, err := qclient.Dial(addr, qclient.Options{DialTimeout: 500 * time.Millisecond}); err == nil {
+	if _, err := qclient.Dial(deadAddr, qclient.Options{DialTimeout: 500 * time.Millisecond}); err == nil {
 		t.Fatal("dial to dead port succeeded")
 	}
 }
@@ -158,17 +158,38 @@ func TestPongTokenMismatch(t *testing.T) {
 
 // TestPoolRedialsOnRecovery pins the lazy-pool contract: a pool to a
 // dead backend constructs fine, fails per-request while the backend is
-// down, and starts answering again — no pool restart — once something
-// listens at the address.
+// down, and starts answering again — no pool restart — once the backend
+// serves. The test owns its listener throughout; during the outage the
+// backend drops each connection before acking the hello.
 func TestPoolRedialsOnRecovery(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	t.Cleanup(func() { ln.Close() })
+	var up atomic.Bool
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if up.Load() {
+				if br, err := ackHello(conn); err == nil {
+					if id, _, _, err := wire.ReadMuxFrame(br, nil); err == nil {
+						_, _ = conn.Write(wire.AppendMuxFrame(nil, id, &wire.QueryResponse{Items: []wire.QueryItem{{Dist: 42, Method: 1}}}))
+						// Hold the session until the pool hangs up: a
+						// close racing the reply can surface as a read
+						// error instead of the answer.
+						_, _ = io.Copy(io.Discard, br)
+					}
+				}
+			}
+			conn.Close()
+		}
+	}()
 
-	p, err := qclient.NewPool(addr, 3, qclient.Options{DialTimeout: 300 * time.Millisecond})
+	p, err := qclient.NewPool(ln.Addr().String(), 3, qclient.Options{DialTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("lazy pool construction to dead backend failed: %v", err)
 	}
@@ -178,28 +199,8 @@ func TestPoolRedialsOnRecovery(t *testing.T) {
 		t.Fatal("request to dead backend succeeded")
 	}
 
-	// Backend comes back on the same address; the next borrow redials.
-	ln, err = net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br, err := ackHello(conn)
-		if err != nil {
-			return
-		}
-		id, _, _, err := wire.ReadMuxFrame(br, nil)
-		if err != nil {
-			return
-		}
-		_, _ = conn.Write(wire.AppendMuxFrame(nil, id, &wire.QueryResponse{Items: []wire.QueryItem{{Dist: 42, Method: 1}}}))
-	}()
+	// The backend recovers; the next borrow redials.
+	up.Store(true)
 	res, err := p.Query(ctx, qclient.QuerySpec{S: 1, T: 2})
 	if err != nil {
 		t.Fatalf("request after backend recovery: %v", err)

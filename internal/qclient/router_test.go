@@ -95,12 +95,6 @@ func TestRouterHedgesAroundStalledReplica(t *testing.T) {
 func TestRouterFailsOverDeadBackend(t *testing.T) {
 	o := routerOracle(t)
 	_, liveAddr := startOracleServer(t, o, qserver.Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := ln.Addr().String()
-	ln.Close()
 	r, err := qclient.NewRouter([]string{deadAddr, liveAddr}, qclient.RouterOptions{
 		Client: qclient.Options{DialTimeout: 300 * time.Millisecond},
 	})

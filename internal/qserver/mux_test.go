@@ -339,79 +339,114 @@ func TestMuxMalformedPayloadFailsOnlyThatRequest(t *testing.T) {
 	}
 }
 
-// TestMuxSharedClientStressWithChurn is the -race stress from the
-// issue: N goroutines share one muxed client while ApplyUpdates churns
-// the snapshot underneath. Every request must come back either with a
-// valid answer or a taxonomy error — never a transport failure.
+// TestMuxSharedClientStressWithChurn is the -race stress: N goroutines
+// share one muxed client while ApplyUpdates churns the snapshot
+// underneath, once with admission control off and once with it shedding
+// hard. Every request shape must come back answered with no error, on
+// the request or on any item — shed requests degrade to estimates,
+// never to errors — and the in-flight gauge must drain to zero. How
+// many requests shed depends on timing; TestAdmissionControlSheds pins
+// shedding itself.
 func TestMuxSharedClientStressWithChurn(t *testing.T) {
-	s, addr := startServer(t, Config{})
-	c, err := qclient.Dial(addr, qclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	stop := make(chan struct{})
-	var churnWg sync.WaitGroup
-	churnWg.Add(1)
-	go func() {
-		defer churnWg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unlimited", Config{}},
+		{"limited", Config{MaxInFlight: 2, MaxBatchParallel: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, addr := startServer(t, tc.cfg)
+			c, err := qclient.Dial(addr, qclient.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			u := core.Update{Edges: [][2]uint32{{uint32(i % 400), uint32((i*13 + 7) % 400)}}}
-			if _, _, err := s.ApplyUpdates(u); err != nil {
-				// Self-edges and duplicates are rejected; that churn
-				// pattern is fine, keep going.
-				continue
-			}
-		}
-	}()
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				sN, tN := uint32((w*41+i)%400), uint32((i*17+w)%400)
-				switch i % 3 {
-				case 0:
-					if _, err := queryOne(c, sN, tN, false); err != nil {
-						errs <- fmt.Errorf("worker %d distance: %w", w, err)
+			defer c.Close()
+			stop := make(chan struct{})
+			var churnWg sync.WaitGroup
+			churnWg.Add(1)
+			go func() {
+				defer churnWg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
 						return
+					default:
 					}
-				case 1:
-					res, err := c.Query(context.Background(), qclient.QuerySpec{S: sN, T: tN, WantPath: true})
-					if err != nil {
-						errs <- fmt.Errorf("worker %d query: %w", w, err)
-						return
-					}
-					if len(res.Items) != 1 {
-						errs <- fmt.Errorf("worker %d query: %d items", w, len(res.Items))
-						return
-					}
-				case 2:
-					if _, err := c.Query(context.Background(), qclient.QuerySpec{S: sN, Ts: []uint32{tN, (tN + 1) % 400}}); err != nil {
-						errs <- fmt.Errorf("worker %d batch: %w", w, err)
-						return
+					u := core.Update{Edges: [][2]uint32{{uint32(i % 400), uint32((i*13 + 7) % 400)}}}
+					if _, _, err := s.ApplyUpdates(u); err != nil {
+						// Self-edges and duplicates are rejected; that churn
+						// pattern is fine, keep going.
+						continue
 					}
 				}
+			}()
+			// A fanned-out batch needs BatchParallelMinTargets targets.
+			wide := make([]uint32, core.BatchParallelMinTargets)
+			for i := range wide {
+				wide[i] = uint32(i * 6)
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	churnWg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	if got := s.Metrics().TotalConns; got != 1 {
-		t.Fatalf("TotalConns = %d, want 1 (stress must share one connection)", got)
+			const workers = 8
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 48; i++ {
+						sN, tN := uint32((w*41+i)%400), uint32((i*17+w)%400)
+						var spec qclient.QuerySpec
+						switch i % 6 {
+						case 0:
+							spec = qclient.QuerySpec{S: sN, T: tN}
+						case 1:
+							spec = qclient.QuerySpec{S: sN, T: tN, WantPath: true}
+						case 2:
+							spec = qclient.QuerySpec{S: sN, Ts: []uint32{tN, (tN + 1) % 400}}
+						case 3:
+							spec = qclient.QuerySpec{S: sN, T: tN, Policy: core.PolicyFull}
+						case 4:
+							spec = qclient.QuerySpec{S: sN, Ts: wide, Parallel: 4}
+						case 5:
+							spec = qclient.QuerySpec{S: sN, T: tN, K: 2 + 2*(w%2)}
+						}
+						res, err := c.Query(context.Background(), spec)
+						if err != nil {
+							errs <- fmt.Errorf("worker %d request %d: %w", w, i, err)
+							return
+						}
+						if want := max(len(spec.Ts), 1); len(res.Items) != want {
+							errs <- fmt.Errorf("worker %d request %d: %d items, want %d", w, i, len(res.Items), want)
+							return
+						}
+						for j, it := range res.Items {
+							if it.Err != nil {
+								errs <- fmt.Errorf("worker %d request %d item %d: %w", w, i, j, it.Err)
+								return
+							}
+						}
+						if spec.K > 0 && len(res.Paths) == 0 {
+							errs <- fmt.Errorf("worker %d request %d: k=%d answered no path", w, i, spec.K)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(stop)
+			churnWg.Wait()
+			select {
+			case err := <-errs:
+				t.Fatal(err)
+			default:
+			}
+			m := s.Metrics()
+			if m.TotalConns != 1 {
+				t.Fatalf("TotalConns = %d, want 1 (stress must share one connection)", m.TotalConns)
+			}
+			if m.InFlight != 0 {
+				t.Fatalf("InFlight = %d after every reply arrived, want 0", m.InFlight)
+			}
+		})
 	}
 }

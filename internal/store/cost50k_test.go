@@ -49,8 +49,8 @@ func TestDeltaVersusSnapshotAt50k(t *testing.T) {
 	fullBytes, fullTime := rs.LastSyncBytes, time.Duration(rs.LastSyncNanos)
 
 	// One churn batch: a single edge insertion between two late-arrival
-	// (low-degree) nodes — the typical unit step of spload's churn
-	// stream. A hub edge would instead ripple through thousands of
+	// (low-degree) nodes — the typical unit step of perfbench's churn
+	// workload. A hub edge would instead ripple through thousands of
 	// vicinities and dominate the apply-time comparison.
 	if _, err := writer.Apply(core.Update{Edges: [][2]uint32{{n - 10, n - 3}}}); err != nil {
 		t.Fatal(err)
