@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vicinity/internal/graph"
-	"vicinity/internal/queue"
 	"vicinity/internal/traverse"
 	"vicinity/internal/u32map"
 )
@@ -37,8 +37,10 @@ import (
 // layout depends only on the scope order — which shard staged a node,
 // and in what order, cancels out in the rebase. The determinism test
 // matrix in determinism_test.go enforces this byte-for-byte on the
-// serialized form. Landmark tables are one full traversal per landmark,
-// one landmark per goroutine.
+// serialized form. Landmark tables follow: on unweighted graphs one
+// bit-parallel BFS pass fills the rows of 64 landmarks, on weighted
+// graphs each landmark runs its own Dijkstra, and the workers share the
+// passes (see buildLandmarkTables).
 func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 	opts, err := opts.withDefaults(g)
 	if err != nil {
@@ -89,7 +91,7 @@ func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 	}
 	o.timings.Merge = time.Since(start)
 
-	// Landmark tables (parallel over landmarks in scope).
+	// Landmark tables (parallel over batches of in-scope landmarks).
 	start = time.Now()
 	if err := o.buildLandmarkTables(g.Weighted()); err != nil {
 		return nil, err
@@ -105,7 +107,7 @@ type BuildTimings struct {
 	Plan       time.Duration // landmark sampling + scope setup
 	Vicinities time.Duration // sharded per-node truncated searches
 	Merge      time.Duration // prefix sums + shard stitch into flat arenas
-	Landmarks  time.Duration // per-landmark full traversals
+	Landmarks  time.Duration // full distance rows of the landmarks
 }
 
 // Total returns the summed stage durations.
@@ -276,11 +278,13 @@ func checkArenaCapacity(entries, slots uint64) error {
 	return nil
 }
 
-// buildLandmarkTables runs the final stage: one full traversal per
-// in-scope landmark, written into the dense landmark arenas (see
-// Oracle.lpos). Each worker reuses one BFS queue across the landmarks
-// it processes; the distance array is freshly allocated per landmark
-// because the oracle adopts it as a table row.
+// buildLandmarkTables runs the final stage: a full distance row for
+// every wanted landmark (all of them, or the in-scope ones of a scoped
+// build), in landmark order, written into the dense landmark arenas
+// (see Oracle.lpos). Unweighted graphs fill the rows 64 landmarks per
+// bit-parallel BFS pass (msbfs), one batch per task; weighted graphs
+// run one Dijkstra per landmark. Rows depend only on the graph, so
+// neither the batching nor the worker count reaches the output.
 func (o *Oracle) buildLandmarkTables(weighted bool) error {
 	o.lpos = make([]int32, len(o.landmarks))
 	for i := range o.lpos {
@@ -301,57 +305,80 @@ func (o *Oracle) buildLandmarkTables(weighted bool) error {
 			}
 		}
 	}
-	built := 0
+	var srcs []uint32 // the wanted landmarks; row j belongs to srcs[j]
 	for i, w := range want {
 		if w {
-			o.lpos[i] = int32(built)
-			built++
+			o.lpos[i] = int32(len(srcs))
+			srcs = append(srcs, o.landmarks[i])
 		}
-	}
-	if o.opts.CompactLandmarkTables {
-		o.ldist16 = make([][]uint16, built)
-	} else {
-		o.ldist = make([][]uint32, built)
 	}
 
 	n := o.g.NumNodes()
-	overflow := make([]bool, len(o.landmarks))
-	parallelFor(o.opts.Workers, len(o.landmarks), func(int) any {
-		return queue.NewU32(1024)
-	}, func(state any, i int) {
-		if !want[i] {
-			return
-		}
-		var tr *traverse.Tree
-		if weighted {
-			tr = traverse.Dijkstra(o.g, o.landmarks[i])
+	compact := o.opts.CompactLandmarkTables
+	if compact {
+		o.ldist16 = make([][]uint16, len(srcs))
+	} else {
+		o.ldist = make([][]uint32, len(srcs))
+	}
+	newRow := func(j int) {
+		if compact {
+			row := make([]uint16, n)
+			for v := range row {
+				row[v] = compactUnreachable
+			}
+			o.ldist16[j] = row
 		} else {
-			tr = traverse.BFSScratch(o.g, o.landmarks[i], state.(*queue.U32))
+			row := make([]uint32, n)
+			for v := range row {
+				row[v] = NoDist
+			}
+			o.ldist[j] = row
 		}
-		pos := o.lpos[i]
-		if o.opts.CompactLandmarkTables {
-			compact := make([]uint16, n)
-			o.ldist16[pos] = compact
-			for v, d := range tr.Dist {
-				switch {
-				case d == NoDist:
-					compact[v] = compactUnreachable
-				case d >= uint32(compactUnreachable):
-					overflow[i] = true
-					return
-				default:
-					compact[v] = uint16(d)
+	}
+	// fill records d(srcs[lo+j], v) = d for every bit j of set.
+	overflow := make([]bool, len(srcs))
+	fill := func(lo int, v uint32, set uint64, d uint32) {
+		for ; set != 0; set &= set - 1 {
+			j := lo + bits.TrailingZeros64(set)
+			switch {
+			case !compact:
+				o.ldist[j][v] = d
+			case d < uint32(compactUnreachable):
+				o.ldist16[j][v] = uint16(d)
+			default:
+				overflow[j] = true
+			}
+		}
+	}
+
+	if weighted {
+		parallelFor(o.opts.Workers, len(srcs), func(int) any { return nil }, func(_ any, j int) {
+			newRow(j)
+			for v, d := range traverse.Dijkstra(o.g, srcs[j]).Dist {
+				if d != NoDist {
+					fill(j, uint32(v), 1, d)
 				}
 			}
-		} else {
-			o.ldist[pos] = tr.Dist // adopt the traversal's array
-		}
-	})
-	for i, bad := range overflow {
+		})
+	} else {
+		const batch = 64 // sources per pass: the bits of one uint64
+		parallelFor(o.opts.Workers, (len(srcs)+batch-1)/batch, func(int) any {
+			return newMSBFS(n)
+		}, func(state any, b int) {
+			lo, hi := b*batch, min(b*batch+batch, len(srcs))
+			for j := lo; j < hi; j++ {
+				newRow(j)
+			}
+			state.(*msbfs).run(o.g, srcs[lo:hi], func(v uint32, set uint64, d uint32) {
+				fill(lo, v, set, d)
+			})
+		})
+	}
+	for j, bad := range overflow {
 		if bad {
 			return fmt.Errorf(
 				"core: CompactLandmarkTables: distance from landmark %d exceeds %d",
-				o.landmarks[i], compactUnreachable-1)
+				srcs[j], compactUnreachable-1)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"vicinity/internal/gen"
@@ -71,29 +72,48 @@ func TestCompactLandmarkTablesUnreachable(t *testing.T) {
 }
 
 // TestCompactLandmarkTablesOverflow checks the build-time overflow
-// guard on graphs whose weighted diameter exceeds uint16.
+// guard on graphs whose distances exceed uint16: a weighted graph, and
+// an unweighted path whose hop distances run past 65,534.
 func TestCompactLandmarkTablesOverflow(t *testing.T) {
-	b := graph.NewBuilder(4)
-	b.AddWeightedEdge(0, 1, 40000)
-	b.AddWeightedEdge(1, 2, 40000)
-	b.AddWeightedEdge(2, 3, 40000)
-	g := b.Build()
-	if _, err := Build(g, Options{Seed: 1, CompactLandmarkTables: true}); err == nil {
-		t.Fatal("overflowing compact build accepted")
-	}
-	// The same graph builds fine at full width.
-	o, err := Build(g, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := traverse.NewWorkspace(g)
-	d, _, err := queryDist(o, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ws.DijkstraDist(0, 3); d != want {
-		t.Fatalf("full-width weighted distance %d, want %d", d, want)
-	}
+	t.Run("weighted", func(t *testing.T) {
+		b := graph.NewBuilder(4)
+		b.AddWeightedEdge(0, 1, 40000)
+		b.AddWeightedEdge(1, 2, 40000)
+		b.AddWeightedEdge(2, 3, 40000)
+		g := b.Build()
+		if _, err := Build(g, Options{Seed: 1, CompactLandmarkTables: true}); err == nil {
+			t.Fatal("overflowing compact build accepted")
+		}
+		// The same graph builds fine at full width.
+		o, err := Build(g, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := traverse.NewWorkspace(g)
+		d, _, err := queryDist(o, 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ws.DijkstraDist(0, 3); d != want {
+			t.Fatalf("full-width weighted distance %d, want %d", d, want)
+		}
+	})
+	// The path has 70,000 BFS levels, so a landmark kernel whose levels
+	// cost a sweep over all n nodes would take about 70,000² steps here.
+	t.Run("unweighted-path", func(t *testing.T) {
+		g := gen.Path(70000)
+		opts := Options{Seed: 1, Landmarks: []uint32{0}, Nodes: []uint32{0}}
+		compact := opts
+		compact.CompactLandmarkTables = true
+		_, err := Build(g, compact)
+		if err == nil || !strings.Contains(err.Error(), "distance from landmark 0 exceeds 65534") {
+			t.Fatalf("compact build of a 70,000-node path: err = %v, want the overflow error naming landmark 0", err)
+		}
+		o := mustBuild(t, g, opts)
+		if d := o.landmarkDist(o.lidx[0], 69999); d != 69999 {
+			t.Fatalf("full-width row of landmark 0 reads %d at node 69999, want 69999", d)
+		}
+	})
 }
 
 // TestCompactPathsStillWork ensures landmark-case paths work with

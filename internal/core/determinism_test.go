@@ -77,6 +77,15 @@ func TestBuildDeterminismPinnedLandmarks(t *testing.T) {
 	landmarks := []uint32{3, 77, 150, 299, 77} // duplicate on purpose
 	assertBuildDeterministic(t, g, Options{Seed: 1, Landmarks: landmarks})
 
+	// 130 landmarks fill three 64-source batches of the landmark stage
+	// (64 + 64 + 2), which every worker count splits differently.
+	perm := xrand.New(8).Perm(300)
+	many := make([]uint32, 130)
+	for i := range many {
+		many[i] = uint32(perm[i])
+	}
+	assertBuildDeterministic(t, g, Options{Seed: 1, Landmarks: many})
+
 	scope := make([]uint32, 0, 150)
 	r := xrand.New(21)
 	for len(scope) < 150 {

@@ -197,3 +197,49 @@ func TestDialTimeoutCoversHello(t *testing.T) {
 		t.Fatalf("dial failed after %v, want within the %v dial timeout", elapsed, timeout)
 	}
 }
+
+// TestReplyRacingCloseDelivered pins that a reply the server sends
+// just before it closes reaches the caller. The reply and the close
+// arrive together, so the demux loop delivers the reply and then fails
+// the session; the waiter sees both at once and must still return the
+// reply, not the read error.
+func TestReplyRacingCloseDelivered(t *testing.T) {
+	addr := fakeServerAll(t, func(conn net.Conn) {
+		br, err := ackHello(conn)
+		if err != nil {
+			return
+		}
+		id, payload, _, err := wire.ReadMuxFrame(br, nil)
+		if err != nil {
+			return
+		}
+		req, err := wire.Unmarshal(payload)
+		if err != nil {
+			return
+		}
+		ping, ok := req.(*wire.PingRequest)
+		if !ok {
+			return
+		}
+		_, _ = conn.Write(wire.AppendMuxFrame(nil, id, &wire.PingResponse{Token: ping.Token}))
+	})
+	const dials = 3000
+	lost := 0
+	var first error
+	for i := 0; i < dials; i++ {
+		c, err := qclient.Dial(addr, qclient.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Ping(); err != nil {
+			lost++
+			if first == nil {
+				first = err
+			}
+		}
+		c.Close()
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d replies lost to the close behind them; first: %v", lost, dials, first)
+	}
+}

@@ -282,10 +282,7 @@ func (c *Client) muxRoundTrip(ctx context.Context, req wire.Message) (wire.Messa
 	for {
 		select {
 		case resp := <-ch:
-			if e, ok := resp.(*wire.ErrorResponse); ok {
-				return nil, typedError(e)
-			}
-			return resp, nil
+			return reply(resp)
 		case <-ctxDone:
 			if errors.Is(ctx.Err(), context.Canceled) {
 				c.abandon(id)
@@ -300,12 +297,29 @@ func (c *Client) muxRoundTrip(ctx context.Context, req wire.Message) (wire.Messa
 			c.abandon(id)
 			return nil, fmt.Errorf("qclient: request timed out: %w", os.ErrDeadlineExceeded)
 		case <-c.demuxDone:
+			// The reply and the close can arrive together, and select
+			// picks among ready cases at random: demux may already have
+			// delivered the reply before the read that failed.
+			select {
+			case resp := <-ch:
+				return reply(resp)
+			default:
+			}
 			c.pendMu.Lock()
 			err := c.readErr
 			c.pendMu.Unlock()
 			return nil, fmt.Errorf("qclient: read: %w", err)
 		}
 	}
+}
+
+// reply turns a delivered response into muxRoundTrip's result: a
+// server error response becomes a typed error.
+func reply(resp wire.Message) (wire.Message, error) {
+	if e, ok := resp.(*wire.ErrorResponse); ok {
+		return nil, typedError(e)
+	}
+	return resp, nil
 }
 
 // abandon forgets an in-flight request id; the demux loop discards its

@@ -18,14 +18,6 @@ type Tree struct {
 // BFS computes the full unweighted shortest path tree from src.
 // It allocates its result; use Workspace searches for repeated queries.
 func BFS(g *graph.Graph, src uint32) *Tree {
-	return BFSScratch(g, src, queue.NewU32(1024))
-}
-
-// BFSScratch is BFS with a caller-owned queue, for callers that run
-// many full traversals (one queue per worker instead of one per call).
-// The queue is reset before use; the returned tree's arrays are always
-// freshly allocated, so adopting them as table rows is safe.
-func BFSScratch(g *graph.Graph, src uint32, q *queue.U32) *Tree {
 	n := g.NumNodes()
 	t := &Tree{
 		Root:   src,
@@ -36,7 +28,7 @@ func BFSScratch(g *graph.Graph, src uint32, q *queue.U32) *Tree {
 		t.Dist[i] = NoDist
 		t.Parent[i] = graph.NoNode
 	}
-	q.Reset()
+	q := queue.NewU32(1024)
 	t.Dist[src] = 0
 	q.Push(src)
 	for !q.Empty() {
