@@ -180,7 +180,7 @@ func run(args []string) error {
 				return err
 			}
 			logger.Printf("graph: %s", graph.ComputeStats(oracle.Graph()))
-			logger.Printf("oracle loaded in %v: %s", time.Since(start).Round(time.Millisecond), oracle.Stats())
+			logger.Printf("oracle loaded in %v: %s; %s", time.Since(start).Round(time.Millisecond), oracle.Stats(), oracle.Memory().ByteSplit())
 		} else {
 			g, err := loadGraph(*graphPath, *genName, *n, *seed)
 			if err != nil {
@@ -194,8 +194,8 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			logger.Printf("oracle built in %v (%s): %s",
-				time.Since(start).Round(time.Millisecond), oracle.BuildTimings(), oracle.Stats())
+			logger.Printf("oracle built in %v (%s): %s; %s",
+				time.Since(start).Round(time.Millisecond), oracle.BuildTimings(), oracle.Stats(), oracle.Memory().ByteSplit())
 		}
 		cat = store.NewCatalog(oracle, catRole)
 	}

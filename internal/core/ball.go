@@ -10,20 +10,26 @@ import (
 // NoDist is the sentinel for "no distance" (re-exported for callers).
 const NoDist = traverse.NoDist
 
-// vicResult is the offline product for one node: its vicinity entries
-// (key/distance pairs, later concatenated into the oracle's entry
-// arena), ordered so that the boundary members ∂Γ(u) come first, its
-// boundary size |∂Γ(u)|, its radius d(u, l(u)) and its nearest
-// landmark l(u). The first boundLen entries are exactly the members the
-// online scan walks (Algorithm 1 line 5), so the scan reads d(s,w)
-// straight off s's own entries without probing its table.
+// vicResult is the offline product for one node: its vicinity members
+// in the order they are stored (later concatenated into the oracle's
+// arena), the size of the boundary ∂Γ(u) that ends them, its radius
+// d(u, l(u)) and its nearest landmark l(u). The last boundLen entries
+// are exactly the members the online scan walks (Algorithm 1 line 5),
+// so the scan reads d(s,w) straight off s's own entries without
+// probing its table.
+//
+// Distances come in the arena's two forms: an unweighted vicinity
+// lists its members in BFS level order and records levels, the entry
+// index where each level from 2 on begins (see u32map.Arena); a
+// weighted one records dists, one per member.
 //
 // The slices alias the workspace's reusable buffers and are valid only
 // until the workspace's next search: the parallel build appends them to
 // its worker shard immediately, and the update path detaches a copy.
 type vicResult struct {
 	keys     []uint32
-	dists    []uint32
+	dists    []uint32 // weighted only
+	levels   []uint32 // unweighted only
 	boundLen uint32
 	radius   uint32
 	nearest  uint32
@@ -39,8 +45,9 @@ type buildWS struct {
 	h         *heap.Min
 	keys      []uint32
 	dists     []uint32
-	restKeys  []uint32 // non-boundary members, while partitioning
-	restDists []uint32
+	levels    []uint32
+	tailKeys  []uint32 // boundary members, while partitioning
+	tailDists []uint32
 }
 
 func newBuildWS(n int) *buildWS {
@@ -59,31 +66,7 @@ func (ws *buildWS) reset() {
 	ws.h.Reset()
 	ws.keys = ws.keys[:0]
 	ws.dists = ws.dists[:0]
-}
-
-func (ws *buildWS) record(v, d uint32) {
-	ws.keys = append(ws.keys, v)
-	ws.dists = append(ws.dists, d)
-}
-
-// partition stably moves the entries isBoundary selects to the front,
-// keeping discovery order within both halves, and returns the size of
-// the boundary prefix.
-func (ws *buildWS) partition(isBoundary func(i int) bool) uint32 {
-	ws.restKeys, ws.restDists = ws.restKeys[:0], ws.restDists[:0]
-	b := 0
-	for i, k := range ws.keys {
-		if isBoundary(i) {
-			ws.keys[b], ws.dists[b] = k, ws.dists[i]
-			b++
-		} else {
-			ws.restKeys = append(ws.restKeys, k)
-			ws.restDists = append(ws.restDists, ws.dists[i])
-		}
-	}
-	copy(ws.keys[b:], ws.restKeys)
-	copy(ws.dists[b:], ws.restDists)
-	return uint32(b)
+	ws.levels = ws.levels[:0]
 }
 
 // vicinityBFS constructs Γ(u) for an unweighted graph by truncated BFS.
@@ -92,17 +75,26 @@ func (ws *buildWS) partition(isBoundary func(i int) bool) uint32 {
 // closed ball {v : d(u,v) <= r} with r = d(u, l(u)): every node at
 // distance exactly r has a BFS parent at distance r-1 inside B(u), and no
 // neighbor of B(u) can be farther than r. The BFS therefore completes
-// level r and stops. Distances assigned are exact, and every member at
-// distance d > 0 has a neighbor at d-1 inside Γ(u), so paths derive
-// entirely from u's table (see vicinityChain).
+// level r and stops. Members are kept in discovery order, which is
+// level order, so their distances are implied by the level starts, and
+// every member at distance d > 0 has a neighbor at d-1 inside Γ(u), so
+// paths derive entirely from u's table (see vicinityChain).
+//
+// The boundary ∂Γ(u) is all of level r, the tail of the entries. Only
+// level-r members can have a neighbor outside the ball, and scanning the
+// members that have none stays exact: each adds a candidate
+// d(s,w) + d(w,t) >= d(s,t), and Theorem 1's witness is a level-r
+// member either way. A vicinity that reaches no landmark (a flood of
+// u's whole component) has no boundary.
 func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
 	ws.reset()
 	nm, q := ws.nm, ws.q
 	nm.Set(u, 0, graph.NoNode)
-	ws.record(u, 0)
+	ws.keys = append(ws.keys, u)
 	q.Push(u)
 	r := NoDist
 	nearest := graph.NoNode
+	top := uint32(0) // deepest level recorded so far
 	for !q.Empty() {
 		x := q.Pop()
 		dx := nm.Dist(x)
@@ -115,22 +107,28 @@ func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
 			}
 			d := dx + 1
 			nm.Set(v, d, x)
-			ws.record(v, d)
+			if d > top {
+				top = d
+				if d >= 2 {
+					ws.levels = append(ws.levels, uint32(len(ws.keys)))
+				}
+			}
+			ws.keys = append(ws.keys, v)
 			if r == NoDist && isL[v] {
 				r, nearest = d, v
 			}
 			q.Push(v)
 		}
 	}
-	// Boundary: only level-r members can have a neighbor outside the
-	// closed ball (members at depth < r have all neighbors at depth <= r).
 	var boundLen uint32
 	if r != NoDist {
-		boundLen = ws.partition(func(i int) bool {
-			return ws.dists[i] == r && hasOutside(g, ws.keys[i], nm)
-		})
+		last := uint32(1) // level 1 starts at entry 1
+		if r >= 2 {
+			last = ws.levels[r-2]
+		}
+		boundLen = uint32(len(ws.keys)) - last
 	}
-	return ws.result(boundLen, r, nearest)
+	return vicResult{keys: ws.keys, levels: ws.levels, boundLen: boundLen, radius: r, nearest: nearest}
 }
 
 // hasOutside reports whether k has a neighbor outside the vicinity,
@@ -165,7 +163,8 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResu
 			break
 		}
 		settled.Set(x, 0, 0)
-		ws.record(x, dx)
+		ws.keys = append(ws.keys, x)
+		ws.dists = append(ws.dists, dx)
 		if r == NoDist && isL[x] {
 			r, nearest = dx, x
 		}
@@ -188,14 +187,30 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResu
 	}
 	// Boundary: any member with a non-member neighbor. Unlike the
 	// unweighted case, interior members can abut non-members through
-	// heavy edges, so every member is checked.
+	// heavy edges, so every member is checked; the boundary members then
+	// move to the tail, as on unweighted graphs.
 	boundLen := ws.partition(func(i int) bool { return hasOutside(g, ws.keys[i], settled) })
-	return ws.result(boundLen, r, nearest)
+	return vicResult{keys: ws.keys, dists: ws.dists, boundLen: boundLen, radius: r, nearest: nearest}
 }
 
-// result views the workspace's collected buffers as a vicResult.
-func (ws *buildWS) result(boundLen, radius, nearest uint32) vicResult {
-	return vicResult{keys: ws.keys, dists: ws.dists, boundLen: boundLen, radius: radius, nearest: nearest}
+// partition stably moves the entries isBoundary selects to the tail,
+// keeping settle order within both parts, and returns the size of the
+// boundary tail.
+func (ws *buildWS) partition(isBoundary func(i int) bool) uint32 {
+	ws.tailKeys, ws.tailDists = ws.tailKeys[:0], ws.tailDists[:0]
+	h := 0
+	for i, k := range ws.keys {
+		if isBoundary(i) {
+			ws.tailKeys = append(ws.tailKeys, k)
+			ws.tailDists = append(ws.tailDists, ws.dists[i])
+		} else {
+			ws.keys[h], ws.dists[h] = k, ws.dists[i]
+			h++
+		}
+	}
+	copy(ws.keys[h:], ws.tailKeys)
+	copy(ws.dists[h:], ws.tailDists)
+	return uint32(len(ws.tailKeys))
 }
 
 // detach copies the result out of its workspace's reusable buffers so
@@ -204,5 +219,6 @@ func (ws *buildWS) result(boundLen, radius, nearest uint32) vicResult {
 func (res vicResult) detach() vicResult {
 	res.keys = append([]uint32(nil), res.keys...)
 	res.dists = append([]uint32(nil), res.dists...)
+	res.levels = append([]uint32(nil), res.levels...)
 	return res
 }

@@ -172,18 +172,19 @@ func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs u32map.Flat, c 
 func (o *Oracle) scanTarget(t uint32, bws *batchWS, c *Cost) (best, meet uint32) {
 	best, meet = NoDist, graph.NoNode
 	var bestPos uint32
-	keys, dists := o.vicFlat[t].Entries()
-	for k, w := range keys {
+	vt := o.vicFlat[t]
+	walk := vt.Tail(vt.Len())
+	for k, w := range walk.Keys {
 		if bws.stamp[w] != bws.epoch {
 			continue
 		}
-		cand := satAdd(bws.dist[w], dists[k])
+		cand := satAdd(bws.dist[w], walk.Dist(k))
 		if cand < best || (cand == best && cand != NoDist && bws.pos[w] < bestPos) {
 			best, meet, bestPos = cand, w, bws.pos[w]
 		}
 	}
-	c.Lookups += len(keys)
-	c.Scanned += len(keys)
+	c.Lookups += len(walk.Keys)
+	c.Scanned += len(walk.Keys)
 	return best, meet
 }
 
@@ -251,10 +252,10 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, c *Cost, needMeet bool, worker
 	// then read the marks immutably), walk each residual target's
 	// vicinity against the marks.
 	if len(bws.scan) > 0 {
-		sKeys, sDist := o.boundary(s)
-		for j, w := range sKeys {
+		scan := o.boundary(s)
+		for j, w := range scan.Keys {
 			bws.stamp[w] = bws.epoch
-			bws.dist[w] = sDist[j]
+			bws.dist[w] = scan.Dist(j)
 			bws.pos[w] = uint32(j)
 		}
 		o.fanOut(workers, len(bws.scan), c, func(w *worker, k int) {

@@ -15,17 +15,19 @@ import (
 )
 
 // batchOptionMatrix is the option grid the batch engine must agree with
-// the single-query path on: every fallback mode, disabled tables,
-// compact rows, and a small α (more fallbacks). Compact rows under a
-// small α put more derived path hops on the narrow landmark rows.
+// the single-query path on: every fallback mode, disabled tables, other
+// landmark samplings, and a small α (more fallbacks). Row indexes name
+// subtests, so rows keep their slots: opts4 and opts5 held the retired
+// uint16 landmark rows, and one-byte rows are now the default of every
+// row.
 func batchOptionMatrix() []Options {
 	return []Options{
 		{},
 		{Fallback: FallbackEstimate},
 		{Fallback: FallbackNone},
 		{DisableLandmarkTables: true},
-		{CompactLandmarkTables: true, Alpha: 1.5},
-		{CompactLandmarkTables: true},
+		{Alpha: 1.5, Sampling: SamplingUniform},
+		{Sampling: SamplingDegree},
 		{Alpha: 1.5},
 	}
 }

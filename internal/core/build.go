@@ -24,9 +24,9 @@ import (
 //     scope, the ordered node list whose vicinities are built.
 //   - Execute: workers pull scope indexes from a shared counter and run
 //     each node's truncated BFS/Dijkstra with per-worker scratch,
-//     appending its entries (boundary members first) to a
-//     worker-private u32map.Shard and recording shard-local ranges per
-//     node.
+//     appending its entries (boundary members last) and its distances
+//     or level starts to a worker-private u32map.Shard and recording
+//     shard-local ranges per node.
 //   - Merge: prefix sums over the scope order assign every node its
 //     final range in the shared flat arenas; workers then stitch the
 //     shards into place (disjoint destination ranges) and build each
@@ -93,9 +93,7 @@ func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 
 	// Landmark tables (parallel over batches of in-scope landmarks).
 	start = time.Now()
-	if err := o.buildLandmarkTables(g.Weighted()); err != nil {
-		return nil, err
-	}
+	o.buildLandmarkTables(g.Weighted())
 	o.timings.Landmarks = time.Since(start)
 	return o, nil
 }
@@ -127,13 +125,15 @@ func (b BuildTimings) String() string {
 func (o *Oracle) BuildTimings() BuildTimings { return o.timings }
 
 // vicMeta locates one scope node's phase-1 output inside its worker's
-// shard: the shard-local entry range and the boundary prefix length.
-// Radius and nearest land in their final per-node arrays directly
-// during execution.
+// shard: the shard-local entry and level-start ranges and the boundary
+// tail length. Radius and nearest land in their final per-node arrays
+// directly during execution.
 type vicMeta struct {
 	shard    int32
 	entOff   uint32
 	entLen   uint32
+	lvlOff   uint32
+	lvlLen   uint32
 	boundLen uint32
 }
 
@@ -165,9 +165,9 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) 
 		hint = maxHint
 	}
 	for w := range shards {
-		shards[w] = &u32map.Shard{
-			Keys:  make([]uint32, 0, hint),
-			Dists: make([]uint32, 0, hint),
+		shards[w] = &u32map.Shard{Keys: make([]uint32, 0, hint)}
+		if weighted {
+			shards[w].Dists = make([]uint32, 0, hint)
 		}
 	}
 
@@ -194,7 +194,8 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) 
 		m := &metas[i]
 		m.shard = int32(vw.w)
 		m.entLen = uint32(len(res.keys))
-		m.entOff = shards[vw.w].Append(res.keys, res.dists)
+		m.lvlLen = uint32(len(res.levels))
+		m.entOff, m.lvlOff = shards[vw.w].Append(res.keys, res.dists, res.levels)
 		m.boundLen = res.boundLen
 	})
 	return metas, shards
@@ -209,7 +210,7 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) 
 func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*u32map.Shard) error {
 	n := o.g.NumNodes()
 
-	var totalEnt, totalSlot uint64
+	var totalEnt, totalSlot, totalLvl uint64
 	for i := range metas {
 		m := &metas[i]
 		if m.entLen > 0 {
@@ -220,78 +221,84 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*u32m
 				scope[i], m.entLen, u32map.MaxFlatEntries)
 		}
 		totalEnt += uint64(m.entLen)
+		totalLvl += uint64(m.lvlLen)
 		if m.entLen > 0 {
 			totalSlot += uint64(u32map.IndexSize(int(m.entLen)))
 		}
 	}
-	if err := checkArenaCapacity(totalEnt, totalSlot); err != nil {
+	if err := checkArenaCapacity(totalEnt, totalSlot, totalLvl); err != nil {
 		return err
 	}
 
 	o.boundLen = make([]uint32, n)
 	o.arena = &u32map.Arena{
-		Keys:  make([]uint32, totalEnt),
-		Dists: make([]uint32, totalEnt),
-		Slots: make([]uint32, totalSlot),
+		Keys:    make([]uint32, totalEnt),
+		Slots:   make([]uint32, totalSlot),
+		Leveled: !o.g.Weighted(),
+	}
+	if o.arena.Leveled {
+		o.arena.Levels = make([]uint32, totalLvl)
+	} else {
+		o.arena.Dists = make([]uint32, totalEnt)
 	}
 	o.vicFlat = make([]u32map.Flat, n)
 
-	// Final arena offsets by prefix sum over the scope order.
-	entAt := make([]uint32, len(metas))
-	slotAt := make([]uint32, len(metas))
-	lenSlot := make([]uint32, len(metas))
-	var ent, slot uint32
+	// Final arena ranges by prefix sum over the scope order.
+	at := make([]u32map.Range, len(metas))
+	var ent, slot, lvl uint32
 	for i := range metas {
 		m := &metas[i]
-		entAt[i], slotAt[i] = ent, slot
+		r := &at[i]
+		r.EOff, r.ELen, r.SOff, r.LOff, r.LLen = ent, m.entLen, slot, lvl, m.lvlLen
 		if m.entLen > 0 {
-			lenSlot[i] = uint32(u32map.IndexSize(int(m.entLen)))
+			r.SLen = uint32(u32map.IndexSize(int(m.entLen)))
 		}
-		ent += m.entLen
-		slot += lenSlot[i]
+		ent += r.ELen
+		slot += r.SLen
+		lvl += r.LLen
 		o.boundLen[scope[i]] = m.boundLen
 	}
 
 	// Parallel stitch into disjoint destination ranges.
 	parallelFor(o.opts.Workers, len(metas), func(int) any { return nil }, func(_ any, i int) {
-		m := &metas[i]
+		m, r := &metas[i], at[i]
 		if m.entLen == 0 {
 			return
 		}
-		e0, e1 := entAt[i], entAt[i]+m.entLen
-		o.arena.CopyFromShard(e0, shards[m.shard], m.entOff, m.entLen)
-		s0, s1 := slotAt[i], slotAt[i]+lenSlot[i]
-		u32map.FillIndex(o.arena.Slots[s0:s1], o.arena.Keys[e0:e1])
-		o.vicFlat[scope[i]] = o.arena.Hash(e0, e1, s0, s1)
+		o.arena.CopyFromShard(r, shards[m.shard], m.entOff, m.lvlOff)
+		u32map.FillIndex(o.arena.Slots[r.SOff:r.SOff+r.SLen], o.arena.Keys[r.EOff:r.EOff+r.ELen])
+		o.vicFlat[scope[i]] = o.arena.View(r)
 	})
 	return nil
 }
 
-// checkArenaCapacity rejects an arena of the given entry and slot
-// counts when either overflows the uint32 offsets every Flat view and
-// file range uses. Build and update both call it before writing, so
-// neither can wrap an offset.
-func checkArenaCapacity(entries, slots uint64) error {
-	if entries > math.MaxUint32 || slots > math.MaxUint32 {
-		return fmt.Errorf("core: %d vicinity entries and %d slot words overflow the 2^32-1 arena capacity", entries, slots)
+// checkArenaCapacity rejects an arena of the given entry, slot and
+// level-start counts when any overflows the uint32 offsets every Flat
+// view and file range uses. Build and update both call it before
+// writing, so neither can wrap an offset.
+func checkArenaCapacity(entries, slots, levels uint64) error {
+	if entries > math.MaxUint32 || slots > math.MaxUint32 || levels > math.MaxUint32 {
+		return fmt.Errorf("core: %d vicinity entries, %d slot words and %d level starts overflow the 2^32-1 arena capacity",
+			entries, slots, levels)
 	}
 	return nil
 }
 
 // buildLandmarkTables runs the final stage: a full distance row for
 // every wanted landmark (all of them, or the in-scope ones of a scoped
-// build), in landmark order, written into the dense landmark arenas
-// (see Oracle.lpos). Unweighted graphs fill the rows 64 landmarks per
-// bit-parallel BFS pass (msbfs), one batch per task; weighted graphs
-// run one Dijkstra per landmark. Rows depend only on the graph, so
-// neither the batching nor the worker count reaches the output.
-func (o *Oracle) buildLandmarkTables(weighted bool) error {
+// build), in landmark order (see Oracle.lpos), each at the width its
+// distances need (see lrow). Unweighted graphs fill the rows 64
+// landmarks per bit-parallel BFS pass (msbfs), one batch per task;
+// weighted graphs run one Dijkstra per landmark. Rows and their widths
+// depend only on the graph, so neither the batching nor the worker
+// count reaches the output.
+func (o *Oracle) buildLandmarkTables(weighted bool) {
 	o.lpos = make([]int32, len(o.landmarks))
 	for i := range o.lpos {
 		o.lpos[i] = -1
 	}
 	if o.opts.DisableLandmarkTables {
-		return nil
+		return
 	}
 	want := make([]bool, len(o.landmarks))
 	if o.opts.Nodes == nil {
@@ -314,74 +321,38 @@ func (o *Oracle) buildLandmarkTables(weighted bool) error {
 	}
 
 	n := o.g.NumNodes()
-	compact := o.opts.CompactLandmarkTables
-	if compact {
-		o.ldist16 = make([][]uint16, len(srcs))
-	} else {
-		o.ldist = make([][]uint32, len(srcs))
-	}
-	newRow := func(j int) {
-		if compact {
-			row := make([]uint16, n)
-			for v := range row {
-				row[v] = compactUnreachable
-			}
-			o.ldist16[j] = row
-		} else {
-			row := make([]uint32, n)
-			for v := range row {
-				row[v] = NoDist
-			}
-			o.ldist[j] = row
-		}
-	}
-	// fill records d(srcs[lo+j], v) = d for every bit j of set.
-	overflow := make([]bool, len(srcs))
-	fill := func(lo int, v uint32, set uint64, d uint32) {
-		for ; set != 0; set &= set - 1 {
-			j := lo + bits.TrailingZeros64(set)
-			switch {
-			case !compact:
-				o.ldist[j][v] = d
-			case d < uint32(compactUnreachable):
-				o.ldist16[j][v] = uint16(d)
-			default:
-				overflow[j] = true
-			}
-		}
-	}
-
+	o.lrows = make([]lrow, len(srcs))
 	if weighted {
 		parallelFor(o.opts.Workers, len(srcs), func(int) any { return nil }, func(_ any, j int) {
-			newRow(j)
-			for v, d := range traverse.Dijkstra(o.g, srcs[j]).Dist {
-				if d != NoDist {
-					fill(j, uint32(v), 1, d)
+			o.lrows[j] = packRow(traverse.Dijkstra(o.g, srcs[j]).Dist)
+		})
+		return
+	}
+	// Unweighted rows start narrow. MS-BFS levels only ascend, so a row
+	// that reaches level maxNarrow+1 widens once, mid-pass, and stays
+	// wide.
+	const batch = 64 // sources per pass: the bits of one uint64
+	parallelFor(o.opts.Workers, (len(srcs)+batch-1)/batch, func(int) any {
+		return newMSBFS(n)
+	}, func(state any, b int) {
+		lo, hi := b*batch, min(b*batch+batch, len(srcs))
+		for j := lo; j < hi; j++ {
+			o.lrows[j] = newNarrowRow(n)
+		}
+		state.(*msbfs).run(o.g, srcs[lo:hi], func(v uint32, set uint64, d uint32) {
+			for ; set != 0; set &= set - 1 {
+				row := &o.lrows[lo+bits.TrailingZeros64(set)]
+				if row.wide == nil && d > maxNarrow {
+					row.widen()
+				}
+				if row.wide != nil {
+					row.wide[v] = d
+				} else {
+					row.narrow[v] = uint8(d)
 				}
 			}
 		})
-	} else {
-		const batch = 64 // sources per pass: the bits of one uint64
-		parallelFor(o.opts.Workers, (len(srcs)+batch-1)/batch, func(int) any {
-			return newMSBFS(n)
-		}, func(state any, b int) {
-			lo, hi := b*batch, min(b*batch+batch, len(srcs))
-			for j := lo; j < hi; j++ {
-				newRow(j)
-			}
-			state.(*msbfs).run(o.g, srcs[lo:hi], func(v uint32, set uint64, d uint32) {
-				fill(lo, v, set, d)
-			})
-		})
-	}
-	for j, bad := range overflow {
-		if bad {
-			return fmt.Errorf(
-				"core: CompactLandmarkTables: distance from landmark %d exceeds %d",
-				srcs[j], compactUnreachable-1)
-		}
-	}
-	return nil
+	})
 }
 
 // parallelFor runs fn(state, i) for i in [0,n) across workers goroutines.

@@ -104,18 +104,21 @@ func randomChurnBatch(r *xrand.Rand, g *graph.Graph) Update {
 }
 
 // assertLiveRanges checks the arena accounting after an update: the
-// live entry and slot ranges of all vicinities are pairwise disjoint
-// and inside the arena, and live plus counted waste equals the arena
-// length in both spaces — the shape a double-counted or a still-live
-// superseded range would break.
+// live entry, slot and level-start ranges of all vicinities are
+// pairwise disjoint and inside the arena, and live plus counted waste
+// equals the arena length in every space — the shape a double-counted
+// or a still-live superseded range would break.
 func assertLiveRanges(t *testing.T, o *Oracle) {
 	t.Helper()
 	type span struct{ off, len uint32 }
-	var ents, slots []span
+	var ents, slots, lvls []span
 	for u := range o.vicFlat {
-		if eo, el, so, sl := o.vicFlat[u].Ranges(); el > 0 {
-			ents = append(ents, span{eo, el})
-			slots = append(slots, span{so, sl})
+		if r := o.vicFlat[u].Range(); r.ELen > 0 {
+			ents = append(ents, span{r.EOff, r.ELen})
+			slots = append(slots, span{r.SOff, r.SLen})
+			if r.LLen > 0 {
+				lvls = append(lvls, span{r.LOff, r.LLen})
+			}
 		}
 	}
 	check := func(space string, spans []span, size int, waste uint64) {
@@ -137,6 +140,7 @@ func assertLiveRanges(t *testing.T, o *Oracle) {
 	}
 	check("entry", ents, o.arena.NumEntries(), o.entWaste)
 	check("slot", slots, len(o.arena.Slots), o.slotWaste)
+	check("level", lvls, len(o.arena.Levels), o.lvlWaste)
 }
 
 // weightedSocialGraph is socialGraph with uniform random weights in
@@ -190,7 +194,7 @@ func TestChurnMatrix(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{Seed: 7}},
-		{"compact-landmarks", Options{Seed: 7, CompactLandmarkTables: true}},
+		{"compact-landmarks", Options{Seed: 7, Alpha: 1.5}}, // one-byte rows are the default; more of them here
 	}
 	for _, prof := range profiles {
 		opts := prof.opts

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"bytes"
 	"testing"
 
 	"vicinity/internal/gen"
@@ -10,70 +10,62 @@ import (
 	"vicinity/internal/xrand"
 )
 
-// TestCompactLandmarkTablesAgree verifies that the uint16 landmark
-// tables (§5 memory extension) answer identically to the full-width
-// tables while using less memory.
+// TestCompactLandmarkTablesAgree: on a social graph every landmark row
+// fits one byte per node, equals the BFS reference, and Memory counts
+// it at that width.
 func TestCompactLandmarkTablesAgree(t *testing.T) {
 	g := socialGraph(81, 500)
-	full := mustBuild(t, g, Options{Seed: 81})
-	compact := mustBuild(t, g, Options{Seed: 81, CompactLandmarkTables: true})
-
-	r := xrand.New(4)
-	for trial := 0; trial < 2000; trial++ {
-		s, u := r.Uint32n(500), r.Uint32n(500)
-		df, mf, err := queryDist(full, s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dc, mc, err := queryDist(compact, s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if df != dc || mf != mc {
-			t.Fatalf("compact tables diverge on (%d,%d): %d/%v vs %d/%v",
-				s, u, df, mf, dc, mc)
+	o := mustBuild(t, g, Options{Seed: 81})
+	assertLandmarkRows(t, g, o, func(uint32) bool { return true })
+	for p, row := range o.lrows {
+		if row.wide != nil || len(row.narrow) != g.NumNodes() {
+			t.Fatalf("row %d: wide = %v, %d narrow entries; want one byte per node", p, row.wide != nil, len(row.narrow))
 		}
 	}
-
-	mf, mc := full.Memory(), compact.Memory()
-	if mf.LandmarkEntries != mc.LandmarkEntries {
-		t.Fatalf("entry counts differ: %d vs %d", mf.LandmarkEntries, mc.LandmarkEntries)
+	ms := o.Memory()
+	if want := int64(g.NumNodes()) * int64(len(o.Landmarks())); ms.LandmarkBytes != want || ms.LandmarkEntries != want {
+		t.Fatalf("landmark rows: %d bytes for %d entries, want %d of each", ms.LandmarkBytes, ms.LandmarkEntries, want)
 	}
-	// Distance tables shrink from 4 to 2 bytes per entry.
-	wantDiff := 2 * int64(g.NumNodes()) * int64(len(full.Landmarks()))
-	if diff := mf.LandmarkBytes - mc.LandmarkBytes; diff != wantDiff {
-		t.Fatalf("compact saving = %d bytes, want %d", diff, wantDiff)
+	if ms.WideLandmarkRows != 0 {
+		t.Fatalf("%d wide rows on a social graph", ms.WideLandmarkRows)
 	}
 }
 
-// TestCompactLandmarkTablesUnreachable checks the 0xFFFF sentinel round
-// trip across components.
+// TestCompactLandmarkTablesUnreachable checks that the narrow rows'
+// unreachable byte (0xFF) reads as NoDist across components and
+// survives a save/load round trip.
 func TestCompactLandmarkTablesUnreachable(t *testing.T) {
 	b := graph.NewBuilder(60)
 	gen.Path(30).ForEachEdge(func(u, v, w uint32) { b.AddEdge(u, v) })
 	gen.Path(30).ForEachEdge(func(u, v, w uint32) { b.AddEdge(u+30, v+30) })
 	g := b.Build()
-	o := mustBuild(t, g, Options{Seed: 5, Alpha: 16, CompactLandmarkTables: true})
-	// Find a landmark, query across the component boundary.
-	l := o.Landmarks()[0]
-	var other uint32
-	if l < 30 {
-		other = 45
-	} else {
-		other = 15
-	}
-	d, m, err := queryDist(o, l, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != NoDist || m != MethodUnreachable {
-		t.Fatalf("cross-component from landmark: d=%d m=%v", d, m)
+	o := mustBuild(t, g, Options{Seed: 5, Alpha: 16})
+	for _, oracle := range []*Oracle{o, roundTrip(t, o)} {
+		// Find a landmark, query across the component boundary.
+		l := oracle.Landmarks()[0]
+		var other uint32
+		if l < 30 {
+			other = 45
+		} else {
+			other = 15
+		}
+		if row := oracle.lrows[oracle.lpos[0]]; row.wide != nil || row.narrow[other] != unreachable8 {
+			t.Fatalf("landmark %d: row is wide = %v, want a narrow 0xFF at node %d", l, row.wide != nil, other)
+		}
+		d, m, err := queryDist(oracle, l, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != NoDist || m != MethodUnreachable {
+			t.Fatalf("cross-component from landmark: d=%d m=%v", d, m)
+		}
 	}
 }
 
-// TestCompactLandmarkTablesOverflow checks the build-time overflow
-// guard on graphs whose distances exceed uint16: a weighted graph, and
-// an unweighted path whose hop distances run past 65,534.
+// TestCompactLandmarkTablesOverflow: a row with a distance past 254 is
+// stored wide and the build succeeds — on a weighted graph, whose row
+// picks its width after its Dijkstra run, and on an unweighted path,
+// whose row widens mid-pass when the bit-parallel BFS reaches level 255.
 func TestCompactLandmarkTablesOverflow(t *testing.T) {
 	t.Run("weighted", func(t *testing.T) {
 		b := graph.NewBuilder(4)
@@ -81,13 +73,11 @@ func TestCompactLandmarkTablesOverflow(t *testing.T) {
 		b.AddWeightedEdge(1, 2, 40000)
 		b.AddWeightedEdge(2, 3, 40000)
 		g := b.Build()
-		if _, err := Build(g, Options{Seed: 1, CompactLandmarkTables: true}); err == nil {
-			t.Fatal("overflowing compact build accepted")
-		}
-		// The same graph builds fine at full width.
-		o, err := Build(g, Options{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
+		o := mustBuild(t, g, Options{Seed: 1})
+		for p, row := range o.lrows {
+			if row.wide == nil {
+				t.Fatalf("row %d of a graph with 40,000-weight edges is narrow", p)
+			}
 		}
 		ws := traverse.NewWorkspace(g)
 		d, _, err := queryDist(o, 0, 3)
@@ -95,32 +85,34 @@ func TestCompactLandmarkTablesOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := ws.DijkstraDist(0, 3); d != want {
-			t.Fatalf("full-width weighted distance %d, want %d", d, want)
+			t.Fatalf("weighted distance %d, want %d", d, want)
 		}
+		assertLandmarkRows(t, g, o, func(uint32) bool { return true })
 	})
 	// The path has 70,000 BFS levels, so a landmark kernel whose levels
 	// cost a sweep over all n nodes would take about 70,000² steps here.
 	t.Run("unweighted-path", func(t *testing.T) {
 		g := gen.Path(70000)
-		opts := Options{Seed: 1, Landmarks: []uint32{0}, Nodes: []uint32{0}}
-		compact := opts
-		compact.CompactLandmarkTables = true
-		_, err := Build(g, compact)
-		if err == nil || !strings.Contains(err.Error(), "distance from landmark 0 exceeds 65534") {
-			t.Fatalf("compact build of a 70,000-node path: err = %v, want the overflow error naming landmark 0", err)
+		o := mustBuild(t, g, Options{Seed: 1, Landmarks: []uint32{0}, Nodes: []uint32{0}})
+		if o.lrows[0].wide == nil {
+			t.Fatal("row of landmark 0 on a 70,000-node path is narrow")
 		}
-		o := mustBuild(t, g, opts)
-		if d := o.landmarkDist(o.lidx[0], 69999); d != 69999 {
-			t.Fatalf("full-width row of landmark 0 reads %d at node 69999, want 69999", d)
+		for _, v := range []uint32{1, 254, 255, 256, 69999} {
+			if d := o.landmarkDist(o.lidx[0], v); d != v {
+				t.Fatalf("row of landmark 0 reads %d at node %d, want %d", d, v, v)
+			}
+		}
+		if ms := o.Memory(); ms.WideLandmarkRows != 1 || ms.LandmarkBytes != 4*70000 {
+			t.Fatalf("memory: %d wide rows, %d bytes; want 1 and %d", ms.WideLandmarkRows, ms.LandmarkBytes, 4*70000)
 		}
 	})
 }
 
-// TestCompactPathsStillWork ensures landmark-case paths work with
-// compact tables (hops derive from the uint16 distance rows).
+// TestCompactPathsStillWork ensures landmark-case paths work on the
+// one-byte rows (hops derive from the narrow distance rows).
 func TestCompactPathsStillWork(t *testing.T) {
 	g := socialGraph(83, 400)
-	o := mustBuild(t, g, Options{Seed: 83, CompactLandmarkTables: true})
+	o := mustBuild(t, g, Options{Seed: 83})
 	l := o.Landmarks()[0]
 	r := xrand.New(6)
 	for trial := 0; trial < 100; trial++ {
@@ -144,5 +136,48 @@ func TestCompactPathsStillWork(t *testing.T) {
 				t.Fatal("invalid edge in landmark path")
 			}
 		}
+	}
+}
+
+// TestLandmarkRowWidthUnderChurn drives one landmark row across the
+// width boundary with updates. On a 600-node path with landmark 0 the
+// row starts wide (599 hops). Shortcut edges from node 0 bring every
+// distance to at most 254, so the repair narrows the row; deleting them
+// widens it again. After every batch the oracle saves exactly like a
+// fresh build.
+func TestLandmarkRowWidthUnderChurn(t *testing.T) {
+	const n = 600
+	o := mustBuild(t, gen.Path(n), Options{Seed: 1, Landmarks: []uint32{0}})
+	shortcuts := [][2]uint32{{0, 200}, {0, 400}}
+	steps := []struct {
+		name string
+		upd  Update
+		wide bool
+	}{
+		{"build", Update{}, true},
+		{"first shortcut", Update{Edges: shortcuts[:1]}, true},   // 399 hops to node 599
+		{"second shortcut", Update{Edges: shortcuts[1:]}, false}, // 200 hops at most
+		{"delete one", Update{DelEdges: shortcuts[1:]}, true},
+		{"delete both", Update{DelEdges: shortcuts[:1]}, true},
+		{"both at once", Update{Edges: shortcuts}, false},
+		{"grow", Update{AddNodes: 3, Edges: [][2]uint32{{599, 600}}}, false},
+	}
+	for _, st := range steps {
+		if st.name != "build" {
+			next, err := o.ApplyUpdates(st.upd)
+			if err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+			o = next
+		}
+		if wide := o.lrows[0].wide != nil; wide != st.wide {
+			t.Fatalf("%s: row is wide = %v, want %v", st.name, wide, st.wide)
+		}
+		fresh := freshTwin(t, o)
+		assertSameStructure(t, o, fresh)
+		if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, fresh)) {
+			t.Fatalf("%s: repaired oracle serializes differently from a fresh build", st.name)
+		}
+		assertLandmarkRows(t, o.Graph(), o, func(uint32) bool { return true })
 	}
 }

@@ -159,8 +159,7 @@ func TestLemma1(t *testing.T) {
 			}
 		})
 		boundIntersect := false
-		sBound, _ := o.boundary(s)
-		for _, w := range sBound {
+		for _, w := range o.boundary(s).Keys {
 			if _, ok := o.VicinityContains(u, w); ok {
 				boundIntersect = true
 				break
@@ -177,9 +176,9 @@ func TestLemma1(t *testing.T) {
 
 // TestVicinityInvariants checks Definition 1 per node: radius equals the
 // distance to the nearest landmark, the vicinity is exactly the closed
-// ball of that radius, boundary members are exactly the members with an
-// outside neighbor and head u's entries, and derived path chains take
-// the first neighbor, in CSR order, one step closer.
+// ball of that radius stored in level order, the boundary is all of the
+// last level and ends u's entries, and derived path chains take the
+// first neighbor, in CSR order, one step closer.
 func TestVicinityInvariants(t *testing.T) {
 	g := socialGraph(17, 400)
 	o := mustBuild(t, g, Options{Seed: 17})
@@ -220,39 +219,33 @@ func TestVicinityInvariants(t *testing.T) {
 		if count != o.VicinitySize(u) {
 			t.Fatalf("node %d: vicinity size %d, counted %d", u, o.VicinitySize(u), count)
 		}
-		// Boundary definition.
-		for v := uint32(0); int(v) < g.NumNodes(); v++ {
-			_, in := o.VicinityContains(u, v)
-			wantBoundary := false
-			if in {
-				for _, nb := range g.Neighbors(v) {
-					if _, nbIn := o.VicinityContains(u, nb); !nbIn {
-						wantBoundary = true
-						break
-					}
-				}
-			}
-			isBoundary := false
-			uBound, _ := o.boundary(u)
-			for _, w := range uBound {
-				if w == v {
-					isBoundary = true
-					break
-				}
-			}
-			if isBoundary != wantBoundary {
-				t.Fatalf("node %d: boundary(%d) = %v, want %v", u, v, isBoundary, wantBoundary)
-			}
-		}
-		// The boundary is the head of u's own entries.
+		// Boundary definition: all of level r, the tail of u's entries,
+		// which are in level order.
 		tbl, _ := o.vicinity(u)
-		bKeys, bDists := o.boundary(u)
-		if len(bKeys) != o.BoundarySize(u) {
-			t.Fatalf("node %d: boundary view %d, size %d", u, len(bKeys), o.BoundarySize(u))
+		b := o.boundary(u)
+		if len(b.Keys) != o.BoundarySize(u) {
+			t.Fatalf("node %d: boundary view %d, size %d", u, len(b.Keys), o.BoundarySize(u))
 		}
-		for i := range bKeys {
-			if k, d := tbl.At(i); k != bKeys[i] || d != bDists[i] {
-				t.Fatalf("node %d: boundary[%d] = %d/%d, entry %d/%d", u, i, bKeys[i], bDists[i], k, d)
+		level := 0
+		for v := uint32(0); int(v) < g.NumNodes(); v++ {
+			if ref.Dist[v] == wantR {
+				level++
+			}
+		}
+		if len(b.Keys) != level {
+			t.Fatalf("node %d: boundary has %d members, level %d has %d", u, len(b.Keys), wantR, level)
+		}
+		head := tbl.Len() - len(b.Keys)
+		for i := 0; i < tbl.Len(); i++ {
+			k, d := tbl.At(i)
+			if i > 0 {
+				if _, prev := tbl.At(i - 1); d < prev {
+					t.Fatalf("node %d: entry %d at distance %d after one at %d", u, i, d, prev)
+				}
+			}
+			if i >= head && (k != b.Keys[i-head] || d != b.Dist(i-head) || d != wantR) {
+				t.Fatalf("node %d: boundary[%d] = %d/%d, entry %d/%d, radius %d",
+					u, i-head, b.Keys[i-head], b.Dist(i-head), k, d, wantR)
 			}
 		}
 		// Derived chains: each hop is the first CSR neighbor inside Γ(u)

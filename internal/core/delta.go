@@ -29,7 +29,7 @@ import (
 // sections skippable by the forward-compatible reader.
 const deltaVersion = fileVersion
 
-// Delta section tags (disjoint from the snapshot's 1..21; all headers
+// Delta section tags (disjoint from the snapshot's 1..26; all headers
 // carry byte counts, not element counts).
 const (
 	secDeltaHead       = 64 // from/to epoch, add-node count

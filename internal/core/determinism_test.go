@@ -57,7 +57,7 @@ func TestBuildDeterminismOptionMatrix(t *testing.T) {
 	g := socialGraph(9, 350)
 	cases := map[string]Options{
 		"defaults":          {Seed: 5},
-		"compact-landmarks": {Seed: 5, CompactLandmarkTables: true},
+		"compact-landmarks": {Seed: 5, Alpha: 1.5}, // one-byte rows are the default; more of them here
 		"no-landmark-tabs":  {Seed: 5, DisableLandmarkTables: true},
 		"alpha-2":           {Seed: 5, Alpha: 2},
 		"sampling-uniform":  {Seed: 5, Sampling: SamplingUniform},

@@ -12,9 +12,9 @@ import (
 
 // assertLandmarkRows checks every landmark row of o against a
 // single-source reference traversal: BFS on unweighted graphs,
-// Dijkstra on weighted ones. Compact rows are read through
-// landmarkDist, which maps compactUnreachable back to NoDist. Only the
-// landmarks for which inScope holds may have rows, and all of them
+// Dijkstra on weighted ones. Narrow rows are read through
+// landmarkDist, which maps their unreachable byte back to NoDist. Only
+// the landmarks for which inScope holds may have rows, and all of them
 // must.
 func assertLandmarkRows(t *testing.T, g *graph.Graph, o *Oracle, inScope func(uint32) bool) {
 	t.Helper()
@@ -64,11 +64,21 @@ func TestLandmarkRowsMatchBFS(t *testing.T) {
 				landmarks[i] = uint32(perm[i])
 			}
 			for _, workers := range []int{1, 3} {
+				// Every profile's rows fit one byte per node. compact=true
+				// checks them as built; compact=false widens them first, so
+				// the four-byte read path sees the same rows.
 				for _, compact := range []bool{false, true} {
 					name := fmt.Sprintf("%s/L%d/w%d/compact=%v", p.name, k, workers, compact)
 					t.Run(name, func(t *testing.T) {
-						o := mustBuild(t, g, Options{Seed: 3, Workers: workers,
-							Landmarks: landmarks, CompactLandmarkTables: compact})
+						o := mustBuild(t, g, Options{Seed: 3, Workers: workers, Landmarks: landmarks})
+						for p := range o.lrows {
+							if o.lrows[p].wide != nil {
+								t.Fatalf("row %d is wide", p)
+							}
+							if !compact {
+								o.lrows[p].widen()
+							}
+						}
 						assertLandmarkRows(t, g, o, all)
 					})
 				}
@@ -106,9 +116,7 @@ func BenchmarkLandmarkTables(b *testing.B) {
 		b.Fatal(err)
 	}
 	for b.Loop() {
-		if err := o.buildLandmarkTables(g.Weighted()); err != nil {
-			b.Fatal(err)
-		}
+		o.buildLandmarkTables(g.Weighted())
 	}
 	b.ReportMetric(float64(len(o.Landmarks())), "landmarks")
 }

@@ -11,8 +11,12 @@
 // Γ(u) = B(u) ∪ N(B(u)) (Definition 1); for unweighted graphs this is
 // exactly the closed ball of radius d(u, l(u)). The oracle stores, per
 // node, a table mapping each vicinity member to its exact distance,
-// with the boundary members ∂Γ(u) (members with a neighbor outside
-// Γ(u)) first. Landmarks store a full distance table over all nodes.
+// with the boundary members ∂Γ(u) last: on unweighted graphs all of the
+// last BFS level, on weighted graphs the members with a neighbor
+// outside Γ(u). Unweighted tables keep their members in BFS level
+// order, so a member's distance is implied by its position and only
+// the level starts are stored. Landmarks store a full distance table
+// over all nodes, one byte per node when the distances fit.
 // Nothing else is stored: a path's next hop is the first neighbor, in
 // adjacency order, one step closer by the stored distances (§3.1).
 //
@@ -143,16 +147,12 @@ type Options struct {
 
 	// DisableLandmarkTables skips the per-landmark full distance tables.
 	// Saves |L|·n entries; landmark-hit queries then resolve through
-	// vicinities or fallback. Used by the Figure 2 harnesses.
+	// vicinities or fallback. Used by the Figure 2 harnesses. Built rows
+	// take the width their data needs: one byte per node when every
+	// distance fits in 254 (all social-network hop distances), four
+	// otherwise — the paper's §5 "reduce the memory requirements"
+	// question, answered without an option.
 	DisableLandmarkTables bool
-
-	// CompactLandmarkTables stores landmark distance tables as uint16
-	// (halving their memory, the dominant §3.2 term) — an implementation
-	// of the paper's §5 "reduce the memory requirements" question.
-	// Distances above 65534 are unrepresentable; Build fails if the
-	// graph's weighted diameter exceeds that (never the case for hop
-	// distances on social networks).
-	CompactLandmarkTables bool
 
 	// Landmarks, when non-nil, bypasses sampling and uses exactly this
 	// landmark set (deduplicated, any order). Advanced: used to rebuild

@@ -12,15 +12,18 @@ import (
 // for concurrent queries. Mutation goes through ApplyUpdates, which
 // returns a new snapshot and leaves the receiver serving; see update.go.
 //
-// Every fact is stored once, as a distance. Vicinity tables live in
-// flat arena storage: one shared entry arena of key/distance pairs plus
-// one shared slot arena (see u32map.Arena), with each node's boundary
-// ∂Γ(u) stored as the head of its own entry range. Landmarks keep one
-// dense distance row each. Path hops are derived from these distances
-// at query time (see path.go) rather than stored beside them. The
-// layout keeps one node's table contiguous in memory, leaves the
-// garbage collector a handful of large pointer-free arrays to scan,
-// and serializes with array copies (see persist.go).
+// Every stored fact costs only the bytes its data needs. Vicinity
+// tables live in flat arena storage: one shared key arena plus one
+// shared slot arena (see u32map.Arena), with each node's boundary
+// ∂Γ(u) stored as the tail of its own entry range. Weighted arenas
+// store one distance per entry; unweighted ones keep each table in BFS
+// level order and store only where each level begins, which implies
+// every member's distance. Landmarks keep one dense distance row each,
+// one byte per node when the row's distances fit. Path hops are
+// derived from these distances at query time (see path.go) rather than
+// stored beside them. The layout keeps one node's table contiguous in
+// memory, leaves the garbage collector a handful of large pointer-free
+// arrays to scan, and serializes with array copies (see persist.go).
 type Oracle struct {
 	g    *graph.Graph
 	opts Options
@@ -29,10 +32,10 @@ type Oracle struct {
 	isL       []bool   // per node: landmark flag
 	lidx      []int32  // per node: index into landmarks, or -1
 
-	// Vicinity tables. arena holds the concatenated entries and slot
-	// indexes of every vicinity; vicFlat (len n) holds node u's
-	// precomputed arena view — 24 bytes of offsets plus the shared
-	// arena pointer, so resolving a table is one indexed load. An empty
+	// Vicinity tables. arena holds the concatenated entries, slot
+	// indexes and distances of every vicinity; vicFlat (len n) holds
+	// node u's precomputed arena view — 32 bytes of offsets plus the
+	// shared arena pointer, so resolving a table is one indexed load. An empty
 	// view means "not covered" (landmark or out of build scope) — a
 	// built vicinity always contains at least u itself. Persistence
 	// derives CSR offset arrays from the views (u32map.Flat.Ranges)
@@ -40,29 +43,29 @@ type Oracle struct {
 	arena   *u32map.Arena
 	vicFlat []u32map.Flat
 
-	// boundLen[u] = |∂Γ(u)|: u's boundary members are the first
-	// boundLen[u] entries of its vicinity range, in scan order.
+	// boundLen[u] = |∂Γ(u)|: u's boundary members are the last
+	// boundLen[u] entries of its vicinity range, in scan order — all of
+	// level r on unweighted graphs.
 	boundLen []uint32
 
-	// Arena waste: entries and slot words abandoned by repaired
-	// vicinities. Old snapshots may still read the holes, so updates
-	// only count them and compact once they dominate (see maybeCompact).
+	// Arena waste: entries, slot words and level starts abandoned by
+	// repaired vicinities. Old snapshots may still read the holes, so
+	// updates only count them and compact once they dominate (see
+	// maybeCompact).
 	entWaste  uint64
 	slotWaste uint64
+	lvlWaste  uint64
 
 	radius  []uint32 // d(u, l(u)); NoDist when uncovered or no landmark reachable
 	nearest []uint32 // l(u); graph.NoNode when unknown
 
 	// Per-landmark full tables. lpos maps a landmark index to its
-	// position p among built tables, or -1; row p is one landmark's
-	// dense length-n distance table in ldist (or ldist16 with
-	// Options.CompactLandmarkTables: half the memory; 0xFFFF encodes
-	// "unreachable"). One row per landmark — rather than one |L|·n
-	// array — lets dynamic updates copy-on-write only the rows a new
-	// edge improves.
-	lpos    []int32
-	ldist   [][]uint32
-	ldist16 [][]uint16
+	// position p among built tables, or -1; lrows[p] is one landmark's
+	// dense length-n distance row, at the width its data needs (see
+	// lrow). One row per landmark — rather than one |L|·n array — lets
+	// dynamic updates copy-on-write only the rows a new edge improves.
+	lpos  []int32
+	lrows []lrow
 
 	covered int // number of nodes with vicinity state (excl. landmarks in scope)
 
@@ -110,12 +113,10 @@ func (o *Oracle) vicinity(u uint32) (u32map.Flat, bool) {
 	return f, f.Len() > 0
 }
 
-// boundary returns the ∂Γ(u) keys and distances: the head of u's own
-// entry range, as shared views.
-func (o *Oracle) boundary(u uint32) (keys, dists []uint32) {
-	keys, dists = o.vicFlat[u].Entries()
-	b := o.boundLen[u]
-	return keys[:b], dists[:b]
+// boundary returns ∂Γ(u) as a scan view: the tail of u's own entry
+// range.
+func (o *Oracle) boundary(u uint32) u32map.Span {
+	return o.vicFlat[u].Tail(int(o.boundLen[u]))
 }
 
 // Covers reports whether queries involving u can be answered from the
@@ -133,25 +134,131 @@ func (o *Oracle) Covers(u uint32) bool {
 }
 
 // hasLandmarkTable reports whether landmark index li has a built
-// distance table (full-width or compact).
+// distance table.
 func (o *Oracle) hasLandmarkTable(li int32) bool {
 	return li >= 0 && o.lpos[li] >= 0
 }
 
-// compactUnreachable encodes NoDist in uint16 landmark tables.
-const compactUnreachable = ^uint16(0)
-
-// landmarkDist reads d(landmarks[li], v) from whichever table width was
-// built. Callers must check hasLandmarkTable first.
+// landmarkDist reads d(landmarks[li], v) from li's row. Callers must
+// check hasLandmarkTable first.
 func (o *Oracle) landmarkDist(li int32, v uint32) uint32 {
-	if o.ldist != nil {
-		return o.ldist[o.lpos[li]][v]
+	return o.lrows[o.lpos[li]].at(v)
+}
+
+// Landmark-row widths. A narrow row stores one byte per node, with
+// unreachable8 for NoDist, so it holds distances up to maxNarrow.
+const (
+	unreachable8 = 0xFF
+	maxNarrow    = unreachable8 - 1
+)
+
+// lrow is one landmark's dense distance row over all n nodes, stored at
+// the width its data needs: narrow when every finite distance is at
+// most maxNarrow, wide (uint32, NoDist for unreachable) otherwise.
+// Exactly one of the two slices is set. Social graphs have small
+// diameters, so their rows are narrow: a quarter of the wide bytes.
+type lrow struct {
+	narrow []uint8
+	wide   []uint32
+}
+
+// at returns the row's distance to v.
+func (r lrow) at(v uint32) uint32 {
+	if r.wide != nil {
+		return r.wide[v]
 	}
-	d := o.ldist16[o.lpos[li]][v]
-	if d == compactUnreachable {
-		return NoDist
+	if d := r.narrow[v]; d != unreachable8 {
+		return uint32(d)
 	}
-	return uint32(d)
+	return NoDist
+}
+
+// bytes returns the row's footprint.
+func (r lrow) bytes() int {
+	return len(r.narrow) + 4*len(r.wide)
+}
+
+// reader returns an accessor that also answers for nodes past the
+// row's end (added by an update): they are unreachable until repaired.
+func (r lrow) reader() func(v uint32) uint32 {
+	n := len(r.narrow) + len(r.wide)
+	return func(v uint32) uint32 {
+		if int(v) >= n {
+			return NoDist
+		}
+		return r.at(v)
+	}
+}
+
+// expand writes the row at full width into dst, which may be longer
+// than the row: nodes past its end (added by an update) are unreachable.
+func (r lrow) expand(dst []uint32) {
+	n := copy(dst, r.wide)
+	for v, d := range r.narrow {
+		if d == unreachable8 {
+			dst[v] = NoDist
+		} else {
+			dst[v] = uint32(d)
+		}
+	}
+	n += len(r.narrow)
+	for v := n; v < len(dst); v++ {
+		dst[v] = NoDist
+	}
+}
+
+// grown returns a copy of the row extended to n nodes, the new ones
+// unreachable, at the row's own width.
+func (r lrow) grown(n int) lrow {
+	if r.wide != nil {
+		wide := make([]uint32, n)
+		copy(wide, r.wide)
+		for v := len(r.wide); v < n; v++ {
+			wide[v] = NoDist
+		}
+		return lrow{wide: wide}
+	}
+	g := newNarrowRow(n)
+	copy(g.narrow, r.narrow)
+	return g
+}
+
+// newNarrowRow returns a narrow row of n unreachable entries.
+func newNarrowRow(n int) lrow {
+	row := make([]uint8, n)
+	for v := range row {
+		row[v] = unreachable8
+	}
+	return lrow{narrow: row}
+}
+
+// widen converts a narrow row to wide in place, for a distance past
+// maxNarrow.
+func (r *lrow) widen() {
+	wide := make([]uint32, len(r.narrow))
+	for v := range r.narrow {
+		wide[v] = r.at(uint32(v))
+	}
+	r.narrow, r.wide = nil, wide
+}
+
+// packRow stores dist (NoDist for unreachable) at the narrowest width
+// that holds it; a wide row keeps dist itself.
+func packRow(dist []uint32) lrow {
+	for _, d := range dist {
+		if d != NoDist && d > maxNarrow {
+			return lrow{wide: dist}
+		}
+	}
+	row := make([]uint8, len(dist))
+	for v, d := range dist {
+		if d == NoDist {
+			row[v] = unreachable8
+		} else {
+			row[v] = uint8(d)
+		}
+	}
+	return lrow{narrow: row}
 }
 
 // Radius returns the vicinity radius d(u, l(u)) of u, or NoDist if u is
@@ -178,7 +285,10 @@ func (o *Oracle) VicinitySize(u uint32) int {
 	return o.vicFlat[u].Len()
 }
 
-// BoundarySize returns |∂Γ(u)| (0 for landmarks and uncovered nodes).
+// BoundarySize returns |∂Γ(u)|, the members the boundary scan walks (0
+// for landmarks and uncovered nodes). On unweighted graphs that is all
+// of the last BFS level, a superset of Definition 1's members with a
+// neighbor outside Γ(u) that is just as exact to scan.
 func (o *Oracle) BoundarySize(u uint32) int {
 	return int(o.boundLen[u])
 }

@@ -72,9 +72,12 @@ func (o *Oracle) assembleTablePath(s, t uint32, m Method, meet uint32) ([]uint32
 // cost a miss per neighbor; past a degree of |Γ(u)|/8 the hop instead
 // scans Γ(u)'s closer members for adjacent ones and keeps the smallest
 // id. Adjacency lists are sorted, so that is the same first neighbor.
-// Both halves of u's entries — the boundary prefix and the rest — keep
-// discovery order, which never decreases in distance (BFS levels,
-// Dijkstra settle order), so the closer members head each half.
+// u's entries keep discovery order, which never decreases in distance
+// (BFS levels, Dijkstra settle order), except that a weighted table
+// moves its boundary members to the tail: the scan walks the prefix of
+// members closer than cur and then, for that tail, the prefix of its
+// own. On an unweighted table the tail is level r, never closer than
+// cur, so the walk is one prefix scan.
 func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 	tbl, ok := o.vicinity(u)
 	if !ok {
@@ -84,10 +87,11 @@ func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 	if !ok {
 		return nil, false
 	}
-	keys, dists := tbl.Entries()
+	all := tbl.Tail(tbl.Len())
+	head := tbl.Len() - int(o.boundLen[u])
 	return o.descend(v, u, d, func(cur, d uint32) (uint32, uint32) {
 		adj, wts := o.g.Neighbors(cur), o.g.NeighborWeights(cur)
-		if 8*len(adj) <= len(keys) {
+		if 8*len(adj) <= tbl.Len() {
 			for i, w := range adj {
 				if dw, in := tbl.Get(w); in && satAdd(dw, hopWeight(wts, i)) == d {
 					return w, dw
@@ -96,12 +100,15 @@ func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 			return graph.NoNode, NoDist
 		}
 		next, dn := graph.NoNode, NoDist
-		b := int(o.boundLen[u])
-		for _, half := range [2][2]int{{0, b}, {b, len(keys)}} {
-			for i := half[0]; i < half[1] && dists[i] < d; i++ {
-				if w := keys[i]; w < next {
-					if wt, adjacent := o.g.EdgeWeight(cur, w); adjacent && satAdd(dists[i], wt) == d {
-						next, dn = w, dists[i]
+		for _, part := range [2][2]int{{0, head}, {head, tbl.Len()}} {
+			for i := part[0]; i < part[1]; i++ {
+				dw := all.Dist(i)
+				if dw >= d {
+					break
+				}
+				if w := all.Keys[i]; w < next {
+					if wt, adjacent := o.g.EdgeWeight(cur, w); adjacent && satAdd(dw, wt) == d {
+						next, dn = w, dw
 					}
 				}
 			}

@@ -23,15 +23,22 @@ import (
 // is one contiguous array of the in-memory representation, and a loaded
 // oracle round-trips bit-identically.
 //
-// Version 2 stores every fact once: the boundary ∂Γ(u) is the head of
-// u's entry range (section 15 holds only its length), and neither
-// vicinity nor landmark parents are written — paths derive from the
-// distances. Version-1 files fail with oraclefile.ErrVersion.
-const fileVersion = 2
+// Version 3 stores every fact in the bytes its data needs. The boundary
+// ∂Γ(u) is the tail of u's entry range (section 15 holds only its
+// length). Weighted oracles store one distance per entry (section 12);
+// unweighted ones store none, because their entries are in BFS level
+// order, and instead store where each level from 2 on begins (sections
+// 22-24). Each landmark row is one byte per node when its distances fit
+// (section 26, 0xFF for unreachable) and four otherwise (section 19);
+// section 25 says which. Neither vicinity nor landmark parents are
+// written — paths derive from the distances. Version-1 and version-2
+// files fail with oraclefile.ErrVersion.
+const fileVersion = 3
 
 // Section tags, in file order. Tags 13, 16, 17 and 21 held version 1's
-// vicinity parents, boundary copies and landmark parents; they are not
-// reused.
+// vicinity parents, boundary copies and landmark parents, and tag 20
+// version 2's uint16 landmark rows; they are not reused. The sections
+// added in version 3 store byte counts in their headers.
 const (
 	secMeta       = 1  // u64s: flags and build options
 	secScope      = 2  // u32s: Options.Nodes (meaningful iff flagScope)
@@ -44,20 +51,24 @@ const (
 	secVicSlotOff = 9  // u32s[n]: per-node slot range start
 	secVicSlotLen = 10 // u32s[n]: per-node slot count (0 for empty)
 	secKeys       = 11 // u32s: entry arena
-	secDists      = 12 // u32s: entry arena
+	secDists      = 12 // u32s: per-entry distances (weighted oracles only)
 	secSlots      = 14 // u32s: slot arena
-	secBoundLen   = 15 // u32s[n]: |∂Γ(u)|, the boundary prefix of u's entries
+	secBoundLen   = 15 // u32s[n]: |∂Γ(u)|, the boundary tail of u's entries
 	secLPos       = 18 // u32s[|L|]: landmark table position, or ^0 for none
-	secLDist      = 19 // u32s[built·n]: full-width landmark distances
-	secLDist16    = 20 // u16s[built·n]: compact landmark distances
+	secLDist      = 19 // u32s[wide·n]: the wide landmark rows, in row order
+	secVicLvlOff  = 22 // u32s[n]: per-node level-start range start (unweighted only)
+	secVicLvlLen  = 23 // u32s[n]: per-node level-start count (unweighted only)
+	secLevels     = 24 // u32s: level-start arena (unweighted only)
+	secLWidth     = 25 // bytes[built]: each row's width in bytes, 1 or 4
+	secLDist8     = 26 // bytes[narrow·n]: the narrow landmark rows, in row order
 )
 
 // Meta flags.
 const (
 	flagScope = 1 << iota
 	flagNoLandmarkTables
-	flagNoPathData // retired distance-only build option: never written, ignored on load
-	flagCompactLandmarks
+	flagNoPathData  // retired distance-only build option: never written, ignored on load
+	_               // version 2's uint16 landmark rows; version 3 stores each row's width
 	flagScanSmaller // retired Options.ScanSmallerBoundary: never written, rejected on load
 )
 
@@ -92,9 +103,6 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	if o.opts.DisableLandmarkTables {
 		flags |= flagNoLandmarkTables
 	}
-	if o.opts.CompactLandmarkTables {
-		flags |= flagCompactLandmarks
-	}
 	meta[metaFlags] = flags
 	meta[metaNodes] = uint64(n)
 	meta[metaAlpha] = math.Float64bits(o.opts.Alpha)
@@ -119,13 +127,24 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	ow.U32s(secRadius, o.radius)
 	ow.U32s(secNearest, o.nearest)
 
-	arena, entOff, entLen, slotOff, slotLen := o.flattenedVicinities()
-	ow.U32s(secVicEntOff, entOff)
-	ow.U32s(secVicEntLen, entLen)
-	ow.U32s(secVicSlotOff, slotOff)
-	ow.U32s(secVicSlotLen, slotLen)
+	arena, flat := o.flattenedVicinities()
+	cols := make([][]uint32, 6) // entOff, entLen, slotOff, slotLen, lvlOff, lvlLen
+	for i := range cols {
+		cols[i] = make([]uint32, n)
+	}
+	for u, f := range flat {
+		r := f.Range()
+		cols[0][u], cols[1][u], cols[2][u], cols[3][u], cols[4][u], cols[5][u] =
+			r.EOff, r.ELen, r.SOff, r.SLen, r.LOff, r.LLen
+	}
+	ow.U32s(secVicEntOff, cols[0])
+	ow.U32s(secVicEntLen, cols[1])
+	ow.U32s(secVicSlotOff, cols[2])
+	ow.U32s(secVicSlotLen, cols[3])
 	ow.U32s(secKeys, arena.Keys)
-	ow.U32s(secDists, arena.Dists)
+	if !arena.Leveled {
+		ow.U32s(secDists, arena.Dists)
+	}
 	ow.U32s(secSlots, arena.Slots)
 	ow.U32s(secBoundLen, o.boundLen)
 
@@ -134,30 +153,39 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 		lpos[i] = uint32(p) // -1 round-trips as ^uint32(0)
 	}
 	ow.U32s(secLPos, lpos)
-	ow.U32Rows(secLDist, o.ldist)
-	ow.U16Rows(secLDist16, o.ldist16)
+	widths := make([]byte, len(o.lrows))
+	var wide [][]uint32
+	var narrow [][]uint8
+	for p, row := range o.lrows {
+		if row.wide != nil {
+			widths[p] = 4
+			wide = append(wide, row.wide)
+		} else {
+			widths[p] = 1
+			narrow = append(narrow, row.narrow)
+		}
+	}
+	ow.U32Rows(secLDist, wide)
+	if arena.Leveled {
+		ow.U32sBytes(secVicLvlOff, cols[4])
+		ow.U32sBytes(secVicLvlLen, cols[5])
+		ow.U32sBytes(secLevels, arena.Levels)
+	}
+	ow.Raw(secLWidth, widths)
+	ow.U8Rows(secLDist8, narrow)
 
 	return ow.Close()
 }
 
-// flattenedVicinities returns the vicinity storage as arena + per-node
-// ranges. An arena without waste is returned directly; one with holes
-// left by updates is compacted into a temporary so the file never
-// carries dead ranges.
-func (o *Oracle) flattenedVicinities() (arena *u32map.Arena, entOff, entLen, slotOff, slotLen []uint32) {
-	n := len(o.radius)
-	entOff = make([]uint32, n)
-	entLen = make([]uint32, n)
-	slotOff = make([]uint32, n)
-	slotLen = make([]uint32, n)
-	arena, flat := o.arena, o.vicFlat
-	if o.entWaste+o.slotWaste > 0 {
-		arena, flat = o.compactVicinityArena()
+// flattenedVicinities returns the vicinity storage as an arena and the
+// per-node views into it. An arena without waste is returned directly;
+// one with holes left by updates is compacted into a temporary so the
+// file never carries dead ranges.
+func (o *Oracle) flattenedVicinities() (*u32map.Arena, []u32map.Flat) {
+	if o.entWaste+o.slotWaste+o.lvlWaste > 0 {
+		return o.compactVicinityArena()
 	}
-	for u := 0; u < n; u++ {
-		entOff[u], entLen[u], slotOff[u], slotLen[u] = flat[u].Ranges()
-	}
-	return arena, entOff, entLen, slotOff, slotLen
+	return o.arena, o.vicFlat
 }
 
 // ReadOracle deserializes an oracle written by WriteOracle, verifying
@@ -197,7 +225,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		Fallback:              Fallback(meta[metaFallback]),
 		Workers:               workers,
 		DisableLandmarkTables: flags&flagNoLandmarkTables != 0,
-		CompactLandmarkTables: flags&flagCompactLandmarks != 0,
 	}
 	switch opts.Sampling {
 	case SamplingPaper, SamplingUniform, SamplingDegree, SamplingTop:
@@ -267,12 +294,14 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	arena := &u32map.Arena{}
+	arena := &u32map.Arena{Leveled: !g.Weighted()}
 	if arena.Keys, err = or.U32s(secKeys); err != nil {
 		return nil, err
 	}
-	if arena.Dists, err = or.U32s(secDists); err != nil {
-		return nil, err
+	if !arena.Leveled {
+		if arena.Dists, err = or.U32s(secDists); err != nil {
+			return nil, err
+		}
 	}
 	if arena.Slots, err = or.U32s(secSlots); err != nil {
 		return nil, err
@@ -284,11 +313,27 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	ldistF, err := or.U32s(secLDist)
+	wideF, err := or.U32s(secLDist)
 	if err != nil {
 		return nil, err
 	}
-	ldist16F, err := or.U16s(secLDist16)
+	lvlOff, lvlLen := make([]uint32, n), make([]uint32, n) // zero ranges on weighted files
+	if arena.Leveled {
+		if lvlOff, err = or.U32sBytes(secVicLvlOff); err != nil {
+			return nil, err
+		}
+		if lvlLen, err = or.U32sBytes(secVicLvlLen); err != nil {
+			return nil, err
+		}
+		if arena.Levels, err = or.U32sBytes(secLevels); err != nil {
+			return nil, err
+		}
+	}
+	widths, err := or.Raw(secLWidth)
+	if err != nil {
+		return nil, err
+	}
+	narrowF, err := or.Raw(secLDist8)
 	if err != nil {
 		return nil, err
 	}
@@ -297,36 +342,32 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		return nil, err
 	}
 
-	if err := o.restore(arena, entOff, entLen, slotOff, slotLen, lpos, ldistF, ldist16F); err != nil {
+	ranges := [][]uint32{entOff, entLen, slotOff, slotLen, lvlOff, lvlLen}
+	if err := o.restore(arena, ranges, lpos, widths, wideF, narrowF); err != nil {
 		return nil, err
 	}
 	return o, nil
 }
 
-// splitRows slices one loaded flat array into `rows` row views of
-// length n each, sharing the backing array (no copy; updates replace
-// whole rows, never splice them).
-func splitRows[T uint16 | uint32](flat []T, rows, n int) [][]T {
-	out := make([][]T, rows)
-	for p := 0; p < rows; p++ {
-		out[p] = flat[p*n : (p+1)*n : (p+1)*n]
-	}
-	return out
-}
-
 // restore validates the deserialized arrays and rebuilds the derived
 // in-memory state (landmark index, per-node views, per-landmark table
-// rows, workspace pool).
-func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, lpos []uint32,
-	ldistF []uint32, ldist16F []uint16) error {
+// rows, workspace pool). ranges holds the per-node columns entOff,
+// entLen, slotOff, slotLen, lvlOff and lvlLen.
+func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
+	widths []byte, wideF []uint32, narrowF []byte) error {
 	n := o.g.NumNodes()
 	if len(o.radius) != n || len(o.nearest) != n {
 		return fmt.Errorf("%w: radius/nearest length", ErrBadOracleFile)
 	}
-	if len(entOff) != n || len(entLen) != n || len(slotOff) != n || len(slotLen) != n || len(o.boundLen) != n {
-		return fmt.Errorf("%w: vicinity range arrays", ErrBadOracleFile)
+	for _, col := range ranges {
+		if len(col) != n {
+			return fmt.Errorf("%w: vicinity range arrays", ErrBadOracleFile)
+		}
 	}
-	if len(arena.Dists) != len(arena.Keys) {
+	if len(o.boundLen) != n {
+		return fmt.Errorf("%w: boundary length array", ErrBadOracleFile)
+	}
+	if !arena.Leveled && len(arena.Dists) != len(arena.Keys) {
 		return fmt.Errorf("%w: entry arena arrays disagree", ErrBadOracleFile)
 	}
 
@@ -359,42 +400,49 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 		}
 	}
 
-	// Vicinity ranges, boundary prefixes and slot contents. A boundary
-	// longer than its entry range would slice past the node's entries
-	// at query time.
-	total := uint32(len(arena.Keys))
-	totalSlots := uint32(len(arena.Slots))
+	// Vicinity ranges, boundary tails, slot contents and level starts.
+	// A boundary longer than its entry range would slice past the
+	// node's entries at query time.
+	o.arena = arena
+	o.vicFlat = make([]u32map.Flat, n)
 	for u := 0; u < n; u++ {
-		el, eo := entLen[u], entOff[u]
-		if el > total || eo > total-el {
+		r := u32map.Range{
+			EOff: ranges[0][u], ELen: ranges[1][u],
+			SOff: ranges[2][u], SLen: ranges[3][u],
+			LOff: ranges[4][u], LLen: ranges[5][u],
+		}
+		el := r.ELen
+		if !within(r.EOff, el, len(arena.Keys)) {
 			return fmt.Errorf("%w: node %d entry range", ErrBadOracleFile, u)
 		}
 		if o.boundLen[u] > el {
 			return fmt.Errorf("%w: node %d boundary length %d exceeds its %d entries", ErrBadOracleFile, u, o.boundLen[u], el)
 		}
-		sl, so := slotLen[u], slotOff[u]
-		if sl > totalSlots || so > totalSlots-sl {
+		if !within(r.SOff, r.SLen, len(arena.Slots)) {
 			return fmt.Errorf("%w: node %d slot range", ErrBadOracleFile, u)
 		}
-		if el > 0 {
-			if int(sl) != u32map.IndexSize(int(el)) {
-				return fmt.Errorf("%w: node %d slot count %d for %d entries", ErrBadOracleFile, u, sl, el)
-			}
-			if !u32map.ValidIndex(arena.Slots[so:so+sl], el) {
-				return fmt.Errorf("%w: node %d slot index", ErrBadOracleFile, u)
-			}
-		} else if sl != 0 {
-			return fmt.Errorf("%w: node %d has slots without entries", ErrBadOracleFile, u)
+		if !within(r.LOff, r.LLen, len(arena.Levels)) {
+			return fmt.Errorf("%w: node %d level range", ErrBadOracleFile, u)
 		}
-	}
-
-	o.arena = arena
-	o.vicFlat = make([]u32map.Flat, n)
-	for u := 0; u < n; u++ {
-		if entLen[u] > 0 {
-			o.vicFlat[u] = arena.Hash(entOff[u], entOff[u]+entLen[u], slotOff[u], slotOff[u]+slotLen[u])
-			o.covered++
+		if el == 0 {
+			if r.SLen != 0 || r.LLen != 0 {
+				return fmt.Errorf("%w: node %d has slots or levels without entries", ErrBadOracleFile, u)
+			}
+			continue
 		}
+		if int(r.SLen) != u32map.IndexSize(int(el)) {
+			return fmt.Errorf("%w: node %d slot count %d for %d entries", ErrBadOracleFile, u, r.SLen, el)
+		}
+		if !u32map.ValidIndex(arena.Slots[r.SOff:r.SOff+r.SLen], el) {
+			return fmt.Errorf("%w: node %d slot index", ErrBadOracleFile, u)
+		}
+		if arena.Leveled {
+			if err := o.checkLevels(uint32(u), arena.Levels[r.LOff:r.LOff+r.LLen], el); err != nil {
+				return err
+			}
+		}
+		o.vicFlat[u] = arena.View(r)
+		o.covered++
 	}
 
 	// Landmark tables: positions dense in [0, built).
@@ -422,29 +470,73 @@ func (o *Oracle) restore(arena *u32map.Arena, entOff, entLen, slotOff, slotLen, 
 		}
 		seen[p] = true
 	}
-	want := uint64(built) * uint64(n)
-	if o.opts.CompactLandmarkTables {
-		if uint64(len(ldist16F)) != want || len(ldistF) != 0 {
-			return fmt.Errorf("%w: compact landmark tables", ErrBadOracleFile)
-		}
-	} else {
-		if uint64(len(ldistF)) != want || len(ldist16F) != 0 {
-			return fmt.Errorf("%w: landmark tables", ErrBadOracleFile)
+	// Rows: each width names the section its row lies in, and the
+	// sections hold exactly those rows. Rows are views into the loaded
+	// arrays, no copies; updates replace whole rows, never splice them.
+	if len(widths) != built {
+		return fmt.Errorf("%w: %d landmark row widths for %d rows", ErrBadOracleFile, len(widths), built)
+	}
+	var wideRows, narrowRows uint64
+	for p, w := range widths {
+		switch w {
+		case 1:
+			narrowRows++
+		case 4:
+			wideRows++
+		default:
+			return fmt.Errorf("%w: landmark row %d has width %d", ErrBadOracleFile, p, w)
 		}
 	}
-	// Split the flat sections into per-landmark rows (views into the
-	// loaded arrays, no copies); empty sections stay nil so accessors
-	// and Memory() treat loaded oracles exactly like built ones.
-	if len(ldistF) > 0 {
-		o.ldist = splitRows(ldistF, built, n)
+	if uint64(len(wideF)) != wideRows*uint64(n) || uint64(len(narrowF)) != narrowRows*uint64(n) {
+		return fmt.Errorf("%w: landmark row sections hold %d wide and %d narrow entries, widths want %d and %d rows of %d",
+			ErrBadOracleFile, len(wideF), len(narrowF), wideRows, narrowRows, n)
 	}
-	if len(ldist16F) > 0 {
-		o.ldist16 = splitRows(ldist16F, built, n)
+	if built > 0 {
+		o.lrows = make([]lrow, built)
+	}
+	for p, w := range widths {
+		if w == 4 {
+			o.lrows[p].wide, wideF = wideF[:n:n], wideF[n:]
+		} else {
+			o.lrows[p].narrow, narrowF = narrowF[:n:n], narrowF[n:]
+		}
 	}
 
 	o.fbPool = newWorkspacePool(o.g)
 	o.kpPool = newKPathsPool(o.g)
 	o.chain = &updateChain{}
+	return nil
+}
+
+// within reports whether the range [off, off+length) lies inside an
+// array of size words.
+func within(off, length uint32, size int) bool {
+	return uint64(off)+uint64(length) <= uint64(size)
+}
+
+// checkLevels validates one unweighted vicinity's level starts: they
+// must strictly increase inside its el entries, and its boundary must
+// be all of its last level, which is level radius(u) (a flood vicinity,
+// reaching no landmark, has no boundary).
+func (o *Oracle) checkLevels(u uint32, starts []uint32, el uint32) error {
+	if !u32map.ValidLevels(starts, el) {
+		return fmt.Errorf("%w: node %d level starts are not strictly increasing inside its %d entries", ErrBadOracleFile, u, el)
+	}
+	want := uint32(0)
+	if r := o.radius[u]; r != NoDist {
+		top := uint32(len(starts)) + 1
+		if r != top {
+			return fmt.Errorf("%w: node %d has radius %d but %d levels", ErrBadOracleFile, u, r, top)
+		}
+		last := uint32(1) // level 1 starts at entry 1
+		if len(starts) > 0 {
+			last = starts[len(starts)-1]
+		}
+		want = el - last
+	}
+	if o.boundLen[u] != want {
+		return fmt.Errorf("%w: node %d boundary of %d entries is not its last level of %d", ErrBadOracleFile, u, o.boundLen[u], want)
+	}
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"vicinity/internal/gen"
 	"vicinity/internal/graph"
 	"vicinity/internal/oraclefile"
+	"vicinity/internal/u32map"
 	"vicinity/internal/xrand"
 )
 
@@ -73,7 +74,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	g := socialGraph(91, n)
 	cases := map[string]Options{
 		"defaults":          {Seed: 91},
-		"compact-landmarks": {Seed: 91, CompactLandmarkTables: true},
+		"compact-landmarks": {Seed: 91, Alpha: 1.5}, // one-byte rows are the default; more of them here
 		"no-landmark-tabs":  {Seed: 91, DisableLandmarkTables: true},
 		"estimate-fallback": {Seed: 91, Fallback: FallbackEstimate},
 		"none-fallback":     {Seed: 91, Fallback: FallbackNone},
@@ -201,18 +202,46 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 	// checksum-valid but must fail ValidIndex on load.
 	corrupt("slot index out of range", func(o *Oracle) {
 		for u := range o.vicFlat {
-			_, el, so, sl := o.vicFlat[u].Ranges()
-			if sl == 0 {
-				continue
-			}
-			for s := so; s < so+sl; s++ {
+			r := o.vicFlat[u].Range()
+			for s := r.SOff; s < r.SOff+r.SLen; s++ {
 				if o.arena.Slots[s] != 0 {
-					o.arena.Slots[s] = el + 1 // entry index beyond the table
+					o.arena.Slots[s] = r.ELen + 1 // entry index beyond the table
 					return
 				}
 			}
 		}
 		t.Fatal("no occupied slot found to corrupt")
+	})
+	// Unweighted distances are implied by the level starts, so they must
+	// describe the entries: strictly increasing inside the entry range,
+	// ending at the radius, with the boundary as the last level.
+	leveled := func(mutate func(o *Oracle, u int, r u32map.Range)) func(o *Oracle) {
+		return func(o *Oracle) {
+			for u := range o.vicFlat {
+				if r := o.vicFlat[u].Range(); r.LLen > 0 && o.boundLen[u] > 1 {
+					mutate(o, u, r)
+					return
+				}
+			}
+			t.Fatal("no vicinity with two levels found to corrupt")
+		}
+	}
+	corrupt("level starts not increasing", leveled(func(o *Oracle, u int, r u32map.Range) {
+		o.arena.Levels[r.LOff] = 1 // level 1 would be empty
+	}))
+	corrupt("level start past the entries", leveled(func(o *Oracle, u int, r u32map.Range) {
+		o.arena.Levels[r.LOff+r.LLen-1] = r.ELen
+	}))
+	corrupt("boundary is not the last level", leveled(func(o *Oracle, u int, r u32map.Range) {
+		o.boundLen[u]--
+	}))
+	corrupt("radius is not the top level", leveled(func(o *Oracle, u int, r u32map.Range) {
+		o.radius[u]++
+	}))
+	// A row one node short leaves the narrow section out of step with
+	// the row widths.
+	corrupt("row widths disagree with the sections", func(o *Oracle) {
+		o.lrows[0].narrow = o.lrows[0].narrow[1:]
 	})
 	corrupt("landmarks unsorted", func(o *Oracle) {
 		if len(o.landmarks) >= 2 {
@@ -283,6 +312,23 @@ func TestLoadRetiredOptions(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		assertOraclesAgree(t, o, got, g.NumNodes(), 300)
+	}
+}
+
+// TestLoadRejectsVersion2 pins the format bump: a file that is valid
+// in every byte but names version 2 (per-entry distances for every
+// graph, uint16 landmark rows) fails with ErrVersion rather than being
+// misread.
+func TestLoadRejectsVersion2(t *testing.T) {
+	blob := oracleBytes(t, mustBuild(t, socialGraph(35, 200), Options{Seed: 35}))
+	if v := binary.LittleEndian.Uint16(blob[4:]); v != fileVersion {
+		t.Fatalf("header names version %d, want %d", v, fileVersion)
+	}
+	binary.LittleEndian.PutUint16(blob[4:], 2)
+	crc := crc32.Checksum(blob[:len(blob)-4], crc32.MakeTable(crc32.Castagnoli))
+	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc)
+	if _, err := ReadOracle(bytes.NewReader(blob)); !errors.Is(err, oraclefile.ErrVersion) {
+		t.Fatalf("version-2 file: got %v, want ErrVersion", err)
 	}
 }
 

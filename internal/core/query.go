@@ -167,19 +167,19 @@ func (o *Oracle) tableDistance(s, t uint32, c *Cost) (uint32, Method, uint32, er
 	// Algorithm 1 lines 5-9: scan ∂Γ(s), probing Γ(t). Lemma 1 makes
 	// boundary-only scanning sufficient.
 	if okS && okT {
-		scanKeys, scanDist := o.boundary(s)
+		scan := o.boundary(s)
 		best := NoDist
 		meet := graph.NoNode
-		for i, w := range scanKeys {
+		for i, w := range scan.Keys {
 			if dw, ok := vt.Get(w); ok {
-				if cand := satAdd(scanDist[i], dw); cand < best {
+				if cand := satAdd(scan.Dist(i), dw); cand < best {
 					best = cand
 					meet = w
 				}
 			}
 		}
-		c.Lookups += len(scanKeys)
-		c.Scanned += len(scanKeys)
+		c.Lookups += len(scan.Keys)
+		c.Scanned += len(scan.Keys)
 		if best != NoDist {
 			return best, MethodIntersection, meet, nil
 		}

@@ -13,6 +13,7 @@ import (
 	"vicinity/internal/baseline"
 	"vicinity/internal/gen"
 	"vicinity/internal/graph"
+	"vicinity/internal/u32map"
 	"vicinity/internal/xrand"
 )
 
@@ -450,32 +451,56 @@ func TestQueryEpoch(t *testing.T) {
 // cannot complete is re-searched, and keeps its exact distance when the
 // budgeted search is cut off — a budget may degrade the path, never a
 // distance the tables already resolved. Such tables are made in memory
-// by raising the stored distance of the pair's hop candidates.
+// by moving the pair's hop candidates one level away from the owner.
 func TestQueryBudgetKeepsResolvedDistance(t *testing.T) {
 	g := gen.Grid(2, 600)
 	o := mustBuild(t, g, Options{Seed: 9})
 	ctx := context.Background()
 
-	// A pair resolved from Γ(0) at distance >= 2 (budget 1 cannot cross).
-	var tgt uint32
-	var want uint32
-	found := false
-	for u := uint32(1); int(u) < g.NumNodes() && !found; u++ {
+	// A pair resolved from Γ(0) at distance >= 2 (budget 1 cannot cross)
+	// whose hop candidates — the members one level closer and adjacent to
+	// it — can each trade places with a member of its own level that is
+	// not adjacent. After the trade no neighbor of tgt sits one step
+	// closer to 0, so the walk from tgt has no first hop; d(0,tgt) itself
+	// is untouched.
+	tbl, _ := o.vicinity(0)
+	var tgt, want uint32
+	var swaps [][2]int
+	for u := uint32(1); int(u) < g.NumNodes() && swaps == nil; u++ {
 		d, m, err := queryDist(o, 0, u)
-		if err == nil && m == MethodVicinitySource && d >= 2 {
-			tgt, want, found = u, d, true
+		if err != nil || m != MethodVicinitySource || d < 2 {
+			continue
+		}
+		var cands, others []int
+		for i := 0; i < tbl.Len(); i++ {
+			k, dk := tbl.At(i)
+			switch {
+			case dk == d-1 && g.HasEdge(k, u):
+				cands = append(cands, i)
+			case dk == d && k != u && !g.HasEdge(k, u):
+				others = append(others, i)
+			}
+		}
+		if len(cands) > 0 && len(others) >= len(cands) {
+			tgt, want = u, d
+			for j, i := range cands {
+				swaps = append(swaps, [2]int{i, others[j]})
+			}
 		}
 	}
-	if !found {
+	if swaps == nil {
 		t.Fatal("no pair at distance >= 2 resolved from the corner's vicinity")
 	}
-	// No neighbor of tgt stays one step closer to 0, so the walk from
-	// tgt has no first hop; d(0,tgt) itself is untouched.
-	keys, dists := o.vicFlat[0].Entries()
-	for i, k := range keys {
-		if g.HasEdge(k, tgt) && dists[i] == want-1 {
-			dists[i] = want + 1
-		}
+	r := tbl.Range()
+	keys := o.arena.Keys[r.EOff : r.EOff+r.ELen]
+	for _, sw := range swaps {
+		keys[sw[0]], keys[sw[1]] = keys[sw[1]], keys[sw[0]]
+	}
+	slots := o.arena.Slots[r.SOff : r.SOff+r.SLen]
+	clear(slots)
+	u32map.FillIndex(slots, keys)
+	if d, _ := o.VicinityContains(0, tgt); d != want {
+		t.Fatalf("trade moved tgt: d = %d, want %d", d, want)
 	}
 	if p, ok := o.vicinityChain(0, tgt); ok {
 		t.Fatalf("walk still completes: %v", p)

@@ -78,13 +78,17 @@ func (s BuildStats) String() string {
 }
 
 // MemoryStats reports the space accounting behind §3.2's memory claims.
+// The byte counts cover every stored array: a vicinity's keys, slot
+// words and distances (per entry on weighted graphs, as level starts
+// on unweighted ones), and every landmark row at its width.
 type MemoryStats struct {
-	VicinityEntries int64 // Σ_u |Γ(u)|
-	VicinityBytes   int64
-	LandmarkEntries int64 // |L_built| · n
-	LandmarkBytes   int64
-	TotalEntries    int64
-	TotalBytes      int64
+	VicinityEntries  int64 // Σ_u |Γ(u)|
+	VicinityBytes    int64
+	LandmarkEntries  int64 // |L_built| · n
+	LandmarkBytes    int64
+	WideLandmarkRows int // rows stored at 4 bytes per node (a distance past maxNarrow)
+	TotalEntries     int64
+	TotalBytes       int64
 
 	// APSPEntries is n², the all-pairs table the paper compares against;
 	// SavingsFactor = APSPEntries / TotalEntries ("at least 550× less
@@ -113,13 +117,12 @@ func (o *Oracle) Memory() MemoryStats {
 		ms.VicinityBytes += int64(t.Bytes())
 		covered++
 	}
-	for _, row := range o.ldist {
-		ms.LandmarkEntries += int64(len(row))
-		ms.LandmarkBytes += int64(4 * len(row))
-	}
-	for _, row := range o.ldist16 {
-		ms.LandmarkEntries += int64(len(row))
-		ms.LandmarkBytes += int64(2 * len(row))
+	for _, row := range o.lrows {
+		ms.LandmarkEntries += int64(len(row.narrow) + len(row.wide))
+		ms.LandmarkBytes += int64(row.bytes())
+		if row.wide != nil {
+			ms.WideLandmarkRows++
+		}
 	}
 	ms.TotalEntries = ms.VicinityEntries + ms.LandmarkEntries
 	ms.TotalBytes = ms.VicinityBytes + ms.LandmarkBytes
@@ -136,6 +139,13 @@ func (o *Oracle) Memory() MemoryStats {
 		ms.ProjectedSavings = ms.APSPEntries / ms.ProjectedEntries
 	}
 	return ms
+}
+
+// ByteSplit renders the stored bytes and their split in one line (MB
+// are 10^6 bytes), for logs.
+func (ms MemoryStats) ByteSplit() string {
+	return fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d wide)",
+		float64(ms.TotalBytes)/1e6, float64(ms.VicinityBytes)/1e6, float64(ms.LandmarkBytes)/1e6, ms.WideLandmarkRows)
 }
 
 // String renders the memory stats in one line.

@@ -161,9 +161,7 @@ func (o *Oracle) ApplyUpdates(upd Update) (*Oracle, error) {
 	t := o.cloneForUpdate()
 	t.timings = BuildTimings{} // diagnostic of a Build call; repaired snapshots report zeros
 	t.growNodes(newG.NumNodes())
-	if err := t.repairLandmarkTables(newG, oldN, cs); err != nil {
-		return nil, err
-	}
+	t.repairLandmarkTables(newG, oldN, cs)
 	affected := t.affectedNodes(newG, oldN, cs)
 	results := t.rebuildVicinities(newG, affected)
 	if err := t.writeVicinities(affected, results); err != nil {
@@ -400,15 +398,10 @@ func (o *Oracle) cloneForUpdate() *Oracle {
 	c.boundLen = append([]uint32(nil), o.boundLen...)
 	c.vicFlat = append([]u32map.Flat(nil), o.vicFlat...)
 	c.arena = o.arena.Clone()
-	// Landmark tables: clone the outer row slices (cheap, |L| pointers)
-	// so the repair can swap in per-row clones; unimproved rows stay
+	// Landmark tables: clone the outer row slice (cheap, |L| headers)
+	// so the repair can swap in repaired rows; unimproved rows stay
 	// shared with the parent.
-	if o.ldist != nil {
-		c.ldist = append([][]uint32(nil), o.ldist...)
-	}
-	if o.ldist16 != nil {
-		c.ldist16 = append([][]uint16(nil), o.ldist16...)
-	}
+	c.lrows = append([]lrow(nil), o.lrows...)
 	return &c
 }
 
@@ -508,18 +501,20 @@ func (ws *lmRepairWS) clear() {
 // invalidation and re-settle never read a value below its old-graph
 // distance, and the closing ripple (phase C) starts from a state where
 // every value is an upper bound on the new distance, so its fixpoint is
-// exact.
-func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet) error {
-	if len(t.ldist) == 0 && len(t.ldist16) == 0 {
-		return nil
+// exact. A repaired row ends at the width it needs: a narrow row is
+// repaired in place and widens when a distance grows past maxNarrow,
+// and a wide row narrows again when it fits (packRow), so a repaired
+// row is byte-identical to a fresh build's.
+func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet) {
+	if len(t.lrows) == 0 {
+		return
 	}
 	if newG.Weighted() {
-		return t.repairLandmarkTablesWeighted(newG, oldN, cs)
+		t.repairLandmarkTablesWeighted(newG, oldN, cs)
+		return
 	}
 	newN := newG.NumNodes()
 	grow := newN > oldN
-	compact := t.ldist16 != nil
-	overflow := make([]bool, len(t.lpos))
 	parallelFor(t.opts.Workers, len(t.lpos), func(int) any {
 		return newLmRepairWS(newN)
 	}, func(state any, li int) {
@@ -529,28 +524,8 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 		if pos < 0 {
 			return
 		}
-		var row32 []uint32
-		var row16 []uint16
-		if compact {
-			row16 = t.ldist16[pos]
-		} else {
-			row32 = t.ldist[pos]
-		}
-		read := func(v uint32) uint32 {
-			if compact {
-				if int(v) >= len(row16) {
-					return NoDist
-				}
-				if d := row16[v]; d != compactUnreachable {
-					return uint32(d)
-				}
-				return NoDist
-			}
-			if int(v) >= len(row32) {
-				return NoDist
-			}
-			return row32[v]
-		}
+		old := t.lrows[pos]
+		read := old.reader()
 		// A new edge {u,v} improves this row iff one endpoint's distance
 		// can relax through the other; a deleted edge was load-bearing iff
 		// it was tight (|du - dv| == 1: the farther endpoint may have
@@ -575,186 +550,178 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 				break
 			}
 		}
-		if !insImproved && !delTouched && !grow {
-			return
-		}
-		// Materialize a mutable copy of the row, regrown for added nodes
-		// (older snapshots keep reading the original). Workers write
-		// distinct pos elements, so assigning into the shared outer
-		// slices is race-free.
-		if compact {
-			nr := make([]uint16, newN)
-			copy(nr, row16)
-			for i := len(row16); i < newN; i++ {
-				nr[i] = compactUnreachable
-			}
-			row16, t.ldist16[pos] = nr, nr
-		} else {
-			nr := make([]uint32, newN)
-			copy(nr, row32)
-			for i := len(row32); i < newN; i++ {
-				nr[i] = NoDist
-			}
-			row32, t.ldist[pos] = nr, nr
-		}
 		if !insImproved && !delTouched {
+			if grow {
+				t.lrows[pos] = old.grown(newN)
+			}
 			return
 		}
-		set := func(v, d uint32) bool {
-			if compact {
-				switch {
-				case d == NoDist:
-					row16[v] = compactUnreachable
-				case d >= uint32(compactUnreachable):
-					overflow[li] = true
+		// Repair a copy of the row, regrown for added nodes (older
+		// snapshots keep reading the original), at the row's own width.
+		// A narrow row whose new distances outgrow a byte is repaired
+		// again at full width. Workers write distinct pos elements, so
+		// assigning into the shared outer slice is race-free.
+		if old.wide == nil {
+			row := newNarrowRow(newN).narrow
+			copy(row, old.narrow)
+			if repairRow(row, unreachable8, newG, cs, ws, delTouched) {
+				t.lrows[pos] = lrow{narrow: row}
+				return
+			}
+			ws.clear()
+		}
+		row := make([]uint32, newN)
+		old.expand(row)
+		repairRow(row, NoDist, newG, cs, ws, delTouched)
+		t.lrows[pos] = packRow(row)
+	})
+}
+
+// repairRow runs the three-phase repair on one unweighted landmark row,
+// stored at either width with the given unreachable value, and reports
+// false — leaving the row half repaired — when a new distance does not
+// fit the width.
+func repairRow[T uint8 | uint32](row []T, unreachable T, newG *graph.Graph, cs *changeSet, ws *lmRepairWS, delTouched bool) bool {
+	get := func(v uint32) uint32 {
+		if d := row[v]; d != unreachable {
+			return uint32(d)
+		}
+		return NoDist
+	}
+	set := func(v, d uint32) bool {
+		switch {
+		case d == NoDist:
+			row[v] = unreachable
+		case d >= uint32(unreachable):
+			return false
+		default:
+			row[v] = T(d)
+		}
+		return true
+	}
+
+	// Phase A: level-monotone invalidation. Seeds are the farther
+	// endpoints of tight deleted edges (a superset of the nodes whose
+	// parent edge died); dependents enqueue one level up, so by the
+	// time a level is processed every node below it has its final
+	// verdict and the support test is sound.
+	if delTouched {
+		for _, e := range cs.del {
+			du, dv := get(e.u), get(e.v)
+			if du != NoDist && dv == du+1 && ws.mark[e.v] == 0 {
+				ws.mark[e.v] = lmPending
+				ws.touched = append(ws.touched, e.v)
+				ws.pushBucket(e.v, int(dv))
+			}
+			if dv != NoDist && du == dv+1 && ws.mark[e.u] == 0 {
+				ws.mark[e.u] = lmPending
+				ws.touched = append(ws.touched, e.u)
+				ws.pushBucket(e.u, int(du))
+			}
+		}
+		for lvl := ws.bLo; lvl <= ws.bHi; lvl++ {
+			bucket := ws.buckets[lvl]
+			lw := uint32(lvl)
+			for _, w := range bucket {
+				supported := false
+				for _, y := range newG.Neighbors(w) {
+					if get(y) == lw-1 && ws.mark[y] != lmInvalid {
+						supported = true
+						break
+					}
+				}
+				if supported {
+					ws.mark[w] = lmSupported
+					continue
+				}
+				ws.mark[w] = lmInvalid
+				ws.inval = append(ws.inval, w)
+				for _, y := range newG.Neighbors(w) {
+					if get(y) == lw+1 && ws.mark[y] == 0 {
+						ws.mark[y] = lmPending
+						ws.touched = append(ws.touched, y)
+						ws.pushBucket(y, lvl+1)
+					}
+				}
+			}
+		}
+	}
+
+	// Phase B: re-settle the invalidated region by a multi-seed
+	// level-bucket BFS from its surviving frontier. Nodes no frontier
+	// reaches keep NoDist — they are newly unreachable.
+	if len(ws.inval) > 0 {
+		for _, a := range ws.inval {
+			set(a, NoDist)
+		}
+		ws.resetBuckets()
+		for _, a := range ws.inval {
+			best := NoDist
+			for _, y := range newG.Neighbors(a) {
+				if dy := get(y); dy != NoDist && dy+1 < best {
+					best = dy + 1
+				}
+			}
+			if best != NoDist {
+				if !set(a, best) {
 					return false
-				default:
-					row16[v] = uint16(d)
 				}
-			} else {
-				row32[v] = d
+				ws.pushBucket(a, int(best))
 			}
-			return true
 		}
-
-		// Phase A: level-monotone invalidation. Seeds are the farther
-		// endpoints of tight deleted edges (a superset of the nodes whose
-		// parent edge died); dependents enqueue one level up, so by the
-		// time a level is processed every node below it has its final
-		// verdict and the support test is sound.
-		if delTouched {
-			for _, e := range cs.del {
-				du, dv := read(e.u), read(e.v)
-				if du != NoDist && dv == du+1 && ws.mark[e.v] == 0 {
-					ws.mark[e.v] = lmPending
-					ws.touched = append(ws.touched, e.v)
-					ws.pushBucket(e.v, int(dv))
+		for lvl := ws.bLo; lvl <= ws.bHi; lvl++ {
+			bucket := ws.buckets[lvl]
+			lw := uint32(lvl)
+			for _, w := range bucket {
+				if get(w) != lw {
+					continue // superseded by a better settle
 				}
-				if dv != NoDist && du == dv+1 && ws.mark[e.u] == 0 {
-					ws.mark[e.u] = lmPending
-					ws.touched = append(ws.touched, e.u)
-					ws.pushBucket(e.u, int(du))
-				}
-			}
-			for lvl := ws.bLo; lvl <= ws.bHi; lvl++ {
-				bucket := ws.buckets[lvl]
-				lw := uint32(lvl)
-				for _, w := range bucket {
-					supported := false
-					for _, y := range newG.Neighbors(w) {
-						if read(y) == lw-1 && ws.mark[y] != lmInvalid {
-							supported = true
-							break
+				for _, y := range newG.Neighbors(w) {
+					if ws.mark[y] == lmInvalid && get(y) > lw+1 {
+						if !set(y, lw+1) {
+							return false
 						}
-					}
-					if supported {
-						ws.mark[w] = lmSupported
-						continue
-					}
-					ws.mark[w] = lmInvalid
-					ws.inval = append(ws.inval, w)
-					for _, y := range newG.Neighbors(w) {
-						if read(y) == lw+1 && ws.mark[y] == 0 {
-							ws.mark[y] = lmPending
-							ws.touched = append(ws.touched, y)
-							ws.pushBucket(y, lvl+1)
-						}
+						ws.pushBucket(y, lvl+1)
 					}
 				}
 			}
 		}
+	}
 
-		// Phase B: re-settle the invalidated region by a multi-seed
-		// level-bucket BFS from its surviving frontier. Nodes no frontier
-		// reaches keep NoDist — they are newly unreachable.
-		if len(ws.inval) > 0 {
-			for _, a := range ws.inval {
-				set(a, NoDist)
-			}
-			ws.resetBuckets()
-			for _, a := range ws.inval {
-				best := NoDist
-				for _, y := range newG.Neighbors(a) {
-					if dy := read(y); dy != NoDist && dy+1 < best {
-						best = dy + 1
-					}
-				}
-				if best != NoDist {
-					if !set(a, best) {
-						return
-					}
-					ws.pushBucket(a, int(best))
-				}
-			}
-			for lvl := ws.bLo; lvl <= ws.bHi; lvl++ {
-				bucket := ws.buckets[lvl]
-				lw := uint32(lvl)
-				for _, w := range bucket {
-					if read(w) != lw {
-						continue // superseded by a better settle
-					}
-					for _, y := range newG.Neighbors(w) {
-						if ws.mark[y] == lmInvalid && read(y) > lw+1 {
-							if !set(y, lw+1) {
-								return
-							}
-							ws.pushBucket(y, lvl+1)
-						}
-					}
-				}
-			}
-		}
-
-		// Phase C: the incremental ripple. Seeded by the inserted edges
-		// and the whole re-settled region: every value is an upper bound
-		// on its new distance here, so relax-only-downward converges to
-		// the exact fixpoint even when inserts and deletes interact.
-		q := ws.q
-		q.Reset()
-		relax := func(from, to uint32) bool {
-			df := read(from)
-			if df == NoDist {
-				return true
-			}
-			if dt := read(to); dt == NoDist || dt > df+1 {
+	// Phase C: the incremental ripple. Seeded by the inserted edges
+	// and the whole re-settled region: every value is an upper bound
+	// on its new distance here, so relax-only-downward converges to
+	// the exact fixpoint even when inserts and deletes interact.
+	q := ws.q
+	q.Reset()
+	relax := func(from, to uint32) bool {
+		if df := get(from); df != NoDist {
+			if dt := get(to); dt == NoDist || dt > df+1 {
 				if !set(to, df+1) {
 					return false
 				}
 				q.Push(to)
 			}
-			return true
 		}
-		for _, e := range cs.ins {
-			if !relax(e[0], e[1]) || !relax(e[1], e[0]) {
-				return
-			}
-		}
-		for _, a := range ws.inval {
-			q.Push(a)
-		}
-		for !q.Empty() {
-			x := q.Pop()
-			dx := read(x)
-			if dx == NoDist {
-				continue
-			}
-			for _, y := range newG.Neighbors(x) {
-				if dy := read(y); dy == NoDist || dy > dx+1 {
-					if !set(y, dx+1) {
-						return
-					}
-					q.Push(y)
-				}
-			}
-		}
-	})
-	for li, bad := range overflow {
-		if bad {
-			return fmt.Errorf("core: CompactLandmarkTables: updated distance from landmark %d exceeds %d",
-				t.landmarks[li], compactUnreachable-1)
+		return true
+	}
+	for _, e := range cs.ins {
+		if !relax(e[0], e[1]) || !relax(e[1], e[0]) {
+			return false
 		}
 	}
-	return nil
+	for _, a := range ws.inval {
+		q.Push(a)
+	}
+	for !q.Empty() {
+		x := q.Pop()
+		for _, y := range newG.Neighbors(x) {
+			if !relax(x, y) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // repairLandmarkTablesWeighted repairs weighted rows by a tightness
@@ -763,39 +730,17 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 // symmetry), a weight decrease only if it improves one endpoint through
 // the other. Rows failing every test are provably identical. Affected
 // rows are recomputed by one Dijkstra, exactly as the offline build
-// does.
-func (t *Oracle) repairLandmarkTablesWeighted(newG *graph.Graph, oldN int, cs *changeSet) error {
+// does, and stored at the width they need.
+func (t *Oracle) repairLandmarkTablesWeighted(newG *graph.Graph, oldN int, cs *changeSet) {
 	newN := newG.NumNodes()
 	grow := newN > oldN
-	compact := t.ldist16 != nil
-	overflow := make([]bool, len(t.lpos))
 	parallelFor(t.opts.Workers, len(t.lpos), func(int) any { return nil }, func(_ any, li int) {
 		pos := t.lpos[li]
 		if pos < 0 {
 			return
 		}
-		var row32 []uint32
-		var row16 []uint16
-		if compact {
-			row16 = t.ldist16[pos]
-		} else {
-			row32 = t.ldist[pos]
-		}
-		read := func(v uint32) uint32 {
-			if compact {
-				if int(v) >= len(row16) {
-					return NoDist
-				}
-				if d := row16[v]; d != compactUnreachable {
-					return uint32(d)
-				}
-				return NoDist
-			}
-			if int(v) >= len(row32) {
-				return NoDist
-			}
-			return row32[v]
-		}
+		old := t.lrows[pos]
+		read := old.reader()
 		tight := func(u, v, w uint32) bool {
 			du, dv := read(u), read(v)
 			return du != NoDist && dv != NoDist &&
@@ -829,53 +774,14 @@ func (t *Oracle) repairLandmarkTablesWeighted(newG *graph.Graph, oldN int, cs *c
 				}
 			}
 		}
-		if !affected {
-			if grow {
-				// Pure growth: extend the row with unreachable new nodes.
-				if compact {
-					nr := make([]uint16, newN)
-					copy(nr, row16)
-					for i := len(row16); i < newN; i++ {
-						nr[i] = compactUnreachable
-					}
-					t.ldist16[pos] = nr
-				} else {
-					nr := make([]uint32, newN)
-					copy(nr, row32)
-					for i := len(row32); i < newN; i++ {
-						nr[i] = NoDist
-					}
-					t.ldist[pos] = nr
-				}
-			}
-			return
-		}
-		tr := traverse.Dijkstra(newG, t.landmarks[li])
-		if compact {
-			cr := make([]uint16, newN)
-			for v, d := range tr.Dist {
-				switch {
-				case d == NoDist:
-					cr[v] = compactUnreachable
-				case d >= uint32(compactUnreachable):
-					overflow[li] = true
-					return
-				default:
-					cr[v] = uint16(d)
-				}
-			}
-			t.ldist16[pos] = cr
-		} else {
-			t.ldist[pos] = tr.Dist // adopt the traversal's array
+		switch {
+		case affected:
+			t.lrows[pos] = packRow(traverse.Dijkstra(newG, t.landmarks[li]).Dist)
+		case grow:
+			// Pure growth: extend the row with unreachable new nodes.
+			t.lrows[pos] = old.grown(newN)
 		}
 	})
-	for li, bad := range overflow {
-		if bad {
-			return fmt.Errorf("core: CompactLandmarkTables: updated distance from landmark %d exceeds %d",
-				t.landmarks[li], compactUnreachable-1)
-		}
-	}
-	return nil
 }
 
 // affectedNodes returns every node whose vicinity state may differ
@@ -1054,7 +960,7 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 			}
 		}
 		search(newG, downEps)
-		t.classifyDeletions(oldG, newG, cs.del, rmax, add)
+		t.classifyDeletions(oldG, cs.del, rmax, add)
 	}
 
 	// Flood vicinities hold their whole component, so membership of any
@@ -1085,20 +991,18 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 // trigger is sharper. With du = d_old(x,u), dv = d_old(x,v) for a
 // deleted edge {u,v}:
 //
-//   - du == dv: the edge lies on no shortest path from x, is never a
-//     BFS discovery or parent edge (level-r members are recorded but
-//     not expanded), and — being member↔member when inside the ball —
-//     cannot change any member's has-a-neighbor-outside status. The
-//     stored trace is bit-identical to a fresh build; skip.
+//   - du == dv: the edge lies on no shortest path from x and is never
+//     a BFS discovery or parent edge (level-r members are recorded but
+//     not expanded). The stored trace is bit-identical to a fresh
+//     build; skip.
 //   - max(du,dv) <= r(x) and du != dv: a tight in-ball edge; distances,
 //     membership or radius may all change. Rebuild.
-//   - min(du,dv) <= r(x) < max(du,dv): no in-ball distance can change
-//     (a rerouted member would need the far endpoint as an in-ball
-//     intermediate), but the near endpoint — a level-r member — lost
-//     an outside neighbor and may drop off the boundary list. That is
-//     decidable exactly from stored state: recompute its boundary
-//     predicate against the stored member set (probeBoundary) and
-//     rebuild only on a flip.
+//   - min(du,dv) <= r(x) < max(du,dv): the edge joins a level-r member
+//     to a node outside the ball. Level r is not expanded, so the
+//     discovery order is unchanged, no in-ball distance can change (a
+//     rerouted member would need the far endpoint as an in-ball
+//     intermediate), and the boundary is all of level r whatever its
+//     members' outside neighbors. Skip.
 //
 // Per-edge truncated BFS pairs on the OLD graph supply du and dv
 // (unreached within rmax ⇒ farther than every radius ⇒ NoDist, which
@@ -1112,11 +1016,9 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 // Correctness under batches: marks are a union. If x's final trace
 // differs, take the closest member y whose distance changed — the old
 // shortest path to y breaks at some deleted edge strictly inside the
-// old ball, and that edge classifies as rebuild for x; pure boundary
-// flips are caught by the probe, which tests the post-batch adjacency.
-// Insertions in the same batch mark x through the new-graph search
+// old ball, and that edge classifies as rebuild for x. Insertions in the same batch mark x through the new-graph search
 // above whenever they could interact with the stored ball.
-func (t *Oracle) classifyDeletions(oldG, newG *graph.Graph, del []delEdge, rmax uint32, add func(uint32)) {
+func (t *Oracle) classifyDeletions(oldG *graph.Graph, del []delEdge, rmax uint32, add func(uint32)) {
 	if len(del) == 0 {
 		return
 	}
@@ -1163,55 +1065,13 @@ func (t *Oracle) classifyDeletions(oldG, newG *graph.Graph, del []delEdge, rmax 
 			if mv.Has(x) {
 				dv = mv.Dist(x)
 			}
-			lo, hi, near := du, dv, e.u
-			if dv < du {
-				lo, hi, near = dv, du, e.v
+			lo, hi := min(du, dv), max(du, dv)
+			// Rebuild only on a tight in-ball edge; r == NoDist (a flood
+			// vicinity) holds every reached node.
+			if r := t.radius[x]; hi <= r && lo != hi {
+				add(x)
 			}
-			r := t.radius[x]
-			if lo > r {
-				continue
-			}
-			if hi <= r { // includes flood vicinities: r == NoDist
-				if lo != hi {
-					add(x)
-				}
-				continue
-			}
-			t.probeBoundary(x, near, newG, add)
 		}
-	}
-}
-
-// probeBoundary re-evaluates member k's boundary predicate for node x's
-// stored vicinity — does k still have a neighbor outside Γ(x) in the
-// new graph? — and marks x for rebuild only when the answer differs
-// from the stored boundary list. Valid precisely when nothing else
-// about Γ(x) changes (classifyDeletions' straddling case): the stored
-// member set then equals the fresh ball, so the probe recomputes
-// exactly the fresh build's boundary test for k.
-func (t *Oracle) probeBoundary(x, k uint32, newG *graph.Graph, add func(uint32)) {
-	vic, ok := t.vicinity(x)
-	if !ok {
-		add(x) // landmark or out-of-scope: add() filters these anyway
-		return
-	}
-	newOutside := false
-	for _, nb := range newG.Neighbors(k) {
-		if _, in := vic.Get(nb); !in {
-			newOutside = true
-			break
-		}
-	}
-	oldBoundary := false
-	bk, _ := t.boundary(x)
-	for _, b := range bk {
-		if b == k {
-			oldBoundary = true
-			break
-		}
-	}
-	if newOutside != oldBoundary {
-		add(x)
 	}
 }
 
@@ -1236,10 +1096,11 @@ func (t *Oracle) rebuildVicinities(newG *graph.Graph, affected []uint32) []vicRe
 }
 
 // writeVicinities installs the recomputed vicinities (boundary members
-// first, as built) by appending them to the arena: old snapshots may
+// last, as built) by appending them to the arena: old snapshots may
 // still read the superseded ranges, which only count as waste.
 func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
-	entries, slots := uint64(t.arena.NumEntries()), uint64(len(t.arena.Slots))
+	a := t.arena
+	entries, slots, levels := uint64(len(a.Keys)), uint64(len(a.Slots)), uint64(len(a.Levels))
 	for i, x := range affected {
 		nEnt := len(results[i].keys)
 		if nEnt > u32map.MaxFlatEntries {
@@ -1248,16 +1109,18 @@ func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
 		}
 		entries += uint64(nEnt)
 		slots += uint64(u32map.IndexSize(nEnt))
+		levels += uint64(len(results[i].levels))
 	}
-	if err := checkArenaCapacity(entries, slots); err != nil {
+	if err := checkArenaCapacity(entries, slots, levels); err != nil {
 		return err
 	}
 	for i, x := range affected {
 		res := &results[i]
 		if old := t.vicFlat[x]; old.Len() > 0 {
-			_, el, _, sl := old.Ranges()
-			t.entWaste += uint64(el)
-			t.slotWaste += uint64(sl)
+			r := old.Range()
+			t.entWaste += uint64(r.ELen)
+			t.slotWaste += uint64(r.SLen)
+			t.lvlWaste += uint64(r.LLen)
 		} else {
 			t.covered++
 		}
@@ -1265,14 +1128,21 @@ func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
 		t.nearest[x] = res.nearest
 		t.boundLen[x] = res.boundLen
 
-		nEnt := len(res.keys)
-		eOff := t.arena.AllocEntries(nEnt)
-		copy(t.arena.Keys[eOff:eOff+uint32(nEnt)], res.keys)
-		copy(t.arena.Dists[eOff:eOff+uint32(nEnt)], res.dists)
-		sLen := uint32(u32map.IndexSize(nEnt))
-		sOff := t.arena.AllocSlots(int(sLen))
-		u32map.FillIndex(t.arena.Slots[sOff:sOff+sLen], t.arena.Keys[eOff:eOff+uint32(nEnt)])
-		t.vicFlat[x] = t.arena.Hash(eOff, eOff+uint32(nEnt), sOff, sOff+sLen)
+		r := u32map.Range{
+			ELen: uint32(len(res.keys)),
+			SLen: uint32(u32map.IndexSize(len(res.keys))),
+			LLen: uint32(len(res.levels)),
+		}
+		r.EOff = a.AllocEntries(int(r.ELen))
+		copy(a.Keys[r.EOff:], res.keys)
+		if !a.Leveled {
+			copy(a.Dists[r.EOff:], res.dists)
+		}
+		r.SOff = a.AllocSlots(int(r.SLen))
+		u32map.FillIndex(a.Slots[r.SOff:r.SOff+r.SLen], a.Keys[r.EOff:r.EOff+r.ELen])
+		r.LOff = a.AllocLevels(int(r.LLen))
+		copy(a.Levels[r.LOff:], res.levels)
+		t.vicFlat[x] = a.View(r)
 	}
 	return nil
 }
@@ -1282,27 +1152,35 @@ func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
 // fresh allocations, so snapshots still serving the old layout are
 // unaffected.
 func (t *Oracle) maybeCompact() {
-	waste := t.entWaste + t.slotWaste
-	if waste > 0 && 2*waste > uint64(t.arena.NumEntries()+len(t.arena.Slots)) {
+	a := t.arena
+	waste := t.entWaste + t.slotWaste + t.lvlWaste
+	if waste > 0 && 2*waste > uint64(len(a.Keys)+len(a.Slots)+len(a.Levels)) {
 		t.arena, t.vicFlat = t.compactVicinityArena()
-		t.entWaste, t.slotWaste = 0, 0
+		t.entWaste, t.slotWaste, t.lvlWaste = 0, 0, 0
 	}
 }
 
-// compactVicinityArena copies every live vicinity into a fresh arena in
-// node order and returns it with the corresponding views. Read-only on
-// the oracle (persistence uses it to write waste-free files).
+// compactVicinityArena copies every live vicinity into a fresh arena of
+// the same kind in node order and returns it with the corresponding
+// views. Read-only on the oracle (persistence uses it to write
+// waste-free files).
 func (o *Oracle) compactVicinityArena() (*u32map.Arena, []u32map.Flat) {
-	var totalEnt, totalSlot int
+	var total u32map.Range
 	for u := range o.vicFlat {
-		_, el, _, sl := o.vicFlat[u].Ranges()
-		totalEnt += int(el)
-		totalSlot += int(sl)
+		r := o.vicFlat[u].Range()
+		total.ELen += r.ELen
+		total.SLen += r.SLen
+		total.LLen += r.LLen
 	}
 	na := &u32map.Arena{
-		Keys:  make([]uint32, 0, totalEnt),
-		Dists: make([]uint32, 0, totalEnt),
-		Slots: make([]uint32, 0, totalSlot),
+		Keys:    make([]uint32, 0, total.ELen),
+		Slots:   make([]uint32, 0, total.SLen),
+		Leveled: o.arena.Leveled,
+	}
+	if na.Leveled {
+		na.Levels = make([]uint32, 0, total.LLen)
+	} else {
+		na.Dists = make([]uint32, 0, total.ELen)
 	}
 	flat := make([]u32map.Flat, len(o.vicFlat))
 	for u := range o.vicFlat {

@@ -35,8 +35,8 @@ func randomBatch(r *xrand.Rand, n int) Update {
 // assertSameStructure checks that an updated oracle is structurally
 // identical to `want` (a fresh build on the same graph with the same
 // landmark set): radii, nearest landmarks, vicinity entries in order
-// (so boundary prefixes too), boundary sizes, and landmark distance
-// tables. Nothing else is stored, so with equal structure the two
+// (so level starts and boundary tails too), boundary sizes, and
+// landmark distance tables with their widths. Nothing else is stored, so with equal structure the two
 // oracles derive the same paths.
 func assertSameStructure(t *testing.T, got, want *Oracle) {
 	t.Helper()
@@ -74,14 +74,13 @@ func assertSameStructure(t *testing.T, got, want *Oracle) {
 				}
 			}
 		}
-		gk, gd := got.boundary(u)
-		wk, wd := want.boundary(u)
-		if len(gk) != len(wk) {
-			t.Fatalf("node %d: boundary size %d vs %d", u, len(gk), len(wk))
+		gb, wb := got.boundary(u), want.boundary(u)
+		if len(gb.Keys) != len(wb.Keys) {
+			t.Fatalf("node %d: boundary size %d vs %d", u, len(gb.Keys), len(wb.Keys))
 		}
-		for i := range wk {
-			if gk[i] != wk[i] || gd[i] != wd[i] {
-				t.Fatalf("node %d: boundary[%d] %d/%d vs %d/%d", u, i, gk[i], gd[i], wk[i], wd[i])
+		for i := range wb.Keys {
+			if gb.Keys[i] != wb.Keys[i] || gb.Dist(i) != wb.Dist(i) {
+				t.Fatalf("node %d: boundary[%d] %d/%d vs %d/%d", u, i, gb.Keys[i], gb.Dist(i), wb.Keys[i], wb.Dist(i))
 			}
 		}
 	}
@@ -91,6 +90,9 @@ func assertSameStructure(t *testing.T, got, want *Oracle) {
 		}
 		if want.lpos[li] < 0 {
 			continue
+		}
+		if gw, ww := got.lrows[got.lpos[li]].wide != nil, want.lrows[want.lpos[li]].wide != nil; gw != ww {
+			t.Fatalf("landmark %d: row is wide = %v, want %v", li, gw, ww)
 		}
 		for v := uint32(0); int(v) < n; v++ {
 			if g, w := got.landmarkDist(int32(li), v), want.landmarkDist(int32(li), v); g != w {
@@ -172,7 +174,7 @@ func assertGroundTruth(t *testing.T, o *Oracle, sources int) {
 // fresh build.
 func TestUpdateOptionMatrix(t *testing.T) {
 	cases := map[string]Options{
-		"compact-landmarks": {Seed: 3, CompactLandmarkTables: true},
+		"compact-landmarks": {Seed: 3, Alpha: 1.5}, // one-byte rows are the default; more of them here
 		"no-landmark-tabs":  {Seed: 3, DisableLandmarkTables: true},
 		"fallback-none":     {Seed: 3, Fallback: FallbackNone},
 		"fallback-estimate": {Seed: 3, Fallback: FallbackEstimate},
@@ -359,7 +361,7 @@ func TestUpdatePersistRoundTrip(t *testing.T) {
 	got := roundTrip(t, o)
 	assertOraclesAgree(t, o, got, o.Graph().NumNodes(), 1500)
 	assertSameStructure(t, got, o)
-	if got.entWaste != 0 || got.slotWaste != 0 {
+	if got.entWaste != 0 || got.slotWaste != 0 || got.lvlWaste != 0 {
 		t.Fatal("loaded oracle carries waste")
 	}
 }
@@ -389,8 +391,8 @@ func TestUpdateCompactionBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		o = next
-		waste := o.entWaste + o.slotWaste
-		total := uint64(o.arena.NumEntries() + len(o.arena.Slots))
+		waste := o.entWaste + o.slotWaste + o.lvlWaste
+		total := uint64(o.arena.NumEntries() + len(o.arena.Slots) + len(o.arena.Levels))
 		if 2*waste > total {
 			t.Fatalf("step %d: waste %d above half of %d", step, waste, total)
 		}

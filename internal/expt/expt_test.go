@@ -124,8 +124,12 @@ func TestTable3(t *testing.T) {
 	if row.AvgLookups <= 0 || row.WorstLookups < int(row.AvgLookups) {
 		t.Errorf("lookup accounting: %+v", row)
 	}
-	if row.OracleTime <= 0 || row.BiBFSTime <= 0 || row.BFSTime <= 0 {
+	if row.OracleTime <= 0 || row.TableOnlyTime <= 0 || row.BiBFSTime <= 0 || row.BFSTime <= 0 {
 		t.Errorf("times not measured: %+v", row)
+	}
+	// "ours" times exact answers to every pair, not table misses.
+	if row.Exact != 1 {
+		t.Errorf("%.4f of PolicyFull pairs answered exactly, want all", row.Exact)
 	}
 	// At full bench scale this is ≥ 0.95 (paper: 99.9%); the quick-test
 	// graph is tiny, so use a loose floor.
@@ -238,8 +242,11 @@ func TestScaling(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.OracleTime <= 0 || r.BiBFSTime <= 0 {
+		if r.OracleTime <= 0 || r.TableOnlyTime <= 0 || r.BiBFSTime <= 0 {
 			t.Errorf("times missing: %+v", r)
+		}
+		if r.Exact != 1 {
+			t.Errorf("n=%d: %.4f of PolicyFull pairs answered exactly, want all", r.Nodes, r.Exact)
 		}
 	}
 	if s := RenderScaling("DBLP", rows); !strings.Contains(s, "speedup") {

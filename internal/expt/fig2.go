@@ -132,9 +132,27 @@ func BoundaryCDF(d Dataset, cfg Config) ([]BoundaryPoint, error) {
 		if o.IsLandmark(u) {
 			continue
 		}
-		fracs = append(fracs, float64(o.BoundarySize(u))/n)
+		fracs = append(fracs, float64(paperBoundarySize(o, u))/n)
 	}
 	return stats.CDF(fracs), nil
+}
+
+// paperBoundarySize counts ∂Γ(u) as the paper defines it: the members
+// of Γ(u) with a neighbor outside Γ(u). On unweighted graphs the oracle
+// scans a superset, all of the last BFS level (see
+// core.Oracle.BoundarySize), so the figure counts the members itself.
+func paperBoundarySize(o *core.Oracle, u uint32) int {
+	g := o.Graph()
+	count := 0
+	o.ForEachVicinityMember(u, func(v, _ uint32) {
+		for _, w := range g.Neighbors(v) {
+			if _, in := o.VicinityContains(u, w); !in {
+				count++
+				return
+			}
+		}
+	})
+	return count
 }
 
 // RenderBoundaryCDF renders Figure 2(center) at fixed quantiles.

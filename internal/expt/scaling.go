@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -13,16 +12,20 @@ import (
 // ScalingRow is experiment S1: the paper's §3.2/§5 claim that the
 // technique's relative performance improves with network size.
 type ScalingRow struct {
-	Nodes      int
-	Edges      int
-	OracleTime time.Duration
-	BiBFSTime  time.Duration
-	Speedup    float64
-	Resolved   float64
+	Nodes         int
+	Edges         int
+	OracleTime    time.Duration // average per query under PolicyFull: every pair answered exactly
+	TableOnlyTime time.Duration // average per query under PolicyTableOnly: misses get no answer
+	BiBFSTime     time.Duration
+	Speedup       float64 // BiBFSTime / OracleTime
+	Resolved      float64
+	Exact         float64 // fraction of pairs answered exactly under PolicyFull
 }
 
 // Scaling runs S1: one profile generated at increasing sizes, measuring
-// the oracle-vs-BiBFS speedup at each size.
+// the oracle-vs-BiBFS speedup at each size. The oracle's time answers
+// every pair exactly (PolicyFull); the table-only time is reported
+// beside it.
 func Scaling(p gen.Profile, sizes []int, cfg Config) ([]ScalingRow, error) {
 	var rows []ScalingRow
 	for i, n := range sizes {
@@ -39,28 +42,20 @@ func Scaling(p gen.Profile, sizes []int, cfg Config) ([]ScalingRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scaling %s: %w", d.Name, err)
 		}
-		var pairs [][2]uint32
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				pairs = append(pairs, [2]uint32{nodes[i], nodes[j]})
-			}
-		}
+		pairs := allPairs(nodes)
 		row := ScalingRow{Nodes: g.NumNodes(), Edges: g.NumEdges()}
-		ctx := context.Background()
-		resolved := 0
-		start := time.Now()
-		for _, pr := range pairs {
-			res, err := o.Query(ctx, core.Request{S: pr[0], T: pr[1]})
-			if err != nil {
-				return nil, err
-			}
-			if res.Method.Resolved() {
-				resolved++
-			}
+		full, err := runPairs(o, pairs, core.PolicyFull)
+		if err != nil {
+			return nil, err
+		}
+		tables, err := runPairs(o, pairs, core.PolicyTableOnly)
+		if err != nil {
+			return nil, err
 		}
 		if len(pairs) > 0 {
-			row.OracleTime = time.Since(start) / time.Duration(len(pairs))
-			row.Resolved = float64(resolved) / float64(len(pairs))
+			row.OracleTime, row.TableOnlyTime = full.avg, tables.avg
+			row.Resolved = float64(full.resolved) / float64(len(pairs))
+			row.Exact = float64(full.exact) / float64(len(pairs))
 		}
 		row.BiBFSTime = timeEngine(baseline.NewBiBFS(g), pairs, 500)
 		if row.OracleTime > 0 {
@@ -73,12 +68,13 @@ func Scaling(p gen.Profile, sizes []int, cfg Config) ([]ScalingRow, error) {
 
 // RenderScaling renders S1.
 func RenderScaling(profile string, rows []ScalingRow) string {
-	out := [][]string{{"n", "m", "ours", "bibfs", "speedup", "resolved"}}
+	out := [][]string{{"n", "m", "ours", "table-only", "bibfs", "speedup", "resolved"}}
 	for _, r := range rows {
 		out = append(out, []string{
 			fmt.Sprint(r.Nodes),
 			fmt.Sprint(r.Edges),
 			fmt.Sprint(r.OracleTime),
+			fmt.Sprint(r.TableOnlyTime),
 			fmt.Sprint(r.BiBFSTime),
 			fmt.Sprintf("%.0f×", r.Speedup),
 			fmt.Sprintf("%.4f", r.Resolved),

@@ -121,6 +121,18 @@ func (ow *Writer) U16s(tag uint32, xs []uint16) {
 // U32s writes a uint32-array section.
 func (ow *Writer) U32s(tag uint32, xs []uint32) {
 	ow.header(tag, uint64(len(xs)))
+	ow.u32Data(xs)
+}
+
+// U32sBytes writes a uint32-array section whose header stores the
+// payload's byte count, as every section added after format v1 must.
+func (ow *Writer) U32sBytes(tag uint32, xs []uint32) {
+	ow.header(tag, 4*uint64(len(xs)))
+	ow.u32Data(xs)
+}
+
+// u32Data writes the little-endian payload of a uint32 array.
+func (ow *Writer) u32Data(xs []uint32) {
 	for len(xs) > 0 {
 		n := min(len(xs), chunkElems)
 		for i, v := range xs[:n] {
@@ -158,14 +170,15 @@ func (ow *Writer) U32Rows(tag uint32, rows [][]uint32) {
 	writeRows(ow, tag, rows, 4, binary.LittleEndian.PutUint32)
 }
 
-// U16Rows is U32Rows for uint16 rows.
-func (ow *Writer) U16Rows(tag uint32, rows [][]uint16) {
-	writeRows(ow, tag, rows, 2, binary.LittleEndian.PutUint16)
+// U8Rows is U32Rows for byte rows: the section reads back as one Raw
+// section of their concatenation.
+func (ow *Writer) U8Rows(tag uint32, rows [][]uint8) {
+	writeRows(ow, tag, rows, 1, func(b []byte, v uint8) { b[0] = v })
 }
 
 // writeRows streams rows through the chunk buffer as one section of
 // their concatenation.
-func writeRows[T uint16 | uint32](ow *Writer, tag uint32, rows [][]T, elemSize int, put func([]byte, T)) {
+func writeRows[T uint8 | uint32](ow *Writer, tag uint32, rows [][]T, elemSize int, put func([]byte, T)) {
 	var total uint64
 	for _, r := range rows {
 		total += uint64(len(r))
@@ -354,6 +367,23 @@ func (or *Reader) U32s(tag uint32) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
+	return or.u32Data(count)
+}
+
+// U32sBytes reads a uint32-array section written by U32sBytes.
+func (or *Reader) U32sBytes(tag uint32) ([]uint32, error) {
+	size, err := or.header(tag)
+	if err != nil {
+		return nil, err
+	}
+	if size%4 != 0 {
+		return nil, fmt.Errorf("%w: tag %d holds %d bytes, not a whole number of u32s", ErrSection, tag, size)
+	}
+	return or.u32Data(size / 4)
+}
+
+// u32Data reads count little-endian uint32s of section payload.
+func (or *Reader) u32Data(count uint64) ([]uint32, error) {
 	exact, err := or.sized(count, 4)
 	if err != nil {
 		return nil, err

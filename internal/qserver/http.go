@@ -305,6 +305,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AvgRadius    float64                 `json:"avg_radius"`
 		TotalEntries int64                   `json:"total_entries"`
 		TotalBytes   int64                   `json:"total_bytes"`
+		VicBytes     int64                   `json:"vicinity_bytes"`
+		LmBytes      int64                   `json:"landmark_bytes"`
+		WideRows     int                     `json:"wide_landmark_rows"`
 		Queries      int64                   `json:"queries_served"`
 		Errors       int64                   `json:"errors"`
 		Updates      int64                   `json:"updates_applied"`
@@ -326,6 +329,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		AvgRadius:    st.AvgRadius,
 		TotalEntries: ms.TotalEntries,
 		TotalBytes:   ms.TotalBytes,
+		VicBytes:     ms.VicinityBytes,
+		LmBytes:      ms.LandmarkBytes,
+		WideRows:     ms.WideLandmarkRows,
 		Queries:      s.queries.Load(),
 		Errors:       s.errCount.Load(),
 		Updates:      s.cat.Updates(),

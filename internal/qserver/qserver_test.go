@@ -422,8 +422,12 @@ func TestHTTPGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sr struct {
-		Nodes     int `json:"nodes"`
-		Landmarks int `json:"landmarks"`
+		Nodes         int   `json:"nodes"`
+		Landmarks     int   `json:"landmarks"`
+		TotalBytes    int64 `json:"total_bytes"`
+		VicinityBytes int64 `json:"vicinity_bytes"`
+		LandmarkBytes int64 `json:"landmark_bytes"`
+		WideRows      *int  `json:"wide_landmark_rows"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
@@ -431,6 +435,12 @@ func TestHTTPGateway(t *testing.T) {
 	resp.Body.Close()
 	if sr.Nodes != 400 || sr.Landmarks == 0 {
 		t.Fatalf("stats: %+v", sr)
+	}
+	// The byte split covers the total; social-graph rows are one byte
+	// per node.
+	if sr.VicinityBytes <= 0 || sr.LandmarkBytes != int64(sr.Nodes*sr.Landmarks) ||
+		sr.VicinityBytes+sr.LandmarkBytes != sr.TotalBytes || sr.WideRows == nil || *sr.WideRows != 0 {
+		t.Fatalf("stats byte split: %+v", sr)
 	}
 	resp, err = hs.Client().Get(hs.URL + "/healthz")
 	if err != nil {

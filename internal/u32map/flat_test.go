@@ -24,7 +24,7 @@ func buildFlatArena(t *testing.T, tables [][]uint32) (*Arena, []Flat) {
 			a.Slots = append(a.Slots, make([]uint32, IndexSize(len(keys)))...)
 			FillIndex(a.Slots[sOff:], a.Keys[eOff:eEnd])
 		}
-		views = append(views, a.Hash(eOff, eEnd, sOff, uint32(len(a.Slots))))
+		views = append(views, a.View(Range{EOff: eOff, ELen: eEnd - eOff, SOff: sOff, SLen: uint32(len(a.Slots)) - sOff}))
 	}
 	return a, views
 }
@@ -68,16 +68,16 @@ func TestFlatLayouts(t *testing.T) {
 				t.Fatalf("table %d: Get(%d) membership %v, want %v", i, k, ok, want)
 			}
 		}
-		// At and Entries enumerate exactly the entries, in insertion
+		// At and Tail enumerate exactly the entries, in insertion
 		// order.
 		got := map[uint32]bool{}
-		eKeys, eDists := f.Entries()
-		if len(eKeys) != f.Len() || len(eDists) != f.Len() {
-			t.Fatalf("table %d: Entries lengths %d/%d, want %d", i, len(eKeys), len(eDists), f.Len())
+		all := f.Tail(f.Len())
+		if len(all.Keys) != f.Len() {
+			t.Fatalf("table %d: Tail length %d, want %d", i, len(all.Keys), f.Len())
 		}
 		for j := 0; j < f.Len(); j++ {
 			k, d := f.At(j)
-			if d != k+1 || k != keys[j] || eKeys[j] != k || eDists[j] != d {
+			if d != k+1 || k != keys[j] || all.Keys[j] != k || all.Dist(j) != d {
 				t.Fatalf("At(%d) returned (%d,%d)", j, k, d)
 			}
 			got[k] = true
@@ -109,7 +109,7 @@ func TestFlatMatchesMap(t *testing.T) {
 	}
 	a.Slots = make([]uint32, IndexSize(len(keys)))
 	FillIndex(a.Slots, a.Keys)
-	f := a.Hash(0, uint32(len(keys)), 0, uint32(len(a.Slots)))
+	f := a.View(Range{ELen: uint32(len(keys)), SLen: uint32(len(a.Slots))})
 	for trial := 0; trial < 5000; trial++ {
 		k := r.Uint32n(1 << 21)
 		dm, okM := m.Get(k)
@@ -128,7 +128,7 @@ func TestFlatEmpty(t *testing.T) {
 	if _, ok := f.Get(0); ok {
 		t.Fatal("zero Flat contains a key")
 	}
-	if k, d := f.Entries(); k != nil || d != nil {
+	if s := f.Tail(0); s.Keys != nil {
 		t.Fatal("zero Flat has entries")
 	}
 }
@@ -163,17 +163,14 @@ func TestValidIndex(t *testing.T) {
 
 func TestRanges(t *testing.T) {
 	a, views := buildFlatArena(t, [][]uint32{{1, 2, 3}, {}, {10, 20}})
-	eOff, eLen, sOff, sLen := views[0].Ranges()
-	if eOff != 0 || eLen != 3 || sOff != 0 || int(sLen) != IndexSize(3) {
-		t.Fatalf("ranges[0] = %d,%d,%d,%d", eOff, eLen, sOff, sLen)
+	if r := views[0].Range(); r.EOff != 0 || r.ELen != 3 || r.SOff != 0 || int(r.SLen) != IndexSize(3) {
+		t.Fatalf("ranges[0] = %+v", r)
 	}
-	_, eLen, _, sLen = views[1].Ranges()
-	if eLen != 0 || sLen != 0 {
-		t.Fatalf("empty table ranges = len %d, slots %d", eLen, sLen)
+	if r := views[1].Range(); r.ELen != 0 || r.SLen != 0 {
+		t.Fatalf("empty table ranges = %+v", r)
 	}
-	eOff, eLen, sOff, sLen = views[2].Ranges()
-	if eOff != 3 || eLen != 2 || int(sOff) != IndexSize(3) || int(sLen) != IndexSize(2) {
-		t.Fatalf("ranges[2] = %d,%d,%d,%d", eOff, eLen, sOff, sLen)
+	if r := views[2].Range(); r.EOff != 3 || r.ELen != 2 || int(r.SOff) != IndexSize(3) || int(r.SLen) != IndexSize(2) {
+		t.Fatalf("ranges[2] = %+v", r)
 	}
 	if a.NumEntries() != 5 {
 		t.Fatalf("NumEntries = %d", a.NumEntries())
@@ -216,5 +213,87 @@ func TestArenaAllocAndClone(t *testing.T) {
 	c2.AllocEntries(100)
 	if len(c.Keys) != 5 || c.Keys[off] != 42 {
 		t.Fatal("reallocation disturbed the parent snapshot")
+	}
+}
+
+// TestLeveledArena checks the distance-free layout: a table's entries
+// in level order plus its level starts resolve every member's distance
+// through Get, At and Tail, survive CopyTo, and cost one word per entry
+// plus slots and starts.
+func TestLeveledArena(t *testing.T) {
+	// Two tables: levels 0..3 with starts {4, 6}, and an owner with one
+	// neighbor level and no starts.
+	tables := []struct {
+		keys, starts, dists []uint32
+	}{
+		{[]uint32{50, 7, 9, 11, 60, 61, 90}, []uint32{4, 6}, []uint32{0, 1, 1, 1, 2, 2, 3}},
+		{[]uint32{3, 4, 5}, nil, []uint32{0, 1, 1}},
+	}
+	a := &Arena{Leveled: true}
+	var views []Flat
+	for _, tb := range tables {
+		r := Range{ELen: uint32(len(tb.keys)), SLen: uint32(IndexSize(len(tb.keys))), LLen: uint32(len(tb.starts))}
+		r.EOff = a.AllocEntries(len(tb.keys))
+		copy(a.Keys[r.EOff:], tb.keys)
+		r.SOff = a.AllocSlots(int(r.SLen))
+		FillIndex(a.Slots[r.SOff:r.SOff+r.SLen], tb.keys)
+		r.LOff = a.AllocLevels(len(tb.starts))
+		copy(a.Levels[r.LOff:], tb.starts)
+		views = append(views, a.View(r))
+	}
+	if a.Dists != nil {
+		t.Fatalf("leveled arena grew a distance array: %v", a.Dists)
+	}
+	check := func(f Flat, keys, dists []uint32) {
+		t.Helper()
+		for i, k := range keys {
+			if d, ok := f.Get(k); !ok || d != dists[i] {
+				t.Fatalf("Get(%d) = %d,%v, want %d", k, d, ok, dists[i])
+			}
+			if gk, gd := f.At(i); gk != k || gd != dists[i] {
+				t.Fatalf("At(%d) = %d/%d, want %d/%d", i, gk, gd, k, dists[i])
+			}
+		}
+		for n := 0; n <= len(keys); n++ {
+			s := f.Tail(n)
+			for j := range s.Keys {
+				if i := len(keys) - n + j; s.Keys[j] != keys[i] || s.Dist(j) != dists[i] {
+					t.Fatalf("Tail(%d)[%d] = %d/%d, want %d/%d", n, j, s.Keys[j], s.Dist(j), keys[i], dists[i])
+				}
+			}
+		}
+	}
+	for i, tb := range tables {
+		check(views[i], tb.keys, tb.dists)
+		if b, want := views[i].Bytes(), 4*(len(tb.keys)+IndexSize(len(tb.keys))+len(tb.starts)); b != want {
+			t.Fatalf("table %d: Bytes = %d, want %d", i, b, want)
+		}
+	}
+	if a.Bytes() != views[0].Bytes()+views[1].Bytes() {
+		t.Fatalf("arena Bytes = %d, tables %d", a.Bytes(), views[0].Bytes()+views[1].Bytes())
+	}
+	dst := &Arena{Leveled: true}
+	for i := len(tables) - 1; i >= 0; i-- { // reversed: offsets move
+		check(views[i].CopyTo(dst), tables[i].keys, tables[i].dists)
+	}
+}
+
+func TestValidLevels(t *testing.T) {
+	for _, tc := range []struct {
+		starts []uint32
+		eLen   uint32
+		ok     bool
+	}{
+		{nil, 1, true},
+		{[]uint32{2}, 3, true},
+		{[]uint32{4, 6}, 7, true},
+		{[]uint32{1}, 3, false},    // level 1 would be empty
+		{[]uint32{3, 3}, 5, false}, // not strictly increasing
+		{[]uint32{5, 4}, 6, false},
+		{[]uint32{2, 4}, 4, false}, // last level would be empty
+	} {
+		if got := ValidLevels(tc.starts, tc.eLen); got != tc.ok {
+			t.Errorf("ValidLevels(%v, %d) = %v, want %v", tc.starts, tc.eLen, got, tc.ok)
+		}
 	}
 }

@@ -1,40 +1,48 @@
 package u32map
 
 // Shard is a worker-private, append-only staging arena for parallel
-// builds. Each build worker appends the entry pairs of the tables it
+// builds. Each build worker appends the entries of the tables it
 // constructs onto its own shard (amortized growth, no per-table
 // allocations), recording shard-local offsets; a deterministic merge
 // pass then rebases every table into its final position in a shared
 // Arena with CopyFromShard. Shards hold no slot indexes: slot ranges
 // depend on final entry order and are built directly in the merged
-// arena.
+// arena. Like the arena it feeds, a shard stages per-entry distances
+// (weighted builds) or per-table level starts (leveled builds).
 //
 // A Shard is not safe for concurrent use; the parallel-build contract
 // is one shard per worker.
 type Shard struct {
-	Keys  []uint32
-	Dists []uint32
+	Keys   []uint32
+	Dists  []uint32
+	Levels []uint32
 }
 
 // Len returns the number of entries staged in the shard.
 func (s *Shard) Len() uint32 { return uint32(len(s.Keys)) }
 
-// Append copies the parallel key/dist pairs onto the end of the shard
-// and returns the shard-local offset of the first appended entry. The
-// two slices must have equal length.
-func (s *Shard) Append(keys, dists []uint32) uint32 {
-	off := uint32(len(s.Keys))
+// Append copies one table's keys, distances (nil on leveled builds) and
+// level starts (nil on weighted builds) onto the end of the shard and
+// returns the shard-local offsets of its first entry and first level
+// start. dists, when given, must be as long as keys.
+func (s *Shard) Append(keys, dists, levels []uint32) (eOff, lOff uint32) {
+	eOff, lOff = uint32(len(s.Keys)), uint32(len(s.Levels))
 	s.Keys = append(s.Keys, keys...)
 	s.Dists = append(s.Dists, dists...)
-	return off
+	s.Levels = append(s.Levels, levels...)
+	return eOff, lOff
 }
 
-// CopyFromShard rebases n staged entries at shard-local offset off into
-// the arena's entry arrays at offset dst. The destination range must
+// CopyFromShard rebases one staged table — dst.ELen entries at
+// shard-local offset eOff and dst.LLen level starts at lOff — into the
+// arena's entry and level arrays at dst. The destination ranges must
 // already be allocated; disjoint destination ranges may be copied
 // concurrently, which is how a merge pass stitches many shards into one
 // arena in parallel.
-func (a *Arena) CopyFromShard(dst uint32, s *Shard, off, n uint32) {
-	copy(a.Keys[dst:dst+n], s.Keys[off:off+n])
-	copy(a.Dists[dst:dst+n], s.Dists[off:off+n])
+func (a *Arena) CopyFromShard(dst Range, s *Shard, eOff, lOff uint32) {
+	copy(a.Keys[dst.EOff:dst.EOff+dst.ELen], s.Keys[eOff:eOff+dst.ELen])
+	if !a.Leveled {
+		copy(a.Dists[dst.EOff:dst.EOff+dst.ELen], s.Dists[eOff:eOff+dst.ELen])
+	}
+	copy(a.Levels[dst.LOff:dst.LOff+dst.LLen], s.Levels[lOff:lOff+dst.LLen])
 }

@@ -1,6 +1,7 @@
 package u32map
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -10,8 +11,8 @@ func TestShardAppendAndRebase(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("empty shard Len = %d", s.Len())
 	}
-	off1 := s.Append([]uint32{10, 20}, []uint32{1, 2})
-	off2 := s.Append([]uint32{30, 40, 50}, []uint32{3, 4, 5})
+	off1, _ := s.Append([]uint32{10, 20}, []uint32{1, 2}, nil)
+	off2, _ := s.Append([]uint32{30, 40, 50}, []uint32{3, 4, 5}, nil)
 	if off1 != 0 || off2 != 2 || s.Len() != 5 {
 		t.Fatalf("offsets %d/%d, len %d", off1, off2, s.Len())
 	}
@@ -21,8 +22,8 @@ func TestShardAppendAndRebase(t *testing.T) {
 		Dists: make([]uint32, 5),
 	}
 	// Rebase the second batch ahead of the first.
-	a.CopyFromShard(0, &s, off2, 3)
-	a.CopyFromShard(3, &s, off1, 2)
+	a.CopyFromShard(Range{EOff: 0, ELen: 3}, &s, off2, 0)
+	a.CopyFromShard(Range{EOff: 3, ELen: 2}, &s, off1, 0)
 	wantKeys := []uint32{30, 40, 50, 10, 20}
 	for i, k := range wantKeys {
 		if a.Keys[i] != k {
@@ -45,7 +46,7 @@ func TestShardConcurrentMerge(t *testing.T) {
 		src[w] = &Shard{}
 		for i := 0; i < perShard; i++ {
 			v := uint32(w*perShard + i)
-			src[w].Append([]uint32{v}, []uint32{v * 2})
+			src[w].Append([]uint32{v}, []uint32{v * 2}, nil)
 		}
 	}
 	total := uint32(shards * perShard)
@@ -58,7 +59,7 @@ func TestShardConcurrentMerge(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			a.CopyFromShard(uint32(w*perShard), src[w], 0, perShard)
+			a.CopyFromShard(Range{EOff: uint32(w * perShard), ELen: perShard}, src[w], 0, 0)
 		}(w)
 	}
 	wg.Wait()
@@ -66,5 +67,25 @@ func TestShardConcurrentMerge(t *testing.T) {
 		if a.Keys[i] != i || a.Dists[i] != 2*i {
 			t.Fatalf("entry %d = %d/%d", i, a.Keys[i], a.Dists[i])
 		}
+	}
+}
+
+// TestShardLeveled stages leveled tables: keys and level starts rebase
+// into the arena, and no distance array is written.
+func TestShardLeveled(t *testing.T) {
+	var s Shard
+	e1, l1 := s.Append([]uint32{1, 2, 3}, nil, []uint32{2})
+	e2, l2 := s.Append([]uint32{7, 8, 9, 10}, nil, []uint32{2, 3})
+	if e1 != 0 || l1 != 0 || e2 != 3 || l2 != 1 || len(s.Dists) != 0 {
+		t.Fatalf("offsets %d/%d %d/%d, dists %v", e1, l1, e2, l2, s.Dists)
+	}
+	a := &Arena{Keys: make([]uint32, 7), Levels: make([]uint32, 3), Leveled: true}
+	a.CopyFromShard(Range{EOff: 0, ELen: 4, LOff: 0, LLen: 2}, &s, e2, l2)
+	a.CopyFromShard(Range{EOff: 4, ELen: 3, LOff: 2, LLen: 1}, &s, e1, l1)
+	if want := []uint32{7, 8, 9, 10, 1, 2, 3}; !slices.Equal(a.Keys, want) {
+		t.Fatalf("merged keys %v, want %v", a.Keys, want)
+	}
+	if want := []uint32{2, 3, 2}; !slices.Equal(a.Levels, want) {
+		t.Fatalf("merged levels %v, want %v", a.Levels, want)
 	}
 }

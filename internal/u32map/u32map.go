@@ -1,18 +1,23 @@
 // Package u32map provides the compact node-indexed tables that store
 // vicinities: for each member node, its exact distance from the vicinity
 // owner. Nothing else is stored per member; path hops are derived from
-// these distances at query time (see internal/core's path.go).
+// these distances at query time (see internal/core's path.go). On
+// unweighted graphs not even the distance is stored per member: a
+// table's entries are kept in BFS level order, and a handful of level
+// starts per table imply every member's distance.
 //
 // The paper stores vicinities in hash tables (GNU C++ unordered_map) and
 // reports query cost in hash-table look-ups (Table 3). The oracle's
 // representation is the Flat view over a shared Arena: all tables'
-// entries concatenated into contiguous parallel arrays with Fibonacci-
-// hashed, linearly probed slot ranges — see flat.go. Map is the same
-// structure as a standalone, growable table (used as a reference
-// implementation and for callers that build tables incrementally), and
-// Builtin wraps Go's builtin map for the data-structure ablation the
-// paper floats in §5 ("more customized implementations of the data
-// structures"); the Get benchmarks compare the three.
+// entries concatenated into contiguous arrays with Fibonacci-hashed,
+// linearly probed slot ranges, and distances either per entry
+// (weighted arenas) or per level (leveled arenas) — see flat.go. Map
+// is the same structure as a standalone, growable table (used as a
+// reference implementation and for callers that build tables
+// incrementally), and Builtin wraps Go's builtin map for the
+// data-structure ablation the paper floats in §5 ("more customized
+// implementations of the data structures"); the Get benchmarks compare
+// the three.
 package u32map
 
 // Table is the read interface shared by all vicinity-table

@@ -155,7 +155,7 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 		}
 		fh := buildFlat(ks, ds)
 		for k, want := range ref {
-			for _, tbl := range []Table{m, b, fh} {
+			for _, tbl := range []Table{m, b, &fh} {
 				d, ok := tbl.Get(k)
 				if !ok || d != want {
 					return false
@@ -166,7 +166,7 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			k := uint32(i) * 2654435761
 			_, wantOK := ref[k]
-			for _, tbl := range []Table{m, b, fh} {
+			for _, tbl := range []Table{m, b, &fh} {
 				if _, ok := tbl.Get(k); ok != wantOK {
 					return false
 				}
@@ -189,7 +189,7 @@ func buildFlat(ks, ds []uint32) Flat {
 		a.Slots = make([]uint32, IndexSize(len(ks)))
 		FillIndex(a.Slots, a.Keys)
 	}
-	return a.Hash(0, uint32(len(ks)), 0, uint32(len(a.Slots)))
+	return a.View(Range{ELen: uint32(len(ks)), SLen: uint32(len(a.Slots))})
 }
 
 func buildBenchTables(n int) (*Map, *Builtin, Flat, []uint32) {

@@ -210,12 +210,9 @@ type Options struct {
 	Fallback Fallback
 	// WithoutLandmarkTables skips the |L|·n landmark distance tables;
 	// landmark-endpoint queries then resolve via vicinities or fallback.
+	// Built tables store each row at the width its distances need: one
+	// byte per node on social networks.
 	WithoutLandmarkTables bool
-
-	// CompactLandmarkTables halves landmark-table memory (the dominant
-	// term) by storing uint16 distances — the paper's §5 memory question.
-	// Build fails on graphs with distances above 65534.
-	CompactLandmarkTables bool
 	// Nodes restricts vicinity construction to these nodes (advanced;
 	// used by the evaluation harness to mirror the paper's methodology).
 	Nodes []uint32
@@ -261,7 +258,6 @@ func Build(g *Graph, opts *Options) (*Oracle, error) {
 			Workers:               opts.Workers,
 			Fallback:              opts.Fallback,
 			DisableLandmarkTables: opts.WithoutLandmarkTables,
-			CompactLandmarkTables: opts.CompactLandmarkTables,
 			Nodes:                 opts.Nodes,
 		}
 	}

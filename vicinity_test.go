@@ -146,7 +146,7 @@ func TestGraphFileRoundTrip(t *testing.T) {
 func TestOracleFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := GenerateSocial(800, 5, 9)
-	o, err := Build(g, &Options{Seed: 9, CompactLandmarkTables: true})
+	o, err := Build(g, &Options{Seed: 9, Alpha: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
