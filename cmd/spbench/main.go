@@ -284,7 +284,7 @@ func run(args []string) error {
 		batches  = fs.Int("batches", 200, "batches to issue for -batch")
 		timeout  = fs.Duration("timeout", 0, "per-batch deadline for -batch, honored inside fallback searches (0 = none)")
 		budget   = fs.Int("budget", 0, "fallback search node budget per target for -batch (0 = unlimited)")
-		policy   = fs.String("policy", "default", "fallback policy for -batch: default|full|estimate|table")
+		policy   = fs.String("policy", "default", "fallback policy for -batch: default|full|estimate|table (default and full are the exact search)")
 		batchPar = fs.Int("batch-parallel", 0, "worker fan-out per batch request for -batch (0/1 = sequential; answers are bit-identical)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -268,7 +268,7 @@ func run(args []string) (int, error) {
 		jsonOut   = fs.Bool("json", false, "print one JSON object per answer")
 		timeout   = fs.Duration("timeout", 0, "per-query deadline, honored inside the fallback search (0 = none)")
 		budget    = fs.Int("budget", 0, "fallback search node budget per query (0 = unlimited)")
-		policyStr = fs.String("policy", "default", "fallback policy: default|full|estimate|table")
+		policyStr = fs.String("policy", "default", "fallback policy for pairs the tables miss: default|full|estimate|table (default and full are the exact search)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage, nil // flag package already printed the error

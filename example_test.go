@@ -147,8 +147,9 @@ func ExampleOracle_Query() {
 	}
 
 	// A serving stack answers within a deadline: the context is honored
-	// inside the fallback search loop, and the table-resolved ~99% of
-	// queries never notice it.
+	// inside the fallback search loop, and table-resolved queries (62%
+	// of uniform pairs on the 50,000-node benchmark graph) never notice
+	// it.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	res, err := oracle.Query(ctx, vicinity.Request{

@@ -99,7 +99,7 @@ func part2Figure1bStrawman(g *graph.Graph) {
 		straw[u] = strawmanVicinity(g, nm, q, uint32(u), k)
 	}
 
-	oracle, err := core.Build(g, core.Options{Alpha: 4, Seed: 3, Fallback: core.FallbackNone})
+	oracle, err := core.Build(g, core.Options{Alpha: 4, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,8 +131,8 @@ func part2Figure1bStrawman(g *graph.Graph) {
 				wrong++
 			}
 		}
-		// Definition 1 oracle.
-		res, err := oracle.Query(context.Background(), core.Request{S: s, T: t})
+		// Definition 1 oracle, from its tables alone.
+		res, err := oracle.Query(context.Background(), core.Request{S: s, T: t, Policy: core.PolicyTableOnly})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,16 +3,14 @@ package core
 import (
 	"vicinity/internal/graph"
 	"vicinity/internal/syncx"
-	"vicinity/internal/u32map"
 )
 
 // This file implements the one-to-many batch engine. The paper's
 // motivating workload is not a single pair but ranking: "social search"
 // orders a candidate set by distance from one source (§1), i.e. one
 // query source s against many targets. Answering the targets one by one
-// re-reads s's vicinity view, landmark row and boundary slice per call
-// and re-runs the boundary scan per target; a one-to-many Query loads
-// s's state once and services every residual boundary-scan target with
+// re-runs the boundary scan per target; a one-to-many Query marks s's
+// boundary once and services every residual boundary-scan target with
 // a single inverted pass:
 //
 //   - s's boundary ∂Γ(s) is scanned once into a stamped mark array
@@ -26,8 +24,12 @@ import (
 //     strict-< loop keeps. Batch answers are therefore bit-identical
 //     to single-target Queries, methods and witnesses included.
 //
-// Targets the tables cannot resolve share one pooled fallback
-// workspace per worker instead of borrowing one per target.
+// Every target first goes through Algorithm 1's direct cases in
+// directCases, the same function a single-target query calls, so the
+// two paths decide those cases identically by construction; only the
+// boundary scan has a batch shape. Targets the tables cannot resolve
+// share one pooled fallback workspace per worker instead of borrowing
+// one per target.
 //
 // Large batches additionally fan out across worker goroutines
 // (Request.Parallel): the classification pass, the per-target vicinity
@@ -79,91 +81,6 @@ func (w *batchWS) ensure(n int) {
 	w.scan = w.scan[:0]
 }
 
-// Target route codes produced by the classification pass.
-const (
-	tgtDone uint8 = iota // answered (or errored) by the direct cases
-	tgtScan              // residual: inverted boundary pass
-	tgtPend              // residual: straight to the fallback
-)
-
-// landmarkOne answers one target off landmark s's dense row
-// (Algorithm 1's first case, batch shape).
-func (o *Oracle) landmarkOne(s uint32, li int32, t uint32, n int, c *Cost, r *ItemResult) {
-	if int(t) >= n {
-		*r = ItemResult{Dist: NoDist, Err: errRange(n)}
-		return
-	}
-	if s == t {
-		*r = ItemResult{Method: MethodSame}
-		return
-	}
-	c.Lookups++
-	d := o.landmarkDist(li, t)
-	if d == NoDist {
-		*r = ItemResult{Dist: NoDist, Method: MethodUnreachable}
-		return
-	}
-	*r = ItemResult{Dist: d, Method: MethodLandmarkSource}
-}
-
-// classifyTarget runs the direct cases of Algorithm 1 for one target —
-// range check, s == t, t's landmark row, the two vicinity probes, in
-// the exact order the single-query path applies them — writing any
-// decided answer into *r and returning the target's route. Both the
-// sequential and the parallel classification passes go through it, so
-// their semantics cannot diverge.
-func (o *Oracle) classifyTarget(s, t uint32, n int, okS bool, vs u32map.Flat, c *Cost, r *ItemResult) uint8 {
-	if int(t) >= n {
-		*r = ItemResult{Dist: NoDist, Err: errRange(n)}
-		return tgtDone
-	}
-	if s == t {
-		*r = ItemResult{Method: MethodSame}
-		return tgtDone
-	}
-	if o.isL[t] {
-		if li := o.lidx[t]; o.hasLandmarkTable(li) {
-			c.Lookups++
-			d := o.landmarkDist(li, s)
-			if d == NoDist {
-				*r = ItemResult{Dist: NoDist, Method: MethodUnreachable}
-			} else {
-				*r = ItemResult{Dist: d, Method: MethodLandmarkTarget}
-			}
-			return tgtDone
-		}
-	}
-	if !okS && !o.isL[s] {
-		*r = ItemResult{Dist: NoDist, Err: errNotCovered(s)}
-		return tgtDone
-	}
-	vt, okT := o.vicinity(t)
-	if !okT && !o.isL[t] {
-		*r = ItemResult{Dist: NoDist, Err: errNotCovered(t)}
-		return tgtDone
-	}
-	if okS {
-		c.Lookups++
-		if d, ok := vs.Get(t); ok {
-			*r = ItemResult{Dist: d, Method: MethodVicinitySource}
-			return tgtDone
-		}
-	}
-	if okT {
-		c.Lookups++
-		if d, ok := vt.Get(s); ok {
-			*r = ItemResult{Dist: d, Method: MethodVicinityTarget}
-			return tgtDone
-		}
-	}
-	if okS && okT {
-		return tgtScan
-	}
-	// No scan possible (a landmark endpoint without tables): the
-	// single-query path goes straight to the fallback.
-	return tgtPend
-}
-
 // scanTarget walks Γ(t) against the marked ∂Γ(s) (one target of the
 // inverted pass). The marks are read-only here, so any number of
 // workers may scan disjoint targets concurrently. Ties on the minimum
@@ -201,9 +118,6 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, c *Cost, needMeet bool, worker
 		return nil, nil, nil, errRange(n)
 	}
 	items = make([]ItemResult, len(ts))
-	for i := range items {
-		items[i].Dist = NoDist
-	}
 	if needMeet {
 		meets = make([]uint32, len(ts))
 		for i := range meets {
@@ -211,33 +125,22 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, c *Cost, needMeet bool, worker
 		}
 	}
 
-	// s ∈ L with a built table: every target answers off s's dense row,
-	// no vicinity state needed.
-	if o.isL[s] {
-		if li := o.lidx[s]; o.hasLandmarkTable(li) {
-			o.fanOut(workers, len(ts), c, func(w *worker, i int) {
-				o.landmarkOne(s, li, ts[i], n, &w.cost, &items[i])
-			})
-			return items, meets, nil, nil
-		}
-	}
-
-	// s's vicinity view, loaded once for the batch.
-	vs, okS := o.vicinity(s)
 	bws := batchPool.Get()
 	defer batchPool.Put(bws)
 	bws.ensure(n)
 
-	// Classification pass: the direct cases per target. Each target's
-	// route is recorded in cls and the route lists are built in target
-	// order afterwards, so list order — and everything downstream — is
-	// the same for any worker count.
+	// Classification pass: Algorithm 1's direct cases per target,
+	// through the same function as a single-target query. Every item is
+	// written here. Each target's route is recorded in cls and the
+	// route lists are built in target order afterwards, so list order —
+	// and everything downstream — is the same for any worker count.
 	if cap(bws.cls) < len(ts) {
 		bws.cls = make([]uint8, len(ts))
 	}
 	cls := bws.cls[:len(ts)]
 	o.fanOut(workers, len(ts), c, func(w *worker, i int) {
-		cls[i] = o.classifyTarget(s, ts[i], n, okS, vs, &w.cost, &items[i])
+		d, m, route, err := o.directCases(s, ts[i], &w.cost)
+		items[i], cls[i] = ItemResult{Dist: d, Method: m, Err: err}, route
 	})
 	for i, route := range cls {
 		switch route {

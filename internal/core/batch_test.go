@@ -15,16 +15,17 @@ import (
 )
 
 // batchOptionMatrix is the option grid the batch engine must agree with
-// the single-query path on: every fallback mode, disabled tables, other
-// landmark samplings, and a small α (more fallbacks). Row indexes name
-// subtests, so rows keep their slots: opts4 and opts5 held the retired
-// uint16 landmark rows, and one-byte rows are now the default of every
-// row.
+// the single-query path on: disabled tables, every other landmark
+// sampling, a large α (more vicinity hits) and a small one (more
+// fallbacks); checkBatchAgainstSingles crosses every row with every
+// request Policy. Row indexes name subtests, so rows keep their slots:
+// opts1 and opts2 held the retired build-time fallback modes, opts4
+// and opts5 the retired uint16 landmark rows.
 func batchOptionMatrix() []Options {
 	return []Options{
 		{},
-		{Fallback: FallbackEstimate},
-		{Fallback: FallbackNone},
+		{Alpha: 8},
+		{Sampling: SamplingTop},
 		{DisableLandmarkTables: true},
 		{Alpha: 1.5, Sampling: SamplingUniform},
 		{Sampling: SamplingDegree},

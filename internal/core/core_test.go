@@ -296,7 +296,7 @@ func TestQueryMethods(t *testing.T) {
 	}
 	for m := range seen {
 		if m == MethodNone {
-			t.Error("MethodNone observed despite FallbackExact")
+			t.Error("MethodNone observed under the default (exact) policy")
 		}
 	}
 }
@@ -423,39 +423,47 @@ func TestScopedBuild(t *testing.T) {
 	}
 }
 
+// TestFallbackModes checks the three things a pair the tables miss can
+// get, chosen per request on one default-built oracle: the exact
+// search (PolicyDefault and PolicyFull alike), the landmark estimate,
+// or no answer.
 func TestFallbackModes(t *testing.T) {
 	// A long path graph: distant nodes have disjoint vicinities.
 	g := gen.Path(400)
-	exact := mustBuild(t, g, Options{Seed: 7, Alpha: 0.5})
-	d, m, err := queryDist(exact, 0, 399)
-	if err != nil || d != 399 || (m != MethodFallbackExact && m.Resolved()) {
-		// Either the fallback answered (long pair) or vicinities happened
-		// to resolve it; both must give 399.
-		if d != 399 {
-			t.Fatalf("exact fallback: d=%d m=%v err=%v", d, m, err)
+	o := mustBuild(t, g, Options{Seed: 7, Alpha: 0.5})
+	if _, m, _, err := o.tableDistance(0, 399, &Cost{}); err != nil || m != MethodNone {
+		t.Fatalf("construction broken: (0, 399) decided by the tables (%v, %v)", m, err)
+	}
+	ctx := context.Background()
+	for _, pol := range []Policy{PolicyDefault, PolicyFull} {
+		res, err := o.Query(ctx, Request{S: 0, T: 399, Policy: pol})
+		if err != nil || res.Dist != 399 || res.Method != MethodFallbackExact || res.Cost.Fallbacks != 1 {
+			t.Fatalf("%v: d=%d m=%v searches=%d err=%v, want the exact search's 399",
+				pol, res.Dist, res.Method, res.Cost.Fallbacks, err)
 		}
 	}
 
-	none := mustBuild(t, g, Options{Seed: 7, Alpha: 0.5, Fallback: FallbackNone})
-	d, m, err = queryDist(none, 0, 399)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == MethodNone && d != NoDist {
-		t.Fatalf("FallbackNone returned distance %d with MethodNone", d)
+	res, err := o.Query(ctx, Request{S: 0, T: 399, Policy: PolicyTableOnly})
+	if err != nil || res.Method != MethodNone || res.Dist != NoDist || res.Cost.Fallbacks != 0 {
+		t.Fatalf("table-only: d=%d m=%v searches=%d err=%v, want no answer and no search",
+			res.Dist, res.Method, res.Cost.Fallbacks, err)
 	}
 
-	est := mustBuild(t, g, Options{Seed: 7, Alpha: 0.5, Fallback: FallbackEstimate})
-	d, m, err = queryDist(est, 0, 399)
-	if err != nil {
-		t.Fatal(err)
+	res, err = o.Query(ctx, Request{S: 0, T: 399, Policy: PolicyEstimate})
+	if err != nil || res.Method != MethodFallbackEstimate || res.Cost.Fallbacks != 0 {
+		t.Fatalf("estimate: m=%v searches=%d err=%v, want the landmark estimate", res.Method, res.Cost.Fallbacks, err)
 	}
-	if m == MethodFallbackEstimate {
-		if d < 399 {
-			t.Fatalf("estimate %d below true distance 399", d)
-		}
-	} else if m.Resolved() && d != 399 {
-		t.Fatalf("resolved estimate-mode query wrong: %d", d)
+	if res.Dist < 399 || res.Dist == NoDist {
+		t.Fatalf("estimate %d below true distance 399", res.Dist)
+	}
+
+	// Without landmark tables there is nothing to estimate from: the
+	// estimate policy leaves the pair unanswered rather than guessing.
+	bare := mustBuild(t, g, Options{Seed: 7, Alpha: 0.5, DisableLandmarkTables: true})
+	res, err = bare.Query(ctx, Request{S: 0, T: 399, Policy: PolicyEstimate})
+	if err != nil || res.Method != MethodNone || res.Dist != NoDist || res.Cost.Fallbacks != 0 {
+		t.Fatalf("estimate without tables: d=%d m=%v searches=%d err=%v, want no answer",
+			res.Dist, res.Method, res.Cost.Fallbacks, err)
 	}
 }
 
@@ -489,15 +497,17 @@ func TestWeightedUpperBoundAndPaths(t *testing.T) {
 		b.AddWeightedEdge(u, v, r.Uint32n(4)+1)
 	})
 	g := b.Build()
-	o := mustBuild(t, g, Options{Seed: 45, Fallback: FallbackNone})
+	o := mustBuild(t, g, Options{Seed: 45})
 	ws := traverse.NewWorkspace(g)
+	ctx := context.Background()
 	resolved, exactCount := 0, 0
 	for trial := 0; trial < 1500; trial++ {
 		s, u := r.Uint32n(300), r.Uint32n(300)
-		d, m, err := queryDist(o, s, u)
+		res, err := o.Query(ctx, Request{S: s, T: u, Policy: PolicyTableOnly})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d, m := res.Dist, res.Method
 		if !m.Resolved() {
 			continue
 		}
@@ -510,10 +520,11 @@ func TestWeightedUpperBoundAndPaths(t *testing.T) {
 			exactCount++
 		}
 		// Paths must be valid and match the reported distance.
-		p, pm, err := queryPath(o, s, u)
+		pres, err := o.Query(ctx, Request{S: s, T: u, Policy: PolicyTableOnly, WantPath: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, pm := pres.Path, pres.Method
 		if pm.Resolved() {
 			total := uint32(0)
 			for i := 0; i+1 < len(p); i++ {
@@ -601,8 +612,8 @@ func TestInvalidOptions(t *testing.T) {
 	g := socialGraph(61, 100)
 	cases := []Options{
 		{Sampling: Sampling(99)},
-		{Fallback: Fallback(99)},
-		{Fallback: FallbackEstimate, DisableLandmarkTables: true},
+		{Landmarks: []uint32{}},
+		{Landmarks: []uint32{3, 100}},
 		{Nodes: []uint32{1000}},
 	}
 	for i, opts := range cases {

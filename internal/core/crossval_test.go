@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"vicinity/internal/approx"
@@ -92,7 +93,7 @@ func TestCrossValidationExact(t *testing.T) {
 }
 
 // TestCrossValidationEstimate checks the error contract of the inexact
-// answer paths on every profile: the oracle's FallbackEstimate and the
+// answer paths on every profile: the oracle's PolicyEstimate and the
 // §4 approx.Landmark baseline both return upper bounds, the oracle's
 // bound additionally obeys est ≤ d + 2·min(r(s), r(t)) (triangulation
 // through the nearer endpoint's landmark), and approx.Landmark's lower
@@ -104,13 +105,14 @@ func TestCrossValidationEstimate(t *testing.T) {
 			n := uint32(g.NumNodes())
 			bfs := baseline.NewBFS(g)
 			lm := approx.NewLandmark(g, 4)
-			o := mustBuild(t, g, Options{Seed: 23, Fallback: FallbackEstimate, Workers: 2})
+			o := mustBuild(t, g, Options{Seed: 23, Workers: 2})
 			r := xrand.New(4096)
 			for trial := 0; trial < 300; trial++ {
 				s, u := r.Uint32n(n), r.Uint32n(n)
 				want := bfs.Distance(s, u)
 
-				est, m, err := queryDist(o, s, u)
+				res, err := o.Query(context.Background(), Request{S: s, T: u, Policy: PolicyEstimate})
+				est, m := res.Dist, res.Method
 				if err != nil {
 					t.Fatalf("Distance(%d,%d): %v", s, u, err)
 				}

@@ -57,34 +57,34 @@ func TestPathFallbackRunsOneSearch(t *testing.T) {
 }
 
 // TestPathFallbackDisabledRunsNoSearch checks the other side of the
-// restructure: with FallbackNone the unresolved pair must not trigger
-// any search at all, with or without a path.
+// restructure: under PolicyTableOnly the unresolved pair must not
+// trigger any search at all, with or without a path.
 func TestPathFallbackDisabledRunsNoSearch(t *testing.T) {
-	o := fallbackPairOracle(t, Options{Fallback: FallbackNone})
+	o := fallbackPairOracle(t, Options{})
 	ctx := context.Background()
-	res, err := o.Query(ctx, Request{S: 10, T: 90, WantPath: true})
+	res, err := o.Query(ctx, Request{S: 10, T: 90, WantPath: true, Policy: PolicyTableOnly})
 	if err != nil || res.Path != nil || res.Method != MethodNone {
 		t.Fatalf("path = %v via %v (err %v), want nil/none", res.Path, res.Method, err)
 	}
 	if res.Cost.Fallbacks != 0 {
-		t.Fatalf("path query ran %d fallback searches with FallbackNone", res.Cost.Fallbacks)
+		t.Fatalf("path query ran %d fallback searches under PolicyTableOnly", res.Cost.Fallbacks)
 	}
-	res, err = o.Query(ctx, Request{S: 10, T: 90})
+	res, err = o.Query(ctx, Request{S: 10, T: 90, Policy: PolicyTableOnly})
 	if err != nil || res.Dist != NoDist || res.Method != MethodNone {
 		t.Fatalf("distance = %d via %v (err %v), want NoDist/none", res.Dist, res.Method, err)
 	}
 	if res.Cost.Fallbacks != 0 {
-		t.Fatalf("distance query ran %d fallback searches with FallbackNone", res.Cost.Fallbacks)
+		t.Fatalf("distance query ran %d fallback searches under PolicyTableOnly", res.Cost.Fallbacks)
 	}
 }
 
-// TestPathEstimateFallbackRunsNoSearch: the estimate fallback answers
-// from landmark rows and stitches the estimate path from stored chains;
-// no bidirectional search may run.
+// TestPathEstimateFallbackRunsNoSearch: PolicyEstimate answers from
+// landmark rows and stitches the estimate path from stored chains; no
+// bidirectional search may run.
 func TestPathEstimateFallbackRunsNoSearch(t *testing.T) {
-	o := fallbackPairOracle(t, Options{Fallback: FallbackEstimate})
+	o := fallbackPairOracle(t, Options{})
 	ctx := context.Background()
-	res, err := o.Query(ctx, Request{S: 10, T: 90})
+	res, err := o.Query(ctx, Request{S: 10, T: 90, Policy: PolicyEstimate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPathEstimateFallbackRunsNoSearch(t *testing.T) {
 	if res.Cost.Fallbacks != 0 {
 		t.Fatalf("distance query ran %d fallback searches in estimate mode", res.Cost.Fallbacks)
 	}
-	res, err = o.Query(ctx, Request{S: 10, T: 90, WantPath: true})
+	res, err = o.Query(ctx, Request{S: 10, T: 90, WantPath: true, Policy: PolicyEstimate})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,16 +106,18 @@ func TestKPathsCrossValidation(t *testing.T) {
 // TestKPathsK1BitIdentical property-tests the reduction the wire/CLI
 // layers rely on: a K=1 request answers bit-identically (dist, path,
 // method, error) to a K=0 WantPath Query, with Paths mirroring the
-// single answer — across profiles, policies, budgets, and the
-// estimate-fallback build.
+// single answer — across profiles, policies and budgets. The
+// "estimate" client sends PolicyEstimate where the "default" client
+// leaves the policy unset.
 func TestKPathsK1BitIdentical(t *testing.T) {
 	for _, prof := range crossProfiles() {
 		t.Run(prof.name, func(t *testing.T) {
 			g := prof.build()
 			n := uint32(g.NumNodes())
-			oracles := map[string]*Oracle{
-				"default":  mustBuild(t, g, Options{Seed: 17}),
-				"estimate": mustBuild(t, g, Options{Seed: 17, Fallback: FallbackEstimate}),
+			o := mustBuild(t, g, Options{Seed: 17})
+			clients := map[string]Policy{
+				"default":  PolicyDefault,
+				"estimate": PolicyEstimate,
 			}
 			r := xrand.New(777)
 			ctx := context.Background()
@@ -131,7 +133,11 @@ func TestKPathsK1BitIdentical(t *testing.T) {
 					req.Policy = PolicyFull
 					req.Budget = 1 + trial%30
 				}
-				for name, o := range oracles {
+				for name, unset := range clients {
+					req := req
+					if req.Policy == PolicyDefault {
+						req.Policy = unset
+					}
 					base, berr := o.Query(ctx, req)
 					k1req := req
 					k1req.K = 1

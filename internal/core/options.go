@@ -26,7 +26,9 @@
 // s ∈ Γ(t); otherwise it scans ∂Γ(s), probing Γ(t) for each member and
 // minimizing d(s,w) + d(w,t). Theorem 1 guarantees the minimum is exact
 // whenever the vicinities intersect; Lemma 1 justifies scanning only the
-// boundary. Unresolved pairs go to a configurable fallback.
+// boundary. A pair the tables leave undecided gets what its request's
+// Policy selects: by default the exact bidirectional search of the
+// paper's footnote 1, or the landmark estimate, or no answer.
 //
 // # Exactness
 //
@@ -86,40 +88,10 @@ func (s Sampling) String() string {
 	}
 }
 
-// Fallback selects what happens when a query is not resolved by the
-// stored tables (vicinities do not intersect).
-type Fallback int
-
-const (
-	// FallbackExact answers unresolved queries with an exact
-	// bidirectional search (BFS or Dijkstra), as suggested by the paper's
-	// footnote 1. This is the default.
-	FallbackExact Fallback = iota
-	// FallbackEstimate answers unresolved queries with a landmark
-	// triangulation upper bound d(s,l) + d(l,t); requires landmark
-	// tables. Fast but inexact (Method reports it as an estimate).
-	FallbackEstimate
-	// FallbackNone reports unresolved queries as unanswered.
-	FallbackNone
-)
-
-// String returns the fallback name.
-func (f Fallback) String() string {
-	switch f {
-	case FallbackExact:
-		return "exact"
-	case FallbackEstimate:
-		return "estimate"
-	case FallbackNone:
-		return "none"
-	default:
-		return fmt.Sprintf("Fallback(%d)", int(f))
-	}
-}
-
 // Options configures Build. The zero value gives the paper's defaults:
-// α = 4, √degree sampling, exact fallback, full coverage and landmark
-// tables enabled. Vicinities are always stored in hash
+// α = 4, √degree sampling, full coverage and landmark tables enabled.
+// What a pair the tables miss gets is not a build option: each
+// request's Policy chooses it. Vicinities are always stored in hash
 // tables and intersected by scanning ∂Γ(s), as Algorithm 1 is written.
 type Options struct {
 	// Alpha controls vicinity size (E[|Γ|] ≈ Alpha·√n). The paper's
@@ -128,9 +100,6 @@ type Options struct {
 
 	// Sampling is the landmark sampling strategy.
 	Sampling Sampling
-
-	// Fallback handles queries the stored tables cannot resolve.
-	Fallback Fallback
 
 	// Seed makes landmark sampling deterministic.
 	Seed uint64
@@ -179,14 +148,6 @@ func (o Options) withDefaults(g *graph.Graph) (Options, error) {
 	case SamplingPaper, SamplingUniform, SamplingDegree, SamplingTop:
 	default:
 		return o, fmt.Errorf("core: unknown sampling strategy %d", int(o.Sampling))
-	}
-	switch o.Fallback {
-	case FallbackExact, FallbackEstimate, FallbackNone:
-	default:
-		return o, fmt.Errorf("core: unknown fallback %d", int(o.Fallback))
-	}
-	if o.Fallback == FallbackEstimate && o.DisableLandmarkTables {
-		return o, errors.New("core: FallbackEstimate requires landmark tables")
 	}
 	n := g.NumNodes()
 	for _, u := range o.Nodes {

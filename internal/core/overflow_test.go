@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -102,17 +103,17 @@ func TestWeightedOverflowEstimate(t *testing.T) {
 	b.AddWeightedEdge(2, 1, 1_200_000_000) // m — t
 	b.AddWeightedEdge(1, 4, 1_000_000_000) // t — l2
 	g := b.Build()
-	opts := Options{Landmarks: []uint32{3, 4}, Fallback: FallbackEstimate}
-	o := mustBuild(t, g, opts)
+	o := mustBuild(t, g, Options{Landmarks: []uint32{3, 4}})
 
 	exact := baseline.NewDijkstra(g).Distance(0, 1)
 	if exact != 2_500_000_000 {
 		t.Fatalf("baseline distance = %d, want 2.5e9", exact)
 	}
-	d, m, err := queryDist(o, 0, 1)
+	res, err := o.Query(context.Background(), Request{S: 0, T: 1, Policy: PolicyEstimate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, m := res.Dist, res.Method
 	// Both triangulation candidates saturate (1e9 + 3.5e9 > MaxUint32),
 	// so no estimate is available; any finite answer below 2.5e9 would
 	// be the wrapped sum.
@@ -121,9 +122,9 @@ func TestWeightedOverflowEstimate(t *testing.T) {
 			d, m, uint32(205_032_704)) // (1e9+3.5e9) mod 2^32
 	}
 
-	// The same pair under the exact fallback is fully representable.
-	o2 := mustBuild(t, g, Options{Landmarks: []uint32{3, 4}})
-	if d, m, _ := queryDist(o2, 0, 1); d != exact || m != MethodFallbackExact {
+	// The same pair under the default (exact) policy is fully
+	// representable.
+	if d, m, _ := queryDist(o, 0, 1); d != exact || m != MethodFallbackExact {
 		t.Fatalf("exact fallback: %d via %v, want %d via fallback-exact", d, m, exact)
 	}
 }

@@ -79,7 +79,7 @@ const (
 	metaAlpha
 	metaSeed
 	metaSampling
-	metaFallback
+	metaFallback  // retired Options.Fallback: written as 0, ignored on load (each request's Policy selects the fallback)
 	metaTableKind // retired Options.TableKind: written as 0 (the hash layout), any other value rejected on load
 	metaWorkers
 	metaMaxLandmarks // retired Options.MaxLandmarks: written as 0, ignored on load (the file stores the landmark set)
@@ -108,7 +108,6 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	meta[metaAlpha] = math.Float64bits(o.opts.Alpha)
 	meta[metaSeed] = o.opts.Seed
 	meta[metaSampling] = uint64(o.opts.Sampling)
-	meta[metaFallback] = uint64(o.opts.Fallback)
 	// Workers is an execution knob, not a structural property: the build
 	// is bit-identical for every worker count, and persisting the count
 	// (defaulted to GOMAXPROCS) would make the file depend on the
@@ -222,7 +221,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		Alpha:                 math.Float64frombits(meta[metaAlpha]),
 		Seed:                  meta[metaSeed],
 		Sampling:              Sampling(meta[metaSampling]),
-		Fallback:              Fallback(meta[metaFallback]),
 		Workers:               workers,
 		DisableLandmarkTables: flags&flagNoLandmarkTables != 0,
 	}
@@ -230,11 +228,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	case SamplingPaper, SamplingUniform, SamplingDegree, SamplingTop:
 	default:
 		return nil, fmt.Errorf("%w: unknown sampling %d", ErrBadOracleFile, int(opts.Sampling))
-	}
-	switch opts.Fallback {
-	case FallbackExact, FallbackEstimate, FallbackNone:
-	default:
-		return nil, fmt.Errorf("%w: unknown fallback %d", ErrBadOracleFile, int(opts.Fallback))
 	}
 	if k := meta[metaTableKind]; k != 0 {
 		return nil, fmt.Errorf("%w: table kind %d (the retired Options.TableKind; only the hash layout loads)", ErrBadOracleFile, k)

@@ -35,11 +35,19 @@ func roundTrip(t *testing.T, o *Oracle) *Oracle {
 // sampled query identically: distance, method, and path.
 func assertOraclesAgree(t *testing.T, a, b *Oracle, n int, trials int) {
 	t.Helper()
+	assertOraclesAgreeUnder(t, a, b, n, trials, PolicyDefault)
+}
+
+// assertOraclesAgreeUnder is assertOraclesAgree with every query sent
+// under policy pol.
+func assertOraclesAgreeUnder(t *testing.T, a, b *Oracle, n int, trials int, pol Policy) {
+	t.Helper()
+	ctx := context.Background()
 	r := xrand.New(77)
 	for trial := 0; trial < trials; trial++ {
 		s, u := r.Uint32n(uint32(n)), r.Uint32n(uint32(n))
-		ra, errA := a.Query(context.Background(), Request{S: s, T: u})
-		rb, errB := b.Query(context.Background(), Request{S: s, T: u})
+		ra, errA := a.Query(ctx, Request{S: s, T: u, Policy: pol})
+		rb, errB := b.Query(ctx, Request{S: s, T: u, Policy: pol})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("(%d,%d): errors disagree: %v vs %v", s, u, errA, errB)
 		}
@@ -54,8 +62,9 @@ func assertOraclesAgree(t *testing.T, a, b *Oracle, n int, trials int) {
 		if ra.Cost.Lookups != rb.Cost.Lookups || ra.Cost.Scanned != rb.Cost.Scanned || meetA != meetB {
 			t.Fatalf("(%d,%d): stats diverge: %+v/%d vs %+v/%d", s, u, ra.Cost, meetA, rb.Cost, meetB)
 		}
-		pa, ma, _ := queryPath(a, s, u)
-		pb, mb, _ := queryPath(b, s, u)
+		rpa, _ := a.Query(ctx, Request{S: s, T: u, Policy: pol, WantPath: true})
+		rpb, _ := b.Query(ctx, Request{S: s, T: u, Policy: pol, WantPath: true})
+		pa, ma, pb, mb := rpa.Path, rpa.Method, rpb.Path, rpb.Method
 		if ma != mb || len(pa) != len(pb) {
 			t.Fatalf("(%d,%d): paths diverge: %v/%v vs %v/%v", s, u, pa, ma, pb, mb)
 		}
@@ -68,21 +77,25 @@ func assertOraclesAgree(t *testing.T, a, b *Oracle, n int, trials int) {
 }
 
 // TestSaveLoadRoundTrip checks byte-identical query behavior across
-// every option combination the format distinguishes.
+// every option combination the format distinguishes, each under the
+// request policy its row names.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	const n = 400
 	g := socialGraph(91, n)
-	cases := map[string]Options{
-		"defaults":          {Seed: 91},
-		"compact-landmarks": {Seed: 91, Alpha: 1.5}, // one-byte rows are the default; more of them here
-		"no-landmark-tabs":  {Seed: 91, DisableLandmarkTables: true},
-		"estimate-fallback": {Seed: 91, Fallback: FallbackEstimate},
-		"none-fallback":     {Seed: 91, Fallback: FallbackNone},
-		"alpha-1":           {Seed: 91, Alpha: 1},
+	cases := map[string]struct {
+		opts Options
+		pol  Policy
+	}{
+		"defaults":          {Options{Seed: 91}, PolicyDefault},
+		"compact-landmarks": {Options{Seed: 91, Alpha: 1.5}, PolicyDefault}, // one-byte rows are the default; more of them here
+		"no-landmark-tabs":  {Options{Seed: 91, DisableLandmarkTables: true}, PolicyDefault},
+		"estimate-fallback": {Options{Seed: 91}, PolicyEstimate},
+		"none-fallback":     {Options{Seed: 91}, PolicyTableOnly},
+		"alpha-1":           {Options{Seed: 91, Alpha: 1}, PolicyDefault},
 	}
-	for name, opts := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			o := mustBuild(t, g, opts)
+			o := mustBuild(t, g, tc.opts)
 			got := roundTrip(t, o)
 			if !reflect.DeepEqual(got.Options(), o.Options()) {
 				t.Fatalf("options diverge: %+v vs %+v", got.Options(), o.Options())
@@ -96,7 +109,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if got.Memory() != o.Memory() {
 				t.Fatalf("memory stats diverge:\n%v\n%v", got.Memory(), o.Memory())
 			}
-			assertOraclesAgree(t, o, got, n, 1500)
+			assertOraclesAgreeUnder(t, o, got, n, 1500, tc.pol)
 		})
 	}
 }
@@ -256,6 +269,23 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 	})
 }
 
+// metaWord returns the file offset of meta word i: the meta words
+// follow the 6-byte file header (magic, version) and the 12-byte
+// section header (tag, count).
+func metaWord(i int) int { return 6 + 12 + 8*i }
+
+// patchMeta returns a copy of the oracle file blob with meta word i
+// rewritten by fn and the CRC-32C trailer recomputed: a checksum-valid
+// file carrying a meta value Save would not write.
+func patchMeta(blob []byte, i int, fn func(uint64) uint64) []byte {
+	b := append([]byte(nil), blob...)
+	w := b[metaWord(i):]
+	binary.LittleEndian.PutUint64(w, fn(binary.LittleEndian.Uint64(w)))
+	crc := crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli))
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc)
+	return b
+}
+
 // TestLoadRetiredOptions pins how files that carry a retired build
 // option load. The table-kind meta slot and the scan-smaller flag chose
 // a layout and a scan side that no longer exist, so a file setting
@@ -263,26 +293,17 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 // max-landmarks slot only shaped sampling, and the file stores the
 // sampled landmark set, so a non-zero value loads and answers as before.
 // So does the no-path-data flag: paths derive from the stored
-// distances, so there is nothing left for it to disable.
+// distances, so there is nothing left for it to disable. The fallback
+// slot held the build-time fallback; each request's Policy chooses it
+// now, so any value loads, answers default-policy queries with the
+// exact search, and is written back as 0.
 func TestLoadRetiredOptions(t *testing.T) {
 	g := socialGraph(33, 300)
 	o := mustBuild(t, g, Options{Seed: 33})
 	blob := oracleBytes(t, o)
 
-	// The meta words follow the 6-byte file header (magic, version) and
-	// the 12-byte section header (tag, count).
-	metaWord := func(i int) int { return 6 + 12 + 8*i }
 	if got := binary.LittleEndian.Uint64(blob[metaWord(metaNodes):]); got != uint64(g.NumNodes()) {
 		t.Fatalf("meta layout moved: node-count word reads %d", got)
-	}
-	// patch rewrites one meta word and recomputes the CRC-32C trailer.
-	patch := func(i int, fn func(uint64) uint64) []byte {
-		b := append([]byte(nil), blob...)
-		w := b[metaWord(i):]
-		binary.LittleEndian.PutUint64(w, fn(binary.LittleEndian.Uint64(w)))
-		crc := crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli))
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc)
-		return b
 	}
 	set := func(v uint64) func(uint64) uint64 { return func(uint64) uint64 { return v } }
 
@@ -290,9 +311,9 @@ func TestLoadRetiredOptions(t *testing.T) {
 		name, option string
 		file         []byte
 	}{
-		{"table kind 1", "TableKind", patch(metaTableKind, set(1))},
-		{"table kind 2", "TableKind", patch(metaTableKind, set(2))},
-		{"scan-smaller flag", "ScanSmallerBoundary", patch(metaFlags, func(f uint64) uint64 { return f | flagScanSmaller })},
+		{"table kind 1", "TableKind", patchMeta(blob, metaTableKind, set(1))},
+		{"table kind 2", "TableKind", patchMeta(blob, metaTableKind, set(2))},
+		{"scan-smaller flag", "ScanSmallerBoundary", patchMeta(blob, metaFlags, func(f uint64) uint64 { return f | flagScanSmaller })},
 	} {
 		_, err := ReadOracle(bytes.NewReader(tc.file))
 		if !errors.Is(err, ErrBadOracleFile) || !strings.Contains(err.Error(), tc.option) {
@@ -304,14 +325,40 @@ func TestLoadRetiredOptions(t *testing.T) {
 		name string
 		file []byte
 	}{
-		{"max landmarks 3", patch(metaMaxLandmarks, set(3))},
-		{"no-path-data flag", patch(metaFlags, func(f uint64) uint64 { return f | flagNoPathData })},
+		{"max landmarks 3", patchMeta(blob, metaMaxLandmarks, set(3))},
+		{"no-path-data flag", patchMeta(blob, metaFlags, func(f uint64) uint64 { return f | flagNoPathData })},
 	} {
 		got, err := ReadOracle(bytes.NewReader(tc.file))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		assertOraclesAgree(t, o, got, g.NumNodes(), 300)
+	}
+
+	// The retired fallback word, on a pair the tables cannot decide.
+	ho, hs, hu := hardPairOracle(t, Options{})
+	hblob := oracleBytes(t, ho)
+	if w := binary.LittleEndian.Uint64(hblob[metaWord(metaFallback):]); w != 0 {
+		t.Fatalf("fallback word written as %d, want 0", w)
+	}
+	want, _, err := queryDist(ho, hs, hu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{1, 2, 99} {
+		got, err := ReadOracle(bytes.NewReader(patchMeta(hblob, metaFallback, set(v))))
+		if err != nil {
+			t.Fatalf("fallback word %d: %v", v, err)
+		}
+		if d, m, err := queryDist(got, hs, hu); err != nil || d != want || m != MethodFallbackExact {
+			t.Fatalf("fallback word %d: default-policy query answered (%d, %v, %v), want (%d, %v)",
+				v, d, m, err, want, MethodFallbackExact)
+		}
+		resaved := oracleBytes(t, got)
+		if w := binary.LittleEndian.Uint64(resaved[metaWord(metaFallback):]); w != 0 || !bytes.Equal(resaved, hblob) {
+			t.Fatalf("fallback word %d: re-saved file writes the word as %d (identical to a fresh save: %v)",
+				v, w, bytes.Equal(resaved, hblob))
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"vicinity/internal/graph"
 	"vicinity/internal/traverse"
-	"vicinity/internal/u32map"
 )
 
 // Method identifies how a query was answered (Algorithm 1's cases plus
@@ -104,88 +103,122 @@ func satAdd(a, b uint32) uint32 { return traverse.SatAdd(a, b) }
 // tables could not decide the pair and the caller owns the fallback,
 // so every query runs at most one slow search.
 func (o *Oracle) tableDistance(s, t uint32, c *Cost) (uint32, Method, uint32, error) {
-	n := o.g.NumNodes()
-	if int(s) >= n || int(t) >= n {
+	if n := o.g.NumNodes(); int(s) >= n {
 		return NoDist, MethodNone, graph.NoNode, errRange(n)
 	}
+	d, m, route, err := o.directCases(s, t, c)
+	if route != tgtScan {
+		return d, m, graph.NoNode, err
+	}
+
+	// Algorithm 1 lines 5-9: scan ∂Γ(s), probing Γ(t). Lemma 1 makes
+	// boundary-only scanning sufficient. t's view is a local, so each
+	// probe is a single call frame over contiguous arrays.
+	vt := o.vicFlat[t]
+	scan := o.boundary(s)
+	best := NoDist
+	meet := graph.NoNode
+	for i, w := range scan.Keys {
+		if dw, ok := vt.Get(w); ok {
+			if cand := satAdd(scan.Dist(i), dw); cand < best {
+				best = cand
+				meet = w
+			}
+		}
+	}
+	c.Lookups += len(scan.Keys)
+	c.Scanned += len(scan.Keys)
+	if best != NoDist {
+		return best, MethodIntersection, meet, nil
+	}
+	return NoDist, MethodNone, graph.NoNode, nil
+}
+
+// Routes of a pair after Algorithm 1's direct cases (directCases).
+const (
+	tgtDone uint8 = iota // answered (or errored) by the direct cases
+	tgtScan              // undecided: the boundary scan
+	tgtPend              // undecided, no scan possible: straight to the fallback
+)
+
+// directCases runs Algorithm 1's direct cases for target t of source
+// s, in one fixed order: the range check on t, s == t, s's landmark
+// row then t's, coverage of s then of t, the Γ(s) probe then the Γ(t)
+// probe. It is the only place a pair is decided from the stored tables
+// without a scan: the single-target path (tableDistance) and the batch
+// classification pass (tableMany) both call it, so the two cannot
+// diverge. The caller's range check on s comes first.
+//
+// A decided pair returns its distance and method, or an error, with
+// route tgtDone. An undecided pair returns NoDist, MethodNone and the
+// route its remaining work takes: tgtScan for the boundary scan, or
+// tgtPend straight to the fallback when no scan is possible (a
+// landmark endpoint without tables). Look-ups are added to c.
+//
+// The work per call is a probe or two, so the call itself must stay
+// cheap. Both views are probed in place, and only once the landmark
+// rows have not decided the pair: a landmark hit touches neither view,
+// coverage reads only a view's length, and t's view is probed only
+// after the Γ(s) probe misses. The answer comes back as scalars: as a
+// returned ItemResult it went through the stack, and a single-target
+// query decided here took about a third longer.
+func (o *Oracle) directCases(s, t uint32, c *Cost) (uint32, Method, uint8, error) {
+	n := o.g.NumNodes()
+	if int(t) >= n {
+		return NoDist, MethodNone, tgtDone, errRange(n)
+	}
 	if s == t {
-		return 0, MethodSame, graph.NoNode, nil
+		return 0, MethodSame, tgtDone, nil
 	}
 
 	// Algorithm 1 line 3: the four direct cases.
 	if o.isL[s] {
 		if li := o.lidx[s]; o.hasLandmarkTable(li) {
-			c.Lookups++
-			d := o.landmarkDist(li, t)
-			if d == NoDist {
-				return d, MethodUnreachable, graph.NoNode, nil
-			}
-			return d, MethodLandmarkSource, graph.NoNode, nil
+			d, m := o.landmarkRowCase(li, t, MethodLandmarkSource, c)
+			return d, m, tgtDone, nil
 		}
 	}
 	if o.isL[t] {
 		if li := o.lidx[t]; o.hasLandmarkTable(li) {
-			c.Lookups++
-			d := o.landmarkDist(li, s)
-			if d == NoDist {
-				return d, MethodUnreachable, graph.NoNode, nil
-			}
-			return d, MethodLandmarkTarget, graph.NoNode, nil
+			d, m := o.landmarkRowCase(li, s, MethodLandmarkTarget, c)
+			return d, m, tgtDone, nil
 		}
 	}
-
-	// The vicinity cases hold u32map.Flat views in locals, so every
-	// table probe — including each iteration of the boundary scan — is
-	// a single call frame over contiguous arrays. Coverage of t is
-	// decided from the view's length alone, and the 24-byte view itself
-	// is materialized only after the Γ(s) probe misses: the common
-	// vicinity-source hit then touches one word of vicFlat[t] instead
-	// of copying the whole view it never probes.
-	vs, okS := o.vicinity(s)
+	okS := o.vicFlat[s].Len() > 0
 	okT := o.vicFlat[t].Len() > 0
 	if !okS && !o.isL[s] {
-		return NoDist, MethodNone, graph.NoNode, errNotCovered(s)
+		return NoDist, MethodNone, tgtDone, errNotCovered(s)
 	}
 	if !okT && !o.isL[t] {
-		return NoDist, MethodNone, graph.NoNode, errNotCovered(t)
+		return NoDist, MethodNone, tgtDone, errNotCovered(t)
 	}
 	if okS {
 		c.Lookups++
-		if d, ok := vs.Get(t); ok {
-			return d, MethodVicinitySource, graph.NoNode, nil
+		if d, ok := o.vicFlat[s].Get(t); ok {
+			return d, MethodVicinitySource, tgtDone, nil
 		}
 	}
-	var vt u32map.Flat
 	if okT {
-		vt = o.vicFlat[t]
 		c.Lookups++
-		if d, ok := vt.Get(s); ok {
-			return d, MethodVicinityTarget, graph.NoNode, nil
+		if d, ok := o.vicFlat[t].Get(s); ok {
+			return d, MethodVicinityTarget, tgtDone, nil
 		}
 	}
-
-	// Algorithm 1 lines 5-9: scan ∂Γ(s), probing Γ(t). Lemma 1 makes
-	// boundary-only scanning sufficient.
 	if okS && okT {
-		scan := o.boundary(s)
-		best := NoDist
-		meet := graph.NoNode
-		for i, w := range scan.Keys {
-			if dw, ok := vt.Get(w); ok {
-				if cand := satAdd(scan.Dist(i), dw); cand < best {
-					best = cand
-					meet = w
-				}
-			}
-		}
-		c.Lookups += len(scan.Keys)
-		c.Scanned += len(scan.Keys)
-		if best != NoDist {
-			return best, MethodIntersection, meet, nil
-		}
+		return NoDist, MethodNone, tgtScan, nil
 	}
+	return NoDist, MethodNone, tgtPend, nil
+}
 
-	return NoDist, MethodNone, graph.NoNode, nil
+// landmarkRowCase answers a pair off landmark li's row at v: the
+// distance under method m, or exact unreachability.
+func (o *Oracle) landmarkRowCase(li int32, v uint32, m Method, c *Cost) (uint32, Method) {
+	c.Lookups++
+	d := o.landmarkDist(li, v)
+	if d == NoDist {
+		return NoDist, MethodUnreachable
+	}
+	return d, m
 }
 
 // fallbackDistanceWS answers a pair the stored tables could not with

@@ -16,23 +16,28 @@ import (
 // that are honored inside the slow path, per-query fallback policy (a
 // client ranking 100 candidates can afford the landmark estimate of the
 // sequel paper, an exact-path client cannot), node budgets bounding the
-// ~1% of queries that miss the tables, and machine-readable errors at
-// every layer.
+// searches of the pairs that miss the tables (38% of uniform pairs on
+// the LiveJournal-profile benchmark graph), and machine-readable errors
+// at every layer.
 //
 // Query(ctx, Request) is the one entry point all of that flows through:
 // single targets, one-to-many rankings and ranked alternatives alike,
 // with Cost as the one work counter. The public vicinity package's
 // Distance and Path are one-line helpers over it.
 
-// Policy selects per-request fallback handling, overriding the oracle's
-// build-time Options.Fallback for one query.
+// Policy selects what a pair the stored tables cannot decide gets. It
+// is the oracle's only fallback selector and is chosen per request.
+// The numbering is part of the wire protocol and must not change.
 type Policy uint8
 
 const (
-	// PolicyDefault uses the oracle's build-time fallback.
+	// PolicyDefault, the zero value, is the exact search: the same
+	// behavior as PolicyFull.
 	PolicyDefault Policy = iota
 	// PolicyFull answers unresolved queries with the exact
-	// bidirectional search (bounded by Request.Budget and ctx).
+	// bidirectional search (bounded by Request.Budget and ctx). It
+	// equals PolicyDefault; the two values stay distinct because
+	// clients send either.
 	PolicyFull
 	// PolicyEstimate answers unresolved queries with the landmark
 	// triangulation upper bound (no search; microseconds).
@@ -76,24 +81,10 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// effectiveFallback resolves a per-request policy against the
-// build-time default.
-func (o *Oracle) effectiveFallback(p Policy) Fallback {
-	switch p {
-	case PolicyFull:
-		return FallbackExact
-	case PolicyEstimate:
-		return FallbackEstimate
-	case PolicyTableOnly:
-		return FallbackNone
-	default:
-		return o.opts.Fallback
-	}
-}
-
 // Request describes one request-scoped query: a source, one target (T)
-// or many (Ts), and per-request overrides. The zero value of every
-// override answers with the oracle's build-time defaults.
+// or many (Ts), and per-request settings. The zero value of every
+// setting is the default behavior: the exact search for pairs the
+// tables miss, no budget, no path, sequential.
 type Request struct {
 	// S is the source node.
 	S uint32
@@ -104,7 +95,9 @@ type Request struct {
 	// order.
 	Ts []uint32
 
-	// Policy overrides the fallback for this request only.
+	// Policy selects what pairs the tables cannot decide get: the
+	// exact search (PolicyDefault, PolicyFull), the landmark estimate
+	// (PolicyEstimate) or no answer (PolicyTableOnly).
 	Policy Policy
 	// Budget caps the node expansions of each fallback search run for
 	// this request (0 = unlimited). An exhausted search still reports
@@ -357,10 +350,9 @@ func (o *Oracle) finish(ctx context.Context, req *Request, t, meet uint32, cl *c
 	case it.Err != nil:
 		// A per-target error from the table pass.
 	case it.Method == MethodNone:
-		switch o.effectiveFallback(req.Policy) {
-		case FallbackExact:
-			o.search(ctx, req, t, cl, w, it)
-		case FallbackEstimate:
+		switch req.Policy {
+		case PolicyTableOnly:
+		case PolicyEstimate:
 			if d := o.landmarkEstimate(req.S, t, &w.cost); d != NoDist {
 				it.Dist, it.Method = d, MethodFallbackEstimate
 				if req.WantPath {
@@ -369,6 +361,8 @@ func (o *Oracle) finish(ctx context.Context, req *Request, t, meet uint32, cl *c
 					}
 				}
 			}
+		default:
+			o.search(ctx, req, t, cl, w, it)
 		}
 	case req.WantPath && it.Dist != NoDist:
 		if p, ok := o.assembleTablePath(req.S, t, it.Method, meet); ok {
@@ -377,13 +371,13 @@ func (o *Oracle) finish(ctx context.Context, req *Request, t, meet uint32, cl *c
 		}
 		// A chain the stored distances cannot complete (a table a walk
 		// cannot descend, e.g. a corrupted file that still passed the
-		// loader). With no fallback allowed, report no path
-		// (MethodNone) but keep the table-resolved distance. Otherwise
-		// one limited exact search re-resolves the path, even under the
-		// estimate fallback; if it is cut off without beating the
-		// table-resolved distance, the exact answer stays — a budget
-		// must degrade the path, never the distance.
-		if o.effectiveFallback(req.Policy) == FallbackNone {
+		// loader). Under PolicyTableOnly, report no path (MethodNone)
+		// but keep the table-resolved distance. Otherwise one limited
+		// exact search re-resolves the path, even under PolicyEstimate;
+		// if it is cut off without beating the table-resolved distance,
+		// the exact answer stays — a budget must degrade the path, never
+		// the distance.
+		if req.Policy == PolicyTableOnly {
 			it.Method = MethodNone
 			return
 		}

@@ -200,41 +200,41 @@ func TestQueryBudgetBoundWeighted(t *testing.T) {
 	t.Fatal("weighted search never converged")
 }
 
-// TestQueryPolicyOverrides checks that per-request policy beats the
-// build-time default in both directions.
+// TestQueryPolicyOverrides checks that each request's policy alone
+// decides what a pair the tables miss gets: the zero policy is the
+// exact search, the same answer and work as PolicyFull, and the other
+// two downgrade it per query.
 func TestQueryPolicyOverrides(t *testing.T) {
 	ctx := context.Background()
 
-	// Table-only build answers exactly when the request asks for the
-	// full search.
-	o, s, u := hardPairOracle(t, Options{Fallback: FallbackNone})
+	o, s, u := hardPairOracle(t, Options{})
 	want := baseline.NewBFS(o.Graph()).Distance(s, u)
-	if d, m, _ := queryDist(o, s, u); d != NoDist || m != MethodNone {
-		t.Fatalf("FallbackNone build resolved the hard pair (%d, %v)", d, m)
-	}
+	def, derr := o.Query(ctx, Request{S: s, T: u})
 	res, err := o.Query(ctx, Request{S: s, T: u, Policy: PolicyFull})
 	if err != nil || res.Dist != want || res.Method != MethodFallbackExact {
 		t.Fatalf("PolicyFull: got (%d, %v, %v), want (%d, %v, nil)", res.Dist, res.Method, err, want, MethodFallbackExact)
 	}
+	if derr != nil || def.Dist != res.Dist || def.Method != res.Method || def.Cost != res.Cost {
+		t.Fatalf("PolicyDefault: got (%d, %v, %+v, %v), want PolicyFull's (%d, %v, %+v)",
+			def.Dist, def.Method, def.Cost, derr, res.Dist, res.Method, res.Cost)
+	}
 
-	// Exact build downgraded per query: table-only reports MethodNone,
-	// estimate reports an upper bound without searching.
-	o2, s2, u2 := hardPairOracle(t, Options{})
-	want2 := baseline.NewBFS(o2.Graph()).Distance(s2, u2)
-	res, err = o2.Query(ctx, Request{S: s2, T: u2, Policy: PolicyTableOnly})
+	// Downgraded per query: table-only reports MethodNone, estimate
+	// reports an upper bound without searching.
+	res, err = o.Query(ctx, Request{S: s, T: u, Policy: PolicyTableOnly})
 	if err != nil || res.Dist != NoDist || res.Method != MethodNone {
 		t.Fatalf("PolicyTableOnly: got (%d, %v, %v), want unresolved", res.Dist, res.Method, err)
 	}
 	if res.Cost.Fallbacks != 0 || res.Cost.Expanded != 0 {
 		t.Fatalf("PolicyTableOnly ran a search: %+v", res.Cost)
 	}
-	res, err = o2.Query(ctx, Request{S: s2, T: u2, Policy: PolicyEstimate})
+	res, err = o.Query(ctx, Request{S: s, T: u, Policy: PolicyEstimate})
 	if err != nil {
 		t.Fatalf("PolicyEstimate: %v", err)
 	}
 	if res.Method == MethodFallbackEstimate {
-		if res.Dist < want2 {
-			t.Fatalf("PolicyEstimate: estimate %d undercuts exact %d", res.Dist, want2)
+		if res.Dist < want {
+			t.Fatalf("PolicyEstimate: estimate %d undercuts exact %d", res.Dist, want)
 		}
 		if res.Cost.Expanded != 0 {
 			t.Fatalf("PolicyEstimate expanded %d nodes", res.Cost.Expanded)

@@ -13,7 +13,8 @@ import (
 )
 
 // TestQueryResolvedZeroAlloc is the hot-path allocation gate: a
-// table-resolved Query (the ~99% case) must not allocate, Cost
+// table-resolved Query (62% of uniform pairs on the 50,000-node
+// benchmark graph) must not allocate, Cost
 // accounting included. testing.AllocsPerRun enforces it as a test, not
 // just a benchmark eyeball.
 func TestQueryResolvedZeroAlloc(t *testing.T) {
@@ -210,5 +211,55 @@ func BenchmarkFallbackCanceled(b *testing.B) {
 		if !errors.Is(err, ErrCanceled) {
 			b.Fatalf("expired ctx answered: %v", err)
 		}
+	}
+}
+
+// TestQueryManyAllocs is the one-to-many allocation gate: a sequential,
+// table-resolved, distance-only one-to-many Query allocates a fixed
+// number of times per request, whatever its target count, and no more
+// than maxAllocs. The batch passes run in closures; state of s copied
+// into a local and shared with them by address (s's vicinity view, for
+// one) would escape and cost every request one more.
+func TestQueryManyAllocs(t *testing.T) {
+	const maxAllocs = 17
+	g := socialGraph(21, 2000)
+	o := mustBuild(t, g, Options{Seed: 21})
+	ctx := context.Background()
+
+	// A covered non-landmark source, 100 targets the tables resolve
+	// (at least one by the boundary scan, so the inverted pass runs)
+	// and a one-target request that needs the scan as well.
+	var s uint32
+	for o.IsLandmark(s) {
+		s++
+	}
+	r := xrand.New(5)
+	var ts []uint32
+	scanT := uint32(NoDist)
+	for len(ts) < 100 || scanT == NoDist {
+		u := r.Uint32n(2000)
+		_, m, err := queryDist(o, s, u)
+		if err != nil || !m.Resolved() {
+			continue
+		}
+		if m == MethodIntersection && scanT == NoDist {
+			scanT = u
+		}
+		if len(ts) < 100 {
+			ts = append(ts, u)
+		}
+	}
+	allocs := func(ts []uint32) float64 {
+		return testing.AllocsPerRun(200, func() {
+			res, err := o.Query(ctx, Request{S: s, Ts: ts})
+			if err != nil || res.Cost.Fallbacks != 0 {
+				t.Fatalf("%d-target query ran %d searches (err %v)", len(ts), res.Cost.Fallbacks, err)
+			}
+		})
+	}
+	one, many := allocs([]uint32{scanT}), allocs(ts)
+	if one != many || many > maxAllocs {
+		t.Fatalf("one-to-many Query allocates %.1f per op for 1 target and %.1f for 100, want the same and at most %d",
+			one, many, maxAllocs)
 	}
 }

@@ -171,19 +171,23 @@ func assertGroundTruth(t *testing.T, o *Oracle, sources int) {
 
 // TestUpdateOptionMatrix runs one update sequence under every option
 // the repair path must honor; each result must serialize exactly like a
-// fresh build.
+// fresh build and answer like one under the request policy its row
+// names.
 func TestUpdateOptionMatrix(t *testing.T) {
-	cases := map[string]Options{
-		"compact-landmarks": {Seed: 3, Alpha: 1.5}, // one-byte rows are the default; more of them here
-		"no-landmark-tabs":  {Seed: 3, DisableLandmarkTables: true},
-		"fallback-none":     {Seed: 3, Fallback: FallbackNone},
-		"fallback-estimate": {Seed: 3, Fallback: FallbackEstimate},
+	cases := map[string]struct {
+		opts Options
+		pol  Policy
+	}{
+		"compact-landmarks": {Options{Seed: 3, Alpha: 1.5}, PolicyDefault}, // one-byte rows are the default; more of them here
+		"no-landmark-tabs":  {Options{Seed: 3, DisableLandmarkTables: true}, PolicyDefault},
+		"fallback-none":     {Options{Seed: 3}, PolicyTableOnly},
+		"fallback-estimate": {Options{Seed: 3}, PolicyEstimate},
 	}
-	for name, opts := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			r := xrand.New(555)
 			g := socialGraph(21, 250)
-			o := mustBuild(t, g, opts)
+			o := mustBuild(t, g, tc.opts)
 			for step := 0; step < 4; step++ {
 				batch := randomBatch(r, o.Graph().NumNodes())
 				next, err := o.ApplyUpdates(batch)
@@ -194,7 +198,7 @@ func TestUpdateOptionMatrix(t *testing.T) {
 			}
 			fresh := freshTwin(t, o)
 			assertSameStructure(t, o, fresh)
-			assertOraclesAgree(t, o, fresh, o.Graph().NumNodes(), 300)
+			assertOraclesAgreeUnder(t, o, fresh, o.Graph().NumNodes(), 300, tc.pol)
 			if !bytes.Equal(oracleBytes(t, o), oracleBytes(t, fresh)) {
 				t.Fatal("updated oracle serializes differently from a fresh build")
 			}

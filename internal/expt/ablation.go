@@ -43,7 +43,7 @@ func AblationBoundary(d Dataset, cfg Config) (AblationBoundaryRow, error) {
 	agreeDist := make([]uint32, len(pairs))
 	start := time.Now()
 	for i, p := range pairs {
-		res, err := o.Query(ctx, core.Request{S: p[0], T: p[1]})
+		res, err := o.Query(ctx, core.Request{S: p[0], T: p[1], Policy: core.PolicyTableOnly})
 		if err != nil {
 			return row, err
 		}
@@ -140,7 +140,6 @@ func AblationSampling(d Dataset, cfg Config) ([]AblationSamplingRow, error) {
 			Sampling:              strat,
 			Nodes:                 nodes,
 			DisableLandmarkTables: true,
-			Fallback:              core.FallbackNone,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ablation sampling %s/%v: %w", d.Name, strat, err)
@@ -148,7 +147,7 @@ func AblationSampling(d Dataset, cfg Config) ([]AblationSamplingRow, error) {
 		resolved, total := 0, 0
 		for i := 0; i < len(nodes); i++ {
 			for j := i + 1; j < len(nodes); j++ {
-				res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j]})
+				res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j], Policy: core.PolicyTableOnly})
 				if err != nil {
 					return nil, err
 				}

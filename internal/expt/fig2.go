@@ -32,7 +32,6 @@ func buildScoped(d Dataset, alpha float64, cfg Config, seed uint64, withTables b
 		Workers:               cfg.Workers,
 		Nodes:                 nodes,
 		DisableLandmarkTables: !withTables,
-		Fallback:              core.FallbackNone,
 	})
 	return o, nodes, err
 }
@@ -67,7 +66,7 @@ func IntersectionSweep(d Dataset, cfg Config) ([]IntersectionPoint, error) {
 					if o.IsLandmark(nodes[j]) {
 						continue
 					}
-					res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j]})
+					res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j], Policy: core.PolicyTableOnly})
 					if err != nil {
 						return nil, err
 					}

@@ -33,11 +33,10 @@ func Scaling(p gen.Profile, sizes []int, cfg Config) ([]ScalingRow, error) {
 		d := Dataset{Name: fmt.Sprintf("%s-%d", p.Name, n), Profile: p, Graph: g}
 		nodes := sampleNodes(g, cfg.Samples, cfg.Seed)
 		o, err := core.Build(g, core.Options{
-			Alpha:    cfg.Alpha,
-			Seed:     cfg.Seed,
-			Workers:  cfg.Workers,
-			Nodes:    nodes,
-			Fallback: core.FallbackNone,
+			Alpha:   cfg.Alpha,
+			Seed:    cfg.Seed,
+			Workers: cfg.Workers,
+			Nodes:   nodes,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("scaling %s: %w", d.Name, err)

@@ -40,11 +40,10 @@ func Weighted(d Dataset, maxW uint32, cfg Config) (WeightedRow, error) {
 
 	nodes := sampleNodes(g, cfg.Samples, cfg.Seed)
 	o, err := core.Build(g, core.Options{
-		Alpha:    cfg.Alpha,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-		Nodes:    nodes,
-		Fallback: core.FallbackNone,
+		Alpha:   cfg.Alpha,
+		Seed:    cfg.Seed,
+		Workers: cfg.Workers,
+		Nodes:   nodes,
 	})
 	if err != nil {
 		return row, fmt.Errorf("weighted %s: %w", d.Name, err)
@@ -55,7 +54,7 @@ func Weighted(d Dataset, maxW uint32, cfg Config) (WeightedRow, error) {
 	var stretchSum float64
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
-			res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j]})
+			res, err := o.Query(context.Background(), core.Request{S: nodes[i], T: nodes[j], Policy: core.PolicyTableOnly})
 			if err != nil {
 				return row, err
 			}

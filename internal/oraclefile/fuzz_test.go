@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// fuzzSchedule is the section sequence the fuzz reader demands; it
-// exercises every array width plus a raw section, mirroring how the
-// core loader walks a file.
+// readSchedule is the section sequence the fuzz reader demands; it
+// exercises every array width, a raw section and a byte-count section,
+// mirroring how the core loader walks a file.
 func readSchedule(data []byte, sizeHint int64) error {
 	or, err := NewReader(bytes.NewReader(data), sizeHint)
 	if err != nil {
@@ -22,7 +22,7 @@ func readSchedule(data []byte, sizeHint int64) error {
 	if _, err := or.Raw(3); err != nil {
 		return err
 	}
-	if _, err := or.U16s(4); err != nil {
+	if _, err := or.U32sBytes(4); err != nil {
 		return err
 	}
 	if _, err := or.U32s(5); err != nil {
@@ -37,8 +37,8 @@ func validContainer() []byte {
 	w := NewWriter(&buf, 1)
 	w.U64s(1, []uint64{1, 2, 3})
 	w.U32s(2, []uint32{4, 5})
-	w.Raw(3, []byte("raw-bytes"))
-	w.U16s(4, []uint16{6})
+	w.U8Rows(3, [][]uint8{[]byte("raw-"), []byte("bytes")})
+	w.U32sBytes(4, []uint32{6})
 	w.U32Rows(5, [][]uint32{{7}, {8, 9}})
 	if err := w.Close(); err != nil {
 		panic(err)
@@ -75,7 +75,7 @@ func FuzzReader(f *testing.F) {
 	fw.Raw(100, []byte("future section"))
 	fw.U32s(2, []uint32{4, 5})
 	fw.Raw(3, []byte("raw-bytes"))
-	fw.U16s(4, []uint16{6})
+	fw.U32sBytes(4, []uint32{6})
 	fw.U32s(5, []uint32{7, 8, 9})
 	fw.Raw(200, []byte("trailing future section"))
 	if err := fw.Close(); err != nil {

@@ -7,7 +7,7 @@
 //
 //	tag    uint32 (LE)
 //	count  uint64 (LE)  number of elements
-//	data   count elements, little-endian (u16/u32/u64 arrays, or raw bytes)
+//	data   count elements, little-endian (u32/u64 arrays, or raw bytes)
 //
 // and the writer/reader pair in internal/core lays oracle fields out as
 // an agreed sequence of sections in strictly increasing tag order.
@@ -103,19 +103,6 @@ func (ow *Writer) header(tag uint32, count uint64) {
 	binary.LittleEndian.PutUint32(hdr[0:], tag)
 	binary.LittleEndian.PutUint64(hdr[4:], count)
 	ow.write(hdr[:])
-}
-
-// U16s writes a uint16-array section.
-func (ow *Writer) U16s(tag uint32, xs []uint16) {
-	ow.header(tag, uint64(len(xs)))
-	for len(xs) > 0 {
-		n := min(len(xs), chunkElems)
-		for i, v := range xs[:n] {
-			binary.LittleEndian.PutUint16(ow.buf[2*i:], v)
-		}
-		ow.write(ow.buf[:2*n])
-		xs = xs[n:]
-	}
 }
 
 // U32s writes a uint32-array section.
@@ -330,35 +317,6 @@ func (or *Reader) skip(n uint64) error {
 		n -= uint64(c)
 	}
 	return nil
-}
-
-// U16s reads the uint16-array section with the given tag.
-func (or *Reader) U16s(tag uint32) ([]uint16, error) {
-	count, err := or.header(tag)
-	if err != nil {
-		return nil, err
-	}
-	exact, err := or.sized(count, 2)
-	if err != nil {
-		return nil, err
-	}
-	var xs []uint16
-	if exact {
-		xs = make([]uint16, 0, count)
-	} else {
-		xs = make([]uint16, 0, min(count, chunkElems))
-	}
-	for count > 0 {
-		n := int(min(count, chunkElems))
-		if err := or.read(or.buf[:2*n]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			xs = append(xs, binary.LittleEndian.Uint16(or.buf[2*i:]))
-		}
-		count -= uint64(n)
-	}
-	return xs, nil
 }
 
 // U32s reads the uint32-array section with the given tag.

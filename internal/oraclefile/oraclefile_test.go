@@ -15,13 +15,15 @@ func TestRoundTrip(t *testing.T) {
 	for i := range u32s {
 		u32s[i] = uint32(i * 7)
 	}
-	u16s := []uint16{9, 8, 7}
+	sized := []uint32{9, 8, 7}
 	raw := []byte("embedded blob")
+	rows := [][]uint8{[]byte("byte "), nil, []byte("rows")}
 	w.U64s(1, u64s)
 	w.U32s(2, u32s)
-	w.U16s(3, u16s)
+	w.U32sBytes(3, sized)
 	w.Raw(4, raw)
 	w.U32s(5, nil)
+	w.U8Rows(6, rows)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -41,9 +43,9 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got32, u32s) {
 		t.Fatalf("U32s mismatch: %v", err)
 	}
-	got16, err := r.U16s(3)
-	if err != nil || !reflect.DeepEqual(got16, u16s) {
-		t.Fatalf("U16s: %v %v", got16, err)
+	gotSized, err := r.U32sBytes(3)
+	if err != nil || !reflect.DeepEqual(gotSized, sized) {
+		t.Fatalf("U32sBytes: %v %v", gotSized, err)
 	}
 	gotRaw, err := r.Raw(4)
 	if err != nil || !bytes.Equal(gotRaw, raw) {
@@ -52,6 +54,11 @@ func TestRoundTrip(t *testing.T) {
 	empty, err := r.U32s(5)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty section: %v %v", empty, err)
+	}
+	// Byte rows read back as one raw section of their concatenation.
+	gotRows, err := r.Raw(6)
+	if err != nil || string(gotRows) != "byte rows" {
+		t.Fatalf("U8Rows as Raw: %q %v", gotRows, err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("reader Close: %v", err)
@@ -89,7 +96,7 @@ func TestSkipsUnknownSections(t *testing.T) {
 		// byte-count headers (the post-v1 convention), so Raw models
 		// them exactly.
 		w.Raw(100, []byte("future section between known tags"))
-		w.U16s(9, []uint16{33})
+		w.U32sBytes(9, []uint32{33})
 		w.Raw(112, bytes.Repeat([]byte{0xAB}, 3*8192+5)) // spans chunk buffers
 		w.U64s(40, []uint64{77})
 		w.Raw(199, []byte("trailing future section"))
@@ -111,9 +118,9 @@ func TestSkipsUnknownSections(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, []uint32{10, 20}) {
 			t.Fatalf("U32s(1) = %v, %v", got, err)
 		}
-		got16, err := r.U16s(9)
-		if err != nil || !reflect.DeepEqual(got16, []uint16{33}) {
-			t.Fatalf("U16s(9) = %v, %v", got16, err)
+		gotSized, err := r.U32sBytes(9)
+		if err != nil || !reflect.DeepEqual(gotSized, []uint32{33}) {
+			t.Fatalf("U32sBytes(9) = %v, %v", gotSized, err)
 		}
 		got64, err := r.U64s(40)
 		if err != nil || !reflect.DeepEqual(got64, []uint64{77}) {
@@ -134,8 +141,8 @@ func TestSkipsUnknownSections(t *testing.T) {
 	if _, err := r.U32s(1); err != nil {
 		t.Fatalf("U32s(1): %v", err)
 	}
-	if _, err := r.U16s(9); err != nil {
-		t.Fatalf("U16s(9): %v", err)
+	if _, err := r.U32sBytes(9); err != nil {
+		t.Fatalf("U32sBytes(9): %v", err)
 	}
 	if _, err := r.U64s(40); err != nil {
 		t.Fatalf("U64s(40): %v", err)

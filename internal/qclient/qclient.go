@@ -409,8 +409,9 @@ type QuerySpec struct {
 	// function of the pinned snapshot, so hedging and replica failover
 	// stay safe.
 	K int
-	// Policy overrides the fallback for this request
-	// (core.PolicyDefault/Full/Estimate/TableOnly).
+	// Policy selects the fallback for this request
+	// (core.PolicyDefault/Full/Estimate/TableOnly; the zero value is
+	// the exact search).
 	Policy core.Policy
 	// Budget caps each fallback search's node expansions (0 = none).
 	Budget int

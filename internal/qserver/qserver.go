@@ -194,10 +194,10 @@ func (s *Server) Latency(ep Endpoint) *lhist.Snapshot { return s.lat[ep].Snapsho
 
 // admit applies admission control to one query: it enters the query
 // into the in-flight gauge (the returned func leaves it; always call
-// it) and, when the server is over MaxInFlight, degrades a
-// fallback-permitting policy to PolicyEstimate so overload sheds to
-// cheap landmark bounds instead of queueing. The returned policy is
-// what the query must run with.
+// it) and, when the server is over MaxInFlight, degrades the exact
+// search (PolicyDefault or PolicyFull, which are the same) to
+// PolicyEstimate so overload sheds to cheap landmark bounds instead of
+// queueing. The returned policy is what the query must run with.
 func (s *Server) admit(p core.Policy) (core.Policy, func()) {
 	n := s.inFlight.Add(1)
 	leave := func() { s.inFlight.Add(-1) }

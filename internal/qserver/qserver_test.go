@@ -1465,10 +1465,11 @@ func TestStatsLatencyHistograms(t *testing.T) {
 }
 
 // TestAdmissionControlSheds holds one fallback query in flight and
-// verifies that, over MaxInFlight, the next fallback-permitting query
-// is degraded to the landmark estimate (typed by its method, counted in
-// Shed) instead of queueing behind the search — and that a table-only
-// request is never upgraded by admission control.
+// verifies that, over MaxInFlight, the next exact-search query — with
+// PolicyFull or with no policy set, which means the same — is degraded
+// to the landmark estimate (typed by its method, counted in Shed)
+// instead of queueing behind the search, and that a table-only request
+// is never upgraded by admission control.
 func TestAdmissionControlSheds(t *testing.T) {
 	entered := make(chan struct{}, 16)
 	release := make(chan struct{})
@@ -1491,6 +1492,11 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
+	// A failed check must not leave the held query parked: the server's
+	// shutdown would wait on it and hang the test instead of failing it.
+	var unparkOnce sync.Once
+	unpark := func() { unparkOnce.Do(func() { close(release) }) }
+	defer unpark()
 	ctx := context.Background()
 
 	// Hold one admitted query in flight.
@@ -1524,6 +1530,19 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatalf("metrics after shed: %+v", m)
 	}
 
+	// No policy set is the exact search too, so it sheds the same way.
+	res, err = c2.Query(ctx, qclient.QuerySpec{S: a, T: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := res.Items[0]; it.Err != nil || core.Method(it.Method) != core.MethodFallbackEstimate || it.Dist < wantD {
+		t.Fatalf("shed default-policy query answered (%d, %v, %v), want the landmark estimate",
+			it.Dist, core.Method(it.Method), it.Err)
+	}
+	if m := srv.Metrics(); m.Shed != 2 {
+		t.Fatalf("default-policy shed not counted: %+v", m)
+	}
+
 	// A table-only request is already cheap: it passes through admission
 	// control unchanged even over the limit.
 	res, err = c2.Query(ctx, qclient.QuerySpec{S: a, T: b, Policy: core.PolicyTableOnly})
@@ -1533,11 +1552,11 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if got := core.Method(res.Items[0].Method); got != core.MethodNone {
 		t.Fatalf("table-only under overload answered %v, want none", got)
 	}
-	if m := srv.Metrics(); m.Shed != 1 {
+	if m := srv.Metrics(); m.Shed != 2 {
 		t.Fatalf("table-only request counted as shed: %+v", m)
 	}
 
-	close(release)
+	unpark()
 	wg.Wait()
 	if heldErr != nil {
 		t.Fatalf("held query: %v", heldErr)
@@ -1561,7 +1580,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Shed == nil || *st.Shed != 1 || st.InFlight == nil {
+	if st.Shed == nil || *st.Shed != 2 || st.InFlight == nil {
 		t.Fatalf("/v1/stats shed/in_flight: %+v", st)
 	}
 }

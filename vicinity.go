@@ -9,10 +9,11 @@
 // is then a handful of hash-table probes: either one endpoint is a
 // landmark, or one lies in the other's vicinity, or the boundary of
 // Γ(s) is scanned against Γ(t) and the minimum d(s,w)+d(w,t) over the
-// intersection is the exact distance (Theorem 1 of the paper). On
-// social-network topologies with α = 4 (vicinity size ≈ 4√n), over 99%
-// of random queries resolve from the tables in microseconds; the rest
-// fall back to an exact bidirectional search by default.
+// intersection is the exact distance (Theorem 1 of the paper). On a
+// LiveJournal-profile graph of 50,000 nodes with α = 4 (vicinity size
+// ≈ 4√n), 62% of 20,000 uniform random pairs resolve from the tables
+// in microseconds; the other 38% fall back to an exact bidirectional
+// search unless the request's Policy asks for less.
 //
 // # Quick start
 //
@@ -178,24 +179,12 @@ const (
 	MethodBudgetBound = core.MethodBudgetBound
 )
 
-// Fallback selects the behavior for queries the tables cannot resolve.
-type Fallback = core.Fallback
-
-// Fallback modes.
-const (
-	// FallbackExact answers unresolved queries with bidirectional search
-	// (default; the paper's footnote 1).
-	FallbackExact = core.FallbackExact
-	// FallbackEstimate answers with a landmark triangulation upper bound.
-	FallbackEstimate = core.FallbackEstimate
-	// FallbackNone reports unresolved queries as MethodNone.
-	FallbackNone = core.FallbackNone
-)
-
 // Options configures Build. The zero value (or a nil pointer) gives the
 // paper's defaults: α = 4, √degree landmark sampling, hash-table
-// vicinities, landmark tables, and the exact fallback. Paths need no
-// option: they derive from the stored distances.
+// vicinities and landmark tables. Paths need no option: they derive
+// from the stored distances. What a pair the tables miss gets is not a
+// build option either: each request's Policy chooses it, and the zero
+// Policy is the exact search.
 type Options struct {
 	// Alpha controls the expected vicinity size α·√n (paper: 4).
 	Alpha float64
@@ -206,8 +195,6 @@ type Options struct {
 	// any file written by Save — is bit-identical for every worker
 	// count, so Workers trades build time only, never output.
 	Workers int
-	// Fallback selects unresolved-query handling.
-	Fallback Fallback
 	// WithoutLandmarkTables skips the |L|·n landmark distance tables;
 	// landmark-endpoint queries then resolve via vicinities or fallback.
 	// Built tables store each row at the width its distances need: one
@@ -256,7 +243,6 @@ func Build(g *Graph, opts *Options) (*Oracle, error) {
 			Alpha:                 opts.Alpha,
 			Seed:                  opts.Seed,
 			Workers:               opts.Workers,
-			Fallback:              opts.Fallback,
 			DisableLandmarkTables: opts.WithoutLandmarkTables,
 			Nodes:                 opts.Nodes,
 		}
@@ -395,10 +381,10 @@ func (o *Oracle) AddNode() (uint32, error) {
 
 // Request describes one request-scoped query for Query: a source, one
 // target (T) or many (Ts, the one-to-many ranking shape), and
-// per-request overrides — fallback Policy, a fallback search node
+// per-request settings — fallback Policy, a fallback search node
 // Budget, ranked-alternatives fan-out K, and the WantPath/WantStats
-// flags. The zero value of every override answers with the oracle's
-// build-time defaults.
+// flags. The zero value of every setting is the default behavior: the
+// exact search for pairs the tables miss, no budget, no path.
 type Request = core.Request
 
 // Result carries the answer(s) of one Query: distance/method/path for
@@ -426,16 +412,18 @@ type ItemResult = core.ItemResult
 // members examined, fallback searches and their node expansions).
 type Cost = core.Cost
 
-// Policy selects per-request fallback handling, overriding the
-// build-time Options default for one query.
+// Policy selects what a pair the stored tables cannot decide gets. It
+// is chosen per request; there is no build-time default to override.
 type Policy = core.Policy
 
 // Per-request fallback policies.
 const (
-	// PolicyDefault uses the oracle's build-time fallback.
+	// PolicyDefault, the zero value, is the exact search: the same
+	// behavior as PolicyFull.
 	PolicyDefault = core.PolicyDefault
 	// PolicyFull answers unresolved queries with the exact
-	// bidirectional search (bounded by Request.Budget and ctx).
+	// bidirectional search (bounded by Request.Budget and ctx). It
+	// equals PolicyDefault.
 	PolicyFull = core.PolicyFull
 	// PolicyEstimate answers unresolved queries with the landmark
 	// triangulation upper bound (no search).
@@ -487,8 +475,8 @@ func (o *Oracle) Query(ctx context.Context, req Request) (Result, error) {
 }
 
 // Distance returns the distance from s to t and the method that
-// resolved it. NoDist means unreachable (MethodUnreachable) or
-// unresolved (MethodNone).
+// resolved it. Pairs the tables miss get the exact search, so NoDist
+// with a nil error means unreachable (MethodUnreachable).
 //
 // Distance is a one-line helper over Query with a default-policy
 // Request; use Query directly for rankings, deadlines, budgets or
@@ -499,7 +487,7 @@ func (o *Oracle) Distance(s, t uint32) (uint32, Method, error) {
 }
 
 // Path returns a shortest path from s to t inclusive of endpoints, or
-// nil when no path exists or the query is unresolved.
+// nil when no path exists or the query fails.
 //
 // Path is a one-line helper over Query with a default-policy Request
 // and WantPath set; use Query directly for rankings, deadlines, budgets

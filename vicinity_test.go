@@ -87,8 +87,7 @@ func TestBuilderAndAccessors(t *testing.T) {
 
 func TestOptionsPlumbing(t *testing.T) {
 	g := GenerateSocial(600, 4, 3)
-	o, err := Build(g, &Options{Alpha: 2, Seed: 7, Fallback: FallbackNone,
-		WithoutLandmarkTables: true})
+	o, err := Build(g, &Options{Alpha: 2, Seed: 7, WithoutLandmarkTables: true})
 	if err != nil {
 		t.Fatal(err)
 	}
