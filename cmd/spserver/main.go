@@ -61,7 +61,9 @@
 //
 // -stall injects a fixed delay into every query (never pings, stats or
 // replication) — the chaos knob hedged-request benchmarks point at one
-// replica to manufacture a slow outlier.
+// replica to manufacture a slow outlier. The delay is service time: a
+// stalled query holds an admission slot, its deadline cuts the stall
+// short, and the latency histograms record it.
 package main
 
 import (

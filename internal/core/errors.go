@@ -39,12 +39,6 @@ var (
 	ErrCanceled = errors.New("core: query canceled")
 )
 
-// ErrOutOfRange is the pre-v2 name of ErrNodeRange, kept so existing
-// errors.Is call sites keep working.
-//
-// Deprecated: use ErrNodeRange.
-var ErrOutOfRange = ErrNodeRange
-
 // ErrorCode renders the taxonomy as stable snake_case codes — the one
 // mapping every JSON-speaking surface (HTTP API, CLI output) shares,
 // so a given failure reads identically everywhere. Unrecognized errors

@@ -1,15 +1,8 @@
-// Package heap provides priority queues specialized for shortest-path
-// computation over graphs with uint32 node ids and uint32 distances.
-//
-// Two implementations are provided:
-//
-//   - Min: an indexed binary min-heap with DecreaseKey, the workhorse for
-//     Dijkstra on arbitrary non-negative integer weights.
-//   - Dial: a monotone bucket queue (Dial's algorithm) that is O(1) per
-//     operation when edge weights are small integers; used as an
-//     optimization and as an independent oracle in tests.
-//
-// Neither type is safe for concurrent use.
+// Package heap provides Min, an indexed binary min-heap with
+// DecreaseKey specialized for shortest-path computation over graphs
+// with uint32 node ids and uint32 distances: the workhorse for Dijkstra
+// on arbitrary non-negative integer weights. It is not safe for
+// concurrent use.
 package heap
 
 // Min is an indexed binary min-heap keyed by uint32 priority. Each node id
@@ -147,67 +140,4 @@ func (h *Min) down(i int) {
 	}
 	h.ids[i] = id
 	h.pos[id] = int32(i)
-}
-
-// Dial is a monotone bucket priority queue (Dial's algorithm). It supports
-// keys that never decrease below the last popped key, with bounded spread
-// between the current minimum and maximum key (maxKeySpread), which for
-// Dijkstra equals the maximum edge weight + 1.
-type Dial struct {
-	buckets [][]uint32
-	cur     uint32 // current scan position (key mod len(buckets))
-	curKey  uint32 // smallest key that can still be popped
-	size    int
-}
-
-// NewDial returns a Dial queue supporting key spread < spread.
-func NewDial(spread uint32) *Dial {
-	if spread == 0 {
-		spread = 1
-	}
-	return &Dial{buckets: make([][]uint32, spread)}
-}
-
-// Len returns the number of queued ids.
-func (d *Dial) Len() int { return d.size }
-
-// Empty reports whether the queue is empty.
-func (d *Dial) Empty() bool { return d.size == 0 }
-
-// Push inserts id with key k. k must satisfy curKey <= k < curKey+spread,
-// where curKey is the key of the last Pop (or 0 initially).
-func (d *Dial) Push(id uint32, k uint32) {
-	if k < d.curKey || k >= d.curKey+uint32(len(d.buckets)) {
-		panic("heap: Dial key out of admissible window")
-	}
-	b := k % uint32(len(d.buckets))
-	d.buckets[b] = append(d.buckets[b], id)
-	d.size++
-}
-
-// Pop removes and returns an id with the minimum key, and that key.
-// Note that unlike Min, Dial may return duplicate ids if the same id was
-// pushed multiple times; Dijkstra handles this with a settled check.
-// It panics on an empty queue.
-func (d *Dial) Pop() (id uint32, k uint32) {
-	if d.size == 0 {
-		panic("heap: Pop on empty Dial queue")
-	}
-	for len(d.buckets[d.cur]) == 0 {
-		d.cur = (d.cur + 1) % uint32(len(d.buckets))
-		d.curKey++
-	}
-	b := d.buckets[d.cur]
-	id = b[len(b)-1]
-	d.buckets[d.cur] = b[:len(b)-1]
-	d.size--
-	return id, d.curKey
-}
-
-// Reset empties the queue and rewinds the key window to 0.
-func (d *Dial) Reset() {
-	for i := range d.buckets {
-		d.buckets[i] = d.buckets[i][:0]
-	}
-	d.cur, d.curKey, d.size = 0, 0, 0
 }

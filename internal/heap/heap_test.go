@@ -162,102 +162,6 @@ func TestQuickMinMatchesSort(t *testing.T) {
 	}
 }
 
-func TestDialMonotoneOrder(t *testing.T) {
-	d := NewDial(10)
-	d.Push(1, 3)
-	d.Push(2, 0)
-	d.Push(3, 9)
-	d.Push(4, 3)
-	var ks []uint32
-	for !d.Empty() {
-		_, k := d.Pop()
-		ks = append(ks, k)
-	}
-	for i := 1; i < len(ks); i++ {
-		if ks[i] < ks[i-1] {
-			t.Fatalf("keys not monotone: %v", ks)
-		}
-	}
-	if ks[0] != 0 || ks[len(ks)-1] != 9 {
-		t.Fatalf("unexpected keys %v", ks)
-	}
-}
-
-func TestDialWindowAdvances(t *testing.T) {
-	d := NewDial(4)
-	d.Push(1, 2)
-	if _, k := d.Pop(); k != 2 {
-		t.Fatalf("k = %d", k)
-	}
-	// Window is now [2, 6); key 5 is admissible even though spread is 4.
-	d.Push(2, 5)
-	if _, k := d.Pop(); k != 5 {
-		t.Fatalf("k = %d", k)
-	}
-}
-
-func TestDialOutOfWindowPanics(t *testing.T) {
-	d := NewDial(4)
-	d.Push(0, 3)
-	d.Pop()
-	for _, bad := range []uint32{0, 2, 7} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Push key %d did not panic", bad)
-				}
-			}()
-			d.Push(1, bad)
-		}()
-	}
-}
-
-func TestDialReset(t *testing.T) {
-	d := NewDial(8)
-	d.Push(0, 5)
-	d.Pop()
-	d.Reset()
-	d.Push(1, 0) // admissible again after rewind
-	if _, k := d.Pop(); k != 0 {
-		t.Fatalf("k = %d", k)
-	}
-}
-
-func TestDialAgainstMin(t *testing.T) {
-	// Simulate a Dijkstra-like monotone workload on both queues and check
-	// that popped key sequences are identical.
-	r := xrand.New(9)
-	const n = 1000
-	h := NewMin(n)
-	d := NewDial(16)
-	cur := uint32(0)
-	pushed := 0
-	for i := uint32(0); i < 50; i++ {
-		h.Push(i, i%16)
-		d.Push(i, i%16)
-		pushed++
-	}
-	next := uint32(50)
-	for !h.Empty() {
-		_, hk := h.Pop()
-		_, dk := d.Pop()
-		if hk != dk {
-			t.Fatalf("Min key %d != Dial key %d", hk, dk)
-		}
-		cur = hk
-		// Push a few successors with keys in [cur, cur+16).
-		for j := 0; j < 2 && next < n; j++ {
-			k := cur + r.Uint32n(16)
-			h.Push(next, k)
-			d.Push(next, k)
-			next++
-		}
-	}
-	if !d.Empty() {
-		t.Fatal("Dial not empty when Min is")
-	}
-}
-
 func BenchmarkMinPushPop(b *testing.B) {
 	const n = 1 << 16
 	h := NewMin(n)

@@ -6,11 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"vicinity/internal/core"
 	"vicinity/internal/store"
-	"vicinity/internal/wire"
 )
 
 // Handler returns an http.Handler exposing the oracle as a JSON API:
@@ -344,9 +342,62 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxQueryDeadlineMS is the relative-deadline cap, shared with the TCP
-// frame layer (and with clients, which clamp to it).
-const maxQueryDeadlineMS = wire.MaxDeadlineMS
+// costJSON is the "cost" object of the /v2 responses, sent when the
+// request sets want_stats. Its fields are core.Cost's, so a Cost
+// converts to it.
+type costJSON struct {
+	Lookups   int `json:"lookups"`
+	Scanned   int `json:"scanned"`
+	Expanded  int `json:"expanded"`
+	Fallbacks int `json:"fallbacks"`
+}
+
+// costOf returns the cost object of a response: nil unless want.
+func costOf(want bool, c core.Cost) *costJSON {
+	if !want {
+		return nil
+	}
+	out := costJSON(c)
+	return &out
+}
+
+// decodeBody decodes a /v2 request body of at most limit bytes into v,
+// refusing one that does not parse or carries unknown fields.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.refuse(w, "invalid "+what+" body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// refuse answers a request the HTTP layer rejects before answer sees
+// it, counting one error.
+func (s *Server) refuse(w http.ResponseWriter, msg string) {
+	s.errCount.Add(1)
+	writeFailure(w, badRequest(msg))
+}
+
+// writeFailure reports a query that got no answer: a refusal as 400
+// "bad_request", an oracle error with its typed status and code.
+func writeFailure(w http.ResponseWriter, err error) {
+	if _, ok := err.(badRequest); ok {
+		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error(), Code: "bad_request"})
+		return
+	}
+	writeError(w, queryStatus(err), err)
+}
+
+// requestContext is an HTTP query's context: client disconnect
+// (r.Context()) ∧ server shutdown (s.baseCtx). answer adds the
+// request's own deadline.
+func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(r.Context())
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	return ctx, func() { stop(); cancel() }
+}
 
 // handleQueryV2 answers a request-scoped query posted as JSON:
 //
@@ -376,93 +427,43 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 		WantStats  bool      `json:"want_stats"`
 		Parallel   int       `json:"parallel"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		s.errCount.Add(1)
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "invalid query body: " + err.Error(), Code: "bad_request"})
+	if !s.decodeBody(w, r, "query", maxUpdateBody, &body) {
 		return
 	}
-	fail := func(msg string) {
-		s.errCount.Add(1)
-		writeJSON(w, http.StatusBadRequest, httpError{Error: msg, Code: "bad_request"})
-	}
-	switch {
-	case body.T == nil && body.Ts == nil:
-		fail("one of t or ts is required")
-		return
-	case body.T != nil && body.Ts != nil:
-		fail("t and ts are mutually exclusive")
-		return
-	case body.Ts != nil && len(*body.Ts) > wire.MaxBatchTargets:
-		fail(fmt.Sprintf("query of %d targets exceeds the %d cap", len(*body.Ts), wire.MaxBatchTargets))
-		return
-	case body.Budget < 0:
-		fail("budget must be >= 0")
-		return
-	case body.DeadlineMS < 0 || body.DeadlineMS > maxQueryDeadlineMS:
-		fail(fmt.Sprintf("deadline_ms must be in [0, %d]", maxQueryDeadlineMS))
-		return
-	case body.Parallel < 0:
-		fail("parallel must be >= 0")
-		return
-	}
-	policy, err := core.ParsePolicy(body.Policy)
-	if err != nil {
-		fail(err.Error())
-		return
-	}
-	defer s.observe(EpQuery, time.Now())
-	if body.Ts != nil {
-		defer s.observe(EpBatch, time.Now())
-	} else if body.WantPath {
-		defer s.observe(EpPath, time.Now())
-	} else {
-		defer s.observe(EpDistance, time.Now())
-	}
-	policy, leave := s.admit(policy)
-	defer leave()
-
-	// The request context: client disconnect (r.Context()) ∧ server
-	// shutdown (s.baseCtx) ∧ the request's own deadline.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-	if body.DeadlineMS > 0 {
-		var cancelT context.CancelFunc
-		ctx, cancelT = context.WithTimeout(ctx, time.Duration(body.DeadlineMS)*time.Millisecond)
-		defer cancelT()
-	}
-	if s.cfg.testHookQuery != nil {
-		s.cfg.testHookQuery(ctx)
-	}
-
 	req := core.Request{
 		S:         body.S,
-		Policy:    policy,
 		Budget:    body.Budget,
 		WantPath:  body.WantPath,
 		WantStats: body.WantStats,
-		Parallel:  min(body.Parallel, s.cfg.MaxBatchParallel),
+		Parallel:  body.Parallel,
 	}
-	targets := []uint32{}
-	if body.Ts != nil {
+	switch {
+	case body.T == nil && body.Ts == nil:
+		s.refuse(w, "one of t or ts is required")
+		return
+	case body.T != nil && body.Ts != nil:
+		s.refuse(w, "t and ts are mutually exclusive")
+		return
+	case body.T != nil:
+		req.T = *body.T
+	default:
 		req.Ts = *body.Ts
 		if req.Ts == nil {
 			req.Ts = []uint32{}
 		}
-		targets = req.Ts
-		s.queries.Add(int64(len(req.Ts)))
-	} else {
-		req.T = *body.T
-		targets = append(targets, *body.T)
-		s.queries.Add(1)
 	}
-
-	s.stall(ctx)
-	pinned := s.cat.State()
-	res, err := pinned.Oracle.Query(ctx, req)
+	var err error
+	if req.Policy, err = core.ParsePolicy(body.Policy); err != nil {
+		s.refuse(w, err.Error())
+		return
+	}
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
+	st, res, err := s.answer(ctx, req, body.DeadlineMS)
+	if st == nil {
+		writeFailure(w, err)
+		return
+	}
 
 	type v2Item struct {
 		T         uint32   `json:"t"`
@@ -473,59 +474,33 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 		Error     string   `json:"error,omitempty"`
 		ErrorCode string   `json:"error_code,omitempty"`
 	}
-	type v2Cost struct {
-		Lookups   int `json:"lookups"`
-		Scanned   int `json:"scanned"`
-		Expanded  int `json:"expanded"`
-		Fallbacks int `json:"fallbacks"`
-	}
 	type v2Resp struct {
-		S       uint32   `json:"s"`
-		Epoch   uint64   `json:"epoch"`
-		Results []v2Item `json:"results"`
-		Cost    *v2Cost  `json:"cost,omitempty"`
+		S       uint32    `json:"s"`
+		Epoch   uint64    `json:"epoch"`
+		Results []v2Item  `json:"results"`
+		Cost    *costJSON `json:"cost,omitempty"`
 	}
-
-	fill := func(t uint32, dist uint32, method core.Method, path []uint32, ierr error) v2Item {
+	item := func(t uint32, dist uint32, method core.Method, path []uint32, ierr error) v2Item {
 		it := v2Item{T: t, Method: method.String(), Path: path}
 		if dist != core.NoDist {
 			it.Distance = dist
 			it.Reachable = true
 		}
 		if ierr != nil {
-			s.errCount.Add(1)
 			it.Error = ierr.Error()
 			it.ErrorCode = core.ErrorCode(ierr)
 		}
 		return it
 	}
-
-	out := v2Resp{S: body.S, Epoch: pinned.Epoch, Results: []v2Item{}}
-	if body.Ts != nil {
-		if err != nil && res.Items == nil {
-			s.errCount.Add(1)
-			writeError(w, queryStatus(err), err)
-			return
-		}
+	out := v2Resp{S: body.S, Epoch: st.Epoch, Cost: costOf(req.WantStats, res.Cost)}
+	if req.Ts == nil {
+		out.Results = []v2Item{item(req.T, res.Dist, res.Method, res.Path, err)}
+	} else {
 		// A canceled batch still reports its per-item outcomes; the
 		// top-level error is fully represented by the item codes.
+		out.Results = make([]v2Item, len(res.Items))
 		for i, it := range res.Items {
-			out.Results = append(out.Results, fill(targets[i], it.Dist, it.Method, it.Path, it.Err))
-		}
-	} else {
-		if err != nil && !errors.Is(err, core.ErrBudgetExceeded) && !errors.Is(err, core.ErrCanceled) {
-			s.errCount.Add(1)
-			writeError(w, queryStatus(err), err)
-			return
-		}
-		out.Results = append(out.Results, fill(targets[0], res.Dist, res.Method, res.Path, err))
-	}
-	if body.WantStats {
-		out.Cost = &v2Cost{
-			Lookups:   res.Cost.Lookups,
-			Scanned:   res.Cost.Scanned,
-			Expanded:  res.Cost.Expanded,
-			Fallbacks: res.Cost.Fallbacks,
+			out.Results[i] = item(req.Ts[i], it.Dist, it.Method, it.Path, it.Err)
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -553,67 +528,31 @@ func (s *Server) handleKPathsV2(w http.ResponseWriter, r *http.Request) {
 		Policy     string `json:"policy"`
 		WantStats  bool   `json:"want_stats"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		s.errCount.Add(1)
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "invalid kpaths body: " + err.Error(), Code: "bad_request"})
+	if !s.decodeBody(w, r, "kpaths", 1<<16, &body) {
 		return
 	}
-	fail := func(msg string) {
-		s.errCount.Add(1)
-		writeJSON(w, http.StatusBadRequest, httpError{Error: msg, Code: "bad_request"})
-	}
-	switch {
-	case body.K < 1 || body.K > core.MaxK:
-		fail(fmt.Sprintf("k must be in [1, %d]", core.MaxK))
-		return
-	case body.Budget < 0:
-		fail("budget must be >= 0")
-		return
-	case body.DeadlineMS < 0 || body.DeadlineMS > maxQueryDeadlineMS:
-		fail(fmt.Sprintf("deadline_ms must be in [0, %d]", maxQueryDeadlineMS))
+	if body.K < 1 {
+		s.refuse(w, fmt.Sprintf("k must be in [1, %d]", core.MaxK))
 		return
 	}
-	policy, err := core.ParsePolicy(body.Policy)
-	if err != nil {
-		fail(err.Error())
-		return
-	}
-	s.queries.Add(1)
-	defer s.observe(EpKPaths, time.Now())
-	policy, leave := s.admit(policy)
-	defer leave()
-
-	// The request context: client disconnect (r.Context()) ∧ server
-	// shutdown (s.baseCtx) ∧ the request's own deadline.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-	if body.DeadlineMS > 0 {
-		var cancelT context.CancelFunc
-		ctx, cancelT = context.WithTimeout(ctx, time.Duration(body.DeadlineMS)*time.Millisecond)
-		defer cancelT()
-	}
-	if s.cfg.testHookQuery != nil {
-		s.cfg.testHookQuery(ctx)
-	}
-
-	s.stall(ctx)
-	pinned := s.cat.State()
-	res, err := pinned.Oracle.Query(ctx, core.Request{
+	req := core.Request{
 		S:         body.S,
 		T:         body.T,
 		K:         body.K,
-		Policy:    policy,
 		Budget:    body.Budget,
 		WantPath:  true,
 		WantStats: body.WantStats,
-	})
-	if err != nil && !errors.Is(err, core.ErrBudgetExceeded) && !errors.Is(err, core.ErrCanceled) {
-		s.errCount.Add(1)
-		writeError(w, queryStatus(err), err)
+	}
+	var err error
+	if req.Policy, err = core.ParsePolicy(body.Policy); err != nil {
+		s.refuse(w, err.Error())
+		return
+	}
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
+	st, res, err := s.answer(ctx, req, body.DeadlineMS)
+	if st == nil {
+		writeFailure(w, err)
 		return
 	}
 
@@ -622,46 +561,32 @@ func (s *Server) handleKPathsV2(w http.ResponseWriter, r *http.Request) {
 		Hops     int      `json:"hops"`
 		Path     []uint32 `json:"path"`
 	}
-	type v2Cost struct {
-		Lookups   int `json:"lookups"`
-		Scanned   int `json:"scanned"`
-		Expanded  int `json:"expanded"`
-		Fallbacks int `json:"fallbacks"`
-	}
 	type kResp struct {
-		S         uint32  `json:"s"`
-		T         uint32  `json:"t"`
-		K         int     `json:"k"`
-		Epoch     uint64  `json:"epoch"`
-		Method    string  `json:"method"`
-		Count     int     `json:"count"`
-		Paths     []kAlt  `json:"paths"`
-		Error     string  `json:"error,omitempty"`
-		ErrorCode string  `json:"error_code,omitempty"`
-		Cost      *v2Cost `json:"cost,omitempty"`
+		S         uint32    `json:"s"`
+		T         uint32    `json:"t"`
+		K         int       `json:"k"`
+		Epoch     uint64    `json:"epoch"`
+		Method    string    `json:"method"`
+		Count     int       `json:"count"`
+		Paths     []kAlt    `json:"paths"`
+		Error     string    `json:"error,omitempty"`
+		ErrorCode string    `json:"error_code,omitempty"`
+		Cost      *costJSON `json:"cost,omitempty"`
 	}
 	out := kResp{
 		S: body.S, T: body.T, K: body.K,
-		Epoch:  pinned.Epoch,
+		Epoch:  st.Epoch,
 		Method: res.Method.String(),
 		Count:  len(res.Paths),
 		Paths:  make([]kAlt, len(res.Paths)),
+		Cost:   costOf(req.WantStats, res.Cost),
 	}
 	for i, p := range res.Paths {
 		out.Paths[i] = kAlt{Distance: p.Dist, Hops: len(p.Path) - 1, Path: p.Path}
 	}
 	if err != nil {
-		s.errCount.Add(1)
 		out.Error = err.Error()
 		out.ErrorCode = core.ErrorCode(err)
-	}
-	if body.WantStats {
-		out.Cost = &v2Cost{
-			Lookups:   res.Cost.Lookups,
-			Scanned:   res.Cost.Scanned,
-			Expanded:  res.Cost.Expanded,
-			Fallbacks: res.Cost.Fallbacks,
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -363,11 +363,16 @@ func TestKPathsAdmissionControl(t *testing.T) {
 			<-release
 		},
 	})
-	c1, err := qclient.Dial(addr, qclient.Options{Mux: true})
+	c1, err := qclient.Dial(addr, qclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
+	// A failed check must not leave the held query parked: the server's
+	// shutdown would wait on it and hang the test instead of failing it.
+	var unparkOnce sync.Once
+	unpark := func() { unparkOnce.Do(func() { close(release) }) }
+	defer unpark()
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -386,7 +391,7 @@ func TestKPathsAdmissionControl(t *testing.T) {
 	}
 	// Let the requests pile up past MaxInFlight, then release them all.
 	time.Sleep(50 * time.Millisecond)
-	close(release)
+	unpark()
 	wg.Wait()
 	if shed := s.Metrics().Shed; shed == 0 {
 		t.Fatalf("no requests shed with MaxInFlight=1 and 4 concurrent k-paths queries")

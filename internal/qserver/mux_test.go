@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"vicinity/internal/core"
+	"vicinity/internal/gen"
 	"vicinity/internal/qclient"
 	"vicinity/internal/wire"
 )
@@ -93,6 +94,11 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// A failed check must not leave the held query parked: the server's
+	// shutdown would wait on it and hang the test instead of failing it.
+	var unparkOnce sync.Once
+	unpark := func() { unparkOnce.Do(func() { close(release) }) }
+	defer unpark()
 	slowDone := make(chan error, 1)
 	go func() {
 		_, err := c.Query(context.Background(), qclient.QuerySpec{S: 3, T: 77})
@@ -122,7 +128,7 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("fast request blocked behind held query: head-of-line blocking")
 	}
-	close(release)
+	unpark()
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow query after release: %v", err)
 	}
@@ -146,6 +152,11 @@ func TestMuxAbandonedRequestKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// A failed check must not leave the held query parked: the server's
+	// shutdown would wait on it and hang the test instead of failing it.
+	var unparkOnce sync.Once
+	unpark := func() { unparkOnce.Do(func() { close(release) }) }
+	defer unpark()
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
@@ -181,7 +192,7 @@ func TestMuxAbandonedRequestKeepsConnection(t *testing.T) {
 	}
 	// Let the held query finish; its reply arrives under the abandoned
 	// id and must be discarded, not matched to anything.
-	close(release)
+	unpark()
 	deadline = time.Now().Add(2 * time.Second)
 	for c.Discarded() == 0 {
 		if time.Now().After(deadline) {
@@ -448,5 +459,44 @@ func TestMuxSharedClientStressWithChurn(t *testing.T) {
 				t.Fatalf("InFlight = %d after every reply arrived, want 0", m.InFlight)
 			}
 		})
+	}
+}
+
+// TestOversizedResponseRefused drives the frame-cap refusal: a
+// want-path batch whose encoded answer outgrows wire.MaxFrame comes
+// back under its id as a CodeBadRequest error naming the cap, counts
+// one error, and the next request on the connection answers.
+func TestOversizedResponseRefused(t *testing.T) {
+	const n = 40000
+	o, err := core.Build(gen.Path(n), core.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(o, Config{})
+	addr := startServerWith(t, s)
+	// Registered after the server's cleanup, so the connection closes
+	// first and the shutdown need not wait out its read timeout.
+	conn := dialMux(t, addr)
+
+	// 110 paths of n nodes: about 17.6 MB encoded, over the 16 MiB cap.
+	ts := make([]uint32, 110)
+	for i := range ts {
+		ts[i] = n - 1
+	}
+	before := s.Metrics().Errors
+	resp := conn.rt(&wire.QueryRequest{S: 0, Ts: ts, Flags: wire.QueryMany | wire.QueryWantPath})
+	e, ok := resp.(*wire.ErrorResponse)
+	if !ok || e.Code != wire.CodeBadRequest || !strings.Contains(e.Message, "frame cap") {
+		if ok {
+			t.Fatalf("oversized answer refused with %+v, want a bad-request error naming the frame cap", e)
+		}
+		t.Fatalf("oversized answer came back as %v, want a bad-request error naming the frame cap", resp.WireType())
+	}
+	if got := s.Metrics().Errors - before; got != 1 {
+		t.Fatalf("refusal moved the error counter by %d, want 1", got)
+	}
+	resp = conn.rt(&wire.QueryRequest{S: 0, T: n - 1})
+	if qr, ok := resp.(*wire.QueryResponse); !ok || qr.Items[0].Code != 0 || qr.Items[0].Dist != n-1 {
+		t.Fatalf("query after the refusal answered %+v", resp)
 	}
 }

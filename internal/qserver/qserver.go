@@ -73,16 +73,20 @@ type Config struct {
 	// control (MaxInFlight) still applies on top.
 	MaxConnWorkers int
 	// StallQueries artificially delays every query and k-paths request
-	// by this duration before any oracle work — a chaos knob for
-	// exercising client-side hedging against a slow replica. Pings,
-	// stats and replication status frames are unaffected, so health
-	// checks still see a live server. Never set in production.
+	// by this duration before any oracle work — a chaos knob standing in
+	// for a slow replica, for exercising client-side hedging. The stall
+	// is service time: it runs after admission, so a stalled query holds
+	// an admission slot (Metrics.InFlight); it ends at the request's
+	// deadline if that comes first; and it shows in the latency
+	// histograms. Pings, stats and replication status frames are
+	// unaffected, so health checks still see a live server. Never set in
+	// production.
 	StallQueries time.Duration
 
-	// testHookQuery, when non-nil, runs at the start of every query and
-	// k-paths request with the request context. Tests use it to hold a
-	// request in flight and observe shutdown cancellation; never set in
-	// production.
+	// testHookQuery, when non-nil, runs after the stall of every query
+	// and k-paths request, with the request context (deadline applied).
+	// Tests use it to hold a request in flight and observe shutdown
+	// cancellation; never set in production.
 	testHookQuery func(context.Context)
 }
 
@@ -183,30 +187,47 @@ type Server struct {
 	lat [numEndpoints]lhist.Hist // per-endpoint service latency (ns)
 }
 
-// observe records one request's service latency (oracle work plus
-// response assembly; socket writes excluded) against its endpoint.
+// endpoint is the latency endpoint a query's shape picks.
+func endpoint(req *core.Request) Endpoint {
+	switch {
+	case req.K > 0:
+		return EpKPaths
+	case req.Ts != nil:
+		return EpBatch
+	case req.WantPath:
+		return EpPath
+	}
+	return EpDistance
+}
+
+// observe records one query's service latency (admission, stall and
+// oracle work; response encoding and socket writes excluded) against
+// its endpoint and, unless it is a k-paths query, against EpQuery.
 func (s *Server) observe(ep Endpoint, start time.Time) {
-	s.lat[ep].Observe(int64(time.Since(start)))
+	d := int64(time.Since(start))
+	s.lat[ep].Observe(d)
+	if ep != EpKPaths {
+		s.lat[EpQuery].Observe(d)
+	}
 }
 
 // Latency returns a snapshot of one endpoint's latency histogram.
 func (s *Server) Latency(ep Endpoint) *lhist.Snapshot { return s.lat[ep].Snapshot() }
 
 // admit applies admission control to one query: it enters the query
-// into the in-flight gauge (the returned func leaves it; always call
-// it) and, when the server is over MaxInFlight, degrades the exact
-// search (PolicyDefault or PolicyFull, which are the same) to
-// PolicyEstimate so overload sheds to cheap landmark bounds instead of
-// queueing. The returned policy is what the query must run with.
-func (s *Server) admit(p core.Policy) (core.Policy, func()) {
+// into the in-flight gauge (the caller leaves it) and, when the server
+// is over MaxInFlight, degrades the exact search (PolicyDefault or
+// PolicyFull, which are the same) to PolicyEstimate so overload sheds
+// to cheap landmark bounds instead of queueing. The returned policy is
+// what the query must run with.
+func (s *Server) admit(p core.Policy) core.Policy {
 	n := s.inFlight.Add(1)
-	leave := func() { s.inFlight.Add(-1) }
 	if s.cfg.MaxInFlight > 0 && n > int64(s.cfg.MaxInFlight) &&
 		(p == core.PolicyDefault || p == core.PolicyFull) {
 		s.shed.Add(1)
-		return core.PolicyEstimate, leave
+		return core.PolicyEstimate
 	}
-	return p, leave
+	return p
 }
 
 // New returns an unstarted standalone server for the oracle.
@@ -493,6 +514,18 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 				continue // dead pipe: keep draining so workers never block
 			}
 			buf = wire.AppendMuxFrame(buf[:0], c.id, c.resp)
+			if n := wire.MuxPayloadLen(buf); n > wire.MaxFrame {
+				// The peer's reader would refuse this frame and tear the
+				// connection down: a want-path batch or k long paths
+				// can outgrow the cap. Send a refusal the client can
+				// use under the same id, and drop the oversized buffer
+				// rather than keep it for the connection's life.
+				s.errCount.Add(1)
+				buf = wire.AppendMuxFrame(nil, c.id, &wire.ErrorResponse{
+					Code:    wire.CodeBadRequest,
+					Message: fmt.Sprintf("response of %d bytes exceeds the %d frame cap; ask for fewer targets, fewer paths or none", n, wire.MaxFrame),
+				})
+			}
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			if _, err := bw.Write(buf); err != nil {
 				writeFailed.Store(true)
@@ -571,7 +604,8 @@ func isProtocolError(err error) bool {
 }
 
 // stall implements the Config.StallQueries chaos knob: it sleeps the
-// configured delay (respecting cancellation) before a query runs.
+// configured delay, or until ctx, which carries the request's
+// deadline, is done.
 func (s *Server) stall(ctx context.Context) {
 	if s.cfg.StallQueries <= 0 {
 		return
@@ -584,13 +618,10 @@ func (s *Server) stall(ctx context.Context) {
 	}
 }
 
-// dispatch answers a single request message. The serving state — oracle
-// snapshot plus cluster epoch — is pinned once per request, so a
-// concurrent update swap or replica sync cannot split one query across
-// epochs. ctx parents any search the request runs; it is the
+// dispatch answers a single request message. Query and k-paths frames
+// go through answer; ctx parents any search they run and is the
 // connection's context, canceled when the client goes away.
 func (s *Server) dispatch(ctx context.Context, req wire.Message) wire.Message {
-	st := s.cat.State()
 	switch m := req.(type) {
 	case *wire.PingRequest:
 		return &wire.PingResponse{Token: m.Token}
@@ -605,14 +636,15 @@ func (s *Server) dispatch(ctx context.Context, req wire.Message) wire.Message {
 		}
 
 	case *wire.QueryRequest:
-		return s.dispatchQuery(ctx, st, m)
+		return s.dispatchQuery(ctx, m)
 
 	case *wire.KPathsRequest:
-		return s.dispatchKPaths(ctx, st, m)
+		return s.dispatchKPaths(ctx, m)
 
 	case *wire.StatsRequest:
-		stats := st.Oracle.Stats()
-		ms := st.Oracle.Memory()
+		oracle := s.cat.State().Oracle
+		stats := oracle.Stats()
+		ms := oracle.Memory()
 		return &wire.StatsResponse{
 			Nodes:         uint64(stats.Nodes),
 			Edges:         uint64(stats.Edges),
@@ -631,242 +663,185 @@ func (s *Server) dispatch(ctx context.Context, req wire.Message) wire.Message {
 	}
 }
 
-// dispatchQuery answers a request-scoped query frame. The request
-// context descends from the caller's (which itself descends from the
-// server's base context, so a forced shutdown cancels in-flight
-// searches) with the frame's relative deadline applied on top;
-// budget/cancel outcomes come back as per-item codes so the best-known
-// bound survives the wire, while validation failures come back as an
-// ErrorResponse.
-func (s *Server) dispatchQuery(ctx context.Context, st *store.State, m *wire.QueryRequest) wire.Message {
-	oracle := st.Oracle
-	many := m.Flags&wire.QueryMany != 0
-	// Validate before counting, so rejected frames do not inflate
-	// queries_served; the HTTP layer enforces the same limits.
-	if core.Policy(m.Policy) > core.PolicyTableOnly {
-		s.errCount.Add(1)
-		return &wire.ErrorResponse{
-			Code:    wire.CodeBadRequest,
-			Message: fmt.Sprintf("unknown query policy %d", m.Policy),
-		}
+// badRequest is a query that answer refuses before doing any work. TCP
+// answers it with CodeBadRequest, HTTP with 400 "bad_request".
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+// validate refuses the values no query may carry, whichever transport
+// decoded it; the transports check their own shapes.
+func validate(req *core.Request, deadlineMS int64) error {
+	switch {
+	case req.Policy > core.PolicyTableOnly:
+		return badRequest(fmt.Sprintf("unknown query policy %d", req.Policy))
+	case deadlineMS < 0 || deadlineMS > wire.MaxDeadlineMS:
+		return badRequest(fmt.Sprintf("deadline_ms must be in [0, %d]", wire.MaxDeadlineMS))
+	case req.Budget < 0:
+		return badRequest("budget must be >= 0")
+	case req.Parallel < 0:
+		return badRequest("parallel must be >= 0")
+	case len(req.Ts) > wire.MaxBatchTargets:
+		return badRequest(fmt.Sprintf("query of %d targets exceeds the %d cap", len(req.Ts), wire.MaxBatchTargets))
+	case req.K > core.MaxK:
+		return badRequest(fmt.Sprintf("k must be in [1, %d]", core.MaxK))
 	}
-	if m.DeadlineMS > maxQueryDeadlineMS {
+	return nil
+}
+
+// answer runs one query, whichever transport carried it, in the
+// server's one request order:
+//
+//  1. validate it; a refusal counts one error and no query;
+//  2. count it and time it against the endpoint its shape picks;
+//  3. admit it, which may degrade its policy (Config.MaxInFlight);
+//  4. put its relative deadline (0 = none) on ctx;
+//  5. run the Config.StallQueries stall, then the test hook;
+//  6. pin one snapshot, clamp Parallel and call Query on it.
+//
+// It counts one error per failed single-target or k-paths query, per
+// batch that failed whole and per failed batch item. The state is the
+// pinned snapshot, whose cluster epoch the response reports; it is nil
+// when the query got no answer and err is all there is to report. A
+// budget or deadline cut still answers, with the best-known bound or
+// the paths found so far, and a batch that came back with its items
+// reports their failures per item.
+func (s *Server) answer(ctx context.Context, req core.Request, deadlineMS int64) (*store.State, core.Result, error) {
+	if err := validate(&req, deadlineMS); err != nil {
 		s.errCount.Add(1)
-		return &wire.ErrorResponse{
-			Code:    wire.CodeBadRequest,
-			Message: fmt.Sprintf("deadline-ms %d exceeds the %d cap", m.DeadlineMS, maxQueryDeadlineMS),
-		}
+		return nil, core.Result{}, err
 	}
-	if many {
-		s.queries.Add(int64(len(m.Ts)))
+	ep := endpoint(&req)
+	if ep == EpBatch {
+		s.queries.Add(int64(len(req.Ts)))
 	} else {
 		s.queries.Add(1)
 	}
-	s.stall(ctx)
-	defer s.observe(EpQuery, time.Now())
-	if many {
-		defer s.observe(EpBatch, time.Now())
-	} else if m.Flags&wire.QueryWantPath != 0 {
-		defer s.observe(EpPath, time.Now())
-	} else {
-		defer s.observe(EpDistance, time.Now())
-	}
-	policy, leave := s.admit(core.Policy(m.Policy))
-	defer leave()
-	if m.DeadlineMS > 0 {
+	defer s.observe(ep, time.Now())
+	req.Policy = s.admit(req.Policy)
+	defer s.inFlight.Add(-1)
+	if deadlineMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(m.DeadlineMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
 		defer cancel()
 	}
+	s.stall(ctx)
 	if s.cfg.testHookQuery != nil {
 		s.cfg.testHookQuery(ctx)
 	}
+	st := s.cat.State()
+	req.Parallel = min(req.Parallel, s.cfg.MaxBatchParallel)
+	res, err := st.Oracle.Query(ctx, req)
+	switch {
+	case err == nil:
+	case ep != EpBatch:
+		s.errCount.Add(1)
+		if !errors.Is(err, core.ErrBudgetExceeded) && !errors.Is(err, core.ErrCanceled) {
+			return nil, res, err
+		}
+	case res.Items == nil:
+		s.errCount.Add(1)
+		return nil, res, err
+	}
+	for i := range res.Items {
+		if res.Items[i].Err != nil {
+			s.errCount.Add(1)
+		}
+	}
+	return st, res, err
+}
+
+// dispatchQuery answers a query frame through answer. Budget and
+// deadline cuts come back as per-item codes, so the best-known bound
+// survives the wire; a query with no answer comes back as an
+// ErrorResponse.
+func (s *Server) dispatchQuery(ctx context.Context, m *wire.QueryRequest) wire.Message {
 	req := core.Request{
 		S:         m.S,
 		T:         m.T,
-		Policy:    policy,
+		Policy:    core.Policy(m.Policy),
 		Budget:    int(m.Budget),
 		WantPath:  m.Flags&wire.QueryWantPath != 0,
 		WantStats: m.Flags&wire.QueryWantStats != 0,
-		Parallel:  min(int(m.Parallel), s.cfg.MaxBatchParallel),
+		Parallel:  int(m.Parallel),
 	}
-	if many {
+	if m.Flags&wire.QueryMany != 0 {
 		req.Ts = m.Ts
 		if req.Ts == nil {
 			req.Ts = []uint32{}
 		}
 	}
-	res, err := oracle.Query(ctx, req)
-
+	st, res, err := s.answer(ctx, req, int64(m.DeadlineMS))
+	if st == nil {
+		return queryError(err)
+	}
 	// The response reports the cluster epoch pinned with the snapshot,
 	// not the oracle's internal generation counter: a replica's loaded
 	// snapshot restarts its generation at zero, but its cluster epoch
 	// matches the writer's, which is what read-your-epoch routing needs.
 	resp := &wire.QueryResponse{Epoch: st.Epoch}
 	if req.WantStats {
-		resp.Lookups = wire.ClampU32(res.Cost.Lookups)
-		resp.Scanned = wire.ClampU32(res.Cost.Scanned)
-		resp.Expanded = wire.ClampU32(res.Cost.Expanded)
-		resp.Fallbacks = wire.ClampU32(res.Cost.Fallbacks)
+		resp.Lookups, resp.Scanned, resp.Expanded, resp.Fallbacks = wireCost(res.Cost)
 	}
-	if many {
-		if err != nil && res.Items == nil {
-			s.errCount.Add(1)
-			return queryError(err)
-		}
-		resp.Items = make([]wire.QueryItem, len(res.Items))
-		for i, it := range res.Items {
-			resp.Items[i] = wire.QueryItem{Dist: it.Dist, Method: uint8(it.Method), Path: it.Path}
-			if it.Err != nil {
-				s.errCount.Add(1)
-				resp.Items[i].Code = queryCode(it.Err)
-			}
-		}
-		if oversized := queryRespOversized(resp); oversized != nil {
-			s.errCount.Add(1)
-			return oversized
-		}
+	if req.Ts == nil {
+		resp.Items = []wire.QueryItem{{Code: queryCode(err), Dist: res.Dist, Method: uint8(res.Method), Path: res.Path}}
 		return resp
 	}
-	item := wire.QueryItem{Dist: res.Dist, Method: uint8(res.Method), Path: res.Path}
-	if err != nil {
-		s.errCount.Add(1)
-		if !errors.Is(err, core.ErrBudgetExceeded) && !errors.Is(err, core.ErrCanceled) {
-			return queryError(err)
-		}
-		item.Code = queryCode(err)
-	}
-	resp.Items = []wire.QueryItem{item}
-	if oversized := queryRespOversized(resp); oversized != nil {
-		s.errCount.Add(1)
-		return oversized
+	resp.Items = make([]wire.QueryItem, len(res.Items))
+	for i, it := range res.Items {
+		resp.Items[i] = wire.QueryItem{Code: queryCode(it.Err), Dist: it.Dist, Method: uint8(it.Method), Path: it.Path}
 	}
 	return resp
 }
 
-// dispatchKPaths answers a ranked-alternatives frame. It runs against
-// the snapshot pinned by dispatch, so enumeration never straddles an
-// epoch swap; admission control can degrade the root policy exactly as
-// it does for single queries (the deviation searches then run against
-// whatever root the degraded policy produced). Budget and deadline
-// exhaustion mid-enumeration come back as a top-level response code
-// with the paths found so far, matching the partial-result contract of
+// dispatchKPaths answers a ranked-alternatives frame through answer.
+// The codec decodes only K in [1, wire.MaxKPaths], so the request is
+// always a k-paths query. Budget and deadline exhaustion
+// mid-enumeration come back as a top-level response code with the
+// paths found so far, matching the partial-result contract of
 // core.Request.K; per-item codes are reserved for the scatter-gather
 // layer, which stamps wire.CodeNotCovered on uncovered shards.
-func (s *Server) dispatchKPaths(ctx context.Context, st *store.State, m *wire.KPathsRequest) wire.Message {
-	oracle := st.Oracle
-	// Validate before counting, mirroring dispatchQuery. The codec
-	// already rejects K outside [1, MaxKPaths] on decode; the checks
-	// here keep the server safe against alternative frontends.
-	if core.Policy(m.Policy) > core.PolicyTableOnly {
-		s.errCount.Add(1)
-		return &wire.ErrorResponse{
-			Code:    wire.CodeBadRequest,
-			Message: fmt.Sprintf("unknown query policy %d", m.Policy),
-		}
-	}
-	if m.DeadlineMS > maxQueryDeadlineMS {
-		s.errCount.Add(1)
-		return &wire.ErrorResponse{
-			Code:    wire.CodeBadRequest,
-			Message: fmt.Sprintf("deadline-ms %d exceeds the %d cap", m.DeadlineMS, maxQueryDeadlineMS),
-		}
-	}
-	if m.K == 0 || int(m.K) > core.MaxK {
-		s.errCount.Add(1)
-		return &wire.ErrorResponse{
-			Code:    wire.CodeBadRequest,
-			Message: fmt.Sprintf("k %d outside [1, %d]", m.K, core.MaxK),
-		}
-	}
-	s.queries.Add(1)
-	s.stall(ctx)
-	defer s.observe(EpKPaths, time.Now())
-	policy, leave := s.admit(core.Policy(m.Policy))
-	defer leave()
-	if m.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(m.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
-	if s.cfg.testHookQuery != nil {
-		s.cfg.testHookQuery(ctx)
-	}
+func (s *Server) dispatchKPaths(ctx context.Context, m *wire.KPathsRequest) wire.Message {
 	req := core.Request{
 		S:         m.S,
 		T:         m.T,
 		K:         int(m.K),
-		Policy:    policy,
+		Policy:    core.Policy(m.Policy),
 		Budget:    int(m.Budget),
 		WantPath:  true,
 		WantStats: m.Flags&wire.KPathsWantStats != 0,
 	}
-	res, err := oracle.Query(ctx, req)
-	resp := &wire.KPathsResponse{Epoch: st.Epoch, Method: uint8(res.Method)}
-	if req.WantStats {
-		resp.Lookups = wire.ClampU32(res.Cost.Lookups)
-		resp.Scanned = wire.ClampU32(res.Cost.Scanned)
-		resp.Expanded = wire.ClampU32(res.Cost.Expanded)
-		resp.Fallbacks = wire.ClampU32(res.Cost.Fallbacks)
+	st, res, err := s.answer(ctx, req, int64(m.DeadlineMS))
+	if st == nil {
+		return queryError(err)
 	}
-	if err != nil {
-		s.errCount.Add(1)
-		if !errors.Is(err, core.ErrBudgetExceeded) && !errors.Is(err, core.ErrCanceled) {
-			return queryError(err)
-		}
-		resp.Code = queryCode(err)
+	resp := &wire.KPathsResponse{Epoch: st.Epoch, Code: queryCode(err), Method: uint8(res.Method)}
+	if req.WantStats {
+		resp.Lookups, resp.Scanned, resp.Expanded, resp.Fallbacks = wireCost(res.Cost)
 	}
 	resp.Items = make([]wire.KPathsItem, len(res.Paths))
 	for i, p := range res.Paths {
 		resp.Items[i] = wire.KPathsItem{Dist: p.Dist, Path: p.Path}
 	}
-	if oversized := kpathsRespOversized(resp); oversized != nil {
-		s.errCount.Add(1)
-		return oversized
-	}
 	return resp
 }
 
-// kpathsRespOversized is queryRespOversized for the k-paths frame: k is
-// small but paths can be long, so k long paths can still breach the
-// frame cap on a pathological graph.
-func kpathsRespOversized(resp *wire.KPathsResponse) wire.Message {
-	size := 2 + 31 // version/type prefix + fixed KPathsResponse header
-	for _, it := range resp.Items {
-		size += 10 + 4*len(it.Path)
-	}
-	if size <= wire.MaxFrame {
-		return nil
-	}
-	return &wire.ErrorResponse{
-		Code:    wire.CodeBadRequest,
-		Message: fmt.Sprintf("response of %d bytes exceeds the %d frame cap; reduce k", size, wire.MaxFrame),
-	}
+// wireCost clamps a query's cost counters to the wire's fields.
+func wireCost(c core.Cost) (lookups, scanned, expanded, fallbacks uint32) {
+	return wire.ClampU32(c.Lookups), wire.ClampU32(c.Scanned), wire.ClampU32(c.Expanded), wire.ClampU32(c.Fallbacks)
 }
 
-// queryRespOversized reports (as a typed refusal) a v2 response whose
-// frame would exceed wire.MaxFrame. A within-cap target count can
-// still overflow once want-path multiplies each item by its hop count
-// — and so can one very long single path — so answer with an error the
-// client can use instead of writing a frame it must reject (which
-// would tear the connection down with no usable error).
-func queryRespOversized(resp *wire.QueryResponse) wire.Message {
-	size := 2 + 28 // version/type prefix + fixed QueryResponse header
-	for _, it := range resp.Items {
-		size += 11 + 4*len(it.Path)
-	}
-	if size <= wire.MaxFrame {
-		return nil
-	}
-	return &wire.ErrorResponse{
-		Code:    wire.CodeBadRequest,
-		Message: fmt.Sprintf("response of %d bytes exceeds the %d frame cap; reduce targets or drop want-path", size, wire.MaxFrame),
-	}
-}
-
-// queryCode maps the oracle's error taxonomy to wire error codes.
+// queryCode maps a refusal and the oracle's error taxonomy to wire
+// error codes (0 for no error).
 func queryCode(err error) uint16 {
+	// A type switch, not errors.As: the target variable errors.As
+	// needs would escape to the heap on every query.
+	if _, ok := err.(badRequest); ok {
+		return wire.CodeBadRequest
+	}
 	switch {
+	case err == nil:
+		return 0
 	case errors.Is(err, core.ErrNotCovered):
 		return wire.CodeNotCovered
 	case errors.Is(err, core.ErrNodeRange):
@@ -882,7 +857,7 @@ func queryCode(err error) uint16 {
 	}
 }
 
-// queryError maps oracle errors to wire errors.
+// queryError maps a refusal or an oracle error to a wire error.
 func queryError(err error) wire.Message {
 	return &wire.ErrorResponse{Code: queryCode(err), Message: err.Error()}
 }

@@ -1277,6 +1277,11 @@ func TestShutdownDrainsInFlightQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A failed check must not leave the held query parked: the server's
+	// shutdown would wait on it and hang the test instead of failing it.
+	var unparkOnce sync.Once
+	unpark := func() { unparkOnce.Do(func() { close(release) }) }
+	defer unpark()
 	type qres struct {
 		res *qclient.QueryResult
 		err error
@@ -1300,7 +1305,7 @@ func TestShutdownDrainsInFlightQuery(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	close(release)
+	unpark()
 	q := <-queryDone
 	if q.err != nil || q.res.Items[0].Err != nil {
 		t.Fatalf("in-flight query lost to shutdown: %v / %+v", q.err, q.res)
@@ -1380,7 +1385,7 @@ func TestQueryV2FrameValidationTCP(t *testing.T) {
 	}
 	// Oversized deadline: build the frame directly (the client API
 	// derives DeadlineMS from ctx and cannot produce one).
-	huge := dialMux(t, addr).rt(&wire.QueryRequest{S: 0, T: 1, DeadlineMS: maxQueryDeadlineMS + 1})
+	huge := dialMux(t, addr).rt(&wire.QueryRequest{S: 0, T: 1, DeadlineMS: wire.MaxDeadlineMS + 1})
 	if e, ok := huge.(*wire.ErrorResponse); !ok || e.Code != wire.CodeBadRequest {
 		t.Fatalf("oversized deadline: %+v, want bad-request", huge)
 	}
@@ -1641,5 +1646,123 @@ func TestQueryV2ParallelRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative parallel accepted: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestTransportsShareRequestOrder pins the one request order both
+// transports share: the StallQueries stall, standing in for a slow
+// replica, runs after admission and under the request's deadline, and
+// it is timed. A table-resolved query with a 5 ms deadline behind a
+// 40 ms stall answers at its deadline over TCP and over HTTP, its
+// latency histogram records the wait, and a TCP query sitting in the
+// stall holds an admission slot.
+func TestTransportsShareRequestOrder(t *testing.T) {
+	const stall = 40 * time.Millisecond
+	const deadline = 5 * time.Millisecond
+	srv, addr := startServer(t, Config{StallQueries: stall})
+	const a, b = 3, 77
+	if _, m, err := queryDist(srv.Oracle(), a, b); err != nil || !m.Resolved() {
+		t.Fatalf("pair (%d, %d) not table-resolved (%v, %v)", a, b, m, err)
+	}
+
+	start := time.Now()
+	resp := dialMux(t, addr).rt(&wire.QueryRequest{S: a, T: b, DeadlineMS: uint32(deadline / time.Millisecond)})
+	took := time.Since(start)
+	if qr, ok := resp.(*wire.QueryResponse); !ok || qr.Items[0].Code != 0 {
+		t.Fatalf("TCP query answered %+v", resp)
+	}
+	if took > 30*time.Millisecond {
+		t.Errorf("TCP query with a %v deadline behind a %v stall answered after %v", deadline, stall, took)
+	}
+	if h := srv.Latency(EpDistance); h.Count() != 1 || h.Mean() < float64(deadline) {
+		t.Errorf("TCP distance histogram: %d samples, mean %v; want the one query at >= %v",
+			h.Count(), time.Duration(h.Mean()), deadline)
+	}
+
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	start = time.Now()
+	body := fmt.Sprintf(`{"s":%d,"t":%d,"want_path":true,"deadline_ms":%d}`, a, b, deadline/time.Millisecond)
+	hresp, err := http.Post(hs.URL+"/v2/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	took = time.Since(start)
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP query: status %d", hresp.StatusCode)
+	}
+	if took > 30*time.Millisecond {
+		t.Errorf("HTTP query with a %v deadline behind a %v stall answered after %v", deadline, stall, took)
+	}
+	if h := srv.Latency(EpPath); h.Count() != 1 || h.Mean() < float64(deadline) {
+		t.Errorf("HTTP path histogram: %d samples, mean %v; want the one query at >= %v",
+			h.Count(), time.Duration(h.Mean()), deadline)
+	}
+
+	// A query without a deadline sits in the stall in full, admitted.
+	c, err := qclient.Dial(addr, qclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errc := make(chan error, 1)
+	sent := time.Now()
+	go func() {
+		_, err := queryOne(c, a, b, false)
+		errc <- err
+	}()
+	for {
+		inFlight := srv.Metrics().InFlight
+		// Read after the gauge: a 1 seen before the stall could have
+		// ended was seen while the query sat in it.
+		if at := time.Since(sent); at >= stall {
+			t.Fatalf("in-flight gauge %d at %v: a query in the %v stall holds no admission slot", inFlight, at, stall)
+		}
+		if inFlight == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDispatchAllocs gates the allocations of the server's query path:
+// a table-resolved distance frame costs two (its response and the one
+// item), and a path frame and a K=3 frame on a pair the tables miss
+// stay at their measured counts. A refusal check that moved a variable
+// to the heap would add one to every query.
+func TestDispatchAllocs(t *testing.T) {
+	g := gen.HolmeKim(xrand.New(1), 400, 4, 0.5)
+	o, err := core.Build(g, core.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(o, Config{})
+	if _, m, err := queryDist(o, 3, 77); err != nil || !m.Resolved() {
+		t.Fatalf("pair (3, 77) not table-resolved (%v, %v)", m, err)
+	}
+	if _, m, err := queryDist(o, 1, 200); err != nil || m.Resolved() {
+		t.Fatalf("pair (1, 200) resolved from tables (%v, %v)", m, err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		req  wire.Message
+		want wire.MsgType
+		max  float64
+	}{
+		{"resolved distance", &wire.QueryRequest{S: 3, T: 77}, wire.TypeQueryResp, 2},
+		{"fallback path", &wire.QueryRequest{S: 1, T: 200, Flags: wire.QueryWantPath}, wire.TypeQueryResp, 20},
+		{"fallback k=3", &wire.KPathsRequest{S: 1, T: 200, K: 3}, wire.TypeKPathsResp, 68},
+	} {
+		if got := s.dispatch(ctx, c.req).WireType(); got != c.want {
+			t.Fatalf("%s: answered %v, want %v", c.name, got, c.want)
+		}
+		if n := testing.AllocsPerRun(200, func() { s.dispatch(ctx, c.req) }); n > c.max {
+			t.Errorf("%s: dispatch allocates %.1f per frame, want <= %.0f", c.name, n, c.max)
+		}
 	}
 }

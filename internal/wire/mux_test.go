@@ -75,6 +75,25 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMuxPayloadLen pins that MuxPayloadLen reads back the payload
+// size of a frame AppendMuxFrame built, the size ReadMuxFrame caps.
+func TestMuxPayloadLen(t *testing.T) {
+	for _, msg := range []Message{
+		&PingRequest{Token: 7},
+		&QueryResponse{Epoch: 9, Items: []QueryItem{{Dist: 3, Path: []uint32{3, 1}}}},
+		&ErrorResponse{Code: CodeBudget, Message: "x"},
+	} {
+		frame := AppendMuxFrame(nil, 42, msg)
+		_, payload, _, err := ReadMuxFrame(bytes.NewReader(frame), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := MuxPayloadLen(frame); got != len(payload) {
+			t.Errorf("%v: MuxPayloadLen %d, payload is %d bytes", msg.WireType(), got, len(payload))
+		}
+	}
+}
+
 func TestMuxFrameRejectsOversizedAndShort(t *testing.T) {
 	var hdr [12]byte
 	binary.BigEndian.PutUint32(hdr[:4], MaxFrame+8+1)

@@ -390,6 +390,13 @@ func AppendMuxFrame(dst []byte, id uint64, msg Message) []byte {
 	return dst
 }
 
+// MuxPayloadLen returns the payload length of the mux frame at the
+// start of frame, as built by AppendMuxFrame: the size ReadMuxFrame
+// holds to MaxFrame.
+func MuxPayloadLen(frame []byte) int {
+	return int(binary.BigEndian.Uint32(frame)) - 8
+}
+
 // Marshal encodes msg as a full frame (length prefix included).
 func Marshal(msg Message) []byte {
 	return AppendFrame(nil, msg)
