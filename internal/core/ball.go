@@ -5,6 +5,7 @@ import (
 	"vicinity/internal/heap"
 	"vicinity/internal/queue"
 	"vicinity/internal/traverse"
+	"vicinity/internal/u32map"
 )
 
 // NoDist is the sentinel for "no distance" (re-exported for callers).
@@ -15,13 +16,15 @@ const NoDist = traverse.NoDist
 // arena), the size of the boundary ∂Γ(u) that ends them, its radius
 // d(u, l(u)) and its nearest landmark l(u). The last boundLen entries
 // are exactly the members the online scan walks (Algorithm 1 line 5),
-// so the scan reads d(s,w) straight off s's own entries without
-// probing its table.
+// so the scan reads d(s,w) straight off s's own entries without a
+// lookup.
 //
-// Distances come in the arena's two forms: an unweighted vicinity
-// lists its members in BFS level order and records levels, the entry
-// index where each level from 2 on begins (see u32map.Arena); a
-// weighted one records dists, one per member.
+// Members come in runs (see u32map.Arena), each sorted by node id. An unweighted vicinity lists its members in BFS level order, one
+// run per level, and records levels, the entry index where each level
+// from 2 on begins; distances are the levels. A weighted one records
+// dists, one per member, and splits its members into the interior and
+// the boundary tail, recording the tail's start in levels when both are
+// non-empty.
 //
 // The slices alias the workspace's reusable buffers and are valid only
 // until the workspace's next search: the parallel build appends them to
@@ -29,7 +32,7 @@ const NoDist = traverse.NoDist
 type vicResult struct {
 	keys     []uint32
 	dists    []uint32 // weighted only
-	levels   []uint32 // unweighted only
+	levels   []uint32 // run starts
 	boundLen uint32
 	radius   uint32
 	nearest  uint32
@@ -39,15 +42,14 @@ type vicResult struct {
 // Entry buffers are reused across nodes; one worker's results must be
 // consumed (shard-appended or detached) before its next search.
 type buildWS struct {
-	nm        *traverse.NodeMap // distance during the search
-	settled   *traverse.NodeMap // Dijkstra settle marks (weighted only)
-	q         *queue.U32
-	h         *heap.Min
-	keys      []uint32
-	dists     []uint32
-	levels    []uint32
-	tailKeys  []uint32 // boundary members, while partitioning
-	tailDists []uint32
+	nm      *traverse.NodeMap // distance during the search
+	settled *traverse.NodeMap // Dijkstra settle marks (weighted only)
+	q       *queue.U32
+	h       *heap.Min
+	keys    []uint32
+	dists   []uint32
+	levels  []uint32
+	sorter  u32map.Sorter
 }
 
 func newBuildWS(n int) *buildWS {
@@ -75,10 +77,11 @@ func (ws *buildWS) reset() {
 // closed ball {v : d(u,v) <= r} with r = d(u, l(u)): every node at
 // distance exactly r has a BFS parent at distance r-1 inside B(u), and no
 // neighbor of B(u) can be farther than r. The BFS therefore completes
-// level r and stops. Members are kept in discovery order, which is
-// level order, so their distances are implied by the level starts, and
-// every member at distance d > 0 has a neighbor at d-1 inside Γ(u), so
-// paths derive entirely from u's table (see vicinityChain).
+// level r and stops. Members are kept in level order, so their
+// distances are implied by the level starts, and sorted by id within
+// each level (level 1 is u's adjacency, sorted already). Every member
+// at distance d > 0 has a neighbor at d-1 inside Γ(u), so paths derive
+// entirely from u's table (see vicinityChain).
 //
 // The boundary ∂Γ(u) is all of level r, the tail of the entries. Only
 // level-r members can have a neighbor outside the ball, and scanning the
@@ -119,6 +122,14 @@ func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
 			}
 			q.Push(v)
 		}
+	}
+	// Level 1 is u's adjacency, sorted already; sort each deeper level.
+	for i, from := range ws.levels {
+		to := uint32(len(ws.keys))
+		if i+1 < len(ws.levels) {
+			to = ws.levels[i+1]
+		}
+		ws.sorter.Sort(ws.keys[from:to], nil)
 	}
 	var boundLen uint32
 	if r != NoDist {
@@ -188,29 +199,33 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResu
 	// Boundary: any member with a non-member neighbor. Unlike the
 	// unweighted case, interior members can abut non-members through
 	// heavy edges, so every member is checked; the boundary members then
-	// move to the tail, as on unweighted graphs.
+	// move to the tail, as on unweighted graphs. Each part is sorted by
+	// id on its own, so the table does not depend on settle order.
 	boundLen := ws.partition(func(i int) bool { return hasOutside(g, ws.keys[i], settled) })
-	return vicResult{keys: ws.keys, dists: ws.dists, boundLen: boundLen, radius: r, nearest: nearest}
+	split := len(ws.keys) - int(boundLen)
+	ws.sorter.Sort(ws.keys[:split], ws.dists[:split])
+	ws.sorter.Sort(ws.keys[split:], ws.dists[split:])
+	if split > 0 && boundLen > 0 {
+		ws.levels = append(ws.levels, uint32(split))
+	}
+	return vicResult{keys: ws.keys, dists: ws.dists, levels: ws.levels, boundLen: boundLen, radius: r, nearest: nearest}
 }
 
-// partition stably moves the entries isBoundary selects to the tail,
-// keeping settle order within both parts, and returns the size of the
-// boundary tail.
+// partition moves the entries isBoundary selects to the tail and
+// returns the size of the boundary tail. Order within either part is
+// not kept: the caller sorts both.
 func (ws *buildWS) partition(isBoundary func(i int) bool) uint32 {
-	ws.tailKeys, ws.tailDists = ws.tailKeys[:0], ws.tailDists[:0]
-	h := 0
-	for i, k := range ws.keys {
-		if isBoundary(i) {
-			ws.tailKeys = append(ws.tailKeys, k)
-			ws.tailDists = append(ws.tailDists, ws.dists[i])
-		} else {
-			ws.keys[h], ws.dists[h] = k, ws.dists[i]
-			h++
+	h := len(ws.keys)
+	for i := 0; i < h; {
+		if !isBoundary(i) {
+			i++
+			continue
 		}
+		h--
+		ws.keys[i], ws.keys[h] = ws.keys[h], ws.keys[i]
+		ws.dists[i], ws.dists[h] = ws.dists[h], ws.dists[i]
 	}
-	copy(ws.keys[h:], ws.tailKeys)
-	copy(ws.dists[h:], ws.tailDists)
-	return uint32(len(ws.tailKeys))
+	return uint32(len(ws.keys) - h)
 }
 
 // detach copies the result out of its workspace's reusable buffers so

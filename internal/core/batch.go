@@ -14,15 +14,17 @@ import (
 // a single inverted pass:
 //
 //   - s's boundary ∂Γ(s) is scanned once into a stamped mark array
-//     (node → d(s,w) plus w's scan position);
-//   - each unresolved target's vicinity Γ(t) is then walked
-//     sequentially — contiguous arena entries, no hashing — checking
-//     each member against the marks. The witness set Γ(t) ∩ ∂Γ(s) is
-//     exactly the set the per-pair scan probes, so the minimum is the
-//     same; ties on the minimum are broken toward the smallest scan
-//     position, which is precisely the witness the per-pair scan's
-//     strict-< loop keeps. Batch answers are therefore bit-identical
-//     to single-target Queries, methods and witnesses included.
+//     (node → d(s,w));
+//   - each unresolved target's vicinity Γ(t) is then walked run by
+//     run — contiguous arena entries, sorted by id — checking each
+//     member against the marks. The witness set Γ(t) ∩ ∂Γ(s) is
+//     exactly the set the per-pair intersection meets, so the minimum
+//     is the same, and ties on the minimum go to the smallest id, as
+//     they do there. On an unweighted graph the walk climbs Γ(t)'s
+//     levels and stops at the first one holding a marked member, just
+//     as the per-pair scan stops at the first level it meets. Batch
+//     answers are therefore bit-identical to single-target Queries,
+//     methods and witnesses included.
 //
 // Every target first goes through Algorithm 1's direct cases in
 // directCases, the same function a single-target query calls, so the
@@ -57,7 +59,6 @@ type batchWS struct {
 	stamp []uint32
 	epoch uint32
 	dist  []uint32 // d(s,w) for marked boundary members w
-	pos   []uint32 // w's position in the ∂Γ(s) scan order (tie-break)
 
 	scan []uint32 // target indexes for the inverted pass
 	cls  []uint8  // per-target route codes of the classification pass
@@ -70,7 +71,6 @@ func (w *batchWS) ensure(n int) {
 	if len(w.stamp) < n {
 		w.stamp = make([]uint32, n)
 		w.dist = make([]uint32, n)
-		w.pos = make([]uint32, n)
 		w.epoch = 0
 	}
 	w.epoch++
@@ -82,26 +82,42 @@ func (w *batchWS) ensure(n int) {
 }
 
 // scanTarget walks Γ(t) against the marked ∂Γ(s) (one target of the
-// inverted pass). The marks are read-only here, so any number of
-// workers may scan disjoint targets concurrently. Ties on the minimum
-// break toward the smallest scan position — the witness the per-pair
-// scan's strict-< loop keeps.
+// inverted pass), with scanBoundary's answer: the minimum, and the
+// smallest id among its witnesses. Each run walked costs one look-up
+// and its entries walked count as scanned. The marks are read-only
+// here, so any number of workers may scan disjoint targets
+// concurrently.
 func (o *Oracle) scanTarget(t uint32, bws *batchWS, c *Cost) (best, meet uint32) {
 	best, meet = NoDist, graph.NoNode
-	var bestPos uint32
 	vt := o.vicFlat[t]
-	walk := vt.Tail(vt.Len())
-	for k, w := range walk.Keys {
-		if bws.stamp[w] != bws.epoch {
-			continue
+	if vt.Leveled() {
+		// Level 0 is t itself, not in Γ(s) (see scanBoundary).
+		for k := 1; k < vt.Runs(); k++ {
+			keys, _ := vt.Run(k)
+			c.Lookups++
+			for i, w := range keys {
+				if bws.stamp[w] == bws.epoch {
+					c.Scanned += i + 1
+					return satAdd(bws.dist[w], uint32(k)), w
+				}
+			}
+			c.Scanned += len(keys)
 		}
-		cand := satAdd(bws.dist[w], walk.Dist(k))
-		if cand < best || (cand == best && cand != NoDist && bws.pos[w] < bestPos) {
-			best, meet, bestPos = cand, w, bws.pos[w]
+		return best, meet
+	}
+	for k := 0; k < vt.Runs(); k++ {
+		keys, dists := vt.Run(k)
+		c.Lookups++
+		c.Scanned += len(keys)
+		for i, w := range keys {
+			if bws.stamp[w] != bws.epoch {
+				continue
+			}
+			if cand := satAdd(bws.dist[w], dists[i]); cand < best || cand == best && cand != NoDist && w < meet {
+				best, meet = cand, w
+			}
 		}
 	}
-	c.Lookups += len(walk.Keys)
-	c.Scanned += len(walk.Keys)
 	return best, meet
 }
 
@@ -159,7 +175,6 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, c *Cost, needMeet bool, worker
 		for j, w := range scan.Keys {
 			bws.stamp[w] = bws.epoch
 			bws.dist[w] = scan.Dist(j)
-			bws.pos[w] = uint32(j)
 		}
 		o.fanOut(workers, len(bws.scan), c, func(w *worker, k int) {
 			ii := bws.scan[k]

@@ -23,14 +23,14 @@ import (
 //   - Plan: sample landmarks (deterministic in opts.Seed) and fix the
 //     scope, the ordered node list whose vicinities are built.
 //   - Execute: workers pull scope indexes from a shared counter and run
-//     each node's truncated BFS/Dijkstra with per-worker scratch,
-//     appending its entries (boundary members last) and its distances
-//     or level starts to a worker-private u32map.Shard and recording
+//     each node's truncated BFS/Dijkstra with per-worker scratch, which
+//     also sorts the vicinity's runs by id, appending its entries
+//     (boundary members last), its run starts and, when weighted, its
+//     distances to a worker-private u32map.Shard and recording
 //     shard-local ranges per node.
 //   - Merge: prefix sums over the scope order assign every node its
-//     final range in the shared flat arenas; workers then stitch the
-//     shards into place (disjoint destination ranges) and build each
-//     node's slot index in situ.
+//     final range in the shared flat arenas; workers then copy the
+//     shards into place (disjoint destination ranges).
 //
 // The result is bit-identical for every worker count: a node's vicinity
 // content depends only on the graph and landmark set, and the merged
@@ -125,7 +125,7 @@ func (b BuildTimings) String() string {
 func (o *Oracle) BuildTimings() BuildTimings { return o.timings }
 
 // vicMeta locates one scope node's phase-1 output inside its worker's
-// shard: the shard-local entry and level-start ranges and the boundary
+// shard: the shard-local entry and run-start ranges and the boundary
 // tail length. Radius and nearest land in their final per-node arrays
 // directly during execution.
 type vicMeta struct {
@@ -202,84 +202,68 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) 
 }
 
 // mergeVicinities assembles the sharded phase-1 results into the
-// oracle's arena storage: prefix sums in scope order size the entry and
-// slot arenas and fix every node's final range, then a parallel pass
-// rebases each node's shard range into place and builds its slot index
-// in situ. The layout depends only on the scope order and per-node
-// sizes, never on shard assignment.
+// oracle's arena storage: prefix sums in scope order size the arena and
+// fix every node's final range, then a parallel pass copies each node's
+// shard range into place. The layout depends only on the scope order
+// and per-node sizes, never on shard assignment.
 func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*u32map.Shard) error {
 	n := o.g.NumNodes()
 
-	var totalEnt, totalSlot, totalLvl uint64
+	var totalEnt, totalLvl uint64
 	for i := range metas {
 		m := &metas[i]
 		if m.entLen > 0 {
 			o.covered++
 		}
-		if int(m.entLen) > u32map.MaxFlatEntries {
-			return fmt.Errorf("core: vicinity of node %d has %d entries, above the %d flat-table cap",
-				scope[i], m.entLen, u32map.MaxFlatEntries)
-		}
 		totalEnt += uint64(m.entLen)
 		totalLvl += uint64(m.lvlLen)
-		if m.entLen > 0 {
-			totalSlot += uint64(u32map.IndexSize(int(m.entLen)))
-		}
 	}
-	if err := checkArenaCapacity(totalEnt, totalSlot, totalLvl); err != nil {
+	if err := checkArenaCapacity(totalEnt, totalLvl); err != nil {
 		return err
 	}
 
 	o.boundLen = make([]uint32, n)
 	o.arena = &u32map.Arena{
 		Keys:    make([]uint32, totalEnt),
-		Slots:   make([]uint32, totalSlot),
+		Levels:  make([]uint32, totalLvl),
 		Leveled: !o.g.Weighted(),
 	}
-	if o.arena.Leveled {
-		o.arena.Levels = make([]uint32, totalLvl)
-	} else {
+	if !o.arena.Leveled {
 		o.arena.Dists = make([]uint32, totalEnt)
 	}
 	o.vicFlat = make([]u32map.Flat, n)
 
 	// Final arena ranges by prefix sum over the scope order.
 	at := make([]u32map.Range, len(metas))
-	var ent, slot, lvl uint32
+	var ent, lvl uint32
 	for i := range metas {
 		m := &metas[i]
-		r := &at[i]
-		r.EOff, r.ELen, r.SOff, r.LOff, r.LLen = ent, m.entLen, slot, lvl, m.lvlLen
-		if m.entLen > 0 {
-			r.SLen = uint32(u32map.IndexSize(int(m.entLen)))
-		}
-		ent += r.ELen
-		slot += r.SLen
-		lvl += r.LLen
+		at[i] = u32map.Range{EOff: ent, ELen: m.entLen, LOff: lvl, LLen: m.lvlLen}
+		ent += m.entLen
+		lvl += m.lvlLen
 		o.boundLen[scope[i]] = m.boundLen
 	}
 
-	// Parallel stitch into disjoint destination ranges.
+	// Parallel copy into disjoint destination ranges.
 	parallelFor(o.opts.Workers, len(metas), func(int) any { return nil }, func(_ any, i int) {
 		m, r := &metas[i], at[i]
 		if m.entLen == 0 {
 			return
 		}
 		o.arena.CopyFromShard(r, shards[m.shard], m.entOff, m.lvlOff)
-		u32map.FillIndex(o.arena.Slots[r.SOff:r.SOff+r.SLen], o.arena.Keys[r.EOff:r.EOff+r.ELen])
 		o.vicFlat[scope[i]] = o.arena.View(r)
 	})
 	return nil
 }
 
-// checkArenaCapacity rejects an arena of the given entry, slot and
-// level-start counts when any overflows the uint32 offsets every Flat
-// view and file range uses. Build and update both call it before
-// writing, so neither can wrap an offset.
-func checkArenaCapacity(entries, slots, levels uint64) error {
-	if entries > math.MaxUint32 || slots > math.MaxUint32 || levels > math.MaxUint32 {
-		return fmt.Errorf("core: %d vicinity entries, %d slot words and %d level starts overflow the 2^32-1 arena capacity",
-			entries, slots, levels)
+// checkArenaCapacity rejects an arena of the given entry and run-start
+// counts when either overflows the uint32 offsets every Flat view and
+// file range uses. Build and update both call it before writing, so
+// neither can wrap an offset.
+func checkArenaCapacity(entries, levels uint64) error {
+	if entries > math.MaxUint32 || levels > math.MaxUint32 {
+		return fmt.Errorf("core: %d vicinity entries and %d run starts overflow the 2^32-1 arena capacity",
+			entries, levels)
 	}
 	return nil
 }

@@ -104,18 +104,17 @@ func randomChurnBatch(r *xrand.Rand, g *graph.Graph) Update {
 }
 
 // assertLiveRanges checks the arena accounting after an update: the
-// live entry, slot and level-start ranges of all vicinities are
-// pairwise disjoint and inside the arena, and live plus counted waste
-// equals the arena length in every space — the shape a double-counted
-// or a still-live superseded range would break.
+// live entry and run-start ranges of all vicinities are pairwise
+// disjoint and inside the arena, and live plus counted waste equals the
+// arena length in both spaces — the shape a double-counted or a
+// still-live superseded range would break.
 func assertLiveRanges(t *testing.T, o *Oracle) {
 	t.Helper()
 	type span struct{ off, len uint32 }
-	var ents, slots, lvls []span
+	var ents, lvls []span
 	for u := range o.vicFlat {
 		if r := o.vicFlat[u].Range(); r.ELen > 0 {
 			ents = append(ents, span{r.EOff, r.ELen})
-			slots = append(slots, span{r.SOff, r.SLen})
 			if r.LLen > 0 {
 				lvls = append(lvls, span{r.LOff, r.LLen})
 			}
@@ -139,7 +138,6 @@ func assertLiveRanges(t *testing.T, o *Oracle) {
 		}
 	}
 	check("entry", ents, o.arena.NumEntries(), o.entWaste)
-	check("slot", slots, len(o.arena.Slots), o.slotWaste)
 	check("level", lvls, len(o.arena.Levels), o.lvlWaste)
 }
 
@@ -215,6 +213,7 @@ func TestChurnMatrix(t *testing.T) {
 					t.Fatalf("step %d: repaired oracle serializes differently from a fresh build", step)
 				}
 				assertLiveRanges(t, o)
+				assertRunsSorted(t, o)
 			}
 			assertGroundTruth(t, o, 25)
 		})
@@ -243,6 +242,7 @@ func TestChurnWeighted(t *testing.T) {
 				t.Fatalf("step %d: repaired weighted oracle serializes differently", step)
 			}
 			assertLiveRanges(t, o)
+			assertRunsSorted(t, o)
 		}
 		assertGroundTruthWeighted(t, o, 300)
 	})

@@ -8,11 +8,11 @@ import (
 )
 
 // storedBytes sums the arrays o holds, independently of Memory: the
-// arena's keys, distances, slot words and level starts, plus every
-// landmark row at its width.
+// arena's keys, distances and run starts, plus every landmark row at
+// its width.
 func storedBytes(o *Oracle) (vicinity, landmark int64) {
 	a := o.arena
-	vicinity = 4 * int64(len(a.Keys)+len(a.Dists)+len(a.Slots)+len(a.Levels))
+	vicinity = 4 * int64(len(a.Keys)+len(a.Dists)+len(a.Levels))
 	for _, row := range o.lrows {
 		landmark += int64(len(row.narrow)) + 4*int64(len(row.wide))
 	}
@@ -46,7 +46,7 @@ func TestMemoryCountsStoredArrays(t *testing.T) {
 			t.Fatal(err)
 		}
 		churned = next
-		waste := churned.entWaste + churned.slotWaste + churned.lvlWaste
+		waste := churned.entWaste + churned.lvlWaste
 		if waste > 0 {
 			sawWaste = true
 		} else if sawWaste {

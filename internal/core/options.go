@@ -91,8 +91,9 @@ func (s Sampling) String() string {
 // Options configures Build. The zero value gives the paper's defaults:
 // α = 4, √degree sampling, full coverage and landmark tables enabled.
 // What a pair the tables miss gets is not a build option: each
-// request's Policy chooses it. Vicinities are always stored in hash
-// tables and intersected by scanning ∂Γ(s), as Algorithm 1 is written.
+// request's Policy chooses it. Vicinities are always stored as runs
+// sorted by node id, and ∂Γ(s) is intersected with Γ(t) as Algorithm 1
+// is written.
 type Options struct {
 	// Alpha controls vicinity size (E[|Γ|] ≈ Alpha·√n). The paper's
 	// recommended operating point is 4 (§2.4). <= 0 selects 4.

@@ -13,17 +13,19 @@ import (
 // returns a new snapshot and leaves the receiver serving; see update.go.
 //
 // Every stored fact costs only the bytes its data needs. Vicinity
-// tables live in flat arena storage: one shared key arena plus one
-// shared slot arena (see u32map.Arena), with each node's boundary
-// ∂Γ(u) stored as the tail of its own entry range. Weighted arenas
-// store one distance per entry; unweighted ones keep each table in BFS
-// level order and store only where each level begins, which implies
-// every member's distance. Landmarks keep one dense distance row each,
-// one byte per node when the row's distances fit. Path hops are
-// derived from these distances at query time (see path.go) rather than
-// stored beside them. The layout keeps one node's table contiguous in
-// memory, leaves the garbage collector a handful of large pointer-free
-// arrays to scan, and serializes with array copies (see persist.go).
+// tables live in flat arena storage: one shared key arena (see
+// u32map.Arena) with no hash index, each table grouped into runs sorted
+// by node id, and each node's boundary ∂Γ(u) stored as the tail of its
+// own entry range. Weighted arenas store one distance per entry and
+// split a table into its interior and its boundary tail; unweighted ones
+// keep each table in BFS level order, one run per level, and store only
+// where each level begins, which implies every member's distance.
+// Landmarks keep one dense distance row each, one byte per node when
+// the row's distances fit. Path hops are derived from these distances
+// at query time (see path.go) rather than stored beside them. The
+// layout keeps one node's table contiguous in memory, leaves the
+// garbage collector a handful of large pointer-free arrays to scan, and
+// serializes with array copies (see persist.go).
 type Oracle struct {
 	g    *graph.Graph
 	opts Options
@@ -32,29 +34,27 @@ type Oracle struct {
 	isL       []bool   // per node: landmark flag
 	lidx      []int32  // per node: index into landmarks, or -1
 
-	// Vicinity tables. arena holds the concatenated entries, slot
-	// indexes and distances of every vicinity; vicFlat (len n) holds
-	// node u's precomputed arena view — 32 bytes of offsets plus the
-	// shared arena pointer, so resolving a table is one indexed load. An empty
-	// view means "not covered" (landmark or out of build scope) — a
-	// built vicinity always contains at least u itself. Persistence
-	// derives CSR offset arrays from the views (u32map.Flat.Ranges)
-	// rather than storing them twice.
+	// Vicinity tables. arena holds the concatenated entries, run starts
+	// and distances of every vicinity; vicFlat (len n) holds node u's
+	// precomputed arena view — its offsets plus the shared arena
+	// pointer, so resolving a table is one indexed load. An empty view
+	// means "not covered" (landmark or out of build scope) — a built
+	// vicinity always contains at least u itself. Persistence derives
+	// CSR offset arrays from the views (u32map.Flat.Range) rather than
+	// storing them twice.
 	arena   *u32map.Arena
 	vicFlat []u32map.Flat
 
 	// boundLen[u] = |∂Γ(u)|: u's boundary members are the last
-	// boundLen[u] entries of its vicinity range, in scan order — all of
-	// level r on unweighted graphs.
+	// boundLen[u] entries of its vicinity range, sorted by id — all of
+	// level r on unweighted graphs, the tail run on weighted ones.
 	boundLen []uint32
 
-	// Arena waste: entries, slot words and level starts abandoned by
-	// repaired vicinities. Old snapshots may still read the holes, so
-	// updates only count them and compact once they dominate (see
-	// maybeCompact).
-	entWaste  uint64
-	slotWaste uint64
-	lvlWaste  uint64
+	// Arena waste: entries and run starts abandoned by repaired
+	// vicinities. Old snapshots may still read the holes, so updates
+	// only count them and compact once they dominate (see maybeCompact).
+	entWaste uint64
+	lvlWaste uint64
 
 	radius  []uint32 // d(u, l(u)); NoDist when uncovered or no landmark reachable
 	nearest []uint32 // l(u); graph.NoNode when unknown
@@ -114,7 +114,7 @@ func (o *Oracle) vicinity(u uint32) (u32map.Flat, bool) {
 }
 
 // boundary returns ∂Γ(u) as a scan view: the tail of u's own entry
-// range.
+// range, sorted by id.
 func (o *Oracle) boundary(u uint32) u32map.Span {
 	return o.vicFlat[u].Tail(int(o.boundLen[u]))
 }
@@ -298,7 +298,9 @@ func (o *Oracle) VicinityContains(u, v uint32) (uint32, bool) {
 	return o.vicFlat[u].Get(v)
 }
 
-// ForEachVicinityMember calls fn(v, dist) for every v ∈ Γ(u).
+// ForEachVicinityMember calls fn(v, dist) for every v ∈ Γ(u), in stored
+// order: level order, by id within a level, on unweighted graphs; the
+// interior then the boundary, each by id, on weighted ones.
 func (o *Oracle) ForEachVicinityMember(u uint32, fn func(v, dist uint32)) {
 	t := o.vicFlat[u]
 	for i := 0; i < t.Len(); i++ {

@@ -130,27 +130,23 @@ func TestWeightedOverflowEstimate(t *testing.T) {
 }
 
 // TestArenaCapacity pins the one capacity check build and update share:
-// the entry, slot and level-start counts must each fit the uint32
-// offsets of the arena. Slots outnumber entries (~2.2:1 on social
-// graphs), so a check on entries alone would let slot offsets wrap
-// first.
+// the entry and run-start counts must each fit the uint32 offsets of
+// the arena. No single table has a cap of its own.
 func TestArenaCapacity(t *testing.T) {
 	const limit = math.MaxUint32
 	for _, tc := range []struct {
-		entries, slots, levels uint64
-		ok                     bool
+		entries, levels uint64
+		ok              bool
 	}{
-		{0, 0, 0, true},
-		{21_700_000, 46_700_000, 31_092, true},
-		{limit, limit, limit, true},
-		{limit + 1, limit, 0, false},
-		{limit, limit + 1, 0, false},
-		{limit, limit, limit + 1, false},
-		{2_000_000_000, 4_400_000_000, 0, false}, // entries fit, slots wrap
+		{0, 0, true},
+		{21_700_000, 31_092, true},
+		{limit, limit, true},
+		{limit + 1, 0, false},
+		{limit, limit + 1, false},
 	} {
-		err := checkArenaCapacity(tc.entries, tc.slots, tc.levels)
+		err := checkArenaCapacity(tc.entries, tc.levels)
 		if (err == nil) != tc.ok {
-			t.Errorf("checkArenaCapacity(%d, %d, %d) = %v, want ok=%v", tc.entries, tc.slots, tc.levels, err, tc.ok)
+			t.Errorf("checkArenaCapacity(%d, %d) = %v, want ok=%v", tc.entries, tc.levels, err, tc.ok)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"vicinity/internal/graph"
 	"vicinity/internal/traverse"
+	"vicinity/internal/u32map"
 )
 
 // assembleTablePath builds the s→t path for a table-resolved query by
@@ -61,23 +62,19 @@ func (o *Oracle) assembleTablePath(s, t uint32, m Method, meet uint32) ([]uint32
 }
 
 // vicinityChain walks v back to u inside Γ(u), returning the chain
-// v, ..., u. Each hop goes from cur to the first neighbor w of cur, in
-// CSR order, that lies in Γ(u) one step closer: d(u,w) + wt(w,cur) =
+// v, ..., u. Each hop goes from cur to the smallest-id neighbor w of
+// cur that lies in Γ(u) one step closer: d(u,w) + wt(w,cur) =
 // d(u,cur). Such a w always exists in a built vicinity (see
 // vicinityBFS/vicinityDijkstra), so the choice among equal-length paths
 // is a pure function of the graph and the stored distances. It fails
 // when v ∉ Γ(u) or a hop has no candidate.
 //
-// A hub's neighbors mostly lie outside Γ(u), so probing each one would
-// cost a miss per neighbor; past a degree of |Γ(u)|/8 the hop instead
-// scans Γ(u)'s closer members for adjacent ones and keeps the smallest
-// id. Adjacency lists are sorted, so that is the same first neighbor.
-// u's entries keep discovery order, which never decreases in distance
-// (BFS levels, Dijkstra settle order), except that a weighted table
-// moves its boundary members to the tail: the scan walks the prefix of
-// members closer than cur and then, for that tail, the prefix of its
-// own. On an unweighted table the tail is level r, never closer than
-// cur, so the walk is one prefix scan.
+// Adjacency lists and runs are both sorted by id, so a hop is an
+// intersection. On an unweighted table the candidates are exactly
+// level d(u,cur)-1, and the hop is the first id that cur's adjacency
+// shares with that level. A weighted table's runs are each merged
+// against the adjacency, keeping the first common member whose
+// distance and edge weight add up to d(u,cur).
 func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 	tbl, ok := o.vicinity(u)
 	if !ok {
@@ -87,29 +84,32 @@ func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 	if !ok {
 		return nil, false
 	}
-	all := tbl.Tail(tbl.Len())
-	head := tbl.Len() - int(o.boundLen[u])
 	return o.descend(v, u, d, func(cur, d uint32) (uint32, uint32) {
-		adj, wts := o.g.Neighbors(cur), o.g.NeighborWeights(cur)
-		if 8*len(adj) <= tbl.Len() {
-			for i, w := range adj {
-				if dw, in := tbl.Get(w); in && satAdd(dw, hopWeight(wts, i)) == d {
-					return w, dw
-				}
+		adj := o.g.Neighbors(cur)
+		if tbl.Leveled() {
+			// cur is not u, so d >= 1: level 0 holds u alone (the
+			// loader checks that of every leveled table).
+			level, _ := tbl.Run(int(d) - 1)
+			if i, _, ok := u32map.Intersect(adj, level); ok {
+				return adj[i], d - 1
 			}
 			return graph.NoNode, NoDist
 		}
+		wts := o.g.NeighborWeights(cur)
 		next, dn := graph.NoNode, NoDist
-		for _, part := range [2][2]int{{0, head}, {head, tbl.Len()}} {
-			for i := part[0]; i < part[1]; i++ {
-				dw := all.Dist(i)
-				if dw >= d {
+		for k := 0; k < tbl.Runs(); k++ {
+			keys, dists := tbl.Run(k)
+			for a, b := 0, 0; ; a, b = a+1, b+1 {
+				i, j, ok := u32map.Intersect(adj[a:], keys[b:])
+				if !ok {
 					break
 				}
-				if w := all.Keys[i]; w < next {
-					if wt, adjacent := o.g.EdgeWeight(cur, w); adjacent && satAdd(dw, wt) == d {
-						next, dn = w, dw
+				a, b = a+i, b+j
+				if satAdd(dists[b], hopWeight(wts, a)) == d {
+					if adj[a] < next {
+						next, dn = adj[a], dists[b]
 					}
+					break
 				}
 			}
 		}
@@ -118,8 +118,8 @@ func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 }
 
 // landmarkChain walks v to landmark li along li's distance row,
-// returning v, ..., landmark, with the same first-CSR-neighbor hop rule
-// as vicinityChain. It fails when li has no built table or v is
+// returning v, ..., landmark, with the same smallest-id-neighbor hop
+// rule as vicinityChain (adjacency lists are sorted). It fails when li has no built table or v is
 // unreachable from it.
 func (o *Oracle) landmarkChain(li int32, v uint32) ([]uint32, bool) {
 	if !o.hasLandmarkTable(li) {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 
 	"vicinity/internal/graph"
 	"vicinity/internal/oraclefile"
@@ -23,44 +24,46 @@ import (
 // is one contiguous array of the in-memory representation, and a loaded
 // oracle round-trips bit-identically.
 //
-// Version 3 stores every fact in the bytes its data needs. The boundary
-// ∂Γ(u) is the tail of u's entry range (section 15 holds only its
-// length). Weighted oracles store one distance per entry (section 12);
-// unweighted ones store none, because their entries are in BFS level
-// order, and instead store where each level from 2 on begins (sections
-// 22-24). Each landmark row is one byte per node when its distances fit
-// (section 26, 0xFF for unreachable) and four otherwise (section 19);
-// section 25 says which. Neither vicinity nor landmark parents are
-// written — paths derive from the distances. Version-1 and version-2
-// files fail with oraclefile.ErrVersion.
-const fileVersion = 3
+// Version 4 stores every fact in the bytes its data needs, and no
+// index: each vicinity is a list of runs sorted by node id (see
+// u32map.Arena), and a loader checks that every run strictly increases
+// before trusting it. The boundary ∂Γ(u) is the tail of u's entry range
+// (section 15 holds only its length). Weighted oracles store one
+// distance per entry (section 12) and, per node, the start of its
+// boundary tail as its one run start; unweighted ones store no
+// distances, because their entries are in BFS level order, and instead
+// store where each level from 2 on begins. Both keep the run starts in
+// sections 22-24. Each landmark row is one byte per node when its
+// distances fit (section 26, 0xFF for unreachable) and four otherwise
+// (section 19); section 25 says which. Neither vicinity nor landmark
+// parents are written — paths derive from the distances. Files of
+// versions 1 to 3 fail with oraclefile.ErrVersion.
+const fileVersion = 4
 
 // Section tags, in file order. Tags 13, 16, 17 and 21 held version 1's
-// vicinity parents, boundary copies and landmark parents, and tag 20
-// version 2's uint16 landmark rows; they are not reused. The sections
-// added in version 3 store byte counts in their headers.
+// vicinity parents, boundary copies and landmark parents, tag 20
+// version 2's uint16 landmark rows, and tags 9, 10 and 14 version 3's
+// hash slot index; they are not reused. The sections added in version 3
+// store byte counts in their headers.
 const (
-	secMeta       = 1  // u64s: flags and build options
-	secScope      = 2  // u32s: Options.Nodes (meaningful iff flagScope)
-	secGraph      = 3  // raw: embedded binary graph
-	secLandmarks  = 4  // u32s: sorted landmark ids
-	secRadius     = 5  // u32s[n]
-	secNearest    = 6  // u32s[n]
-	secVicEntOff  = 7  // u32s[n]: per-node entry range start
-	secVicEntLen  = 8  // u32s[n]: per-node entry count
-	secVicSlotOff = 9  // u32s[n]: per-node slot range start
-	secVicSlotLen = 10 // u32s[n]: per-node slot count (0 for empty)
-	secKeys       = 11 // u32s: entry arena
-	secDists      = 12 // u32s: per-entry distances (weighted oracles only)
-	secSlots      = 14 // u32s: slot arena
-	secBoundLen   = 15 // u32s[n]: |∂Γ(u)|, the boundary tail of u's entries
-	secLPos       = 18 // u32s[|L|]: landmark table position, or ^0 for none
-	secLDist      = 19 // u32s[wide·n]: the wide landmark rows, in row order
-	secVicLvlOff  = 22 // u32s[n]: per-node level-start range start (unweighted only)
-	secVicLvlLen  = 23 // u32s[n]: per-node level-start count (unweighted only)
-	secLevels     = 24 // u32s: level-start arena (unweighted only)
-	secLWidth     = 25 // bytes[built]: each row's width in bytes, 1 or 4
-	secLDist8     = 26 // bytes[narrow·n]: the narrow landmark rows, in row order
+	secMeta      = 1  // u64s: flags and build options
+	secScope     = 2  // u32s: Options.Nodes (meaningful iff flagScope)
+	secGraph     = 3  // raw: embedded binary graph
+	secLandmarks = 4  // u32s: sorted landmark ids
+	secRadius    = 5  // u32s[n]
+	secNearest   = 6  // u32s[n]
+	secVicEntOff = 7  // u32s[n]: per-node entry range start
+	secVicEntLen = 8  // u32s[n]: per-node entry count
+	secKeys      = 11 // u32s: entry arena, each vicinity's runs sorted by id
+	secDists     = 12 // u32s: per-entry distances (weighted oracles only)
+	secBoundLen  = 15 // u32s[n]: |∂Γ(u)|, the boundary tail of u's entries
+	secLPos      = 18 // u32s[|L|]: landmark table position, or ^0 for none
+	secLDist     = 19 // u32s[wide·n]: the wide landmark rows, in row order
+	secVicLvlOff = 22 // u32s[n]: per-node run-start range start
+	secVicLvlLen = 23 // u32s[n]: per-node run-start count
+	secLevels    = 24 // u32s: run-start arena
+	secLWidth    = 25 // bytes[built]: each row's width in bytes, 1 or 4
+	secLDist8    = 26 // bytes[narrow·n]: the narrow landmark rows, in row order
 )
 
 // Meta flags.
@@ -80,7 +83,7 @@ const (
 	metaSeed
 	metaSampling
 	metaFallback  // retired Options.Fallback: written as 0, ignored on load (each request's Policy selects the fallback)
-	metaTableKind // retired Options.TableKind: written as 0 (the hash layout), any other value rejected on load
+	metaTableKind // retired Options.TableKind: written as 0 (the one layout), any other value rejected on load
 	metaWorkers
 	metaMaxLandmarks // retired Options.MaxLandmarks: written as 0, ignored on load (the file stores the landmark set)
 	metaLen
@@ -127,24 +130,20 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	ow.U32s(secNearest, o.nearest)
 
 	arena, flat := o.flattenedVicinities()
-	cols := make([][]uint32, 6) // entOff, entLen, slotOff, slotLen, lvlOff, lvlLen
+	cols := make([][]uint32, 4) // entOff, entLen, lvlOff, lvlLen
 	for i := range cols {
 		cols[i] = make([]uint32, n)
 	}
 	for u, f := range flat {
 		r := f.Range()
-		cols[0][u], cols[1][u], cols[2][u], cols[3][u], cols[4][u], cols[5][u] =
-			r.EOff, r.ELen, r.SOff, r.SLen, r.LOff, r.LLen
+		cols[0][u], cols[1][u], cols[2][u], cols[3][u] = r.EOff, r.ELen, r.LOff, r.LLen
 	}
 	ow.U32s(secVicEntOff, cols[0])
 	ow.U32s(secVicEntLen, cols[1])
-	ow.U32s(secVicSlotOff, cols[2])
-	ow.U32s(secVicSlotLen, cols[3])
 	ow.U32s(secKeys, arena.Keys)
 	if !arena.Leveled {
 		ow.U32s(secDists, arena.Dists)
 	}
-	ow.U32s(secSlots, arena.Slots)
 	ow.U32s(secBoundLen, o.boundLen)
 
 	lpos := make([]uint32, len(o.lpos))
@@ -165,11 +164,9 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 		}
 	}
 	ow.U32Rows(secLDist, wide)
-	if arena.Leveled {
-		ow.U32sBytes(secVicLvlOff, cols[4])
-		ow.U32sBytes(secVicLvlLen, cols[5])
-		ow.U32sBytes(secLevels, arena.Levels)
-	}
+	ow.U32sBytes(secVicLvlOff, cols[2])
+	ow.U32sBytes(secVicLvlLen, cols[3])
+	ow.U32sBytes(secLevels, arena.Levels)
 	ow.Raw(secLWidth, widths)
 	ow.U8Rows(secLDist8, narrow)
 
@@ -181,7 +178,7 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 // one with holes left by updates is compacted into a temporary so the
 // file never carries dead ranges.
 func (o *Oracle) flattenedVicinities() (*u32map.Arena, []u32map.Flat) {
-	if o.entWaste+o.slotWaste+o.lvlWaste > 0 {
+	if o.entWaste+o.lvlWaste > 0 {
 		return o.compactVicinityArena()
 	}
 	return o.arena, o.vicFlat
@@ -230,7 +227,7 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		return nil, fmt.Errorf("%w: unknown sampling %d", ErrBadOracleFile, int(opts.Sampling))
 	}
 	if k := meta[metaTableKind]; k != 0 {
-		return nil, fmt.Errorf("%w: table kind %d (the retired Options.TableKind; only the hash layout loads)", ErrBadOracleFile, k)
+		return nil, fmt.Errorf("%w: table kind %d (the retired Options.TableKind; only kind 0 loads)", ErrBadOracleFile, k)
 	}
 	if flags&flagScanSmaller != 0 {
 		return nil, fmt.Errorf("%w: scan-smaller flag (the retired Options.ScanSmallerBoundary)", ErrBadOracleFile)
@@ -279,14 +276,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	slotOff, err := or.U32s(secVicSlotOff)
-	if err != nil {
-		return nil, err
-	}
-	slotLen, err := or.U32s(secVicSlotLen)
-	if err != nil {
-		return nil, err
-	}
 	arena := &u32map.Arena{Leveled: !g.Weighted()}
 	if arena.Keys, err = or.U32s(secKeys); err != nil {
 		return nil, err
@@ -295,9 +284,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		if arena.Dists, err = or.U32s(secDists); err != nil {
 			return nil, err
 		}
-	}
-	if arena.Slots, err = or.U32s(secSlots); err != nil {
-		return nil, err
 	}
 	if o.boundLen, err = or.U32s(secBoundLen); err != nil {
 		return nil, err
@@ -310,17 +296,16 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	lvlOff, lvlLen := make([]uint32, n), make([]uint32, n) // zero ranges on weighted files
-	if arena.Leveled {
-		if lvlOff, err = or.U32sBytes(secVicLvlOff); err != nil {
-			return nil, err
-		}
-		if lvlLen, err = or.U32sBytes(secVicLvlLen); err != nil {
-			return nil, err
-		}
-		if arena.Levels, err = or.U32sBytes(secLevels); err != nil {
-			return nil, err
-		}
+	lvlOff, err := or.U32sBytes(secVicLvlOff)
+	if err != nil {
+		return nil, err
+	}
+	lvlLen, err := or.U32sBytes(secVicLvlLen)
+	if err != nil {
+		return nil, err
+	}
+	if arena.Levels, err = or.U32sBytes(secLevels); err != nil {
+		return nil, err
 	}
 	widths, err := or.Raw(secLWidth)
 	if err != nil {
@@ -335,7 +320,7 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		return nil, err
 	}
 
-	ranges := [][]uint32{entOff, entLen, slotOff, slotLen, lvlOff, lvlLen}
+	ranges := [][]uint32{entOff, entLen, lvlOff, lvlLen}
 	if err := o.restore(arena, ranges, lpos, widths, wideF, narrowF); err != nil {
 		return nil, err
 	}
@@ -345,7 +330,7 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 // restore validates the deserialized arrays and rebuilds the derived
 // in-memory state (landmark index, per-node views, per-landmark table
 // rows, workspace pool). ranges holds the per-node columns entOff,
-// entLen, slotOff, slotLen, lvlOff and lvlLen.
+// entLen, lvlOff and lvlLen.
 func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
 	widths []byte, wideF []uint32, narrowF []byte) error {
 	n := o.g.NumNodes()
@@ -393,16 +378,16 @@ func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
 		}
 	}
 
-	// Vicinity ranges, boundary tails, slot contents and level starts.
-	// A boundary longer than its entry range would slice past the
-	// node's entries at query time.
+	// Vicinity ranges, boundary tails, run starts and run order. A
+	// boundary longer than its entry range would slice past the node's
+	// entries at query time, and a run out of order would make lookups
+	// and intersections miss members silently.
 	o.arena = arena
 	o.vicFlat = make([]u32map.Flat, n)
 	for u := 0; u < n; u++ {
 		r := u32map.Range{
 			EOff: ranges[0][u], ELen: ranges[1][u],
-			SOff: ranges[2][u], SLen: ranges[3][u],
-			LOff: ranges[4][u], LLen: ranges[5][u],
+			LOff: ranges[2][u], LLen: ranges[3][u],
 		}
 		el := r.ELen
 		if !within(r.EOff, el, len(arena.Keys)) {
@@ -411,30 +396,31 @@ func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
 		if o.boundLen[u] > el {
 			return fmt.Errorf("%w: node %d boundary length %d exceeds its %d entries", ErrBadOracleFile, u, o.boundLen[u], el)
 		}
-		if !within(r.SOff, r.SLen, len(arena.Slots)) {
-			return fmt.Errorf("%w: node %d slot range", ErrBadOracleFile, u)
-		}
 		if !within(r.LOff, r.LLen, len(arena.Levels)) {
 			return fmt.Errorf("%w: node %d level range", ErrBadOracleFile, u)
 		}
 		if el == 0 {
-			if r.SLen != 0 || r.LLen != 0 {
-				return fmt.Errorf("%w: node %d has slots or levels without entries", ErrBadOracleFile, u)
+			if r.LLen != 0 {
+				return fmt.Errorf("%w: node %d has run starts without entries", ErrBadOracleFile, u)
 			}
 			continue
 		}
-		if int(r.SLen) != u32map.IndexSize(int(el)) {
-			return fmt.Errorf("%w: node %d slot count %d for %d entries", ErrBadOracleFile, u, r.SLen, el)
-		}
-		if !u32map.ValidIndex(arena.Slots[r.SOff:r.SOff+r.SLen], el) {
-			return fmt.Errorf("%w: node %d slot index", ErrBadOracleFile, u)
-		}
+		starts := arena.Levels[r.LOff : r.LOff+r.LLen]
 		if arena.Leveled {
-			if err := o.checkLevels(uint32(u), arena.Levels[r.LOff:r.LOff+r.LLen], el); err != nil {
+			if err := o.checkLevels(uint32(u), starts, el); err != nil {
 				return err
 			}
+			if arena.Keys[r.EOff] != uint32(u) {
+				return fmt.Errorf("%w: node %d vicinity does not start with its owner", ErrBadOracleFile, u)
+			}
+		} else if err := o.checkTail(uint32(u), starts, el); err != nil {
+			return err
 		}
-		o.vicFlat[u] = arena.View(r)
+		f := arena.View(r)
+		if !f.Sorted() {
+			return fmt.Errorf("%w: node %d vicinity has a run that is not strictly increasing", ErrBadOracleFile, u)
+		}
+		o.vicFlat[u] = f
 		o.covered++
 	}
 
@@ -529,6 +515,20 @@ func (o *Oracle) checkLevels(u uint32, starts []uint32, el uint32) error {
 	}
 	if o.boundLen[u] != want {
 		return fmt.Errorf("%w: node %d boundary of %d entries is not its last level of %d", ErrBadOracleFile, u, o.boundLen[u], want)
+	}
+	return nil
+}
+
+// checkTail validates one weighted vicinity's run starts: one start,
+// at the first boundary member, when the interior and the boundary tail
+// are both non-empty, and none otherwise.
+func (o *Oracle) checkTail(u uint32, starts []uint32, el uint32) error {
+	var want []uint32
+	if b := o.boundLen[u]; b > 0 && b < el {
+		want = []uint32{el - b}
+	}
+	if !slices.Equal(starts, want) {
+		return fmt.Errorf("%w: node %d run starts do not split its %d entries before its boundary of %d", ErrBadOracleFile, u, el, o.boundLen[u])
 	}
 	return nil
 }

@@ -180,7 +180,7 @@ func TestSaveLoadTiny(t *testing.T) {
 func TestChecksumValidStructuralCorruption(t *testing.T) {
 	g := socialGraph(99, 200)
 
-	corrupt := func(name string, mutate func(o *Oracle)) {
+	corruptOn := func(g *graph.Graph, name string, mutate func(o *Oracle)) {
 		o := mustBuild(t, g, Options{Seed: 99})
 		mutate(o)
 		var buf bytes.Buffer
@@ -191,6 +191,7 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 			t.Fatalf("%s: corrupt structure not rejected: %v", name, err)
 		}
 	}
+	corrupt := func(name string, mutate func(o *Oracle)) { corruptOn(g, name, mutate) }
 
 	corrupt("nearest out of range", func(o *Oracle) {
 		for u := range o.nearest {
@@ -211,19 +212,59 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 		}
 		t.Fatal("no vicinity found to corrupt")
 	})
-	// A slot word referencing an entry outside its table is
-	// checksum-valid but must fail ValidIndex on load.
-	corrupt("slot index out of range", func(o *Oracle) {
-		for u := range o.vicFlat {
-			r := o.vicFlat[u].Range()
-			for s := r.SOff; s < r.SOff+r.SLen; s++ {
-				if o.arena.Slots[s] != 0 {
-					o.arena.Slots[s] = r.ELen + 1 // entry index beyond the table
+	// Every run must strictly increase: lookups binary-search the runs
+	// and scans merge them, so a run out of order, or holding a key
+	// twice, would make them miss members silently.
+	inRun := func(mutate func(keys []uint32)) func(o *Oracle) {
+		return func(o *Oracle) {
+			for u := range o.vicFlat {
+				f := o.vicFlat[u]
+				for k := 1; k < f.Runs(); k++ {
+					if keys, _ := f.Run(k); len(keys) >= 2 {
+						mutate(keys)
+						return
+					}
+				}
+			}
+			t.Fatal("no level of two members found to corrupt")
+		}
+	}
+	corrupt("two keys swapped inside a level", inRun(func(keys []uint32) {
+		keys[0], keys[1] = keys[1], keys[0]
+	}))
+	corrupt("a key stored twice in a level", inRun(func(keys []uint32) {
+		keys[1] = keys[0]
+	}))
+	// A weighted table's one run start splits its interior from its
+	// boundary tail; anywhere else, the runs would mix the two.
+	weighted := func(mutate func(o *Oracle, u int, r u32map.Range)) func(o *Oracle) {
+		return func(o *Oracle) {
+			for u := range o.vicFlat {
+				if r := o.vicFlat[u].Range(); r.LLen == 1 {
+					mutate(o, u, r)
 					return
 				}
 			}
+			t.Fatal("no weighted vicinity with a tail start found to corrupt")
 		}
-		t.Fatal("no occupied slot found to corrupt")
+	}
+	wg := weightedSocialGraph(99, 200)
+	corruptOn(wg, "weighted run start off the tail", weighted(func(o *Oracle, u int, r u32map.Range) {
+		o.arena.Levels[r.LOff]--
+	}))
+	corruptOn(wg, "weighted tail start without a tail", weighted(func(o *Oracle, u int, r u32map.Range) {
+		o.boundLen[u] = 0
+	}))
+	// Level 0 is the owner alone: another node there would read as
+	// distance 0.
+	corrupt("owner not first", func(o *Oracle) {
+		for u := range o.vicFlat {
+			if r := o.vicFlat[u].Range(); r.ELen >= 2 {
+				o.arena.Keys[r.EOff], o.arena.Keys[r.EOff+1] = o.arena.Keys[r.EOff+1], o.arena.Keys[r.EOff]
+				return
+			}
+		}
+		t.Fatal("no vicinity of two members found to corrupt")
 	})
 	// Unweighted distances are implied by the level starts, so they must
 	// describe the entries: strictly increasing inside the entry range,

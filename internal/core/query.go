@@ -5,6 +5,7 @@ import (
 
 	"vicinity/internal/graph"
 	"vicinity/internal/traverse"
+	"vicinity/internal/u32map"
 )
 
 // Method identifies how a query was answered (Algorithm 1's cases plus
@@ -111,27 +112,68 @@ func (o *Oracle) tableDistance(s, t uint32, c *Cost) (uint32, Method, uint32, er
 		return d, m, graph.NoNode, err
 	}
 
-	// Algorithm 1 lines 5-9: scan ∂Γ(s), probing Γ(t). Lemma 1 makes
-	// boundary-only scanning sufficient. t's view is a local, so each
-	// probe is a single call frame over contiguous arrays.
+	// Algorithm 1 lines 5-9: intersect ∂Γ(s) with Γ(t). Lemma 1 makes
+	// boundary-only scanning sufficient.
+	d, meet := o.scanBoundary(s, t, c)
+	if d != NoDist {
+		return d, MethodIntersection, meet, nil
+	}
+	return NoDist, MethodNone, graph.NoNode, nil
+}
+
+// scanBoundary returns min over w ∈ ∂Γ(s) ∩ Γ(t) of d(s,w) + d(t,w) and
+// its witness w, the smallest id among the minimizers (NoDist and
+// graph.NoNode when the two share no member), by intersecting the
+// sorted boundary with Γ(t)'s sorted runs.
+//
+// On an unweighted graph every boundary member lies at d(s,w) = r_s, so
+// the answer is r_s plus the first level of Γ(t) that meets ∂Γ(s): the
+// levels are intersected in ascending order and the first meeting stops
+// the scan. Level 0 is t itself, which the direct cases have shown is
+// not in Γ(s), so the scan starts at level 1. A weighted table's two
+// runs are each intersected in full.
+func (o *Oracle) scanBoundary(s, t uint32, c *Cost) (best, meet uint32) {
 	vt := o.vicFlat[t]
 	scan := o.boundary(s)
-	best := NoDist
-	meet := graph.NoNode
-	for i, w := range scan.Keys {
-		if dw, ok := vt.Get(w); ok {
-			if cand := satAdd(scan.Dist(i), dw); cand < best {
-				best = cand
-				meet = w
+	if vt.Leveled() {
+		for k := 1; k < vt.Runs(); k++ {
+			keys, _ := vt.Run(k)
+			c.Lookups++
+			if i, _, ok := intersect(scan.Keys, keys, c); ok {
+				return satAdd(o.radius[s], uint32(k)), scan.Keys[i]
+			}
+		}
+		return NoDist, graph.NoNode
+	}
+	best, meet = NoDist, graph.NoNode
+	for k := 0; k < vt.Runs(); k++ {
+		keys, dists := vt.Run(k)
+		c.Lookups++
+		for a, b := 0, 0; ; a, b = a+1, b+1 {
+			i, j, ok := intersect(scan.Keys[a:], keys[b:], c)
+			if !ok {
+				break
+			}
+			a, b = a+i, b+j
+			w := scan.Keys[a]
+			if cand := satAdd(scan.Dist(a), dists[b]); cand < best || cand == best && cand != NoDist && w < meet {
+				best, meet = cand, w
 			}
 		}
 	}
-	c.Lookups += len(scan.Keys)
-	c.Scanned += len(scan.Keys)
-	if best != NoDist {
-		return best, MethodIntersection, meet, nil
+	return best, meet
+}
+
+// intersect runs u32map.Intersect over two sorted runs and adds every
+// entry it stepped over to c.Scanned, the meeting pair included; the
+// caller counts the look-up of the run it opened.
+func intersect(a, b []uint32, c *Cost) (i, j int, ok bool) {
+	i, j, ok = u32map.Intersect(a, b)
+	c.Scanned += i + j
+	if ok {
+		c.Scanned += 2
 	}
-	return NoDist, MethodNone, graph.NoNode, nil
+	return i, j, ok
 }
 
 // Routes of a pair after Algorithm 1's direct cases (directCases).

@@ -202,9 +202,18 @@ func (c *cancelLatch) get() error {
 // accounting. It is the engine's one work counter: every pass adds to
 // it where the work happens, and the serving layers export it per
 // query.
+//
+// Vicinities are sorted runs, not hash tables, so a look-up is one of
+// three things: a point search of one vicinity (a binary search per
+// run), one landmark-row read, or one run opened by a scan. Scanned
+// counts the entries a scan stepped over, on both sides: a boundary
+// intersection adds the entries of ∂Γ(s) and of the run that lie below
+// where it stopped, the meeting pair included (the same count whether
+// it merged or binary-searched); the batch engine's inverted pass adds
+// the members of Γ(t) it walked.
 type Cost struct {
-	Lookups   int // stored-table look-ups (probes + landmark reads + members checked)
-	Scanned   int // vicinity/boundary members examined by scan passes
+	Lookups   int // point searches + landmark reads + runs opened by scans
+	Scanned   int // entries stepped over by scans, on both sides
 	Expanded  int // nodes expanded by fallback searches
 	Fallbacks int // bidirectional searches run
 }

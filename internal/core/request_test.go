@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,6 @@ import (
 	"vicinity/internal/baseline"
 	"vicinity/internal/gen"
 	"vicinity/internal/graph"
-	"vicinity/internal/u32map"
 	"vicinity/internal/xrand"
 )
 
@@ -496,9 +496,10 @@ func TestQueryBudgetKeepsResolvedDistance(t *testing.T) {
 	for _, sw := range swaps {
 		keys[sw[0]], keys[sw[1]] = keys[sw[1]], keys[sw[0]]
 	}
-	slots := o.arena.Slots[r.SOff : r.SOff+r.SLen]
-	clear(slots)
-	u32map.FillIndex(slots, keys)
+	for k := 0; k < tbl.Runs(); k++ { // restore the order lookups rely on
+		run, _ := tbl.Run(k)
+		slices.Sort(run)
+	}
 	if d, _ := o.VicinityContains(0, tgt); d != want {
 		t.Fatalf("trade moved tgt: d = %d, want %d", d, want)
 	}

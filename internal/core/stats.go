@@ -78,9 +78,11 @@ func (s BuildStats) String() string {
 }
 
 // MemoryStats reports the space accounting behind §3.2's memory claims.
-// The byte counts cover every stored array: a vicinity's keys, slot
-// words and distances (per entry on weighted graphs, as level starts
-// on unweighted ones), and every landmark row at its width.
+// The byte counts cover every stored array: a vicinity's keys, its run
+// starts (the level starts that imply distances on unweighted graphs,
+// the boundary tail's start on weighted ones) and, on weighted graphs,
+// one distance per entry, plus every landmark row at its width. There
+// is no index beside the keys.
 type MemoryStats struct {
 	VicinityEntries  int64 // Σ_u |Γ(u)|
 	VicinityBytes    int64

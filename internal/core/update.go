@@ -1008,10 +1008,12 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 // (unreached within rmax ⇒ farther than every radius ⇒ NoDist, which
 // the comparisons treat as +inf; flood vicinities with radius NoDist
 // rebuild whenever the classification cannot prove equality). The
-// weighted path keeps the conservative per-endpoint ball rule:
-// Dijkstra's settle order among equal distances depends on heap layout,
-// which a deleted edge perturbs even when no distance changes, so the
-// skip argument above only holds for BFS.
+// weighted path keeps the conservative per-endpoint ball rule. It was
+// needed while a weighted table kept Dijkstra's settle order, which
+// heap layout decides among equal distances and a deleted edge can
+// perturb when no distance changes. Tables are now sorted by id within
+// each run, so that dependence is gone and the rule could be
+// sharpened; it has not been yet.
 //
 // Correctness under batches: marks are a union. If x's final trace
 // differs, take the closest member y whose distance changed — the old
@@ -1096,22 +1098,17 @@ func (t *Oracle) rebuildVicinities(newG *graph.Graph, affected []uint32) []vicRe
 }
 
 // writeVicinities installs the recomputed vicinities (boundary members
-// last, as built) by appending them to the arena: old snapshots may
-// still read the superseded ranges, which only count as waste.
+// last, runs sorted, as built) by appending them to the arena: old
+// snapshots may still read the superseded ranges, which only count as
+// waste.
 func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
 	a := t.arena
-	entries, slots, levels := uint64(len(a.Keys)), uint64(len(a.Slots)), uint64(len(a.Levels))
-	for i, x := range affected {
-		nEnt := len(results[i].keys)
-		if nEnt > u32map.MaxFlatEntries {
-			return fmt.Errorf("core: updated vicinity of node %d has %d entries, above the %d flat-table cap",
-				x, nEnt, u32map.MaxFlatEntries)
-		}
-		entries += uint64(nEnt)
-		slots += uint64(u32map.IndexSize(nEnt))
+	entries, levels := uint64(len(a.Keys)), uint64(len(a.Levels))
+	for i := range affected {
+		entries += uint64(len(results[i].keys))
 		levels += uint64(len(results[i].levels))
 	}
-	if err := checkArenaCapacity(entries, slots, levels); err != nil {
+	if err := checkArenaCapacity(entries, levels); err != nil {
 		return err
 	}
 	for i, x := range affected {
@@ -1119,7 +1116,6 @@ func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
 		if old := t.vicFlat[x]; old.Len() > 0 {
 			r := old.Range()
 			t.entWaste += uint64(r.ELen)
-			t.slotWaste += uint64(r.SLen)
 			t.lvlWaste += uint64(r.LLen)
 		} else {
 			t.covered++
@@ -1128,18 +1124,12 @@ func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
 		t.nearest[x] = res.nearest
 		t.boundLen[x] = res.boundLen
 
-		r := u32map.Range{
-			ELen: uint32(len(res.keys)),
-			SLen: uint32(u32map.IndexSize(len(res.keys))),
-			LLen: uint32(len(res.levels)),
-		}
+		r := u32map.Range{ELen: uint32(len(res.keys)), LLen: uint32(len(res.levels))}
 		r.EOff = a.AllocEntries(int(r.ELen))
 		copy(a.Keys[r.EOff:], res.keys)
 		if !a.Leveled {
 			copy(a.Dists[r.EOff:], res.dists)
 		}
-		r.SOff = a.AllocSlots(int(r.SLen))
-		u32map.FillIndex(a.Slots[r.SOff:r.SOff+r.SLen], a.Keys[r.EOff:r.EOff+r.ELen])
 		r.LOff = a.AllocLevels(int(r.LLen))
 		copy(a.Levels[r.LOff:], res.levels)
 		t.vicFlat[x] = a.View(r)
@@ -1153,10 +1143,10 @@ func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
 // unaffected.
 func (t *Oracle) maybeCompact() {
 	a := t.arena
-	waste := t.entWaste + t.slotWaste + t.lvlWaste
-	if waste > 0 && 2*waste > uint64(len(a.Keys)+len(a.Slots)+len(a.Levels)) {
+	waste := t.entWaste + t.lvlWaste
+	if waste > 0 && 2*waste > uint64(len(a.Keys)+len(a.Levels)) {
 		t.arena, t.vicFlat = t.compactVicinityArena()
-		t.entWaste, t.slotWaste, t.lvlWaste = 0, 0, 0
+		t.entWaste, t.lvlWaste = 0, 0
 	}
 }
 
@@ -1169,17 +1159,14 @@ func (o *Oracle) compactVicinityArena() (*u32map.Arena, []u32map.Flat) {
 	for u := range o.vicFlat {
 		r := o.vicFlat[u].Range()
 		total.ELen += r.ELen
-		total.SLen += r.SLen
 		total.LLen += r.LLen
 	}
 	na := &u32map.Arena{
 		Keys:    make([]uint32, 0, total.ELen),
-		Slots:   make([]uint32, 0, total.SLen),
+		Levels:  make([]uint32, 0, total.LLen),
 		Leveled: o.arena.Leveled,
 	}
-	if na.Leveled {
-		na.Levels = make([]uint32, 0, total.LLen)
-	} else {
+	if !na.Leveled {
 		na.Dists = make([]uint32, 0, total.ELen)
 	}
 	flat := make([]u32map.Flat, len(o.vicFlat))

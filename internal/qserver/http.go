@@ -9,6 +9,7 @@ import (
 
 	"vicinity/internal/core"
 	"vicinity/internal/store"
+	"vicinity/internal/wire"
 )
 
 // Handler returns an http.Handler exposing the oracle as a JSON API:
@@ -462,6 +463,12 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	st, res, err := s.answer(ctx, req, body.DeadlineMS)
 	if st == nil {
 		writeFailure(w, err)
+		return
+	}
+	// An answer TCP would refuse is refused here too, sized by the
+	// same codec the mux writer encodes it with.
+	if n := wire.MuxPayloadLen(wire.AppendMuxFrame(nil, 0, queryResponse(st, &req, &res, err))); n > wire.MaxFrame {
+		s.refuse(w, frameCapMessage(n))
 		return
 	}
 

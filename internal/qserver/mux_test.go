@@ -3,10 +3,13 @@ package qserver
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -498,5 +501,36 @@ func TestOversizedResponseRefused(t *testing.T) {
 	resp = conn.rt(&wire.QueryRequest{S: 0, T: n - 1})
 	if qr, ok := resp.(*wire.QueryResponse); !ok || qr.Items[0].Code != 0 || qr.Items[0].Dist != n-1 {
 		t.Fatalf("query after the refusal answered %+v", resp)
+	}
+
+	// HTTP refuses the same answer with the same message, as a 400.
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	post := func(body string) (int, map[string]any) {
+		t.Helper()
+		hr, err := hs.Client().Post(hs.URL+"/v2/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(hr.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return hr.StatusCode, out
+	}
+	tsJSON, _ := json.Marshal(ts)
+	before = s.Metrics().Errors
+	status, out := post(fmt.Sprintf(`{"s":0,"ts":%s,"want_path":true}`, tsJSON))
+	msg, _ := out["error"].(string)
+	if status != http.StatusBadRequest || out["error_code"] != "bad_request" || msg != e.Message {
+		t.Fatalf("HTTP answered the oversized batch with %d %v, want 400 bad_request with %q", status, out, e.Message)
+	}
+	if got := s.Metrics().Errors - before; got != 1 {
+		t.Fatalf("HTTP refusal moved the error counter by %d, want 1", got)
+	}
+	status, out = post(fmt.Sprintf(`{"s":0,"t":%d}`, n-1))
+	if rs, _ := out["results"].([]any); status != http.StatusOK || len(rs) != 1 || rs[0].(map[string]any)["distance"] != float64(n-1) {
+		t.Fatalf("HTTP query after the refusal answered %d %v", status, out)
 	}
 }

@@ -521,10 +521,7 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 				// use under the same id, and drop the oversized buffer
 				// rather than keep it for the connection's life.
 				s.errCount.Add(1)
-				buf = wire.AppendMuxFrame(nil, c.id, &wire.ErrorResponse{
-					Code:    wire.CodeBadRequest,
-					Message: fmt.Sprintf("response of %d bytes exceeds the %d frame cap; ask for fewer targets, fewer paths or none", n, wire.MaxFrame),
-				})
+				buf = wire.AppendMuxFrame(nil, c.id, &wire.ErrorResponse{Code: wire.CodeBadRequest, Message: frameCapMessage(n)})
 			}
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			if _, err := bw.Write(buf); err != nil {
@@ -775,6 +772,19 @@ func (s *Server) dispatchQuery(ctx context.Context, m *wire.QueryRequest) wire.M
 	if st == nil {
 		return queryError(err)
 	}
+	return queryResponse(st, &req, &res, err)
+}
+
+// frameCapMessage is the refusal of an answer whose wire encoding, n
+// payload bytes, exceeds wire.MaxFrame. TCP sends it in place of the
+// frame, HTTP as a 400, so a client gets the same refusal either way.
+func frameCapMessage(n int) string {
+	return fmt.Sprintf("response of %d bytes exceeds the %d frame cap; ask for fewer targets, fewer paths or none", n, wire.MaxFrame)
+}
+
+// queryResponse is the wire form of an answered query: res and err as
+// answer returned them for req on the pinned snapshot st.
+func queryResponse(st *store.State, req *core.Request, res *core.Result, err error) *wire.QueryResponse {
 	// The response reports the cluster epoch pinned with the snapshot,
 	// not the oracle's internal generation counter: a replica's loaded
 	// snapshot restarts its generation at zero, but its cluster epoch

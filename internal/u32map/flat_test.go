@@ -1,30 +1,26 @@
 package u32map
 
 import (
+	"slices"
 	"testing"
 
 	"vicinity/internal/xrand"
 )
 
 // buildFlatArena packs the given tables (as key slices; dist = key+1)
-// into one arena.
+// into one weighted arena, each table sorted into a single run.
 func buildFlatArena(t *testing.T, tables [][]uint32) (*Arena, []Flat) {
 	t.Helper()
 	a := &Arena{}
 	var views []Flat
 	for _, keys := range tables {
+		sorted := slices.Sorted(slices.Values(keys))
 		eOff := uint32(len(a.Keys))
-		for _, k := range keys {
+		for _, k := range sorted {
 			a.Keys = append(a.Keys, k)
 			a.Dists = append(a.Dists, k+1)
 		}
-		eEnd := uint32(len(a.Keys))
-		sOff := uint32(len(a.Slots))
-		if len(keys) > 0 {
-			a.Slots = append(a.Slots, make([]uint32, IndexSize(len(keys)))...)
-			FillIndex(a.Slots[sOff:], a.Keys[eOff:eEnd])
-		}
-		views = append(views, a.View(Range{EOff: eOff, ELen: eEnd - eOff, SOff: sOff, SLen: uint32(len(a.Slots)) - sOff}))
+		views = append(views, a.View(Range{EOff: eOff, ELen: uint32(len(a.Keys)) - eOff}))
 	}
 	return a, views
 }
@@ -68,16 +64,16 @@ func TestFlatLayouts(t *testing.T) {
 				t.Fatalf("table %d: Get(%d) membership %v, want %v", i, k, ok, want)
 			}
 		}
-		// At and Tail enumerate exactly the entries, in insertion
-		// order.
+		// At and Tail enumerate exactly the entries, sorted by key.
 		got := map[uint32]bool{}
 		all := f.Tail(f.Len())
 		if len(all.Keys) != f.Len() {
 			t.Fatalf("table %d: Tail length %d, want %d", i, len(all.Keys), f.Len())
 		}
+		sorted := slices.Sorted(slices.Values(keys))
 		for j := 0; j < f.Len(); j++ {
 			k, d := f.At(j)
-			if d != k+1 || k != keys[j] || all.Keys[j] != k || all.Dist(j) != d {
+			if d != k+1 || k != sorted[j] || all.Keys[j] != k || all.Dist(j) != d {
 				t.Fatalf("At(%d) returned (%d,%d)", j, k, d)
 			}
 			got[k] = true
@@ -103,13 +99,11 @@ func TestFlatMatchesMap(t *testing.T) {
 	for _, k := range keys {
 		m.Put(k, k*3)
 	}
-	a := &Arena{Keys: keys}
-	for _, k := range keys {
+	a := &Arena{Keys: slices.Sorted(slices.Values(keys))}
+	for _, k := range a.Keys {
 		a.Dists = append(a.Dists, k*3)
 	}
-	a.Slots = make([]uint32, IndexSize(len(keys)))
-	FillIndex(a.Slots, a.Keys)
-	f := a.View(Range{ELen: uint32(len(keys)), SLen: uint32(len(a.Slots))})
+	f := a.View(Range{ELen: uint32(len(keys))})
 	for trial := 0; trial < 5000; trial++ {
 		k := r.Uint32n(1 << 21)
 		dm, okM := m.Get(k)
@@ -133,61 +127,33 @@ func TestFlatEmpty(t *testing.T) {
 	}
 }
 
-func TestValidIndex(t *testing.T) {
-	keys := []uint32{5, 9, 13, 200, 77}
-	slots := make([]uint32, IndexSize(len(keys)))
-	FillIndex(slots, keys)
-	if !ValidIndex(slots, uint32(len(keys))) {
-		t.Fatal("valid index rejected")
-	}
-	// Out-of-range entry index.
-	bad := append([]uint32(nil), slots...)
-	for i, s := range bad {
-		if s != 0 {
-			bad[i] = s | 0xFF // index beyond eLen
-			break
-		}
-	}
-	if ValidIndex(bad, uint32(len(keys))) {
-		t.Fatal("out-of-range slot accepted")
-	}
-	// A full table can never terminate an unsuccessful probe.
-	full := make([]uint32, 8)
-	for i := range full {
-		full[i] = 1
-	}
-	if ValidIndex(full, 8) {
-		t.Fatal("full slot table accepted")
-	}
-}
-
 func TestRanges(t *testing.T) {
 	a, views := buildFlatArena(t, [][]uint32{{1, 2, 3}, {}, {10, 20}})
-	if r := views[0].Range(); r.EOff != 0 || r.ELen != 3 || r.SOff != 0 || int(r.SLen) != IndexSize(3) {
+	if r := views[0].Range(); r.EOff != 0 || r.ELen != 3 || r.LLen != 0 {
 		t.Fatalf("ranges[0] = %+v", r)
 	}
-	if r := views[1].Range(); r.ELen != 0 || r.SLen != 0 {
+	if r := views[1].Range(); r.ELen != 0 {
 		t.Fatalf("empty table ranges = %+v", r)
 	}
-	if r := views[2].Range(); r.EOff != 3 || r.ELen != 2 || int(r.SOff) != IndexSize(3) || int(r.SLen) != IndexSize(2) {
+	if r := views[2].Range(); r.EOff != 3 || r.ELen != 2 {
 		t.Fatalf("ranges[2] = %+v", r)
 	}
 	if a.NumEntries() != 5 {
 		t.Fatalf("NumEntries = %d", a.NumEntries())
 	}
-	if a.Bytes() != 4*(5*2+len(a.Slots)) {
+	if a.Bytes() != 4*5*2 {
 		t.Fatalf("Bytes = %d", a.Bytes())
 	}
-	if b := views[0].Bytes(); b != 8*3+4*IndexSize(3) {
-		t.Fatalf("table Bytes = %d, want 8 per entry plus its slots", b)
+	if b := views[0].Bytes(); b != 8*3 {
+		t.Fatalf("table Bytes = %d, want 8 per entry and no index", b)
 	}
 }
 
 func TestArenaAllocAndClone(t *testing.T) {
 	a := &Arena{
-		Keys:  make([]uint32, 2, 8),
-		Dists: make([]uint32, 2, 8),
-		Slots: make([]uint32, 0, 8),
+		Keys:   make([]uint32, 2, 8),
+		Dists:  make([]uint32, 2, 8),
+		Levels: make([]uint32, 0, 8),
 	}
 	a.Keys[0], a.Keys[1] = 7, 9
 
@@ -201,11 +167,12 @@ func TestArenaAllocAndClone(t *testing.T) {
 	if len(a.Keys) != 2 || a.Keys[0] != 7 || a.Keys[1] != 9 {
 		t.Fatal("clone append disturbed the original view")
 	}
-	// Reused spare capacity must come back zeroed (slot arenas rely on it).
-	soff := c.AllocSlots(4)
-	for i := soff; i < soff+4; i++ {
-		if c.Slots[i] != 0 {
-			t.Fatal("AllocSlots returned non-zeroed space")
+	// Reused spare capacity must come back zeroed.
+	c.Levels = append(c.Levels, 5, 6)[:0]
+	loff := c.AllocLevels(4)
+	for i := loff; i < loff+4; i++ {
+		if c.Levels[i] != 0 {
+			t.Fatal("AllocLevels returned non-zeroed space")
 		}
 	}
 	// Growth past capacity reallocates without touching the original.
@@ -217,26 +184,25 @@ func TestArenaAllocAndClone(t *testing.T) {
 }
 
 // TestLeveledArena checks the distance-free layout: a table's entries
-// in level order plus its level starts resolve every member's distance
-// through Get, At and Tail, survive CopyTo, and cost one word per entry
-// plus slots and starts.
+// in level order, sorted by key within each level, plus its level
+// starts resolve every member's distance through Get, At, Tail and Run,
+// survive CopyTo, and cost one word per entry plus the starts.
 func TestLeveledArena(t *testing.T) {
-	// Two tables: levels 0..3 with starts {4, 6}, and an owner with one
-	// neighbor level and no starts.
+	// Three tables: levels 0..3 with starts {4, 6}, an owner with one
+	// neighbor level and no starts, and an owner alone.
 	tables := []struct {
 		keys, starts, dists []uint32
 	}{
 		{[]uint32{50, 7, 9, 11, 60, 61, 90}, []uint32{4, 6}, []uint32{0, 1, 1, 1, 2, 2, 3}},
-		{[]uint32{3, 4, 5}, nil, []uint32{0, 1, 1}},
+		{[]uint32{3, 1, 5}, nil, []uint32{0, 1, 1}},
+		{[]uint32{8}, nil, []uint32{0}},
 	}
 	a := &Arena{Leveled: true}
 	var views []Flat
 	for _, tb := range tables {
-		r := Range{ELen: uint32(len(tb.keys)), SLen: uint32(IndexSize(len(tb.keys))), LLen: uint32(len(tb.starts))}
+		r := Range{ELen: uint32(len(tb.keys)), LLen: uint32(len(tb.starts))}
 		r.EOff = a.AllocEntries(len(tb.keys))
 		copy(a.Keys[r.EOff:], tb.keys)
-		r.SOff = a.AllocSlots(int(r.SLen))
-		FillIndex(a.Slots[r.SOff:r.SOff+r.SLen], tb.keys)
 		r.LOff = a.AllocLevels(len(tb.starts))
 		copy(a.Levels[r.LOff:], tb.starts)
 		views = append(views, a.View(r))
@@ -246,12 +212,20 @@ func TestLeveledArena(t *testing.T) {
 	}
 	check := func(f Flat, keys, dists []uint32) {
 		t.Helper()
+		if !f.Sorted() || !f.Leveled() {
+			t.Fatalf("table %v: Sorted %v, Leveled %v", keys, f.Sorted(), f.Leveled())
+		}
 		for i, k := range keys {
 			if d, ok := f.Get(k); !ok || d != dists[i] {
 				t.Fatalf("Get(%d) = %d,%v, want %d", k, d, ok, dists[i])
 			}
 			if gk, gd := f.At(i); gk != k || gd != dists[i] {
 				t.Fatalf("At(%d) = %d/%d, want %d/%d", i, gk, gd, k, dists[i])
+			}
+		}
+		for _, k := range []uint32{0, 2, 10, 55, 100} {
+			if _, ok := f.Get(k); ok {
+				t.Fatalf("Get(%d) found an absent key", k)
 			}
 		}
 		for n := 0; n <= len(keys); n++ {
@@ -262,19 +236,76 @@ func TestLeveledArena(t *testing.T) {
 				}
 			}
 		}
+		i := 0
+		for k := 0; k < f.Runs(); k++ {
+			run, rd := f.Run(k)
+			if rd != nil {
+				t.Fatalf("leveled run %d has distances", k)
+			}
+			for _, key := range run {
+				if key != keys[i] || dists[i] != uint32(k) {
+					t.Fatalf("run %d holds %d, want %d at level %d", k, key, keys[i], dists[i])
+				}
+				i++
+			}
+		}
+		if i != len(keys) {
+			t.Fatalf("runs hold %d entries, want %d", i, len(keys))
+		}
 	}
 	for i, tb := range tables {
 		check(views[i], tb.keys, tb.dists)
-		if b, want := views[i].Bytes(), 4*(len(tb.keys)+IndexSize(len(tb.keys))+len(tb.starts)); b != want {
+		if b, want := views[i].Bytes(), 4*(len(tb.keys)+len(tb.starts)); b != want {
 			t.Fatalf("table %d: Bytes = %d, want %d", i, b, want)
 		}
 	}
-	if a.Bytes() != views[0].Bytes()+views[1].Bytes() {
-		t.Fatalf("arena Bytes = %d, tables %d", a.Bytes(), views[0].Bytes()+views[1].Bytes())
+	if a.Bytes() != views[0].Bytes()+views[1].Bytes()+views[2].Bytes() {
+		t.Fatalf("arena Bytes = %d, tables %d", a.Bytes(), views[0].Bytes()+views[1].Bytes()+views[2].Bytes())
 	}
 	dst := &Arena{Leveled: true}
 	for i := len(tables) - 1; i >= 0; i-- { // reversed: offsets move
 		check(views[i].CopyTo(dst), tables[i].keys, tables[i].dists)
+	}
+}
+
+// TestWeightedRuns checks a weighted table of two runs, an interior
+// and a tail split by one run start: Get finds keys in either run with
+// their own distances, Run returns each run with its distances, and a
+// key out of order inside a run fails Sorted.
+func TestWeightedRuns(t *testing.T) {
+	a := &Arena{
+		Keys:   []uint32{2, 5, 9, 1, 6, 30},
+		Dists:  []uint32{20, 50, 90, 10, 60, 300},
+		Levels: []uint32{3},
+	}
+	f := a.View(Range{ELen: 6, LLen: 1})
+	if f.Runs() != 2 || f.Leveled() || !f.Sorted() {
+		t.Fatalf("Runs %d, Leveled %v, Sorted %v", f.Runs(), f.Leveled(), f.Sorted())
+	}
+	for i, k := range a.Keys {
+		if d, ok := f.Get(k); !ok || d != a.Dists[i] {
+			t.Fatalf("Get(%d) = %d,%v, want %d", k, d, ok, a.Dists[i])
+		}
+	}
+	for _, k := range []uint32{0, 3, 7, 31} {
+		if _, ok := f.Get(k); ok {
+			t.Fatalf("Get(%d) found an absent key", k)
+		}
+	}
+	if keys, dists := f.Run(1); !slices.Equal(keys, []uint32{1, 6, 30}) || !slices.Equal(dists, []uint32{10, 60, 300}) {
+		t.Fatalf("tail run %v/%v", keys, dists)
+	}
+	one := a.View(Range{ELen: 3})
+	if one.Runs() != 1 || one.Bytes() != 4*6 {
+		t.Fatalf("one-run table: Runs %d, Bytes %d", one.Runs(), one.Bytes())
+	}
+	a.Keys[4], a.Keys[5] = 30, 6
+	if f.Sorted() {
+		t.Fatal("a tail run out of order passed Sorted")
+	}
+	a.Keys[4], a.Keys[5] = 6, 6
+	if f.Sorted() {
+		t.Fatal("a tail run with a key stored twice passed Sorted")
 	}
 }
 

@@ -5,10 +5,10 @@ package u32map
 // constructs onto its own shard (amortized growth, no per-table
 // allocations), recording shard-local offsets; a deterministic merge
 // pass then rebases every table into its final position in a shared
-// Arena with CopyFromShard. Shards hold no slot indexes: slot ranges
-// depend on final entry order and are built directly in the merged
-// arena. Like the arena it feeds, a shard stages per-entry distances
-// (weighted builds) or per-table level starts (leveled builds).
+// Arena with CopyFromShard. Tables arrive with their runs already
+// sorted, so the merge is a plain copy. Like the arena it feeds, a
+// shard stages per-table run starts, plus per-entry distances on
+// weighted builds.
 //
 // A Shard is not safe for concurrent use; the parallel-build contract
 // is one shard per worker.
@@ -22,9 +22,9 @@ type Shard struct {
 func (s *Shard) Len() uint32 { return uint32(len(s.Keys)) }
 
 // Append copies one table's keys, distances (nil on leveled builds) and
-// level starts (nil on weighted builds) onto the end of the shard and
-// returns the shard-local offsets of its first entry and first level
-// start. dists, when given, must be as long as keys.
+// run starts onto the end of the shard and returns the shard-local
+// offsets of its first entry and first run start. dists, when given,
+// must be as long as keys.
 func (s *Shard) Append(keys, dists, levels []uint32) (eOff, lOff uint32) {
 	eOff, lOff = uint32(len(s.Keys)), uint32(len(s.Levels))
 	s.Keys = append(s.Keys, keys...)
@@ -34,7 +34,7 @@ func (s *Shard) Append(keys, dists, levels []uint32) (eOff, lOff uint32) {
 }
 
 // CopyFromShard rebases one staged table — dst.ELen entries at
-// shard-local offset eOff and dst.LLen level starts at lOff — into the
+// shard-local offset eOff and dst.LLen run starts at lOff — into the
 // arena's entry and level arrays at dst. The destination ranges must
 // already be allocated; disjoint destination ranges may be copied
 // concurrently, which is how a merge pass stitches many shards into one

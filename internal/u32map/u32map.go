@@ -9,27 +9,29 @@
 // The paper stores vicinities in hash tables (GNU C++ unordered_map) and
 // reports query cost in hash-table look-ups (Table 3). The oracle's
 // representation is the Flat view over a shared Arena: all tables'
-// entries concatenated into contiguous arrays with Fibonacci-hashed,
-// linearly probed slot ranges, and distances either per entry
-// (weighted arenas) or per level (leveled arenas) — see flat.go. Map
-// is the same structure as a standalone, growable table (used as a
-// reference implementation and for callers that build tables
-// incrementally), and Builtin wraps Go's builtin map for the
-// data-structure ablation the paper floats in §5 ("more customized
-// implementations of the data structures"); the Get benchmarks compare
-// the three.
+// entries concatenated into contiguous arrays, each table grouped into
+// runs sorted by node id (one run per BFS level on unweighted graphs),
+// and distances either per entry (weighted arenas) or per level
+// (leveled arenas) — see flat.go. A point lookup binary-searches the
+// runs; a scan intersects sorted runs (Intersect, sorted.go). This is
+// the "more customized implementation of the data structures" the
+// paper floats in §5. Map is an open-addressing hash table with the
+// same interface (a reference implementation, and for callers that
+// build tables incrementally), and Builtin wraps Go's builtin map for
+// the data-structure ablation; the Get benchmarks compare the three.
 package u32map
 
 // Table is the read interface shared by all vicinity-table
 // implementations. Entries are (key node, distance) pairs; At iterates
-// them in insertion order. Implementations are safe for concurrent
+// them in the implementation's stored order (insertion order for Map
+// and Builtin, run by run and by key within a run for Flat). Implementations are safe for concurrent
 // readers once fully built.
 type Table interface {
 	// Get returns the distance recorded for key.
 	Get(key uint32) (dist uint32, ok bool)
 	// Len returns the number of entries.
 	Len() int
-	// At returns the i-th entry in insertion order, 0 <= i < Len().
+	// At returns the i-th entry in stored order, 0 <= i < Len().
 	At(i int) (key, dist uint32)
 	// Bytes returns the approximate heap footprint in bytes.
 	Bytes() int

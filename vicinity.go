@@ -5,11 +5,13 @@
 // The oracle precomputes, for every node u, a small "vicinity" Γ(u) —
 // all nodes no farther from u than u's nearest landmark, where landmarks
 // are sampled with probability growing in node degree — plus full
-// distance tables for the landmarks themselves. A query between s and t
-// is then a handful of hash-table probes: either one endpoint is a
-// landmark, or one lies in the other's vicinity, or the boundary of
-// Γ(s) is scanned against Γ(t) and the minimum d(s,w)+d(w,t) over the
-// intersection is the exact distance (Theorem 1 of the paper). On a
+// distance tables for the landmarks themselves. Each vicinity is stored
+// sorted by node id within each BFS level. A query between s and t is
+// then a few binary searches and one sorted intersection: either one
+// endpoint is a landmark, or one lies in the other's vicinity, or the
+// boundary of Γ(s) is intersected with Γ(t) and the minimum
+// d(s,w)+d(w,t) over the intersection is the exact distance (Theorem 1
+// of the paper). On a
 // LiveJournal-profile graph of 50,000 nodes with α = 4 (vicinity size
 // ≈ 4√n), 62% of 20,000 uniform random pairs resolve from the tables
 // in microseconds; the other 38% fall back to an exact bidirectional
@@ -180,8 +182,8 @@ const (
 )
 
 // Options configures Build. The zero value (or a nil pointer) gives the
-// paper's defaults: α = 4, √degree landmark sampling, hash-table
-// vicinities and landmark tables. Paths need no option: they derive
+// paper's defaults: α = 4, √degree landmark sampling, vicinities and
+// landmark tables. Paths need no option: they derive
 // from the stored distances. What a pair the tables miss gets is not a
 // build option either: each request's Policy chooses it, and the zero
 // Policy is the exact search.
