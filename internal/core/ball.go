@@ -11,28 +11,27 @@ import (
 // NoDist is the sentinel for "no distance" (re-exported for callers).
 const NoDist = traverse.NoDist
 
-// vicResult is the offline product for one node: its vicinity members
-// in the order they are stored (later concatenated into the oracle's
-// arena), the size of the boundary ∂Γ(u) that ends them, its radius
-// d(u, l(u)) and its nearest landmark l(u). The last boundLen entries
-// are exactly the members the online scan walks (Algorithm 1 line 5),
-// so the scan reads d(s,w) straight off s's own entries without a
-// lookup.
+// vicResult is the offline product for one node: its vicinity coded as
+// one table (u32map.AppendTable), later concatenated into the oracle's
+// arena, with one distance per member on weighted graphs; the size of
+// the boundary ∂Γ(u), which is the table's last run; its radius
+// d(u, l(u)) and its nearest landmark l(u). The boundary run is exactly
+// the members the online scan walks (Algorithm 1 line 5), so the scan
+// reads d(s,w) straight off s's own table without a lookup.
 //
-// Members come in runs (see u32map.Arena), each sorted by node id. An unweighted vicinity lists its members in BFS level order, one
-// run per level, and records levels, the entry index where each level
-// from 2 on begins; distances are the levels. A weighted one records
+// Members come in runs (see u32map.Arena), each sorted by node id. An
+// unweighted vicinity lists its members in BFS level order, one run per
+// level, and its distances are the levels. A weighted one records
 // dists, one per member, and splits its members into the interior and
-// the boundary tail, recording the tail's start in levels when both are
-// non-empty.
+// the boundary tail.
 //
 // The slices alias the workspace's reusable buffers and are valid only
 // until the workspace's next search: the parallel build appends them to
 // its worker shard immediately, and the update path detaches a copy.
 type vicResult struct {
-	keys     []uint32
+	code     []uint32
 	dists    []uint32 // weighted only
-	levels   []uint32 // run starts
+	entries  uint32   // |Γ(u)|
 	boundLen uint32
 	radius   uint32
 	nearest  uint32
@@ -46,9 +45,10 @@ type buildWS struct {
 	settled *traverse.NodeMap // Dijkstra settle marks (weighted only)
 	q       *queue.U32
 	h       *heap.Min
-	keys    []uint32
+	keys    []uint32 // members in stored order
 	dists   []uint32
-	levels  []uint32
+	levels  []uint32 // run starts, as u32map.AppendTable takes them
+	code    []uint32 // the coded table
 	sorter  u32map.Sorter
 }
 
@@ -78,10 +78,10 @@ func (ws *buildWS) reset() {
 // distance exactly r has a BFS parent at distance r-1 inside B(u), and no
 // neighbor of B(u) can be farther than r. The BFS therefore completes
 // level r and stops. Members are kept in level order, so their
-// distances are implied by the level starts, and sorted by id within
-// each level (level 1 is u's adjacency, sorted already). Every member
-// at distance d > 0 has a neighbor at d-1 inside Γ(u), so paths derive
-// entirely from u's table (see vicinityChain).
+// distances are implied by their level, sorted by id within each level
+// (level 1 is u's adjacency, sorted already), and then coded. Every
+// member at distance d > 0 has a neighbor at d-1 inside Γ(u), so paths
+// derive entirely from u's table (see vicinityChain).
 //
 // The boundary ∂Γ(u) is all of level r, the tail of the entries. Only
 // level-r members can have a neighbor outside the ball, and scanning the
@@ -139,7 +139,18 @@ func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
 		}
 		boundLen = uint32(len(ws.keys)) - last
 	}
-	return vicResult{keys: ws.keys, levels: ws.levels, boundLen: boundLen, radius: r, nearest: nearest}
+	return ws.result(false, boundLen, r, nearest)
+}
+
+// result codes the sorted members into the workspace's table buffer,
+// the one encoder that build and repair share, and returns the result.
+func (ws *buildWS) result(weighted bool, boundLen, r, nearest uint32) vicResult {
+	ws.code = u32map.AppendTable(ws.code[:0], !weighted, ws.keys, ws.levels)
+	res := vicResult{code: ws.code, entries: uint32(len(ws.keys)), boundLen: boundLen, radius: r, nearest: nearest}
+	if weighted {
+		res.dists = ws.dists
+	}
+	return res
 }
 
 // hasOutside reports whether k has a neighbor outside the vicinity,
@@ -200,7 +211,8 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResu
 	// unweighted case, interior members can abut non-members through
 	// heavy edges, so every member is checked; the boundary members then
 	// move to the tail, as on unweighted graphs. Each part is sorted by
-	// id on its own, so the table does not depend on settle order.
+	// id on its own, so the table does not depend on settle order, and
+	// then coded.
 	boundLen := ws.partition(func(i int) bool { return hasOutside(g, ws.keys[i], settled) })
 	split := len(ws.keys) - int(boundLen)
 	ws.sorter.Sort(ws.keys[:split], ws.dists[:split])
@@ -208,7 +220,7 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResu
 	if split > 0 && boundLen > 0 {
 		ws.levels = append(ws.levels, uint32(split))
 	}
-	return vicResult{keys: ws.keys, dists: ws.dists, levels: ws.levels, boundLen: boundLen, radius: r, nearest: nearest}
+	return ws.result(true, boundLen, r, nearest)
 }
 
 // partition moves the entries isBoundary selects to the tail and
@@ -232,8 +244,7 @@ func (ws *buildWS) partition(isBoundary func(i int) bool) uint32 {
 // it survives the workspace's next search. The update path uses it to
 // collect repaired vicinities before installing them.
 func (res vicResult) detach() vicResult {
-	res.keys = append([]uint32(nil), res.keys...)
+	res.code = append([]uint32(nil), res.code...)
 	res.dists = append([]uint32(nil), res.dists...)
-	res.levels = append([]uint32(nil), res.levels...)
 	return res
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"vicinity/internal/graph"
 	"vicinity/internal/syncx"
+	"vicinity/internal/u32map"
 )
 
 // This file implements the one-to-many batch engine. The paper's
@@ -16,8 +17,8 @@ import (
 //   - s's boundary ∂Γ(s) is scanned once into a stamped mark array
 //     (node → d(s,w));
 //   - each unresolved target's vicinity Γ(t) is then walked run by
-//     run — contiguous arena entries, sorted by id — checking each
-//     member against the marks. The witness set Γ(t) ∩ ∂Γ(s) is
+//     run, block by block — decoded into a buffer on the stack, sorted
+//     by id — checking each member against the marks. The witness set Γ(t) ∩ ∂Γ(s) is
 //     exactly the set the per-pair intersection meets, so the minimum
 //     is the same, and ties on the minimum go to the smallest id, as
 //     they do there. On an unweighted graph the walk climbs Γ(t)'s
@@ -90,31 +91,36 @@ func (w *batchWS) ensure(n int) {
 func (o *Oracle) scanTarget(t uint32, bws *batchWS, c *Cost) (best, meet uint32) {
 	best, meet = NoDist, graph.NoNode
 	vt := o.vicFlat[t]
+	var buf [u32map.BlockLen]uint32
 	if vt.Leveled() {
 		// Level 0 is t itself, not in Γ(s) (see scanBoundary).
-		for k := 1; k < vt.Runs(); k++ {
-			keys, _ := vt.Run(k)
+		for k := 0; k < vt.Runs(); k++ {
+			level, _ := vt.Run(k)
 			c.Lookups++
-			for i, w := range keys {
-				if bws.stamp[w] == bws.epoch {
-					c.Scanned += i + 1
-					return satAdd(bws.dist[w], uint32(k)), w
+			for b := 0; b < level.Blocks(); b++ {
+				for i, w := range level.Block(b, &buf) {
+					if bws.stamp[w] == bws.epoch {
+						c.Scanned += b*u32map.BlockLen + i + 1
+						return satAdd(bws.dist[w], uint32(k)+1), w
+					}
 				}
 			}
-			c.Scanned += len(keys)
+			c.Scanned += level.Len()
 		}
 		return best, meet
 	}
 	for k := 0; k < vt.Runs(); k++ {
-		keys, dists := vt.Run(k)
+		run, dists := vt.Run(k)
 		c.Lookups++
-		c.Scanned += len(keys)
-		for i, w := range keys {
-			if bws.stamp[w] != bws.epoch {
-				continue
-			}
-			if cand := satAdd(bws.dist[w], dists[i]); cand < best || cand == best && cand != NoDist && w < meet {
-				best, meet = cand, w
+		c.Scanned += run.Len()
+		for b := 0; b < run.Blocks(); b++ {
+			for i, w := range run.Block(b, &buf) {
+				if bws.stamp[w] != bws.epoch {
+					continue
+				}
+				if cand := satAdd(bws.dist[w], dists[b*u32map.BlockLen+i]); cand < best || cand == best && cand != NoDist && w < meet {
+					best, meet = cand, w
+				}
 			}
 		}
 	}
@@ -171,10 +177,17 @@ func (o *Oracle) tableMany(s uint32, ts []uint32, c *Cost, needMeet bool, worker
 	// then read the marks immutably), walk each residual target's
 	// vicinity against the marks.
 	if len(bws.scan) > 0 {
-		scan := o.boundary(s)
-		for j, w := range scan.Keys {
-			bws.stamp[w] = bws.epoch
-			bws.dist[w] = scan.Dist(j)
+		scan, dists := o.boundary(s)
+		var buf [u32map.BlockLen]uint32
+		for b := 0; b < scan.Blocks(); b++ {
+			for i, w := range scan.Block(b, &buf) {
+				bws.stamp[w] = bws.epoch
+				if dists != nil {
+					bws.dist[w] = dists[b*u32map.BlockLen+i]
+				} else {
+					bws.dist[w] = o.radius[s]
+				}
+			}
 		}
 		o.fanOut(workers, len(bws.scan), c, func(w *worker, k int) {
 			ii := bws.scan[k]

@@ -24,8 +24,8 @@ import (
 //     scope, the ordered node list whose vicinities are built.
 //   - Execute: workers pull scope indexes from a shared counter and run
 //     each node's truncated BFS/Dijkstra with per-worker scratch, which
-//     also sorts the vicinity's runs by id, appending its entries
-//     (boundary members last), its run starts and, when weighted, its
+//     also sorts the vicinity's runs by id and codes them (boundary
+//     members last), appending the coded table and, when weighted, its
 //     distances to a worker-private u32map.Shard and recording
 //     shard-local ranges per node.
 //   - Merge: prefix sums over the scope order assign every node its
@@ -125,15 +125,15 @@ func (b BuildTimings) String() string {
 func (o *Oracle) BuildTimings() BuildTimings { return o.timings }
 
 // vicMeta locates one scope node's phase-1 output inside its worker's
-// shard: the shard-local entry and run-start ranges and the boundary
-// tail length. Radius and nearest land in their final per-node arrays
-// directly during execution.
+// shard: the shard-local word and distance offsets, the table's word
+// and entry counts, and the boundary length. Radius and nearest land in
+// their final per-node arrays directly during execution.
 type vicMeta struct {
 	shard    int32
+	wordOff  uint32
+	wordLen  uint32
 	entOff   uint32
 	entLen   uint32
-	lvlOff   uint32
-	lvlLen   uint32
 	boundLen uint32
 }
 
@@ -156,16 +156,17 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) 
 	metas := make([]vicMeta, len(scope))
 	shards := make([]*u32map.Shard, workers)
 	// Capacity hint from the paper's sizing model: E[|Γ(u)|] ≈ α·√n
-	// entries per node, spread evenly over the workers. A hint only —
-	// shards still grow for graphs that deviate (flood vicinities) —
-	// but it removes most growth-reallocation on the expected path.
+	// entries per node, spread evenly over the workers, coded at about a
+	// third of a word each. A hint only — shards still grow for graphs
+	// that deviate (flood vicinities) — but it removes most
+	// growth-reallocation on the expected path.
 	hint := int(float64(len(scope)) * o.opts.Alpha * math.Sqrt(float64(n)) / float64(workers))
 	const maxHint = 1 << 24 // keep the up-front bet bounded (64 MB/array)
 	if hint > maxHint {
 		hint = maxHint
 	}
 	for w := range shards {
-		shards[w] = &u32map.Shard{Keys: make([]uint32, 0, hint)}
+		shards[w] = &u32map.Shard{Words: make([]uint32, 0, hint/3)}
 		if weighted {
 			shards[w].Dists = make([]uint32, 0, hint)
 		}
@@ -193,9 +194,8 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) 
 		o.nearest[u] = res.nearest
 		m := &metas[i]
 		m.shard = int32(vw.w)
-		m.entLen = uint32(len(res.keys))
-		m.lvlLen = uint32(len(res.levels))
-		m.entOff, m.lvlOff = shards[vw.w].Append(res.keys, res.dists, res.levels)
+		m.wordLen, m.entLen = uint32(len(res.code)), res.entries
+		m.wordOff, m.entOff = shards[vw.w].Append(res.code, res.dists)
 		m.boundLen = res.boundLen
 	})
 	return metas, shards
@@ -208,39 +208,45 @@ func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) 
 // and per-node sizes, never on shard assignment.
 func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*u32map.Shard) error {
 	n := o.g.NumNodes()
+	weighted := o.g.Weighted()
 
-	var totalEnt, totalLvl uint64
+	var totalWords, totalDists, widest uint64
 	for i := range metas {
 		m := &metas[i]
 		if m.entLen > 0 {
 			o.covered++
 		}
-		totalEnt += uint64(m.entLen)
-		totalLvl += uint64(m.lvlLen)
+		totalWords += uint64(m.wordLen)
+		widest = max(widest, uint64(m.wordLen))
+		if weighted {
+			totalDists += uint64(m.entLen)
+		}
 	}
-	if err := checkArenaCapacity(totalEnt, totalLvl); err != nil {
+	if err := checkArenaCapacity(totalWords, totalDists, widest); err != nil {
 		return err
 	}
 
 	o.boundLen = make([]uint32, n)
 	o.arena = &u32map.Arena{
-		Keys:    make([]uint32, totalEnt),
-		Levels:  make([]uint32, totalLvl),
-		Leveled: !o.g.Weighted(),
+		Words:   make([]uint32, totalWords),
+		Leveled: !weighted,
 	}
-	if !o.arena.Leveled {
-		o.arena.Dists = make([]uint32, totalEnt)
+	if weighted {
+		o.arena.Dists = make([]uint32, totalDists)
 	}
 	o.vicFlat = make([]u32map.Flat, n)
 
 	// Final arena ranges by prefix sum over the scope order.
 	at := make([]u32map.Range, len(metas))
-	var ent, lvl uint32
+	var word, ent uint32
 	for i := range metas {
 		m := &metas[i]
-		at[i] = u32map.Range{EOff: ent, ELen: m.entLen, LOff: lvl, LLen: m.lvlLen}
-		ent += m.entLen
-		lvl += m.lvlLen
+		at[i] = u32map.Range{WOff: word, WLen: m.wordLen, ELen: m.entLen}
+		word += m.wordLen
+		if weighted {
+			at[i].EOff = ent
+			ent += m.entLen
+		}
 		o.boundLen[scope[i]] = m.boundLen
 	}
 
@@ -250,20 +256,26 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*u32m
 		if m.entLen == 0 {
 			return
 		}
-		o.arena.CopyFromShard(r, shards[m.shard], m.entOff, m.lvlOff)
+		o.arena.CopyFromShard(r, shards[m.shard], m.wordOff, m.entOff)
 		o.vicFlat[scope[i]] = o.arena.View(r)
 	})
 	return nil
 }
 
-// checkArenaCapacity rejects an arena of the given entry and run-start
-// counts when either overflows the uint32 offsets every Flat view and
-// file range uses. Build and update both call it before writing, so
-// neither can wrap an offset.
-func checkArenaCapacity(entries, levels uint64) error {
-	if entries > math.MaxUint32 || levels > math.MaxUint32 {
-		return fmt.Errorf("core: %d vicinity entries and %d run starts overflow the 2^32-1 arena capacity",
-			entries, levels)
+// checkArenaCapacity rejects an arena of the given word and distance
+// counts, whose widest table takes widest words, when any of them
+// overflows the offsets that hold it: the uint32 word and distance
+// offsets every Flat view and file range uses, and the table-local
+// block data offsets of a coded table (u32map.MaxTableWords). Build and
+// update both call it before writing, so neither can wrap an offset.
+func checkArenaCapacity(words, dists, widest uint64) error {
+	if words > math.MaxUint32 || dists > math.MaxUint32 {
+		return fmt.Errorf("core: %d vicinity words and %d distances overflow the 2^32-1 arena capacity",
+			words, dists)
+	}
+	if widest > u32map.MaxTableWords {
+		return fmt.Errorf("core: a vicinity coded in %d words overflows the %d-word table capacity",
+			widest, u32map.MaxTableWords)
 	}
 	return nil
 }
@@ -312,8 +324,8 @@ func (o *Oracle) buildLandmarkTables(weighted bool) {
 		})
 		return
 	}
-	// Unweighted rows start narrow. MS-BFS levels only ascend, so a row
-	// that reaches level maxNarrow+1 widens once, mid-pass, and stays
+	// Unweighted rows start as nibbles. MS-BFS levels only ascend, so a
+	// row that reaches level maxNibble+1 widens once, mid-pass, and stays
 	// wide.
 	const batch = 64 // sources per pass: the bits of one uint64
 	parallelFor(o.opts.Workers, (len(srcs)+batch-1)/batch, func(int) any {
@@ -321,18 +333,18 @@ func (o *Oracle) buildLandmarkTables(weighted bool) {
 	}, func(state any, b int) {
 		lo, hi := b*batch, min(b*batch+batch, len(srcs))
 		for j := lo; j < hi; j++ {
-			o.lrows[j] = newNarrowRow(n)
+			o.lrows[j] = newNibbleRow(n)
 		}
 		state.(*msbfs).run(o.g, srcs[lo:hi], func(v uint32, set uint64, d uint32) {
 			for ; set != 0; set &= set - 1 {
 				row := &o.lrows[lo+bits.TrailingZeros64(set)]
-				if row.wide == nil && d > maxNarrow {
-					row.widen()
+				if row.wide == nil && d > maxNibble {
+					row.widen(n)
 				}
 				if row.wide != nil {
 					row.wide[v] = d
 				} else {
-					row.narrow[v] = uint8(d)
+					row.set(v, d)
 				}
 			}
 		})

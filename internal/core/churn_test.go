@@ -104,25 +104,26 @@ func randomChurnBatch(r *xrand.Rand, g *graph.Graph) Update {
 }
 
 // assertLiveRanges checks the arena accounting after an update: the
-// live entry and run-start ranges of all vicinities are pairwise
-// disjoint and inside the arena, and live plus counted waste equals the
-// arena length in both spaces — the shape a double-counted or a
-// still-live superseded range would break.
+// live word and distance ranges of all vicinities are pairwise disjoint
+// and inside the arena, and live plus counted waste equals the arena
+// length over both — the shape a double-counted or a still-live
+// superseded range would break.
 func assertLiveRanges(t *testing.T, o *Oracle) {
 	t.Helper()
 	type span struct{ off, len uint32 }
-	var ents, lvls []span
+	var words, dists []span
 	for u := range o.vicFlat {
 		if r := o.vicFlat[u].Range(); r.ELen > 0 {
-			ents = append(ents, span{r.EOff, r.ELen})
-			if r.LLen > 0 {
-				lvls = append(lvls, span{r.LOff, r.LLen})
+			words = append(words, span{r.WOff, r.WLen})
+			if !o.arena.Leveled {
+				dists = append(dists, span{r.EOff, r.ELen})
 			}
 		}
 	}
-	check := func(space string, spans []span, size int, waste uint64) {
+	var live uint64
+	check := func(space string, spans []span, size int) {
 		sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-		var live, end uint64
+		var end uint64
 		for _, sp := range spans {
 			if uint64(sp.off) < end {
 				t.Fatalf("%s range at %d overlaps the previous one ending at %d", space, sp.off, end)
@@ -133,12 +134,12 @@ func assertLiveRanges(t *testing.T, o *Oracle) {
 		if end > uint64(size) {
 			t.Fatalf("%s range ends at %d beyond the arena's %d", space, end, size)
 		}
-		if live+waste != uint64(size) {
-			t.Fatalf("%s arena: live %d + waste %d != length %d", space, live, waste, size)
-		}
 	}
-	check("entry", ents, o.arena.NumEntries(), o.entWaste)
-	check("level", lvls, len(o.arena.Levels), o.lvlWaste)
+	check("word", words, len(o.arena.Words))
+	check("distance", dists, len(o.arena.Dists))
+	if size := uint64(len(o.arena.Words) + len(o.arena.Dists)); live+o.waste != size {
+		t.Fatalf("arena: live %d + waste %d != length %d", live, o.waste, size)
+	}
 }
 
 // weightedSocialGraph is socialGraph with uniform random weights in

@@ -11,46 +11,49 @@ import (
 )
 
 // TestCompactLandmarkTablesAgree: on a social graph every landmark row
-// fits one byte per node, equals the BFS reference, and Memory counts
+// fits four bits per node, equals the BFS reference, and Memory counts
 // it at that width.
 func TestCompactLandmarkTablesAgree(t *testing.T) {
 	g := socialGraph(81, 500)
 	o := mustBuild(t, g, Options{Seed: 81})
 	assertLandmarkRows(t, g, o, func(uint32) bool { return true })
 	for p, row := range o.lrows {
-		if row.wide != nil || len(row.narrow) != g.NumNodes() {
-			t.Fatalf("row %d: wide = %v, %d narrow entries; want one byte per node", p, row.wide != nil, len(row.narrow))
+		if row.wide != nil || len(row.nib) != (g.NumNodes()+1)/2 {
+			t.Fatalf("row %d: wide = %v, %d nibble bytes; want four bits per node", p, row.wide != nil, len(row.nib))
 		}
 	}
 	ms := o.Memory()
-	if want := int64(g.NumNodes()) * int64(len(o.Landmarks())); ms.LandmarkBytes != want || ms.LandmarkEntries != want {
-		t.Fatalf("landmark rows: %d bytes for %d entries, want %d of each", ms.LandmarkBytes, ms.LandmarkEntries, want)
+	entries := int64(g.NumNodes()) * int64(len(o.Landmarks()))
+	if want := int64((g.NumNodes()+1)/2) * int64(len(o.Landmarks())); ms.LandmarkBytes != want || ms.LandmarkEntries != entries {
+		t.Fatalf("landmark rows: %d bytes for %d entries, want %d bytes for %d", ms.LandmarkBytes, ms.LandmarkEntries, want, entries)
 	}
-	if ms.WideLandmarkRows != 0 {
-		t.Fatalf("%d wide rows on a social graph", ms.WideLandmarkRows)
+	if ms.WideLandmarkRows != 0 || ms.NibbleLandmarkRows != len(o.Landmarks()) {
+		t.Fatalf("%d wide and %d nibble rows on a social graph", ms.WideLandmarkRows, ms.NibbleLandmarkRows)
 	}
 }
 
-// TestCompactLandmarkTablesUnreachable checks that the narrow rows'
-// unreachable byte (0xFF) reads as NoDist across components and
+// TestCompactLandmarkTablesUnreachable checks that the nibble rows'
+// unreachable value (0xF) reads as NoDist across components and
 // survives a save/load round trip.
 func TestCompactLandmarkTablesUnreachable(t *testing.T) {
-	b := graph.NewBuilder(60)
-	gen.Path(30).ForEachEdge(func(u, v, w uint32) { b.AddEdge(u, v) })
-	gen.Path(30).ForEachEdge(func(u, v, w uint32) { b.AddEdge(u+30, v+30) })
+	// Two 14-node paths: every finite distance is at most 13, so the
+	// rows are nibbles.
+	b := graph.NewBuilder(28)
+	gen.Path(14).ForEachEdge(func(u, v, w uint32) { b.AddEdge(u, v) })
+	gen.Path(14).ForEachEdge(func(u, v, w uint32) { b.AddEdge(u+14, v+14) })
 	g := b.Build()
 	o := mustBuild(t, g, Options{Seed: 5, Alpha: 16})
 	for _, oracle := range []*Oracle{o, roundTrip(t, o)} {
 		// Find a landmark, query across the component boundary.
 		l := oracle.Landmarks()[0]
 		var other uint32
-		if l < 30 {
-			other = 45
+		if l < 14 {
+			other = 21
 		} else {
-			other = 15
+			other = 7
 		}
-		if row := oracle.lrows[oracle.lpos[0]]; row.wide != nil || row.narrow[other] != unreachable8 {
-			t.Fatalf("landmark %d: row is wide = %v, want a narrow 0xFF at node %d", l, row.wide != nil, other)
+		if row := oracle.lrows[oracle.lpos[0]]; row.wide != nil || row.nib[other/2]>>(other%2*4)&0xF != unreachable4 {
+			t.Fatalf("landmark %d: row is wide = %v, want a nibble 0xF at node %d", l, row.wide != nil, other)
 		}
 		d, m, err := queryDist(oracle, l, other)
 		if err != nil {
@@ -62,10 +65,10 @@ func TestCompactLandmarkTablesUnreachable(t *testing.T) {
 	}
 }
 
-// TestCompactLandmarkTablesOverflow: a row with a distance past 254 is
+// TestCompactLandmarkTablesOverflow: a row with a distance past 14 is
 // stored wide and the build succeeds — on a weighted graph, whose row
 // picks its width after its Dijkstra run, and on an unweighted path,
-// whose row widens mid-pass when the bit-parallel BFS reaches level 255.
+// whose row widens mid-pass when the bit-parallel BFS reaches level 15.
 func TestCompactLandmarkTablesOverflow(t *testing.T) {
 	t.Run("weighted", func(t *testing.T) {
 		b := graph.NewBuilder(4)
@@ -76,7 +79,7 @@ func TestCompactLandmarkTablesOverflow(t *testing.T) {
 		o := mustBuild(t, g, Options{Seed: 1})
 		for p, row := range o.lrows {
 			if row.wide == nil {
-				t.Fatalf("row %d of a graph with 40,000-weight edges is narrow", p)
+				t.Fatalf("row %d of a graph with 40,000-weight edges is a nibble row", p)
 			}
 		}
 		ws := traverse.NewWorkspace(g)
@@ -95,9 +98,9 @@ func TestCompactLandmarkTablesOverflow(t *testing.T) {
 		g := gen.Path(70000)
 		o := mustBuild(t, g, Options{Seed: 1, Landmarks: []uint32{0}, Nodes: []uint32{0}})
 		if o.lrows[0].wide == nil {
-			t.Fatal("row of landmark 0 on a 70,000-node path is narrow")
+			t.Fatal("row of landmark 0 on a 70,000-node path is a nibble row")
 		}
-		for _, v := range []uint32{1, 254, 255, 256, 69999} {
+		for _, v := range []uint32{1, 14, 15, 16, 254, 255, 256, 69999} {
 			if d := o.landmarkDist(o.lidx[0], v); d != v {
 				t.Fatalf("row of landmark 0 reads %d at node %d, want %d", d, v, v)
 			}
@@ -109,7 +112,7 @@ func TestCompactLandmarkTablesOverflow(t *testing.T) {
 }
 
 // TestCompactPathsStillWork ensures landmark-case paths work on the
-// one-byte rows (hops derive from the narrow distance rows).
+// nibble rows (hops derive from the four-bit distance rows).
 func TestCompactPathsStillWork(t *testing.T) {
 	g := socialGraph(83, 400)
 	o := mustBuild(t, g, Options{Seed: 83})
@@ -140,27 +143,27 @@ func TestCompactPathsStillWork(t *testing.T) {
 }
 
 // TestLandmarkRowWidthUnderChurn drives one landmark row across the
-// width boundary with updates. On a 600-node path with landmark 0 the
-// row starts wide (599 hops). Shortcut edges from node 0 bring every
-// distance to at most 254, so the repair narrows the row; deleting them
-// widens it again. After every batch the oracle saves exactly like a
-// fresh build.
+// width boundary with updates. On a 30-node path with landmark 0 the
+// row starts wide (29 hops). Shortcut edges from node 0 bring every
+// distance to at most 14, so the repair packs the row as nibbles;
+// deleting them widens it again. After every batch the oracle saves
+// exactly like a fresh build.
 func TestLandmarkRowWidthUnderChurn(t *testing.T) {
-	const n = 600
+	const n = 30
 	o := mustBuild(t, gen.Path(n), Options{Seed: 1, Landmarks: []uint32{0}})
-	shortcuts := [][2]uint32{{0, 200}, {0, 400}}
+	shortcuts := [][2]uint32{{0, 10}, {0, 20}}
 	steps := []struct {
 		name string
 		upd  Update
 		wide bool
 	}{
 		{"build", Update{}, true},
-		{"first shortcut", Update{Edges: shortcuts[:1]}, true},   // 399 hops to node 599
-		{"second shortcut", Update{Edges: shortcuts[1:]}, false}, // 200 hops at most
+		{"first shortcut", Update{Edges: shortcuts[:1]}, true},   // 20 hops to node 29
+		{"second shortcut", Update{Edges: shortcuts[1:]}, false}, // 10 hops at most
 		{"delete one", Update{DelEdges: shortcuts[1:]}, true},
 		{"delete both", Update{DelEdges: shortcuts[:1]}, true},
 		{"both at once", Update{Edges: shortcuts}, false},
-		{"grow", Update{AddNodes: 3, Edges: [][2]uint32{{599, 600}}}, false},
+		{"grow", Update{AddNodes: 3, Edges: [][2]uint32{{29, 30}}}, false}, // an odd row grows past its padding
 	}
 	for _, st := range steps {
 		if st.name != "build" {

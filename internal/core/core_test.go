@@ -159,7 +159,8 @@ func TestLemma1(t *testing.T) {
 			}
 		})
 		boundIntersect := false
-		for _, w := range o.boundary(s).Keys {
+		bkeys, _ := boundaryKeys(o, s)
+		for _, w := range bkeys {
 			if _, ok := o.VicinityContains(u, w); ok {
 				boundIntersect = true
 				break
@@ -222,9 +223,9 @@ func TestVicinityInvariants(t *testing.T) {
 		// Boundary definition: all of level r, the tail of u's entries,
 		// which are in level order.
 		tbl, _ := o.vicinity(u)
-		b := o.boundary(u)
-		if len(b.Keys) != o.BoundarySize(u) {
-			t.Fatalf("node %d: boundary view %d, size %d", u, len(b.Keys), o.BoundarySize(u))
+		bKeys, bDists := boundaryKeys(o, u)
+		if len(bKeys) != o.BoundarySize(u) {
+			t.Fatalf("node %d: boundary view %d, size %d", u, len(bKeys), o.BoundarySize(u))
 		}
 		level := 0
 		for v := uint32(0); int(v) < g.NumNodes(); v++ {
@@ -232,26 +233,25 @@ func TestVicinityInvariants(t *testing.T) {
 				level++
 			}
 		}
-		if len(b.Keys) != level {
-			t.Fatalf("node %d: boundary has %d members, level %d has %d", u, len(b.Keys), wantR, level)
+		if len(bKeys) != level {
+			t.Fatalf("node %d: boundary has %d members, level %d has %d", u, len(bKeys), wantR, level)
 		}
-		head := tbl.Len() - len(b.Keys)
-		for i := 0; i < tbl.Len(); i++ {
-			k, d := tbl.At(i)
-			if i > 0 {
-				if _, prev := tbl.At(i - 1); d < prev {
-					t.Fatalf("node %d: entry %d at distance %d after one at %d", u, i, d, prev)
-				}
+		keys, dists := tableEntries(tbl)
+		head := len(keys) - len(bKeys)
+		for i, k := range keys {
+			d := dists[i]
+			if i > 0 && d < dists[i-1] {
+				t.Fatalf("node %d: entry %d at distance %d after one at %d", u, i, d, dists[i-1])
 			}
-			if i >= head && (k != b.Keys[i-head] || d != b.Dist(i-head) || d != wantR) {
-				t.Fatalf("node %d: boundary[%d] = %d/%d, entry %d/%d, radius %d",
-					u, i-head, b.Keys[i-head], b.Dist(i-head), k, d, wantR)
+			if i >= head && (k != bKeys[i-head] || d != wantR || bDists != nil) {
+				t.Fatalf("node %d: boundary[%d] = %d, entry %d/%d, radius %d",
+					u, i-head, bKeys[i-head], k, d, wantR)
 			}
 		}
 		// Derived chains: each hop is the first CSR neighbor inside Γ(u)
 		// one step closer to u.
-		for i := 0; i < tbl.Len(); i++ {
-			v, d := tbl.At(i)
+		for i, v := range keys {
+			d := dists[i]
 			chain, ok := o.vicinityChain(u, v)
 			if !ok || len(chain) != int(d)+1 || chain[0] != v || chain[d] != u {
 				t.Fatalf("node %d: chain from %d (d=%d) = %v, %v", u, v, d, chain, ok)

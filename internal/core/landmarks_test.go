@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"vicinity/internal/gen"
@@ -12,8 +13,8 @@ import (
 
 // assertLandmarkRows checks every landmark row of o against a
 // single-source reference traversal: BFS on unweighted graphs,
-// Dijkstra on weighted ones. Narrow rows are read through
-// landmarkDist, which maps their unreachable byte back to NoDist. Only
+// Dijkstra on weighted ones. Nibble rows are read through
+// landmarkDist, which maps their unreachable value back to NoDist. Only
 // the landmarks for which inScope holds may have rows, and all of them
 // must.
 func assertLandmarkRows(t *testing.T, g *graph.Graph, o *Oracle, inScope func(uint32) bool) {
@@ -64,19 +65,26 @@ func TestLandmarkRowsMatchBFS(t *testing.T) {
 				landmarks[i] = uint32(perm[i])
 			}
 			for _, workers := range []int{1, 3} {
-				// Every profile's rows fit one byte per node. compact=true
-				// checks them as built; compact=false widens them first, so
-				// the four-byte read path sees the same rows.
+				// A row is wide exactly when one of its distances outgrows
+				// four bits (the grid's, the ring's and the weighted
+				// profile's rows). compact=true checks the rows as built;
+				// compact=false widens the rest first, so the four-byte read
+				// path sees the same rows.
 				for _, compact := range []bool{false, true} {
 					name := fmt.Sprintf("%s/L%d/w%d/compact=%v", p.name, k, workers, compact)
 					t.Run(name, func(t *testing.T) {
 						o := mustBuild(t, g, Options{Seed: 3, Workers: workers, Landmarks: landmarks})
-						for p := range o.lrows {
-							if o.lrows[p].wide != nil {
-								t.Fatalf("row %d is wide", p)
+						for li, p := range o.lpos {
+							ref := traverse.BFS(g, o.landmarks[li]).Dist
+							if g.Weighted() {
+								ref = traverse.Dijkstra(g, o.landmarks[li]).Dist
 							}
-							if !compact {
-								o.lrows[p].widen()
+							wide := slices.ContainsFunc(ref, func(d uint32) bool { return d != NoDist && d > maxNibble })
+							if (o.lrows[p].wide != nil) != wide {
+								t.Fatalf("row %d is wide = %v, its distances want %v", p, o.lrows[p].wide != nil, wide)
+							}
+							if !compact && o.lrows[p].wide == nil {
+								o.lrows[p].widen(g.NumNodes())
 							}
 						}
 						assertLandmarkRows(t, g, o, all)

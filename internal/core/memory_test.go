@@ -8,21 +8,21 @@ import (
 )
 
 // storedBytes sums the arrays o holds, independently of Memory: the
-// arena's keys, distances and run starts, plus every landmark row at
-// its width.
+// arena's coded tables and distances, plus every landmark row at its
+// width.
 func storedBytes(o *Oracle) (vicinity, landmark int64) {
 	a := o.arena
-	vicinity = 4 * int64(len(a.Keys)+len(a.Dists)+len(a.Levels))
+	vicinity = 4 * int64(len(a.Words)+len(a.Dists))
 	for _, row := range o.lrows {
-		landmark += int64(len(row.narrow)) + 4*int64(len(row.wide))
+		landmark += int64(len(row.nib)) + 4*int64(len(row.wide))
 	}
 	return vicinity, landmark
 }
 
 // TestMemoryCountsStoredArrays pins Memory to what the oracle holds, so
 // a reported byte count (perfbench's oracle_mb, /v1/stats total_bytes)
-// covers every stored array — the level starts that replace per-entry
-// distances on unweighted graphs included.
+// covers every stored array — the run and block records of the coded
+// tables and the slack bits of their data words included.
 func TestMemoryCountsStoredArrays(t *testing.T) {
 	g := socialGraph(51, 400)
 	unweighted := mustBuild(t, g, Options{Seed: 51})
@@ -46,8 +46,7 @@ func TestMemoryCountsStoredArrays(t *testing.T) {
 			t.Fatal(err)
 		}
 		churned = next
-		waste := churned.entWaste + churned.lvlWaste
-		if waste > 0 {
+		if churned.waste > 0 {
 			sawWaste = true
 		} else if sawWaste {
 			break
@@ -76,8 +75,8 @@ func TestMemoryCountsStoredArrays(t *testing.T) {
 			if len(o.lrows) > 0 && ms.WideLandmarkRows != 0 && !o.Graph().Weighted() {
 				t.Fatalf("%d wide rows on a social graph", ms.WideLandmarkRows)
 			}
-			want := fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d wide)",
-				float64(vic+lm)/1e6, float64(vic)/1e6, float64(lm)/1e6, ms.WideLandmarkRows)
+			want := fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d at 4 bits, %d at 32)",
+				float64(vic+lm)/1e6, float64(vic)/1e6, float64(lm)/1e6, len(o.lrows)-ms.WideLandmarkRows, ms.WideLandmarkRows)
 			if got := ms.ByteSplit(); got != want {
 				t.Fatalf("ByteSplit = %q, want %q", got, want)
 			}

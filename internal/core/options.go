@@ -14,9 +14,10 @@
 // with the boundary members ∂Γ(u) last: on unweighted graphs all of the
 // last BFS level, on weighted graphs the members with a neighbor
 // outside Γ(u). Unweighted tables keep their members in BFS level
-// order, so a member's distance is implied by its position and only
-// the level starts are stored. Landmarks store a full distance table
-// over all nodes, one byte per node when the distances fit.
+// order, so a member's distance is implied by the level it sits in,
+// and each sorted run is block-coded (u32map). Landmarks store a full
+// distance table over all nodes, four bits per node when the distances
+// fit.
 // Nothing else is stored: a path's next hop is the first neighbor, in
 // adjacency order, one step closer by the stored distances (§3.1).
 //
@@ -118,9 +119,9 @@ type Options struct {
 	// DisableLandmarkTables skips the per-landmark full distance tables.
 	// Saves |L|·n entries; landmark-hit queries then resolve through
 	// vicinities or fallback. Used by the Figure 2 harnesses. Built rows
-	// take the width their data needs: one byte per node when every
-	// distance fits in 254 (all social-network hop distances), four
-	// otherwise — the paper's §5 "reduce the memory requirements"
+	// take the width their data needs: four bits per node when every
+	// distance fits in 14 (all social-network hop distances), four
+	// bytes otherwise — the paper's §5 "reduce the memory requirements"
 	// question, answered without an option.
 	DisableLandmarkTables bool
 

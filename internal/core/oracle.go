@@ -12,15 +12,15 @@ import (
 // for concurrent queries. Mutation goes through ApplyUpdates, which
 // returns a new snapshot and leaves the receiver serving; see update.go.
 //
-// Every stored fact costs only the bytes its data needs. Vicinity
-// tables live in flat arena storage: one shared key arena (see
+// Every stored fact costs about the bits its data needs. Vicinity
+// tables live in flat arena storage: one shared word arena (see
 // u32map.Arena) with no hash index, each table grouped into runs sorted
-// by node id, and each node's boundary ∂Γ(u) stored as the tail of its
-// own entry range. Weighted arenas store one distance per entry and
-// split a table into its interior and its boundary tail; unweighted ones
-// keep each table in BFS level order, one run per level, and store only
-// where each level begins, which implies every member's distance.
-// Landmarks keep one dense distance row each, one byte per node when
+// by node id and coded in blocks of bit-packed gaps, and each node's
+// boundary ∂Γ(u) stored as the last run of its table. Weighted arenas
+// store one distance per entry and split a table into its interior and
+// its boundary tail; unweighted ones keep each table in BFS level
+// order, one run per level, which implies every member's distance.
+// Landmarks keep one dense distance row each, four bits per node when
 // the row's distances fit. Path hops are derived from these distances
 // at query time (see path.go) rather than stored beside them. The
 // layout keeps one node's table contiguous in memory, leaves the
@@ -34,8 +34,8 @@ type Oracle struct {
 	isL       []bool   // per node: landmark flag
 	lidx      []int32  // per node: index into landmarks, or -1
 
-	// Vicinity tables. arena holds the concatenated entries, run starts
-	// and distances of every vicinity; vicFlat (len n) holds node u's
+	// Vicinity tables. arena holds the coded tables and the distances of
+	// every vicinity; vicFlat (len n) holds node u's
 	// precomputed arena view — its offsets plus the shared arena
 	// pointer, so resolving a table is one indexed load. An empty view
 	// means "not covered" (landmark or out of build scope) — a built
@@ -45,16 +45,15 @@ type Oracle struct {
 	arena   *u32map.Arena
 	vicFlat []u32map.Flat
 
-	// boundLen[u] = |∂Γ(u)|: u's boundary members are the last
-	// boundLen[u] entries of its vicinity range, sorted by id — all of
-	// level r on unweighted graphs, the tail run on weighted ones.
+	// boundLen[u] = |∂Γ(u)|: u's boundary members are the last run of
+	// its table, sorted by id — all of level r on unweighted graphs, the
+	// tail run on weighted ones — or none.
 	boundLen []uint32
 
-	// Arena waste: entries and run starts abandoned by repaired
-	// vicinities. Old snapshots may still read the holes, so updates
-	// only count them and compact once they dominate (see maybeCompact).
-	entWaste uint64
-	lvlWaste uint64
+	// Arena waste: words and distances abandoned by repaired vicinities.
+	// Old snapshots may still read the holes, so updates only count them
+	// and compact once they dominate (see maybeCompact).
+	waste uint64
 
 	radius  []uint32 // d(u, l(u)); NoDist when uncovered or no landmark reachable
 	nearest []uint32 // l(u); graph.NoNode when unknown
@@ -113,10 +112,16 @@ func (o *Oracle) vicinity(u uint32) (u32map.Flat, bool) {
 	return f, f.Len() > 0
 }
 
-// boundary returns ∂Γ(u) as a scan view: the tail of u's own entry
-// range, sorted by id.
-func (o *Oracle) boundary(u uint32) u32map.Span {
-	return o.vicFlat[u].Tail(int(o.boundLen[u]))
+// boundary returns ∂Γ(u), the last run of u's table, sorted by id,
+// with its distances on weighted graphs; on unweighted ones they are
+// nil, as every member lies at radius(u). A node without a boundary
+// gets an empty run.
+func (o *Oracle) boundary(u uint32) (u32map.Run, []uint32) {
+	if o.boundLen[u] == 0 {
+		return u32map.Run{}, nil
+	}
+	f := o.vicFlat[u]
+	return f.Run(f.Runs() - 1)
 }
 
 // Covers reports whether queries involving u can be answered from the
@@ -145,21 +150,27 @@ func (o *Oracle) landmarkDist(li int32, v uint32) uint32 {
 	return o.lrows[o.lpos[li]].at(v)
 }
 
-// Landmark-row widths. A narrow row stores one byte per node, with
-// unreachable8 for NoDist, so it holds distances up to maxNarrow.
+// Landmark-row widths. A nibble row stores four bits per node, two
+// nodes per byte (node v in the low half of byte v/2 when v is even),
+// with unreachable4 for NoDist, so it holds distances up to maxNibble.
+// A row of odd length pads its last byte's high half with unreachable4.
 const (
-	unreachable8 = 0xFF
-	maxNarrow    = unreachable8 - 1
+	unreachable4 = 0xF
+	maxNibble    = unreachable4 - 1
 )
 
 // lrow is one landmark's dense distance row over all n nodes, stored at
-// the width its data needs: narrow when every finite distance is at
-// most maxNarrow, wide (uint32, NoDist for unreachable) otherwise.
-// Exactly one of the two slices is set. Social graphs have small
-// diameters, so their rows are narrow: a quarter of the wide bytes.
+// the width its data needs: four bits per node when every finite
+// distance is at most maxNibble, wide (uint32, NoDist for unreachable)
+// otherwise. Exactly one of the two slices is set. Social graphs have
+// small diameters, so their rows are nibbles: an eighth of the wide
+// bytes. Two widths and not three: a byte width would serve only rows
+// whose largest distance runs from 15 to 254 — long paths and grids,
+// none of the social profiles the oracle is built for — while every
+// width costs a branch in at, a pack and a file section.
 type lrow struct {
-	narrow []uint8
-	wide   []uint32
+	nib  []uint8
+	wide []uint32
 }
 
 // at returns the row's distance to v.
@@ -167,7 +178,7 @@ func (r lrow) at(v uint32) uint32 {
 	if r.wide != nil {
 		return r.wide[v]
 	}
-	if d := r.narrow[v]; d != unreachable8 {
+	if d := r.nib[v>>1] >> (v & 1 * 4) & unreachable4; d != unreachable4 {
 		return uint32(d)
 	}
 	return NoDist
@@ -175,13 +186,19 @@ func (r lrow) at(v uint32) uint32 {
 
 // bytes returns the row's footprint.
 func (r lrow) bytes() int {
-	return len(r.narrow) + 4*len(r.wide)
+	return len(r.nib) + 4*len(r.wide)
+}
+
+// span returns the number of nodes the row can answer for: its length,
+// rounded up to even on a nibble row, whose padding reads unreachable.
+func (r lrow) span() int {
+	return 2*len(r.nib) + len(r.wide)
 }
 
 // reader returns an accessor that also answers for nodes past the
 // row's end (added by an update): they are unreachable until repaired.
 func (r lrow) reader() func(v uint32) uint32 {
-	n := len(r.narrow) + len(r.wide)
+	n := r.span()
 	return func(v uint32) uint32 {
 		if int(v) >= n {
 			return NoDist
@@ -194,17 +211,28 @@ func (r lrow) reader() func(v uint32) uint32 {
 // than the row: nodes past its end (added by an update) are unreachable.
 func (r lrow) expand(dst []uint32) {
 	n := copy(dst, r.wide)
-	for v, d := range r.narrow {
-		if d == unreachable8 {
-			dst[v] = NoDist
-		} else {
-			dst[v] = uint32(d)
+	if r.nib != nil {
+		pairs := min(len(r.nib), len(dst)/2)
+		for i, b := range r.nib[:pairs] {
+			d := dst[2*i : 2*i+2 : 2*i+2]
+			d[0], d[1] = nibDist(b&unreachable4), nibDist(b>>4)
+		}
+		n = 2 * pairs
+		if n < len(dst) && pairs < len(r.nib) {
+			dst[n] = nibDist(r.nib[pairs] & unreachable4)
+			n++
 		}
 	}
-	n += len(r.narrow)
 	for v := n; v < len(dst); v++ {
 		dst[v] = NoDist
 	}
+}
+
+// nibDist maps a stored four-bit entry to its distance, without a
+// branch: unreachable4 reads NoDist.
+func nibDist(x uint8) uint32 {
+	d := uint32(x)
+	return d | -((d + 1) >> 4)
 }
 
 // grown returns a copy of the row extended to n nodes, the new ones
@@ -218,47 +246,60 @@ func (r lrow) grown(n int) lrow {
 		}
 		return lrow{wide: wide}
 	}
-	g := newNarrowRow(n)
-	copy(g.narrow, r.narrow)
-	return g
+	// The padding half of an odd row reads unreachable already.
+	nib := append(make([]uint8, 0, (n+1)/2), r.nib...)
+	for len(nib) < cap(nib) {
+		nib = append(nib, unreachable4<<4|unreachable4)
+	}
+	return lrow{nib: nib}
 }
 
-// newNarrowRow returns a narrow row of n unreachable entries.
-func newNarrowRow(n int) lrow {
-	row := make([]uint8, n)
-	for v := range row {
-		row[v] = unreachable8
+// newNibbleRow returns a nibble row of n unreachable entries.
+func newNibbleRow(n int) lrow {
+	row := make([]uint8, (n+1)/2)
+	for i := range row {
+		row[i] = unreachable4<<4 | unreachable4
 	}
-	return lrow{narrow: row}
+	return lrow{nib: row}
 }
 
-// widen converts a narrow row to wide in place, for a distance past
-// maxNarrow.
-func (r *lrow) widen() {
-	wide := make([]uint32, len(r.narrow))
-	for v := range r.narrow {
-		wide[v] = r.at(uint32(v))
-	}
-	r.narrow, r.wide = nil, wide
+// set stores d, at most maxNibble, for node v of a nibble row.
+func (r lrow) set(v, d uint32) {
+	sh := v & 1 * 4
+	b := &r.nib[v>>1]
+	*b = *b&^(unreachable4<<sh) | uint8(d)<<sh
+}
+
+// widen converts a nibble row of n nodes to wide in place, for a
+// distance past maxNibble.
+func (r *lrow) widen(n int) {
+	wide := make([]uint32, n)
+	r.expand(wide)
+	r.nib, r.wide = nil, wide
 }
 
 // packRow stores dist (NoDist for unreachable) at the narrowest width
-// that holds it; a wide row keeps dist itself.
+// that holds it, in fresh storage: dist may be a caller's scratch row.
+// One pass packs the nibbles and notes whether some finite distance
+// exceeds maxNibble (d+1 wraps NoDist to 0, and min maps it to
+// unreachable4).
 func packRow(dist []uint32) lrow {
-	for _, d := range dist {
-		if d != NoDist && d > maxNarrow {
-			return lrow{wide: dist}
-		}
+	nib := make([]uint8, (len(dist)+1)/2)
+	var over uint32
+	for i := range len(dist) / 2 {
+		a, b := dist[2*i], dist[2*i+1]
+		over |= (a + 1) | (b + 1)
+		nib[i] = uint8(min(a, unreachable4)) | uint8(min(b, unreachable4))<<4
 	}
-	row := make([]uint8, len(dist))
-	for v, d := range dist {
-		if d == NoDist {
-			row[v] = unreachable8
-		} else {
-			row[v] = uint8(d)
-		}
+	if len(dist)%2 == 1 {
+		a := dist[len(dist)-1]
+		over |= a + 1
+		nib[len(nib)-1] = uint8(min(a, unreachable4)) | unreachable4<<4
 	}
-	return lrow{narrow: row}
+	if over&^unreachable4 != 0 {
+		return lrow{wide: append([]uint32(nil), dist...)}
+	}
+	return lrow{nib: nib}
 }
 
 // Radius returns the vicinity radius d(u, l(u)) of u, or NoDist if u is
@@ -303,9 +344,21 @@ func (o *Oracle) VicinityContains(u, v uint32) (uint32, bool) {
 // interior then the boundary, each by id, on weighted ones.
 func (o *Oracle) ForEachVicinityMember(u uint32, fn func(v, dist uint32)) {
 	t := o.vicFlat[u]
-	for i := 0; i < t.Len(); i++ {
-		k, d := t.At(i)
-		fn(k, d)
+	if t.Leveled() {
+		fn(t.Owner(), 0)
+	}
+	var buf [u32map.BlockLen]uint32
+	for k := 0; k < t.Runs(); k++ {
+		run, dists := t.Run(k)
+		for b := 0; b < run.Blocks(); b++ {
+			for i, v := range run.Block(b, &buf) {
+				if dists != nil {
+					fn(v, dists[b*u32map.BlockLen+i])
+				} else {
+					fn(v, uint32(k)+1)
+				}
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"vicinity/internal/baseline"
 	"vicinity/internal/graph"
+	"vicinity/internal/u32map"
 )
 
 // These regression tests pin the saturating-add fix: summing two stored
@@ -130,23 +131,25 @@ func TestWeightedOverflowEstimate(t *testing.T) {
 }
 
 // TestArenaCapacity pins the one capacity check build and update share:
-// the entry and run-start counts must each fit the uint32 offsets of
-// the arena. No single table has a cap of its own.
+// the word and distance counts must each fit the uint32 offsets of the
+// arena, and the widest coded table the 26-bit table-local data offsets
+// of its block records.
 func TestArenaCapacity(t *testing.T) {
 	const limit = math.MaxUint32
 	for _, tc := range []struct {
-		entries, levels uint64
-		ok              bool
+		words, dists, widest uint64
+		ok                   bool
 	}{
-		{0, 0, true},
-		{21_700_000, 31_092, true},
-		{limit, limit, true},
-		{limit + 1, 0, false},
-		{limit, limit + 1, false},
+		{0, 0, 0, true},
+		{7_000_000, 0, 20_000, true},
+		{limit, limit, u32map.MaxTableWords, true},
+		{limit + 1, 0, 1, false},
+		{limit, limit + 1, 1, false},
+		{limit, 0, u32map.MaxTableWords + 1, false},
 	} {
-		err := checkArenaCapacity(tc.entries, tc.levels)
+		err := checkArenaCapacity(tc.words, tc.dists, tc.widest)
 		if (err == nil) != tc.ok {
-			t.Errorf("checkArenaCapacity(%d, %d) = %v, want ok=%v", tc.entries, tc.levels, err, tc.ok)
+			t.Errorf("checkArenaCapacity(%d, %d, %d) = %v, want ok=%v", tc.words, tc.dists, tc.widest, err, tc.ok)
 		}
 	}
 }

@@ -70,10 +70,11 @@ func (o *Oracle) assembleTablePath(s, t uint32, m Method, meet uint32) ([]uint32
 // when v ∉ Γ(u) or a hop has no candidate.
 //
 // Adjacency lists and runs are both sorted by id, so a hop is an
-// intersection. On an unweighted table the candidates are exactly
-// level d(u,cur)-1, and the hop is the first id that cur's adjacency
-// shares with that level. A weighted table's runs are each merged
-// against the adjacency, keeping the first common member whose
+// intersection (u32map.Meet walks the plain adjacency list against a
+// coded run). On an unweighted table the candidates are exactly level
+// d(u,cur)-1, and the hop is the first id that cur's adjacency shares
+// with that level; level 0 is u alone. A weighted table's runs are each
+// walked against the adjacency, keeping the first common member whose
 // distance and edge weight add up to d(u,cur).
 func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 	tbl, ok := o.vicinity(u)
@@ -84,13 +85,17 @@ func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 	if !ok {
 		return nil, false
 	}
+	var m u32map.Meet
 	return o.descend(v, u, d, func(cur, d uint32) (uint32, uint32) {
 		adj := o.g.Neighbors(cur)
 		if tbl.Leveled() {
-			// cur is not u, so d >= 1: level 0 holds u alone (the
-			// loader checks that of every leveled table).
-			level, _ := tbl.Run(int(d) - 1)
-			if i, _, ok := u32map.Intersect(adj, level); ok {
+			// cur is not u, so d >= 1; a level-1 member's hop is u.
+			if d == 1 {
+				return u, 0
+			}
+			level, _ := tbl.Run(int(d) - 2)
+			m.Keys(adj, level)
+			if i, _, ok := m.Next(); ok {
 				return adj[i], d - 1
 			}
 			return graph.NoNode, NoDist
@@ -98,13 +103,13 @@ func (o *Oracle) vicinityChain(u, v uint32) ([]uint32, bool) {
 		wts := o.g.NeighborWeights(cur)
 		next, dn := graph.NoNode, NoDist
 		for k := 0; k < tbl.Runs(); k++ {
-			keys, dists := tbl.Run(k)
-			for a, b := 0, 0; ; a, b = a+1, b+1 {
-				i, j, ok := u32map.Intersect(adj[a:], keys[b:])
+			run, dists := tbl.Run(k)
+			m.Keys(adj, run)
+			for {
+				a, b, ok := m.Next()
 				if !ok {
 					break
 				}
-				a, b = a+i, b+j
 				if satAdd(dists[b], hopWeight(wts, a)) == d {
 					if adj[a] < next {
 						next, dn = adj[a], dists[b]

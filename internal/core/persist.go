@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"slices"
 
 	"vicinity/internal/graph"
 	"vicinity/internal/oraclefile"
@@ -24,27 +23,33 @@ import (
 // is one contiguous array of the in-memory representation, and a loaded
 // oracle round-trips bit-identically.
 //
-// Version 4 stores every fact in the bytes its data needs, and no
-// index: each vicinity is a list of runs sorted by node id (see
-// u32map.Arena), and a loader checks that every run strictly increases
-// before trusting it. The boundary ∂Γ(u) is the tail of u's entry range
-// (section 15 holds only its length). Weighted oracles store one
-// distance per entry (section 12) and, per node, the start of its
-// boundary tail as its one run start; unweighted ones store no
-// distances, because their entries are in BFS level order, and instead
-// store where each level from 2 on begins. Both keep the run starts in
-// sections 22-24. Each landmark row is one byte per node when its
-// distances fit (section 26, 0xFF for unreachable) and four otherwise
-// (section 19); section 25 says which. Neither vicinity nor landmark
-// parents are written — paths derive from the distances. Files of
-// versions 1 to 3 fail with oraclefile.ErrVersion.
-const fileVersion = 4
+// Version 5 stores every fact in about the bits its data needs, and no
+// index: each vicinity is one coded table (see u32map.AppendTable) of
+// runs sorted by node id, cut into blocks whose gaps are bit-packed at
+// the block's own width, and a loader decodes every run and checks its
+// structure before trusting it (u32map.Flat.Check). Every offset inside
+// a coded table is local to it, so the tables section is the arena
+// verbatim. The boundary ∂Γ(u) is the last run of u's table (section 15
+// holds only its length). An unweighted table keeps its members in BFS
+// level order, one run per level, and stores its owner (level 0) in its
+// header and no distances; a weighted one splits its members into its
+// interior and its boundary tail and stores one distance per member
+// (section 12). Sections 27-29 hold the per-node table ranges and the
+// tables, sections 7-8 each node's distance offset (0 on unweighted
+// oracles) and member count. Each landmark row is four bits per node
+// when its distances fit (section 30, 0xF for unreachable, a row of odd
+// length padded with 0xF) and four bytes otherwise (section 19);
+// section 25 says which, in bits per node. Neither vicinity nor
+// landmark parents are written — paths derive from the distances. Files
+// of versions 1 to 4 fail with oraclefile.ErrVersion.
+const fileVersion = 5
 
 // Section tags, in file order. Tags 13, 16, 17 and 21 held version 1's
 // vicinity parents, boundary copies and landmark parents, tag 20
-// version 2's uint16 landmark rows, and tags 9, 10 and 14 version 3's
-// hash slot index; they are not reused. The sections added in version 3
-// store byte counts in their headers.
+// version 2's uint16 landmark rows, tags 9, 10 and 14 version 3's hash
+// slot index, and tags 11, 22-24 and 26 version 4's plain key arena, run
+// starts and one-byte landmark rows; they are not reused. The sections
+// added in version 3 and later store byte counts in their headers.
 const (
 	secMeta      = 1  // u64s: flags and build options
 	secScope     = 2  // u32s: Options.Nodes (meaningful iff flagScope)
@@ -52,18 +57,17 @@ const (
 	secLandmarks = 4  // u32s: sorted landmark ids
 	secRadius    = 5  // u32s[n]
 	secNearest   = 6  // u32s[n]
-	secVicEntOff = 7  // u32s[n]: per-node entry range start
-	secVicEntLen = 8  // u32s[n]: per-node entry count
-	secKeys      = 11 // u32s: entry arena, each vicinity's runs sorted by id
+	secVicEntOff = 7  // u32s[n]: per-node distance range start (0 on unweighted oracles)
+	secVicEntLen = 8  // u32s[n]: per-node member count
 	secDists     = 12 // u32s: per-entry distances (weighted oracles only)
-	secBoundLen  = 15 // u32s[n]: |∂Γ(u)|, the boundary tail of u's entries
+	secBoundLen  = 15 // u32s[n]: |∂Γ(u)|, the last run of u's table
 	secLPos      = 18 // u32s[|L|]: landmark table position, or ^0 for none
 	secLDist     = 19 // u32s[wide·n]: the wide landmark rows, in row order
-	secVicLvlOff = 22 // u32s[n]: per-node run-start range start
-	secVicLvlLen = 23 // u32s[n]: per-node run-start count
-	secLevels    = 24 // u32s: run-start arena
-	secLWidth    = 25 // bytes[built]: each row's width in bytes, 1 or 4
-	secLDist8    = 26 // bytes[narrow·n]: the narrow landmark rows, in row order
+	secLWidth    = 25 // bytes[built]: each row's width in bits per node, 4 or 32
+	secVicTblOff = 27 // u32s[n]: per-node coded table start
+	secVicTblLen = 28 // u32s[n]: per-node coded table length in words
+	secTables    = 29 // u32s: the coded tables
+	secLDist4    = 30 // bytes[nibble·⌈n/2⌉]: the nibble landmark rows, in row order
 )
 
 // Meta flags.
@@ -130,17 +134,16 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	ow.U32s(secNearest, o.nearest)
 
 	arena, flat := o.flattenedVicinities()
-	cols := make([][]uint32, 4) // entOff, entLen, lvlOff, lvlLen
+	cols := make([][]uint32, 4) // tblOff, tblLen, entOff, entLen
 	for i := range cols {
 		cols[i] = make([]uint32, n)
 	}
 	for u, f := range flat {
 		r := f.Range()
-		cols[0][u], cols[1][u], cols[2][u], cols[3][u] = r.EOff, r.ELen, r.LOff, r.LLen
+		cols[0][u], cols[1][u], cols[2][u], cols[3][u] = r.WOff, r.WLen, r.EOff, r.ELen
 	}
-	ow.U32s(secVicEntOff, cols[0])
-	ow.U32s(secVicEntLen, cols[1])
-	ow.U32s(secKeys, arena.Keys)
+	ow.U32s(secVicEntOff, cols[2])
+	ow.U32s(secVicEntLen, cols[3])
 	if !arena.Leveled {
 		ow.U32s(secDists, arena.Dists)
 	}
@@ -153,22 +156,22 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	ow.U32s(secLPos, lpos)
 	widths := make([]byte, len(o.lrows))
 	var wide [][]uint32
-	var narrow [][]uint8
+	var nib [][]uint8
 	for p, row := range o.lrows {
 		if row.wide != nil {
-			widths[p] = 4
+			widths[p] = 32
 			wide = append(wide, row.wide)
 		} else {
-			widths[p] = 1
-			narrow = append(narrow, row.narrow)
+			widths[p] = 4
+			nib = append(nib, row.nib)
 		}
 	}
 	ow.U32Rows(secLDist, wide)
-	ow.U32sBytes(secVicLvlOff, cols[2])
-	ow.U32sBytes(secVicLvlLen, cols[3])
-	ow.U32sBytes(secLevels, arena.Levels)
 	ow.Raw(secLWidth, widths)
-	ow.U8Rows(secLDist8, narrow)
+	ow.U32sBytes(secVicTblOff, cols[0])
+	ow.U32sBytes(secVicTblLen, cols[1])
+	ow.U32sBytes(secTables, arena.Words)
+	ow.U8Rows(secLDist4, nib)
 
 	return ow.Close()
 }
@@ -178,7 +181,7 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 // one with holes left by updates is compacted into a temporary so the
 // file never carries dead ranges.
 func (o *Oracle) flattenedVicinities() (*u32map.Arena, []u32map.Flat) {
-	if o.entWaste+o.lvlWaste > 0 {
+	if o.waste > 0 {
 		return o.compactVicinityArena()
 	}
 	return o.arena, o.vicFlat
@@ -277,9 +280,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		return nil, err
 	}
 	arena := &u32map.Arena{Leveled: !g.Weighted()}
-	if arena.Keys, err = or.U32s(secKeys); err != nil {
-		return nil, err
-	}
 	if !arena.Leveled {
 		if arena.Dists, err = or.U32s(secDists); err != nil {
 			return nil, err
@@ -296,22 +296,22 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	lvlOff, err := or.U32sBytes(secVicLvlOff)
-	if err != nil {
-		return nil, err
-	}
-	lvlLen, err := or.U32sBytes(secVicLvlLen)
-	if err != nil {
-		return nil, err
-	}
-	if arena.Levels, err = or.U32sBytes(secLevels); err != nil {
-		return nil, err
-	}
 	widths, err := or.Raw(secLWidth)
 	if err != nil {
 		return nil, err
 	}
-	narrowF, err := or.Raw(secLDist8)
+	tblOff, err := or.U32sBytes(secVicTblOff)
+	if err != nil {
+		return nil, err
+	}
+	tblLen, err := or.U32sBytes(secVicTblLen)
+	if err != nil {
+		return nil, err
+	}
+	if arena.Words, err = or.U32sBytes(secTables); err != nil {
+		return nil, err
+	}
+	nibF, err := or.Raw(secLDist4)
 	if err != nil {
 		return nil, err
 	}
@@ -320,8 +320,8 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		return nil, err
 	}
 
-	ranges := [][]uint32{entOff, entLen, lvlOff, lvlLen}
-	if err := o.restore(arena, ranges, lpos, widths, wideF, narrowF); err != nil {
+	ranges := [][]uint32{tblOff, tblLen, entOff, entLen}
+	if err := o.restore(arena, ranges, lpos, widths, wideF, nibF); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -329,10 +329,10 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 
 // restore validates the deserialized arrays and rebuilds the derived
 // in-memory state (landmark index, per-node views, per-landmark table
-// rows, workspace pool). ranges holds the per-node columns entOff,
-// entLen, lvlOff and lvlLen.
+// rows, workspace pool). ranges holds the per-node columns tblOff,
+// tblLen, entOff and entLen.
 func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
-	widths []byte, wideF []uint32, narrowF []byte) error {
+	widths []byte, wideF []uint32, nibF []byte) error {
 	n := o.g.NumNodes()
 	if len(o.radius) != n || len(o.nearest) != n {
 		return fmt.Errorf("%w: radius/nearest length", ErrBadOracleFile)
@@ -344,9 +344,6 @@ func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
 	}
 	if len(o.boundLen) != n {
 		return fmt.Errorf("%w: boundary length array", ErrBadOracleFile)
-	}
-	if !arena.Leveled && len(arena.Dists) != len(arena.Keys) {
-		return fmt.Errorf("%w: entry arena arrays disagree", ErrBadOracleFile)
 	}
 
 	// Landmarks: sorted, unique, in range.
@@ -366,59 +363,53 @@ func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
 	// Node-id-valued arrays are indexed with (nearest → lidx, vicinity
 	// keys — boundary members included — → the batch engine's mark
 	// array), so out-of-range values would panic at query time rather
-	// than fail here.
+	// than fail here; the table check below bounds every key.
 	for u := 0; u < n; u++ {
 		if v := o.nearest[u]; v != graph.NoNode && int(v) >= n {
 			return fmt.Errorf("%w: nearest landmark of node %d out of range", ErrBadOracleFile, u)
 		}
 	}
-	for _, k := range arena.Keys {
-		if int(k) >= n {
-			return fmt.Errorf("%w: vicinity key %d out of range", ErrBadOracleFile, k)
-		}
-	}
 
-	// Vicinity ranges, boundary tails, run starts and run order. A
-	// boundary longer than its entry range would slice past the node's
-	// entries at query time, and a run out of order would make lookups
-	// and intersections miss members silently.
+	// Vicinity ranges, coded tables, boundary runs. Every table is
+	// decoded in full: a run out of order would make lookups and
+	// intersections miss members silently, and a block record pointing
+	// past its table would make them read another table's words.
 	o.arena = arena
 	o.vicFlat = make([]u32map.Flat, n)
 	for u := 0; u < n; u++ {
 		r := u32map.Range{
-			EOff: ranges[0][u], ELen: ranges[1][u],
-			LOff: ranges[2][u], LLen: ranges[3][u],
+			WOff: ranges[0][u], WLen: ranges[1][u],
+			EOff: ranges[2][u], ELen: ranges[3][u],
 		}
 		el := r.ELen
-		if !within(r.EOff, el, len(arena.Keys)) {
-			return fmt.Errorf("%w: node %d entry range", ErrBadOracleFile, u)
+		if !within(r.WOff, r.WLen, len(arena.Words)) {
+			return fmt.Errorf("%w: node %d table range", ErrBadOracleFile, u)
+		}
+		if arena.Leveled && r.EOff != 0 || !arena.Leveled && !within(r.EOff, el, len(arena.Dists)) {
+			return fmt.Errorf("%w: node %d distance range", ErrBadOracleFile, u)
 		}
 		if o.boundLen[u] > el {
 			return fmt.Errorf("%w: node %d boundary length %d exceeds its %d entries", ErrBadOracleFile, u, o.boundLen[u], el)
 		}
-		if !within(r.LOff, r.LLen, len(arena.Levels)) {
-			return fmt.Errorf("%w: node %d level range", ErrBadOracleFile, u)
-		}
 		if el == 0 {
-			if r.LLen != 0 {
-				return fmt.Errorf("%w: node %d has run starts without entries", ErrBadOracleFile, u)
+			if r.WLen != 0 {
+				return fmt.Errorf("%w: node %d has a table without entries", ErrBadOracleFile, u)
 			}
 			continue
 		}
-		starts := arena.Levels[r.LOff : r.LOff+r.LLen]
+		f := arena.View(r)
+		if err := f.Check(uint32(n)); err != nil {
+			return fmt.Errorf("%w: node %d: %v", ErrBadOracleFile, u, err)
+		}
 		if arena.Leveled {
-			if err := o.checkLevels(uint32(u), starts, el); err != nil {
-				return err
-			}
-			if arena.Keys[r.EOff] != uint32(u) {
+			if f.Owner() != uint32(u) {
 				return fmt.Errorf("%w: node %d vicinity does not start with its owner", ErrBadOracleFile, u)
 			}
-		} else if err := o.checkTail(uint32(u), starts, el); err != nil {
+			if err := o.checkLevels(uint32(u), f); err != nil {
+				return err
+			}
+		} else if err := o.checkTail(uint32(u), f); err != nil {
 			return err
-		}
-		f := arena.View(r)
-		if !f.Sorted() {
-			return fmt.Errorf("%w: node %d vicinity has a run that is not strictly increasing", ErrBadOracleFile, u)
 		}
 		o.vicFlat[u] = f
 		o.covered++
@@ -455,29 +446,34 @@ func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
 	if len(widths) != built {
 		return fmt.Errorf("%w: %d landmark row widths for %d rows", ErrBadOracleFile, len(widths), built)
 	}
-	var wideRows, narrowRows uint64
+	var wideRows, nibRows uint64
 	for p, w := range widths {
 		switch w {
-		case 1:
-			narrowRows++
 		case 4:
+			nibRows++
+		case 32:
 			wideRows++
 		default:
 			return fmt.Errorf("%w: landmark row %d has width %d", ErrBadOracleFile, p, w)
 		}
 	}
-	if uint64(len(wideF)) != wideRows*uint64(n) || uint64(len(narrowF)) != narrowRows*uint64(n) {
-		return fmt.Errorf("%w: landmark row sections hold %d wide and %d narrow entries, widths want %d and %d rows of %d",
-			ErrBadOracleFile, len(wideF), len(narrowF), wideRows, narrowRows, n)
+	half := (n + 1) / 2
+	if uint64(len(wideF)) != wideRows*uint64(n) || uint64(len(nibF)) != nibRows*uint64(half) {
+		return fmt.Errorf("%w: landmark row sections hold %d wide and %d nibble bytes, widths want %d and %d rows of %d nodes",
+			ErrBadOracleFile, len(wideF), len(nibF), wideRows, nibRows, n)
 	}
 	if built > 0 {
 		o.lrows = make([]lrow, built)
 	}
 	for p, w := range widths {
-		if w == 4 {
+		if w == 32 {
 			o.lrows[p].wide, wideF = wideF[:n:n], wideF[n:]
-		} else {
-			o.lrows[p].narrow, narrowF = narrowF[:n:n], narrowF[n:]
+			continue
+		}
+		o.lrows[p].nib, nibF = nibF[:half:half], nibF[half:]
+		// An update that adds a node reads the padding as its entry.
+		if n%2 == 1 && o.lrows[p].nib[half-1]>>4 != unreachable4 {
+			return fmt.Errorf("%w: landmark row %d pads its last byte with %#x", ErrBadOracleFile, p, o.lrows[p].nib[half-1]>>4)
 		}
 	}
 
@@ -493,25 +489,20 @@ func within(off, length uint32, size int) bool {
 	return uint64(off)+uint64(length) <= uint64(size)
 }
 
-// checkLevels validates one unweighted vicinity's level starts: they
-// must strictly increase inside its el entries, and its boundary must
-// be all of its last level, which is level radius(u) (a flood vicinity,
-// reaching no landmark, has no boundary).
-func (o *Oracle) checkLevels(u uint32, starts []uint32, el uint32) error {
-	if !u32map.ValidLevels(starts, el) {
-		return fmt.Errorf("%w: node %d level starts are not strictly increasing inside its %d entries", ErrBadOracleFile, u, el)
-	}
+// checkLevels validates one unweighted vicinity's levels against its
+// radius: a vicinity of radius r stores levels 1 to r, and its boundary
+// is all of its last level (a flood vicinity, reaching no landmark, has
+// no boundary).
+func (o *Oracle) checkLevels(u uint32, f u32map.Flat) error {
 	want := uint32(0)
 	if r := o.radius[u]; r != NoDist {
-		top := uint32(len(starts)) + 1
-		if r != top {
+		if top := uint32(f.Runs()); r != top {
 			return fmt.Errorf("%w: node %d has radius %d but %d levels", ErrBadOracleFile, u, r, top)
 		}
-		last := uint32(1) // level 1 starts at entry 1
-		if len(starts) > 0 {
-			last = starts[len(starts)-1]
+		if r > 0 {
+			last, _ := f.Run(f.Runs() - 1)
+			want = uint32(last.Len())
 		}
-		want = el - last
 	}
 	if o.boundLen[u] != want {
 		return fmt.Errorf("%w: node %d boundary of %d entries is not its last level of %d", ErrBadOracleFile, u, o.boundLen[u], want)
@@ -519,16 +510,17 @@ func (o *Oracle) checkLevels(u uint32, starts []uint32, el uint32) error {
 	return nil
 }
 
-// checkTail validates one weighted vicinity's run starts: one start,
-// at the first boundary member, when the interior and the boundary tail
-// are both non-empty, and none otherwise.
-func (o *Oracle) checkTail(u uint32, starts []uint32, el uint32) error {
-	var want []uint32
-	if b := o.boundLen[u]; b > 0 && b < el {
-		want = []uint32{el - b}
+// checkTail validates one weighted vicinity's runs: an interior and a
+// tail holding its boundary when both are non-empty, and one run
+// otherwise.
+func (o *Oracle) checkTail(u uint32, f u32map.Flat) error {
+	runs, b := 1, o.boundLen[u]
+	if b > 0 && b < uint32(f.Len()) {
+		runs = 2
 	}
-	if !slices.Equal(starts, want) {
-		return fmt.Errorf("%w: node %d run starts do not split its %d entries before its boundary of %d", ErrBadOracleFile, u, el, o.boundLen[u])
+	tail, _ := f.Run(f.Runs() - 1)
+	if f.Runs() != runs || runs == 2 && uint32(tail.Len()) != b {
+		return fmt.Errorf("%w: node %d runs do not split its %d entries before its boundary of %d", ErrBadOracleFile, u, f.Len(), b)
 	}
 	return nil
 }

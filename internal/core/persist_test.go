@@ -212,90 +212,123 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 		}
 		t.Fatal("no vicinity found to corrupt")
 	})
-	// Every run must strictly increase: lookups binary-search the runs
-	// and scans merge them, so a run out of order, or holding a key
-	// twice, would make them miss members silently.
-	inRun := func(mutate func(keys []uint32)) func(o *Oracle) {
-		return func(o *Oracle) {
-			for u := range o.vicFlat {
-				f := o.vicFlat[u]
-				for k := 1; k < f.Runs(); k++ {
-					if keys, _ := f.Run(k); len(keys) >= 2 {
-						mutate(keys)
-						return
+	// Every run must strictly increase: lookups bisect the block heads
+	// and scans walk the runs, so a block head at or below the previous
+	// block's last key — a key out of order, or stored twice — would make
+	// them miss members silently. Within a block, gaps are positive by
+	// construction.
+	words := func(o *Oracle, u int) []uint32 {
+		r := o.vicFlat[u].Range()
+		return o.arena.Words[r.WOff : r.WOff+r.WLen]
+	}
+	// blockOf finds a leveled table and the word index of the head of
+	// one of its blocks that pick accepts (its meta word follows), given
+	// the block's index in its run and its key count.
+	blockOf := func(o *Oracle, pick func(rb, cnt int) bool) ([]uint32, int) {
+		for u, f := range o.vicFlat {
+			w := words(o, u)
+			b := 0
+			for k := 0; k < f.Runs(); k++ {
+				run, _ := f.Run(k)
+				for rb := 0; rb < run.Blocks(); rb++ {
+					if pick(rb, min(u32map.BlockLen, run.Len()-rb*u32map.BlockLen)) {
+						return w, 2 + 3*f.Runs() + 2*b
 					}
+					b++
 				}
 			}
-			t.Fatal("no level of two members found to corrupt")
 		}
+		t.Fatal("no block found to corrupt")
+		return nil, 0
 	}
-	corrupt("two keys swapped inside a level", inRun(func(keys []uint32) {
-		keys[0], keys[1] = keys[1], keys[0]
-	}))
-	corrupt("a key stored twice in a level", inRun(func(keys []uint32) {
-		keys[1] = keys[0]
-	}))
-	// A weighted table's one run start splits its interior from its
-	// boundary tail; anywhere else, the runs would mix the two.
-	weighted := func(mutate func(o *Oracle, u int, r u32map.Range)) func(o *Oracle) {
+	corrupt("block head not above the previous block's last key", func(o *Oracle) {
+		w, at := blockOf(o, func(rb, _ int) bool { return rb == 1 })
+		w[at] = w[at-2] // block 0's head: at or below its last key
+	})
+	corrupt("block width over 32", func(o *Oracle) {
+		w, at := blockOf(o, func(_, cnt int) bool { return cnt >= 2 })
+		w[at+1] |= 63
+	})
+	corrupt("block data shorter than its width implies", func(o *Oracle) {
+		for u, f := range o.vicFlat {
+			if f.Len() == 0 || f.Runs() == 0 {
+				continue
+			}
+			last, _ := f.Run(f.Runs() - 1)
+			w := words(o, u)
+			meta := &w[2+3*f.Runs()+2*(int(w[2+3*(f.Runs()-1)+2])+last.Blocks()-1)+1]
+			if cnt := last.Len() - (last.Blocks()-1)*u32map.BlockLen; cnt >= 2 && *meta&63 < 32 {
+				*meta = *meta&^63 | 32 // the table's last block: its data runs past the table
+				return
+			}
+		}
+		t.Fatal("no last block of two keys found to corrupt")
+	})
+	// A weighted table's runs split its interior from its boundary
+	// tail; anywhere else, the runs would mix the two.
+	weighted := func(mutate func(o *Oracle, u int, w []uint32)) func(o *Oracle) {
 		return func(o *Oracle) {
-			for u := range o.vicFlat {
-				if r := o.vicFlat[u].Range(); r.LLen == 1 {
-					mutate(o, u, r)
+			for u, f := range o.vicFlat {
+				if f.Runs() == 2 {
+					mutate(o, u, words(o, u))
 					return
 				}
 			}
-			t.Fatal("no weighted vicinity with a tail start found to corrupt")
+			t.Fatal("no weighted vicinity with a tail found to corrupt")
 		}
 	}
 	wg := weightedSocialGraph(99, 200)
-	corruptOn(wg, "weighted run start off the tail", weighted(func(o *Oracle, u int, r u32map.Range) {
-		o.arena.Levels[r.LOff]--
+	corruptOn(wg, "weighted run end off the tail", weighted(func(o *Oracle, u int, w []uint32) {
+		w[1]-- // the interior's end, where the tail begins
 	}))
-	corruptOn(wg, "weighted tail start without a tail", weighted(func(o *Oracle, u int, r u32map.Range) {
+	corruptOn(wg, "weighted tail without a boundary", weighted(func(o *Oracle, u int, w []uint32) {
 		o.boundLen[u] = 0
 	}))
 	// Level 0 is the owner alone: another node there would read as
 	// distance 0.
 	corrupt("owner not first", func(o *Oracle) {
-		for u := range o.vicFlat {
-			if r := o.vicFlat[u].Range(); r.ELen >= 2 {
-				o.arena.Keys[r.EOff], o.arena.Keys[r.EOff+1] = o.arena.Keys[r.EOff+1], o.arena.Keys[r.EOff]
+		for u, f := range o.vicFlat {
+			if f.Len() > 0 {
+				words(o, u)[0] = uint32((u + 1) % len(o.vicFlat))
 				return
 			}
 		}
-		t.Fatal("no vicinity of two members found to corrupt")
 	})
-	// Unweighted distances are implied by the level starts, so they must
-	// describe the entries: strictly increasing inside the entry range,
-	// ending at the radius, with the boundary as the last level.
-	leveled := func(mutate func(o *Oracle, u int, r u32map.Range)) func(o *Oracle) {
+	// Unweighted distances are implied by the levels, so they must
+	// describe the entries: every level non-empty inside the entry
+	// range, ending at the radius, with the boundary as the last level.
+	leveled := func(mutate func(o *Oracle, u int, w []uint32)) func(o *Oracle) {
 		return func(o *Oracle) {
-			for u := range o.vicFlat {
-				if r := o.vicFlat[u].Range(); r.LLen > 0 && o.boundLen[u] > 1 {
-					mutate(o, u, r)
+			for u, f := range o.vicFlat {
+				if f.Runs() >= 2 && o.boundLen[u] > 1 {
+					mutate(o, u, words(o, u))
 					return
 				}
 			}
 			t.Fatal("no vicinity with two levels found to corrupt")
 		}
 	}
-	corrupt("level starts not increasing", leveled(func(o *Oracle, u int, r u32map.Range) {
-		o.arena.Levels[r.LOff] = 1 // level 1 would be empty
+	corrupt("level 1 empty", leveled(func(o *Oracle, u int, w []uint32) {
+		w[2] = 1 // level 1 would end where it begins
 	}))
-	corrupt("level start past the entries", leveled(func(o *Oracle, u int, r u32map.Range) {
-		o.arena.Levels[r.LOff+r.LLen-1] = r.ELen
+	corrupt("last level empty", leveled(func(o *Oracle, u int, w []uint32) {
+		w[2+3*(int(w[1])-2)] = uint32(o.vicFlat[u].Len())
 	}))
-	corrupt("boundary is not the last level", leveled(func(o *Oracle, u int, r u32map.Range) {
+	corrupt("boundary is not the last level", leveled(func(o *Oracle, u int, w []uint32) {
 		o.boundLen[u]--
 	}))
-	corrupt("radius is not the top level", leveled(func(o *Oracle, u int, r u32map.Range) {
+	corrupt("radius is not the top level", leveled(func(o *Oracle, u int, w []uint32) {
 		o.radius[u]++
 	}))
-	// A row one node short leaves the narrow section out of step with
+	// A row one byte short leaves the nibble section out of step with
 	// the row widths.
 	corrupt("row widths disagree with the sections", func(o *Oracle) {
-		o.lrows[0].narrow = o.lrows[0].narrow[1:]
+		o.lrows[0].nib = o.lrows[0].nib[1:]
+	})
+	// An update that adds a node reads an odd row's padding as the new
+	// node's entry, so it must read unreachable.
+	corruptOn(socialGraph(99, 201), "nibble row padding not unreachable", func(o *Oracle) {
+		o.lrows[0].nib[len(o.lrows[0].nib)-1] &= 0x0F
 	})
 	corrupt("landmarks unsorted", func(o *Oracle) {
 		if len(o.landmarks) >= 2 {
@@ -306,7 +339,8 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 	// engine's per-node mark array: loaded unchecked, the first
 	// one-to-many query touching the node panics.
 	corrupt("vicinity key out of range", func(o *Oracle) {
-		o.arena.Keys[0] = uint32(g.NumNodes()) + 5000
+		w, at := blockOf(o, func(rb, _ int) bool { return rb == 0 })
+		w[at] = uint32(g.NumNodes()) + 5000
 	})
 }
 

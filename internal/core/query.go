@@ -123,40 +123,45 @@ func (o *Oracle) tableDistance(s, t uint32, c *Cost) (uint32, Method, uint32, er
 
 // scanBoundary returns min over w ∈ ∂Γ(s) ∩ Γ(t) of d(s,w) + d(t,w) and
 // its witness w, the smallest id among the minimizers (NoDist and
-// graph.NoNode when the two share no member), by intersecting the
-// sorted boundary with Γ(t)'s sorted runs.
+// graph.NoNode when the two share no member), by walking the sorted
+// boundary against Γ(t)'s sorted runs (u32map.Meet).
 //
 // On an unweighted graph every boundary member lies at d(s,w) = r_s, so
 // the answer is r_s plus the first level of Γ(t) that meets ∂Γ(s): the
 // levels are intersected in ascending order and the first meeting stops
 // the scan. Level 0 is t itself, which the direct cases have shown is
-// not in Γ(s), so the scan starts at level 1. A weighted table's two
-// runs are each intersected in full.
+// not in Γ(s), and is not a stored run, so the scan starts at level 1.
+// A weighted table's two runs are each walked in full.
 func (o *Oracle) scanBoundary(s, t uint32, c *Cost) (best, meet uint32) {
 	vt := o.vicFlat[t]
-	scan := o.boundary(s)
+	scan, scanDists := o.boundary(s)
+	var m u32map.Meet
 	if vt.Leveled() {
-		for k := 1; k < vt.Runs(); k++ {
-			keys, _ := vt.Run(k)
+		for k := 0; k < vt.Runs(); k++ {
+			level, _ := vt.Run(k)
 			c.Lookups++
-			if i, _, ok := intersect(scan.Keys, keys, c); ok {
-				return satAdd(o.radius[s], uint32(k)), scan.Keys[i]
+			m.Runs(scan, level)
+			i, j, ok := m.Next()
+			c.Scanned += scanned(i, j, ok)
+			if ok {
+				return satAdd(o.radius[s], uint32(k)+1), m.Key()
 			}
 		}
 		return NoDist, graph.NoNode
 	}
 	best, meet = NoDist, graph.NoNode
 	for k := 0; k < vt.Runs(); k++ {
-		keys, dists := vt.Run(k)
+		run, dists := vt.Run(k)
 		c.Lookups++
-		for a, b := 0, 0; ; a, b = a+1, b+1 {
-			i, j, ok := intersect(scan.Keys[a:], keys[b:], c)
+		m.Runs(scan, run)
+		for {
+			i, j, ok := m.Next()
 			if !ok {
+				c.Scanned += scanned(i, j, ok)
 				break
 			}
-			a, b = a+i, b+j
-			w := scan.Keys[a]
-			if cand := satAdd(scan.Dist(a), dists[b]); cand < best || cand == best && cand != NoDist && w < meet {
+			w := m.Key()
+			if cand := satAdd(scanDists[i], dists[j]); cand < best || cand == best && cand != NoDist && w < meet {
 				best, meet = cand, w
 			}
 		}
@@ -164,16 +169,18 @@ func (o *Oracle) scanBoundary(s, t uint32, c *Cost) (best, meet uint32) {
 	return best, meet
 }
 
-// intersect runs u32map.Intersect over two sorted runs and adds every
-// entry it stepped over to c.Scanned, the meeting pair included; the
-// caller counts the look-up of the run it opened.
-func intersect(a, b []uint32, c *Cost) (i, j int, ok bool) {
-	i, j, ok = u32map.Intersect(a, b)
-	c.Scanned += i + j
+// scanned is what a walk that stopped at positions i, j (Meet.Next)
+// adds to Cost.Scanned: every key of both runs at or below where it
+// stopped, the meeting pair included when it stopped at one. That is
+// what a merge of the two runs steps over, whether the walk decoded
+// those keys or skipped their blocks by their heads, so Scanned does
+// not depend on the coding. The caller counts the look-up of the run it
+// opened.
+func scanned(i, j int, ok bool) int {
 	if ok {
-		c.Scanned += 2
+		return i + j + 2
 	}
-	return i, j, ok
+	return i + j
 }
 
 // Routes of a pair after Algorithm 1's direct cases (directCases).

@@ -203,14 +203,16 @@ func (c *cancelLatch) get() error {
 // it where the work happens, and the serving layers export it per
 // query.
 //
-// Vicinities are sorted runs, not hash tables, so a look-up is one of
-// three things: a point search of one vicinity (a binary search per
-// run), one landmark-row read, or one run opened by a scan. Scanned
-// counts the entries a scan stepped over, on both sides: a boundary
-// intersection adds the entries of ∂Γ(s) and of the run that lie below
-// where it stopped, the meeting pair included (the same count whether
-// it merged or binary-searched); the batch engine's inverted pass adds
-// the members of Γ(t) it walked.
+// Vicinities are coded sorted runs, not hash tables, so a look-up is
+// one of three things: a point search of one vicinity (a bisection of
+// block heads per run that could hold the key), one landmark-row read,
+// or one run opened by a scan. Scanned counts the entries a scan
+// stepped over, on both sides: a boundary intersection adds the entries
+// of ∂Γ(s) and of the run at or below where it stopped, the meeting
+// pair included; the batch engine's inverted pass adds the members of
+// Γ(t) it walked. A block that an intersection skips by its head,
+// without decoding it, counts all its entries: Scanned is what a merge
+// of the plain runs would step over, whatever the coding skipped.
 type Cost struct {
 	Lookups   int // point searches + landmark reads + runs opened by scans
 	Scanned   int // entries stepped over by scans, on both sides

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -472,8 +471,9 @@ func TestQueryBudgetKeepsResolvedDistance(t *testing.T) {
 			continue
 		}
 		var cands, others []int
-		for i := 0; i < tbl.Len(); i++ {
-			k, dk := tbl.At(i)
+		keys, dists := tableEntries(tbl)
+		for i, k := range keys {
+			dk := dists[i]
 			switch {
 			case dk == d-1 && g.HasEdge(k, u):
 				cands = append(cands, i)
@@ -491,15 +491,11 @@ func TestQueryBudgetKeepsResolvedDistance(t *testing.T) {
 	if swaps == nil {
 		t.Fatal("no pair at distance >= 2 resolved from the corner's vicinity")
 	}
-	r := tbl.Range()
-	keys := o.arena.Keys[r.EOff : r.EOff+r.ELen]
+	keys, _ := tableEntries(tbl)
 	for _, sw := range swaps {
 		keys[sw[0]], keys[sw[1]] = keys[sw[1]], keys[sw[0]]
 	}
-	for k := 0; k < tbl.Runs(); k++ { // restore the order lookups rely on
-		run, _ := tbl.Run(k)
-		slices.Sort(run)
-	}
+	recodeTable(o, 0, keys)
 	if d, _ := o.VicinityContains(0, tgt); d != want {
 		t.Fatalf("trade moved tgt: d = %d, want %d", d, want)
 	}

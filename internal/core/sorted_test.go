@@ -6,14 +6,83 @@ import (
 	"testing"
 
 	"vicinity/internal/graph"
+	"vicinity/internal/u32map"
 )
+
+// tableEntries decodes a table in stored order, the owner first on
+// unweighted graphs, with each entry's distance.
+func tableEntries(f u32map.Flat) (keys, dists []uint32) {
+	if f.Len() == 0 {
+		return nil, nil
+	}
+	if f.Leveled() {
+		keys, dists = []uint32{f.Owner()}, []uint32{0}
+	}
+	for k := 0; k < f.Runs(); k++ {
+		run, rd := f.Run(k)
+		keys = append(keys, decodeRun(run)...)
+		for i := 0; i < run.Len(); i++ {
+			if rd != nil {
+				dists = append(dists, rd[i])
+			} else {
+				dists = append(dists, uint32(k)+1)
+			}
+		}
+	}
+	return keys, dists
+}
+
+// decodeRun decodes every key of a run, in order.
+func decodeRun(r u32map.Run) []uint32 {
+	var buf [u32map.BlockLen]uint32
+	var keys []uint32
+	for b := 0; b < r.Blocks(); b++ {
+		keys = append(keys, r.Block(b, &buf)...)
+	}
+	return keys
+}
+
+// runKeys decodes stored run k of a table.
+func runKeys(f u32map.Flat, k int) []uint32 {
+	run, _ := f.Run(k)
+	return decodeRun(run)
+}
+
+// boundaryKeys decodes ∂Γ(u), with its distances on weighted graphs.
+func boundaryKeys(o *Oracle, u uint32) (keys, dists []uint32) {
+	run, dists := o.boundary(u)
+	return decodeRun(run), dists
+}
+
+// recodeTable replaces u's table with keys, its entries in stored order
+// under the same run lengths, each run sorted first, coded at the end
+// of the arena (the old table becomes waste).
+func recodeTable(o *Oracle, u uint32, keys []uint32) {
+	f := o.vicFlat[u]
+	var starts, dists []uint32
+	at := 0
+	if f.Leveled() {
+		at = 1
+	}
+	for k := 0; k < f.Runs(); k++ {
+		run, rd := f.Run(k)
+		if k > 0 {
+			starts = append(starts, uint32(at))
+		}
+		slices.Sort(keys[at : at+run.Len()])
+		dists = append(dists, rd...)
+		at += run.Len()
+	}
+	o.waste += uint64(f.Bytes() / 4)
+	o.vicFlat[u] = o.arena.Add(u32map.AppendTable(nil, f.Leveled(), keys, starts), dists, uint32(len(keys)))
+}
 
 // assertRunsSorted checks the layout every lookup, scan and hop relies
 // on, without going through the loader's own check: every run of every
 // vicinity is non-empty and strictly increases by node id, and the
 // boundary is the last run — all of the top level on unweighted graphs,
-// the tail on weighted ones — or empty. On unweighted graphs level 0 is
-// the owner alone.
+// the tail on weighted ones — or empty. On unweighted graphs the owner
+// is level 0.
 func assertRunsSorted(t *testing.T, o *Oracle) {
 	t.Helper()
 	for u, f := range o.vicFlat {
@@ -21,8 +90,11 @@ func assertRunsSorted(t *testing.T, o *Oracle) {
 			continue
 		}
 		total := 0
+		if f.Leveled() {
+			total = 1 // the owner
+		}
 		for k := 0; k < f.Runs(); k++ {
-			keys, _ := f.Run(k)
+			keys := runKeys(f, k)
 			if len(keys) == 0 {
 				t.Fatalf("node %d: run %d of %d is empty", u, k, f.Runs())
 			}
@@ -36,14 +108,11 @@ func assertRunsSorted(t *testing.T, o *Oracle) {
 		if total != f.Len() {
 			t.Fatalf("node %d: runs hold %d entries, the table %d", u, total, f.Len())
 		}
-		if f.Leveled() {
-			if owner, _ := f.Run(0); len(owner) != 1 || owner[0] != uint32(u) {
-				t.Fatalf("node %d: level 0 is %v, want the owner alone", u, owner)
-			}
+		if f.Leveled() && f.Owner() != uint32(u) {
+			t.Fatalf("node %d: level 0 is %d, want the owner", u, f.Owner())
 		}
-		last, _ := f.Run(f.Runs() - 1)
-		if b := o.BoundarySize(uint32(u)); b != 0 && b != len(last) {
-			t.Fatalf("node %d: boundary of %d is not its last run of %d", u, b, len(last))
+		if b := o.BoundarySize(uint32(u)); b != 0 && b != len(runKeys(f, f.Runs()-1)) {
+			t.Fatalf("node %d: boundary of %d is not its last run of %d", u, b, len(runKeys(f, f.Runs()-1)))
 		}
 	}
 }
@@ -87,7 +156,7 @@ func TestVicinityRunsSorted(t *testing.T) {
 			case f.Len() > 1 && b == 0:
 				s.flood = true
 			}
-			if f.Leveled() && f.Runs() == 2 && b == f.Len()-1 {
+			if f.Leveled() && f.Runs() == 1 && b == f.Len()-1 {
 				s.radius1 = true
 			}
 			if !f.Leveled() && f.Len() > 1 && b == f.Len() {

@@ -78,19 +78,20 @@ func (s BuildStats) String() string {
 }
 
 // MemoryStats reports the space accounting behind §3.2's memory claims.
-// The byte counts cover every stored array: a vicinity's keys, its run
-// starts (the level starts that imply distances on unweighted graphs,
-// the boundary tail's start on weighted ones) and, on weighted graphs,
-// one distance per entry, plus every landmark row at its width. There
-// is no index beside the keys.
+// The byte counts cover every stored array: a vicinity's coded table —
+// its header, run and block records and packed gaps, the slack bits of
+// each block's last data word included — and, on weighted graphs, one
+// distance per entry, plus every landmark row at its width. There is
+// no index beside the tables.
 type MemoryStats struct {
-	VicinityEntries  int64 // Σ_u |Γ(u)|
-	VicinityBytes    int64
-	LandmarkEntries  int64 // |L_built| · n
-	LandmarkBytes    int64
-	WideLandmarkRows int // rows stored at 4 bytes per node (a distance past maxNarrow)
-	TotalEntries     int64
-	TotalBytes       int64
+	VicinityEntries    int64 // Σ_u |Γ(u)|
+	VicinityBytes      int64
+	LandmarkEntries    int64 // |L_built| · n
+	LandmarkBytes      int64
+	NibbleLandmarkRows int // rows stored at 4 bits per node
+	WideLandmarkRows   int // rows stored at 32 bits per node (a distance past maxNibble)
+	TotalEntries       int64
+	TotalBytes         int64
 
 	// APSPEntries is n², the all-pairs table the paper compares against;
 	// SavingsFactor = APSPEntries / TotalEntries ("at least 550× less
@@ -120,10 +121,12 @@ func (o *Oracle) Memory() MemoryStats {
 		covered++
 	}
 	for _, row := range o.lrows {
-		ms.LandmarkEntries += int64(len(row.narrow) + len(row.wide))
+		ms.LandmarkEntries += int64(n)
 		ms.LandmarkBytes += int64(row.bytes())
 		if row.wide != nil {
 			ms.WideLandmarkRows++
+		} else {
+			ms.NibbleLandmarkRows++
 		}
 	}
 	ms.TotalEntries = ms.VicinityEntries + ms.LandmarkEntries
@@ -144,10 +147,12 @@ func (o *Oracle) Memory() MemoryStats {
 }
 
 // ByteSplit renders the stored bytes and their split in one line (MB
-// are 10^6 bytes), for logs.
+// are 10^6 bytes), with the number of landmark rows at each width, for
+// logs.
 func (ms MemoryStats) ByteSplit() string {
-	return fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d wide)",
-		float64(ms.TotalBytes)/1e6, float64(ms.VicinityBytes)/1e6, float64(ms.LandmarkBytes)/1e6, ms.WideLandmarkRows)
+	return fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d at 4 bits, %d at 32)",
+		float64(ms.TotalBytes)/1e6, float64(ms.VicinityBytes)/1e6, float64(ms.LandmarkBytes)/1e6,
+		ms.NibbleLandmarkRows, ms.WideLandmarkRows)
 }
 
 // String renders the memory stats in one line.

@@ -442,11 +442,13 @@ const (
 	lmSupported = 3 // keeps its old distance through a surviving supporter
 )
 
-// lmRepairWS is the per-worker scratch of the landmark-row repair. The
-// level buckets implement the monotone bucket queue both the
-// invalidation walk and the re-settle BFS need; mark/touched give O(1)
-// membership with O(touched) cleanup between rows.
+// lmRepairWS is the per-worker scratch of the landmark-row repair. row
+// holds the row being repaired at full width, whatever width it is
+// stored at. The level buckets implement the monotone bucket queue both
+// the invalidation walk and the re-settle BFS need; mark/touched give
+// O(1) membership with O(touched) cleanup between rows.
 type lmRepairWS struct {
+	row      []uint32
 	q        *queue.U32
 	mark     []uint8
 	touched  []uint32
@@ -456,7 +458,7 @@ type lmRepairWS struct {
 }
 
 func newLmRepairWS(n int) *lmRepairWS {
-	return &lmRepairWS{q: queue.NewU32(256), mark: make([]uint8, n), bLo: math.MaxInt, bHi: -1}
+	return &lmRepairWS{row: make([]uint32, n), q: queue.NewU32(256), mark: make([]uint8, n), bLo: math.MaxInt, bHi: -1}
 }
 
 func (ws *lmRepairWS) pushBucket(v uint32, lvl int) {
@@ -501,10 +503,11 @@ func (ws *lmRepairWS) clear() {
 // invalidation and re-settle never read a value below its old-graph
 // distance, and the closing ripple (phase C) starts from a state where
 // every value is an upper bound on the new distance, so its fixpoint is
-// exact. A repaired row ends at the width it needs: a narrow row is
-// repaired in place and widens when a distance grows past maxNarrow,
-// and a wide row narrows again when it fits (packRow), so a repaired
-// row is byte-identical to a fresh build's.
+// exact. A repaired row ends at the width it needs, the rule a fresh
+// build follows: a nibble row is repaired in place and falls back to
+// a full-width repair when a distance grows past maxNibble, and a full
+// width result is packed (packRow), so a repaired row is
+// byte-identical to a fresh build's.
 func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet) {
 	if len(t.lrows) == 0 {
 		return
@@ -557,48 +560,61 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 			return
 		}
 		// Repair a copy of the row, regrown for added nodes (older
-		// snapshots keep reading the original), at the row's own width.
-		// A narrow row whose new distances outgrow a byte is repaired
-		// again at full width. Workers write distinct pos elements, so
-		// assigning into the shared outer slice is race-free.
-		if old.wide == nil {
-			row := newNarrowRow(newN).narrow
-			copy(row, old.narrow)
-			if repairRow(row, unreachable8, newG, cs, ws, delTouched) {
-				t.lrows[pos] = lrow{narrow: row}
+		// snapshots keep reading the original). A nibble row is repaired
+		// in place; when a new distance outgrows four bits, and for a
+		// wide row, the row is expanded into the worker's scratch,
+		// repaired at full width and packed at the width it needs.
+		// Workers write distinct pos elements, so assigning into the
+		// shared outer slice is race-free.
+		if old.nib != nil {
+			g := old.grown(newN)
+			if repairRow(nibRow(g.nib), newG, cs, ws, delTouched) {
+				t.lrows[pos] = g
 				return
 			}
 			ws.clear()
 		}
-		row := make([]uint32, newN)
-		old.expand(row)
-		repairRow(row, NoDist, newG, cs, ws, delTouched)
-		t.lrows[pos] = packRow(row)
+		old.expand(ws.row)
+		repairRow(wideRow(ws.row), newG, cs, ws, delTouched)
+		t.lrows[pos] = packRow(ws.row)
 	})
 }
 
-// repairRow runs the three-phase repair on one unweighted landmark row,
-// stored at either width with the given unreachable value, and reports
-// false — leaving the row half repaired — when a new distance does not
-// fit the width.
-func repairRow[T uint8 | uint32](row []T, unreachable T, newG *graph.Graph, cs *changeSet, ws *lmRepairWS, delTouched bool) bool {
-	get := func(v uint32) uint32 {
-		if d := row[v]; d != unreachable {
-			return uint32(d)
-		}
-		return NoDist
+// rowRW reads and writes one landmark row under repair: a nibble row
+// in place, or a row expanded to full width. set reports false when a
+// distance does not fit the row's width.
+type rowRW interface {
+	get(v uint32) uint32
+	set(v, d uint32) bool
+}
+
+// nibRow is a nibble row repaired in place.
+type nibRow []uint8
+
+func (r nibRow) get(v uint32) uint32 { return lrow{nib: r}.at(v) }
+
+func (r nibRow) set(v, d uint32) bool {
+	if d != NoDist && d > maxNibble {
+		return false
 	}
-	set := func(v, d uint32) bool {
-		switch {
-		case d == NoDist:
-			row[v] = unreachable
-		case d >= uint32(unreachable):
-			return false
-		default:
-			row[v] = T(d)
-		}
-		return true
-	}
+	lrow{nib: r}.set(v, min(d, unreachable4))
+	return true
+}
+
+// wideRow is a row expanded to full width (NoDist for unreachable).
+type wideRow []uint32
+
+func (r wideRow) get(v uint32) uint32 { return r[v] }
+
+func (r wideRow) set(v, d uint32) bool {
+	r[v] = d
+	return true
+}
+
+// repairRow runs the three-phase repair on one unweighted landmark row
+// and reports false — leaving the row half repaired — when a new
+// distance does not fit its width.
+func repairRow[R rowRW](row R, newG *graph.Graph, cs *changeSet, ws *lmRepairWS, delTouched bool) bool {
 
 	// Phase A: level-monotone invalidation. Seeds are the farther
 	// endpoints of tight deleted edges (a superset of the nodes whose
@@ -607,7 +623,7 @@ func repairRow[T uint8 | uint32](row []T, unreachable T, newG *graph.Graph, cs *
 	// verdict and the support test is sound.
 	if delTouched {
 		for _, e := range cs.del {
-			du, dv := get(e.u), get(e.v)
+			du, dv := row.get(e.u), row.get(e.v)
 			if du != NoDist && dv == du+1 && ws.mark[e.v] == 0 {
 				ws.mark[e.v] = lmPending
 				ws.touched = append(ws.touched, e.v)
@@ -625,7 +641,7 @@ func repairRow[T uint8 | uint32](row []T, unreachable T, newG *graph.Graph, cs *
 			for _, w := range bucket {
 				supported := false
 				for _, y := range newG.Neighbors(w) {
-					if get(y) == lw-1 && ws.mark[y] != lmInvalid {
+					if row.get(y) == lw-1 && ws.mark[y] != lmInvalid {
 						supported = true
 						break
 					}
@@ -637,7 +653,7 @@ func repairRow[T uint8 | uint32](row []T, unreachable T, newG *graph.Graph, cs *
 				ws.mark[w] = lmInvalid
 				ws.inval = append(ws.inval, w)
 				for _, y := range newG.Neighbors(w) {
-					if get(y) == lw+1 && ws.mark[y] == 0 {
+					if row.get(y) == lw+1 && ws.mark[y] == 0 {
 						ws.mark[y] = lmPending
 						ws.touched = append(ws.touched, y)
 						ws.pushBucket(y, lvl+1)
@@ -652,18 +668,18 @@ func repairRow[T uint8 | uint32](row []T, unreachable T, newG *graph.Graph, cs *
 	// reaches keep NoDist — they are newly unreachable.
 	if len(ws.inval) > 0 {
 		for _, a := range ws.inval {
-			set(a, NoDist)
+			row.set(a, NoDist) // unreachable fits every width
 		}
 		ws.resetBuckets()
 		for _, a := range ws.inval {
 			best := NoDist
 			for _, y := range newG.Neighbors(a) {
-				if dy := get(y); dy != NoDist && dy+1 < best {
+				if dy := row.get(y); dy != NoDist && dy+1 < best {
 					best = dy + 1
 				}
 			}
 			if best != NoDist {
-				if !set(a, best) {
+				if !row.set(a, best) {
 					return false
 				}
 				ws.pushBucket(a, int(best))
@@ -673,12 +689,12 @@ func repairRow[T uint8 | uint32](row []T, unreachable T, newG *graph.Graph, cs *
 			bucket := ws.buckets[lvl]
 			lw := uint32(lvl)
 			for _, w := range bucket {
-				if get(w) != lw {
+				if row.get(w) != lw {
 					continue // superseded by a better settle
 				}
 				for _, y := range newG.Neighbors(w) {
-					if ws.mark[y] == lmInvalid && get(y) > lw+1 {
-						if !set(y, lw+1) {
+					if ws.mark[y] == lmInvalid && row.get(y) > lw+1 {
+						if !row.set(y, lw+1) {
 							return false
 						}
 						ws.pushBucket(y, lvl+1)
@@ -695,9 +711,9 @@ func repairRow[T uint8 | uint32](row []T, unreachable T, newG *graph.Graph, cs *
 	q := ws.q
 	q.Reset()
 	relax := func(from, to uint32) bool {
-		if df := get(from); df != NoDist {
-			if dt := get(to); dt == NoDist || dt > df+1 {
-				if !set(to, df+1) {
+		if df := row.get(from); df != NoDist {
+			if dt := row.get(to); dt == NoDist || dt > df+1 {
+				if !row.set(to, df+1) {
 					return false
 				}
 				q.Push(to)
@@ -1098,55 +1114,44 @@ func (t *Oracle) rebuildVicinities(newG *graph.Graph, affected []uint32) []vicRe
 }
 
 // writeVicinities installs the recomputed vicinities (boundary members
-// last, runs sorted, as built) by appending them to the arena: old
-// snapshots may still read the superseded ranges, which only count as
-// waste.
+// last, runs sorted and coded, as built) by appending them to the
+// arena: old snapshots may still read the superseded ranges, which only
+// count as waste.
 func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
 	a := t.arena
-	entries, levels := uint64(len(a.Keys)), uint64(len(a.Levels))
+	words, dists, widest := uint64(len(a.Words)), uint64(len(a.Dists)), uint64(0)
 	for i := range affected {
-		entries += uint64(len(results[i].keys))
-		levels += uint64(len(results[i].levels))
+		words += uint64(len(results[i].code))
+		dists += uint64(len(results[i].dists))
+		widest = max(widest, uint64(len(results[i].code)))
 	}
-	if err := checkArenaCapacity(entries, levels); err != nil {
+	if err := checkArenaCapacity(words, dists, widest); err != nil {
 		return err
 	}
 	for i, x := range affected {
 		res := &results[i]
 		if old := t.vicFlat[x]; old.Len() > 0 {
-			r := old.Range()
-			t.entWaste += uint64(r.ELen)
-			t.lvlWaste += uint64(r.LLen)
+			t.waste += uint64(old.Bytes() / 4)
 		} else {
 			t.covered++
 		}
 		t.radius[x] = res.radius
 		t.nearest[x] = res.nearest
 		t.boundLen[x] = res.boundLen
-
-		r := u32map.Range{ELen: uint32(len(res.keys)), LLen: uint32(len(res.levels))}
-		r.EOff = a.AllocEntries(int(r.ELen))
-		copy(a.Keys[r.EOff:], res.keys)
-		if !a.Leveled {
-			copy(a.Dists[r.EOff:], res.dists)
-		}
-		r.LOff = a.AllocLevels(int(r.LLen))
-		copy(a.Levels[r.LOff:], res.levels)
-		t.vicFlat[x] = a.View(r)
+		t.vicFlat[x] = a.Add(res.code, res.dists, res.entries)
 	}
 	return nil
 }
 
 // maybeCompact squeezes out superseded ranges once they dominate the
-// arena (amortized O(1) per appended entry). The compacted arrays are
+// arena (amortized O(1) per appended word). The compacted arrays are
 // fresh allocations, so snapshots still serving the old layout are
 // unaffected.
 func (t *Oracle) maybeCompact() {
 	a := t.arena
-	waste := t.entWaste + t.lvlWaste
-	if waste > 0 && 2*waste > uint64(len(a.Keys)+len(a.Levels)) {
+	if t.waste > 0 && 2*t.waste > uint64(len(a.Words)+len(a.Dists)) {
 		t.arena, t.vicFlat = t.compactVicinityArena()
-		t.entWaste, t.lvlWaste = 0, 0
+		t.waste = 0
 	}
 }
 
@@ -1155,19 +1160,18 @@ func (t *Oracle) maybeCompact() {
 // views. Read-only on the oracle (persistence uses it to write
 // waste-free files).
 func (o *Oracle) compactVicinityArena() (*u32map.Arena, []u32map.Flat) {
-	var total u32map.Range
+	var words, dists int
 	for u := range o.vicFlat {
 		r := o.vicFlat[u].Range()
-		total.ELen += r.ELen
-		total.LLen += r.LLen
+		words += int(r.WLen)
+		dists += int(r.ELen)
 	}
 	na := &u32map.Arena{
-		Keys:    make([]uint32, 0, total.ELen),
-		Levels:  make([]uint32, 0, total.LLen),
+		Words:   make([]uint32, 0, words),
 		Leveled: o.arena.Leveled,
 	}
 	if !na.Leveled {
-		na.Dists = make([]uint32, 0, total.ELen)
+		na.Dists = make([]uint32, 0, dists)
 	}
 	flat := make([]u32map.Flat, len(o.vicFlat))
 	for u := range o.vicFlat {

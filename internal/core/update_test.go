@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -66,22 +67,16 @@ func assertSameStructure(t *testing.T, got, want *Oracle) {
 			t.Fatalf("node %d: vicinity %v/%d vs %v/%d", u, gok, gv.Len(), wok, wv.Len())
 		}
 		if wok {
-			for i := 0; i < wv.Len(); i++ {
-				gk, gd := gv.At(i)
-				wk, wd := wv.At(i)
-				if gk != wk || gd != wd {
-					t.Fatalf("node %d: entry %d: got %d/%d, want %d/%d", u, i, gk, gd, wk, wd)
-				}
+			gk, gd := tableEntries(gv)
+			wk, wd := tableEntries(wv)
+			if !slices.Equal(gk, wk) || !slices.Equal(gd, wd) {
+				t.Fatalf("node %d: entries %v/%v, want %v/%v", u, gk, gd, wk, wd)
 			}
 		}
-		gb, wb := got.boundary(u), want.boundary(u)
-		if len(gb.Keys) != len(wb.Keys) {
-			t.Fatalf("node %d: boundary size %d vs %d", u, len(gb.Keys), len(wb.Keys))
-		}
-		for i := range wb.Keys {
-			if gb.Keys[i] != wb.Keys[i] || gb.Dist(i) != wb.Dist(i) {
-				t.Fatalf("node %d: boundary[%d] %d/%d vs %d/%d", u, i, gb.Keys[i], gb.Dist(i), wb.Keys[i], wb.Dist(i))
-			}
+		gb, gbd := boundaryKeys(got, u)
+		wb, wbd := boundaryKeys(want, u)
+		if !slices.Equal(gb, wb) || !slices.Equal(gbd, wbd) {
+			t.Fatalf("node %d: boundary %v/%v, want %v/%v", u, gb, gbd, wb, wbd)
 		}
 	}
 	for li := range want.lpos {
@@ -342,7 +337,7 @@ func applyChain(t *testing.T, o *Oracle, r *xrand.Rand, steps int) *Oracle {
 	t.Helper()
 	// A batch that compacts leaves no holes, so the chain runs on past
 	// one that lands on the last step.
-	for step := 0; step < steps || o.entWaste == 0; step++ {
+	for step := 0; step < steps || o.waste == 0; step++ {
 		if step == steps+10 {
 			t.Fatal("update chain left no arena holes to exercise")
 		}
@@ -367,7 +362,7 @@ func TestUpdatePersistRoundTrip(t *testing.T) {
 	got := roundTrip(t, o)
 	assertOraclesAgree(t, o, got, o.Graph().NumNodes(), 1500)
 	assertSameStructure(t, got, o)
-	if got.entWaste != 0 || got.lvlWaste != 0 {
+	if got.waste != 0 {
 		t.Fatal("loaded oracle carries waste")
 	}
 }
@@ -397,8 +392,8 @@ func TestUpdateCompactionBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		o = next
-		waste := o.entWaste + o.lvlWaste
-		total := uint64(o.arena.NumEntries() + len(o.arena.Levels))
+		waste := o.waste
+		total := uint64(len(o.arena.Words) + len(o.arena.Dists))
 		if 2*waste > total {
 			t.Fatalf("step %d: waste %d above half of %d", step, waste, total)
 		}

@@ -1,13 +1,47 @@
 package u32map
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
 	"vicinity/internal/xrand"
 )
 
-// buildFlatArena packs the given tables (as key slices; dist = key+1)
+// keysOf decodes every key of a run, in order.
+func keysOf(r Run) []uint32 {
+	var buf [BlockLen]uint32
+	var keys []uint32
+	for b := 0; b < r.Blocks(); b++ {
+		keys = append(keys, r.Block(b, &buf)...)
+	}
+	return keys
+}
+
+// entries decodes a table in stored order: the owner first on leveled
+// arenas, then every run, with each entry's distance.
+func entries(f Flat) (keys, dists []uint32) {
+	if f.Len() == 0 {
+		return nil, nil
+	}
+	if f.Leveled() {
+		keys, dists = []uint32{f.Owner()}, []uint32{0}
+	}
+	for k := 0; k < f.Runs(); k++ {
+		run, rd := f.Run(k)
+		keys = append(keys, keysOf(run)...)
+		for i := 0; i < run.Len(); i++ {
+			if rd != nil {
+				dists = append(dists, rd[i])
+			} else {
+				dists = append(dists, uint32(k)+1)
+			}
+		}
+	}
+	return keys, dists
+}
+
+// buildFlatArena codes the given tables (as key slices; dist = key+1)
 // into one weighted arena, each table sorted into a single run.
 func buildFlatArena(t *testing.T, tables [][]uint32) (*Arena, []Flat) {
 	t.Helper()
@@ -15,12 +49,11 @@ func buildFlatArena(t *testing.T, tables [][]uint32) (*Arena, []Flat) {
 	var views []Flat
 	for _, keys := range tables {
 		sorted := slices.Sorted(slices.Values(keys))
-		eOff := uint32(len(a.Keys))
-		for _, k := range sorted {
-			a.Keys = append(a.Keys, k)
-			a.Dists = append(a.Dists, k+1)
+		dists := make([]uint32, len(sorted))
+		for i, k := range sorted {
+			dists[i] = k + 1
 		}
-		views = append(views, a.View(Range{EOff: eOff, ELen: uint32(len(a.Keys)) - eOff}))
+		views = append(views, addTable(a, sorted, nil, dists))
 	}
 	return a, views
 }
@@ -38,11 +71,14 @@ func TestFlatLayouts(t *testing.T) {
 			tables[i] = append(tables[i], k)
 		}
 	}
-	_, views := buildFlatArena(t, tables)
+	a, views := buildFlatArena(t, tables)
 	for i, keys := range tables {
 		f := views[i]
 		if f.Len() != len(keys) {
 			t.Fatalf("table %d: Len %d, want %d", i, f.Len(), len(keys))
+		}
+		if err := f.Check(100000); err != nil {
+			t.Fatalf("table %d: %v", i, err)
 		}
 		for _, k := range keys {
 			d, ok := f.Get(k)
@@ -54,33 +90,28 @@ func TestFlatLayouts(t *testing.T) {
 		// the same arena (no cross-table bleed).
 		for trial := 0; trial < 200; trial++ {
 			k := r.Uint32n(1 << 30)
-			want := false
-			for _, have := range keys {
-				if have == k {
-					want = true
-				}
-			}
+			want := slices.Contains(keys, k)
 			if _, ok := f.Get(k); ok != want {
 				t.Fatalf("table %d: Get(%d) membership %v, want %v", i, k, ok, want)
 			}
 		}
-		// At and Tail enumerate exactly the entries, sorted by key.
-		got := map[uint32]bool{}
-		all := f.Tail(f.Len())
-		if len(all.Keys) != f.Len() {
-			t.Fatalf("table %d: Tail length %d, want %d", i, len(all.Keys), f.Len())
+		// The runs enumerate exactly the entries, sorted by key.
+		got, dists := entries(f)
+		if !slices.Equal(got, slices.Sorted(slices.Values(keys))) {
+			t.Fatalf("table %d: runs hold %v", i, got)
 		}
-		sorted := slices.Sorted(slices.Values(keys))
-		for j := 0; j < f.Len(); j++ {
-			k, d := f.At(j)
-			if d != k+1 || k != sorted[j] || all.Keys[j] != k || all.Dist(j) != d {
-				t.Fatalf("At(%d) returned (%d,%d)", j, k, d)
+		for j, k := range got {
+			if dists[j] != k+1 {
+				t.Fatalf("table %d: entry %d = %d/%d", i, j, k, dists[j])
 			}
-			got[k] = true
 		}
-		if len(got) != len(keys) {
-			t.Fatalf("At enumerated %d distinct keys, want %d", len(got), len(keys))
-		}
+	}
+	total := 0
+	for _, f := range views {
+		total += f.Bytes()
+	}
+	if a.Bytes() != total {
+		t.Fatalf("arena Bytes = %d, tables %d", a.Bytes(), total)
 	}
 }
 
@@ -96,14 +127,12 @@ func TestFlatMatchesMap(t *testing.T) {
 		}
 	}
 	m := New(len(keys))
-	for _, k := range keys {
+	dists := make([]uint32, len(keys))
+	for i, k := range keys {
 		m.Put(k, k*3)
+		dists[i] = k * 3
 	}
-	a := &Arena{Keys: slices.Sorted(slices.Values(keys))}
-	for _, k := range a.Keys {
-		a.Dists = append(a.Dists, k*3)
-	}
-	f := a.View(Range{ELen: uint32(len(keys))})
+	f := buildFlat(keys, dists)
 	for trial := 0; trial < 5000; trial++ {
 		k := r.Uint32n(1 << 21)
 		dm, okM := m.Get(k)
@@ -116,77 +145,70 @@ func TestFlatMatchesMap(t *testing.T) {
 
 func TestFlatEmpty(t *testing.T) {
 	var f Flat
-	if f.Len() != 0 || f.Bytes() != 0 {
+	if f.Len() != 0 || f.Bytes() != 0 || f.Runs() != 0 {
 		t.Fatal("zero Flat not empty")
 	}
 	if _, ok := f.Get(0); ok {
 		t.Fatal("zero Flat contains a key")
 	}
-	if s := f.Tail(0); s.Keys != nil {
-		t.Fatal("zero Flat has entries")
+	if f.CopyTo(&Arena{}) != (Flat{}) {
+		t.Fatal("zero Flat copied to a table")
 	}
 }
 
 func TestRanges(t *testing.T) {
 	a, views := buildFlatArena(t, [][]uint32{{1, 2, 3}, {}, {10, 20}})
-	if r := views[0].Range(); r.EOff != 0 || r.ELen != 3 || r.LLen != 0 {
+	w0 := views[0].Range().WLen
+	if r := views[0].Range(); r.WOff != 0 || r.EOff != 0 || r.ELen != 3 {
 		t.Fatalf("ranges[0] = %+v", r)
 	}
 	if r := views[1].Range(); r.ELen != 0 {
 		t.Fatalf("empty table ranges = %+v", r)
 	}
-	if r := views[2].Range(); r.EOff != 3 || r.ELen != 2 {
+	if r := views[2].Range(); r.WOff != w0 || r.EOff != 3 || r.ELen != 2 {
 		t.Fatalf("ranges[2] = %+v", r)
 	}
-	if a.NumEntries() != 5 {
-		t.Fatalf("NumEntries = %d", a.NumEntries())
+	// {1, 2, 3}: run count, one run record, one block record and no
+	// data (consecutive ids take width 0), plus three distances.
+	if b := views[0].Bytes(); w0 != 6 || b != 4*(6+3) {
+		t.Fatalf("table of 3 consecutive keys: %d words, Bytes %d", w0, b)
 	}
-	if a.Bytes() != 4*5*2 {
+	if a.Bytes() != views[0].Bytes()+views[2].Bytes() {
 		t.Fatalf("Bytes = %d", a.Bytes())
-	}
-	if b := views[0].Bytes(); b != 8*3 {
-		t.Fatalf("table Bytes = %d, want 8 per entry and no index", b)
 	}
 }
 
 func TestArenaAllocAndClone(t *testing.T) {
 	a := &Arena{
-		Keys:   make([]uint32, 2, 8),
-		Dists:  make([]uint32, 2, 8),
-		Levels: make([]uint32, 0, 8),
+		Words: make([]uint32, 0, 64),
+		Dists: make([]uint32, 0, 64),
 	}
-	a.Keys[0], a.Keys[1] = 7, 9
+	f := addTable(a, []uint32{7, 9}, nil, []uint32{1, 2})
 
 	c := a.Clone()
-	off := c.AllocEntries(3)
-	if off != 2 || len(c.Keys) != 5 {
-		t.Fatalf("alloc off=%d len=%d", off, len(c.Keys))
+	g := c.Add(AppendTable(nil, false, []uint32{3, 4, 42}, nil), []uint32{5, 6, 7}, 3)
+	if r := g.Range(); r.WOff != f.Range().WLen || r.EOff != 2 {
+		t.Fatalf("added table at %+v", r)
 	}
-	c.Keys[off] = 42
 	// The original header still sees only its own range.
-	if len(a.Keys) != 2 || a.Keys[0] != 7 || a.Keys[1] != 9 {
+	if len(a.Words) != int(f.Range().WLen) || len(a.Dists) != 2 {
 		t.Fatal("clone append disturbed the original view")
 	}
-	// Reused spare capacity must come back zeroed.
-	c.Levels = append(c.Levels, 5, 6)[:0]
-	loff := c.AllocLevels(4)
-	for i := loff; i < loff+4; i++ {
-		if c.Levels[i] != 0 {
-			t.Fatal("AllocLevels returned non-zeroed space")
-		}
+	if d, ok := f.Get(9); !ok || d != 2 {
+		t.Fatalf("original Get(9) = %d,%v", d, ok)
 	}
-	// Growth past capacity reallocates without touching the original.
+	// Growth past capacity reallocates without touching the parent.
 	c2 := c.Clone()
-	c2.AllocEntries(100)
-	if len(c.Keys) != 5 || c.Keys[off] != 42 {
-		t.Fatal("reallocation disturbed the parent snapshot")
+	c2.Add(make([]uint32, 100), make([]uint32, 100), 100)
+	if d, ok := g.Get(42); !ok || d != 7 {
+		t.Fatalf("reallocation disturbed the parent snapshot: Get(42) = %d,%v", d, ok)
 	}
 }
 
 // TestLeveledArena checks the distance-free layout: a table's entries
-// in level order, sorted by key within each level, plus its level
-// starts resolve every member's distance through Get, At, Tail and Run,
-// survive CopyTo, and cost one word per entry plus the starts.
+// in level order, sorted by key within each level, with the owner in
+// the header, resolve every member's distance through Get and Run,
+// survive CopyTo, and cost their coded words only.
 func TestLeveledArena(t *testing.T) {
 	// Three tables: levels 0..3 with starts {4, 6}, an owner with one
 	// neighbor level and no starts, and an owner alone.
@@ -200,27 +222,19 @@ func TestLeveledArena(t *testing.T) {
 	a := &Arena{Leveled: true}
 	var views []Flat
 	for _, tb := range tables {
-		r := Range{ELen: uint32(len(tb.keys)), LLen: uint32(len(tb.starts))}
-		r.EOff = a.AllocEntries(len(tb.keys))
-		copy(a.Keys[r.EOff:], tb.keys)
-		r.LOff = a.AllocLevels(len(tb.starts))
-		copy(a.Levels[r.LOff:], tb.starts)
-		views = append(views, a.View(r))
+		views = append(views, addTable(a, tb.keys, tb.starts, nil))
 	}
 	if a.Dists != nil {
 		t.Fatalf("leveled arena grew a distance array: %v", a.Dists)
 	}
 	check := func(f Flat, keys, dists []uint32) {
 		t.Helper()
-		if !f.Sorted() || !f.Leveled() {
-			t.Fatalf("table %v: Sorted %v, Leveled %v", keys, f.Sorted(), f.Leveled())
+		if err := f.Check(100); err != nil || !f.Leveled() || f.Owner() != keys[0] {
+			t.Fatalf("table %v: Check %v, Leveled %v, Owner %d", keys, err, f.Leveled(), f.Owner())
 		}
 		for i, k := range keys {
 			if d, ok := f.Get(k); !ok || d != dists[i] {
 				t.Fatalf("Get(%d) = %d,%v, want %d", k, d, ok, dists[i])
-			}
-			if gk, gd := f.At(i); gk != k || gd != dists[i] {
-				t.Fatalf("At(%d) = %d/%d, want %d/%d", i, gk, gd, k, dists[i])
 			}
 		}
 		for _, k := range []uint32{0, 2, 10, 55, 100} {
@@ -228,39 +242,29 @@ func TestLeveledArena(t *testing.T) {
 				t.Fatalf("Get(%d) found an absent key", k)
 			}
 		}
-		for n := 0; n <= len(keys); n++ {
-			s := f.Tail(n)
-			for j := range s.Keys {
-				if i := len(keys) - n + j; s.Keys[j] != keys[i] || s.Dist(j) != dists[i] {
-					t.Fatalf("Tail(%d)[%d] = %d/%d, want %d/%d", n, j, s.Keys[j], s.Dist(j), keys[i], dists[i])
-				}
-			}
+		gk, gd := entries(f)
+		if !slices.Equal(gk, keys) || !slices.Equal(gd, dists) {
+			t.Fatalf("entries %v/%v, want %v/%v", gk, gd, keys, dists)
 		}
-		i := 0
 		for k := 0; k < f.Runs(); k++ {
-			run, rd := f.Run(k)
-			if rd != nil {
+			if _, rd := f.Run(k); rd != nil {
 				t.Fatalf("leveled run %d has distances", k)
 			}
-			for _, key := range run {
-				if key != keys[i] || dists[i] != uint32(k) {
-					t.Fatalf("run %d holds %d, want %d at level %d", k, key, keys[i], dists[i])
-				}
-				i++
-			}
-		}
-		if i != len(keys) {
-			t.Fatalf("runs hold %d entries, want %d", i, len(keys))
 		}
 	}
+	total := 0
 	for i, tb := range tables {
 		check(views[i], tb.keys, tb.dists)
-		if b, want := views[i].Bytes(), 4*(len(tb.keys)+len(tb.starts)); b != want {
-			t.Fatalf("table %d: Bytes = %d, want %d", i, b, want)
+		if b := views[i].Bytes(); b != 4*int(views[i].Range().WLen) {
+			t.Fatalf("table %d: Bytes = %d, want its words only", i, b)
 		}
+		total += views[i].Bytes()
 	}
-	if a.Bytes() != views[0].Bytes()+views[1].Bytes()+views[2].Bytes() {
-		t.Fatalf("arena Bytes = %d, tables %d", a.Bytes(), views[0].Bytes()+views[1].Bytes()+views[2].Bytes())
+	if views[2].Runs() != 0 || views[2].Range().WLen != 2 {
+		t.Fatalf("an owner alone: %d runs in %d words", views[2].Runs(), views[2].Range().WLen)
+	}
+	if a.Bytes() != total {
+		t.Fatalf("arena Bytes = %d, tables %d", a.Bytes(), total)
 	}
 	dst := &Arena{Leveled: true}
 	for i := len(tables) - 1; i >= 0; i-- { // reversed: offsets move
@@ -270,21 +274,18 @@ func TestLeveledArena(t *testing.T) {
 
 // TestWeightedRuns checks a weighted table of two runs, an interior
 // and a tail split by one run start: Get finds keys in either run with
-// their own distances, Run returns each run with its distances, and a
-// key out of order inside a run fails Sorted.
+// their own distances, and Run returns each run with its distances.
 func TestWeightedRuns(t *testing.T) {
-	a := &Arena{
-		Keys:   []uint32{2, 5, 9, 1, 6, 30},
-		Dists:  []uint32{20, 50, 90, 10, 60, 300},
-		Levels: []uint32{3},
+	keys := []uint32{2, 5, 9, 1, 6, 30}
+	dists := []uint32{20, 50, 90, 10, 60, 300}
+	a := &Arena{}
+	f := addTable(a, keys, []uint32{3}, dists)
+	if f.Runs() != 2 || f.Leveled() || f.Check(31) != nil {
+		t.Fatalf("Runs %d, Leveled %v, Check %v", f.Runs(), f.Leveled(), f.Check(31))
 	}
-	f := a.View(Range{ELen: 6, LLen: 1})
-	if f.Runs() != 2 || f.Leveled() || !f.Sorted() {
-		t.Fatalf("Runs %d, Leveled %v, Sorted %v", f.Runs(), f.Leveled(), f.Sorted())
-	}
-	for i, k := range a.Keys {
-		if d, ok := f.Get(k); !ok || d != a.Dists[i] {
-			t.Fatalf("Get(%d) = %d,%v, want %d", k, d, ok, a.Dists[i])
+	for i, k := range keys {
+		if d, ok := f.Get(k); !ok || d != dists[i] {
+			t.Fatalf("Get(%d) = %d,%v, want %d", k, d, ok, dists[i])
 		}
 	}
 	for _, k := range []uint32{0, 3, 7, 31} {
@@ -292,39 +293,14 @@ func TestWeightedRuns(t *testing.T) {
 			t.Fatalf("Get(%d) found an absent key", k)
 		}
 	}
-	if keys, dists := f.Run(1); !slices.Equal(keys, []uint32{1, 6, 30}) || !slices.Equal(dists, []uint32{10, 60, 300}) {
-		t.Fatalf("tail run %v/%v", keys, dists)
+	if run, rd := f.Run(1); !slices.Equal(keysOf(run), []uint32{1, 6, 30}) || !slices.Equal(rd, []uint32{10, 60, 300}) {
+		t.Fatalf("tail run %v/%v", keysOf(run), rd)
 	}
-	one := a.View(Range{ELen: 3})
-	if one.Runs() != 1 || one.Bytes() != 4*6 {
+	one := addTable(a, keys[:3], nil, dists[:3])
+	if one.Runs() != 1 || one.Bytes() != 4*(int(one.Range().WLen)+3) {
 		t.Fatalf("one-run table: Runs %d, Bytes %d", one.Runs(), one.Bytes())
 	}
-	a.Keys[4], a.Keys[5] = 30, 6
-	if f.Sorted() {
-		t.Fatal("a tail run out of order passed Sorted")
-	}
-	a.Keys[4], a.Keys[5] = 6, 6
-	if f.Sorted() {
-		t.Fatal("a tail run with a key stored twice passed Sorted")
-	}
-}
-
-func TestValidLevels(t *testing.T) {
-	for _, tc := range []struct {
-		starts []uint32
-		eLen   uint32
-		ok     bool
-	}{
-		{nil, 1, true},
-		{[]uint32{2}, 3, true},
-		{[]uint32{4, 6}, 7, true},
-		{[]uint32{1}, 3, false},    // level 1 would be empty
-		{[]uint32{3, 3}, 5, false}, // not strictly increasing
-		{[]uint32{5, 4}, 6, false},
-		{[]uint32{2, 4}, 4, false}, // last level would be empty
-	} {
-		if got := ValidLevels(tc.starts, tc.eLen); got != tc.ok {
-			t.Errorf("ValidLevels(%v, %d) = %v, want %v", tc.starts, tc.eLen, got, tc.ok)
-		}
+	if err := f.Check(30); !errors.Is(err, ErrBadTable) {
+		t.Fatalf("key 30 passed Check below n = 30: %v", err)
 	}
 }

@@ -8,30 +8,30 @@ import (
 
 func TestShardAppendAndRebase(t *testing.T) {
 	var s Shard
-	if s.Len() != 0 {
-		t.Fatalf("empty shard Len = %d", s.Len())
-	}
-	off1, _ := s.Append([]uint32{10, 20}, []uint32{1, 2}, nil)
-	off2, _ := s.Append([]uint32{30, 40, 50}, []uint32{3, 4, 5}, nil)
-	if off1 != 0 || off2 != 2 || s.Len() != 5 {
-		t.Fatalf("offsets %d/%d, len %d", off1, off2, s.Len())
+	t1 := AppendTable(nil, false, []uint32{10, 20}, nil)
+	t2 := AppendTable(nil, false, []uint32{30, 40, 50}, nil)
+	w1, e1 := s.Append(t1, []uint32{1, 2})
+	w2, e2 := s.Append(t2, []uint32{3, 4, 5})
+	if w1 != 0 || e1 != 0 || w2 != uint32(len(t1)) || e2 != 2 || len(s.Words) != len(t1)+len(t2) {
+		t.Fatalf("offsets %d/%d %d/%d, %d words", w1, e1, w2, e2, len(s.Words))
 	}
 
 	a := &Arena{
-		Keys:  make([]uint32, 5),
+		Words: make([]uint32, len(s.Words)),
 		Dists: make([]uint32, 5),
 	}
-	// Rebase the second batch ahead of the first.
-	a.CopyFromShard(Range{EOff: 0, ELen: 3}, &s, off2, 0)
-	a.CopyFromShard(Range{EOff: 3, ELen: 2}, &s, off1, 0)
-	wantKeys := []uint32{30, 40, 50, 10, 20}
-	for i, k := range wantKeys {
-		if a.Keys[i] != k {
-			t.Fatalf("merged keys = %v, want %v", a.Keys, wantKeys)
+	// Rebase the second table ahead of the first.
+	r2 := Range{WOff: 0, WLen: uint32(len(t2)), EOff: 0, ELen: 3}
+	r1 := Range{WOff: uint32(len(t2)), WLen: uint32(len(t1)), EOff: 3, ELen: 2}
+	a.CopyFromShard(r2, &s, w2, e2)
+	a.CopyFromShard(r1, &s, w1, e1)
+	for _, tc := range []struct {
+		r          Range
+		keys, dist []uint32
+	}{{r2, []uint32{30, 40, 50}, []uint32{3, 4, 5}}, {r1, []uint32{10, 20}, []uint32{1, 2}}} {
+		if k, d := entries(a.View(tc.r)); !slices.Equal(k, tc.keys) || !slices.Equal(d, tc.dist) {
+			t.Fatalf("rebased table %v/%v, want %v/%v", k, d, tc.keys, tc.dist)
 		}
-	}
-	if a.Dists[3] != 1 || a.Dists[0] != 3 {
-		t.Fatalf("merged dists wrong: %v", a.Dists)
 	}
 }
 
@@ -46,12 +46,13 @@ func TestShardConcurrentMerge(t *testing.T) {
 		src[w] = &Shard{}
 		for i := 0; i < perShard; i++ {
 			v := uint32(w*perShard + i)
-			src[w].Append([]uint32{v}, []uint32{v * 2}, nil)
+			src[w].Append(AppendTable(nil, false, []uint32{v}, nil), []uint32{v * 2})
 		}
 	}
+	per := uint32(len(src[0].Words)) / perShard // every one-key table codes alike
 	total := uint32(shards * perShard)
 	a := &Arena{
-		Keys:  make([]uint32, total),
+		Words: make([]uint32, total*per),
 		Dists: make([]uint32, total),
 	}
 	var wg sync.WaitGroup
@@ -59,33 +60,41 @@ func TestShardConcurrentMerge(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			a.CopyFromShard(Range{EOff: uint32(w * perShard), ELen: perShard}, src[w], 0, 0)
+			for i := uint32(0); i < perShard; i++ {
+				at := uint32(w)*perShard + i
+				a.CopyFromShard(Range{WOff: at * per, WLen: per, EOff: at, ELen: 1}, src[w], i*per, i)
+			}
 		}(w)
 	}
 	wg.Wait()
 	for i := uint32(0); i < total; i++ {
-		if a.Keys[i] != i || a.Dists[i] != 2*i {
-			t.Fatalf("entry %d = %d/%d", i, a.Keys[i], a.Dists[i])
+		f := a.View(Range{WOff: i * per, WLen: per, EOff: i, ELen: 1})
+		if d, ok := f.Get(i); !ok || d != 2*i {
+			t.Fatalf("entry %d = %d,%v", i, d, ok)
 		}
 	}
 }
 
-// TestShardLeveled stages leveled tables: keys and level starts rebase
-// into the arena, and no distance array is written.
+// TestShardLeveled stages leveled tables: their words rebase into the
+// arena, and no distance array is written.
 func TestShardLeveled(t *testing.T) {
 	var s Shard
-	e1, l1 := s.Append([]uint32{1, 2, 3}, nil, []uint32{2})
-	e2, l2 := s.Append([]uint32{7, 8, 9, 10}, nil, []uint32{2, 3})
-	if e1 != 0 || l1 != 0 || e2 != 3 || l2 != 1 || len(s.Dists) != 0 {
-		t.Fatalf("offsets %d/%d %d/%d, dists %v", e1, l1, e2, l2, s.Dists)
+	t1 := AppendTable(nil, true, []uint32{1, 2, 3}, []uint32{2})
+	t2 := AppendTable(nil, true, []uint32{7, 8, 9, 10}, []uint32{2, 3})
+	w1, _ := s.Append(t1, nil)
+	w2, _ := s.Append(t2, nil)
+	if w1 != 0 || w2 != uint32(len(t1)) || len(s.Dists) != 0 {
+		t.Fatalf("offsets %d/%d, dists %v", w1, w2, s.Dists)
 	}
-	a := &Arena{Keys: make([]uint32, 7), Levels: make([]uint32, 3), Leveled: true}
-	a.CopyFromShard(Range{EOff: 0, ELen: 4, LOff: 0, LLen: 2}, &s, e2, l2)
-	a.CopyFromShard(Range{EOff: 4, ELen: 3, LOff: 2, LLen: 1}, &s, e1, l1)
-	if want := []uint32{7, 8, 9, 10, 1, 2, 3}; !slices.Equal(a.Keys, want) {
-		t.Fatalf("merged keys %v, want %v", a.Keys, want)
+	a := &Arena{Words: make([]uint32, len(s.Words)), Leveled: true}
+	r2 := Range{WOff: 0, WLen: uint32(len(t2)), ELen: 4}
+	r1 := Range{WOff: uint32(len(t2)), WLen: uint32(len(t1)), ELen: 3}
+	a.CopyFromShard(r2, &s, w2, 0)
+	a.CopyFromShard(r1, &s, w1, 0)
+	if want := append(slices.Clone(t2), t1...); !slices.Equal(a.Words, want) {
+		t.Fatalf("merged words %v, want %v", a.Words, want)
 	}
-	if want := []uint32{2, 3, 2}; !slices.Equal(a.Levels, want) {
-		t.Fatalf("merged levels %v, want %v", a.Levels, want)
+	if k, d := entries(a.View(r2)); !slices.Equal(k, []uint32{7, 8, 9, 10}) || !slices.Equal(d, []uint32{0, 1, 2, 3}) {
+		t.Fatalf("rebased leveled table %v/%v", k, d)
 	}
 }

@@ -2,65 +2,6 @@ package u32map
 
 import "math/bits"
 
-// gallopRatio is the length ratio at which Intersect stops merging and
-// binary-searches each element of the shorter side into the longer
-// one: a merge steps over every entry of both sides, a search costs
-// about log2 of the longer side per shorter-side entry.
-const gallopRatio = 16
-
-// Intersect finds the first (smallest) element common to a and b, both
-// strictly increasing. When there is one, ok is true and a[i] == b[j].
-// Otherwise i and j are where the walk stopped, one of them at its
-// side's end. Either way a[:i] and b[:j] are exactly the entries of
-// each side below the stopping point, whichever strategy ran (a merge
-// when the sides are of similar length, a binary search of the shorter
-// into the longer past gallopRatio), so i+j counts the entries the
-// walk stepped over.
-func Intersect(a, b []uint32) (i, j int, ok bool) {
-	switch {
-	case len(a)*gallopRatio <= len(b):
-		return searchInto(a, b)
-	case len(b)*gallopRatio <= len(a):
-		j, i, ok = searchInto(b, a)
-		return i, j, ok
-	}
-	for i < len(a) && j < len(b) {
-		switch x, y := a[i], b[j]; {
-		case x < y:
-			i++
-		case x > y:
-			j++
-		default:
-			return i, j, true
-		}
-	}
-	return i, j, false
-}
-
-// searchInto is Intersect's strategy for a much shorter than b: each
-// element of a in turn is binary-searched into the rest of b.
-func searchInto(a, b []uint32) (i, j int, ok bool) {
-	for ; i < len(a); i++ {
-		x := a[i]
-		lo, hi := j, len(b)
-		for lo < hi {
-			if m := int(uint(lo+hi) >> 1); b[m] < x {
-				lo = m + 1
-			} else {
-				hi = m
-			}
-		}
-		j = lo
-		if j == len(b) {
-			return i, j, false
-		}
-		if b[j] == x {
-			return i, j, true
-		}
-	}
-	return i, j, false
-}
-
 // shortRun is the run length up to which Sorter uses an insertion sort:
 // the radix sort's 256-bucket passes cost a fixed ~0.7 µs, which
 // shorter runs do not repay (on ids below 2^16, a 2-vCPU Xeon VM

@@ -3,42 +3,30 @@
 // owner. Nothing else is stored per member; path hops are derived from
 // these distances at query time (see internal/core's path.go). On
 // unweighted graphs not even the distance is stored per member: a
-// table's entries are kept in BFS level order, and a handful of level
-// starts per table imply every member's distance.
+// table's entries are kept in BFS level order, and each level's run
+// implies its members' distance.
 //
 // The paper stores vicinities in hash tables (GNU C++ unordered_map) and
 // reports query cost in hash-table look-ups (Table 3). The oracle's
-// representation is the Flat view over a shared Arena: all tables'
-// entries concatenated into contiguous arrays, each table grouped into
-// runs sorted by node id (one run per BFS level on unweighted graphs),
-// and distances either per entry (weighted arenas) or per level
-// (leveled arenas) — see flat.go. A point lookup binary-searches the
-// runs; a scan intersects sorted runs (Intersect, sorted.go). This is
-// the "more customized implementation of the data structures" the
-// paper floats in §5. Map is an open-addressing hash table with the
-// same interface (a reference implementation, and for callers that
-// build tables incrementally), and Builtin wraps Go's builtin map for
-// the data-structure ablation; the Get benchmarks compare the three.
+// representation is the Flat view over a shared Arena: every table's
+// runs, each sorted by node id (one run per BFS level on unweighted
+// graphs), coded back to back in one word array, and distances either
+// per entry (weighted arenas) or per level (leveled arenas) — see
+// flat.go. A run is cut into blocks of BlockLen keys; each block keeps
+// its first key in full and bit-packs the gaps after it at the block's
+// own width (binary packing, or frame of reference: Lemire & Boytsov,
+// "Decoding billions of integers per second through vectorization",
+// 2015) — see code.go. A point lookup bisects block heads and decodes
+// one block; a scan walks two runs block by block (Meet). This is the
+// "more customized implementation of the data structures" the paper
+// floats in §5. Map is an open-addressing hash table, for callers that
+// build tables incrementally (internal/tz); the Get benchmarks compare
+// it with Flat (ablation A3).
 package u32map
 
-// Table is the read interface shared by all vicinity-table
-// implementations. Entries are (key node, distance) pairs; At iterates
-// them in the implementation's stored order (insertion order for Map
-// and Builtin, run by run and by key within a run for Flat). Implementations are safe for concurrent
-// readers once fully built.
-type Table interface {
-	// Get returns the distance recorded for key.
-	Get(key uint32) (dist uint32, ok bool)
-	// Len returns the number of entries.
-	Len() int
-	// At returns the i-th entry in stored order, 0 <= i < Len().
-	At(i int) (key, dist uint32)
-	// Bytes returns the approximate heap footprint in bytes.
-	Bytes() int
-}
-
-// Map is the default open-addressing implementation of Table.
-// The zero value is an empty usable map.
+// Map is an open-addressing hash table from keys to distances. The
+// zero value is an empty usable map. It is safe for concurrent readers
+// once fully built.
 type Map struct {
 	keys  []uint32
 	dists []uint32
@@ -156,5 +144,3 @@ func (m *Map) rehash(size int) {
 		m.slots[i] = int32(idx + 1)
 	}
 }
-
-var _ Table = (*Map)(nil)

@@ -113,41 +113,23 @@ func TestCollidingKeys(t *testing.T) {
 	}
 }
 
-func TestBuiltinTable(t *testing.T) {
-	b := NewBuiltin(4)
-	b.Put(5, 1)
-	b.Put(6, 3)
-	b.Put(5, 7) // overwrite
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	if d, ok := b.Get(5); !ok || d != 7 {
-		t.Fatalf("Get(5) = %d,%v", d, ok)
-	}
-	if k, _ := b.At(0); k != 5 {
-		t.Fatalf("At(0) = %d", k)
-	}
-	if _, ok := b.Get(9); ok {
-		t.Fatal("phantom key")
-	}
-}
-
-// TestQuickAllImplementationsAgree drives all three Table implementations
-// with the same data and checks identical lookup results.
+// TestQuickAllImplementationsAgree drives Map and a coded Flat with
+// the same data and checks identical lookup results.
 func TestQuickAllImplementationsAgree(t *testing.T) {
 	f := func(raw []uint32) bool {
 		m := New(0)
-		b := NewBuiltin(0)
 		ref := map[uint32]uint32{}
 		var ks, ds []uint32
 		for i := 0; i+1 < len(raw); i += 2 {
 			k, d := raw[i], raw[i+1]
+			if k == ^uint32(0) {
+				continue // not a node id
+			}
 			if _, dup := ref[k]; !dup {
 				ks = append(ks, k)
 				ds = append(ds, d)
 			}
 			m.Put(k, d)
-			b.Put(k, d)
 			ref[k] = d
 		}
 		// Flat layouts are build-once; they must not see duplicate keys,
@@ -157,21 +139,21 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 		}
 		fh := buildFlat(ks, ds)
 		for k, want := range ref {
-			for _, tbl := range []Table{m, b, &fh} {
-				d, ok := tbl.Get(k)
-				if !ok || d != want {
-					return false
-				}
+			if d, ok := m.Get(k); !ok || d != want {
+				return false
+			}
+			if d, ok := fh.Get(k); !ok || d != want {
+				return false
 			}
 		}
 		// Probe absent keys.
 		for i := 0; i < 50; i++ {
 			k := uint32(i) * 2654435761
 			_, wantOK := ref[k]
-			for _, tbl := range []Table{m, b, &fh} {
-				if _, ok := tbl.Get(k); ok != wantOK {
-					return false
-				}
+			_, okM := m.Get(k)
+			_, okF := fh.Get(k)
+			if okM != wantOK || okF != wantOK {
+				return false
 			}
 		}
 		return true
@@ -182,31 +164,40 @@ func TestQuickAllImplementationsAgree(t *testing.T) {
 }
 
 // buildFlat materializes the pairs as an arena-backed Flat view of one
-// run, sorted by key.
+// coded run, sorted by key.
 func buildFlat(ks, ds []uint32) Flat {
-	a := &Arena{}
 	order := make([]int, len(ks))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(i, j int) int { return cmp.Compare(ks[i], ks[j]) })
+	keys := make([]uint32, 0, len(ks))
+	dists := make([]uint32, 0, len(ks))
 	for _, i := range order {
-		a.Keys = append(a.Keys, ks[i])
-		a.Dists = append(a.Dists, ds[i])
+		keys = append(keys, ks[i])
+		dists = append(dists, ds[i])
 	}
-	return a.View(Range{ELen: uint32(len(ks))})
+	return addTable(&Arena{}, keys, nil, dists)
 }
 
-func buildBenchTables(n int) (*Map, *Builtin, Flat, []uint32) {
+// addTable codes one table into a and returns its view: keys in stored
+// order, starts as AppendTable takes them, dists nil on leveled arenas.
+func addTable(a *Arena, keys, starts, dists []uint32) Flat {
+	if len(keys) == 0 {
+		return Flat{}
+	}
+	return a.Add(AppendTable(nil, a.Leveled, keys, starts), dists, uint32(len(keys)))
+}
+
+func buildBenchTables(n int) (*Map, Flat, []uint32) {
 	r := xrand.New(1)
 	m := New(n)
-	b := NewBuiltin(n)
 	ks := make([]uint32, 0, n)
 	ds := make([]uint32, 0, n)
 	seen := map[uint32]bool{}
 	for len(ks) < n {
 		k := r.Uint32()
-		if seen[k] {
+		if seen[k] || k == ^uint32(0) {
 			continue
 		}
 		seen[k] = true
@@ -215,17 +206,16 @@ func buildBenchTables(n int) (*Map, *Builtin, Flat, []uint32) {
 	}
 	for i := range ks {
 		m.Put(ks[i], ds[i])
-		b.Put(ks[i], ds[i])
 	}
-	return m, b, buildFlat(ks, ds), ks
+	return m, buildFlat(ks, ds), ks
 }
 
-// The Get benchmarks compare the hash tables (Map, Builtin) against the
-// arena-backed Flat layout, one sorted run searched by bisection, on
-// identical data (ablation A3).
+// The Get benchmarks compare the hash table (Map) against the
+// arena-backed Flat layout, one coded run whose block heads are
+// bisected, on identical data (ablation A3).
 
 func BenchmarkMapGet(b *testing.B) {
-	m, _, _, ks := buildBenchTables(4096)
+	m, _, ks := buildBenchTables(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Get(ks[i&4095])
@@ -233,17 +223,9 @@ func BenchmarkMapGet(b *testing.B) {
 }
 
 func BenchmarkFlatGet(b *testing.B) {
-	_, _, fh, ks := buildBenchTables(4096)
+	_, fh, ks := buildBenchTables(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fh.Get(ks[i&4095])
-	}
-}
-
-func BenchmarkBuiltinGet(b *testing.B) {
-	_, bt, _, ks := buildBenchTables(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Get(ks[i&4095])
 	}
 }

@@ -199,8 +199,8 @@ type Options struct {
 	Workers int
 	// WithoutLandmarkTables skips the |L|·n landmark distance tables;
 	// landmark-endpoint queries then resolve via vicinities or fallback.
-	// Built tables store each row at the width its distances need: one
-	// byte per node on social networks.
+	// Built tables store each row at the width its distances need: four
+	// bits per node on social networks.
 	WithoutLandmarkTables bool
 	// Nodes restricts vicinity construction to these nodes (advanced;
 	// used by the evaluation harness to mirror the paper's methodology).
