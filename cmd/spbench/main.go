@@ -17,10 +17,11 @@
 //	spbench -save lj.vco -dataset livejournal -nodes 100000
 //	spbench -load lj.vco
 //
-// -parallel N shards the offline build across N workers (default
-// GOMAXPROCS); the built oracle — and any file written from it — is
-// bit-identical for every worker count, so -parallel only changes how
-// fast the build runs. -save reports the per-stage build breakdown.
+// -parallel N runs the offline build's vicinity searches and landmark
+// passes on N workers (default GOMAXPROCS); the built oracle — and any
+// file written from it — is bit-identical for every worker count, so
+// -parallel only changes how fast the build runs. -save reports the
+// per-stage build breakdown.
 //
 // -save builds the named dataset's oracle and writes it to a file;
 // -load restores it and reports load time against a fresh rebuild,

@@ -238,6 +238,23 @@ func run(args []string) error {
 	}
 	errCh := make(chan error, 2)
 
+	// HTTP is bound before TCP serves, so a client that has a TCP answer
+	// (a readiness probe) can read /v1/stats at once.
+	var hs *http.Server
+	if *httpAddr != "" {
+		hln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			return err
+		}
+		hs = &http.Server{
+			Handler:      srv.Handler(),
+			ReadTimeout:  10 * time.Second,
+			WriteTimeout: 30 * time.Second,
+		}
+		logger.Printf("http: listening on %s", hln.Addr())
+		go func() { errCh <- hs.Serve(hln) }()
+	}
+
 	if *addr != "" {
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
@@ -245,18 +262,6 @@ func run(args []string) error {
 		}
 		logger.Printf("tcp: listening on %s", ln.Addr())
 		go func() { errCh <- srv.Serve(ln) }()
-	}
-
-	var hs *http.Server
-	if *httpAddr != "" {
-		hs = &http.Server{
-			Addr:         *httpAddr,
-			Handler:      srv.Handler(),
-			ReadTimeout:  10 * time.Second,
-			WriteTimeout: 30 * time.Second,
-		}
-		logger.Printf("http: listening on %s", *httpAddr)
-		go func() { errCh <- hs.ListenAndServe() }()
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -2,8 +2,9 @@
 // sides of the offline/online split — the parallelization question the
 // paper raises in §5.
 //
-// Build: the offline phase shards across workers (plan/execute/merge
-// pipeline); the example times 1/2/4/8 workers and verifies that every
+// Build: the offline phase computes the vicinities across workers and
+// installs them in scope order, then fills the landmark rows across
+// workers; the example times 1/2/4/8 workers and verifies that every
 // worker count produces a byte-identical serialized oracle.
 //
 // Query: the oracle is immutable after build, so queries scale across

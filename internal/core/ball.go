@@ -26,8 +26,8 @@ const NoDist = traverse.NoDist
 // the boundary tail.
 //
 // The slices alias the workspace's reusable buffers and are valid only
-// until the workspace's next search: the parallel build appends them to
-// its worker shard immediately, and the update path detaches a copy.
+// until the workspace's next search, so computeVicinities detaches a
+// copy of each before the install.
 type vicResult struct {
 	code     []uint32
 	dists    []uint32 // weighted only
@@ -37,9 +37,10 @@ type vicResult struct {
 	nearest  uint32
 }
 
-// buildWS is the per-worker scratch state for vicinity construction.
-// Entry buffers are reused across nodes; one worker's results must be
-// consumed (shard-appended or detached) before its next search.
+// buildWS is the per-worker scratch state for vicinity construction
+// and for the update's truncated searches (ball). Entry buffers are
+// reused across nodes; one worker's result must be detached before its
+// next search.
 type buildWS struct {
 	nm      *traverse.NodeMap // distance during the search
 	settled *traverse.NodeMap // Dijkstra settle marks (weighted only)
@@ -223,6 +224,54 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResu
 	return ws.result(true, boundLen, r, nearest)
 }
 
+// ball visits every node of g within rmax of src and calls visit with
+// the node and its distance, which nm holds afterwards: a truncated BFS
+// on unweighted graphs, visiting nodes as they are discovered, and a
+// truncated Dijkstra on weighted ones, visiting nodes as they settle.
+// The update's affected set is made of these searches (affectedNodes,
+// classifyDeletions).
+func (ws *buildWS) ball(g *graph.Graph, src, rmax uint32, nm *traverse.NodeMap, visit func(x, d uint32)) {
+	nm.Reset()
+	nm.Set(src, 0, graph.NoNode)
+	if !g.Weighted() {
+		q := ws.q
+		q.Reset()
+		q.Push(src)
+		visit(src, 0)
+		for !q.Empty() {
+			x := q.Pop()
+			dx := nm.Dist(x)
+			if dx >= rmax {
+				continue
+			}
+			for _, y := range g.Neighbors(x) {
+				if !nm.Has(y) {
+					nm.Set(y, dx+1, x)
+					visit(y, dx+1)
+					q.Push(y)
+				}
+			}
+		}
+		return
+	}
+	// Keys pop in nondecreasing order, so a popped node never improves
+	// again and needs no settle mark.
+	h := ws.h
+	h.Reset()
+	h.Push(src, 0)
+	for !h.Empty() {
+		x, dx := h.Pop()
+		visit(x, dx)
+		wts := g.NeighborWeights(x)
+		for i, y := range g.Neighbors(x) {
+			if nd := traverse.SatAdd(dx, wts[i]); nd <= rmax && nd < nm.Dist(y) {
+				nm.Set(y, nd, x)
+				h.Push(y, nd)
+			}
+		}
+	}
+}
+
 // partition moves the entries isBoundary selects to the tail and
 // returns the size of the boundary tail. Order within either part is
 // not kept: the caller sorts both.
@@ -240,9 +289,8 @@ func (ws *buildWS) partition(isBoundary func(i int) bool) uint32 {
 	return uint32(len(ws.keys) - h)
 }
 
-// detach copies the result out of its workspace's reusable buffers so
-// it survives the workspace's next search. The update path uses it to
-// collect repaired vicinities before installing them.
+// detach copies the result out of its workspace's reusable buffers into
+// buffers of its own size, so it survives the workspace's next search.
 func (res vicResult) detach() vicResult {
 	res.code = append([]uint32(nil), res.code...)
 	res.dists = append([]uint32(nil), res.dists...)

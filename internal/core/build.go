@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,81 +18,71 @@ import (
 // every in-scope vicinity with its boundary, and compute the per-landmark
 // full distance tables.
 //
-// The pipeline has three stages — plan, execute, merge — sharded across
-// opts.Workers goroutines:
+// A build is an update of an empty oracle in which every in-scope
+// non-landmark node is affected, and its vicinity stages are the ones
+// ApplyUpdates runs:
 //
-//   - Plan: sample landmarks (deterministic in opts.Seed) and fix the
-//     scope, the ordered node list whose vicinities are built.
-//   - Execute: workers pull scope indexes from a shared counter and run
-//     each node's truncated BFS/Dijkstra with per-worker scratch, which
-//     also sorts the vicinity's runs by id and codes them (boundary
-//     members last), appending the coded table and, when weighted, its
-//     distances to a worker-private u32map.Shard and recording
-//     shard-local ranges per node.
-//   - Merge: prefix sums over the scope order assign every node its
-//     final range in the shared flat arenas; workers then copy the
-//     shards into place (disjoint destination ranges).
+//   - Plan: sample landmarks (deterministic in opts.Seed), set up the
+//     per-node state (growNodes) and list the nodes to build, the
+//     scope's non-landmarks in scope order.
+//   - Vicinities: workers pull nodes from a shared counter and run each
+//     node's truncated BFS/Dijkstra with per-worker scratch, which also
+//     sorts the vicinity's runs by id and codes them (boundary members
+//     last); each result is copied out of the scratch
+//     (computeVicinities).
+//   - Install: the results are appended to the empty arena in scope
+//     order, which is sized once from their totals (writeVicinities).
 //
 // The result is bit-identical for every worker count: a node's vicinity
-// content depends only on the graph and landmark set, and the merged
-// layout depends only on the scope order — which shard staged a node,
-// and in what order, cancels out in the rebase. The determinism test
-// matrix in determinism_test.go enforces this byte-for-byte on the
-// serialized form. Landmark tables follow: on unweighted graphs one
-// bit-parallel BFS pass fills the rows of 64 landmarks, on weighted
-// graphs each landmark runs its own Dijkstra, and the workers share the
-// passes (see buildLandmarkTables).
+// content depends only on the graph and landmark set, and the arena
+// layout only on the scope order, not on which worker computed a node.
+// The determinism test matrix in determinism_test.go enforces this
+// byte-for-byte on the serialized form. Landmark tables follow: on
+// unweighted graphs one bit-parallel BFS pass fills the rows of 64
+// landmarks, on weighted graphs each landmark runs its own Dijkstra, and
+// the workers share the passes (see buildLandmarkTables).
 func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 	opts, err := opts.withDefaults(g)
 	if err != nil {
 		return nil, err
 	}
-	// Plan: landmark set, per-node landmark index, scope.
 	start := time.Now()
-	n := g.NumNodes()
 	o := &Oracle{
 		g:         g,
 		opts:      opts,
 		landmarks: sampleLandmarks(g, opts),
-		isL:       make([]bool, n),
-		lidx:      make([]int32, n),
-		radius:    make([]uint32, n),
-		nearest:   make([]uint32, n),
+		arena:     &u32map.Arena{Leveled: !g.Weighted()},
+		chain:     &updateChain{},
+		fbPool:    newWorkspacePool(g),
+		kpPool:    newKPathsPool(g),
 	}
-	o.fbPool = newWorkspacePool(g)
-	o.kpPool = newKPathsPool(g)
-	o.chain = &updateChain{}
-	for i := range o.lidx {
-		o.lidx[i] = -1
-		o.radius[i] = NoDist
-		o.nearest[i] = graph.NoNode
-	}
+	n := g.NumNodes()
+	o.growNodes(n)
 	for i, l := range o.landmarks {
 		o.isL[l] = true
 		o.lidx[l] = int32(i)
 	}
-	scope := opts.Nodes
-	if scope == nil {
-		scope = make([]uint32, n)
-		for i := range scope {
-			scope[i] = uint32(i)
+	nodes := slices.Clone(opts.Nodes)
+	if nodes == nil {
+		nodes = make([]uint32, n)
+		for i := range nodes {
+			nodes[i] = uint32(i)
 		}
 	}
+	// Landmarks answer from their full table and get no vicinity.
+	nodes = slices.DeleteFunc(nodes, func(u uint32) bool { return o.isL[u] })
 	o.timings.Plan = time.Since(start)
 
-	// Execute: vicinities into per-worker shards.
 	start = time.Now()
-	metas, shards := o.executeVicinities(scope)
+	results := o.computeVicinities(g, nodes)
 	o.timings.Vicinities = time.Since(start)
 
-	// Merge: stitch the shards into the flat arena layout.
 	start = time.Now()
-	if err := o.mergeVicinities(scope, metas, shards); err != nil {
+	if err := o.writeVicinities(nodes, results); err != nil {
 		return nil, err
 	}
 	o.timings.Merge = time.Since(start)
 
-	// Landmark tables (parallel over batches of in-scope landmarks).
 	start = time.Now()
 	o.buildLandmarkTables(g.Weighted())
 	o.timings.Landmarks = time.Since(start)
@@ -102,10 +93,13 @@ func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 // reported by Oracle.BuildTimings for build-time diagnostics (loaded
 // oracles report zeros). It is not persisted.
 type BuildTimings struct {
-	Plan       time.Duration // landmark sampling + scope setup
-	Vicinities time.Duration // sharded per-node truncated searches
-	Merge      time.Duration // prefix sums + shard stitch into flat arenas
-	Landmarks  time.Duration // full distance rows of the landmarks
+	Plan       time.Duration // landmark sampling and per-node setup
+	Vicinities time.Duration // the per-node truncated searches, across the workers
+	// Merge times the install of the vicinities in the arena, in scope
+	// order. It keeps the name of the shard merge the install replaced,
+	// which perfbench reports as core.build_merge_s.
+	Merge     time.Duration
+	Landmarks time.Duration // full distance rows of the landmarks
 }
 
 // Total returns the summed stage durations.
@@ -115,7 +109,7 @@ func (b BuildTimings) Total() time.Duration {
 
 // String formats the breakdown for logs.
 func (b BuildTimings) String() string {
-	return fmt.Sprintf("plan %v, vicinities %v, merge %v, landmark tables %v",
+	return fmt.Sprintf("plan %v, vicinities %v, install %v, landmark tables %v",
 		b.Plan.Round(time.Millisecond), b.Vicinities.Round(time.Millisecond),
 		b.Merge.Round(time.Millisecond), b.Landmarks.Round(time.Millisecond))
 }
@@ -124,141 +118,83 @@ func (b BuildTimings) String() string {
 // produced this oracle (zeros for loaded or updated snapshots).
 func (o *Oracle) BuildTimings() BuildTimings { return o.timings }
 
-// vicMeta locates one scope node's phase-1 output inside its worker's
-// shard: the shard-local word and distance offsets, the table's word
-// and entry counts, and the boundary length. Radius and nearest land in
-// their final per-node arrays directly during execution.
-type vicMeta struct {
-	shard    int32
-	wordOff  uint32
-	wordLen  uint32
-	entOff   uint32
-	entLen   uint32
-	boundLen uint32
+// growNodes extends every per-node array to newN, in fresh storage:
+// older snapshots share isL and lidx. New nodes start as non-landmarks
+// with no vicinity state. Build grows an empty oracle to its graph.
+func (o *Oracle) growNodes(newN int) {
+	if newN == len(o.radius) {
+		return
+	}
+	o.isL = grow(o.isL, newN, false)
+	o.lidx = grow(o.lidx, newN, -1)
+	o.radius = grow(o.radius, newN, NoDist)
+	o.nearest = grow(o.nearest, newN, graph.NoNode)
+	o.vicFlat = grow(o.vicFlat, newN, u32map.Flat{})
+	o.boundLen = grow(o.boundLen, newN, 0)
 }
 
-// executeVicinities runs the truncated searches for every scope node
-// across the configured workers. Scheduling is dynamic (an atomic
-// counter hands out scope indexes, so uneven vicinity sizes balance),
-// which means shard assignment varies run to run — the merge erases
-// that: only per-node content and the scope order reach the output.
-func (o *Oracle) executeVicinities(scope []uint32) ([]vicMeta, []*u32map.Shard) {
-	g := o.g
-	n := g.NumNodes()
+// grow returns a copy of s extended to n elements, the new ones set to
+// fill.
+func grow[E any](s []E, n int, fill E) []E {
+	out := make([]E, n)
+	for i := copy(out, s); i < n; i++ {
+		out[i] = fill
+	}
+	return out
+}
+
+// computeVicinities runs the truncated BFS/Dijkstra of §2.2 on g for
+// every node of nodes, across the configured workers, and copies each
+// result out of its worker's scratch. Build computes every in-scope
+// vicinity here, ApplyUpdates every affected one.
+func (o *Oracle) computeVicinities(g *graph.Graph, nodes []uint32) []vicResult {
+	results := make([]vicResult, len(nodes))
 	weighted := g.Weighted()
-	workers := o.opts.Workers
-	if workers > len(scope) {
-		workers = len(scope)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	metas := make([]vicMeta, len(scope))
-	shards := make([]*u32map.Shard, workers)
-	// Capacity hint from the paper's sizing model: E[|Γ(u)|] ≈ α·√n
-	// entries per node, spread evenly over the workers, coded at about a
-	// third of a word each. A hint only — shards still grow for graphs
-	// that deviate (flood vicinities) — but it removes most
-	// growth-reallocation on the expected path.
-	hint := int(float64(len(scope)) * o.opts.Alpha * math.Sqrt(float64(n)) / float64(workers))
-	const maxHint = 1 << 24 // keep the up-front bet bounded (64 MB/array)
-	if hint > maxHint {
-		hint = maxHint
-	}
-	for w := range shards {
-		shards[w] = &u32map.Shard{Words: make([]uint32, 0, hint/3)}
-		if weighted {
-			shards[w].Dists = make([]uint32, 0, hint)
-		}
-	}
-
-	type vicWorker struct {
-		w  int
-		ws *buildWS
-	}
-	parallelFor(workers, len(scope), func(w int) any {
-		return &vicWorker{w: w, ws: newBuildWS(n)}
+	n := g.NumNodes()
+	parallelFor(o.opts.Workers, len(nodes), func(int) any {
+		return newBuildWS(n)
 	}, func(state any, i int) {
-		vw := state.(*vicWorker)
-		u := scope[i]
-		if o.isL[u] {
-			return // landmarks answer from their full table
-		}
-		var res vicResult
+		ws := state.(*buildWS)
 		if weighted {
-			res = vicinityDijkstra(g, o.isL, vw.ws, u)
+			results[i] = vicinityDijkstra(g, o.isL, ws, nodes[i]).detach()
 		} else {
-			res = vicinityBFS(g, o.isL, vw.ws, u)
+			results[i] = vicinityBFS(g, o.isL, ws, nodes[i]).detach()
 		}
-		o.radius[u] = res.radius
-		o.nearest[u] = res.nearest
-		m := &metas[i]
-		m.shard = int32(vw.w)
-		m.wordLen, m.entLen = uint32(len(res.code)), res.entries
-		m.wordOff, m.entOff = shards[vw.w].Append(res.code, res.dists)
-		m.boundLen = res.boundLen
 	})
-	return metas, shards
+	return results
 }
 
-// mergeVicinities assembles the sharded phase-1 results into the
-// oracle's arena storage: prefix sums in scope order size the arena and
-// fix every node's final range, then a parallel pass copies each node's
-// shard range into place. The layout depends only on the scope order
-// and per-node sizes, never on shard assignment.
-func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*u32map.Shard) error {
-	n := o.g.NumNodes()
-	weighted := o.g.Weighted()
-
-	var totalWords, totalDists, widest uint64
-	for i := range metas {
-		m := &metas[i]
-		if m.entLen > 0 {
-			o.covered++
-		}
-		totalWords += uint64(m.wordLen)
-		widest = max(widest, uint64(m.wordLen))
-		if weighted {
-			totalDists += uint64(m.entLen)
-		}
+// writeVicinities installs the computed vicinities (boundary members
+// last, runs sorted and coded) in the order of nodes, appending them to
+// the arena after growing it once to hold them all. A build installs
+// into an empty arena, so its layout follows the scope order. An update
+// appends past the ranges older snapshots may still read, and the
+// tables it supersedes only count as waste.
+func (o *Oracle) writeVicinities(nodes []uint32, results []vicResult) error {
+	a := o.arena
+	words, dists, widest := uint64(len(a.Words)), uint64(len(a.Dists)), uint64(0)
+	for i := range results {
+		words += uint64(len(results[i].code))
+		dists += uint64(len(results[i].dists))
+		widest = max(widest, uint64(len(results[i].code)))
 	}
-	if err := checkArenaCapacity(totalWords, totalDists, widest); err != nil {
+	if err := checkArenaCapacity(words, dists, widest); err != nil {
 		return err
 	}
-
-	o.boundLen = make([]uint32, n)
-	o.arena = &u32map.Arena{
-		Words:   make([]uint32, totalWords),
-		Leveled: !weighted,
-	}
-	if weighted {
-		o.arena.Dists = make([]uint32, totalDists)
-	}
-	o.vicFlat = make([]u32map.Flat, n)
-
-	// Final arena ranges by prefix sum over the scope order.
-	at := make([]u32map.Range, len(metas))
-	var word, ent uint32
-	for i := range metas {
-		m := &metas[i]
-		at[i] = u32map.Range{WOff: word, WLen: m.wordLen, ELen: m.entLen}
-		word += m.wordLen
-		if weighted {
-			at[i].EOff = ent
-			ent += m.entLen
+	a.Words = slices.Grow(a.Words, int(words)-len(a.Words))
+	a.Dists = slices.Grow(a.Dists, int(dists)-len(a.Dists))
+	for i, x := range nodes {
+		res := &results[i]
+		if old := o.vicFlat[x]; old.Len() > 0 {
+			o.waste += uint64(old.Bytes() / 4)
+		} else {
+			o.covered++
 		}
-		o.boundLen[scope[i]] = m.boundLen
+		o.radius[x] = res.radius
+		o.nearest[x] = res.nearest
+		o.boundLen[x] = res.boundLen
+		o.vicFlat[x] = a.Add(res.code, res.dists, res.entries)
 	}
-
-	// Parallel copy into disjoint destination ranges.
-	parallelFor(o.opts.Workers, len(metas), func(int) any { return nil }, func(_ any, i int) {
-		m, r := &metas[i], at[i]
-		if m.entLen == 0 {
-			return
-		}
-		o.arena.CopyFromShard(r, shards[m.shard], m.wordOff, m.entOff)
-		o.vicFlat[scope[i]] = o.arena.View(r)
-	})
 	return nil
 }
 
@@ -266,8 +202,9 @@ func (o *Oracle) mergeVicinities(scope []uint32, metas []vicMeta, shards []*u32m
 // counts, whose widest table takes widest words, when any of them
 // overflows the offsets that hold it: the uint32 word and distance
 // offsets every Flat view and file range uses, and the table-local
-// block data offsets of a coded table (u32map.MaxTableWords). Build and
-// update both call it before writing, so neither can wrap an offset.
+// block data offsets of a coded table (u32map.MaxTableWords). The
+// install calls it before writing, so neither a build nor an update can
+// wrap an offset.
 func checkArenaCapacity(words, dists, widest uint64) error {
 	if words > math.MaxUint32 || dists > math.MaxUint32 {
 		return fmt.Errorf("core: %d vicinity words and %d distances overflow the 2^32-1 arena capacity",
@@ -353,9 +290,9 @@ func (o *Oracle) buildLandmarkTables(weighted bool) {
 
 // parallelFor runs fn(state, i) for i in [0,n) across workers goroutines.
 // Each worker gets its own state from newState(w), where w is the worker
-// index in [0, workers) — callers that keep per-worker output (shards)
-// index it by w. Work is handed out by an atomic counter so uneven item
-// costs balance automatically.
+// index in [0, workers) — callers that keep per-worker output (the
+// batch engine's cost tallies) index it by w. Work is handed out by an
+// atomic counter so uneven item costs balance automatically.
 func parallelFor(workers, n int, newState func(w int) any, fn func(state any, i int)) {
 	if n == 0 {
 		return

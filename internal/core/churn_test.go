@@ -181,7 +181,7 @@ func assertGroundTruthWeighted(t *testing.T, o *Oracle, trials int) {
 }
 
 // TestChurnMatrix is the central decremental property: across two
-// option profiles (subtests name the hash vicinity layout), a seeded
+// option profiles (subtests keep the retired hash layout's name), a seeded
 // sequence of mixed insert/delete/reweight batches keeps the oracle
 // structurally identical to a fresh build with the same landmarks and
 // byte-identical on the wire. Queries agree element by element, paths
@@ -193,7 +193,7 @@ func TestChurnMatrix(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{Seed: 7}},
-		{"compact-landmarks", Options{Seed: 7, Alpha: 1.5}}, // one-byte rows are the default; more of them here
+		{"compact-landmarks", Options{Seed: 7, Alpha: 1.5}}, // four-bit rows are the default; more of them here
 	}
 	for _, prof := range profiles {
 		opts := prof.opts

@@ -22,8 +22,8 @@ func oracleBytes(t *testing.T, o *Oracle) []byte {
 }
 
 // workerCounts is the matrix dimension every golden case is built
-// under: sequential, small, odd (uneven shard sizes), and
-// more-workers-than-typical-cores.
+// under: sequential, small, odd (the workers split the nodes and the
+// landmark batches unevenly), and more-workers-than-typical-cores.
 var workerCounts = []int{1, 2, 3, 8}
 
 // assertBuildDeterministic builds g under opts once per worker count
@@ -43,7 +43,8 @@ func assertBuildDeterministic(t *testing.T, g *graph.Graph, opts Options) {
 }
 
 // TestBuildDeterminismTableKinds is the golden determinism case for the
-// hash vicinity layout, the only one.
+// vicinity layout, the only one: sorted, block-coded runs. The subtest
+// keeps the name of the hash layout, which format version 4 retired.
 func TestBuildDeterminismTableKinds(t *testing.T) {
 	g := socialGraph(7, 400)
 	t.Run("hash", func(t *testing.T) {
@@ -57,7 +58,7 @@ func TestBuildDeterminismOptionMatrix(t *testing.T) {
 	g := socialGraph(9, 350)
 	cases := map[string]Options{
 		"defaults":          {Seed: 5},
-		"compact-landmarks": {Seed: 5, Alpha: 1.5}, // one-byte rows are the default; more of them here
+		"compact-landmarks": {Seed: 5, Alpha: 1.5}, // four-bit rows are the default; more of them here
 		"no-landmark-tabs":  {Seed: 5, DisableLandmarkTables: true},
 		"alpha-2":           {Seed: 5, Alpha: 2},
 		"sampling-uniform":  {Seed: 5, Sampling: SamplingUniform},
@@ -127,7 +128,7 @@ func TestSaveOmitsWorkerCount(t *testing.T) {
 
 // TestLoadSaveStable: loading a serialized oracle and re-serializing it
 // reproduces the same bytes (no hidden state drifts through a
-// round-trip of the hash layout).
+// round-trip of the coded layout).
 func TestLoadSaveStable(t *testing.T) {
 	g := socialGraph(5, 300)
 	t.Run("hash", func(t *testing.T) {

@@ -2,8 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
+	"vicinity/internal/gen"
 	"vicinity/internal/xrand"
 )
 
@@ -81,5 +85,33 @@ func TestMemoryCountsStoredArrays(t *testing.T) {
 				t.Fatalf("ByteSplit = %q, want %q", got, want)
 			}
 		})
+	}
+}
+
+// TestBuildStagesOnlyWhatItKeeps bounds what a build allocates by what
+// the oracle it returns stores: each vicinity is staged once, in a
+// buffer of its own size, and the arena is sized once before it takes
+// them. The levels of a path graph hold two keys each, the coding's
+// worst case. Not parallel: TotalAlloc counts every goroutine's
+// allocations. Skipped under the race detector, whose instrumented
+// build allocates the temporary of every append(s, make(...)...) — the
+// arena's growth and each table's records — which the compiler
+// otherwise elides.
+func TestBuildStagesOnlyWhatItKeeps(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("the race detector's instrumentation changes what a build allocates")
+	}
+	g := gen.Path(5000)
+	for _, w := range []int{1, 2, 8} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o := mustBuild(t, g, Options{Workers: w})
+		runtime.ReadMemStats(&after)
+		alloc, kept := after.TotalAlloc-before.TotalAlloc, uint64(o.Memory().TotalBytes)
+		if alloc > 3*kept {
+			t.Errorf("%d workers: the build allocated %d bytes, %.1f× the %d its oracle stores; at most 3× may be staged",
+				w, alloc, float64(alloc)/float64(kept), kept)
+		}
 	}
 }

@@ -159,11 +159,11 @@ func (o Options) withDefaults(g *graph.Graph) (Options, error) {
 	}
 	if o.Nodes != nil {
 		// Normalize the scope to a sorted set (copy; never mutate the
-		// caller's slice). A duplicate id would give one node two arena
-		// ranges, making the parallel merge racy and the layout depend
-		// on which copy wins; a canonical order also makes the built
-		// oracle independent of how the caller happened to order the
-		// scope.
+		// caller's slice). A duplicate id would be computed twice and
+		// installed twice, leaving a dead table in the arena; a canonical
+		// order also makes the built oracle, whose arena follows the
+		// scope order, independent of how the caller happened to order
+		// the scope.
 		nodes := append([]uint32(nil), o.Nodes...)
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 		out := nodes[:0]

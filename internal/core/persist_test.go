@@ -87,7 +87,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		pol  Policy
 	}{
 		"defaults":          {Options{Seed: 91}, PolicyDefault},
-		"compact-landmarks": {Options{Seed: 91, Alpha: 1.5}, PolicyDefault}, // one-byte rows are the default; more of them here
+		"compact-landmarks": {Options{Seed: 91, Alpha: 1.5}, PolicyDefault}, // four-bit rows are the default; more of them here
 		"no-landmark-tabs":  {Options{Seed: 91, DisableLandmarkTables: true}, PolicyDefault},
 		"estimate-fallback": {Options{Seed: 91}, PolicyEstimate},
 		"none-fallback":     {Options{Seed: 91}, PolicyTableOnly},

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"vicinity/internal/graph"
-	"vicinity/internal/heap"
 	"vicinity/internal/queue"
 	"vicinity/internal/traverse"
 	"vicinity/internal/u32map"
@@ -163,7 +162,7 @@ func (o *Oracle) ApplyUpdates(upd Update) (*Oracle, error) {
 	t.growNodes(newG.NumNodes())
 	t.repairLandmarkTables(newG, oldN, cs)
 	affected := t.affectedNodes(newG, oldN, cs)
-	results := t.rebuildVicinities(newG, affected)
+	results := t.computeVicinities(newG, affected)
 	if err := t.writeVicinities(affected, results); err != nil {
 		return nil, err
 	}
@@ -403,36 +402,6 @@ func (o *Oracle) cloneForUpdate() *Oracle {
 	// shared with the parent.
 	c.lrows = append([]lrow(nil), o.lrows...)
 	return &c
-}
-
-// growNodes extends every per-node array to newN. New nodes start as
-// non-landmarks with no vicinity state.
-func (t *Oracle) growNodes(newN int) {
-	oldN := len(t.radius)
-	if newN == oldN {
-		return
-	}
-	isL := make([]bool, newN)
-	copy(isL, t.isL)
-	t.isL = isL
-	lidx := make([]int32, newN)
-	copy(lidx, t.lidx)
-	radius := make([]uint32, newN)
-	copy(radius, t.radius)
-	nearest := make([]uint32, newN)
-	copy(nearest, t.nearest)
-	for u := oldN; u < newN; u++ {
-		lidx[u] = -1
-		radius[u] = NoDist
-		nearest[u] = graph.NoNode
-	}
-	t.lidx, t.radius, t.nearest = lidx, radius, nearest
-	vicFlat := make([]u32map.Flat, newN)
-	copy(vicFlat, t.vicFlat)
-	t.vicFlat = vicFlat
-	boundLen := make([]uint32, newN)
-	copy(boundLen, t.boundLen)
-	t.boundLen = boundLen
 }
 
 // Phase-A/B mark states for the decremental landmark repair.
@@ -904,79 +873,23 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 	// endpoint is affected iff d <= r(x). (r = NoDist compares as +inf,
 	// correctly catching flood nodes near an endpoint; the probe below
 	// catches the rest of their component.)
-	nm := traverse.NewNodeMap(newN)
-	if newG.Weighted() {
-		settled := traverse.NewNodeMap(newN)
-		h := heap.NewMin(newN)
-		search := func(g *graph.Graph, eps []uint32) {
-			for _, e := range eps {
-				nm.Reset()
-				settled.Reset()
-				h.Reset()
-				nm.Set(e, 0, graph.NoNode)
-				h.Push(e, 0)
-				for !h.Empty() {
-					x, dx := h.Pop()
-					if settled.Has(x) {
-						continue
-					}
-					if dx > rmax {
-						break
-					}
-					settled.Set(x, 0, 0)
-					if dx <= t.radius[x] {
-						add(x)
-					}
-					adj := g.Neighbors(x)
-					wts := g.NeighborWeights(x)
-					for i, y := range adj {
-						if settled.Has(y) {
-							continue
-						}
-						nd := traverse.SatAdd(dx, wts[i])
-						if nd > rmax {
-							continue
-						}
-						if old := nm.Dist(y); nd < old {
-							nm.Set(y, nd, x)
-							h.Push(y, nd)
-						}
-					}
-				}
-			}
+	ws := newBuildWS(newN)
+	within := func(x, d uint32) {
+		if d <= t.radius[x] {
+			add(x)
 		}
+	}
+	search := func(g *graph.Graph, eps []uint32) {
+		for _, e := range eps {
+			ws.ball(g, e, rmax, ws.nm, within)
+		}
+	}
+	if newG.Weighted() {
 		search(oldG, upEps)
 		search(newG, downEps)
 	} else {
-		q := queue.NewU32(256)
-		search := func(g *graph.Graph, eps []uint32) {
-			for _, e := range eps {
-				nm.Reset()
-				q.Reset()
-				nm.Set(e, 0, graph.NoNode)
-				add(e)
-				q.Push(e)
-				for !q.Empty() {
-					x := q.Pop()
-					dx := nm.Dist(x)
-					if dx >= rmax {
-						continue
-					}
-					for _, y := range g.Neighbors(x) {
-						if nm.Has(y) {
-							continue
-						}
-						nm.Set(y, dx+1, x)
-						if dx+1 <= t.radius[y] {
-							add(y)
-						}
-						q.Push(y)
-					}
-				}
-			}
-		}
 		search(newG, downEps)
-		t.classifyDeletions(oldG, cs.del, rmax, add)
+		t.classifyDeletions(oldG, cs.del, rmax, ws, add)
 	}
 
 	// Flood vicinities hold their whole component, so membership of any
@@ -1023,66 +936,40 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 // Per-edge truncated BFS pairs on the OLD graph supply du and dv
 // (unreached within rmax ⇒ farther than every radius ⇒ NoDist, which
 // the comparisons treat as +inf; flood vicinities with radius NoDist
-// rebuild whenever the classification cannot prove equality). The
-// weighted path keeps the conservative per-endpoint ball rule. It was
-// needed while a weighted table kept Dijkstra's settle order, which
+// rebuild whenever the classification cannot prove equality).
+//
+// The weighted path keeps the conservative per-endpoint ball rule. It
+// was needed while a weighted table kept Dijkstra's settle order, which
 // heap layout decides among equal distances and a deleted edge can
 // perturb when no distance changes. Tables are now sorted by id within
-// each run, so that dependence is gone and the rule could be
-// sharpened; it has not been yet.
+// each run, so that dependence is gone and the rule could be sharpened;
+// it has not been yet.
 //
 // Correctness under batches: marks are a union. If x's final trace
 // differs, take the closest member y whose distance changed — the old
 // shortest path to y breaks at some deleted edge strictly inside the
-// old ball, and that edge classifies as rebuild for x. Insertions in the same batch mark x through the new-graph search
-// above whenever they could interact with the stored ball.
-func (t *Oracle) classifyDeletions(oldG *graph.Graph, del []delEdge, rmax uint32, add func(uint32)) {
+// old ball, and that edge classifies as rebuild for x. Insertions in
+// the same batch mark x through the new-graph search whenever they
+// could interact with the stored ball.
+func (t *Oracle) classifyDeletions(oldG *graph.Graph, del []delEdge, rmax uint32, ws *buildWS, add func(uint32)) {
 	if len(del) == 0 {
 		return
 	}
 	n := oldG.NumNodes()
 	mu := traverse.NewNodeMap(n)
 	mv := traverse.NewNodeMap(n)
-	q := queue.NewU32(256)
 	reached := make([]uint32, 0, 1024)
-	bfs := func(m *traverse.NodeMap, src uint32) {
-		m.Reset()
-		q.Reset()
-		m.Set(src, 0, graph.NoNode)
-		reached = append(reached, src)
-		q.Push(src)
-		for !q.Empty() {
-			x := q.Pop()
-			dx := m.Dist(x)
-			if dx >= rmax {
-				continue
-			}
-			for _, y := range oldG.Neighbors(x) {
-				if m.Has(y) {
-					continue
-				}
-				m.Set(y, dx+1, x)
-				reached = append(reached, y)
-				q.Push(y)
-			}
-		}
-	}
+	reach := func(x, _ uint32) { reached = append(reached, x) }
 	for _, e := range del {
 		reached = reached[:0]
-		bfs(mu, e.u)
+		ws.ball(oldG, e.u, rmax, mu, reach)
 		fromV := len(reached)
-		bfs(mv, e.v)
+		ws.ball(oldG, e.v, rmax, mv, reach)
 		for i, x := range reached {
 			if i >= fromV && mu.Has(x) {
 				continue // already classified during the u-side pass
 			}
-			du, dv := NoDist, NoDist
-			if mu.Has(x) {
-				du = mu.Dist(x)
-			}
-			if mv.Has(x) {
-				dv = mv.Dist(x)
-			}
+			du, dv := mu.Dist(x), mv.Dist(x)
 			lo, hi := min(du, dv), max(du, dv)
 			// Rebuild only on a tight in-ball edge; r == NoDist (a flood
 			// vicinity) holds every reached node.
@@ -1091,56 +978,6 @@ func (t *Oracle) classifyDeletions(oldG *graph.Graph, del []delEdge, rmax uint32
 			}
 		}
 	}
-}
-
-// rebuildVicinities recomputes Γ(x) on the updated graph for every
-// affected node, with the same truncated BFS/Dijkstra the offline phase
-// uses.
-func (t *Oracle) rebuildVicinities(newG *graph.Graph, affected []uint32) []vicResult {
-	results := make([]vicResult, len(affected))
-	weighted := newG.Weighted()
-	n := newG.NumNodes()
-	parallelFor(t.opts.Workers, len(affected), func(int) any {
-		return newBuildWS(n)
-	}, func(state any, i int) {
-		ws := state.(*buildWS)
-		if weighted {
-			results[i] = vicinityDijkstra(newG, t.isL, ws, affected[i]).detach()
-		} else {
-			results[i] = vicinityBFS(newG, t.isL, ws, affected[i]).detach()
-		}
-	})
-	return results
-}
-
-// writeVicinities installs the recomputed vicinities (boundary members
-// last, runs sorted and coded, as built) by appending them to the
-// arena: old snapshots may still read the superseded ranges, which only
-// count as waste.
-func (t *Oracle) writeVicinities(affected []uint32, results []vicResult) error {
-	a := t.arena
-	words, dists, widest := uint64(len(a.Words)), uint64(len(a.Dists)), uint64(0)
-	for i := range affected {
-		words += uint64(len(results[i].code))
-		dists += uint64(len(results[i].dists))
-		widest = max(widest, uint64(len(results[i].code)))
-	}
-	if err := checkArenaCapacity(words, dists, widest); err != nil {
-		return err
-	}
-	for i, x := range affected {
-		res := &results[i]
-		if old := t.vicFlat[x]; old.Len() > 0 {
-			t.waste += uint64(old.Bytes() / 4)
-		} else {
-			t.covered++
-		}
-		t.radius[x] = res.radius
-		t.nearest[x] = res.nearest
-		t.boundLen[x] = res.boundLen
-		t.vicFlat[x] = a.Add(res.code, res.dists, res.entries)
-	}
-	return nil
 }
 
 // maybeCompact squeezes out superseded ranges once they dominate the

@@ -173,7 +173,7 @@ func TestUpdateOptionMatrix(t *testing.T) {
 		opts Options
 		pol  Policy
 	}{
-		"compact-landmarks": {Options{Seed: 3, Alpha: 1.5}, PolicyDefault}, // one-byte rows are the default; more of them here
+		"compact-landmarks": {Options{Seed: 3, Alpha: 1.5}, PolicyDefault}, // four-bit rows are the default; more of them here
 		"no-landmark-tabs":  {Options{Seed: 3, DisableLandmarkTables: true}, PolicyDefault},
 		"fallback-none":     {Options{Seed: 3}, PolicyTableOnly},
 		"fallback-estimate": {Options{Seed: 3}, PolicyEstimate},
