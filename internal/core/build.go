@@ -219,12 +219,12 @@ func checkArenaCapacity(words, dists, widest uint64) error {
 
 // buildLandmarkTables runs the final stage: a full distance row for
 // every wanted landmark (all of them, or the in-scope ones of a scoped
-// build), in landmark order (see Oracle.lpos), each at the width its
-// distances need (see lrow). Unweighted graphs fill the rows 64
-// landmarks per bit-parallel BFS pass (msbfs), one batch per task;
-// weighted graphs run one Dijkstra per landmark. Rows and their widths
-// depend only on the graph, so neither the batching nor the worker
-// count reaches the output.
+// build), in landmark order (see Oracle.lpos), each in the form of
+// fewest bytes (see lrow). Unweighted graphs fill the rows 64 landmarks
+// per bit-parallel BFS pass (msbfs), one batch per task; weighted graphs
+// run one Dijkstra per landmark. Rows and their forms depend only on the
+// graph, so neither the batching nor the worker count reaches the
+// output.
 func (o *Oracle) buildLandmarkTables(weighted bool) {
 	o.lpos = make([]int32, len(o.landmarks))
 	for i := range o.lpos {
@@ -261,30 +261,69 @@ func (o *Oracle) buildLandmarkTables(weighted bool) {
 		})
 		return
 	}
-	// Unweighted rows start as nibbles. MS-BFS levels only ascend, so a
+	// Unweighted rows are staged in nibbleForm, in buffers each worker
+	// reuses from batch to batch, and the pass counts each row's nodes
+	// per distance, the chooser's input. MS-BFS levels only ascend, so a
 	// row that reaches level maxNibble+1 widens once, mid-pass, and stays
-	// wide.
+	// wide. Once the pass ends, each row takes its chosen form: a staged
+	// row is packed by table (or copied, should four bits from 0 win),
+	// and a row that stays wide keeps the array it widened into.
 	const batch = 64 // sources per pass: the bits of one uint64
+	type stage struct {
+		m    *msbfs
+		nibs [batch][]uint32
+		cnt  [maxNibble + 1][batch]uint32 // cnt[d][j]: row j's nodes at distance d
+	}
 	parallelFor(o.opts.Workers, (len(srcs)+batch-1)/batch, func(int) any {
-		return newMSBFS(n)
+		return &stage{m: newMSBFS(n)}
 	}, func(state any, b int) {
-		lo, hi := b*batch, min(b*batch+batch, len(srcs))
-		for j := lo; j < hi; j++ {
-			o.lrows[j] = newNibbleRow(n)
+		st := state.(*stage)
+		rows := o.lrows[b*batch : min(b*batch+batch, len(srcs))]
+		for j := range rows {
+			if st.nibs[j] == nil {
+				st.nibs[j] = make([]uint32, codeWords(n, nibbleForm.k))
+			}
+			for i := range st.nibs[j] {
+				st.nibs[j][i] = ^uint32(0) // every code the escape
+			}
+			rows[j] = newRow(nibbleForm, st.nibs[j], nil, nil)
 		}
-		state.(*msbfs).run(o.g, srcs[lo:hi], func(v uint32, set uint64, d uint32) {
+		st.cnt = [maxNibble + 1][batch]uint32{}
+		st.m.run(o.g, srcs[b*batch:b*batch+len(rows)], func(v uint32, set uint64, d uint32) {
+			if d > maxNibble {
+				for ; set != 0; set &= set - 1 {
+					row := &rows[bits.TrailingZeros64(set)]
+					if row.k != wideK {
+						row.widen(n)
+					}
+					row.codes[v] = d
+				}
+				return
+			}
+			// No row has widened yet, and v's staged code is still the
+			// escape, 0xF: clearing the bits d lacks writes d.
+			i, clr, cnt := v>>3, (0xF^d)<<(v&7*4), &st.cnt[d]
 			for ; set != 0; set &= set - 1 {
-				row := &o.lrows[lo+bits.TrailingZeros64(set)]
-				if row.wide == nil && d > maxNibble {
-					row.widen(n)
-				}
-				if row.wide != nil {
-					row.wide[v] = d
-				} else {
-					row.set(v, d)
-				}
+				j := bits.TrailingZeros64(set)
+				rows[j].codes[i] &^= clr
+				cnt[j]++
 			}
 		})
+		for j := range rows {
+			if rows[j].k == wideK {
+				rows[j] = rows[j].rechosen(n)
+				continue
+			}
+			var levels []level
+			for d := range st.cnt {
+				if c := st.cnt[d][j]; c > 0 {
+					levels = append(levels, level{uint32(d), c})
+				}
+			}
+			if rows[j] = rows[j].rechoose(n, levels); rows[j].rowForm == nibbleForm {
+				rows[j].codes = slices.Clone(rows[j].codes) // the stage keeps its buffer
+			}
+		}
 	})
 }
 

@@ -12,13 +12,13 @@ import (
 )
 
 // storedBytes sums the arrays o holds, independently of Memory: the
-// arena's coded tables and distances, plus every landmark row at its
-// width.
+// arena's coded tables and distances, plus every landmark row's code
+// words and exception nodes and distances.
 func storedBytes(o *Oracle) (vicinity, landmark int64) {
 	a := o.arena
 	vicinity = 4 * int64(len(a.Words)+len(a.Dists))
 	for _, row := range o.lrows {
-		landmark += int64(len(row.nib)) + 4*int64(len(row.wide))
+		landmark += 4 * int64(len(row.codes)+len(row.xnode)+len(row.xdist))
 	}
 	return vicinity, landmark
 }
@@ -79,8 +79,14 @@ func TestMemoryCountsStoredArrays(t *testing.T) {
 			if len(o.lrows) > 0 && ms.WideLandmarkRows != 0 && !o.Graph().Weighted() {
 				t.Fatalf("%d wide rows on a social graph", ms.WideLandmarkRows)
 			}
-			want := fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d at 4 bits, %d at 32)",
-				float64(vic+lm)/1e6, float64(vic)/1e6, float64(lm)/1e6, len(o.lrows)-ms.WideLandmarkRows, ms.WideLandmarkRows)
+			forms := map[uint8]int{}
+			exceptions := 0
+			for _, row := range o.lrows {
+				forms[row.k]++
+				exceptions += len(row.xnode)
+			}
+			want := fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d at 2 bits, %d at 4, %d at 32; %d exceptions)",
+				float64(vic+lm)/1e6, float64(vic)/1e6, float64(lm)/1e6, forms[2], forms[4], forms[32], exceptions)
 			if got := ms.ByteSplit(); got != want {
 				t.Fatalf("ByteSplit = %q, want %q", got, want)
 			}

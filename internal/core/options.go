@@ -16,8 +16,9 @@
 // outside Γ(u). Unweighted tables keep their members in BFS level
 // order, so a member's distance is implied by the level it sits in,
 // and each sorted run is block-coded (u32map). Landmarks store a full
-// distance table over all nodes, four bits per node when the distances
-// fit.
+// distance table over all nodes, two or four bits per node from the
+// row's own base with an exception list when that is smaller than four
+// bytes per node (see lrow).
 // Nothing else is stored: a path's next hop is the first neighbor, in
 // adjacency order, one step closer by the stored distances (§3.1).
 //
@@ -119,9 +120,10 @@ type Options struct {
 	// DisableLandmarkTables skips the per-landmark full distance tables.
 	// Saves |L|·n entries; landmark-hit queries then resolve through
 	// vicinities or fallback. Used by the Figure 2 harnesses. Built rows
-	// take the width their data needs: four bits per node when every
-	// distance fits in 14 (all social-network hop distances), four
-	// bytes otherwise — the paper's §5 "reduce the memory requirements"
+	// take the form of fewest bytes: two or four bits per node from the
+	// row's own base, with the distances outside that window in an
+	// exception list (every social-network row is two-bit), or four
+	// bytes per node — the paper's §5 "reduce the memory requirements"
 	// question, answered without an option.
 	DisableLandmarkTables bool
 

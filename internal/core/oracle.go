@@ -20,8 +20,9 @@ import (
 // store one distance per entry and split a table into its interior and
 // its boundary tail; unweighted ones keep each table in BFS level
 // order, one run per level, which implies every member's distance.
-// Landmarks keep one dense distance row each, four bits per node when
-// the row's distances fit. Path hops are derived from these distances
+// Landmarks keep one dense distance row each, two or four bits per node
+// with a short exception list when that takes fewer bytes than four
+// bytes per node (see lrow). Path hops are derived from these distances
 // at query time (see path.go) rather than stored beside them. The
 // layout keeps one node's table contiguous in memory, leaves the
 // garbage collector a handful of large pointer-free arrays to scan, and
@@ -60,7 +61,7 @@ type Oracle struct {
 
 	// Per-landmark full tables. lpos maps a landmark index to its
 	// position p among built tables, or -1; lrows[p] is one landmark's
-	// dense length-n distance row, at the width its data needs (see
+	// dense length-n distance row, in the form of fewest bytes (see
 	// lrow). One row per landmark — rather than one |L|·n array — lets
 	// dynamic updates copy-on-write only the rows a new edge improves.
 	lpos  []int32
@@ -150,161 +151,8 @@ func (o *Oracle) landmarkDist(li int32, v uint32) uint32 {
 	return o.lrows[o.lpos[li]].at(v)
 }
 
-// Landmark-row widths. A nibble row stores four bits per node, two
-// nodes per byte (node v in the low half of byte v/2 when v is even),
-// with unreachable4 for NoDist, so it holds distances up to maxNibble.
-// A row of odd length pads its last byte's high half with unreachable4.
-const (
-	unreachable4 = 0xF
-	maxNibble    = unreachable4 - 1
-)
-
-// lrow is one landmark's dense distance row over all n nodes, stored at
-// the width its data needs: four bits per node when every finite
-// distance is at most maxNibble, wide (uint32, NoDist for unreachable)
-// otherwise. Exactly one of the two slices is set. Social graphs have
-// small diameters, so their rows are nibbles: an eighth of the wide
-// bytes. Two widths and not three: a byte width would serve only rows
-// whose largest distance runs from 15 to 254 — long paths and grids,
-// none of the social profiles the oracle is built for — while every
-// width costs a branch in at, a pack and a file section.
-type lrow struct {
-	nib  []uint8
-	wide []uint32
-}
-
-// at returns the row's distance to v.
-func (r lrow) at(v uint32) uint32 {
-	if r.wide != nil {
-		return r.wide[v]
-	}
-	if d := r.nib[v>>1] >> (v & 1 * 4) & unreachable4; d != unreachable4 {
-		return uint32(d)
-	}
-	return NoDist
-}
-
-// bytes returns the row's footprint.
-func (r lrow) bytes() int {
-	return len(r.nib) + 4*len(r.wide)
-}
-
-// span returns the number of nodes the row can answer for: its length,
-// rounded up to even on a nibble row, whose padding reads unreachable.
-func (r lrow) span() int {
-	return 2*len(r.nib) + len(r.wide)
-}
-
-// reader returns an accessor that also answers for nodes past the
-// row's end (added by an update): they are unreachable until repaired.
-func (r lrow) reader() func(v uint32) uint32 {
-	n := r.span()
-	return func(v uint32) uint32 {
-		if int(v) >= n {
-			return NoDist
-		}
-		return r.at(v)
-	}
-}
-
-// expand writes the row at full width into dst, which may be longer
-// than the row: nodes past its end (added by an update) are unreachable.
-func (r lrow) expand(dst []uint32) {
-	n := copy(dst, r.wide)
-	if r.nib != nil {
-		pairs := min(len(r.nib), len(dst)/2)
-		for i, b := range r.nib[:pairs] {
-			d := dst[2*i : 2*i+2 : 2*i+2]
-			d[0], d[1] = nibDist(b&unreachable4), nibDist(b>>4)
-		}
-		n = 2 * pairs
-		if n < len(dst) && pairs < len(r.nib) {
-			dst[n] = nibDist(r.nib[pairs] & unreachable4)
-			n++
-		}
-	}
-	for v := n; v < len(dst); v++ {
-		dst[v] = NoDist
-	}
-}
-
-// nibDist maps a stored four-bit entry to its distance, without a
-// branch: unreachable4 reads NoDist.
-func nibDist(x uint8) uint32 {
-	d := uint32(x)
-	return d | -((d + 1) >> 4)
-}
-
-// grown returns a copy of the row extended to n nodes, the new ones
-// unreachable, at the row's own width.
-func (r lrow) grown(n int) lrow {
-	if r.wide != nil {
-		wide := make([]uint32, n)
-		copy(wide, r.wide)
-		for v := len(r.wide); v < n; v++ {
-			wide[v] = NoDist
-		}
-		return lrow{wide: wide}
-	}
-	// The padding half of an odd row reads unreachable already.
-	nib := append(make([]uint8, 0, (n+1)/2), r.nib...)
-	for len(nib) < cap(nib) {
-		nib = append(nib, unreachable4<<4|unreachable4)
-	}
-	return lrow{nib: nib}
-}
-
-// newNibbleRow returns a nibble row of n unreachable entries.
-func newNibbleRow(n int) lrow {
-	row := make([]uint8, (n+1)/2)
-	for i := range row {
-		row[i] = unreachable4<<4 | unreachable4
-	}
-	return lrow{nib: row}
-}
-
-// set stores d, at most maxNibble, for node v of a nibble row.
-func (r lrow) set(v, d uint32) {
-	sh := v & 1 * 4
-	b := &r.nib[v>>1]
-	*b = *b&^(unreachable4<<sh) | uint8(d)<<sh
-}
-
-// widen converts a nibble row of n nodes to wide in place, for a
-// distance past maxNibble.
-func (r *lrow) widen(n int) {
-	wide := make([]uint32, n)
-	r.expand(wide)
-	r.nib, r.wide = nil, wide
-}
-
-// packRow stores dist (NoDist for unreachable) at the narrowest width
-// that holds it, in fresh storage: dist may be a caller's scratch row.
-// One pass packs the nibbles and notes whether some finite distance
-// exceeds maxNibble (d+1 wraps NoDist to 0, and min maps it to
-// unreachable4).
-func packRow(dist []uint32) lrow {
-	nib := make([]uint8, (len(dist)+1)/2)
-	var over uint32
-	for i := range len(dist) / 2 {
-		a, b := dist[2*i], dist[2*i+1]
-		over |= (a + 1) | (b + 1)
-		nib[i] = uint8(min(a, unreachable4)) | uint8(min(b, unreachable4))<<4
-	}
-	if len(dist)%2 == 1 {
-		a := dist[len(dist)-1]
-		over |= a + 1
-		nib[len(nib)-1] = uint8(min(a, unreachable4)) | unreachable4<<4
-	}
-	if over&^unreachable4 != 0 {
-		return lrow{wide: append([]uint32(nil), dist...)}
-	}
-	return lrow{nib: nib}
-}
-
-// Radius returns the vicinity radius d(u, l(u)) of u, or NoDist if u is
-// uncovered, is a landmark (radius 0 by convention is returned as 0), or
-// cannot reach any landmark.
+// Radius returns the vicinity radius d(u, l(u)) of u: 0 for a landmark,
+// and NoDist when u is uncovered or reaches no landmark.
 func (o *Oracle) Radius(u uint32) uint32 {
 	if o.isL[u] {
 		return 0

@@ -130,10 +130,22 @@ func (o *Oracle) landmarkChain(li int32, v uint32) ([]uint32, bool) {
 	if !o.hasLandmarkTable(li) {
 		return nil, false
 	}
-	return o.descend(v, o.landmarks[li], o.landmarkDist(li, v), func(cur, d uint32) (uint32, uint32) {
+	row := &o.lrows[o.lpos[li]]
+	return o.descend(v, o.landmarks[li], row.at(v), func(cur, d uint32) (uint32, uint32) {
 		wts := o.g.NeighborWeights(cur)
 		for i, w := range o.g.Neighbors(cur) {
-			if dw := o.landmarkDist(li, w); satAdd(dw, hopWeight(wts, i)) == d {
+			// The hop needs w's distance to be dw = d − wt. When dw has a
+			// code, only that code holds it; otherwise only the escape
+			// can, and then the exception must be dw. So the code decides
+			// every neighbor but an escaped one, with no call to at,
+			// which does not inline.
+			wt := hopWeight(wts, i)
+			if wt > d {
+				continue
+			}
+			dw := d - wt
+			c := min(dw-row.base, row.esc)
+			if row.code(w) == c && (c != row.esc || row.exception(w) == dw) {
 				return w, dw
 			}
 		}

@@ -23,7 +23,7 @@ import (
 // is one contiguous array of the in-memory representation, and a loaded
 // oracle round-trips bit-identically.
 //
-// Version 5 stores every fact in about the bits its data needs, and no
+// Version 6 stores every fact in about the bits its data needs, and no
 // index: each vicinity is one coded table (see u32map.AppendTable) of
 // runs sorted by node id, cut into blocks whose gaps are bit-packed at
 // the block's own width, and a loader decodes every run and checks its
@@ -36,20 +36,24 @@ import (
 // interior and its boundary tail and stores one distance per member
 // (section 12). Sections 27-29 hold the per-node table ranges and the
 // tables, sections 7-8 each node's distance offset (0 on unweighted
-// oracles) and member count. Each landmark row is four bits per node
-// when its distances fit (section 30, 0xF for unreachable, a row of odd
-// length padded with 0xF) and four bytes otherwise (section 19);
-// section 25 says which, in bits per node. Neither vicinity nor
-// landmark parents are written — paths derive from the distances. Files
-// of versions 1 to 4 fail with oraclefile.ErrVersion.
-const fileVersion = 5
+// oracles) and member count. Each landmark row is stored in its form
+// (see lrow): section 25 gives every row's bits per node k, 2 or 4 for
+// a coded row and 32 for a wide one; section 31 holds every row's code
+// words, ⌈n·k/32⌉ each, padded with the escape code; sections 32 and 33
+// give every row's base and exception count (0 on a wide row), and
+// sections 34 and 35 the exception nodes and distances, row after row.
+// Neither vicinity nor landmark parents are written — paths derive from
+// the distances. Files of versions 1 to 5 fail with
+// oraclefile.ErrVersion.
+const fileVersion = 6
 
 // Section tags, in file order. Tags 13, 16, 17 and 21 held version 1's
 // vicinity parents, boundary copies and landmark parents, tag 20
 // version 2's uint16 landmark rows, tags 9, 10 and 14 version 3's hash
-// slot index, and tags 11, 22-24 and 26 version 4's plain key arena, run
-// starts and one-byte landmark rows; they are not reused. The sections
-// added in version 3 and later store byte counts in their headers.
+// slot index, tags 11, 22-24 and 26 version 4's plain key arena, run
+// starts and one-byte landmark rows, and tags 19 and 30 version 5's
+// wide and four-bit rows; they are not reused. The sections added in
+// version 3 and later store byte counts in their headers.
 const (
 	secMeta      = 1  // u64s: flags and build options
 	secScope     = 2  // u32s: Options.Nodes (meaningful iff flagScope)
@@ -62,12 +66,15 @@ const (
 	secDists     = 12 // u32s: per-entry distances (weighted oracles only)
 	secBoundLen  = 15 // u32s[n]: |∂Γ(u)|, the last run of u's table
 	secLPos      = 18 // u32s[|L|]: landmark table position, or ^0 for none
-	secLDist     = 19 // u32s[wide·n]: the wide landmark rows, in row order
-	secLWidth    = 25 // bytes[built]: each row's width in bits per node, 4 or 32
+	secLWidth    = 25 // bytes[built]: each row's bits per node, 2, 4 or 32
 	secVicTblOff = 27 // u32s[n]: per-node coded table start
 	secVicTblLen = 28 // u32s[n]: per-node coded table length in words
 	secTables    = 29 // u32s: the coded tables
-	secLDist4    = 30 // bytes[nibble·⌈n/2⌉]: the nibble landmark rows, in row order
+	secLCodes    = 31 // u32s: the landmark rows' code words, ⌈n·k/32⌉ each, in row order
+	secLBase     = 32 // u32s[built]: each row's base (0 on a wide row)
+	secLExcLen   = 33 // u32s[built]: each row's exception count (0 on a wide row)
+	secLExcNode  = 34 // u32s: the exception nodes, row after row
+	secLExcDist  = 35 // u32s: the exception distances, row after row
 )
 
 // Meta flags.
@@ -155,23 +162,24 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	}
 	ow.U32s(secLPos, lpos)
 	widths := make([]byte, len(o.lrows))
-	var wide [][]uint32
-	var nib [][]uint8
+	bases := make([]uint32, len(o.lrows))
+	xlens := make([]uint32, len(o.lrows))
+	codes := make([][]uint32, len(o.lrows))
+	var xnode, xdist []uint32
 	for p, row := range o.lrows {
-		if row.wide != nil {
-			widths[p] = 32
-			wide = append(wide, row.wide)
-		} else {
-			widths[p] = 4
-			nib = append(nib, row.nib)
-		}
+		widths[p], bases[p], xlens[p], codes[p] = row.k, row.base, uint32(len(row.xnode)), row.codes
+		xnode = append(xnode, row.xnode...)
+		xdist = append(xdist, row.xdist...)
 	}
-	ow.U32Rows(secLDist, wide)
 	ow.Raw(secLWidth, widths)
 	ow.U32sBytes(secVicTblOff, cols[0])
 	ow.U32sBytes(secVicTblLen, cols[1])
 	ow.U32sBytes(secTables, arena.Words)
-	ow.U8Rows(secLDist4, nib)
+	ow.U32RowsBytes(secLCodes, codes)
+	ow.U32sBytes(secLBase, bases)
+	ow.U32sBytes(secLExcLen, xlens)
+	ow.U32sBytes(secLExcNode, xnode)
+	ow.U32sBytes(secLExcDist, xdist)
 
 	return ow.Close()
 }
@@ -292,10 +300,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	wideF, err := or.U32s(secLDist)
-	if err != nil {
-		return nil, err
-	}
 	widths, err := or.Raw(secLWidth)
 	if err != nil {
 		return nil, err
@@ -311,8 +315,20 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if arena.Words, err = or.U32sBytes(secTables); err != nil {
 		return nil, err
 	}
-	nibF, err := or.Raw(secLDist4)
-	if err != nil {
+	rows := rowSections{widths: widths}
+	if rows.codes, err = or.U32sBytes(secLCodes); err != nil {
+		return nil, err
+	}
+	if rows.bases, err = or.U32sBytes(secLBase); err != nil {
+		return nil, err
+	}
+	if rows.xlens, err = or.U32sBytes(secLExcLen); err != nil {
+		return nil, err
+	}
+	if rows.xnode, err = or.U32sBytes(secLExcNode); err != nil {
+		return nil, err
+	}
+	if rows.xdist, err = or.U32sBytes(secLExcDist); err != nil {
 		return nil, err
 	}
 	// Verify the checksum before trusting any of the data structurally.
@@ -321,18 +337,26 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	}
 
 	ranges := [][]uint32{tblOff, tblLen, entOff, entLen}
-	if err := o.restore(arena, ranges, lpos, widths, wideF, nibF); err != nil {
+	if err := o.restore(arena, ranges, lpos, rows); err != nil {
 		return nil, err
 	}
 	return o, nil
+}
+
+// rowSections holds the loaded landmark-row sections: per row its bits
+// per node, base and exception count, and the code words and the
+// exceptions of every row, concatenated in row order.
+type rowSections struct {
+	widths              []byte
+	bases, xlens        []uint32
+	codes, xnode, xdist []uint32
 }
 
 // restore validates the deserialized arrays and rebuilds the derived
 // in-memory state (landmark index, per-node views, per-landmark table
 // rows, workspace pool). ranges holds the per-node columns tblOff,
 // tblLen, entOff and entLen.
-func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
-	widths []byte, wideF []uint32, nibF []byte) error {
+func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32, rows rowSections) error {
 	n := o.g.NumNodes()
 	if len(o.radius) != n || len(o.nearest) != n {
 		return fmt.Errorf("%w: radius/nearest length", ErrBadOracleFile)
@@ -440,46 +464,52 @@ func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32,
 		}
 		seen[p] = true
 	}
-	// Rows: each width names the section its row lies in, and the
-	// sections hold exactly those rows. Rows are views into the loaded
-	// arrays, no copies; updates replace whole rows, never splice them.
-	if len(widths) != built {
-		return fmt.Errorf("%w: %d landmark row widths for %d rows", ErrBadOracleFile, len(widths), built)
-	}
-	var wideRows, nibRows uint64
-	for p, w := range widths {
-		switch w {
-		case 4:
-			nibRows++
-		case 32:
-			wideRows++
-		default:
-			return fmt.Errorf("%w: landmark row %d has width %d", ErrBadOracleFile, p, w)
-		}
-	}
-	half := (n + 1) / 2
-	if uint64(len(wideF)) != wideRows*uint64(n) || uint64(len(nibF)) != nibRows*uint64(half) {
-		return fmt.Errorf("%w: landmark row sections hold %d wide and %d nibble bytes, widths want %d and %d rows of %d nodes",
-			ErrBadOracleFile, len(wideF), len(nibF), wideRows, nibRows, n)
-	}
-	if built > 0 {
-		o.lrows = make([]lrow, built)
-	}
-	for p, w := range widths {
-		if w == 32 {
-			o.lrows[p].wide, wideF = wideF[:n:n], wideF[n:]
-			continue
-		}
-		o.lrows[p].nib, nibF = nibF[:half:half], nibF[half:]
-		// An update that adds a node reads the padding as its entry.
-		if n%2 == 1 && o.lrows[p].nib[half-1]>>4 != unreachable4 {
-			return fmt.Errorf("%w: landmark row %d pads its last byte with %#x", ErrBadOracleFile, p, o.lrows[p].nib[half-1]>>4)
-		}
+	if err := o.restoreRows(rows, built); err != nil {
+		return err
 	}
 
 	o.fbPool = newWorkspacePool(o.g)
 	o.kpPool = newKPathsPool(o.g)
 	o.chain = &updateChain{}
+	return nil
+}
+
+// restoreRows validates the loaded landmark rows and installs them as
+// views into the loaded arrays, no copies; updates replace whole rows
+// and exception lists, never splice them. The sections must hold
+// exactly the code words and exceptions the rows' widths and counts
+// name.
+func (o *Oracle) restoreRows(rows rowSections, built int) error {
+	n := o.g.NumNodes()
+	if len(rows.widths) != built || len(rows.bases) != built || len(rows.xlens) != built {
+		return fmt.Errorf("%w: %d landmark row widths, %d bases and %d exception counts for %d rows",
+			ErrBadOracleFile, len(rows.widths), len(rows.bases), len(rows.xlens), built)
+	}
+	var words, xlen uint64
+	for p, k := range rows.widths {
+		if k != 2 && k != 4 && k != wideK {
+			return fmt.Errorf("%w: landmark row %d has width %d", ErrBadOracleFile, p, k)
+		}
+		words += uint64(codeWords(n, k))
+		xlen += uint64(rows.xlens[p])
+	}
+	if uint64(len(rows.codes)) != words || uint64(len(rows.xnode)) != xlen || uint64(len(rows.xdist)) != xlen {
+		return fmt.Errorf("%w: landmark row sections hold %d code words and %d and %d exception nodes and distances; the rows want %d and %d",
+			ErrBadOracleFile, len(rows.codes), len(rows.xnode), len(rows.xdist), words, xlen)
+	}
+	if built > 0 {
+		o.lrows = make([]lrow, built)
+	}
+	codes, xnode, xdist := rows.codes, rows.xnode, rows.xdist
+	for p, k := range rows.widths {
+		w, x := codeWords(n, k), rows.xlens[p]
+		r := newRow(rowForm{k, rows.bases[p]}, codes[:w:w], xnode[:x:x], xdist[:x:x])
+		codes, xnode, xdist = codes[w:], xnode[x:], xdist[x:]
+		if err := r.check(n); err != nil {
+			return fmt.Errorf("%w: landmark row %d: %v", ErrBadOracleFile, p, err)
+		}
+		o.lrows[p] = r
+	}
 	return nil
 }
 

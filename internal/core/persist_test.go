@@ -320,15 +320,60 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 	corrupt("radius is not the top level", leveled(func(o *Oracle, u int, w []uint32) {
 		o.radius[u]++
 	}))
-	// A row one byte short leaves the nibble section out of step with
-	// the row widths.
+	// A code array one byte short leaves the codes section out of step
+	// with the row widths.
 	corrupt("row widths disagree with the sections", func(o *Oracle) {
-		o.lrows[0].nib = o.lrows[0].nib[1:]
+		o.lrows[0].codes = o.lrows[0].codes[1:]
 	})
-	// An update that adds a node reads an odd row's padding as the new
-	// node's entry, so it must read unreachable.
-	corruptOn(socialGraph(99, 201), "nibble row padding not unreachable", func(o *Oracle) {
-		o.lrows[0].nib[len(o.lrows[0].nib)-1] &= 0x0F
+	corrupt("row width other than 2, 4 or 32", func(o *Oracle) {
+		o.lrows[0].k = 8
+	})
+	// An update that adds a node reads the padding code after the last
+	// node as the new node's, so it must escape to an empty list.
+	corruptOn(socialGraph(99, 201), "padding code not the escape", func(o *Oracle) {
+		row := &o.lrows[0]
+		if row.span() == 201 {
+			t.Fatal("row of 201 nodes has no padding code")
+		}
+		row.setCode(201, 0)
+	})
+	// excepted finds a coded row with at least min exceptions.
+	excepted := func(o *Oracle, min int) *lrow {
+		for p := range o.lrows {
+			if row := &o.lrows[p]; len(row.xnode) >= min {
+				return row
+			}
+		}
+		t.Fatalf("no row with %d exceptions found to corrupt", min)
+		return nil
+	}
+	// An exception is read only where the code escapes, so an exception
+	// behind any other code would be dead data that answers differently
+	// once an update rewrites the code.
+	corrupt("exception at a node whose code is not the escape", func(o *Oracle) {
+		row := excepted(o, 1)
+		row.setCode(row.xnode[0], 0)
+	})
+	corrupt("exception distance inside the window", func(o *Oracle) {
+		row := excepted(o, 1)
+		row.xdist[0] = row.base
+	})
+	corrupt("exception distance unreachable", func(o *Oracle) {
+		row := excepted(o, 1)
+		row.xdist[0] = NoDist
+	})
+	// Lookups bisect the exception nodes.
+	corrupt("exception nodes not strictly increasing", func(o *Oracle) {
+		row := excepted(o, 2)
+		row.xnode[1] = row.xnode[0]
+	})
+	corrupt("exception node at n", func(o *Oracle) {
+		row := excepted(o, 1)
+		row.xnode[len(row.xnode)-1] = uint32(g.NumNodes())
+	})
+	corrupt("exception counts disagree with the sections", func(o *Oracle) {
+		row := excepted(o, 1)
+		row.xdist = row.xdist[1:]
 	})
 	corrupt("landmarks unsorted", func(o *Oracle) {
 		if len(o.landmarks) >= 2 {

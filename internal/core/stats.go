@@ -81,17 +81,20 @@ func (s BuildStats) String() string {
 // The byte counts cover every stored array: a vicinity's coded table —
 // its header, run and block records and packed gaps, the slack bits of
 // each block's last data word included — and, on weighted graphs, one
-// distance per entry, plus every landmark row at its width. There is
-// no index beside the tables.
+// distance per entry, plus every landmark row in its form: its codes
+// and exceptions, or its wide array. There is no index beside the
+// tables.
 type MemoryStats struct {
-	VicinityEntries    int64 // Σ_u |Γ(u)|
-	VicinityBytes      int64
-	LandmarkEntries    int64 // |L_built| · n
-	LandmarkBytes      int64
-	NibbleLandmarkRows int // rows stored at 4 bits per node
-	WideLandmarkRows   int // rows stored at 32 bits per node (a distance past maxNibble)
-	TotalEntries       int64
-	TotalBytes         int64
+	VicinityEntries     int64 // Σ_u |Γ(u)|
+	VicinityBytes       int64
+	LandmarkEntries     int64 // |L_built| · n
+	LandmarkBytes       int64
+	TwoBitLandmarkRows  int   // coded rows at 2 bits per node
+	FourBitLandmarkRows int   // coded rows at 4 bits per node
+	WideLandmarkRows    int   // rows stored at 32 bits per node
+	LandmarkExceptions  int64 // (node, distance) pairs beside the coded rows
+	TotalEntries        int64
+	TotalBytes          int64
 
 	// APSPEntries is n², the all-pairs table the paper compares against;
 	// SavingsFactor = APSPEntries / TotalEntries ("at least 550× less
@@ -123,10 +126,14 @@ func (o *Oracle) Memory() MemoryStats {
 	for _, row := range o.lrows {
 		ms.LandmarkEntries += int64(n)
 		ms.LandmarkBytes += int64(row.bytes())
-		if row.wide != nil {
+		ms.LandmarkExceptions += int64(len(row.xnode))
+		switch row.k {
+		case 2:
+			ms.TwoBitLandmarkRows++
+		case 4:
+			ms.FourBitLandmarkRows++
+		default:
 			ms.WideLandmarkRows++
-		} else {
-			ms.NibbleLandmarkRows++
 		}
 	}
 	ms.TotalEntries = ms.VicinityEntries + ms.LandmarkEntries
@@ -147,12 +154,12 @@ func (o *Oracle) Memory() MemoryStats {
 }
 
 // ByteSplit renders the stored bytes and their split in one line (MB
-// are 10^6 bytes), with the number of landmark rows at each width, for
-// logs.
+// are 10^6 bytes), with the number of landmark rows in each form and
+// their exceptions, for logs.
 func (ms MemoryStats) ByteSplit() string {
-	return fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d at 4 bits, %d at 32)",
+	return fmt.Sprintf("%.1f MB: vicinities %.1f MB, landmark rows %.1f MB (%d at 2 bits, %d at 4, %d at 32; %d exceptions)",
 		float64(ms.TotalBytes)/1e6, float64(ms.VicinityBytes)/1e6, float64(ms.LandmarkBytes)/1e6,
-		ms.NibbleLandmarkRows, ms.WideLandmarkRows)
+		ms.TwoBitLandmarkRows, ms.FourBitLandmarkRows, ms.WideLandmarkRows, ms.LandmarkExceptions)
 }
 
 // String renders the memory stats in one line.

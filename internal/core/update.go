@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"vicinity/internal/graph"
@@ -411,13 +412,16 @@ const (
 	lmSupported = 3 // keeps its old distance through a surviving supporter
 )
 
-// lmRepairWS is the per-worker scratch of the landmark-row repair. row
-// holds the row being repaired at full width, whatever width it is
-// stored at. The level buckets implement the monotone bucket queue both
-// the invalidation walk and the re-settle BFS need; mark/touched give
-// O(1) membership with O(touched) cleanup between rows.
+// lmRepairWS is the per-worker scratch of the landmark-row repair. xd
+// holds the exception distances of the row under repair by node (NoDist
+// for none, its state between rows) and xtouched the nodes whose entry
+// changed (see rowEdit). The level buckets implement the monotone
+// bucket queue both the invalidation walk and the re-settle BFS need;
+// mark/touched give O(1) membership with O(touched) cleanup between
+// rows.
 type lmRepairWS struct {
-	row      []uint32
+	xd       []uint32
+	xtouched []uint32
 	q        *queue.U32
 	mark     []uint8
 	touched  []uint32
@@ -427,7 +431,7 @@ type lmRepairWS struct {
 }
 
 func newLmRepairWS(n int) *lmRepairWS {
-	return &lmRepairWS{row: make([]uint32, n), q: queue.NewU32(256), mark: make([]uint8, n), bLo: math.MaxInt, bHi: -1}
+	return &lmRepairWS{xd: grow([]uint32(nil), n, NoDist), q: queue.NewU32(256), mark: make([]uint8, n), bLo: math.MaxInt, bHi: -1}
 }
 
 func (ws *lmRepairWS) pushBucket(v uint32, lvl int) {
@@ -472,10 +476,8 @@ func (ws *lmRepairWS) clear() {
 // invalidation and re-settle never read a value below its old-graph
 // distance, and the closing ripple (phase C) starts from a state where
 // every value is an upper bound on the new distance, so its fixpoint is
-// exact. A repaired row ends at the width it needs, the rule a fresh
-// build follows: a nibble row is repaired in place and falls back to
-// a full-width repair when a distance grows past maxNibble, and a full
-// width result is packed (packRow), so a repaired row is
+// exact. A repaired row ends in the form the chooser picks for it, the
+// rule a fresh build follows (lrow.rechosen), so a repaired row is
 // byte-identical to a fresh build's.
 func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet) {
 	if len(t.lrows) == 0 {
@@ -528,62 +530,112 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 			}
 			return
 		}
-		// Repair a copy of the row, regrown for added nodes (older
-		// snapshots keep reading the original). A nibble row is repaired
-		// in place; when a new distance outgrows four bits, and for a
-		// wide row, the row is expanded into the worker's scratch,
-		// repaired at full width and packed at the width it needs.
-		// Workers write distinct pos elements, so assigning into the
-		// shared outer slice is race-free.
-		if old.nib != nil {
-			g := old.grown(newN)
-			if repairRow(nibRow(g.nib), newG, cs, ws, delTouched) {
-				t.lrows[pos] = g
-				return
-			}
-			ws.clear()
+		// Repair a copy of the row in place, regrown for added nodes
+		// (older snapshots keep reading the original), code by code, with
+		// its exception edits kept in the worker's scratch. Only a row
+		// whose chosen form changes is expanded and packed again. A
+		// repair that sets no distance, as when every endpoint of a tight
+		// deleted edge keeps another supporter, leaves the row as it was:
+		// it stays shared, in the form already chosen for it. Workers
+		// write distinct pos elements, so assigning into the shared outer
+		// slice is race-free.
+		r := old.extended(newN)
+		rw := ws.edit(&r)
+		changed := repairRow(rw, newG, cs, ws, delTouched)
+		rw.finish()
+		if changed || grow {
+			t.lrows[pos] = r.rechosen(newN)
 		}
-		old.expand(ws.row)
-		repairRow(wideRow(ws.row), newG, cs, ws, delTouched)
-		t.lrows[pos] = packRow(ws.row)
 	})
 }
 
-// rowRW reads and writes one landmark row under repair: a nibble row
-// in place, or a row expanded to full width. set reports false when a
-// distance does not fit the row's width.
-type rowRW interface {
-	get(v uint32) uint32
-	set(v, d uint32) bool
+// rowEdit is a row repaired in place. A distance in the codes' window
+// is written as its code, any other as the escape; the exception
+// distances live in the worker's xd array meanwhile, and finish folds
+// them back into a sorted list.
+type rowEdit struct {
+	r  *lrow
+	ws *lmRepairWS
 }
 
-// nibRow is a nibble row repaired in place.
-type nibRow []uint8
-
-func (r nibRow) get(v uint32) uint32 { return lrow{nib: r}.at(v) }
-
-func (r nibRow) set(v, d uint32) bool {
-	if d != NoDist && d > maxNibble {
-		return false
+// edit starts the repair of row r, loading its exceptions into xd.
+func (ws *lmRepairWS) edit(r *lrow) rowEdit {
+	for i, v := range r.xnode {
+		ws.xd[v] = r.xdist[i]
 	}
-	lrow{nib: r}.set(v, min(d, unreachable4))
-	return true
+	return rowEdit{r, ws}
 }
 
-// wideRow is a row expanded to full width (NoDist for unreachable).
-type wideRow []uint32
+func (e rowEdit) get(v uint32) uint32 {
+	if c := e.r.code(v); c != e.r.esc {
+		return e.r.base + c
+	}
+	return e.ws.xd[v]
+}
 
-func (r wideRow) get(v uint32) uint32 { return r[v] }
+func (e rowEdit) set(v, d uint32) {
+	c := d - e.r.base
+	if c < e.r.esc {
+		d = NoDist // in the window: no exception
+	} else {
+		c = e.r.esc
+	}
+	if xd := &e.ws.xd[v]; *xd != d {
+		*xd = d
+		e.ws.xtouched = append(e.ws.xtouched, v)
+	}
+	e.r.setCode(v, c)
+}
 
-func (r wideRow) set(v, d uint32) bool {
-	r[v] = d
-	return true
+// finish gives the row the exception list xd now holds and clears xd.
+// A row whose exceptions did not change keeps sharing its list.
+func (e rowEdit) finish() {
+	r, ws := e.r, e.ws
+	touched := ws.xtouched
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	// each visits the nodes that held or hold an exception, in order.
+	each := func(fn func(v uint32)) {
+		i, j := 0, 0
+		for i < len(r.xnode) || j < len(touched) {
+			switch {
+			case j == len(touched) || i < len(r.xnode) && r.xnode[i] < touched[j]:
+				fn(r.xnode[i])
+				i++
+			case i == len(r.xnode) || touched[j] < r.xnode[i]:
+				fn(touched[j])
+				j++
+			default:
+				fn(touched[j])
+				i, j = i+1, j+1
+			}
+		}
+	}
+	if len(touched) > 0 {
+		x := 0
+		each(func(v uint32) {
+			if ws.xd[v] != NoDist {
+				x++
+			}
+		})
+		nodes, dists := make([]uint32, 0, x), make([]uint32, 0, x)
+		each(func(v uint32) {
+			if d := ws.xd[v]; d != NoDist {
+				nodes, dists = append(nodes, v), append(dists, d)
+			}
+		})
+		each(func(v uint32) { ws.xd[v] = NoDist })
+		r.xnode, r.xdist = nodes, dists
+	}
+	for _, v := range r.xnode {
+		ws.xd[v] = NoDist
+	}
+	ws.xtouched = touched[:0]
 }
 
 // repairRow runs the three-phase repair on one unweighted landmark row
-// and reports false — leaving the row half repaired — when a new
-// distance does not fit its width.
-func repairRow[R rowRW](row R, newG *graph.Graph, cs *changeSet, ws *lmRepairWS, delTouched bool) bool {
+// and reports whether it set any distance.
+func repairRow(row rowEdit, newG *graph.Graph, cs *changeSet, ws *lmRepairWS, delTouched bool) bool {
 
 	// Phase A: level-monotone invalidation. Seeds are the farther
 	// endpoints of tight deleted edges (a superset of the nodes whose
@@ -637,7 +689,7 @@ func repairRow[R rowRW](row R, newG *graph.Graph, cs *changeSet, ws *lmRepairWS,
 	// reaches keep NoDist — they are newly unreachable.
 	if len(ws.inval) > 0 {
 		for _, a := range ws.inval {
-			row.set(a, NoDist) // unreachable fits every width
+			row.set(a, NoDist)
 		}
 		ws.resetBuckets()
 		for _, a := range ws.inval {
@@ -648,9 +700,7 @@ func repairRow[R rowRW](row R, newG *graph.Graph, cs *changeSet, ws *lmRepairWS,
 				}
 			}
 			if best != NoDist {
-				if !row.set(a, best) {
-					return false
-				}
+				row.set(a, best)
 				ws.pushBucket(a, int(best))
 			}
 		}
@@ -663,9 +713,7 @@ func repairRow[R rowRW](row R, newG *graph.Graph, cs *changeSet, ws *lmRepairWS,
 				}
 				for _, y := range newG.Neighbors(w) {
 					if ws.mark[y] == lmInvalid && row.get(y) > lw+1 {
-						if !row.set(y, lw+1) {
-							return false
-						}
+						row.set(y, lw+1)
 						ws.pushBucket(y, lvl+1)
 					}
 				}
@@ -679,21 +727,19 @@ func repairRow[R rowRW](row R, newG *graph.Graph, cs *changeSet, ws *lmRepairWS,
 	// the exact fixpoint even when inserts and deletes interact.
 	q := ws.q
 	q.Reset()
-	relax := func(from, to uint32) bool {
+	changed := len(ws.inval) > 0
+	relax := func(from, to uint32) {
 		if df := row.get(from); df != NoDist {
 			if dt := row.get(to); dt == NoDist || dt > df+1 {
-				if !row.set(to, df+1) {
-					return false
-				}
+				row.set(to, df+1)
 				q.Push(to)
+				changed = true
 			}
 		}
-		return true
 	}
 	for _, e := range cs.ins {
-		if !relax(e[0], e[1]) || !relax(e[1], e[0]) {
-			return false
-		}
+		relax(e[0], e[1])
+		relax(e[1], e[0])
 	}
 	for _, a := range ws.inval {
 		q.Push(a)
@@ -701,12 +747,10 @@ func repairRow[R rowRW](row R, newG *graph.Graph, cs *changeSet, ws *lmRepairWS,
 	for !q.Empty() {
 		x := q.Pop()
 		for _, y := range newG.Neighbors(x) {
-			if !relax(x, y) {
-				return false
-			}
+			relax(x, y)
 		}
 	}
-	return true
+	return changed
 }
 
 // repairLandmarkTablesWeighted repairs weighted rows by a tightness
@@ -715,7 +759,7 @@ func repairRow[R rowRW](row R, newG *graph.Graph, cs *changeSet, ws *lmRepairWS,
 // symmetry), a weight decrease only if it improves one endpoint through
 // the other. Rows failing every test are provably identical. Affected
 // rows are recomputed by one Dijkstra, exactly as the offline build
-// does, and stored at the width they need.
+// does, and stored in the form chosen for them.
 func (t *Oracle) repairLandmarkTablesWeighted(newG *graph.Graph, oldN int, cs *changeSet) {
 	newN := newG.NumNodes()
 	grow := newN > oldN

@@ -37,7 +37,7 @@ func randomBatch(r *xrand.Rand, n int) Update {
 // identical to `want` (a fresh build on the same graph with the same
 // landmark set): radii, nearest landmarks, vicinity entries in order
 // (so level starts and boundary tails too), boundary sizes, and
-// landmark distance tables with their widths. Nothing else is stored, so with equal structure the two
+// landmark distance tables with their forms. Nothing else is stored, so with equal structure the two
 // oracles derive the same paths.
 func assertSameStructure(t *testing.T, got, want *Oracle) {
 	t.Helper()
@@ -86,8 +86,10 @@ func assertSameStructure(t *testing.T, got, want *Oracle) {
 		if want.lpos[li] < 0 {
 			continue
 		}
-		if gw, ww := got.lrows[got.lpos[li]].wide != nil, want.lrows[want.lpos[li]].wide != nil; gw != ww {
-			t.Fatalf("landmark %d: row is wide = %v, want %v", li, gw, ww)
+		gr, wr := &got.lrows[got.lpos[li]], &want.lrows[want.lpos[li]]
+		if gr.rowForm != wr.rowForm || !slices.Equal(gr.xnode, wr.xnode) || !slices.Equal(gr.xdist, wr.xdist) {
+			t.Fatalf("landmark %d: row form %+v with exceptions %v/%v, want %+v with %v/%v",
+				li, gr.rowForm, gr.xnode, gr.xdist, wr.rowForm, wr.xnode, wr.xdist)
 		}
 		for v := uint32(0); int(v) < n; v++ {
 			if g, w := got.landmarkDist(int32(li), v), want.landmarkDist(int32(li), v); g != w {

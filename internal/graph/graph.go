@@ -151,7 +151,7 @@ func (g *Graph) ForEachEdge(fn func(u, v, w uint32)) {
 // Validate checks the structural invariants of the CSR representation:
 // sorted adjacency, no self-loops, no duplicates, symmetric edges, and
 // consistent counters. It returns nil if the graph is well-formed.
-// It is O(m log d) and intended for tests and after deserialization.
+// It is O(n + m) and intended for tests and after deserialization.
 func (g *Graph) Validate() error {
 	if len(g.offsets) != g.n+1 {
 		return fmt.Errorf("graph: offsets length %d, want %d", len(g.offsets), g.n+1)
@@ -174,23 +174,48 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: node %d has negative degree", u)
 		}
 	}
+	// Symmetry with two cursors per node into its sorted adjacency: down[v]
+	// at the next entry below v and up[v] at the next entry above v that
+	// no arc has claimed yet. Nodes are walked in id order, so the arcs
+	// into v from smaller nodes arrive in the order of v's entries below
+	// it, and those from larger nodes in the order of its entries above
+	// it; each arc u→v must find u at the cursor it claims. An entry
+	// below v that no arc claimed belongs to an arc from v whose reverse
+	// is missing, which the walk reports at v, so the cursor steps over
+	// it. Every arc is thus checked where the walk meets it, and the
+	// first error is the one the walk meets first.
+	down := make([]uint32, g.n)
+	up := make([]uint32, g.n)
+	copy(down, g.offsets[:g.n])
 	for u := uint32(0); int(u) < g.n; u++ {
-		adj := g.Neighbors(u)
-		for i, v := range adj {
+		lo, hi := g.offsets[u], g.offsets[u+1]
+		up[u] = lo
+		for i := lo; i < hi; i++ {
+			v := g.targets[i]
 			if int(v) >= g.n {
 				return fmt.Errorf("graph: edge %d-%d out of range", u, v)
 			}
 			if v == u {
 				return fmt.Errorf("graph: self-loop at %d", u)
 			}
-			if i > 0 && adj[i-1] >= v {
+			if i > lo && g.targets[i-1] >= v {
 				return fmt.Errorf("graph: adjacency of %d not strictly sorted", u)
 			}
-			w, ok := g.EdgeWeight(v, u)
-			if !ok {
+			var j uint32 // u's entry in v's adjacency
+			if v > u {
+				j = down[v]
+				for end := g.offsets[v+1]; j < end && g.targets[j] < u; j++ {
+				}
+				down[v] = j + 1
+			} else {
+				up[u] = i + 1
+				j = up[v]
+				up[v] = j + 1
+			}
+			if j >= g.offsets[v+1] || g.targets[j] != u {
 				return fmt.Errorf("graph: edge %d-%d not symmetric", u, v)
 			}
-			if wf, _ := g.EdgeWeight(u, v); wf != w {
+			if g.weights != nil && g.weights[j] != g.weights[i] {
 				return fmt.Errorf("graph: asymmetric weight on %d-%d", u, v)
 			}
 		}

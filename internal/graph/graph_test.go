@@ -334,3 +334,52 @@ func BenchmarkNeighborScan(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestValidateRejects builds one corrupt CSR per check Validate makes
+// and pins the error each gets: the first one a walk of the nodes in id
+// order, and of each adjacency in order, meets.
+func TestValidateRejects(t *testing.T) {
+	csr := func(m int, offsets, targets, weights []uint32) *Graph {
+		return &Graph{n: max(len(offsets)-1, 0), m: m, offsets: offsets, targets: targets, weights: weights}
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want string
+	}{
+		{"offsets length", &Graph{n: 3, m: 1, offsets: []uint32{0, 1, 2}, targets: []uint32{1, 0}},
+			"graph: offsets length 3, want 4"},
+		{"offset bounds", csr(1, []uint32{0, 1, 3}, []uint32{1, 0}, nil),
+			"graph: offset bounds [0,3] inconsistent with 2 targets"},
+		{"edge count", csr(2, []uint32{0, 1, 2}, []uint32{1, 0}, nil),
+			"graph: 2 adjacency entries, want 2m=4"},
+		{"weight count", csr(1, []uint32{0, 1, 2}, []uint32{1, 0}, []uint32{1}),
+			"graph: 1 weights for 2 targets"},
+		{"negative degree", csr(1, []uint32{0, 2, 1, 2}, []uint32{1, 2}, nil),
+			"graph: node 1 has negative degree"},
+		{"target out of range", csr(1, []uint32{0, 1, 2}, []uint32{2, 0}, nil),
+			"graph: edge 0-2 out of range"},
+		{"self-loop", csr(1, []uint32{0, 1, 2}, []uint32{0, 0}, nil),
+			"graph: self-loop at 0"},
+		{"unsorted adjacency", csr(3, []uint32{0, 3, 4, 5, 6}, []uint32{1, 3, 2, 0, 0, 0}, nil),
+			"graph: adjacency of 0 not strictly sorted"},
+		{"duplicate adjacency", csr(2, []uint32{0, 2, 4}, []uint32{1, 1, 0, 0}, nil),
+			"graph: adjacency of 0 not strictly sorted"},
+		// Two directed 3-cycles: every node has one arc out and one in, so
+		// the totals balance, but no arc has its reverse.
+		{"directed 3-cycles", csr(3, []uint32{0, 1, 2, 3, 4, 5, 6}, []uint32{1, 2, 0, 4, 5, 3}, nil),
+			"graph: edge 0-1 not symmetric"},
+		// Node 2 lists 0, which does not list 2, and node 3 lists 1,
+		// which does not list 3, so the totals balance. The walk meets
+		// node 2's arc first, at the larger end of its edge.
+		{"reverse arc missing below", csr(4, []uint32{0, 1, 3, 6, 8}, []uint32{1, 0, 2, 0, 1, 3, 1, 2}, nil),
+			"graph: edge 2-0 not symmetric"},
+		{"asymmetric weight", csr(1, []uint32{0, 1, 2}, []uint32{1, 0}, []uint32{5, 6}),
+			"graph: asymmetric weight on 0-1"},
+	} {
+		err := tc.g.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

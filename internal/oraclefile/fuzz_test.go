@@ -37,9 +37,9 @@ func validContainer() []byte {
 	w := NewWriter(&buf, 1)
 	w.U64s(1, []uint64{1, 2, 3})
 	w.U32s(2, []uint32{4, 5})
-	w.U8Rows(3, [][]uint8{[]byte("raw-"), []byte("bytes")})
+	w.Raw(3, []byte("raw-bytes"))
 	w.U32sBytes(4, []uint32{6})
-	w.U32Rows(5, [][]uint32{{7}, {8, 9}})
+	w.U32s(5, []uint32{7, 8, 9})
 	if err := w.Close(); err != nil {
 		panic(err)
 	}

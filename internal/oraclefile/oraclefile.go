@@ -149,45 +149,34 @@ func (ow *Writer) Raw(tag uint32, b []byte) {
 	ow.write(b)
 }
 
-// U32Rows writes a uint32-array section assembled from several rows.
-// The encoding is byte-identical to one U32s call on the rows'
-// concatenation, without materializing it (callers keep large tables
-// as per-row slices).
-func (ow *Writer) U32Rows(tag uint32, rows [][]uint32) {
-	writeRows(ow, tag, rows, 4, binary.LittleEndian.PutUint32)
-}
-
-// U8Rows is U32Rows for byte rows: the section reads back as one Raw
-// section of their concatenation.
-func (ow *Writer) U8Rows(tag uint32, rows [][]uint8) {
-	writeRows(ow, tag, rows, 1, func(b []byte, v uint8) { b[0] = v })
-}
-
-// writeRows streams rows through the chunk buffer as one section of
-// their concatenation.
-func writeRows[T uint8 | uint32](ow *Writer, tag uint32, rows [][]T, elemSize int, put func([]byte, T)) {
+// U32RowsBytes writes a uint32-array section assembled from several
+// rows, with the payload's byte count in its header. The encoding is
+// byte-identical to one U32sBytes call on the rows' concatenation,
+// without materializing it (callers keep large tables as per-row
+// slices).
+func (ow *Writer) U32RowsBytes(tag uint32, rows [][]uint32) {
 	var total uint64
 	for _, r := range rows {
 		total += uint64(len(r))
 	}
-	ow.header(tag, total)
+	ow.header(tag, 4*total)
 	fill := 0 // elements staged in buf
 	for _, row := range rows {
 		for len(row) > 0 {
 			n := min(len(row), chunkElems-fill)
 			for i, v := range row[:n] {
-				put(ow.buf[elemSize*(fill+i):], v)
+				binary.LittleEndian.PutUint32(ow.buf[4*(fill+i):], v)
 			}
 			fill += n
 			row = row[n:]
 			if fill == chunkElems {
-				ow.write(ow.buf[:elemSize*fill])
+				ow.write(ow.buf[:4*fill])
 				fill = 0
 			}
 		}
 	}
 	if fill > 0 {
-		ow.write(ow.buf[:elemSize*fill])
+		ow.write(ow.buf[:4*fill])
 	}
 }
 

@@ -17,13 +17,14 @@ func TestRoundTrip(t *testing.T) {
 	}
 	sized := []uint32{9, 8, 7}
 	raw := []byte("embedded blob")
-	rows := [][]uint8{[]byte("byte "), nil, []byte("rows")}
+	rows := [][]uint32{{1, 2}, nil, make([]uint32, 9000)} // the last spans a chunk boundary
+	rows[2][8999] = 3
 	w.U64s(1, u64s)
 	w.U32s(2, u32s)
 	w.U32sBytes(3, sized)
 	w.Raw(4, raw)
 	w.U32s(5, nil)
-	w.U8Rows(6, rows)
+	w.U32RowsBytes(6, rows)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -55,10 +56,10 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty section: %v %v", empty, err)
 	}
-	// Byte rows read back as one raw section of their concatenation.
-	gotRows, err := r.Raw(6)
-	if err != nil || string(gotRows) != "byte rows" {
-		t.Fatalf("U8Rows as Raw: %q %v", gotRows, err)
+	// Rows read back as one section of their concatenation.
+	gotRows, err := r.U32sBytes(6)
+	if err != nil || !reflect.DeepEqual(gotRows, append(append(rows[0], rows[1]...), rows[2]...)) {
+		t.Fatalf("U32RowsBytes as U32sBytes: %d words, %v", len(gotRows), err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("reader Close: %v", err)
