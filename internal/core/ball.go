@@ -13,25 +13,23 @@ const NoDist = traverse.NoDist
 
 // vicResult is the offline product for one node: its vicinity coded as
 // one table (u32map.AppendTable), later concatenated into the oracle's
-// arena, with one distance per member on weighted graphs; the size of
-// the boundary ∂Γ(u), which is the table's last run; its radius
-// d(u, l(u)) and its nearest landmark l(u). The boundary run is exactly
-// the members the online scan walks (Algorithm 1 line 5), so the scan
-// reads d(s,w) straight off s's own table without a lookup.
+// arena; the size of the boundary ∂Γ(u), which is the table's last
+// run; its radius d(u, l(u)) and its nearest landmark l(u). The
+// boundary run is exactly the members the online scan walks (Algorithm
+// 1 line 5), so the scan reads d(s,w) straight off s's own table
+// without a lookup.
 //
 // Members come in runs (see u32map.Arena), each sorted by node id. An
 // unweighted vicinity lists its members in BFS level order, one run per
-// level, and its distances are the levels. A weighted one records
-// dists, one per member, and splits its members into the interior and
-// the boundary tail.
+// level, and its distances are the levels. A weighted one splits its
+// members into the interior and the boundary tail, and its table ends
+// with one distance per member.
 //
-// The slices alias the workspace's reusable buffers and are valid only
+// The code aliases the workspace's reusable buffer and is valid only
 // until the workspace's next search, so computeVicinities detaches a
-// copy of each before the install.
+// copy of it before the install.
 type vicResult struct {
 	code     []uint32
-	dists    []uint32 // weighted only
-	entries  uint32   // |Γ(u)|
 	boundLen uint32
 	radius   uint32
 	nearest  uint32
@@ -90,7 +88,7 @@ func (ws *buildWS) reset() {
 // d(s,w) + d(w,t) >= d(s,t), and Theorem 1's witness is a level-r
 // member either way. A vicinity that reaches no landmark (a flood of
 // u's whole component) has no boundary.
-func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
+func vicinityBFS(g *graph.Graph, lidx []int32, ws *buildWS, u uint32) vicResult {
 	ws.reset()
 	nm, q := ws.nm, ws.q
 	nm.Set(u, 0, graph.NoNode)
@@ -118,7 +116,7 @@ func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
 				}
 			}
 			ws.keys = append(ws.keys, v)
-			if r == NoDist && isL[v] {
+			if r == NoDist && lidx[v] >= 0 {
 				r, nearest = d, v
 			}
 			q.Push(v)
@@ -143,15 +141,13 @@ func vicinityBFS(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
 	return ws.result(false, boundLen, r, nearest)
 }
 
-// result codes the sorted members into the workspace's table buffer,
-// the one encoder that build and repair share, and returns the result.
+// result codes the sorted members, with their distances on weighted
+// graphs (an unweighted search records none), into the workspace's
+// table buffer, the one encoder that build and repair share, and
+// returns the result.
 func (ws *buildWS) result(weighted bool, boundLen, r, nearest uint32) vicResult {
-	ws.code = u32map.AppendTable(ws.code[:0], !weighted, ws.keys, ws.levels)
-	res := vicResult{code: ws.code, entries: uint32(len(ws.keys)), boundLen: boundLen, radius: r, nearest: nearest}
-	if weighted {
-		res.dists = ws.dists
-	}
-	return res
+	ws.code = u32map.AppendTable(ws.code[:0], !weighted, ws.keys, ws.levels, ws.dists)
+	return vicResult{code: ws.code, boundLen: boundLen, radius: r, nearest: nearest}
 }
 
 // hasOutside reports whether k has a neighbor outside the vicinity,
@@ -170,7 +166,7 @@ func hasOutside(g *graph.Graph, k uint32, members *traverse.NodeMap) bool {
 // the first settled landmark. All recorded distances are exact and every
 // member's shortest-path predecessor is itself settled (d(pred) < d(v)),
 // keeping derived path chains inside the table.
-func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResult {
+func vicinityDijkstra(g *graph.Graph, lidx []int32, ws *buildWS, u uint32) vicResult {
 	ws.reset()
 	nm, h, settled := ws.nm, ws.h, ws.settled
 	nm.Set(u, 0, graph.NoNode)
@@ -188,7 +184,7 @@ func vicinityDijkstra(g *graph.Graph, isL []bool, ws *buildWS, u uint32) vicResu
 		settled.Set(x, 0, 0)
 		ws.keys = append(ws.keys, x)
 		ws.dists = append(ws.dists, dx)
-		if r == NoDist && isL[x] {
+		if r == NoDist && lidx[x] >= 0 {
 			r, nearest = dx, x
 		}
 		adj := g.Neighbors(x)
@@ -289,10 +285,9 @@ func (ws *buildWS) partition(isBoundary func(i int) bool) uint32 {
 	return uint32(len(ws.keys) - h)
 }
 
-// detach copies the result out of its workspace's reusable buffers into
-// buffers of its own size, so it survives the workspace's next search.
+// detach copies the result out of its workspace's reusable buffer into
+// a buffer of its own size, so it survives the workspace's next search.
 func (res vicResult) detach() vicResult {
 	res.code = append([]uint32(nil), res.code...)
-	res.dists = append([]uint32(nil), res.dists...)
 	return res
 }

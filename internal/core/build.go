@@ -59,7 +59,6 @@ func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 	n := g.NumNodes()
 	o.growNodes(n)
 	for i, l := range o.landmarks {
-		o.isL[l] = true
 		o.lidx[l] = int32(i)
 	}
 	nodes := slices.Clone(opts.Nodes)
@@ -70,7 +69,7 @@ func Build(g *graph.Graph, opts Options) (*Oracle, error) {
 		}
 	}
 	// Landmarks answer from their full table and get no vicinity.
-	nodes = slices.DeleteFunc(nodes, func(u uint32) bool { return o.isL[u] })
+	nodes = slices.DeleteFunc(nodes, func(u uint32) bool { return o.lidx[u] >= 0 })
 	o.timings.Plan = time.Since(start)
 
 	start = time.Now()
@@ -119,13 +118,12 @@ func (b BuildTimings) String() string {
 func (o *Oracle) BuildTimings() BuildTimings { return o.timings }
 
 // growNodes extends every per-node array to newN, in fresh storage:
-// older snapshots share isL and lidx. New nodes start as non-landmarks
-// with no vicinity state. Build grows an empty oracle to its graph.
+// older snapshots share lidx. New nodes start as non-landmarks with no
+// vicinity state. Build grows an empty oracle to its graph.
 func (o *Oracle) growNodes(newN int) {
 	if newN == len(o.radius) {
 		return
 	}
-	o.isL = grow(o.isL, newN, false)
 	o.lidx = grow(o.lidx, newN, -1)
 	o.radius = grow(o.radius, newN, NoDist)
 	o.nearest = grow(o.nearest, newN, graph.NoNode)
@@ -156,9 +154,9 @@ func (o *Oracle) computeVicinities(g *graph.Graph, nodes []uint32) []vicResult {
 	}, func(state any, i int) {
 		ws := state.(*buildWS)
 		if weighted {
-			results[i] = vicinityDijkstra(g, o.isL, ws, nodes[i]).detach()
+			results[i] = vicinityDijkstra(g, o.lidx, ws, nodes[i]).detach()
 		} else {
-			results[i] = vicinityBFS(g, o.isL, ws, nodes[i]).detach()
+			results[i] = vicinityBFS(g, o.lidx, ws, nodes[i]).detach()
 		}
 	})
 	return results
@@ -172,20 +170,18 @@ func (o *Oracle) computeVicinities(g *graph.Graph, nodes []uint32) []vicResult {
 // tables it supersedes only count as waste.
 func (o *Oracle) writeVicinities(nodes []uint32, results []vicResult) error {
 	a := o.arena
-	words, dists, widest := uint64(len(a.Words)), uint64(len(a.Dists)), uint64(0)
+	words, widest := uint64(len(a.Words)), uint64(0)
 	for i := range results {
 		words += uint64(len(results[i].code))
-		dists += uint64(len(results[i].dists))
 		widest = max(widest, uint64(len(results[i].code)))
 	}
-	if err := checkArenaCapacity(words, dists, widest); err != nil {
+	if err := checkArenaCapacity(words, widest); err != nil {
 		return err
 	}
 	a.Words = slices.Grow(a.Words, int(words)-len(a.Words))
-	a.Dists = slices.Grow(a.Dists, int(dists)-len(a.Dists))
 	for i, x := range nodes {
 		res := &results[i]
-		if old := o.vicFlat[x]; old.Len() > 0 {
+		if old := o.vicFlat[x]; !old.Empty() {
 			o.waste += uint64(old.Bytes() / 4)
 		} else {
 			o.covered++
@@ -193,22 +189,20 @@ func (o *Oracle) writeVicinities(nodes []uint32, results []vicResult) error {
 		o.radius[x] = res.radius
 		o.nearest[x] = res.nearest
 		o.boundLen[x] = res.boundLen
-		o.vicFlat[x] = a.Add(res.code, res.dists, res.entries)
+		o.vicFlat[x] = a.Add(res.code)
 	}
 	return nil
 }
 
-// checkArenaCapacity rejects an arena of the given word and distance
-// counts, whose widest table takes widest words, when any of them
-// overflows the offsets that hold it: the uint32 word and distance
-// offsets every Flat view and file range uses, and the table-local
-// block data offsets of a coded table (u32map.MaxTableWords). The
-// install calls it before writing, so neither a build nor an update can
-// wrap an offset.
-func checkArenaCapacity(words, dists, widest uint64) error {
-	if words > math.MaxUint32 || dists > math.MaxUint32 {
-		return fmt.Errorf("core: %d vicinity words and %d distances overflow the 2^32-1 arena capacity",
-			words, dists)
+// checkArenaCapacity rejects an arena of the given word count, whose
+// widest table takes widest words, when either overflows the offsets
+// that hold it: the uint32 word offsets every Flat view uses, and the
+// table-local block data offsets of a coded table
+// (u32map.MaxTableWords). The install calls it before writing, so
+// neither a build nor an update can wrap an offset.
+func checkArenaCapacity(words, widest uint64) error {
+	if words > math.MaxUint32 {
+		return fmt.Errorf("core: %d vicinity words overflow the 2^32-1 arena capacity", words)
 	}
 	if widest > u32map.MaxTableWords {
 		return fmt.Errorf("core: a vicinity coded in %d words overflows the %d-word table capacity",
@@ -240,8 +234,8 @@ func (o *Oracle) buildLandmarkTables(weighted bool) {
 		}
 	} else {
 		for _, u := range o.opts.Nodes {
-			if o.isL[u] {
-				want[o.lidx[u]] = true
+			if li := o.lidx[u]; li >= 0 {
+				want[li] = true
 			}
 		}
 	}

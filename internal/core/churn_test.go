@@ -9,6 +9,7 @@ import (
 	"vicinity/internal/baseline"
 	"vicinity/internal/gen"
 	"vicinity/internal/graph"
+	"vicinity/internal/u32map"
 	"vicinity/internal/xrand"
 )
 
@@ -104,41 +105,28 @@ func randomChurnBatch(r *xrand.Rand, g *graph.Graph) Update {
 }
 
 // assertLiveRanges checks the arena accounting after an update: the
-// live word and distance ranges of all vicinities are pairwise disjoint
-// and inside the arena, and live plus counted waste equals the arena
-// length over both — the shape a double-counted or a still-live
-// superseded range would break.
+// live word ranges of all vicinities are pairwise disjoint and inside
+// the arena, and live plus counted waste equals the arena length — the
+// shape a double-counted or a still-live superseded range would break.
 func assertLiveRanges(t *testing.T, o *Oracle) {
 	t.Helper()
-	type span struct{ off, len uint32 }
-	var words, dists []span
-	for u := range o.vicFlat {
-		if r := o.vicFlat[u].Range(); r.ELen > 0 {
-			words = append(words, span{r.WOff, r.WLen})
-			if !o.arena.Leveled {
-				dists = append(dists, span{r.EOff, r.ELen})
-			}
+	var spans []u32map.Range
+	for _, f := range o.vicFlat {
+		if !f.Empty() {
+			spans = append(spans, f.Range())
 		}
 	}
-	var live uint64
-	check := func(space string, spans []span, size int) {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-		var end uint64
-		for _, sp := range spans {
-			if uint64(sp.off) < end {
-				t.Fatalf("%s range at %d overlaps the previous one ending at %d", space, sp.off, end)
-			}
-			end = uint64(sp.off) + uint64(sp.len)
-			live += uint64(sp.len)
+	sort.Slice(spans, func(i, j int) bool { return spans[i].WOff < spans[j].WOff })
+	var live, end uint64
+	for _, sp := range spans {
+		if uint64(sp.WOff) < end {
+			t.Fatalf("range at %d overlaps the previous one ending at %d", sp.WOff, end)
 		}
-		if end > uint64(size) {
-			t.Fatalf("%s range ends at %d beyond the arena's %d", space, end, size)
-		}
+		end = uint64(sp.WOff) + uint64(sp.WLen)
+		live += uint64(sp.WLen)
 	}
-	check("word", words, len(o.arena.Words))
-	check("distance", dists, len(o.arena.Dists))
-	if size := uint64(len(o.arena.Words) + len(o.arena.Dists)); live+o.waste != size {
-		t.Fatalf("arena: live %d + waste %d != length %d", live, o.waste, size)
+	if size := uint64(len(o.arena.Words)); end > size || live+o.waste != size {
+		t.Fatalf("arena: ranges end at %d; live %d + waste %d != length %d", end, live, o.waste, size)
 	}
 }
 

@@ -3,28 +3,33 @@ package core
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vicinity/internal/oraclefile"
 )
 
-func TestDeltaRoundTrip(t *testing.T) {
-	cases := map[string]*Delta{
-		"empty": {FromEpoch: 0, ToEpoch: 1},
-		"mixed": {
-			FromEpoch: 41,
-			ToEpoch:   42,
-			Update: Update{
-				AddNodes:   3,
-				Edges:      [][2]uint32{{1, 2}, {100, 7}},
-				DelEdges:   [][2]uint32{{5, 6}},
-				DelNodes:   []uint32{9, 11},
-				SetWeights: []WeightChange{{U: 1, V: 3, W: 4}},
-			},
+// roundTripDeltas are the deltas TestDeltaRoundTrip encodes and
+// decodes, and FuzzReadDelta's seeds.
+var roundTripDeltas = map[string]*Delta{
+	"empty": {FromEpoch: 0, ToEpoch: 1},
+	"mixed": {
+		FromEpoch: 41,
+		ToEpoch:   42,
+		Update: Update{
+			AddNodes:   3,
+			Edges:      [][2]uint32{{1, 2}, {100, 7}},
+			DelEdges:   [][2]uint32{{5, 6}},
+			DelNodes:   []uint32{9, 11},
+			SetWeights: []WeightChange{{U: 1, V: 3, W: 4}},
 		},
-	}
-	for name, d := range cases {
+	},
+}
+
+func TestDeltaRoundTrip(t *testing.T) {
+	for name, d := range roundTripDeltas {
 		t.Run(name, func(t *testing.T) {
 			b, err := EncodeDelta(d)
 			if err != nil {
@@ -108,4 +113,42 @@ func TestDeltaReplayMatchesDirectApply(t *testing.T) {
 		t.Fatalf("replayed apply: %v", err)
 	}
 	assertOraclesAgree(t, direct, replayed, direct.Graph().NumNodes(), 400)
+}
+
+// FuzzReadDelta feeds mutated delta artifacts to the reader a replica
+// runs on every delta it fetches from its writer (DecodeDelta, through
+// Replicator and Catalog.ApplyDeltaBytes). It must never panic, and a
+// delta it accepts must re-encode to bytes that decode to the same
+// delta.
+func FuzzReadDelta(f *testing.F) {
+	for _, name := range slices.Sorted(maps.Keys(roundTripDeltas)) {
+		b, err := EncodeDelta(roundTripDeltas[name])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		if name == "mixed" {
+			f.Add(b[:len(b)/2]) // truncated mid-section
+			flipped := append([]byte(nil), b...)
+			flipped[len(b)/3] ^= 0x10
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := DecodeDelta(data)
+		if err != nil {
+			return // rejection is the expected outcome for mutants
+		}
+		b, err := EncodeDelta(d)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted delta: %v", err)
+		}
+		again, err := DecodeDelta(b)
+		if err != nil {
+			t.Fatalf("re-encoded delta rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, d) {
+			t.Fatalf("re-encoded delta decodes differently:\n got %+v\nwant %+v", again, d)
+		}
+	})
 }

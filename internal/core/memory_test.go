@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -12,11 +13,10 @@ import (
 )
 
 // storedBytes sums the arrays o holds, independently of Memory: the
-// arena's coded tables and distances, plus every landmark row's code
-// words and exception nodes and distances.
+// arena's coded tables, their distances included, plus every landmark
+// row's code words and exception nodes and distances.
 func storedBytes(o *Oracle) (vicinity, landmark int64) {
-	a := o.arena
-	vicinity = 4 * int64(len(a.Words)+len(a.Dists))
+	vicinity = 4 * int64(len(o.arena.Words))
 	for _, row := range o.lrows {
 		landmark += 4 * int64(len(row.codes)+len(row.xnode)+len(row.xdist))
 	}
@@ -72,9 +72,8 @@ func TestMemoryCountsStoredArrays(t *testing.T) {
 				t.Fatalf("Memory counts %d vicinity + %d landmark = %d bytes; the arrays hold %d + %d = %d",
 					ms.VicinityBytes, ms.LandmarkBytes, ms.TotalBytes, vic, lm, vic+lm)
 			}
-			if o.Graph().Weighted() == (o.arena.Dists == nil) || o.Graph().Weighted() == o.arena.Leveled {
-				t.Fatalf("weighted graph = %v, but the arena has %d distances (leveled = %v)",
-					o.Graph().Weighted(), len(o.arena.Dists), o.arena.Leveled)
+			if o.Graph().Weighted() == o.arena.Leveled {
+				t.Fatalf("weighted graph = %v, but the arena is leveled = %v", o.Graph().Weighted(), o.arena.Leveled)
 			}
 			if len(o.lrows) > 0 && ms.WideLandmarkRows != 0 && !o.Graph().Weighted() {
 				t.Fatalf("%d wide rows on a social graph", ms.WideLandmarkRows)
@@ -104,7 +103,7 @@ func TestMemoryCountsStoredArrays(t *testing.T) {
 // arena's growth and each table's records — which the compiler
 // otherwise elides.
 func TestBuildStagesOnlyWhatItKeeps(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+	if raceEnabled() {
 		t.Skip("the race detector's instrumentation changes what a build allocates")
 	}
 	g := gen.Path(5000)
@@ -120,4 +119,48 @@ func TestBuildStagesOnlyWhatItKeeps(t *testing.T) {
 				w, alloc, float64(alloc)/float64(kept), kept)
 		}
 	}
+}
+
+// TestSaveCopiesNoArena bounds what Save allocates by the tables it
+// writes. Each table goes out straight from its view, so an arena that
+// holds ranges superseded by updates is not compacted into a copy
+// first, and Save allocates less than the tables' own bytes. Large
+// vicinities (Alpha 32) keep the writer's fixed buffers small beside
+// them. Not parallel, and skipped under the race detector, for the
+// reasons TestBuildStagesOnlyWhatItKeeps gives.
+func TestSaveCopiesNoArena(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation changes what a save allocates")
+	}
+	o := mustBuild(t, socialGraph(61, 8000), Options{Seed: 61, Alpha: 32})
+	r := xrand.New(62)
+	for step := 0; o.waste == 0; step++ {
+		if step == 20 {
+			t.Fatal("20 churn batches left no waste in the arena")
+		}
+		next, err := o.ApplyUpdates(randomChurnBatch(r, o.Graph()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o = next
+	}
+	tables := uint64(o.Memory().VicinityBytes)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WriteOracle(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= tables {
+		t.Errorf("Save allocated %d bytes, not less than the %d bytes of the tables it writes (%d bytes of waste in the arena)",
+			alloc, tables, 4*o.waste)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -32,17 +32,15 @@ type Oracle struct {
 	opts Options
 
 	landmarks []uint32 // sorted landmark node ids
-	isL       []bool   // per node: landmark flag
 	lidx      []int32  // per node: index into landmarks, or -1
 
-	// Vicinity tables. arena holds the coded tables and the distances of
-	// every vicinity; vicFlat (len n) holds node u's
-	// precomputed arena view — its offsets plus the shared arena
-	// pointer, so resolving a table is one indexed load. An empty view
-	// means "not covered" (landmark or out of build scope) — a built
-	// vicinity always contains at least u itself. Persistence derives
-	// CSR offset arrays from the views (u32map.Flat.Range) rather than
-	// storing them twice.
+	// Vicinity tables. arena holds every vicinity's coded table, its
+	// distances included; vicFlat (len n) holds node u's precomputed
+	// arena view — its offsets plus the shared arena pointer, so
+	// resolving a table is one indexed load. An empty view means "not
+	// covered" (landmark or out of build scope) — a built vicinity
+	// always contains at least u itself. Persistence writes each view's
+	// words and length (u32map.Flat.Words) rather than the arena.
 	arena   *u32map.Arena
 	vicFlat []u32map.Flat
 
@@ -51,9 +49,9 @@ type Oracle struct {
 	// tail run on weighted ones — or none.
 	boundLen []uint32
 
-	// Arena waste: words and distances abandoned by repaired vicinities.
-	// Old snapshots may still read the holes, so updates only count them
-	// and compact once they dominate (see maybeCompact).
+	// Arena waste: words abandoned by repaired vicinities. Old snapshots
+	// may still read the holes, so updates only count them and compact
+	// once they dominate (see maybeCompact).
 	waste uint64
 
 	radius  []uint32 // d(u, l(u)); NoDist when uncovered or no landmark reachable
@@ -104,13 +102,13 @@ func (o *Oracle) Options() Options { return o.opts }
 func (o *Oracle) Landmarks() []uint32 { return o.landmarks }
 
 // IsLandmark reports whether u ∈ L.
-func (o *Oracle) IsLandmark(u uint32) bool { return o.isL[u] }
+func (o *Oracle) IsLandmark(u uint32) bool { return o.lidx[u] >= 0 }
 
 // vicinity resolves node u's arena view; ok is false when u has no
 // vicinity (landmark or out of build scope).
 func (o *Oracle) vicinity(u uint32) (u32map.Flat, bool) {
 	f := o.vicFlat[u]
-	return f, f.Len() > 0
+	return f, !f.Empty()
 }
 
 // boundary returns ∂Γ(u), the last run of u's table, sorted by id,
@@ -132,8 +130,8 @@ func (o *Oracle) Covers(u uint32) bool {
 	if int(u) >= len(o.radius) {
 		return false
 	}
-	if o.isL[u] {
-		return o.hasLandmarkTable(o.lidx[u]) || o.opts.DisableLandmarkTables
+	if li := o.lidx[u]; li >= 0 {
+		return o.hasLandmarkTable(li) || o.opts.DisableLandmarkTables
 	}
 	_, ok := o.vicinity(u)
 	return ok
@@ -154,7 +152,7 @@ func (o *Oracle) landmarkDist(li int32, v uint32) uint32 {
 // Radius returns the vicinity radius d(u, l(u)) of u: 0 for a landmark,
 // and NoDist when u is uncovered or reaches no landmark.
 func (o *Oracle) Radius(u uint32) uint32 {
-	if o.isL[u] {
+	if o.lidx[u] >= 0 {
 		return 0
 	}
 	return o.radius[u]
@@ -163,7 +161,7 @@ func (o *Oracle) Radius(u uint32) uint32 {
 // NearestLandmark returns l(u) (u itself for landmarks), or graph.NoNode
 // if unknown.
 func (o *Oracle) NearestLandmark(u uint32) uint32 {
-	if o.isL[u] {
+	if o.lidx[u] >= 0 {
 		return u
 	}
 	return o.nearest[u]

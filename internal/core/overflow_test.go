@@ -131,25 +131,24 @@ func TestWeightedOverflowEstimate(t *testing.T) {
 }
 
 // TestArenaCapacity pins the one capacity check build and update share:
-// the word and distance counts must each fit the uint32 offsets of the
-// arena, and the widest coded table the 26-bit table-local data offsets
-// of its block records.
+// the word count must fit the uint32 offsets of the arena, and the
+// widest coded table the 26-bit table-local data offsets of its block
+// records.
 func TestArenaCapacity(t *testing.T) {
 	const limit = math.MaxUint32
 	for _, tc := range []struct {
-		words, dists, widest uint64
-		ok                   bool
+		words, widest uint64
+		ok            bool
 	}{
-		{0, 0, 0, true},
-		{7_000_000, 0, 20_000, true},
-		{limit, limit, u32map.MaxTableWords, true},
-		{limit + 1, 0, 1, false},
-		{limit, limit + 1, 1, false},
-		{limit, 0, u32map.MaxTableWords + 1, false},
+		{0, 0, true},
+		{7_000_000, 20_000, true},
+		{limit, u32map.MaxTableWords, true},
+		{limit + 1, 1, false},
+		{limit, u32map.MaxTableWords + 1, false},
 	} {
-		err := checkArenaCapacity(tc.words, tc.dists, tc.widest)
+		err := checkArenaCapacity(tc.words, tc.widest)
 		if (err == nil) != tc.ok {
-			t.Errorf("checkArenaCapacity(%d, %d, %d) = %v, want ok=%v", tc.words, tc.dists, tc.widest, err, tc.ok)
+			t.Errorf("checkArenaCapacity(%d, %d) = %v, want ok=%v", tc.words, tc.widest, err, tc.ok)
 		}
 	}
 }

@@ -18,42 +18,41 @@ import (
 //
 // A persisted oracle is self-contained: it embeds the graph (binary
 // graph sub-format) alongside every built table, so a server restores
-// serving state with array copies instead of re-running Build. The
-// flat arena layout is what makes this near-memcpy: each section below
-// is one contiguous array of the in-memory representation, and a loaded
-// oracle round-trips bit-identically.
+// serving state with array copies instead of re-running Build. Each
+// section below is one contiguous array, every header holds its
+// payload's byte count, and a loaded oracle round-trips bit-identically.
 //
-// Version 6 stores every fact in about the bits its data needs, and no
+// Version 7 stores every fact in about the bits its data needs, and no
 // index: each vicinity is one coded table (see u32map.AppendTable) of
 // runs sorted by node id, cut into blocks whose gaps are bit-packed at
 // the block's own width, and a loader decodes every run and checks its
-// structure before trusting it (u32map.Flat.Check). Every offset inside
-// a coded table is local to it, so the tables section is the arena
-// verbatim. The boundary ∂Γ(u) is the last run of u's table (section 15
-// holds only its length). An unweighted table keeps its members in BFS
-// level order, one run per level, and stores its owner (level 0) in its
+// structure before trusting it (u32map.Flat.Check). A table holds all
+// of its own data. An unweighted table keeps its members in BFS level
+// order, one run per level, and stores its owner (level 0) in its
 // header and no distances; a weighted one splits its members into its
-// interior and its boundary tail and stores one distance per member
-// (section 12). Sections 27-29 hold the per-node table ranges and the
-// tables, sections 7-8 each node's distance offset (0 on unweighted
-// oracles) and member count. Each landmark row is stored in its form
-// (see lrow): section 25 gives every row's bits per node k, 2 or 4 for
-// a coded row and 32 for a wide one; section 31 holds every row's code
-// words, ⌈n·k/32⌉ each, padded with the escape code; sections 32 and 33
-// give every row's base and exception count (0 on a wide row), and
-// sections 34 and 35 the exception nodes and distances, row after row.
-// Neither vicinity nor landmark parents are written — paths derive from
-// the distances. Files of versions 1 to 5 fail with
-// oraclefile.ErrVersion.
-const fileVersion = 6
+// interior and its boundary tail and ends with one distance per member.
+// Every offset inside a coded table is local to it, so section 29 holds
+// the tables verbatim, in node order, and section 28 each node's table
+// length in words: a table starts where the ones before it end. The
+// boundary ∂Γ(u) is the last run of u's table (section 15 holds only
+// its length). Each landmark row is stored in its form (see lrow):
+// section 25 gives every row's bits per node k, 2 or 4 for a coded row
+// and 32 for a wide one; section 31 holds every row's code words,
+// ⌈n·k/32⌉ each, padded with the escape code; sections 32 and 33 give
+// every row's base and exception count (0 on a wide row), and sections
+// 34 and 35 the exception nodes and distances, row after row. Neither
+// vicinity nor landmark parents are written — paths derive from the
+// distances. Files of versions 1 to 6 fail with oraclefile.ErrVersion.
+const fileVersion = 7
 
 // Section tags, in file order. Tags 13, 16, 17 and 21 held version 1's
 // vicinity parents, boundary copies and landmark parents, tag 20
 // version 2's uint16 landmark rows, tags 9, 10 and 14 version 3's hash
 // slot index, tags 11, 22-24 and 26 version 4's plain key arena, run
-// starts and one-byte landmark rows, and tags 19 and 30 version 5's
-// wide and four-bit rows; they are not reused. The sections added in
-// version 3 and later store byte counts in their headers.
+// starts and one-byte landmark rows, tags 19 and 30 version 5's wide
+// and four-bit rows, and tags 7, 8, 12 and 27 version 6's per-node
+// distance offsets and member counts, its distance array and its
+// per-node table offsets; they are not reused.
 const (
 	secMeta      = 1  // u64s: flags and build options
 	secScope     = 2  // u32s: Options.Nodes (meaningful iff flagScope)
@@ -61,15 +60,11 @@ const (
 	secLandmarks = 4  // u32s: sorted landmark ids
 	secRadius    = 5  // u32s[n]
 	secNearest   = 6  // u32s[n]
-	secVicEntOff = 7  // u32s[n]: per-node distance range start (0 on unweighted oracles)
-	secVicEntLen = 8  // u32s[n]: per-node member count
-	secDists     = 12 // u32s: per-entry distances (weighted oracles only)
 	secBoundLen  = 15 // u32s[n]: |∂Γ(u)|, the last run of u's table
 	secLPos      = 18 // u32s[|L|]: landmark table position, or ^0 for none
 	secLWidth    = 25 // bytes[built]: each row's bits per node, 2, 4 or 32
-	secVicTblOff = 27 // u32s[n]: per-node coded table start
 	secVicTblLen = 28 // u32s[n]: per-node coded table length in words
-	secTables    = 29 // u32s: the coded tables
+	secTables    = 29 // u32s: the coded tables, in node order
 	secLCodes    = 31 // u32s: the landmark rows' code words, ⌈n·k/32⌉ each, in row order
 	secLBase     = 32 // u32s[built]: each row's base (0 on a wide row)
 	secLExcLen   = 33 // u32s[built]: each row's exception count (0 on a wide row)
@@ -77,26 +72,21 @@ const (
 	secLExcDist  = 35 // u32s: the exception distances, row after row
 )
 
-// Meta flags.
+// Meta flags. A file with any other bit set fails to load.
 const (
 	flagScope = 1 << iota
 	flagNoLandmarkTables
-	flagNoPathData  // retired distance-only build option: never written, ignored on load
-	_               // version 2's uint16 landmark rows; version 3 stores each row's width
-	flagScanSmaller // retired Options.ScanSmallerBoundary: never written, rejected on load
 )
 
-// meta field order within secMeta.
+// meta field order within secMeta. Options.Workers is not stored: a
+// build is bit-identical for every worker count, and storing the count
+// would make the file depend on the machine that wrote it.
 const (
 	metaFlags = iota
 	metaNodes
 	metaAlpha
 	metaSeed
 	metaSampling
-	metaFallback  // retired Options.Fallback: written as 0, ignored on load (each request's Policy selects the fallback)
-	metaTableKind // retired Options.TableKind: written as 0 (the one layout), any other value rejected on load
-	metaWorkers
-	metaMaxLandmarks // retired Options.MaxLandmarks: written as 0, ignored on load (the file stores the landmark set)
 	metaLen
 )
 
@@ -104,7 +94,9 @@ const (
 // (the checksum was fine but the encoded structure is inconsistent).
 var ErrBadOracleFile = errors.New("core: invalid oracle file")
 
-// WriteOracle serializes o to w in the oracle file format.
+// WriteOracle serializes o to w in the oracle file format. Each node's
+// table goes out straight from its view, so superseded ranges an update
+// left in the arena are skipped without compacting it first.
 func WriteOracle(w io.Writer, o *Oracle) error {
 	n := o.g.NumNodes()
 	ow := oraclefile.NewWriter(w, fileVersion)
@@ -122,11 +114,6 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	meta[metaAlpha] = math.Float64bits(o.opts.Alpha)
 	meta[metaSeed] = o.opts.Seed
 	meta[metaSampling] = uint64(o.opts.Sampling)
-	// Workers is an execution knob, not a structural property: the build
-	// is bit-identical for every worker count, and persisting the count
-	// (defaulted to GOMAXPROCS) would make the file depend on the
-	// machine that wrote it. Always stored as 0 = "default".
-	meta[metaWorkers] = 0
 	ow.U64s(secMeta, meta)
 	ow.U32s(secScope, o.opts.Nodes)
 
@@ -139,21 +126,6 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 	ow.U32s(secLandmarks, o.landmarks)
 	ow.U32s(secRadius, o.radius)
 	ow.U32s(secNearest, o.nearest)
-
-	arena, flat := o.flattenedVicinities()
-	cols := make([][]uint32, 4) // tblOff, tblLen, entOff, entLen
-	for i := range cols {
-		cols[i] = make([]uint32, n)
-	}
-	for u, f := range flat {
-		r := f.Range()
-		cols[0][u], cols[1][u], cols[2][u], cols[3][u] = r.WOff, r.WLen, r.EOff, r.ELen
-	}
-	ow.U32s(secVicEntOff, cols[2])
-	ow.U32s(secVicEntLen, cols[3])
-	if !arena.Leveled {
-		ow.U32s(secDists, arena.Dists)
-	}
 	ow.U32s(secBoundLen, o.boundLen)
 
 	lpos := make([]uint32, len(o.lpos))
@@ -172,27 +144,21 @@ func WriteOracle(w io.Writer, o *Oracle) error {
 		xdist = append(xdist, row.xdist...)
 	}
 	ow.Raw(secLWidth, widths)
-	ow.U32sBytes(secVicTblOff, cols[0])
-	ow.U32sBytes(secVicTblLen, cols[1])
-	ow.U32sBytes(secTables, arena.Words)
-	ow.U32RowsBytes(secLCodes, codes)
-	ow.U32sBytes(secLBase, bases)
-	ow.U32sBytes(secLExcLen, xlens)
-	ow.U32sBytes(secLExcNode, xnode)
-	ow.U32sBytes(secLExcDist, xdist)
+	tables := make([][]uint32, n)
+	tblLen := make([]uint32, n)
+	for u, f := range o.vicFlat {
+		tables[u] = f.Words()
+		tblLen[u] = uint32(len(tables[u]))
+	}
+	ow.U32s(secVicTblLen, tblLen)
+	ow.U32Rows(secTables, tables)
+	ow.U32Rows(secLCodes, codes)
+	ow.U32s(secLBase, bases)
+	ow.U32s(secLExcLen, xlens)
+	ow.U32s(secLExcNode, xnode)
+	ow.U32s(secLExcDist, xdist)
 
 	return ow.Close()
-}
-
-// flattenedVicinities returns the vicinity storage as an arena and the
-// per-node views into it. An arena without waste is returned directly;
-// one with holes left by updates is compacted into a temporary so the
-// file never carries dead ranges.
-func (o *Oracle) flattenedVicinities() (*u32map.Arena, []u32map.Flat) {
-	if o.waste > 0 {
-		return o.compactVicinityArena()
-	}
-	return o.arena, o.vicFlat
 }
 
 // ReadOracle deserializes an oracle written by WriteOracle, verifying
@@ -219,29 +185,22 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		return nil, fmt.Errorf("%w: meta has %d fields, want %d", ErrBadOracleFile, len(meta), metaLen)
 	}
 	flags := meta[metaFlags]
-	workers := int(meta[metaWorkers])
-	if workers <= 0 {
-		// Files store 0 ("default"): pick this machine's parallelism for
-		// the loaded oracle's update repairs.
-		workers = runtime.GOMAXPROCS(0)
+	if flags&^(flagScope|flagNoLandmarkTables) != 0 {
+		return nil, fmt.Errorf("%w: unknown meta flags %#x", ErrBadOracleFile, flags)
 	}
 	opts := Options{
-		Alpha:                 math.Float64frombits(meta[metaAlpha]),
-		Seed:                  meta[metaSeed],
-		Sampling:              Sampling(meta[metaSampling]),
-		Workers:               workers,
+		Alpha:    math.Float64frombits(meta[metaAlpha]),
+		Seed:     meta[metaSeed],
+		Sampling: Sampling(meta[metaSampling]),
+		// The file stores no worker count: the loaded oracle repairs
+		// updates at this machine's parallelism.
+		Workers:               runtime.GOMAXPROCS(0),
 		DisableLandmarkTables: flags&flagNoLandmarkTables != 0,
 	}
 	switch opts.Sampling {
 	case SamplingPaper, SamplingUniform, SamplingDegree, SamplingTop:
 	default:
 		return nil, fmt.Errorf("%w: unknown sampling %d", ErrBadOracleFile, int(opts.Sampling))
-	}
-	if k := meta[metaTableKind]; k != 0 {
-		return nil, fmt.Errorf("%w: table kind %d (the retired Options.TableKind; only kind 0 loads)", ErrBadOracleFile, k)
-	}
-	if flags&flagScanSmaller != 0 {
-		return nil, fmt.Errorf("%w: scan-smaller flag (the retired Options.ScanSmallerBoundary)", ErrBadOracleFile)
 	}
 
 	scope, err := or.U32s(secScope)
@@ -279,20 +238,6 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if o.nearest, err = or.U32s(secNearest); err != nil {
 		return nil, err
 	}
-	entOff, err := or.U32s(secVicEntOff)
-	if err != nil {
-		return nil, err
-	}
-	entLen, err := or.U32s(secVicEntLen)
-	if err != nil {
-		return nil, err
-	}
-	arena := &u32map.Arena{Leveled: !g.Weighted()}
-	if !arena.Leveled {
-		if arena.Dists, err = or.U32s(secDists); err != nil {
-			return nil, err
-		}
-	}
 	if o.boundLen, err = or.U32s(secBoundLen); err != nil {
 		return nil, err
 	}
@@ -304,31 +249,28 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	tblOff, err := or.U32sBytes(secVicTblOff)
+	tblLen, err := or.U32s(secVicTblLen)
 	if err != nil {
 		return nil, err
 	}
-	tblLen, err := or.U32sBytes(secVicTblLen)
-	if err != nil {
-		return nil, err
-	}
-	if arena.Words, err = or.U32sBytes(secTables); err != nil {
+	arena := &u32map.Arena{Leveled: !g.Weighted()}
+	if arena.Words, err = or.U32s(secTables); err != nil {
 		return nil, err
 	}
 	rows := rowSections{widths: widths}
-	if rows.codes, err = or.U32sBytes(secLCodes); err != nil {
+	if rows.codes, err = or.U32s(secLCodes); err != nil {
 		return nil, err
 	}
-	if rows.bases, err = or.U32sBytes(secLBase); err != nil {
+	if rows.bases, err = or.U32s(secLBase); err != nil {
 		return nil, err
 	}
-	if rows.xlens, err = or.U32sBytes(secLExcLen); err != nil {
+	if rows.xlens, err = or.U32s(secLExcLen); err != nil {
 		return nil, err
 	}
-	if rows.xnode, err = or.U32sBytes(secLExcNode); err != nil {
+	if rows.xnode, err = or.U32s(secLExcNode); err != nil {
 		return nil, err
 	}
-	if rows.xdist, err = or.U32sBytes(secLExcDist); err != nil {
+	if rows.xdist, err = or.U32s(secLExcDist); err != nil {
 		return nil, err
 	}
 	// Verify the checksum before trusting any of the data structurally.
@@ -336,8 +278,7 @@ func readOracleSized(r io.Reader, sizeHint int64) (*Oracle, error) {
 		return nil, err
 	}
 
-	ranges := [][]uint32{tblOff, tblLen, entOff, entLen}
-	if err := o.restore(arena, ranges, lpos, rows); err != nil {
+	if err := o.restore(arena, tblLen, lpos, rows); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -354,33 +295,25 @@ type rowSections struct {
 
 // restore validates the deserialized arrays and rebuilds the derived
 // in-memory state (landmark index, per-node views, per-landmark table
-// rows, workspace pool). ranges holds the per-node columns tblOff,
-// tblLen, entOff and entLen.
-func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32, rows rowSections) error {
+// rows, workspace pool). tblLen holds each node's table length.
+func (o *Oracle) restore(arena *u32map.Arena, tblLen, lpos []uint32, rows rowSections) error {
 	n := o.g.NumNodes()
 	if len(o.radius) != n || len(o.nearest) != n {
 		return fmt.Errorf("%w: radius/nearest length", ErrBadOracleFile)
 	}
-	for _, col := range ranges {
-		if len(col) != n {
-			return fmt.Errorf("%w: vicinity range arrays", ErrBadOracleFile)
-		}
+	if len(tblLen) != n {
+		return fmt.Errorf("%w: table length array", ErrBadOracleFile)
 	}
 	if len(o.boundLen) != n {
 		return fmt.Errorf("%w: boundary length array", ErrBadOracleFile)
 	}
 
 	// Landmarks: sorted, unique, in range.
-	o.isL = make([]bool, n)
-	o.lidx = make([]int32, n)
-	for i := range o.lidx {
-		o.lidx[i] = -1
-	}
+	o.lidx = grow([]int32(nil), n, -1)
 	for i, l := range o.landmarks {
 		if int(l) >= n || (i > 0 && o.landmarks[i-1] >= l) {
 			return fmt.Errorf("%w: landmark set", ErrBadOracleFile)
 		}
-		o.isL[l] = true
 		o.lidx[l] = int32(i)
 	}
 
@@ -394,36 +327,33 @@ func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32, 
 		}
 	}
 
-	// Vicinity ranges, coded tables, boundary runs. Every table is
-	// decoded in full: a run out of order would make lookups and
-	// intersections miss members silently, and a block record pointing
-	// past its table would make them read another table's words.
+	// Vicinity tables, in node order, and their boundary runs: node u's
+	// table starts where the ones before it end, and together they fill
+	// the tables section. Every table is decoded in full: a run out of
+	// order would make lookups and intersections miss members silently,
+	// and a block record pointing past its table would make them read
+	// another table's words.
+	if uint64(len(arena.Words)) > math.MaxUint32 {
+		return fmt.Errorf("%w: %d table words overflow the arena", ErrBadOracleFile, len(arena.Words))
+	}
 	o.arena = arena
 	o.vicFlat = make([]u32map.Flat, n)
+	off := uint64(0)
 	for u := 0; u < n; u++ {
-		r := u32map.Range{
-			WOff: ranges[0][u], WLen: ranges[1][u],
-			EOff: ranges[2][u], ELen: ranges[3][u],
+		if off+uint64(tblLen[u]) > uint64(len(arena.Words)) {
+			return fmt.Errorf("%w: node %d table of %d words runs past the %d words of tables",
+				ErrBadOracleFile, u, tblLen[u], len(arena.Words))
 		}
-		el := r.ELen
-		if !within(r.WOff, r.WLen, len(arena.Words)) {
-			return fmt.Errorf("%w: node %d table range", ErrBadOracleFile, u)
-		}
-		if arena.Leveled && r.EOff != 0 || !arena.Leveled && !within(r.EOff, el, len(arena.Dists)) {
-			return fmt.Errorf("%w: node %d distance range", ErrBadOracleFile, u)
-		}
-		if o.boundLen[u] > el {
-			return fmt.Errorf("%w: node %d boundary length %d exceeds its %d entries", ErrBadOracleFile, u, o.boundLen[u], el)
-		}
-		if el == 0 {
-			if r.WLen != 0 {
-				return fmt.Errorf("%w: node %d has a table without entries", ErrBadOracleFile, u)
-			}
-			continue
-		}
-		f := arena.View(r)
+		f := arena.View(u32map.Range{WOff: uint32(off), WLen: tblLen[u]})
+		off += uint64(tblLen[u])
 		if err := f.Check(uint32(n)); err != nil {
 			return fmt.Errorf("%w: node %d: %v", ErrBadOracleFile, u, err)
+		}
+		if o.boundLen[u] > uint32(f.Len()) {
+			return fmt.Errorf("%w: node %d boundary length %d exceeds its %d entries", ErrBadOracleFile, u, o.boundLen[u], f.Len())
+		}
+		if f.Empty() {
+			continue
 		}
 		if arena.Leveled {
 			if f.Owner() != uint32(u) {
@@ -437,6 +367,9 @@ func (o *Oracle) restore(arena *u32map.Arena, ranges [][]uint32, lpos []uint32, 
 		}
 		o.vicFlat[u] = f
 		o.covered++
+	}
+	if off != uint64(len(arena.Words)) {
+		return fmt.Errorf("%w: %d words after the last table", ErrBadOracleFile, uint64(len(arena.Words))-off)
 	}
 
 	// Landmark tables: positions dense in [0, built).
@@ -511,12 +444,6 @@ func (o *Oracle) restoreRows(rows rowSections, built int) error {
 		o.lrows[p] = r
 	}
 	return nil
-}
-
-// within reports whether the range [off, off+length) lies inside an
-// array of size words.
-func within(off, length uint32, size int) bool {
-	return uint64(off)+uint64(length) <= uint64(size)
 }
 
 // checkLevels validates one unweighted vicinity's levels against its

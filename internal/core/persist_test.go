@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -195,14 +196,14 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 
 	corrupt("nearest out of range", func(o *Oracle) {
 		for u := range o.nearest {
-			if !o.isL[u] {
+			if o.lidx[u] < 0 {
 				o.nearest[u] = 200 // == n: would panic in lidx[ls]
 				return
 			}
 		}
 	})
-	// A boundary longer than its node's entry range would slice past
-	// the node's entries in the boundary scan.
+	// A boundary longer than its node's entries would slice past them
+	// in the boundary scan.
 	corrupt("boundary length exceeds entry count", func(o *Oracle) {
 		for u := range o.vicFlat {
 			if el := o.vicFlat[u].Len(); el > 0 {
@@ -212,15 +213,16 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 		}
 		t.Fatal("no vicinity found to corrupt")
 	})
+	// A node without a table has no boundary to scan.
+	corrupt("boundary length on a node without a table", func(o *Oracle) {
+		o.boundLen[o.landmarks[0]] = 1
+	})
 	// Every run must strictly increase: lookups bisect the block heads
 	// and scans walk the runs, so a block head at or below the previous
 	// block's last key — a key out of order, or stored twice — would make
 	// them miss members silently. Within a block, gaps are positive by
 	// construction.
-	words := func(o *Oracle, u int) []uint32 {
-		r := o.vicFlat[u].Range()
-		return o.arena.Words[r.WOff : r.WOff+r.WLen]
-	}
+	words := func(o *Oracle, u int) []uint32 { return o.vicFlat[u].Words() }
 	// blockOf finds a leveled table and the word index of the head of
 	// one of its blocks that pick accepts (its meta word follows), given
 	// the block's index in its run and its key count.
@@ -387,99 +389,64 @@ func TestChecksumValidStructuralCorruption(t *testing.T) {
 		w, at := blockOf(o, func(rb, _ int) bool { return rb == 0 })
 		w[at] = uint32(g.NumNodes()) + 5000
 	})
-}
 
-// metaWord returns the file offset of meta word i: the meta words
-// follow the 6-byte file header (magic, version) and the 12-byte
-// section header (tag, count).
-func metaWord(i int) int { return 6 + 12 + 8*i }
-
-// patchMeta returns a copy of the oracle file blob with meta word i
-// rewritten by fn and the CRC-32C trailer recomputed: a checksum-valid
-// file carrying a meta value Save would not write.
-func patchMeta(blob []byte, i int, fn func(uint64) uint64) []byte {
-	b := append([]byte(nil), blob...)
-	w := b[metaWord(i):]
-	binary.LittleEndian.PutUint64(w, fn(binary.LittleEndian.Uint64(w)))
-	crc := crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli))
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc)
-	return b
-}
-
-// TestLoadRetiredOptions pins how files that carry a retired build
-// option load. The table-kind meta slot and the scan-smaller flag chose
-// a layout and a scan side that no longer exist, so a file setting
-// either fails with ErrBadOracleFile naming the option. The
-// max-landmarks slot only shaped sampling, and the file stores the
-// sampled landmark set, so a non-zero value loads and answers as before.
-// So does the no-path-data flag: paths derive from the stored
-// distances, so there is nothing left for it to disable. The fallback
-// slot held the build-time fallback; each request's Policy chooses it
-// now, so any value loads, answers default-policy queries with the
-// exact search, and is written back as 0.
-func TestLoadRetiredOptions(t *testing.T) {
-	g := socialGraph(33, 300)
-	o := mustBuild(t, g, Options{Seed: 33})
-	blob := oracleBytes(t, o)
-
-	if got := binary.LittleEndian.Uint64(blob[metaWord(metaNodes):]); got != uint64(g.NumNodes()) {
-		t.Fatalf("meta layout moved: node-count word reads %d", got)
+	// What Save derives rather than copies — the table lengths, the
+	// meta flags — patched in the file itself.
+	blob := oracleBytes(t, mustBuild(t, g, Options{Seed: 99}))
+	if !bytes.Equal(rewriteSections(t, blob, func(_ uint32, p []byte) []byte { return p }), blob) {
+		t.Fatal("re-emitting the sections changed the file")
 	}
-	set := func(v uint64) func(uint64) uint64 { return func(uint64) uint64 { return v } }
-
-	for _, tc := range []struct {
-		name, option string
-		file         []byte
-	}{
-		{"table kind 1", "TableKind", patchMeta(blob, metaTableKind, set(1))},
-		{"table kind 2", "TableKind", patchMeta(blob, metaTableKind, set(2))},
-		{"scan-smaller flag", "ScanSmallerBoundary", patchMeta(blob, metaFlags, func(f uint64) uint64 { return f | flagScanSmaller })},
-	} {
-		_, err := ReadOracle(bytes.NewReader(tc.file))
-		if !errors.Is(err, ErrBadOracleFile) || !strings.Contains(err.Error(), tc.option) {
-			t.Errorf("%s: got %v, want ErrBadOracleFile naming %s", tc.name, err, tc.option)
+	reject := func(name, want string, fn func(tag uint32, p []byte) []byte) {
+		_, err := ReadOracle(bytes.NewReader(rewriteSections(t, blob, fn)))
+		if !errors.Is(err, ErrBadOracleFile) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want ErrBadOracleFile (%s)", name, err, want)
 		}
 	}
-
-	for _, tc := range []struct {
-		name string
-		file []byte
-	}{
-		{"max landmarks 3", patchMeta(blob, metaMaxLandmarks, set(3))},
-		{"no-path-data flag", patchMeta(blob, metaFlags, func(f uint64) uint64 { return f | flagNoPathData })},
-	} {
-		got, err := ReadOracle(bytes.NewReader(tc.file))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	reject("table lengths past the tables section", "runs past", func(tag uint32, p []byte) []byte {
+		for i := len(p)/4 - 1; tag == secVicTblLen && i >= 0; i-- {
+			if l := binary.LittleEndian.Uint32(p[4*i:]); l > 0 {
+				binary.LittleEndian.PutUint32(p[4*i:], l+1) // the last table, one word longer
+				break
+			}
 		}
-		assertOraclesAgree(t, o, got, g.NumNodes(), 300)
+		return p
+	})
+	reject("words after the last table", "after the last table", func(tag uint32, p []byte) []byte {
+		if tag == secTables {
+			p = append(p, 0, 0, 0, 0)
+		}
+		return p
+	})
+	for _, bit := range []uint64{1 << 2, 1 << 4, 1 << 63} {
+		reject(fmt.Sprintf("meta flag %#x", bit), "meta flags", func(tag uint32, p []byte) []byte {
+			if tag == secMeta {
+				binary.LittleEndian.PutUint64(p, binary.LittleEndian.Uint64(p)|bit)
+			}
+			return p
+		})
 	}
+}
 
-	// The retired fallback word, on a pair the tables cannot decide.
-	ho, hs, hu := hardPairOracle(t, Options{})
-	hblob := oracleBytes(t, ho)
-	if w := binary.LittleEndian.Uint64(hblob[metaWord(metaFallback):]); w != 0 {
-		t.Fatalf("fallback word written as %d, want 0", w)
+// rewriteSections re-emits an oracle file with each section's payload
+// passed through fn, headers and checksum recomputed: a checksum-valid
+// file carrying sections Save would not write. Every section header
+// holds a byte count, so Raw re-emits any section as it was.
+func rewriteSections(t *testing.T, blob []byte, fn func(tag uint32, payload []byte) []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := oraclefile.NewWriter(&buf, binary.LittleEndian.Uint16(blob[4:]))
+	for off := 6; ; {
+		tag, size := binary.LittleEndian.Uint32(blob[off:]), int(binary.LittleEndian.Uint64(blob[off+4:]))
+		if tag == 0 {
+			break
+		}
+		w.Raw(tag, fn(tag, append([]byte(nil), blob[off+12:off+12+size]...)))
+		off += 12 + size
 	}
-	want, _, err := queryDist(ho, hs, hu)
-	if err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint64{1, 2, 99} {
-		got, err := ReadOracle(bytes.NewReader(patchMeta(hblob, metaFallback, set(v))))
-		if err != nil {
-			t.Fatalf("fallback word %d: %v", v, err)
-		}
-		if d, m, err := queryDist(got, hs, hu); err != nil || d != want || m != MethodFallbackExact {
-			t.Fatalf("fallback word %d: default-policy query answered (%d, %v, %v), want (%d, %v)",
-				v, d, m, err, want, MethodFallbackExact)
-		}
-		resaved := oracleBytes(t, got)
-		if w := binary.LittleEndian.Uint64(resaved[metaWord(metaFallback):]); w != 0 || !bytes.Equal(resaved, hblob) {
-			t.Fatalf("fallback word %d: re-saved file writes the word as %d (identical to a fresh save: %v)",
-				v, w, bytes.Equal(resaved, hblob))
-		}
-	}
+	return buf.Bytes()
 }
 
 // TestLoadRejectsVersion2 pins the format bump: a file that is valid
@@ -487,15 +454,28 @@ func TestLoadRetiredOptions(t *testing.T) {
 // graph, uint16 landmark rows) fails with ErrVersion rather than being
 // misread.
 func TestLoadRejectsVersion2(t *testing.T) {
+	assertVersionRejected(t, 2)
+}
+
+// TestLoadRejectsVersion6 does the same for version 6, whose weighted
+// distances and per-node table offsets sat in sections of their own.
+func TestLoadRejectsVersion6(t *testing.T) {
+	assertVersionRejected(t, 6)
+}
+
+// assertVersionRejected checks that a file valid in every byte but
+// naming version v fails with ErrVersion.
+func assertVersionRejected(t *testing.T, v uint16) {
+	t.Helper()
 	blob := oracleBytes(t, mustBuild(t, socialGraph(35, 200), Options{Seed: 35}))
-	if v := binary.LittleEndian.Uint16(blob[4:]); v != fileVersion {
-		t.Fatalf("header names version %d, want %d", v, fileVersion)
+	if got := binary.LittleEndian.Uint16(blob[4:]); got != fileVersion {
+		t.Fatalf("header names version %d, want %d", got, fileVersion)
 	}
-	binary.LittleEndian.PutUint16(blob[4:], 2)
+	binary.LittleEndian.PutUint16(blob[4:], v)
 	crc := crc32.Checksum(blob[:len(blob)-4], crc32.MakeTable(crc32.Castagnoli))
 	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc)
 	if _, err := ReadOracle(bytes.NewReader(blob)); !errors.Is(err, oraclefile.ErrVersion) {
-		t.Fatalf("version-2 file: got %v, want ErrVersion", err)
+		t.Fatalf("version-%d file: got %v, want ErrVersion", v, err)
 	}
 }
 

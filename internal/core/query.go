@@ -221,24 +221,20 @@ func (o *Oracle) directCases(s, t uint32, c *Cost) (uint32, Method, uint8, error
 	}
 
 	// Algorithm 1 line 3: the four direct cases.
-	if o.isL[s] {
-		if li := o.lidx[s]; o.hasLandmarkTable(li) {
-			d, m := o.landmarkRowCase(li, t, MethodLandmarkSource, c)
-			return d, m, tgtDone, nil
-		}
+	if li := o.lidx[s]; o.hasLandmarkTable(li) {
+		d, m := o.landmarkRowCase(li, t, MethodLandmarkSource, c)
+		return d, m, tgtDone, nil
 	}
-	if o.isL[t] {
-		if li := o.lidx[t]; o.hasLandmarkTable(li) {
-			d, m := o.landmarkRowCase(li, s, MethodLandmarkTarget, c)
-			return d, m, tgtDone, nil
-		}
+	if li := o.lidx[t]; o.hasLandmarkTable(li) {
+		d, m := o.landmarkRowCase(li, s, MethodLandmarkTarget, c)
+		return d, m, tgtDone, nil
 	}
-	okS := o.vicFlat[s].Len() > 0
-	okT := o.vicFlat[t].Len() > 0
-	if !okS && !o.isL[s] {
+	okS := !o.vicFlat[s].Empty()
+	okT := !o.vicFlat[t].Empty()
+	if !okS && o.lidx[s] < 0 {
 		return NoDist, MethodNone, tgtDone, errNotCovered(s)
 	}
-	if !okT && !o.isL[t] {
+	if !okT && o.lidx[t] < 0 {
 		return NoDist, MethodNone, tgtDone, errNotCovered(t)
 	}
 	if okS {

@@ -74,7 +74,7 @@ func recodeTable(o *Oracle, u uint32, keys []uint32) {
 		at += run.Len()
 	}
 	o.waste += uint64(f.Bytes() / 4)
-	o.vicFlat[u] = o.arena.Add(u32map.AppendTable(nil, f.Leveled(), keys, starts), dists, uint32(len(keys)))
+	o.vicFlat[u] = o.arena.Add(u32map.AppendTable(nil, f.Leveled(), keys, starts, dists))
 }
 
 // assertRunsSorted checks the layout every lookup, scan and hop relies

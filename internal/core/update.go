@@ -414,14 +414,15 @@ const (
 
 // lmRepairWS is the per-worker scratch of the landmark-row repair. xd
 // holds the exception distances of the row under repair by node (NoDist
-// for none, its state between rows) and xtouched the nodes whose entry
-// changed (see rowEdit). The level buckets implement the monotone
-// bucket queue both the invalidation walk and the re-settle BFS need;
-// mark/touched give O(1) membership with O(touched) cleanup between
-// rows.
+// for none, its state between rows), xtouched the nodes whose entry
+// changed and shared whether the row's codes are still its parent's
+// (see rowEdit). The level buckets implement the monotone bucket queue
+// both the invalidation walk and the re-settle BFS need; mark/touched
+// give O(1) membership with O(touched) cleanup between rows.
 type lmRepairWS struct {
 	xd       []uint32
 	xtouched []uint32
+	shared   bool
 	q        *queue.U32
 	mark     []uint8
 	touched  []uint32
@@ -530,17 +531,21 @@ func (t *Oracle) repairLandmarkTables(newG *graph.Graph, oldN int, cs *changeSet
 			}
 			return
 		}
-		// Repair a copy of the row in place, regrown for added nodes
-		// (older snapshots keep reading the original), code by code, with
-		// its exception edits kept in the worker's scratch. Only a row
+		// Repair the row in place, code by code, with its exception edits
+		// kept in the worker's scratch. Older snapshots keep reading the
+		// original: a row regrown for added nodes is a copy already, and
+		// any other copies its codes at its first write. Only a row
 		// whose chosen form changes is expanded and packed again. A
 		// repair that sets no distance, as when every endpoint of a tight
 		// deleted edge keeps another supporter, leaves the row as it was:
-		// it stays shared, in the form already chosen for it. Workers
-		// write distinct pos elements, so assigning into the shared outer
-		// slice is race-free.
-		r := old.extended(newN)
-		rw := ws.edit(&r)
+		// it stays shared, in the form already chosen for it, and copies
+		// nothing. Workers write distinct pos elements, so assigning into
+		// the shared outer slice is race-free.
+		r := old
+		if grow {
+			r = old.extended(newN)
+		}
+		rw := ws.edit(&r, !grow)
 		changed := repairRow(rw, newG, cs, ws, delTouched)
 		rw.finish()
 		if changed || grow {
@@ -559,10 +564,13 @@ type rowEdit struct {
 }
 
 // edit starts the repair of row r, loading its exceptions into xd.
-func (ws *lmRepairWS) edit(r *lrow) rowEdit {
+// shared says r's codes are another snapshot's, to be copied before
+// the first write.
+func (ws *lmRepairWS) edit(r *lrow, shared bool) rowEdit {
 	for i, v := range r.xnode {
 		ws.xd[v] = r.xdist[i]
 	}
+	ws.shared = shared
 	return rowEdit{r, ws}
 }
 
@@ -583,6 +591,10 @@ func (e rowEdit) set(v, d uint32) {
 	if xd := &e.ws.xd[v]; *xd != d {
 		*xd = d
 		e.ws.xtouched = append(e.ws.xtouched, v)
+	}
+	if e.ws.shared {
+		e.r.codes = slices.Clone(e.r.codes)
+		e.ws.shared = false
 	}
 	e.r.setCode(v, c)
 }
@@ -833,7 +845,7 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 	var rmax uint32
 	var flood []uint32
 	for u := 0; u < oldN; u++ {
-		if t.isL[u] {
+		if t.lidx[u] >= 0 {
 			continue
 		}
 		if r := t.radius[u]; r == NoDist {
@@ -852,7 +864,7 @@ func (t *Oracle) affectedNodes(newG *graph.Graph, oldN int, cs *changeSet) []uin
 			return
 		}
 		mark[x] = true
-		if t.isL[x] {
+		if t.lidx[x] >= 0 {
 			return
 		}
 		// Stay within build scope: repair nodes that have vicinity state,
@@ -1025,12 +1037,11 @@ func (t *Oracle) classifyDeletions(oldG *graph.Graph, del []delEdge, rmax uint32
 }
 
 // maybeCompact squeezes out superseded ranges once they dominate the
-// arena (amortized O(1) per appended word). The compacted arrays are
-// fresh allocations, so snapshots still serving the old layout are
+// arena (amortized O(1) per appended word). The compacted array is a
+// fresh allocation, so snapshots still serving the old layout are
 // unaffected.
 func (t *Oracle) maybeCompact() {
-	a := t.arena
-	if t.waste > 0 && 2*t.waste > uint64(len(a.Words)+len(a.Dists)) {
+	if t.waste > 0 && 2*t.waste > uint64(len(t.arena.Words)) {
 		t.arena, t.vicFlat = t.compactVicinityArena()
 		t.waste = 0
 	}
@@ -1038,25 +1049,16 @@ func (t *Oracle) maybeCompact() {
 
 // compactVicinityArena copies every live vicinity into a fresh arena of
 // the same kind in node order and returns it with the corresponding
-// views. Read-only on the oracle (persistence uses it to write
-// waste-free files).
+// views. It only reads the oracle; maybeCompact installs the result.
 func (o *Oracle) compactVicinityArena() (*u32map.Arena, []u32map.Flat) {
-	var words, dists int
-	for u := range o.vicFlat {
-		r := o.vicFlat[u].Range()
-		words += int(r.WLen)
-		dists += int(r.ELen)
+	words := 0
+	for _, f := range o.vicFlat {
+		words += len(f.Words())
 	}
-	na := &u32map.Arena{
-		Words:   make([]uint32, 0, words),
-		Leveled: o.arena.Leveled,
-	}
-	if !na.Leveled {
-		na.Dists = make([]uint32, 0, dists)
-	}
+	na := &u32map.Arena{Words: make([]uint32, 0, words), Leveled: o.arena.Leveled}
 	flat := make([]u32map.Flat, len(o.vicFlat))
-	for u := range o.vicFlat {
-		flat[u] = o.vicFlat[u].CopyTo(na)
+	for u, f := range o.vicFlat {
+		flat[u] = f.CopyTo(na)
 	}
 	return na, flat
 }

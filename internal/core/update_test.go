@@ -395,7 +395,7 @@ func TestUpdateCompactionBound(t *testing.T) {
 		}
 		o = next
 		waste := o.waste
-		total := uint64(len(o.arena.Words) + len(o.arena.Dists))
+		total := uint64(len(o.arena.Words))
 		if 2*waste > total {
 			t.Fatalf("step %d: waste %d above half of %d", step, waste, total)
 		}

@@ -6,8 +6,8 @@ import (
 )
 
 // readSchedule is the section sequence the fuzz reader demands; it
-// exercises every array width, a raw section and a byte-count section,
-// mirroring how the core loader walks a file.
+// exercises every array width and a raw section, mirroring how the
+// core loader walks a file.
 func readSchedule(data []byte, sizeHint int64) error {
 	or, err := NewReader(bytes.NewReader(data), sizeHint)
 	if err != nil {
@@ -22,7 +22,7 @@ func readSchedule(data []byte, sizeHint int64) error {
 	if _, err := or.Raw(3); err != nil {
 		return err
 	}
-	if _, err := or.U32sBytes(4); err != nil {
+	if _, err := or.U32s(4); err != nil {
 		return err
 	}
 	if _, err := or.U32s(5); err != nil {
@@ -38,7 +38,7 @@ func validContainer() []byte {
 	w.U64s(1, []uint64{1, 2, 3})
 	w.U32s(2, []uint32{4, 5})
 	w.Raw(3, []byte("raw-bytes"))
-	w.U32sBytes(4, []uint32{6})
+	w.U32Rows(4, [][]uint32{{6}})
 	w.U32s(5, []uint32{7, 8, 9})
 	if err := w.Close(); err != nil {
 		panic(err)
@@ -49,7 +49,7 @@ func validContainer() []byte {
 // FuzzReader feeds mutated containers to the section reader, both with
 // a size hint (the file path) and without (the stream path). Any error
 // is acceptable; panics, hangs and unbounded allocations are not —
-// in particular a section header claiming a huge element count must be
+// in particular a section header claiming a huge byte count must be
 // rejected (hinted) or bounded by the data actually present (streamed).
 func FuzzReader(f *testing.F) {
 	valid := validContainer()
@@ -62,7 +62,7 @@ func FuzzReader(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped, true)
-	// A header whose count field claims ~2^56 elements.
+	// A header whose size field claims ~2^56 bytes.
 	huge := append([]byte(nil), valid[:6]...)
 	huge = append(huge, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0)
 	f.Add(huge, true)
@@ -75,7 +75,7 @@ func FuzzReader(f *testing.F) {
 	fw.Raw(100, []byte("future section"))
 	fw.U32s(2, []uint32{4, 5})
 	fw.Raw(3, []byte("raw-bytes"))
-	fw.U32sBytes(4, []uint32{6})
+	fw.U32s(4, []uint32{6})
 	fw.U32s(5, []uint32{7, 8, 9})
 	fw.Raw(200, []byte("trailing future section"))
 	if err := fw.Close(); err != nil {

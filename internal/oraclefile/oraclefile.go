@@ -6,23 +6,21 @@
 // Each section is
 //
 //	tag    uint32 (LE)
-//	count  uint64 (LE)  number of elements
-//	data   count elements, little-endian (u32/u64 arrays, or raw bytes)
+//	size   uint64 (LE)  payload bytes
+//	data   size bytes: a little-endian u32 or u64 array, or raw bytes
 //
-// and the writer/reader pair in internal/core lays oracle fields out as
-// an agreed sequence of sections in strictly increasing tag order.
-// Readers demand sections in order by tag: a tag below the wanted one
-// means the wanted section is missing or the file is reordered, and
-// fails fast with ErrSection instead of misparsing. A tag above the
-// wanted one is a section this reader does not know about — written by
-// a newer format revision — and is skipped, so old readers survive new
-// trailing or interleaved sections (forward compatibility). Because
-// the skip has only the header to go by, every section added after
-// format v1 MUST store a byte count in the header (Raw-style), not an
-// element count. Array data moves through fixed-size chunk buffers
-// (near-memcpy speed, allocation proportional to data actually
-// present, so a corrupt count on a truncated file cannot force a huge
-// allocation).
+// and the writer/reader pairs in internal/core (oracle snapshots and
+// update deltas) lay their fields out as an agreed sequence of sections
+// in strictly increasing tag order. Readers demand sections in order by
+// tag: a tag below the wanted one means the wanted section is missing
+// or the file is reordered, and fails fast with ErrSection instead of
+// misparsing. A tag above the wanted one is a section this reader does
+// not know about — written by a newer format revision — and is skipped
+// by its byte count, so old readers survive new trailing or interleaved
+// sections (forward compatibility). Array data moves through fixed-size
+// chunk buffers (near-memcpy speed, allocation proportional to data
+// actually present, so a corrupt size on a truncated file cannot force
+// a huge allocation).
 //
 // Integrity, not authentication: the trailing checksum reliably
 // detects truncation and accidental corruption, which is the threat
@@ -98,41 +96,21 @@ func (ow *Writer) write(b []byte) {
 	ow.crc.Write(b)
 }
 
-func (ow *Writer) header(tag uint32, count uint64) {
+func (ow *Writer) header(tag uint32, size uint64) {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:], tag)
-	binary.LittleEndian.PutUint64(hdr[4:], count)
+	binary.LittleEndian.PutUint64(hdr[4:], size)
 	ow.write(hdr[:])
 }
 
 // U32s writes a uint32-array section.
 func (ow *Writer) U32s(tag uint32, xs []uint32) {
-	ow.header(tag, uint64(len(xs)))
-	ow.u32Data(xs)
-}
-
-// U32sBytes writes a uint32-array section whose header stores the
-// payload's byte count, as every section added after format v1 must.
-func (ow *Writer) U32sBytes(tag uint32, xs []uint32) {
-	ow.header(tag, 4*uint64(len(xs)))
-	ow.u32Data(xs)
-}
-
-// u32Data writes the little-endian payload of a uint32 array.
-func (ow *Writer) u32Data(xs []uint32) {
-	for len(xs) > 0 {
-		n := min(len(xs), chunkElems)
-		for i, v := range xs[:n] {
-			binary.LittleEndian.PutUint32(ow.buf[4*i:], v)
-		}
-		ow.write(ow.buf[:4*n])
-		xs = xs[n:]
-	}
+	ow.U32Rows(tag, [][]uint32{xs})
 }
 
 // U64s writes a uint64-array section.
 func (ow *Writer) U64s(tag uint32, xs []uint64) {
-	ow.header(tag, uint64(len(xs)))
+	ow.header(tag, 8*uint64(len(xs)))
 	for len(xs) > 0 {
 		n := min(len(xs), chunkElems)
 		for i, v := range xs[:n] {
@@ -149,12 +127,11 @@ func (ow *Writer) Raw(tag uint32, b []byte) {
 	ow.write(b)
 }
 
-// U32RowsBytes writes a uint32-array section assembled from several
-// rows, with the payload's byte count in its header. The encoding is
-// byte-identical to one U32sBytes call on the rows' concatenation,
-// without materializing it (callers keep large tables as per-row
-// slices).
-func (ow *Writer) U32RowsBytes(tag uint32, rows [][]uint32) {
+// U32Rows writes a uint32-array section assembled from several rows.
+// The encoding is byte-identical to one U32s call on the rows'
+// concatenation, without materializing it (callers keep large tables
+// as per-row slices).
+func (ow *Writer) U32Rows(tag uint32, rows [][]uint32) {
 	var total uint64
 	for _, r := range rows {
 		total += uint64(len(r))
@@ -262,16 +239,16 @@ func (or *Reader) sized(count uint64, elemSize int) (bool, error) {
 	return true, nil
 }
 
-// header reads section headers until it finds the wanted tag.
+// header reads section headers until it finds the wanted tag and
+// returns its payload's byte count.
 //
 // Sections appear in strictly increasing tag order, so a greater tag
 // is one this reader does not know about (a newer format revision
-// appended it): its payload is skipped — by convention every section
-// added after v1 stores a byte count in the header, exactly like Raw —
-// with the skipped bytes still feeding the checksum. A smaller tag
-// means the wanted section is missing or the file is reordered: fail
-// fast with ErrSection.
-func (or *Reader) header(tag uint32) (count uint64, err error) {
+// appended it): its payload is skipped by its byte count, with the
+// skipped bytes still feeding the checksum. A smaller tag means the
+// wanted section is missing or the file is reordered: fail fast with
+// ErrSection.
+func (or *Reader) header(tag uint32) (size uint64, err error) {
 	for {
 		var hdr [12]byte
 		if err := or.read(hdr[:]); err != nil {
@@ -308,29 +285,25 @@ func (or *Reader) skip(n uint64) error {
 	return nil
 }
 
-// U32s reads the uint32-array section with the given tag.
-func (or *Reader) U32s(tag uint32) ([]uint32, error) {
-	count, err := or.header(tag)
-	if err != nil {
-		return nil, err
-	}
-	return or.u32Data(count)
-}
-
-// U32sBytes reads a uint32-array section written by U32sBytes.
-func (or *Reader) U32sBytes(tag uint32) ([]uint32, error) {
+// arrayHeader reads the header of the array section with the given
+// tag, whose elements take elemSize bytes, and returns their count.
+func (or *Reader) arrayHeader(tag uint32, elemSize uint64) (uint64, error) {
 	size, err := or.header(tag)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if size%4 != 0 {
-		return nil, fmt.Errorf("%w: tag %d holds %d bytes, not a whole number of u32s", ErrSection, tag, size)
+	if size%elemSize != 0 {
+		return 0, fmt.Errorf("%w: tag %d holds %d bytes, not a whole number of %d-byte elements", ErrSection, tag, size, elemSize)
 	}
-	return or.u32Data(size / 4)
+	return size / elemSize, nil
 }
 
-// u32Data reads count little-endian uint32s of section payload.
-func (or *Reader) u32Data(count uint64) ([]uint32, error) {
+// U32s reads the uint32-array section with the given tag.
+func (or *Reader) U32s(tag uint32) ([]uint32, error) {
+	count, err := or.arrayHeader(tag, 4)
+	if err != nil {
+		return nil, err
+	}
 	exact, err := or.sized(count, 4)
 	if err != nil {
 		return nil, err
@@ -356,7 +329,7 @@ func (or *Reader) u32Data(count uint64) ([]uint32, error) {
 
 // U64s reads the uint64-array section with the given tag.
 func (or *Reader) U64s(tag uint32) ([]uint64, error) {
-	count, err := or.header(tag)
+	count, err := or.arrayHeader(tag, 8)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package oraclefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -15,16 +17,14 @@ func TestRoundTrip(t *testing.T) {
 	for i := range u32s {
 		u32s[i] = uint32(i * 7)
 	}
-	sized := []uint32{9, 8, 7}
 	raw := []byte("embedded blob")
 	rows := [][]uint32{{1, 2}, nil, make([]uint32, 9000)} // the last spans a chunk boundary
 	rows[2][8999] = 3
 	w.U64s(1, u64s)
 	w.U32s(2, u32s)
-	w.U32sBytes(3, sized)
 	w.Raw(4, raw)
 	w.U32s(5, nil)
-	w.U32RowsBytes(6, rows)
+	w.U32Rows(6, rows)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -44,10 +44,6 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got32, u32s) {
 		t.Fatalf("U32s mismatch: %v", err)
 	}
-	gotSized, err := r.U32sBytes(3)
-	if err != nil || !reflect.DeepEqual(gotSized, sized) {
-		t.Fatalf("U32sBytes: %v %v", gotSized, err)
-	}
 	gotRaw, err := r.Raw(4)
 	if err != nil || !bytes.Equal(gotRaw, raw) {
 		t.Fatalf("Raw: %q %v", gotRaw, err)
@@ -57,12 +53,60 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("empty section: %v %v", empty, err)
 	}
 	// Rows read back as one section of their concatenation.
-	gotRows, err := r.U32sBytes(6)
+	gotRows, err := r.U32s(6)
 	if err != nil || !reflect.DeepEqual(gotRows, append(append(rows[0], rows[1]...), rows[2]...)) {
-		t.Fatalf("U32RowsBytes as U32sBytes: %d words, %v", len(gotRows), err)
+		t.Fatalf("U32Rows as U32s: %d words, %v", len(gotRows), err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("reader Close: %v", err)
+	}
+}
+
+// TestHeadersHoldByteCounts pins the one section encoding: every
+// header, whatever the section's element width, holds its payload's
+// byte count, and a reader rejects an array section whose bytes are
+// not a whole number of its elements.
+func TestHeadersHoldByteCounts(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, 1)
+	w.U64s(1, []uint64{1, 2, 3})
+	w.U32s(2, []uint32{4, 5})
+	w.Raw(3, []byte("five!"))
+	w.U32Rows(4, [][]uint32{{6}, {7, 8}})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	off := 6 // past the magic and the version
+	for _, want := range []struct{ tag, size uint64 }{{1, 24}, {2, 8}, {3, 5}, {4, 12}, {endTag, 0}} {
+		tag, size := uint64(binary.LittleEndian.Uint32(blob[off:])), binary.LittleEndian.Uint64(blob[off+4:])
+		if tag != want.tag || size != want.size {
+			t.Fatalf("header at %d: tag %d, size %d; want tag %d, size %d", off, tag, size, want.tag, want.size)
+		}
+		off += 12 + int(size)
+	}
+
+	// Section 3 holds five bytes: no whole number of u32s or u64s.
+	for _, tc := range []struct {
+		name string
+		read func(r *Reader) error
+	}{
+		{"u32s", func(r *Reader) error { _, err := r.U32s(3); return err }},
+		{"u64s", func(r *Reader) error { _, err := r.U64s(3); return err }},
+	} {
+		r, err := NewReader(bytes.NewReader(blob), int64(len(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.U64s(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.U32s(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.read(r); !errors.Is(err, ErrSection) || !strings.Contains(err.Error(), "whole number") {
+			t.Errorf("%s over a section of ragged bytes: %v, want ErrSection", tc.name, err)
+		}
 	}
 }
 
@@ -93,11 +137,10 @@ func TestSkipsUnknownSections(t *testing.T) {
 		var buf bytes.Buffer
 		w := NewWriter(&buf, 1)
 		w.U32s(1, []uint32{10, 20})
-		// Unknown sections carry tags above every known one and use
-		// byte-count headers (the post-v1 convention), so Raw models
-		// them exactly.
+		// Unknown sections carry tags above every known one; every
+		// header holds a byte count, so Raw models them exactly.
 		w.Raw(100, []byte("future section between known tags"))
-		w.U32sBytes(9, []uint32{33})
+		w.U32s(9, []uint32{33})
 		w.Raw(112, bytes.Repeat([]byte{0xAB}, 3*8192+5)) // spans chunk buffers
 		w.U64s(40, []uint64{77})
 		w.Raw(199, []byte("trailing future section"))
@@ -119,9 +162,9 @@ func TestSkipsUnknownSections(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, []uint32{10, 20}) {
 			t.Fatalf("U32s(1) = %v, %v", got, err)
 		}
-		gotSized, err := r.U32sBytes(9)
-		if err != nil || !reflect.DeepEqual(gotSized, []uint32{33}) {
-			t.Fatalf("U32sBytes(9) = %v, %v", gotSized, err)
+		got9, err := r.U32s(9)
+		if err != nil || !reflect.DeepEqual(got9, []uint32{33}) {
+			t.Fatalf("U32s(9) = %v, %v", got9, err)
 		}
 		got64, err := r.U64s(40)
 		if err != nil || !reflect.DeepEqual(got64, []uint64{77}) {
@@ -142,8 +185,8 @@ func TestSkipsUnknownSections(t *testing.T) {
 	if _, err := r.U32s(1); err != nil {
 		t.Fatalf("U32s(1): %v", err)
 	}
-	if _, err := r.U32sBytes(9); err != nil {
-		t.Fatalf("U32sBytes(9): %v", err)
+	if _, err := r.U32s(9); err != nil {
+		t.Fatalf("U32s(9): %v", err)
 	}
 	if _, err := r.U64s(40); err != nil {
 		t.Fatalf("U64s(40): %v", err)
@@ -225,8 +268,7 @@ func TestChecksumAndTruncation(t *testing.T) {
 }
 
 // TestCorruptCountCannotForceHugeAlloc: a section claiming 2^40
-// elements on a tiny file must fail at EOF without allocating 2^40
-// elements first.
+// bytes on a tiny file must fail at EOF without allocating them first.
 func TestCorruptCountCannotForceHugeAlloc(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 1)
@@ -235,8 +277,8 @@ func TestCorruptCountCannotForceHugeAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
-	// Section count lives right after magic(4)+version(2)+tag(4).
-	blob[10+4] = 0xFF // blow up the low bytes of the count
+	// Section size lives right after magic(4)+version(2)+tag(4).
+	blob[10+4] = 0xFF // blow up the low bytes of the size
 	blob[10+5] = 0xFF
 	blob[10+6] = 0xFF
 	r, err := NewReader(bytes.NewReader(blob), int64(len(blob)))

@@ -34,14 +34,16 @@ const (
 // between arenas by a plain copy:
 //
 //	leveled:  owner, R, R × {end, last, block}, NB × {head, meta}, data
-//	weighted: R, R × {end, last, block}, NB × {head, meta}, data
+//	weighted: R, R × {end, last, block}, NB × {head, meta}, data, E × dist
 //
 // R is the number of stored runs. A leveled table's entry 0 is its
 // owner, level 0, which the header holds: stored run k is level k+1 and
 // begins at entry 1. A weighted table's runs (its interior, then its
-// tail) begin at entry 0. Each run record gives the table-local entry
-// index where the run ends, its last key and the index of its first
-// block among the table's NB block records. A run of c keys has
+// tail) begin at entry 0, and its E entries' distances, in stored
+// order, end it. Each run record gives the table-local entry index
+// where the run ends, its last key and the index of its first block
+// among the table's NB block records, so the last run's end is the
+// table's entry count E. A run of c keys has
 // ceil(c/B) blocks. A block of c keys stores its head and the c-1 gaps
 // after it as gap-1, packed least significant bit first into
 // ceil(w·(c-1)/32) data words at the block's width w, the bit length of
@@ -54,9 +56,10 @@ const (
 // and starts the entry index where each run past the implicit ones
 // begins: on a leveled table keys[0] is the owner, level 1 begins at
 // entry 1 and starts holds where each level from 2 on begins; on a
-// weighted table run 0 begins at entry 0 and starts holds the tail's
-// start when there are two runs. Every run must strictly increase.
-func AppendTable(dst []uint32, leveled bool, keys, starts []uint32) []uint32 {
+// weighted table run 0 begins at entry 0, starts holds the tail's
+// start when there are two runs, and dists holds each key's distance
+// (nil on a leveled table). Every run must strictly increase.
+func AppendTable(dst []uint32, leveled bool, keys, starts, dists []uint32) []uint32 {
 	base := len(dst)
 	first := uint32(0)
 	if leveled {
@@ -113,7 +116,7 @@ func AppendTable(dst []uint32, leveled bool, keys, starts []uint32) []uint32 {
 		}
 		lo = hi
 	}
-	return dst
+	return append(dst, dists...)
 }
 
 // dataWords is the number of data words of a block of cnt keys at
@@ -428,21 +431,22 @@ func Intersect(a, b Run) (i, j int, ok bool) {
 var ErrBadTable = errors.New("u32map: malformed coded table")
 
 // Check decodes every run of the table and reports whether the coded
-// form is the one AppendTable writes for keys below n: run records
-// whose ends strictly increase to the table's entry count and whose
-// first blocks follow one another; no width over 32; every block's
-// data at its place and no shorter than its width implies; every key
-// below n; each block head above the previous block's last key; and
-// each run's last key as recorded. Loaders call it on tables they
-// cannot trust. A leveled table's owner is the caller's to check.
+// form is the one AppendTable writes for keys below n: at least one run
+// on a weighted table; run records whose ends strictly increase and
+// whose first blocks follow one another; no width over 32; every
+// block's data at its place and no shorter than its width implies;
+// every key below n; each block head above the previous block's last
+// key; each run's last key as recorded; and on a weighted table exactly
+// one distance per entry after the data. Loaders call it on tables
+// they cannot trust. A leveled table's owner is the caller's to check.
 func (f Flat) Check(n uint32) error {
-	if f.eLen == 0 {
+	if f.wLen == 0 {
 		return nil
 	}
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: "+format, append([]any{ErrBadTable}, args...)...)
 	}
-	t := f.words()
+	t := f.Words()
 	h, start := f.header()
 	if len(t) <= h {
 		return bad("header past the table's %d words", len(t))
@@ -455,13 +459,16 @@ func (f Flat) Check(n uint32) error {
 	if uint64(runs) > uint64(len(t)-h)/3 {
 		return bad("%d run records past the table's %d words", runs, len(t))
 	}
+	if runs == 0 && !f.a.Leveled {
+		return bad("a weighted table without entries")
+	}
 	// The block count follows from the run ends, which must be checked
 	// first: the data begins after the last block record.
 	blocks, lo := 0, start
 	for k := 0; k < int(runs); k++ {
 		hi := t[h+3*k]
-		if hi <= lo || hi > f.eLen {
-			return bad("run %d ends at entry %d, after %d, of %d", k, hi, lo, f.eLen)
+		if hi <= lo {
+			return bad("run %d ends at entry %d, not after %d", k, hi, lo)
 		}
 		if int(t[h+3*k+2]) != blocks {
 			return bad("run %d starts at block %d, not %d", k, t[h+3*k+2], blocks)
@@ -469,13 +476,17 @@ func (f Flat) Check(n uint32) error {
 		blocks += int(hi-lo+BlockLen-1) / BlockLen
 		lo = hi
 	}
-	if lo != f.eLen {
-		return bad("runs hold %d entries, the table %d", lo, f.eLen)
-	}
 	bb := h + 3*int(runs)
 	data := bb + 2*blocks
 	if data > len(t) {
 		return bad("%d block records past the table's %d words", blocks, len(t))
+	}
+	end := len(t) // where the block data ends: before a weighted table's distances
+	if !f.a.Leveled {
+		if uint64(lo) > uint64(len(t)-data) {
+			return bad("%d distances past the table's %d words", lo, len(t))
+		}
+		end -= int(lo)
 	}
 	var buf [BlockLen]uint32
 	b, lo := 0, start
@@ -495,7 +506,7 @@ func (f Flat) Check(n uint32) error {
 			if int(meta>>widthBits) != data {
 				return bad("run %d block %d data at word %d, not %d", k, rb, meta>>widthBits, data)
 			}
-			if data += dataWords(w, min(BlockLen, r.n-rb*BlockLen)); data > len(t) {
+			if data += dataWords(w, min(BlockLen, r.n-rb*BlockLen)); data > end {
 				return bad("run %d block %d data shorter than its width %d implies", k, rb, w)
 			}
 			keys := r.Block(rb, &buf)
@@ -512,8 +523,8 @@ func (f Flat) Check(n uint32) error {
 		b += r.Blocks()
 		lo = hi
 	}
-	if data != len(t) {
-		return bad("%d words after the last block's data", len(t)-data)
+	if data != end {
+		return bad("%d words after the last block's data", end-data)
 	}
 	return nil
 }

@@ -197,7 +197,8 @@ func TestTableCheck(t *testing.T) {
 		mutate func(w []uint32)
 	}{
 		{"run count past the table", func(w []uint32) { w[0] = 1 << 30 }},
-		{"run end past the entries", func(w []uint32) { w[1]++ }},
+		{"run end past the distances", func(w []uint32) { w[1]++ }},
+		{"no run", func(w []uint32) { w[0] = 0 }},
 		{"run's first block", func(w []uint32) { w[3] = 1 }},
 		{"run's last key", func(w []uint32) { w[2]-- }},
 		{"block head not above the previous block's last key", func(w []uint32) { w[head1] = keys[BlockLen-1] }},
@@ -207,20 +208,25 @@ func TestTableCheck(t *testing.T) {
 		{"last block's data shorter than its width implies", func(w []uint32) { w[meta3] = w[meta3]&^widthMask | 32 }},
 	} {
 		f := build()
-		tc.mutate(f.words())
+		tc.mutate(f.Words())
 		if err := f.Check(n); !errors.Is(err, ErrBadTable) {
 			t.Errorf("%s: Check = %v", tc.name, err)
 		}
 	}
-	// A trailing word after the last block's data.
+	// A word between the last block's data and the distances.
 	a := &Arena{}
-	words := append(AppendTable(nil, false, keys, nil), 0)
-	if err := a.Add(words, make([]uint32, len(keys)), uint32(len(keys))).Check(n); !errors.Is(err, ErrBadTable) {
+	words := append(AppendTable(nil, false, keys, nil, nil), 0)
+	words = append(words, make([]uint32, len(keys))...)
+	if err := a.Add(words).Check(n); !errors.Is(err, ErrBadTable) {
 		t.Errorf("trailing word: Check = %v", err)
+	}
+	// No distances after the data.
+	if err := a.Add(AppendTable(nil, false, keys, nil, nil)).Check(n); !errors.Is(err, ErrBadTable) {
+		t.Errorf("missing distances: Check = %v", err)
 	}
 	// A 32-bit gap-1 of 2^32-1 wraps the key around to its predecessor.
 	wrap := addTable(&Arena{}, []uint32{0, 1<<32 - 2}, nil, make([]uint32, 2))
-	wrap.words()[len(wrap.words())-1] = 1<<32 - 1
+	wrap.Words()[len(wrap.Words())-3] = 1<<32 - 1 // the data word, before two distances
 	if err := wrap.Check(1<<32 - 1); !errors.Is(err, ErrBadTable) {
 		t.Errorf("wrapping gap: Check = %v", err)
 	}
@@ -231,7 +237,7 @@ func TestTableCheck(t *testing.T) {
 	if err := f.Check(10); err != nil {
 		t.Fatal(err)
 	}
-	f.words()[2] = 1 // level 1 would be empty
+	f.Words()[2] = 1 // level 1 would be empty
 	if err := f.Check(10); !errors.Is(err, ErrBadTable) {
 		t.Errorf("empty level: Check = %v", err)
 	}

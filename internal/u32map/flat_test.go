@@ -145,7 +145,7 @@ func TestFlatMatchesMap(t *testing.T) {
 
 func TestFlatEmpty(t *testing.T) {
 	var f Flat
-	if f.Len() != 0 || f.Bytes() != 0 || f.Runs() != 0 {
+	if !f.Empty() || f.Len() != 0 || f.Bytes() != 0 || f.Runs() != 0 || f.Words() != nil {
 		t.Fatal("zero Flat not empty")
 	}
 	if _, ok := f.Get(0); ok {
@@ -159,19 +159,22 @@ func TestFlatEmpty(t *testing.T) {
 func TestRanges(t *testing.T) {
 	a, views := buildFlatArena(t, [][]uint32{{1, 2, 3}, {}, {10, 20}})
 	w0 := views[0].Range().WLen
-	if r := views[0].Range(); r.WOff != 0 || r.EOff != 0 || r.ELen != 3 {
-		t.Fatalf("ranges[0] = %+v", r)
+	if r := views[0].Range(); r.WOff != 0 || views[0].Len() != 3 {
+		t.Fatalf("ranges[0] = %+v, %d entries", r, views[0].Len())
 	}
-	if r := views[1].Range(); r.ELen != 0 {
+	if r := views[1].Range(); r.WLen != 0 || !views[1].Empty() {
 		t.Fatalf("empty table ranges = %+v", r)
 	}
-	if r := views[2].Range(); r.WOff != w0 || r.EOff != 3 || r.ELen != 2 {
-		t.Fatalf("ranges[2] = %+v", r)
+	if r := views[2].Range(); r.WOff != w0 || views[2].Len() != 2 {
+		t.Fatalf("ranges[2] = %+v, %d entries", r, views[2].Len())
 	}
 	// {1, 2, 3}: run count, one run record, one block record and no
-	// data (consecutive ids take width 0), plus three distances.
-	if b := views[0].Bytes(); w0 != 6 || b != 4*(6+3) {
+	// data (consecutive ids take width 0), then three distances.
+	if b := views[0].Bytes(); w0 != 6+3 || b != 4*(6+3) {
 		t.Fatalf("table of 3 consecutive keys: %d words, Bytes %d", w0, b)
+	}
+	if w := views[0].Words(); !slices.Equal(w[6:], []uint32{2, 3, 4}) {
+		t.Fatalf("distances do not end the table: %v", w)
 	}
 	if a.Bytes() != views[0].Bytes()+views[2].Bytes() {
 		t.Fatalf("Bytes = %d", a.Bytes())
@@ -179,19 +182,16 @@ func TestRanges(t *testing.T) {
 }
 
 func TestArenaAllocAndClone(t *testing.T) {
-	a := &Arena{
-		Words: make([]uint32, 0, 64),
-		Dists: make([]uint32, 0, 64),
-	}
+	a := &Arena{Words: make([]uint32, 0, 64)}
 	f := addTable(a, []uint32{7, 9}, nil, []uint32{1, 2})
 
 	c := a.Clone()
-	g := c.Add(AppendTable(nil, false, []uint32{3, 4, 42}, nil), []uint32{5, 6, 7}, 3)
-	if r := g.Range(); r.WOff != f.Range().WLen || r.EOff != 2 {
+	g := c.Add(AppendTable(nil, false, []uint32{3, 4, 42}, nil, []uint32{5, 6, 7}))
+	if r := g.Range(); r.WOff != f.Range().WLen {
 		t.Fatalf("added table at %+v", r)
 	}
 	// The original header still sees only its own range.
-	if len(a.Words) != int(f.Range().WLen) || len(a.Dists) != 2 {
+	if len(a.Words) != int(f.Range().WLen) {
 		t.Fatal("clone append disturbed the original view")
 	}
 	if d, ok := f.Get(9); !ok || d != 2 {
@@ -199,7 +199,7 @@ func TestArenaAllocAndClone(t *testing.T) {
 	}
 	// Growth past capacity reallocates without touching the parent.
 	c2 := c.Clone()
-	c2.Add(make([]uint32, 100), make([]uint32, 100), 100)
+	c2.Add(make([]uint32, 100))
 	if d, ok := g.Get(42); !ok || d != 7 {
 		t.Fatalf("reallocation disturbed the parent snapshot: Get(42) = %d,%v", d, ok)
 	}
@@ -223,9 +223,6 @@ func TestLeveledArena(t *testing.T) {
 	var views []Flat
 	for _, tb := range tables {
 		views = append(views, addTable(a, tb.keys, tb.starts, nil))
-	}
-	if a.Dists != nil {
-		t.Fatalf("leveled arena grew a distance array: %v", a.Dists)
 	}
 	check := func(f Flat, keys, dists []uint32) {
 		t.Helper()
@@ -255,8 +252,8 @@ func TestLeveledArena(t *testing.T) {
 	total := 0
 	for i, tb := range tables {
 		check(views[i], tb.keys, tb.dists)
-		if b := views[i].Bytes(); b != 4*int(views[i].Range().WLen) {
-			t.Fatalf("table %d: Bytes = %d, want its words only", i, b)
+		if w := AppendTable(nil, true, tb.keys, tb.starts, nil); !slices.Equal(views[i].Words(), w) {
+			t.Fatalf("table %d: words %v, want its coded keys only, %v", i, views[i].Words(), w)
 		}
 		total += views[i].Bytes()
 	}
@@ -297,8 +294,8 @@ func TestWeightedRuns(t *testing.T) {
 		t.Fatalf("tail run %v/%v", keysOf(run), rd)
 	}
 	one := addTable(a, keys[:3], nil, dists[:3])
-	if one.Runs() != 1 || one.Bytes() != 4*(int(one.Range().WLen)+3) {
-		t.Fatalf("one-run table: Runs %d, Bytes %d", one.Runs(), one.Bytes())
+	if w := one.Words(); one.Runs() != 1 || one.Len() != 3 || !slices.Equal(w[len(w)-3:], dists[:3]) {
+		t.Fatalf("one-run table: Runs %d, Len %d, words %v", one.Runs(), one.Len(), w)
 	}
 	if err := f.Check(30); !errors.Is(err, ErrBadTable) {
 		t.Fatalf("key 30 passed Check below n = 30: %v", err)

@@ -11,12 +11,12 @@
 // representation is the Flat view over a shared Arena: every table's
 // runs, each sorted by node id (one run per BFS level on unweighted
 // graphs), coded back to back in one word array, and distances either
-// per entry (weighted arenas) or per level (leveled arenas) — see
-// flat.go. A run is cut into blocks of BlockLen keys; each block keeps
-// its first key in full and bit-packs the gaps after it at the block's
-// own width (binary packing, or frame of reference: Lemire & Boytsov,
-// "Decoding billions of integers per second through vectorization",
-// 2015) — see code.go. A point lookup bisects block heads and decodes
+// per entry at the end of each table (weighted arenas) or per level
+// (leveled arenas) — see flat.go. A run is cut into blocks of BlockLen
+// keys; each block keeps its first key in full and bit-packs the gaps
+// after it at the block's own width (binary packing, or frame of
+// reference: Lemire & Boytsov, "Decoding billions of integers per
+// second through vectorization", 2015) — see code.go. A point lookup bisects block heads and decodes
 // one block; a scan walks two runs block by block (Meet). This is the
 // "more customized implementation of the data structures" the paper
 // floats in §5. Map is an open-addressing hash table, for callers that

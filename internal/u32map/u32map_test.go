@@ -186,7 +186,7 @@ func addTable(a *Arena, keys, starts, dists []uint32) Flat {
 	if len(keys) == 0 {
 		return Flat{}
 	}
-	return a.Add(AppendTable(nil, a.Leveled, keys, starts), dists, uint32(len(keys)))
+	return a.Add(AppendTable(nil, a.Leveled, keys, starts, dists))
 }
 
 func buildBenchTables(n int) (*Map, Flat, []uint32) {

@@ -192,15 +192,17 @@ type Options struct {
 	Alpha float64
 	// Seed makes landmark sampling deterministic.
 	Seed uint64
-	// Workers bounds build parallelism (0 = GOMAXPROCS). The offline
-	// phase shards across this many goroutines; the built oracle — and
-	// any file written by Save — is bit-identical for every worker
-	// count, so Workers trades build time only, never output.
+	// Workers bounds build parallelism (0 = GOMAXPROCS): this many
+	// goroutines compute the vicinities and the landmark rows, and
+	// repair them on updates. The built oracle — and any file written
+	// by Save — is bit-identical for every worker count, so Workers
+	// trades build time only, never output.
 	Workers int
 	// WithoutLandmarkTables skips the |L|·n landmark distance tables;
 	// landmark-endpoint queries then resolve via vicinities or fallback.
-	// Built tables store each row at the width its distances need: four
-	// bits per node on social networks.
+	// Built tables store each row in the form of fewest bytes: two bits
+	// per node on social networks, with a short list of the distances
+	// outside the row's window.
 	WithoutLandmarkTables bool
 	// Nodes restricts vicinity construction to these nodes (advanced;
 	// used by the evaluation harness to mirror the paper's methodology).
